@@ -221,6 +221,13 @@ def _denominators(fock: FockData, alphas) -> dict[str, float]:
     return out
 
 
+def _second_order(numerators, deltas):
+    """(amplitudes N_a / dE_a, energy contributions N_a^2 / dE_a) per candidate."""
+    amplitudes = {name: numerators[name] / delta for name, delta in deltas.items()}
+    contributions = {name: numerators[name] ** 2 / delta for name, delta in deltas.items()}
+    return amplitudes, contributions
+
+
 def hmp2_correct(
     state: Statevector,
     hamiltonian: PauliSum,
@@ -232,10 +239,8 @@ def hmp2_correct(
     """Second-order energy correction around the converged ansatz state."""
     alpha_prime = list(alpha_prime)
     numerators = first_order_numerators(state, hamiltonian, alpha_prime, ztilde, transform)
-    deltas = _denominators(fock, alpha_prime)
-    return sum(
-        numerators[name] ** 2 / delta for name, delta in deltas.items()
-    )
+    _, contributions = _second_order(numerators, _denominators(fock, alpha_prime))
+    return sum(contributions.values())
 
 
 def wavefunction_correction(
@@ -254,8 +259,8 @@ def wavefunction_correction(
     """
     alphas = list(alphas)
     numerators = first_order_numerators(state, hamiltonian, alphas, ztilde, transform)
-    deltas = _denominators(fock, alphas)
-    return {name: numerators[name] / delta for name, delta in deltas.items()}
+    amplitudes, _ = _second_order(numerators, _denominators(fock, alphas))
+    return amplitudes
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +375,12 @@ def _scores(pool, current, amplitudes):
     }
 
 
-def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, reference):
+def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, reference, cache):
     """Keep whichever sign of the new parameter gives the lower energy."""
     best_value, best_energy = 0.0, math.inf
     for value in (guess, -guess):
         trial = params.extended(new_seq.name, value)
-        ansatz = AnsatzOp.build(transform, tuple(terms) + (new_seq,), trial)
+        ansatz = AnsatzOp.build(transform, tuple(terms) + (new_seq,), trial, cache=cache)
         state = apply_ansatz(reference, ansatz)
         energy = float(np.real(h_compiled.expectation(state.amplitudes)))
         if energy < best_energy:
@@ -445,6 +450,7 @@ def run_hmp2_loop(
         {s.name: amplitudes0.get(s.name, 0.0) for s in seeds},
     )
 
+    gen_cache: dict[str, CompiledSum] = {}  # one compiled generator per excitation
     if not terms:
         selection = select_next(
             (), pool, amplitudes0, contributions0, config.delta_e
@@ -453,7 +459,7 @@ def run_hmp2_loop(
             return HMP2Run(reports, True, "no candidate above threshold", ParameterSet())
         guess = _resolved_sign_guess(
             h_compiled, transform, (), ParameterSet(), selection.term,
-            selection.guess, reference,
+            selection.guess, reference, gen_cache,
         )
         reports[0].chosen = selection.term.name
         reports[0].guess = guess
@@ -463,10 +469,9 @@ def run_hmp2_loop(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degeneracies already reported by cycle 0
         deltas = _denominators(fock, pool)
-    gen_cache: dict[str, CompiledSum] = {}
     converged, reason = False, "cycle cap reached"
     for cycle in range(1, config.max_cycles + 1):
-        ansatz = AnsatzOp.build(transform, tuple(terms), params)
+        ansatz = AnsatzOp.build(transform, tuple(terms), params, cache=gen_cache)
         result = vqe_minimize(
             h_compiled, ansatz, reference,
             gtol=config.vqe_gtol, maxiter=config.vqe_maxiter,
@@ -478,10 +483,7 @@ def run_hmp2_loop(
         numerators = first_order_numerators(
             state, h_pauli, pool, ztilde, transform, gen_cache
         )
-        amplitudes = {name: numerators[name] / deltas[name] for name in deltas}
-        contributions = {
-            name: numerators[name] ** 2 / deltas[name] for name in deltas
-        }
+        amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
         e_total = result.energy + e_corr2
         selection = select_next(terms, pool, amplitudes, contributions, config.delta_e)
@@ -510,7 +512,7 @@ def run_hmp2_loop(
             break
         guess = _resolved_sign_guess(
             h_compiled, transform, terms, params, selection.term,
-            selection.guess, reference,
+            selection.guess, reference, gen_cache,
         )
         report.chosen = selection.term.name
         report.guess = guess

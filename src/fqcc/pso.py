@@ -18,9 +18,9 @@ more than ``drift_window`` consecutive steps without a new personal
 best; the search ends at ``t_max`` steps or when every particle has
 stopped.
 
-Cost evaluations are pure functions of the decoded encoding and may run
-in a thread pool (``FQCC_WORKERS``); randomness is partitioned into one
-stream per particle, so the worker count never changes the trajectory.
+Cost evaluations are pure functions of the decoded encoding, cached per
+bit pattern and run serially; randomness is partitioned into one stream
+per particle.  Checkpoints are plain text, replaced atomically.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from .transform import Transform
-from .trotter import ansatz_two_qubit_cost
+from .trotter import HeuristicConfig, ansatz_two_qubit_cost
 
 __all__ = [
     "SwarmConfig",
@@ -63,21 +63,6 @@ def default_k_max(n_modes):
 def default_t_max(n_modes):
     """Step budget: 10000 on small registers, 100 beyond."""
     return 10000 if n_modes <= 8 else 100
-
-
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("FQCC_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = _worker_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 @dataclass(slots=True, frozen=True)
@@ -287,13 +272,11 @@ def _decode(n, d, mask):
 
 
 def _evaluate(swarm, cost_fn, masks):
-    """Costs for a batch of positions, cached and evaluated in parallel."""
+    """Costs for a batch of positions; each new position is evaluated once."""
     cache = swarm.cost_cache
-    todo = sorted({m for m in masks if m not in cache})
-    if todo:
-        n, d = swarm.config.n_modes, swarm.config.dimension
-        costs = _pmap(lambda m: int(cost_fn(_decode(n, d, m))), todo)
-        cache.update(zip(todo, costs))
+    n, d = swarm.config.n_modes, swarm.config.dimension
+    for m in sorted({m for m in masks if m not in cache}):
+        cache[m] = int(cost_fn(_decode(n, d, m)))
     return [cache[m] for m in masks]
 
 
@@ -411,14 +394,12 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
     )
 
 
-def ansatz_cost_fn(seqs, *, anti=True, bosonic=True, reorder=True, occupied=None):
-    """Two-qubit synthesis cost of a fixed excitation list, as f(transform)."""
+def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
+    """Two-qubit planner count of a fixed excitation list, as f(transform)."""
     seqs = tuple(seqs)
 
     def cost(transform):
-        return ansatz_two_qubit_cost(
-            seqs, transform, anti=anti, bosonic=bosonic, reorder=reorder, occupied=occupied
-        )
+        return ansatz_two_qubit_cost(seqs, transform, config, occupied=occupied)
 
     return cost
 
@@ -435,7 +416,12 @@ def _bitline(mask, d):
 
 
 def write_checkpoint(swarm, path):
-    """Persist config, per-particle state, and the global best as text."""
+    """Persist config, per-particle state, and the global best as text.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step: a failed write leaves the previous
+    checkpoint intact.
+    """
     cfg = swarm.config
     d = cfg.dimension
     lines = [
@@ -462,8 +448,16 @@ def write_checkpoint(swarm, path):
         lines.append("x0 " + _bitline(p.initial_position, d))
         lines.append("l " + _bitline(p.best_position, d))
         lines.append("v " + " ".join(repr(float(v)) for v in p.velocity))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> Swarm:

@@ -102,14 +102,20 @@ class AnsatzOp:
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
-    def build(cls, transform, terms, params: ParameterSet | None = None) -> "AnsatzOp":
+    def build(
+        cls, transform, terms, params: ParameterSet | None = None, *, cache: dict | None = None
+    ) -> "AnsatzOp":
+        """Validate the term list; ``cache`` (name -> compiled generator) is
+        shared, not copied, so ansatzes built over one transform compile
+        each generator once.
+        """
         terms = tuple(terms)
         names = tuple(seq.name for seq in terms)
         if len(set(names)) != len(names):
             raise ValueError("duplicate excitation in ansatz")
         if params is None:
             params = ParameterSet(names, {})
-        return cls(transform, terms, params)
+        return cls(transform, terms, params, {} if cache is None else cache)
 
     @property
     def n_qubits(self) -> int:
@@ -122,13 +128,11 @@ class AnsatzOp:
 
     def generator(self, seq: OrbitalSequence):
         """(compiled image of T - T+, whether the cubic identity applies)."""
-        hit = self._cache.get(seq.name)
-        if hit is None:
+        compiled = self._cache.get(seq.name)
+        if compiled is None:
             op = excitation_generator(seq, self.transform.n_modes)
-            compiled = CompiledSum(op.to_pauli(self.transform))
-            cubic = not set(seq.creations()) & set(seq.annihilations())
-            hit = self._cache[seq.name] = (compiled, cubic)
-        return hit
+            compiled = self._cache[seq.name] = CompiledSum(op.to_pauli(self.transform))
+        return compiled, not set(seq.creations()) & set(seq.annihilations())
 
 
 def _apply_exponential(kernel: CompiledSum, cubic: bool, theta: float, vec):

@@ -175,12 +175,6 @@ class Transform:
                     circ.add("CNOT", j, i)
         return circ
 
-    def encode_vector(self, bits):
-        """beta @ bits over GF(2); bits and result are little-endian ints."""
-        x = np.array([(bits >> k) & 1 for k in range(self.n_modes)], dtype=np.uint8)
-        y = (self.beta @ x) & 1
-        return int(sum(int(b) << k for k, b in enumerate(y)))
-
     # -- beta file format ------------------------------------------------------
 
     def to_beta_text(self):

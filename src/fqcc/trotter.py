@@ -10,13 +10,17 @@ excitations are compressed onto half the register.  This module provides:
 - product-formula sequencing (first order, and the recursive even orders),
 - ``expand_term``: excitation -> rotation list under a chosen transform,
 - ``synth_pauli_exp`` / ``term_circuit``: circuit emission,
-- ``intra_order``: exhaustive per-term (ordering, target) optimization with
-  an exact additive cost model,
+- ``intra_order``: per-term string order for each ladder target, by
+  dynamic programming over an exact additive cost model,
 - ``relabel_levels``: greedy level-relabeling over pair-swap permutations,
 - ``inter_order``: greedy cross-term concatenation by shared target,
 - ``bosonic_reduce``: compression of spatially paired double excitations
   onto one wire per orbital pair, plus the restoration network,
-- ``synthesize_ansatz``: the full pipeline with a structured plan report.
+- ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
+  its two-qubit count; the swarm's cost function
+  (``ansatz_two_qubit_cost``) reads that count,
+- ``emit_circuit``: the circuit of a plan; ``synthesize_ansatz`` is plan
+  followed by emit, with a structured plan report.
 
 The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
@@ -28,7 +32,7 @@ exactly these savings, so model and circuit agree gate-for-gate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .circuits import Circuit, metrics, peephole_cancel
 from .fermions import FermionOperator, FermionTerm, OrbitalSequence
@@ -306,9 +310,8 @@ class IntraChoice:
 
 @dataclass(frozen=True, slots=True)
 class IntraResult:
-    """All cost-minimal (ordering, target) pairs plus per-target optima."""
+    """Per-target optima and the cheapest count over targets."""
 
-    minima: tuple[IntraChoice, ...]
     per_target: dict[int, IntraChoice]
     min_cost: int
 
@@ -417,46 +420,22 @@ def _dp_choice(term, target):
     return IntraChoice(path, target, cost_breakdown(term, path, target))
 
 
-def intra_order(term, exhaustive=True):
-    """Optimize string order and ladder target for a single term.
+def intra_order(term):
+    """Optimize string order for each eligible ladder target of one term.
 
-    With ``exhaustive`` set, every permutation (deduplicated up to reversal)
-    of every eligible target is scored and all degenerate minima returned;
-    otherwise only the per-target optima are computed by dynamic
-    programming over boundary savings (same minima, no full set).
+    Each target's ordering is the maximum-saving path over boundary savings
+    (dynamic programming); ``min_cost`` is the cheapest target's count, or
+    the per-string-target fallback when no wire is eligible.
     """
     if not term.eligible_targets:
-        choice = _fallback_choice(term)
-        return IntraResult((), {}, choice.cost)
-
+        return IntraResult({}, _fallback_choice(term).cost)
     per_target = {t: _dp_choice(term, t) for t in term.eligible_targets}
-    min_cost = min(c.cost for c in per_target.values())
-    if not exhaustive:
-        return IntraResult((), per_target, min_cost)
-
-    k = len(term.strings)
-    base = sum(2 * (s.weight - 1) for s in term.strings)
-    minima = []
-    for t in term.eligible_targets:
-        savings = _savings_matrix(term.strings, t)
-        best_saved = base - per_target[t].cost
-        for perm in permutations(range(k)):
-            if perm[::-1] < perm:
-                continue
-            saved = 0
-            for i in range(k - 1):
-                saved += savings[perm[i]][perm[i + 1]]
-            if saved > best_saved:
-                raise AssertionError("path optimum disagrees with enumeration")
-            if base - saved == min_cost:
-                minima.append(IntraChoice(perm, t, cost_breakdown(term, perm, t)))
-    minima.sort(key=lambda c: (c.target, c.ordering))
-    return IntraResult(tuple(minima), per_target, min_cost)
+    return IntraResult(per_target, min(c.cost for c in per_target.values()))
 
 
 def term_min_cost(term):
     """Cheapest CNOT count over eligible targets (additive model)."""
-    return intra_order(term, exhaustive=False).min_cost
+    return intra_order(term).min_cost
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +588,7 @@ def _junction_value(terms, left, right, target):
     return 2 * two + one
 
 
-def inter_order(terms, intra=None):
+def inter_order(terms):
     """Group terms by shared eligible target and chain them greedily.
 
     Classes are formed around the most frequently eligible wire (ties to
@@ -619,8 +598,7 @@ def inter_order(terms, intra=None):
     original or reversed per-term ordering and keeping the best boundary
     saving (ties resolved in enumeration order).
     """
-    if intra is None:
-        intra = [intra_order(t, exhaustive=False) for t in terms]
+    intra = [intra_order(t) for t in terms]
     standalone = tuple(
         TermPlacement(i, _fallback_choice(terms[i]))
         for i in range(len(terms))
@@ -938,7 +916,12 @@ class HeuristicConfig:
 
 @dataclass(slots=True)
 class AnsatzPlan:
-    """Pipeline output: circuit, accounting, and the choices that led there."""
+    """Planner output: the choices, their two-qubit accounting, and the circuit.
+
+    ``circuit`` stays None until the plan is emitted.  The circuit runs the
+    source terms in ``order``: compressed terms, then the class chains, then
+    the standalone terms.
+    """
 
     n_qubits: int
     labels: tuple[int, ...]
@@ -948,18 +931,29 @@ class AnsatzPlan:
     compressed: tuple[CompressedTerm, ...]
     touched_pairs: tuple[int, ...]
     pairing: tuple[tuple[int, int], ...]
-    circuit: Circuit
     model_two_qubit: int
+    circuit: Circuit | None = None
+
+    @property
+    def order(self):
+        """Source-term indices in the order the circuit runs them."""
+        kept = set(self.kept)
+        placements = [p for cls in self.inter.classes for p in cls.placements]
+        placements += self.inter.standalone
+        return tuple(i for i in range(len(self.terms)) if i not in kept) + tuple(
+            self.kept[p.index] for p in placements
+        )
 
 
-def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occupied=None):
-    """Run the reduction pipeline over a sequence of excitations.
+def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occupied=None):
+    """Plan the reduction pipeline over a sequence of excitations.
 
-    Passes run in order: level relabeling (optional), paired-double
-    compression (compressed blocks lead the circuit, followed by the
-    restoration fan-out), then per-term and cross-term ordering of the
-    remainder.  ``model_two_qubit`` is the additive accounting; the
-    emitted circuit's metrics may only undercut it.
+    Passes run in order: level relabeling (only with ``config.relabel``),
+    expansion, paired-double compression, then per-term and cross-term
+    ordering of the remainder (without ``config.reorder``, each term keeps
+    its stored string order at its first eligible target).
+    ``model_two_qubit`` is the additive accounting; the emitted circuit's
+    metrics may only undercut it.  No circuit is built.
     """
     seqs = list(seqs)
     n = transform.n_modes
@@ -970,16 +964,13 @@ def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *,
 
     labels = tuple(range(n))
     if config.relabel:
-        state = relabel_levels(seqs, transform, config.relabel_k, anti=config.anti)
-        labels = state.labels
-
-    worked = []
-    for seq, theta in zip(seqs, angles):
-        mapped, sign = permute_sequence(seq, labels)
-        worked.append((mapped, sign * theta))
+        labels = relabel_levels(seqs, transform, config.relabel_k, anti=config.anti).labels
+        relabeled = [permute_sequence(seq, labels) for seq in seqs]
+        seqs = [mapped for mapped, _ in relabeled]
+        angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
 
     terms = tuple(
-        expand_term(seq, transform, theta, anti=config.anti) for seq, theta in worked
+        expand_term(seq, transform, theta, anti=config.anti) for seq, theta in zip(seqs, angles)
     )
 
     pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2)) if n % 2 == 0 else ()
@@ -989,45 +980,9 @@ def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *,
         split = BosonicSplit((), tuple(range(len(terms))), ())
 
     kept_terms = [terms[i] for i in split.kept]
-    if config.reorder:
-        plan = inter_order(kept_terms)
-    else:
-        placements = tuple(
-            TermPlacement(i, _first_choice(t)) for i, t in enumerate(kept_terms)
-        )
-        classes = tuple(
-            ClassPlan(p.choice.target, (p,), ())
-            for p in placements
-            if p.choice.target is not None
-        )
-        standalone = tuple(p for p in placements if p.choice.target is None)
-        plan = InterPlan(classes, standalone)
-
-    circ = Circuit(n)
-    wire_map = {idx: pair[0] for idx, pair in enumerate(pairing)}
-    for cterm in split.compressed:
-        circ.extend(compressed_circuit(cterm, n, wire_map).gates)
-    rest = restoration_circuit(split.touched_pairs, pairing, n)
-    circ.extend(rest.gates)
-    for cls in plan.classes:
-        block = Circuit(n)
-        for placement in cls.placements:
-            term = kept_terms[placement.index]
-            block.extend(term_circuit(term, placement.ordering, cls.target).gates)
-        if config.peephole:
-            block = peephole_cancel(block)
-        circ.extend(block.gates)
-        circ.global_phase *= block.global_phase
-    for placement in plan.standalone:
-        term = kept_terms[placement.index]
-        block = term_circuit(term, placement.ordering, None)
-        if config.peephole:
-            block = peephole_cancel(block)
-        circ.extend(block.gates)
-        circ.global_phase *= block.global_phase
-
+    inter = inter_order(kept_terms) if config.reorder else _unchained(kept_terms)
     model = (
-        plan.cost
+        inter.cost
         + sum(c.two_qubit_cost for c in split.compressed)
         + split.restoration_cnots
     )
@@ -1036,62 +991,79 @@ def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *,
         labels=labels,
         terms=terms,
         kept=split.kept,
-        inter=plan,
+        inter=inter,
         compressed=split.compressed,
         touched_pairs=split.touched_pairs,
         pairing=pairing,
-        circuit=circ,
         model_two_qubit=model,
     )
 
 
-def _first_choice(term):
-    if not term.eligible_targets:
-        return _fallback_choice(term)
-    target = term.eligible_targets[0]
-    ordering = tuple(range(len(term.strings)))
-    return IntraChoice(ordering, target, cost_breakdown(term, ordering, target))
-
-
-def ansatz_two_qubit_cost(
-    seqs, transform, *, anti=True, bosonic=True, reorder=True, occupied=None, memo=None
-):
-    """Additive two-qubit count of the pipeline, without circuit emission.
-
-    ``memo`` (optional dict) caches expansions across calls that share the
-    same transform, keyed by the sequence identity.
-    """
-    n = transform.n_modes
-    terms = []
-    for seq in seqs:
-        key = (seq.kind, seq.indices, anti)
-        term = None if memo is None else memo.get(key)
-        if term is None:
-            term = expand_term(seq, transform, anti=anti)
-            if memo is not None:
-                memo[key] = term
-        terms.append(term)
-
-    pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2)) if n % 2 == 0 else ()
-    if bosonic and pairing:
-        split = bosonic_reduce(terms, pairing, occupied=occupied)
-    else:
-        split = BosonicSplit((), tuple(range(len(terms))), ())
-    kept = [terms[i] for i in split.kept]
-
-    if reorder:
-        cost = inter_order(kept).cost
-    else:
-        cost = sum(_first_choice(t).cost for t in kept)
-    return (
-        cost
-        + sum(c.two_qubit_cost for c in split.compressed)
-        + split.restoration_cnots
+def _unchained(terms):
+    """Each term alone at its first eligible target, strings in stored order."""
+    placements = []
+    for i, term in enumerate(terms):
+        if term.eligible_targets:
+            target = term.eligible_targets[0]
+            ordering = tuple(range(len(term.strings)))
+            choice = IntraChoice(ordering, target, cost_breakdown(term, ordering, target))
+        else:
+            choice = _fallback_choice(term)
+        placements.append(TermPlacement(i, choice))
+    return InterPlan(
+        tuple(
+            ClassPlan(p.choice.target, (p,), ())
+            for p in placements
+            if p.choice.target is not None
+        ),
+        tuple(p for p in placements if p.choice.target is None),
     )
 
 
+def emit_circuit(plan, *, peephole=True):
+    """The circuit of a plan, in ``plan.order``.
+
+    Compressed blocks lead, followed by the restoration fan-out, then one
+    block per class chain and per standalone term; with ``peephole`` each
+    of those blocks is reduced by ``peephole_cancel``.  Compressed blocks
+    act in the Jordan-Wigner frame and kept terms in the transform's, and
+    no basis change is emitted between the two: under a non-identity
+    encoding with compressed terms the circuit is not yet the ansatz.
+    """
+    n = plan.n_qubits
+    circ = Circuit(n)
+    wire_map = {idx: pair[0] for idx, pair in enumerate(plan.pairing)}
+    for cterm in plan.compressed:
+        circ.extend(compressed_circuit(cterm, n, wire_map).gates)
+    circ.extend(restoration_circuit(plan.touched_pairs, plan.pairing, n).gates)
+    blocks = [(cls.placements, cls.target) for cls in plan.inter.classes]
+    blocks += [((p,), None) for p in plan.inter.standalone]
+    for placements, target in blocks:
+        block = Circuit(n)
+        for p in placements:
+            term = plan.terms[plan.kept[p.index]]
+            block.extend(term_circuit(term, p.ordering, target).gates)
+        if peephole:
+            block = peephole_cancel(block)
+        circ.extend(block.gates)
+        circ.global_phase *= block.global_phase
+    return circ
+
+
+def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occupied=None):
+    """``plan_ansatz`` followed by ``emit_circuit``: the plan with its circuit."""
+    plan = plan_ansatz(seqs, transform, angles, config, occupied=occupied)
+    plan.circuit = emit_circuit(plan, peephole=config.peephole)
+    return plan
+
+
+def ansatz_two_qubit_cost(seqs, transform, config=HeuristicConfig(), *, occupied=None):
+    """The planner's two-qubit count, without circuit emission."""
+    return plan_ansatz(seqs, transform, None, config, occupied=occupied).model_two_qubit
+
+
 def plan_report(plan):
-    """JSON-ready description of an AnsatzPlan."""
+    """JSON-ready description of an AnsatzPlan; circuit metrics once emitted."""
     kept_terms = [plan.terms[i] for i in plan.kept]
     classes = []
     for cls in plan.inter.classes:
@@ -1132,6 +1104,8 @@ def plan_report(plan):
         "restoration_cnots": len(plan.touched_pairs),
         "model_two_qubit": plan.model_two_qubit,
     }
+    if plan.circuit is None:
+        return report
     m = metrics(plan.circuit)
     report["metrics"] = {
         "two_qubit": m.two_qubit,

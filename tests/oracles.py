@@ -191,6 +191,49 @@ def circuit_matrix(n, ops, global_phase=1.0):
 
 
 # ---------------------------------------------------------------------------
+# per-term CNOT count of a rotation chain, by enumeration
+# ---------------------------------------------------------------------------
+
+
+def _boundary_cnots(first, second, target):
+    """CNOTs cancelled where a block on ``first`` meets one on ``second``.
+
+    Blocks are basis change + CNOT ladder onto ``target`` + Rz; on every
+    other wire that both words touch, equal letters cancel both ladder
+    CNOTs and different letters cancel one.
+    """
+    saved = 0
+    for q, letter in first.items():
+        if q != target and q in second:
+            saved += 2 if second[q] == letter else 1
+    return saved
+
+
+def intra_minima(words, targets):
+    """(cheapest CNOT count, sorted [(target, ordering)] attaining it).
+
+    ``words`` are letter maps {qubit: "X" | "Y" | "Z"} of the rotations of
+    one term; each block costs 2 * (weight - 1) CNOTs.  Every ordering of
+    every target is scored, each ordering up to reversal (the
+    lexicographically smaller of the pair is kept).
+    """
+    k = len(words)
+    base = sum(2 * (len(w) - 1) for w in words)
+    best, minima = None, []
+    for t in targets:
+        saved = [[_boundary_cnots(words[a], words[b], t) for b in range(k)] for a in range(k)]
+        for perm in itertools.permutations(range(k)):
+            if perm[::-1] < perm:
+                continue
+            cost = base - sum(saved[a][b] for a, b in zip(perm, perm[1:]))
+            if best is None or cost < best:
+                best, minima = cost, []
+            if cost == best:
+                minima.append((t, perm))
+    return best, sorted(minima)
+
+
+# ---------------------------------------------------------------------------
 # FCIDUMP parsing (independent of fqcc.fcidump)
 # ---------------------------------------------------------------------------
 

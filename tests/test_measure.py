@@ -350,6 +350,8 @@ class TestPartitionGc:
         assert gc.n_groups <= qwc.n_groups <= len(hp)
         assert qwc.total_extra_two_qubit == 0
         assert gc.measurement_ratio() < qwc.measurement_ratio()
+        for g in gc.groups:
+            assert all(conjugate_string(s, g.basis_change.gates).xmask == 0 for s in g.strings)
 
     def test_single_x_string_costs_nothing_extra(self):
         plan = partition_gc([_string(2, "X0")])

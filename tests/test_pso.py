@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fqcc import pso
 from fqcc.fermions import uccsd_pool
 from fqcc.transform import Transform
+from fqcc.trotter import HeuristicConfig, plan_ansatz
 
 
 def bit_cost(transform):
@@ -193,12 +194,12 @@ class TestRun:
         cost = pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3)))
         assert pso.run(cfg, cost) == pso.run(cfg, cost)
 
-    def test_worker_count_never_changes_results(self, monkeypatch):
-        cfg = pso.SwarmConfig(n_modes=4, k_max=6, t_max=15, seed=3)
-        cost = pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3)))
-        serial = pso.run(cfg, cost)
-        monkeypatch.setenv("FQCC_WORKERS", "4")
-        assert pso.run(cfg, cost) == serial
+    def test_cost_fn_closes_over_one_config(self):
+        pool = uccsd_pool((0, 1), (2, 3, 4, 5))
+        bk = Transform.bravyi_kitaev(6)
+        for cfg in (HeuristicConfig(), HeuristicConfig(bosonic=False, reorder=False)):
+            cost = pso.ansatz_cost_fn(pool, cfg, occupied=range(2))
+            assert cost(bk) == plan_ansatz(pool, bk, config=cfg, occupied=range(2)).model_two_qubit
 
     def test_oscillation_rule_stops_early(self):
         cfg = pso.SwarmConfig(n_modes=4, k_max=2, t_max=4000, seed=2, inertia=-2.0)
@@ -293,6 +294,36 @@ class TestCheckpoint:
         saved = pso.read_checkpoint(path)
         assert saved.t == report.steps
         assert int(saved.best_cost) == report.best_cost
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        swarm = self._swarm()
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(swarm, path)
+        before = path.read_text()
+
+        class HalfWriter:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                raise OSError("disk full")
+
+        real_open = open
+        monkeypatch.setattr(pso, "open", lambda *a, **k: HalfWriter(real_open(*a, **k)), raising=False)
+        pso.step(swarm, bit_cost)
+        with pytest.raises(OSError, match="disk full"):
+            pso.write_checkpoint(swarm, path)
+        monkeypatch.undo()
+        assert path.read_text() == before
+        assert pso.read_checkpoint(path).t == swarm.t - 1
+        assert [p.name for p in tmp_path.iterdir()] == ["swarm.txt"]
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.txt"

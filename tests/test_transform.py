@@ -215,7 +215,7 @@ class TestBasisCircuit:
             b = _basis_matrix(t)
             for x in range(1 << n):
                 col = b[:, x]
-                y = t.encode_vector(x)
+                y = t.encode_occupation(x)
                 assert abs(col[y] - 1.0) < 1e-12
                 assert np.sum(np.abs(col)) == pytest.approx(1.0)
 
@@ -232,7 +232,7 @@ class TestBasisCircuit:
         for x in range(32):
             bits = np.array([(x >> k) & 1 for k in range(5)], dtype=np.uint8)
             want = oracles.gf2_mul(t.beta, bits.reshape(-1, 1)).ravel()
-            got = t.encode_vector(x)
+            got = t.encode_occupation(x)
             assert [got >> k & 1 for k in range(5)] == list(want)
 
 
