@@ -10,12 +10,24 @@ rewrites a two-CNOT conjugation sandwich ``CNOT (v,t) . G(v) . CNOT (v,t)``
 into a single-CNOT form whenever the sandwiched one-qubit product G is an
 X-rotation up to Z-rotations (an Euler angle phi = +-pi/2), which is exactly
 the situation arising between adjacent exponential blocks that share wires.
+
+The pass works on a gate list linked both in circuit order and along each
+wire, so a search for a cancellation partner or for the CNOT closing a
+sandwich follows only the wires it concerns, and a deletion costs O(wires).
+On each wire a gate acts through a tag (``diag`` for a CNOT control or a CZ,
+``xtype`` for a CNOT target, ``other``) or, for a one-qubit gate, through its
+2x2 matrix held as four Python complexes and cached per (kind, angle).
+Commutation and closeness use np.allclose's rule |a - b| <= 1e-10 +
+1e-5 |b| in plain complex arithmetic; numpy runs only when a rewrite fires.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -118,8 +130,12 @@ class Circuit:
         return self
 
     def extend(self, gates):
+        """Append already-validated ``Gate`` objects, checking their wires."""
+        n = self.n_qubits
         for g in gates:
-            self.add(g.kind, *g.qubits, theta=g.theta)
+            if any(q < 0 or q >= n for q in g.qubits):
+                raise ValueError(f"wire out of range in {g}")
+            self.gates.append(g)
         return self
 
     def copy(self):
@@ -307,48 +323,76 @@ _DIAG = "diag"
 _XTYPE = "xtype"
 _OTHER = "other"
 
-_X = _MAT_1Q["X"]
+# np.allclose's test |a - b| <= atol + rtol * |b|, elementwise
+_ATOL = 1e-10
+_RTOL = 1e-5
+
+_TUPLE_1Q = {kind: tuple(complex(x) for x in m.flat) for kind, m in _MAT_1Q.items()}
 
 
-def _is_diag_mat(m, tol=1e-10):
-    return abs(m[0, 1]) <= tol and abs(m[1, 0]) <= tol
+@lru_cache(maxsize=4096)
+def _mat_tuple(kind, theta):
+    """A one-qubit gate's matrix as (m00, m01, m10, m11) in Python complexes."""
+    if kind == "Rz":
+        return (cmath.exp(-0.5j * theta), 0j, 0j, cmath.exp(0.5j * theta))
+    if kind == "Rx":
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return (complex(c), -1j * s, -1j * s, complex(c))
+    return _TUPLE_1Q[kind]
 
 
-def _is_xtype_mat(m, tol=1e-10):
-    return bool(np.allclose(m @ _X, _X @ m, atol=tol))
+def _mul(a, b):
+    """The 2x2 product a @ b of two matrix tuples."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
+
+
+def _close(a, b):
+    return abs(a - b) <= _ATOL + _RTOL * abs(b)
+
+
+def _is_diag(m):
+    """Off-diagonal entries within 1e-10; ``None`` is the identity."""
+    return m is None or (abs(m[1]) <= _ATOL and abs(m[2]) <= _ATOL)
+
+
+def _is_xtype(m):
+    """m @ X is close to X @ m; ``None`` is the identity."""
+    if m is None:
+        return True
+    m0, m1, m2, m3 = m
+    # m @ X = (m1, m0, m3, m2) and X @ m = (m2, m3, m0, m1)
+    return _close(m1, m2) and _close(m0, m3) and _close(m3, m0) and _close(m2, m1)
 
 
 def _wire_action(gate: Gate, q):
+    """How a gate acts on wire q: a tag, or the (kind, theta) of a one-qubit gate."""
     if gate.kind == "CNOT":
         return _DIAG if q == gate.qubits[0] else _XTYPE
     if gate.kind == "CZ":
         return _DIAG
     if gate.kind in ("RelPhaseToffoli3", "RelPhaseToffoli3Inverse"):
         return _DIAG if q in gate.qubits[:3] else _OTHER
-    return gate.matrix_1q()
+    return (gate.kind, gate.theta)
 
 
+@lru_cache(maxsize=4096)
 def _actions_commute(a, b):
-    a_mat = isinstance(a, np.ndarray)
-    b_mat = isinstance(b, np.ndarray)
-    if a_mat and b_mat:
-        return bool(np.allclose(a @ b, b @ a, atol=1e-10))
-    if a_mat:
+    a_tag = a.__class__ is str
+    b_tag = b.__class__ is str
+    if a_tag and b_tag:
+        return a == b != _OTHER
+    if not (a_tag or b_tag):
+        ma, mb = _mat_tuple(*a), _mat_tuple(*b)
+        return all(_close(x, y) for x, y in zip(_mul(ma, mb), _mul(mb, ma)))
+    if a_tag:
         a, b = b, a
-        a_mat, b_mat = b_mat, a_mat
-    # now `a` is a tag
-    if a == _OTHER:
-        return False
-    if b_mat:
-        return _is_diag_mat(b) if a == _DIAG else _is_xtype_mat(b)
+    # `a` is a one-qubit gate, `b` a tag
     if b == _OTHER:
         return False
-    return a == b
-
-
-def _gates_commute(g1: Gate, g2: Gate):
-    shared = set(g1.qubits) & set(g2.qubits)
-    return all(_actions_commute(_wire_action(g1, q), _wire_action(g2, q)) for q in shared)
+    m = _mat_tuple(*a)
+    return _is_diag(m) if b == _DIAG else _is_xtype(m)
 
 
 def _norm_angle(theta):
@@ -419,150 +463,272 @@ def _xx_half_gates(v, t, sign):
     return gates, np.exp(0.25j * math.pi)
 
 
-class _PeepholeState:
+class _GateList:
+    """The peephole's working circuit, linked in circuit order and per wire.
+
+    Gates are addressed by index.  ``gates[i]`` becomes None when gate i is
+    deleted, and ``order[i]`` is the next gate in circuit order (-1 at the
+    end); a deleted gate keeps its ``order`` entry, so stepping on from it
+    still reaches its successors.  ``links[2k][i]`` and ``links[2k + 1][i]``
+    are the gates before and after gate i on wire ``gates[i].qubits[k]``
+    (-1 for none).  Gates put in by a rewrite are appended.
+    """
+
     def __init__(self, gates, phase):
         self.gates = list(gates)
         self.phase = phase
         self.changed = False
+        n = len(self.gates)
+        self.first = 0 if n else -1
+        self.order = array("i", range(1, n + 1))
+        if n:
+            self.order[-1] = -1
+        width = max([2] + [len(g.qubits) for g in self.gates])
+        self.links = [array("i", [-1]) * n for _ in range(2 * width)]
+        last = {}
+        for i, gate in enumerate(self.gates):
+            for k, q in enumerate(gate.qubits):
+                j = last.get(q, -1)
+                if j >= 0:
+                    self.links[2 * k][i] = j
+                    self.links[self.slot(j, q) + 1][j] = i
+                last[q] = i
+
+    def slot(self, i, q):
+        """Index into ``links`` of the link to the gate before gate i on wire q."""
+        qs = self.gates[i].qubits
+        return 0 if qs[0] == q else 2 * qs.index(q)
+
+    def live(self, i):
+        """The first gate not deleted at or after i in circuit order, or -1."""
+        gates, order = self.gates, self.order
+        while i >= 0 and gates[i] is None:
+            i = order[i]
+        return i
+
+    def circuit_gates(self):
+        out = []
+        i = self.live(self.first)
+        while i >= 0:
+            out.append(self.gates[i])
+            i = self.live(self.order[i])
+        return out
+
+    def remove(self, i):
+        links = self.links
+        for k, q in enumerate(self.gates[i].qubits):
+            before, after = links[2 * k][i], links[2 * k + 1][i]
+            if before >= 0:
+                links[self.slot(before, q) + 1][before] = after
+            if after >= 0:
+                links[self.slot(after, q)][after] = before
+        self.gates[i] = None
+
+    def replace(self, i, gates):
+        """Delete gate i and put ``gates``, which act only on its wires, in its place."""
+        links = self.links
+        wires = self.gates[i].qubits
+        before = {q: links[2 * k][i] for k, q in enumerate(wires)}
+        after = {q: links[2 * k + 1][i] for k, q in enumerate(wires)}
+        self.remove(i)
+        prev, tail = i, self.order[i]
+        for gate in gates:
+            j = len(self.gates)
+            self.gates.append(gate)
+            self.order.append(-1)
+            for arr in links:
+                arr.append(-1)
+            self.order[prev] = j
+            prev = j
+            for k, q in enumerate(gate.qubits):
+                left = before[q]
+                links[2 * k][j] = left
+                if left >= 0:
+                    links[self.slot(left, q) + 1][left] = j
+                before[q] = j
+        self.order[prev] = tail
+        for q, left in before.items():
+            right = after[q]
+            if left >= 0:
+                links[self.slot(left, q) + 1][left] = right
+            if right >= 0:
+                links[self.slot(right, q)][right] = left
 
 
-def _simple_pass(st: _PeepholeState):
-    i = 0
-    while i < len(st.gates):
-        g = st.gates[i]
+def _cancel_partner(gl: _GateList, i):
+    """The later gate that cancels gate i, or merges with it (rotations).
+
+    Every gate in between on a shared wire must commute with gate i there.
+    Each wire is followed to its first partner or blocker; a partner acts on
+    all of gate i's wires, so when every wire reaches one it is the same
+    gate and nothing on any wire blocks it.
+    """
+    gates, links = gl.gates, gl.links
+    g = gates[i]
+    qs = g.qubits
+    want = g.kind if g.kind in _ROTATIONS else _INVERSE[g.kind]
+    found = -1
+    for k, q in enumerate(qs):
+        mine = _wire_action(g, q)
+        h = links[2 * k + 1][i]
+        while h >= 0:
+            hg = gates[h]
+            hq = hg.qubits
+            if hg.kind == want and (hq == qs or (want == "CZ" and set(hq) == set(qs))):
+                break
+            if not _actions_commute(mine, _wire_action(hg, q)):
+                return -1
+            h = links[1 if hq[0] == q else 2 * hq.index(q) + 1][h]
+        if h < 0:
+            return -1
+        found = h
+    return found
+
+
+def _simple_pass(gl: _GateList):
+    gates = gl.gates
+    i = gl.live(gl.first)
+    while i >= 0:
+        g = gates[i]
         # drop/normalize null rotations
         if g.kind in _ROTATIONS:
             rem, ph = _norm_angle(g.theta)
             if abs(rem) < 1e-12:
-                st.phase *= ph
-                del st.gates[i]
-                st.changed = True
+                gl.phase *= ph
+                gl.remove(i)
+                gl.changed = True
+                i = gl.live(gl.order[i])
                 continue
             if ph != 1.0 or rem != g.theta:
-                st.gates[i] = Gate(g.kind, g.qubits, rem)
-                st.phase *= ph
-                g = st.gates[i]
-                st.changed = True
-        j = i + 1
-        matched = False
-        while j < len(st.gates):
-            h = st.gates[j]
-            same_wires = h.qubits == g.qubits or (
-                g.kind == "CZ" and h.kind == "CZ" and set(h.qubits) == set(g.qubits)
-            )
-            if same_wires and h.kind == g.kind and g.kind in _ROTATIONS:
-                st.gates[i] = Gate(g.kind, g.qubits, g.theta + h.theta)
-                del st.gates[j]
-                st.changed = True
-                matched = True
-                break
-            if same_wires and g.theta is None and h.kind == _INVERSE.get(g.kind):
-                del st.gates[j]
-                del st.gates[i]
-                st.changed = True
-                matched = True
-                break
-            if set(g.qubits) & set(h.qubits) and not _gates_commute(g, h):
-                break
-            j += 1
-        if not matched:
-            i += 1
-
-
-def _flush_run(run, need):
-    """Check a single-qubit run product against a commutation requirement."""
-    if run is None:
-        return True
-    if need == _DIAG:
-        return _is_diag_mat(run)
-    return _is_xtype_mat(run)
-
-
-def _junction_pass(st: _PeepholeState):
-    i = 0
-    while i < len(st.gates):
-        g = st.gates[i]
-        if g.kind != "CNOT":
-            i += 1
+                g = gates[i] = Gate(g.kind, g.qubits, rem)
+                gl.phase *= ph
+                gl.changed = True
+        j = _cancel_partner(gl, i)
+        if j < 0:
+            i = gl.live(gl.order[i])
             continue
-        v, t = g.qubits
-        v_run = np.eye(2, dtype=complex)
-        v_clean = True  # no multi-qubit gate touched v inside the sandwich
-        t_run = np.eye(2, dtype=complex)
-        ok = True
-        j = i + 1
-        partner = -1
-        v_single_idx = []
-        while j < len(st.gates):
-            h = st.gates[j]
-            if h.kind == "CNOT" and h.qubits == (v, t):
-                partner = j
-                break
-            hw = set(h.qubits)
-            if len(hw) == 1:
-                (q,) = hw
-                if q == v:
-                    v_run = h.matrix_1q() @ v_run
-                    v_single_idx.append(j)
-                elif q == t:
-                    t_run = h.matrix_1q() @ t_run
-                j += 1
-                continue
-            # a multi-qubit gate
-            if t in hw:
-                if not _is_xtype_mat(t_run):
-                    ok = False
-                    break
-                t_run = np.eye(2, dtype=complex)
-                if _wire_action(h, t) != _XTYPE:
-                    ok = False
-                    break
-            if v in hw:
-                if _wire_action(h, v) != _DIAG or not _is_diag_mat(v_run):
-                    ok = False
-                    break
-                v_clean = False
-                v_run = np.eye(2, dtype=complex)
-                v_single_idx = []
-            j += 1
-        if partner < 0 or not ok or not _is_xtype_mat(t_run):
-            i += 1
+        gl.changed = True
+        if g.kind in _ROTATIONS:
+            theta = gates[j].theta
+            gl.remove(j)
+            gates[i] = Gate(g.kind, g.qubits, g.theta + theta)
+        else:
+            gl.remove(j)
+            gl.remove(i)
+            i = gl.live(gl.order[i])
+
+
+def _sandwich_partner(gl: _GateList, i):
+    """The CNOT (v, t) closing the sandwich that CNOT (v, t) at i opens, or -1.
+
+    On the target wire, the one-qubit product between multi-qubit gates
+    must commute with X and each multi-qubit gate must act as an X there
+    (a CNOT target).
+    """
+    gates, links = gl.gates, gl.links
+    qs = gates[i].qubits
+    t = qs[1]
+    run = None
+    h = links[3][i]
+    while h >= 0:
+        hg = gates[h]
+        hq = hg.qubits
+        if hq == qs and hg.kind == "CNOT":
+            return h if _is_xtype(run) else -1
+        if len(hq) == 1:
+            m = _mat_tuple(hg.kind, hg.theta)
+            run = m if run is None else _mul(m, run)
+        elif not _is_xtype(run) or _wire_action(hg, t) != _XTYPE:
+            return -1
+        else:
+            run = None
+        h = links[1 if hq[0] == t else 2 * hq.index(t) + 1][h]
+    return -1
+
+
+def _control_run(gl: _GateList, i, partner):
+    """(product, one-qubit gates, clean) on the control wire inside a sandwich.
+
+    The product and the gate indices cover the one-qubit gates after the
+    last multi-qubit gate on the control; ``clean`` means there is none.
+    None when such a gate does not act diagonally there or meets a
+    non-diagonal product.
+    """
+    gates, links = gl.gates, gl.links
+    v = gates[i].qubits[0]
+    run, singles, clean = None, [], True
+    h = links[1][i]
+    while h != partner:
+        hg = gates[h]
+        hq = hg.qubits
+        if len(hq) == 1:
+            m = _mat_tuple(hg.kind, hg.theta)
+            run = m if run is None else _mul(m, run)
+            singles.append(h)
+        elif _wire_action(hg, v) != _DIAG or not _is_diag(run):
+            return None
+        else:
+            run, singles, clean = None, [], False
+        h = links[1 if hq[0] == v else 2 * hq.index(v) + 1][h]
+    return run, singles, clean
+
+
+def _junction_pass(gl: _GateList):
+    gates = gl.gates
+    i = gl.live(gl.first)
+    while i >= 0:
+        if gates[i].kind != "CNOT":
+            i = gl.live(gl.order[i])
             continue
-        if _is_diag_mat(v_run):
+        partner = _sandwich_partner(gl, i)
+        found = None if partner < 0 else _control_run(gl, i, partner)
+        if found is None:
+            i = gl.live(gl.order[i])
+            continue
+        run, singles, clean = found
+        if _is_diag(run):
             # middle commutes with the CNOT entirely: the pair annihilates
-            del st.gates[partner]
-            del st.gates[i]
-            st.changed = True
+            gl.remove(partner)
+            gl.remove(i)
+            gl.changed = True
+            i = gl.live(gl.order[i])
             continue
-        if not v_clean:
-            i += 1
+        if not clean:
+            i = gl.live(gl.order[i])
             continue
+        # the rewrite's angles come from the numpy product, gate by gate
+        v_run = np.eye(2, dtype=complex)
+        for j in singles:
+            v_run = gates[j].matrix_1q() @ v_run
         try:
             delta, alpha, phi, beta = _euler_zxz(v_run)
         except ValueError:
-            i += 1
+            i = gl.live(gl.order[i])
             continue
         if not (abs(abs(phi) - math.pi / 2.0) < 1e-9):
-            i += 1
+            i = gl.live(gl.order[i])
             continue
-        middle = [st.gates[k] for k in range(i + 1, partner) if k not in v_single_idx]
+        v, t = gates[i].qubits
         pre, ph_pre = _emit_diag(beta, v)
         xx, ph_xx = _xx_half_gates(v, t, 1.0 if phi > 0 else -1.0)
         post, ph_post = _emit_diag(alpha, v)
-        st.phase *= np.exp(1j * delta) * ph_pre * ph_xx * ph_post
-        st.gates[i : partner + 1] = middle + pre + xx + post
-        st.changed = True
-    return
+        gl.phase *= np.exp(1j * delta) * ph_pre * ph_xx * ph_post
+        for j in singles:
+            gl.remove(j)
+        gl.remove(i)
+        gl.replace(partner, pre + xx + post)
+        gl.changed = True
+        i = gl.live(gl.order[i])
 
 
 def peephole_cancel(circ: Circuit, junction_rewrite=True) -> Circuit:
     """Fixpoint gate-cancellation pass; never increases the two-qubit count."""
-    st = _PeepholeState(circ.gates, circ.global_phase)
+    gl = _GateList(circ.gates, circ.global_phase)
     while True:
-        st.changed = False
-        _simple_pass(st)
+        gl.changed = False
+        _simple_pass(gl)
         if junction_rewrite:
-            _junction_pass(st)
-        if not st.changed:
+            _junction_pass(gl)
+        if not gl.changed:
             break
-    return Circuit(circ.n_data, circ.n_ancilla, st.gates, st.phase)
+    return Circuit(circ.n_data, circ.n_ancilla, gl.circuit_gates(), gl.phase)

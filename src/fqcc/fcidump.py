@@ -116,8 +116,30 @@ def _parse_header(head):
     return fields, tuple(orbsym)
 
 
+def _closed_shell_fock_diagonal(h1, g2, nelec):
+    """Orbital energies f_pp = h_pp + sum_{i occ} 2 (pp|ii) - (pi|ip).
+
+    The orbitals are taken as RHF canonical orbitals with the lowest
+    ``nelec / 2`` doubly occupied; an open shell has no such Fock operator.
+    """
+    norb = h1.shape[0]
+    if nelec % 2 or not 0 <= nelec <= 2 * norb:
+        raise FcidumpError(
+            f"no orbital energies given, and NELEC={nelec} has no closed-shell "
+            f"occupation of {norb} orbitals to derive them from"
+        )
+    m = nelec // 2
+    coulomb = np.einsum("ppii->p", g2[:, :, :m, :m])
+    exchange = np.einsum("piip->p", g2[:, :m, :m, :])
+    return np.diag(h1) + 2.0 * coulomb - exchange
+
+
 def parse_fcidump(text):
-    """Parse FCIDUMP text into an FcidumpRecord."""
+    """Parse FCIDUMP text into an FcidumpRecord.
+
+    Orbital energies are optional in the format; without them they are
+    derived from the closed-shell Fock diagonal.
+    """
     head, sep, body = text.partition("&END")
     if not sep:
         head, sep, body = text.partition("/")
@@ -132,7 +154,7 @@ def parse_fcidump(text):
 
     h1 = np.zeros((norb, norb))
     g2 = np.zeros((norb, norb, norb, norb))
-    eps = np.zeros(norb)
+    eps = None
     core = 0.0
     for offset, line in enumerate(body.splitlines()):
         line_no = header_lines + offset
@@ -157,6 +179,8 @@ def parse_fcidump(text):
         if i == j == k == l == 0:
             core = v
         elif j == k == l == 0:
+            if eps is None:
+                eps = np.zeros(norb)
             eps[i - 1] = v
         elif k == l == 0:
             if i == 0 or j == 0:
@@ -171,6 +195,8 @@ def parse_fcidump(text):
                 for c, d in ((r, s), (s, r)):
                     g2[a, b, c, d] = v
                     g2[c, d, a, b] = v
+    if eps is None:
+        eps = _closed_shell_fock_diagonal(h1, g2, nelec)
     return FcidumpRecord(
         norb=norb,
         nelec=nelec,

@@ -158,7 +158,7 @@ def ztilde_operator(ansatz: AnsatzOp) -> PauliSum:
         value = ansatz.params.get(seq.name)
         if value:
             gen = excitation_generator(seq, n).to_pauli(ansatz.transform)
-            out = out + value * gen
+            out._accumulate(value * gen)
     return out.simplify()
 
 

@@ -209,14 +209,17 @@ class PauliSum:
         if self.n_qubits != other.n_qubits:
             raise ValueError("qubit-count mismatch")
 
+    def _accumulate(self, other):
+        """Add ``other`` in place, keeping small coefficients until ``simplify``."""
+        self._check(other)
+        for (x, z), c in other._terms.items():
+            self._add_term(x, z, c)
+        return self
+
     def __add__(self, other):
         if isinstance(other, PauliString):
             other = PauliSum.from_strings([other])
-        self._check(other)
-        out = PauliSum(self.n_qubits, self._terms)
-        for (x, z), c in other._terms.items():
-            out._add_term(x, z, c)
-        return out.simplify()
+        return PauliSum(self.n_qubits, self._terms)._accumulate(other).simplify()
 
     def __sub__(self, other):
         return self + (other * -1.0)

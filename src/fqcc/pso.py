@@ -26,6 +26,7 @@ per particle.  Checkpoints are plain text, replaced atomically.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 import tempfile
@@ -408,7 +409,7 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_MAGIC = "fqcc-swarm 1"
+_CHECKPOINT_MAGIC = "fqcc-swarm 2"
 
 
 def _bitline(mask, d):
@@ -417,6 +418,10 @@ def _bitline(mask, d):
 
 def write_checkpoint(swarm, path):
     """Persist config, per-particle state, and the global best as text.
+
+    A particle's state includes its random stream (the bit generator's
+    state as one JSON line) and its recent positions, the oscillation test's
+    window.
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step: a failed write leaves the previous
@@ -448,6 +453,8 @@ def write_checkpoint(swarm, path):
         lines.append("x0 " + _bitline(p.initial_position, d))
         lines.append("l " + _bitline(p.best_position, d))
         lines.append("v " + " ".join(repr(float(v)) for v in p.velocity))
+        lines.append("r " + json.dumps(p.rng.bit_generator.state))
+        lines.append("w " + " ".join(_bitline(m, d) for m in p.recent))
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with open(fd, "w") as fh:
@@ -463,8 +470,9 @@ def write_checkpoint(swarm, path):
 def read_checkpoint(path) -> Swarm:
     """Rebuild a swarm from its checkpoint.
 
-    Random streams and oscillation windows restart: resuming is
-    deterministic but not step-identical to the unbroken run.
+    Random streams and oscillation windows are restored, so a resumed
+    search takes the same steps as the unbroken run.  Only the cost cache
+    starts empty.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -506,8 +514,18 @@ def read_checkpoint(path) -> Swarm:
             raise ValueError(f"expected a {tag!r} line in checkpoint")
         return rest
 
+    def rng_of(text):
+        rng = np.random.Generator(np.random.PCG64())
+        try:
+            rng.bit_generator.state = json.loads(text)
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ValueError("bad random state in checkpoint") from exc
+        return rng
+
     particles = []
     while i < len(lines):
+        if i + 6 >= len(lines):
+            raise ValueError("truncated particle record in checkpoint")
         _, active, best_cost, drift = lines[i].split()
         particles.append(
             Particle(
@@ -520,14 +538,13 @@ def read_checkpoint(path) -> Swarm:
                 initial_position=mask_of(tagged(lines[i + 2], "x0")),
                 active=active == "1",
                 drift_steps=int(drift),
+                recent=[mask_of(bits) for bits in tagged(lines[i + 6], "w").split()],
+                rng=rng_of(tagged(lines[i + 5], "r")),
             )
         )
         if len(particles[-1].velocity) != d:
             raise ValueError("bad velocity line in checkpoint")
-        i += 5
-    streams = np.random.SeedSequence(config.seed).spawn(len(particles))
-    for p, stream in zip(particles, streams):
-        p.rng = np.random.default_rng(stream)
+        i += 7
     best_line = head.get("best", "-")
     return Swarm(
         config=config,

@@ -157,7 +157,7 @@ class Transform:
             prod = PauliSum.identity(self.n_modes, complex(coeff))
             for mode, dagger in ops:
                 prod = prod * self.map_ladder(mode, dagger)
-            out = out + prod
+            out._accumulate(prod)
         return out.simplify()
 
     # -- encoding circuit --------------------------------------------------------

@@ -6,7 +6,9 @@ determinant enumeration — so that the package is always compared against a
 second, structurally different computation.  Nothing here imports from fqcc.
 """
 
+import collections
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  (re-exported for tests)
@@ -442,3 +444,290 @@ def mp2_oracle(h1, g2, ecore, eps, n_elec):
         amps[det] = v / denom
         e2 += v * v / denom
     return float(e2), amps
+
+
+# ---------------------------------------------------------------------------
+# peephole pass on 2x2 numpy matrices, rescanning the whole gate list
+# ---------------------------------------------------------------------------
+#
+# The reference for fqcc.circuits.peephole_cancel: the same rewrites in the
+# same order, with commutation decided by np.allclose on 2x2 products and
+# every scan running over all later gates.  Gates are (kind, qubits, theta)
+# tuples; the matrices and the rewrite arithmetic are built exactly as the
+# package builds them, so emitted angles agree to the last bit.
+
+PeepholeOp = collections.namedtuple("PeepholeOp", "kind qubits theta")
+
+_PH_ROTATIONS = {"Rz", "Rx"}
+_PH_INVERSE = {
+    "H": "H", "X": "X", "Z": "Z", "CNOT": "CNOT", "CZ": "CZ",
+    "S": "Sdg", "Sdg": "S", "T": "Tdg", "Tdg": "T",
+    "RelPhaseToffoli3": "RelPhaseToffoli3Inverse",
+    "RelPhaseToffoli3Inverse": "RelPhaseToffoli3",
+}
+_PH_MAT = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
+    "S": np.diag([1.0, 1.0j]),
+    "Sdg": np.diag([1.0, -1.0j]),
+    "T": np.diag([1.0, np.exp(0.25j * np.pi)]),
+    "Tdg": np.diag([1.0, np.exp(-0.25j * np.pi)]),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Z": np.diag([1.0, -1.0]).astype(complex),
+}
+_PH_DIAG = "diag"
+_PH_XTYPE = "xtype"
+_PH_OTHER = "other"
+
+
+def _ph_rot(kind, theta):
+    if kind == "Rz":
+        return np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -1j * s], [-1j * s, c]])
+
+
+def _ph_matrix(op):
+    if op.kind in _PH_ROTATIONS:
+        return _ph_rot(op.kind, op.theta)
+    return _PH_MAT[op.kind]
+
+
+def _ph_is_diag(m, tol=1e-10):
+    return abs(m[0, 1]) <= tol and abs(m[1, 0]) <= tol
+
+
+def _ph_is_xtype(m, tol=1e-10):
+    x = _PH_MAT["X"]
+    return bool(np.allclose(m @ x, x @ m, atol=tol))
+
+
+def _ph_wire_action(op, q):
+    if op.kind == "CNOT":
+        return _PH_DIAG if q == op.qubits[0] else _PH_XTYPE
+    if op.kind == "CZ":
+        return _PH_DIAG
+    if op.kind in ("RelPhaseToffoli3", "RelPhaseToffoli3Inverse"):
+        return _PH_DIAG if q in op.qubits[:3] else _PH_OTHER
+    return _ph_matrix(op)
+
+
+def _ph_actions_commute(a, b):
+    a_mat = isinstance(a, np.ndarray)
+    b_mat = isinstance(b, np.ndarray)
+    if a_mat and b_mat:
+        return bool(np.allclose(a @ b, b @ a, atol=1e-10))
+    if a_mat:
+        a, b = b, a
+        a_mat, b_mat = b_mat, a_mat
+    if a == _PH_OTHER:
+        return False
+    if b_mat:
+        return _ph_is_diag(b) if a == _PH_DIAG else _ph_is_xtype(b)
+    if b == _PH_OTHER:
+        return False
+    return a == b
+
+
+def _ph_commute(g1, g2):
+    shared = set(g1.qubits) & set(g2.qubits)
+    return all(
+        _ph_actions_commute(_ph_wire_action(g1, q), _ph_wire_action(g2, q)) for q in shared
+    )
+
+
+def _ph_norm_angle(theta):
+    k = round(theta / (2.0 * math.pi))
+    rem = theta - 2.0 * math.pi * k
+    if rem <= -math.pi + 1e-12:
+        rem += 2.0 * math.pi
+        k -= 1
+    return rem, (-1.0 + 0.0j) ** (k % 2)
+
+
+def _ph_emit_diag(angle, wire):
+    rem, phase = _ph_norm_angle(angle)
+    if abs(rem) < 1e-12:
+        return [], phase
+    for target, kind, ph in (
+        (math.pi / 2, "S", np.exp(-0.25j * math.pi)),
+        (-math.pi / 2, "Sdg", np.exp(0.25j * math.pi)),
+        (math.pi, "Z", np.exp(-0.5j * math.pi)),
+    ):
+        if abs(rem - target) < 1e-12:
+            return [PeepholeOp(kind, (wire,), None)], phase * ph
+    return [PeepholeOp("Rz", (wire,), rem)], phase
+
+
+def _ph_euler_zxz(g):
+    a00, a01, a10, a11 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    phi = 2.0 * math.atan2(abs(a01), abs(a00))
+    ang = np.angle
+    if abs(math.sin(phi / 2.0)) <= 1e-12:
+        u0 = (ang(a11) - ang(a00)) / 2.0
+        pairs = [(u, 0.0) for u in (u0, u0 + math.pi)]
+    elif abs(math.cos(phi / 2.0)) <= 1e-12:
+        w0 = (ang(a10) - ang(a01)) / 2.0
+        pairs = [(0.0, w) for w in (w0, w0 + math.pi)]
+    else:
+        u0 = (ang(a11) - ang(a00)) / 2.0
+        w0 = (ang(a10) - ang(a01)) / 2.0
+        pairs = [(u, w) for u in (u0, u0 + math.pi) for w in (w0, w0 + math.pi)]
+    for u, w in pairs:
+        alpha, beta = u + w, u - w
+        base = ang(a00) + u if abs(a00) > 1e-12 else ang(a10) - w + math.pi / 2.0
+        for delta in (base, base + math.pi):
+            rec = np.exp(1j * delta) * _ph_rot("Rz", alpha) @ _ph_rot("Rx", phi) @ _ph_rot("Rz", beta)
+            if np.allclose(rec, g, atol=1e-9):
+                return delta, alpha, phi, beta
+    raise ValueError("not unitary up to tolerance")
+
+
+def _ph_xx_half(v, t, sign):
+    op = PeepholeOp
+    if sign > 0:
+        ops = [
+            op("H", (v,), None), op("CNOT", (v, t), None), op("S", (v,), None), op("H", (v,), None),
+            op("H", (t,), None), op("S", (t,), None), op("H", (t,), None),
+        ]
+        return ops, np.exp(-0.25j * math.pi)
+    ops = [
+        op("H", (t,), None), op("Sdg", (t,), None), op("H", (t,), None),
+        op("H", (v,), None), op("Sdg", (v,), None), op("CNOT", (v, t), None), op("H", (v,), None),
+    ]
+    return ops, np.exp(0.25j * math.pi)
+
+
+class _PhState:
+    def __init__(self, ops, phase):
+        self.gates = list(ops)
+        self.phase = phase
+        self.changed = False
+
+
+def _ph_simple_pass(st):
+    i = 0
+    while i < len(st.gates):
+        g = st.gates[i]
+        if g.kind in _PH_ROTATIONS:
+            rem, ph = _ph_norm_angle(g.theta)
+            if abs(rem) < 1e-12:
+                st.phase *= ph
+                del st.gates[i]
+                st.changed = True
+                continue
+            if ph != 1.0 or rem != g.theta:
+                st.gates[i] = PeepholeOp(g.kind, g.qubits, rem)
+                st.phase *= ph
+                g = st.gates[i]
+                st.changed = True
+        j = i + 1
+        matched = False
+        while j < len(st.gates):
+            h = st.gates[j]
+            same_wires = h.qubits == g.qubits or (
+                g.kind == "CZ" and h.kind == "CZ" and set(h.qubits) == set(g.qubits)
+            )
+            if same_wires and h.kind == g.kind and g.kind in _PH_ROTATIONS:
+                st.gates[i] = PeepholeOp(g.kind, g.qubits, g.theta + h.theta)
+                del st.gates[j]
+                st.changed = True
+                matched = True
+                break
+            if same_wires and g.theta is None and h.kind == _PH_INVERSE.get(g.kind):
+                del st.gates[j]
+                del st.gates[i]
+                st.changed = True
+                matched = True
+                break
+            if set(g.qubits) & set(h.qubits) and not _ph_commute(g, h):
+                break
+            j += 1
+        if not matched:
+            i += 1
+
+
+def _ph_junction_pass(st):
+    i = 0
+    while i < len(st.gates):
+        g = st.gates[i]
+        if g.kind != "CNOT":
+            i += 1
+            continue
+        v, t = g.qubits
+        v_run = np.eye(2, dtype=complex)
+        v_clean = True
+        t_run = np.eye(2, dtype=complex)
+        ok = True
+        j = i + 1
+        partner = -1
+        v_single_idx = []
+        while j < len(st.gates):
+            h = st.gates[j]
+            if h.kind == "CNOT" and h.qubits == (v, t):
+                partner = j
+                break
+            hw = set(h.qubits)
+            if len(hw) == 1:
+                (q,) = hw
+                if q == v:
+                    v_run = _ph_matrix(h) @ v_run
+                    v_single_idx.append(j)
+                elif q == t:
+                    t_run = _ph_matrix(h) @ t_run
+                j += 1
+                continue
+            if t in hw:
+                if not _ph_is_xtype(t_run):
+                    ok = False
+                    break
+                t_run = np.eye(2, dtype=complex)
+                if _ph_wire_action(h, t) != _PH_XTYPE:
+                    ok = False
+                    break
+            if v in hw:
+                if _ph_wire_action(h, v) != _PH_DIAG or not _ph_is_diag(v_run):
+                    ok = False
+                    break
+                v_clean = False
+                v_run = np.eye(2, dtype=complex)
+                v_single_idx = []
+            j += 1
+        if partner < 0 or not ok or not _ph_is_xtype(t_run):
+            i += 1
+            continue
+        if _ph_is_diag(v_run):
+            del st.gates[partner]
+            del st.gates[i]
+            st.changed = True
+            continue
+        if not v_clean:
+            i += 1
+            continue
+        try:
+            delta, alpha, phi, beta = _ph_euler_zxz(v_run)
+        except ValueError:
+            i += 1
+            continue
+        if not (abs(abs(phi) - math.pi / 2.0) < 1e-9):
+            i += 1
+            continue
+        middle = [st.gates[k] for k in range(i + 1, partner) if k not in v_single_idx]
+        pre, ph_pre = _ph_emit_diag(beta, v)
+        xx, ph_xx = _ph_xx_half(v, t, 1.0 if phi > 0 else -1.0)
+        post, ph_post = _ph_emit_diag(alpha, v)
+        st.phase *= np.exp(1j * delta) * ph_pre * ph_xx * ph_post
+        st.gates[i : partner + 1] = middle + pre + xx + post
+        st.changed = True
+
+
+def peephole_reference(ops, phase=1.0, junction_rewrite=True):
+    """(ops, phase) after the fixpoint peephole pass; ops are (kind, qubits, theta)."""
+    st = _PhState((PeepholeOp(*op) for op in ops), phase)
+    while True:
+        st.changed = False
+        _ph_simple_pass(st)
+        if junction_rewrite:
+            _ph_junction_pass(st)
+        if not st.changed:
+            break
+    return [tuple(op) for op in st.gates], st.phase

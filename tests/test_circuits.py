@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqcc.circuits import (
     Circuit,
@@ -216,6 +218,76 @@ class TestPeephole:
             out = peephole_cancel(circ)
             assert metrics(out).two_qubit <= metrics(circ).two_qubit
             assert np.allclose(unitary(out), unitary(circ), atol=1e-10)
+
+
+def _ops(circ):
+    return [(g.kind, g.qubits, g.theta) for g in circ.gates]
+
+
+def _assert_matches_reference(circ, junction_rewrite=True):
+    out = peephole_cancel(circ, junction_rewrite=junction_rewrite)
+    want, phase = oracles.peephole_reference(_ops(circ), circ.global_phase, junction_rewrite)
+    assert _ops(out) == want
+    assert abs(out.global_phase - phase) <= 1e-12
+
+
+_ANGLES = st.one_of(
+    st.floats(-3 * np.pi, 3 * np.pi, allow_nan=False),
+    st.integers(-4, 4).map(lambda k: k * np.pi / 2),
+)
+
+
+# CNOTs drawn three times as often, so that sandwiches form
+_KINDS = ["H", "S", "Sdg", "T", "Tdg", "X", "Z", "Rz", "Rx", "CNOT", "CNOT", "CNOT", "CZ"]
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(2, 6))
+    wire = st.integers(0, n - 1)
+    circ = Circuit(n)
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(_KINDS))
+        if kind in ("CNOT", "CZ"):
+            a, b = draw(st.lists(wire, min_size=2, max_size=2, unique=True))
+            circ.add(kind, a, b)
+        elif kind in ("Rz", "Rx"):
+            circ.add(kind, draw(wire), theta=draw(_ANGLES))
+        else:
+            circ.add(kind, draw(wire))
+    return circ
+
+
+class TestPeepholeReference:
+    """The wire-linked pass against the numpy rescanning pass in oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_circuits(), st.booleans())
+    def test_random_circuits_match_gate_for_gate(self, circ, junction_rewrite):
+        _assert_matches_reference(circ, junction_rewrite)
+
+    def test_dense_sandwiches_match(self):
+        # few wires and many CNOTs: nested junctions, cancellations, and
+        # rewrites whose Euler angles are not multiples of pi/2
+        rng = np.random.default_rng(11)
+        for n, kinds, count in (
+            (2, ["H", "S", "CNOT", "CNOT"], 400),
+            (2, ["H", "Rx", "Rz", "CNOT"], 100),
+            (3, ["H", "S", "Rx", "Rz", "CNOT", "CNOT", "CZ"], 100),
+        ):
+            for _ in range(count):
+                _assert_matches_reference(_random_circuit(rng, n=n, depth=30, kinds=kinds))
+
+    def test_continuous_euler_angles_match(self):
+        # H Rx(c) H = Rz(c): the control product is an X-rotation up to
+        # Z-rotations at a generic angle, and the rewrite emits Rz(alpha)
+        rng = np.random.default_rng(3)
+        for a, b, c in rng.uniform(-3.0, 3.0, (60, 3)):
+            circ = Circuit(2).add("CNOT", 0, 1).add("Rz", 0, theta=a).add("H", 0)
+            circ.add("Rx", 0, theta=c).add("H", 0).add("Rz", 0, theta=b).add("S", 0)
+            circ.add("H", 0).add("X", 1).add("CNOT", 0, 1)
+            _assert_matches_reference(circ)
+            assert metrics(peephole_cancel(circ)).two_qubit == 1
 
 
 class TestAncilla:

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fqcc.fcidump import FcidumpError, load_fcidump, parse_fcidump
 from fqcc.fermions import build_hamiltonian
+from fqcc.hmp2 import mp2_classical
 from fqcc.transform import Transform
 
 import oracles
@@ -67,6 +69,31 @@ class TestParsing:
         rec = parse_fcidump(text)
         for key in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]:
             assert rec.g2[key] == pytest.approx(0.3)
+
+
+class TestMissingOrbitalEnergies:
+    # an orbital-energy line is "value i 0 0 0" with i >= 1
+    _EPS_LINE = re.compile(r"^\s*\S+\s+[1-9]\d*\s+0\s+0\s+0\s*$\n", re.MULTILINE)
+
+    def test_water_energies_from_fock_diagonal(self):
+        text = (FIXTURES / "h2o_sto3g.fcidump").read_text()
+        stripped = self._EPS_LINE.sub("", text)
+        assert len(stripped.splitlines()) == len(text.splitlines()) - 7
+        full, derived = parse_fcidump(text), parse_fcidump(stripped)
+        assert np.allclose(derived.orbital_energies, full.orbital_energies, rtol=0, atol=1e-9)
+        ham, fock = full.to_spin_orbital()
+        ham_d, fock_d = derived.to_spin_orbital()
+        want = mp2_classical(ham, fock)
+        got = mp2_classical(ham_d, fock_d)
+        assert want.e_corr < -1e-3 and got.excluded == want.excluded
+        assert got.e_corr == pytest.approx(want.e_corr, abs=1e-9)
+
+    @pytest.mark.parametrize("nelec", [1, 4])
+    def test_no_closed_shell_rejected(self, nelec):
+        # one orbital holds no 1 or 4 electrons in a closed shell
+        text = self._EPS_LINE.sub("", MINIMAL.replace("NELEC=2,", f"NELEC={nelec},"))
+        with pytest.raises(FcidumpError, match="closed-shell"):
+            parse_fcidump(text)
 
 
 class TestSpinOrbitalExpansion:

@@ -275,6 +275,8 @@ class TestCheckpoint:
             assert a.active == b.active
             assert a.drift_steps == b.drift_steps
             assert (a.velocity == b.velocity).all()
+            assert a.recent == b.recent
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
     def test_resume_continues_search(self, tmp_path):
         swarm = self._swarm()
@@ -286,6 +288,36 @@ class TestCheckpoint:
         report = pso.run(cfg, bit_cost, swarm=resumed)
         assert report.best_cost <= checkpoint_best
         assert report.steps >= swarm.t
+
+    def test_resume_equals_unbroken_run(self, tmp_path):
+        def hashed_cost(transform):
+            # a rugged objective that keeps improving over several steps
+            bits = transform.lower_bits()
+            return (123 + sum(7**j * b for j, b in enumerate(bits))) % 1009
+
+        cfg = pso.SwarmConfig(n_modes=8, k_max=1, t_max=10, seed=5)
+        whole = pso.init_swarm(8, config=cfg)
+        unbroken = pso.run(cfg, hashed_cost, swarm=whole)
+        path = tmp_path / "swarm.txt"
+        first = pso.run(
+            pso.SwarmConfig(n_modes=8, k_max=1, t_max=1, seed=5), hashed_cost, checkpoint_path=path
+        )
+        resumed = pso.read_checkpoint(path)
+        rest = pso.run(cfg, hashed_cost, swarm=resumed)
+        assert len(set(unbroken.best_history)) > 1
+        assert rest.best_bits == unbroken.best_bits
+        assert rest.best_cost == unbroken.best_cost
+        assert first.best_history + rest.best_history[1:] == unbroken.best_history
+        for a, b in zip(resumed.particles, whole.particles):
+            assert (a.position, a.active, a.recent) == (b.position, b.active, b.recent)
+
+    def test_rejects_truncated_particle(self, tmp_path):
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(ValueError, match="truncated"):
+            pso.read_checkpoint(path)
 
     def test_run_writes_checkpoints(self, tmp_path):
         path = tmp_path / "live.txt"

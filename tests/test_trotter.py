@@ -943,6 +943,31 @@ def _plan_order_cases():
         yield pytest.param(name, bosonic, reorder, marks=marks, id=f"{name}-b{bosonic:d}-r{reorder:d}")
 
 
+class TestEmittedPeephole:
+    @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
+    def test_blocks_match_reference(self, name, monkeypatch):
+        """Every block ``emit_circuit`` reduces comes out as the numpy
+        reference pass leaves it, and the circuit costs what the plan says."""
+        n, n_e = _SV_MODES, _SV_ELECTRONS
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        blocks = []
+
+        def recording(circ, *args, **kwargs):
+            out = peephole_cancel(circ, *args, **kwargs)
+            blocks.append((circ, out))
+            return out
+
+        monkeypatch.setattr(tr, "peephole_cancel", recording)
+        plan = tr.synthesize_ansatz(pool, _SV_ENCODINGS[name], occupied=range(n_e))
+        assert len(blocks) > 1
+        for circ, out in blocks:
+            ops = [(g.kind, g.qubits, g.theta) for g in circ.gates]
+            want, phase = oracles.peephole_reference(ops, circ.global_phase)
+            assert [(g.kind, g.qubits, g.theta) for g in out.gates] == want
+            assert abs(out.global_phase - phase) <= 1e-12
+        assert metrics(plan.circuit).two_qubit == plan.model_two_qubit
+
+
 class TestPlanStatevector:
     @pytest.mark.parametrize("name,bosonic,reorder", _plan_order_cases())
     def test_circuit_is_ansatz_in_plan_order(self, name, bosonic, reorder):
