@@ -289,11 +289,11 @@ def select_next(
     """Pick the candidate with the largest amplitude per added ladder operator.
 
     Candidates are single-term extensions of the current list.  Scores are
-    |amplitude| / (number of ladder operators the term adds); ties break on
-    the canonical term order.  Returns None when the pool is exhausted or,
-    when a threshold and per-term energy contributions are given, when no
-    remaining candidate's |contribution| reaches it (the loop-complete
-    signal).
+    |amplitude| / (number of ladder operators the term adds); ties (scores
+    within a relative 1e-12 of the best) break on the canonical term order.
+    Returns None when the pool is exhausted or, when a threshold and
+    per-term energy contributions are given, when no remaining candidate's
+    |contribution| reaches it (the loop-complete signal).
     """
     have = {seq.name for seq in current_terms}
     candidates = [seq for seq in pool if seq.name not in have and seq.name in amplitudes]
@@ -308,9 +308,7 @@ def select_next(
         return abs(amplitudes[seq.name]) / _ladder_count(seq)
 
     top_score = max(score_of(s) for s in candidates)
-    tied = [
-        s for s in candidates if top_score - score_of(s) <= 1e-12 * max(top_score, 1.0)
-    ]
+    tied = [s for s in candidates if top_score - score_of(s) <= 1e-12 * top_score]
     best = min(tied, key=OrbitalSequence.sort_key)
     return SelectionResult(best, score_of(best), amplitudes[best.name])
 

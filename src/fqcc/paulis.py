@@ -14,6 +14,7 @@ import numpy as np
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+_PHASES = tuple(1j**k for k in range(4))
 
 COEFF_TOL = 1e-12
 
@@ -231,11 +232,18 @@ class PauliSum:
             other = PauliSum.from_strings([other])
         self._check(other)
         out = PauliSum(self.n_qubits)
+        add = out._add_term
+        # per right-hand term: masks, its X / Y / Z letter masks, coefficient
+        right = [
+            (x2, z2, x2 & ~z2, x2 & z2, z2 & ~x2, c2) for (x2, z2), c2 in other._terms.items()
+        ]
         for (x1, z1), c1 in self._terms.items():
-            a = PauliString(self.n_qubits, x1, z1, c1)
-            for (x2, z2), c2 in other._terms.items():
-                p = a * PauliString(self.n_qubits, x2, z2, c2)
-                out._add_term(p.xmask, p.zmask, p.coeff)
+            xo, yo, zo = x1 & ~z1, x1 & z1, z1 & ~x1
+            for x2, z2, xt, yt, zt, c2 in right:
+                # the phase rule of PauliString.__mul__: XY, YZ, ZX give +i
+                plus = (xo & yt) | (yo & zt) | (zo & xt)
+                minus = (yo & xt) | (zo & yt) | (xo & zt)
+                add(x1 ^ x2, z1 ^ z2, c1 * c2 * _PHASES[(plus.bit_count() - minus.bit_count()) % 4])
         return out.simplify()
 
     def __rmul__(self, other):

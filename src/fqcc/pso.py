@@ -20,7 +20,8 @@ stopped.
 
 Cost evaluations are pure functions of the decoded encoding, cached per
 bit pattern and run serially; randomness is partitioned into one stream
-per particle.  Checkpoints are plain text, replaced atomically.
+per particle.  Checkpoints are plain text, carry the cost cache, and are
+replaced atomically.
 """
 
 from __future__ import annotations
@@ -409,7 +410,7 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_MAGIC = "fqcc-swarm 2"
+_CHECKPOINT_MAGIC = "fqcc-swarm 3"
 
 
 def _bitline(mask, d):
@@ -417,11 +418,12 @@ def _bitline(mask, d):
 
 
 def write_checkpoint(swarm, path):
-    """Persist config, per-particle state, and the global best as text.
+    """Persist config, the global best, the cost cache and per-particle state.
 
-    A particle's state includes its random stream (the bit generator's
-    state as one JSON line) and its recent positions, the oscillation test's
-    window.
+    The cost cache is a ``cache <count>`` line followed by one ``c <bits>
+    <cost>`` line per scored position.  A particle's state includes its
+    random stream (the bit generator's state as one JSON line) and its
+    recent positions, the oscillation test's window.
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step: a failed write leaves the previous
@@ -446,7 +448,9 @@ def write_checkpoint(swarm, path):
         f"t {swarm.t}",
         f"best_cost {swarm.best_cost!r}",
         "best " + (_bitline(swarm.best_position, d) if swarm.best_position is not None else "-"),
+        f"cache {len(swarm.cost_cache)}",
     ]
+    lines += [f"c {_bitline(m, d)} {cost}" for m, cost in swarm.cost_cache.items()]
     for p in swarm.particles:
         lines.append(f"particle {int(p.active)} {p.best_cost!r} {p.drift_steps}")
         lines.append("x " + _bitline(p.position, d))
@@ -470,9 +474,9 @@ def write_checkpoint(swarm, path):
 def read_checkpoint(path) -> Swarm:
     """Rebuild a swarm from its checkpoint.
 
-    Random streams and oscillation windows are restored, so a resumed
-    search takes the same steps as the unbroken run.  Only the cost cache
-    starts empty.
+    Random streams, oscillation windows and the cost cache are restored, so
+    a resumed search takes the same steps as the unbroken run and scores no
+    position twice.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -480,7 +484,7 @@ def read_checkpoint(path) -> Swarm:
         raise ValueError("not a swarm checkpoint file")
     head = {}
     i = 1
-    while i < len(lines) and not lines[i].startswith("particle "):
+    while i < len(lines) and not lines[i].startswith("cache "):
         key, _, value = lines[i].partition(" ")
         head[key] = value
         i += 1
@@ -522,6 +526,27 @@ def read_checkpoint(path) -> Swarm:
             raise ValueError("bad random state in checkpoint") from exc
         return rng
 
+    if i == len(lines):
+        raise ValueError("checkpoint has no cost cache section")
+    count = tagged(lines[i], "cache")
+    if not count.isdigit():
+        raise ValueError("bad cost cache count in checkpoint")
+    entries = lines[i + 1 : i + 1 + int(count)]
+    if len(entries) != int(count):
+        raise ValueError("truncated cost cache in checkpoint")
+    cost_cache = {}
+    for line in entries:
+        bits, _, cost = tagged(line, "c").partition(" ")
+        try:
+            value = int(cost)
+        except ValueError:
+            raise ValueError("bad cost cache line in checkpoint") from None
+        mask = mask_of(bits)
+        if mask in cost_cache:
+            raise ValueError("repeated position in checkpoint's cost cache")
+        cost_cache[mask] = value
+    i += 1 + len(entries)
+
     particles = []
     while i < len(lines):
         if i + 6 >= len(lines):
@@ -552,4 +577,5 @@ def read_checkpoint(path) -> Swarm:
         t=int(head["t"]),
         best_position=None if best_line == "-" else mask_of(best_line),
         best_cost=float(head["best_cost"]),
+        cost_cache=cost_cache,
     )

@@ -11,9 +11,12 @@ excitations are compressed onto half the register.  This module provides:
 - ``expand_term``: excitation -> rotation list under a chosen transform,
 - ``synth_pauli_exp`` / ``term_circuit``: circuit emission,
 - ``intra_order``: per-term string order for each ladder target, by
-  dynamic programming over an exact additive cost model,
+  dynamic programming over an exact additive cost model (a Held-Karp pass
+  in numpy, batched over (term, target) pairs),
 - ``relabel_levels``: greedy level-relabeling over pair-swap permutations,
-- ``inter_order``: greedy cross-term concatenation by shared target,
+- ``inter_order``: greedy cross-term concatenation by shared target; classes
+  are formed from the eligible targets first, so the dynamic program runs
+  only at each term's class target, for all terms in one batch,
 - ``bosonic_reduce``: compression of spatially paired double excitations
   onto one wire per orbital pair, plus the restoration network,
 - ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
@@ -26,13 +29,17 @@ The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
 where they differ and neither is identity.  ``peephole_cancel`` realizes
-exactly these savings, so model and circuit agree gate-for-gate.
+exactly these savings, so model and circuit agree gate-for-gate.  The
+planner reads letters only through the strings' bit masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+
+import numpy as np
 
 from .circuits import Circuit, metrics, peephole_cancel
 from .fermions import FermionOperator, FermionTerm, OrbitalSequence
@@ -317,19 +324,14 @@ class IntraResult:
 
 
 def _boundary_saving(first, second, target):
-    """(two_cnot, one_cnot) savings at the boundary of two blocks."""
-    two = one = 0
-    for q in first.support:
-        if q == target:
-            continue
-        other = second.letter(q)
-        if other == "I":
-            continue
-        if other == first.letter(q):
-            two += 1
-        else:
-            one += 1
-    return two, one
+    """(two_cnot, one_cnot) savings at the boundary of two blocks.
+
+    Wires other than ``target`` where both strings act save two CNOTs when
+    the letters agree and one when they differ.
+    """
+    both = (first.xmask | first.zmask) & (second.xmask | second.zmask) & ~(1 << target)
+    diff = (first.xmask ^ second.xmask) | (first.zmask ^ second.zmask)
+    return (both & ~diff).bit_count(), (both & diff).bit_count()
 
 
 def _savings_matrix(strings, target):
@@ -340,6 +342,10 @@ def _savings_matrix(strings, target):
             two, one = _boundary_saving(strings[i], strings[j], target)
             mat[i][j] = mat[j][i] = 2 * two + one
     return mat
+
+
+def _top_wire(string):
+    return (string.xmask | string.zmask).bit_length() - 1
 
 
 def cost_breakdown(term, ordering, target):
@@ -360,8 +366,8 @@ def _fallback_choice(term):
     counts = tuple(s.weight for s in seq)
     twos, ones = [], []
     for a, b in zip(seq, seq[1:]):
-        if max(a.support) == max(b.support):
-            two, one = _boundary_saving(a, b, max(a.support))
+        if _top_wire(a) == _top_wire(b):
+            two, one = _boundary_saving(a, b, _top_wire(a))
         else:
             two = one = 0
         twos.append(two)
@@ -370,54 +376,93 @@ def _fallback_choice(term):
     return IntraChoice(tuple(range(len(seq))), None, breakdown)
 
 
-def _max_path(savings):
-    """Maximum-weight Hamiltonian path; lexicographically smallest argmax.
+# Savings matrices solved together in one Held-Karp pass; bounds the pass's
+# working set at 16 * 2^k * k table entries plus one popcount layer.
+_DP_CHUNK = 16
 
-    Returns (weight, path).  ``f[mask][last]`` holds the best achievable
-    suffix weight starting at ``last`` with ``mask`` already visited, so the
-    path can be rebuilt greedily smallest-node-first.
+
+@lru_cache(maxsize=None)
+def _dp_layers(k):
+    """Held-Karp sweep over k nodes, one entry per popcount layer (k-1 .. 1).
+
+    Each entry holds the layer's visited masks, the mask reached by
+    appending each node, and whether that node is still unvisited.
     """
-    k = len(savings)
-    full = (1 << k) - 1
-    f = [[0] * k for _ in range(1 << k)]
-    for mask in range(full, 0, -1):
-        for last in range(k):
-            if not mask >> last & 1:
-                continue
-            best = 0
-            row = savings[last]
-            for nxt in range(k):
-                if mask >> nxt & 1:
-                    continue
-                cand = row[nxt] + f[mask | (1 << nxt)][nxt]
-                if cand > best:
-                    best = cand
-            f[mask][last] = best
-    weight = max(f[1 << v][v] for v in range(k))
-    path = []
-    mask = 0
+    bits = 1 << np.arange(k)
+    popcount = np.array([m.bit_count() for m in range(1 << k)])
+    layers = []
+    for p in range(k - 1, 0, -1):
+        layer = np.flatnonzero(popcount == p)
+        layers.append((layer, layer[:, None] | bits, (layer[:, None] & bits) == 0))
+    return tuple(layers)
+
+
+def _held_karp(savings):
+    """Maximum-weight Hamiltonian paths of a (C, k, k) int32 stack.
+
+    ``f[c, mask, last]`` holds the best suffix weight from ``last`` with
+    ``mask`` already visited (0 when no move is left or none gains), so each
+    path is rebuilt greedily, smallest node first.
+    """
+    c, k, _ = savings.shape
+    nodes = np.arange(k)
+    f = np.zeros((c, 1 << k, k), dtype=np.int32)
+    for layer, ahead, free in _dp_layers(k):
+        # cand[c, m, last, nxt] = savings[c, last, nxt] + f[c, m | 1 << nxt, nxt]
+        cand = savings[:, None, :, :] + f[:, ahead, nodes][:, :, None, :]
+        f[:, layer, :] = (cand * free[:, None, :]).max(axis=3)
+    weight = f[:, 1 << nodes, nodes].max(axis=1)
+
+    rows = np.arange(c)
+    mask = np.zeros(c, dtype=np.int64)
     remaining = weight
-    prev = None
-    for _ in range(k):
-        for v in range(k):
-            if mask >> v & 1:
-                continue
-            gain = 0 if prev is None else savings[prev][v]
-            if gain + f[mask | (1 << v)][v] == remaining:
-                path.append(v)
-                mask |= 1 << v
-                remaining -= gain
-                prev = v
-                break
-    return weight, tuple(path)
+    gain = np.zeros((c, k), dtype=np.int32)
+    path = np.empty((c, k), dtype=np.int64)
+    for step in range(k):
+        reach = mask[:, None] | (1 << nodes)
+        fits = gain + f[rows[:, None], reach, nodes] == remaining[:, None]
+        v = (fits & (reach != mask[:, None])).argmax(axis=1)
+        path[:, step] = v
+        remaining = remaining - gain[rows, v]
+        mask |= 1 << v
+        gain = savings[rows, v]
+    return list(zip(weight.tolist(), map(tuple, path.tolist())))
 
 
-def _dp_choice(term, target):
-    savings = _savings_matrix(term.strings, target)
-    _, path = _max_path(savings)
-    if path[::-1] < path:
-        path = path[::-1]
-    return IntraChoice(path, target, cost_breakdown(term, path, target))
+def _max_paths(matrices):
+    """(weight, path) of each non-negative integer matrix; sizes may mix.
+
+    The path is the lexicographically smallest maximum-weight Hamiltonian
+    path.  Matrices of one size are solved ``_DP_CHUNK`` at a time, in int32:
+    path weights must stay below 2**31 (boundary savings are at most twice
+    the register width per step).
+    """
+    out = [None] * len(matrices)
+    by_size = {}
+    for idx, mat in enumerate(matrices):
+        by_size.setdefault(len(mat), []).append(idx)
+    for idxs in by_size.values():
+        for start in range(0, len(idxs), _DP_CHUNK):
+            chunk = idxs[start : start + _DP_CHUNK]
+            stack = np.array([matrices[i] for i in chunk], dtype=np.int32)
+            for i, result in zip(chunk, _held_karp(stack)):
+                out[i] = result
+    return out
+
+
+def _dp_choices(pairs):
+    """The maximum-saving IntraChoice of each (term, target) pair.
+
+    Of a path and its reversal (equal savings), the lexicographically
+    smaller ordering is kept.
+    """
+    solved = _max_paths([_savings_matrix(term.strings, target) for term, target in pairs])
+    choices = []
+    for (term, target), (_, path) in zip(pairs, solved):
+        if path[::-1] < path:
+            path = path[::-1]
+        choices.append(IntraChoice(path, target, cost_breakdown(term, path, target)))
+    return choices
 
 
 def intra_order(term):
@@ -429,8 +474,8 @@ def intra_order(term):
     """
     if not term.eligible_targets:
         return IntraResult({}, _fallback_choice(term).cost)
-    per_target = {t: _dp_choice(term, t) for t in term.eligible_targets}
-    return IntraResult(per_target, min(c.cost for c in per_target.values()))
+    choices = _dp_choices([(term, t) for t in term.eligible_targets])
+    return IntraResult(dict(zip(term.eligible_targets, choices)), min(c.cost for c in choices))
 
 
 def term_min_cost(term):
@@ -592,13 +637,14 @@ def inter_order(terms):
     """Group terms by shared eligible target and chain them greedily.
 
     Classes are formed around the most frequently eligible wire (ties to
-    the smallest index), removing claimed terms and repeating.  Within a
-    class the chain is seeded with the best scoring oriented pair, then
-    grown one term at a time, trying prefix/suffix placement of the
-    original or reversed per-term ordering and keeping the best boundary
-    saving (ties resolved in enumeration order).
+    the smallest index), removing claimed terms and repeating; this reads
+    only the eligible targets.  Each member's string order is then the
+    dynamic program's at its class target alone, all members solved in one
+    batch.  Within a class the chain is seeded with the best scoring
+    oriented pair, then grown one term at a time, trying prefix/suffix
+    placement of the original or reversed per-term ordering and keeping the
+    best boundary saving (ties resolved in enumeration order).
     """
-    intra = [intra_order(t) for t in terms]
     standalone = tuple(
         TermPlacement(i, _fallback_choice(terms[i]))
         for i in range(len(terms))
@@ -606,7 +652,7 @@ def inter_order(terms):
     )
     remaining = [i for i in range(len(terms)) if terms[i].eligible_targets]
 
-    classes = []
+    groups = []
     while remaining:
         counts = {}
         for i in remaining:
@@ -614,17 +660,20 @@ def inter_order(terms):
                 counts[t] = counts.get(t, 0) + 1
         target = min(counts, key=lambda t: (-counts[t], t))
         members = [i for i in remaining if target in terms[i].eligible_targets]
-        remaining = [i for i in remaining if i not in members]
-        classes.append(_chain_class(terms, intra, members, target))
-    return InterPlan(tuple(classes), standalone)
+        remaining = [i for i in remaining if target not in terms[i].eligible_targets]
+        groups.append((target, members))
+
+    choices = iter(_dp_choices([(terms[i], t) for t, members in groups for i in members]))
+    classes = tuple(
+        _chain_class(terms, {i: next(choices) for i in members}, members, target)
+        for target, members in groups
+    )
+    return InterPlan(classes, standalone)
 
 
-def _chain_class(terms, intra, members, target):
+def _chain_class(terms, choices, members, target):
     placements = {
-        i: (
-            TermPlacement(i, intra[i].per_target[target], False),
-            TermPlacement(i, intra[i].per_target[target], True),
-        )
+        i: (TermPlacement(i, choices[i], False), TermPlacement(i, choices[i], True))
         for i in members
     }
     if len(members) == 1:

@@ -193,7 +193,7 @@ def circuit_matrix(n, ops, global_phase=1.0):
 
 
 # ---------------------------------------------------------------------------
-# per-term CNOT count of a rotation chain, by enumeration
+# per-term CNOT count of a rotation chain: loop references and enumeration
 # ---------------------------------------------------------------------------
 
 
@@ -209,6 +209,70 @@ def _boundary_cnots(first, second, target):
         if q != target and q in second:
             saved += 2 if second[q] == letter else 1
     return saved
+
+
+def boundary_saving_reference(first, second, target):
+    """(two_cnot, one_cnot) savings where blocks on two strings meet.
+
+    Letter by letter over ``first``'s support: a wire other than ``target``
+    where ``second`` is not identity saves two CNOTs when the letters agree
+    and one when they differ.  The strings need only ``support`` and
+    ``letter(q)``.
+    """
+    two = one = 0
+    for q in first.support:
+        if q == target:
+            continue
+        other = second.letter(q)
+        if other == "I":
+            continue
+        if other == first.letter(q):
+            two += 1
+        else:
+            one += 1
+    return two, one
+
+
+def max_path_reference(savings):
+    """Maximum-weight Hamiltonian path; lexicographically smallest argmax.
+
+    Returns (weight, path).  ``f[mask][last]`` holds the best achievable
+    suffix weight starting at ``last`` with ``mask`` already visited, so the
+    path can be rebuilt greedily smallest-node-first.
+    """
+    k = len(savings)
+    full = (1 << k) - 1
+    f = [[0] * k for _ in range(1 << k)]
+    for mask in range(full, 0, -1):
+        for last in range(k):
+            if not mask >> last & 1:
+                continue
+            best = 0
+            row = savings[last]
+            for nxt in range(k):
+                if mask >> nxt & 1:
+                    continue
+                cand = row[nxt] + f[mask | (1 << nxt)][nxt]
+                if cand > best:
+                    best = cand
+            f[mask][last] = best
+    weight = max(f[1 << v][v] for v in range(k))
+    path = []
+    mask = 0
+    remaining = weight
+    prev = None
+    for _ in range(k):
+        for v in range(k):
+            if mask >> v & 1:
+                continue
+            gain = 0 if prev is None else savings[prev][v]
+            if gain + f[mask | (1 << v)][v] == remaining:
+                path.append(v)
+                mask |= 1 << v
+                remaining -= gain
+                prev = v
+                break
+    return weight, tuple(path)
 
 
 def intra_minima(words, targets):

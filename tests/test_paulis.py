@@ -18,6 +18,11 @@ def _dense_sum(op: PauliSum):
 
 letters_st = st.dictionaries(st.integers(0, 3), st.sampled_from("XYZ"), max_size=4)
 coeff_st = st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+# sum coefficients: arbitrary complexes, plus values whose products cancel exactly
+sum_coeff_st = st.one_of(
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1.0, -1.0, 0.5, -0.5j, 1j, complex(-0.0, 1.0)]),
+)
 
 
 class TestPauliString:
@@ -109,6 +114,31 @@ class TestPauliSum:
             assert np.allclose(_dense_sum(a * b), _dense_sum(a) @ _dense_sum(b), atol=1e-10)
             assert np.allclose(_dense_sum(a + b), _dense_sum(a) + _dense_sum(b), atol=1e-10)
             assert np.allclose(_dense_sum(a.dagger()), _dense_sum(a).conj().T, atol=1e-10)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), sum_coeff_st), max_size=6),
+        st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15), sum_coeff_st), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_product_matches_string_products(self, left, right):
+        """The mask-level product equals the sum of ``PauliString`` products
+        accumulated in the same order: the same keys in the same order, with
+        bit-identical coefficients."""
+        a = PauliSum(4, {(x, z): c for x, z, c in left})
+        b = PauliSum(4, {(x, z): c for x, z, c in right})
+        want = PauliSum(4)
+        for (x1, z1), c1 in a._terms.items():
+            for (x2, z2), c2 in b._terms.items():
+                p = PauliString(4, x1, z1, c1) * PauliString(4, x2, z2, c2)
+                want._add_term(p.xmask, p.zmask, p.coeff)
+        want.simplify()
+        # repr tells signed zeros apart
+        assert [(k, repr(c)) for k, c in (a * b)._terms.items()] == [
+            (k, repr(c)) for k, c in want._terms.items()
+        ]
+        for x, z, c in right[:1]:
+            one = a * PauliString(4, x, z, c)
+            assert one._terms == (a * PauliSum.from_strings([PauliString(4, x, z, c)]))._terms
 
     def test_simplify_drops_tiny_terms(self):
         s = PauliSum.from_strings([PauliString.from_text("1e-14 * X0", 1)], 1)

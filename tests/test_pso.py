@@ -277,6 +277,7 @@ class TestCheckpoint:
             assert (a.velocity == b.velocity).all()
             assert a.recent == b.recent
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert back.cost_cache == swarm.cost_cache
 
     def test_resume_continues_search(self, tmp_path):
         swarm = self._swarm()
@@ -290,20 +291,28 @@ class TestCheckpoint:
         assert report.steps >= swarm.t
 
     def test_resume_equals_unbroken_run(self, tmp_path):
+        calls = []
+
         def hashed_cost(transform):
             # a rugged objective that keeps improving over several steps
             bits = transform.lower_bits()
+            calls.append(bits)
             return (123 + sum(7**j * b for j, b in enumerate(bits))) % 1009
 
         cfg = pso.SwarmConfig(n_modes=8, k_max=1, t_max=10, seed=5)
         whole = pso.init_swarm(8, config=cfg)
         unbroken = pso.run(cfg, hashed_cost, swarm=whole)
+        unbroken_calls = len(calls)
+        calls.clear()
         path = tmp_path / "swarm.txt"
         first = pso.run(
-            pso.SwarmConfig(n_modes=8, k_max=1, t_max=1, seed=5), hashed_cost, checkpoint_path=path
+            pso.SwarmConfig(n_modes=8, k_max=1, t_max=3, seed=5), hashed_cost, checkpoint_path=path
         )
         resumed = pso.read_checkpoint(path)
         rest = pso.run(cfg, hashed_cost, swarm=resumed)
+        # each run also scores the JW and BK baselines, outside the cache, so
+        # the split search makes exactly one pair of calls more
+        assert len(calls) - 2 <= unbroken_calls
         assert len(set(unbroken.best_history)) > 1
         assert rest.best_bits == unbroken.best_bits
         assert rest.best_cost == unbroken.best_cost
@@ -317,6 +326,40 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
+            pso.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "old,new,match",
+        [
+            ("cache ", "cache x", "cost cache count"),
+            ("cache ", "cache 9999", "truncated cost cache"),
+            ("\nc ", "\nc 2", "bit line"),
+            ("\nc ", "\nk ", "expected a 'c' line"),
+        ],
+    )
+    def test_rejects_malformed_cost_cache(self, tmp_path, old, new, match):
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        path.write_text(path.read_text().replace(old, new, 1))
+        with pytest.raises(ValueError, match=match):
+            pso.read_checkpoint(path)
+
+    def test_rejects_bad_cached_cost(self, tmp_path):
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        lines = path.read_text().splitlines()
+        at = next(j for j, line in enumerate(lines) if line.startswith("c "))
+        lines[at] = lines[at].rsplit(" ", 1)[0] + " 3.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="cost cache line"):
+            pso.read_checkpoint(path)
+        lines[at] = lines[at + 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="repeated position"):
+            pso.read_checkpoint(path)
+        del lines[at]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="expected a 'c' line"):
             pso.read_checkpoint(path)
 
     def test_run_writes_checkpoints(self, tmp_path):

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from fqcc import trotter as tr
 from fqcc.circuits import Circuit, apply_to_state, metrics, peephole_cancel
+from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, ParameterSet, uccsd_pool
 from fqcc.paulis import PauliString
 from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state
@@ -490,6 +492,63 @@ class TestIntraOrder:
     def test_term_min_cost_matches(self):
         term = _reference_double(Transform.bravyi_kitaev(4))
         assert tr.term_min_cost(term) == tr.intra_order(term).min_cost
+
+
+# square non-negative integer matrices of sizes 1-8; entries up to 0 (all
+# zero), 1 (heavily tied) or 40
+_matrix_st = st.tuples(st.integers(1, 8), st.sampled_from([0, 1, 40])).flatmap(
+    lambda kt: st.lists(
+        st.lists(st.integers(0, kt[1]), min_size=kt[0], max_size=kt[0]),
+        min_size=kt[0],
+        max_size=kt[0],
+    )
+)
+
+
+class TestPlannerReferences:
+    """The batched Held-Karp pass and the mask-form boundary savings against
+    the loop references in ``oracles``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(_matrix_st, min_size=1, max_size=40))
+    def test_batched_dp_matches_reference(self, matrices):
+        """Mixed sizes and more than one chunk of a size in one batch, with
+        all-zero and heavily tied matrices: equal weight and equal path."""
+        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+
+    def test_chunk_boundaries(self):
+        rng = random.Random(3)
+        sizes = [8] * (2 * tr._DP_CHUNK + 3) + list(range(1, 8)) * 3
+        rng.shuffle(sizes)
+        matrices = []
+        for k in sizes:
+            sym = [[0] * k for _ in range(k)]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    sym[i][j] = sym[j][i] = rng.randint(0, 3)
+            matrices.append(sym)
+        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, (1 << n) - 1),
+                st.integers(0, n + 2),
+            )
+        )
+    )
+    def test_boundary_saving_matches_reference(self, case):
+        """Random string pairs; the target may lie outside either support."""
+        n, x1, z1, x2, z2, target = case
+        a, b = PauliString(n, x1, z1), PauliString(n, x2, z2)
+        assert tr._boundary_saving(a, b, target) == oracles.boundary_saving_reference(
+            a, b, target
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1007,3 +1066,52 @@ class TestPlanStatevector:
         ansatz = AnsatzOp.build(transform, seqs, params)
         want = apply_ansatz(hf_state(n_e, n, transform), ansatz).amplitudes
         assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the planner's output, pinned
+# ---------------------------------------------------------------------------
+
+_WATER = Path(__file__).parent / "fixtures" / "h2o_sto3g.fcidump"
+
+
+def _reference_savings(strings, target):
+    k = len(strings)
+    out = [[0] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        two, one = oracles.boundary_saving_reference(strings[i], strings[j], target)
+        out[i][j] = out[j][i] = 2 * two + one
+    return out
+
+
+class TestPlannerPins:
+    @pytest.mark.parametrize("name,cost", [("jw", 1261), ("bk", 1739)])
+    def test_water_cost(self, name, cost):
+        """Default config, HF modes occupied, STO-3G water's UCCSD pool."""
+        ham, fock = load_fcidump(_WATER).to_spin_orbital()
+        n, n_e = ham.n_modes, fock.n_electrons
+        transform = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}[name](n)
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        assert tr.ansatz_two_qubit_cost(pool, transform, occupied=range(n_e)) == cost
+
+    @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
+    def test_class_choices_match_reference(self, name):
+        """Each class member's choice is the reference path at the class's
+        target, read in its lexicographically smaller direction."""
+        n, n_e = _SV_MODES, _SV_ELECTRONS
+        plan = tr.plan_ansatz(
+            uccsd_pool(range(n_e), range(n_e, n)), _SV_ENCODINGS[name], occupied=range(n_e)
+        )
+        kept = [plan.terms[i] for i in plan.kept]
+        placed = 0
+        for cls in plan.inter.classes:
+            for p in cls.placements:
+                savings = _reference_savings(kept[p.index].strings, cls.target)
+                _, path = oracles.max_path_reference(savings)
+                path = min(path, path[::-1])
+                want = tr.IntraChoice(
+                    path, cls.target, tr.cost_breakdown(kept[p.index], path, cls.target)
+                )
+                assert p.choice == want
+                placed += 1
+        assert placed == len(kept) - len(plan.inter.standalone) > 0
