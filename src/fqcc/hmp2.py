@@ -22,6 +22,13 @@ Orbital-energy denominators dE come from the reference orbital energies
 a warning.  The Hamiltonian's identity component is stripped inside the
 brackets: the exact numerator is blind to it by orthogonality, and keeping
 it would leak a Taylor-truncation artifact proportional to the constant.
+
+The loop runs on its reference's fixed-(N_alpha, N_beta) sector
+(``simulate.spin_sector``) under whatever transform it is given: the
+Hamiltonian, the ansatz generators and every candidate conserve N and S_z,
+so the whole loop needs only the sector's amplitudes.  H, H without its
+identity and each generator are compiled once per run; Zt is summed from
+the compiled generators.
 """
 
 from __future__ import annotations
@@ -42,8 +49,8 @@ from .fermions import (
     excitation_generator,
     uccsd_pool,
 )
-from .paulis import CompiledSum, PauliSum
-from .simulate import AnsatzOp, Statevector, apply_ansatz, hf_state, vqe_minimize
+from .paulis import CompiledSum, PauliSum, same_sector
+from .simulate import AnsatzOp, Statevector, apply_ansatz, hf_state, spin_sector, vqe_minimize
 from .transform import Transform
 
 __all__ = [
@@ -150,16 +157,17 @@ def mp2_classical(
 # ---------------------------------------------------------------------------
 
 
-def ztilde_operator(ansatz: AnsatzOp) -> PauliSum:
-    """Parameter-weighted sum of the ansatz generators (first-order ansatz)."""
-    n = ansatz.n_qubits
-    out = PauliSum.zero(n)
+def ztilde_operator(ansatz: AnsatzOp) -> CompiledSum:
+    """Parameter-weighted sum of the ansatz generators (first-order ansatz).
+
+    Summed from the ansatz's compiled generators, on its sector.
+    """
+    parts = []
     for seq in ansatz.terms:
         value = ansatz.params.get(seq.name)
         if value:
-            gen = excitation_generator(seq, n).to_pauli(ansatz.transform)
-            out._accumulate(value * gen)
-    return out.simplify()
+            parts.append((value, ansatz.generator(seq)[0]))
+    return CompiledSum.combination(parts, ansatz.n_qubits, ansatz.sector)
 
 
 def _without_identity(op: PauliSum) -> PauliSum:
@@ -168,27 +176,39 @@ def _without_identity(op: PauliSum) -> PauliSum:
     return out
 
 
+def _compiled_on(op, sector, what):
+    """``op`` compiled onto ``sector``; an already compiled one must live there."""
+    if isinstance(op, PauliSum):
+        return CompiledSum(op, sector)
+    if not same_sector(op.sector, sector):
+        raise ValueError(f"{what} is compiled on a different sector than the state")
+    return op
+
+
 def first_order_numerators(
     state: Statevector,
-    hamiltonian: PauliSum,
+    hamiltonian: PauliSum | CompiledSum,
     alphas,
-    ztilde: PauliSum | None,
+    ztilde: PauliSum | CompiledSum | None,
     transform,
     cache: dict | None = None,
 ) -> dict[str, float]:
     """The correction bracket N_a for each candidate excitation.
 
     Computes <psi| Dt+ H |psi> - <psi| Dt+ Zt H |psi> + <psi| Zt Dt+ H |psi>
-    exactly on the statevector, sharing H|psi> and Zt|psi> across the set.
-    ``cache`` (name -> compiled generator) amortizes generator mapping when
-    the same candidate set is swept repeatedly.
+    exactly on the statevector (on its sector, if it has one), sharing
+    H|psi> and Zt|psi> across the set.  A PauliSum H loses its identity
+    here; a compiled H is used as given, so it must already be without it.
+    ``cache`` (name -> generator compiled on the state's sector) amortizes
+    generator mapping when the same candidate set is swept repeatedly.
     """
     psi = state.amplitudes
-    h = CompiledSum(_without_identity(hamiltonian))
-    hpsi = h.apply(psi)
+    if isinstance(hamiltonian, PauliSum):
+        hamiltonian = _without_identity(hamiltonian)
+    hpsi = _compiled_on(hamiltonian, state.sector, "H").apply(psi)
     zhpsi = zpsi = None
     if ztilde is not None and len(ztilde):
-        z = CompiledSum(ztilde)
+        z = _compiled_on(ztilde, state.sector, "Zt")
         zhpsi = z.apply(hpsi)
         zpsi = z.apply(psi)
     out: dict[str, float] = {}
@@ -196,7 +216,7 @@ def first_order_numerators(
         dt = None if cache is None else cache.get(seq.name)
         if dt is None:
             dt = CompiledSum(
-                excitation_generator(seq, state.n_qubits).to_pauli(transform)
+                excitation_generator(seq, state.n_qubits).to_pauli(transform), state.sector
             )
             if cache is not None:
                 cache[seq.name] = dt
@@ -230,10 +250,10 @@ def _second_order(numerators, deltas):
 
 def hmp2_correct(
     state: Statevector,
-    hamiltonian: PauliSum,
+    hamiltonian: PauliSum | CompiledSum,
     fock: FockData,
     alpha_prime,
-    ztilde: PauliSum | None,
+    ztilde: PauliSum | CompiledSum | None,
     transform,
 ) -> float:
     """Second-order energy correction around the converged ansatz state."""
@@ -245,10 +265,10 @@ def hmp2_correct(
 
 def wavefunction_correction(
     state: Statevector,
-    hamiltonian: PauliSum,
+    hamiltonian: PauliSum | CompiledSum,
     fock: FockData,
     alphas,
-    ztilde: PauliSum | None,
+    ztilde: PauliSum | CompiledSum | None,
     transform,
 ) -> dict[str, float]:
     """First-order amplitude per excitation: N_a / dE_a.
@@ -350,6 +370,8 @@ class HMP2Report:
     guess: float | None
     vqe_converged: bool
     vqe_grad_norm: float
+    vqe_iterations: int
+    vqe_message: str
 
 
 @dataclass(slots=True)
@@ -378,7 +400,9 @@ def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, r
     best_value, best_energy = 0.0, math.inf
     for value in (guess, -guess):
         trial = params.extended(new_seq.name, value)
-        ansatz = AnsatzOp.build(transform, tuple(terms) + (new_seq,), trial, cache=cache)
+        ansatz = AnsatzOp.build(
+            transform, tuple(terms) + (new_seq,), trial, cache=cache, sector=reference.sector
+        )
         state = apply_ansatz(reference, ansatz)
         energy = float(np.real(h_compiled.expectation(state.amplitudes)))
         if energy < best_energy:
@@ -399,16 +423,20 @@ def run_hmp2_loop(
     energy over the full candidate set, and appends the best-scoring new
     term with a sign-resolved initial guess.  Stops when the energy gain
     available (predicted or realized) falls below ``delta_e``, the pool is
-    exhausted, or the cycle cap is hit (flagged unconverged).
+    exhausted, or the cycle cap is hit (flagged unconverged).  Every state
+    lives on the reference's (N_alpha, N_beta) sector.
     """
     config = config or HMP2Config()
     n = ham.n_modes
     transform = transform or Transform.jordan_wigner(n)
     n_e = fock.n_electrons
     pool = uccsd_pool(range(n_e), range(n_e, n))
-    reference = hf_state(n_e, n, transform)
+    # the reference fills modes 0 .. n_e-1, alpha (even) and beta (odd) in turn
+    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, transform)
+    reference = hf_state(n_e, n, transform, sector)
     h_pauli = build_hamiltonian(ham).to_pauli(transform)
-    h_compiled = CompiledSum(h_pauli)
+    h_compiled = CompiledSum(h_pauli, sector)
+    h_bracket = CompiledSum(_without_identity(h_pauli), sector)
     e_hf = float(np.real(h_compiled.expectation(reference.amplitudes)))
 
     # cycle 0: fully classical bootstrap over the whole candidate pool
@@ -430,6 +458,8 @@ def run_hmp2_loop(
             guess=None,
             vqe_converged=True,
             vqe_grad_norm=0.0,
+            vqe_iterations=0,
+            vqe_message="no parameters",
         )
     ]
 
@@ -469,7 +499,7 @@ def run_hmp2_loop(
         deltas = _denominators(fock, pool)
     converged, reason = False, "cycle cap reached"
     for cycle in range(1, config.max_cycles + 1):
-        ansatz = AnsatzOp.build(transform, tuple(terms), params, cache=gen_cache)
+        ansatz = AnsatzOp.build(transform, tuple(terms), params, cache=gen_cache, sector=sector)
         result = vqe_minimize(
             h_compiled, ansatz, reference,
             gtol=config.vqe_gtol, maxiter=config.vqe_maxiter,
@@ -479,7 +509,7 @@ def run_hmp2_loop(
         state = apply_ansatz(reference, ansatz)
         ztilde = ztilde_operator(ansatz)
         numerators = first_order_numerators(
-            state, h_pauli, pool, ztilde, transform, gen_cache
+            state, h_bracket, pool, ztilde, transform, gen_cache
         )
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
@@ -498,6 +528,8 @@ def run_hmp2_loop(
             guess=None,
             vqe_converged=result.converged,
             vqe_grad_norm=result.grad_norm,
+            vqe_iterations=result.n_iterations,
+            vqe_message=result.message,
         )
         reports.append(report)
         if abs(e_total - reports[-2].e_total) < config.delta_e:
@@ -525,7 +557,10 @@ def write_cycles_csv(reports, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
-            ["cycle", "n_terms", "e_vqe", "e_corr2", "e_total", "chosen_term", "f_score"]
+            [
+                "cycle", "n_terms", "e_vqe", "e_corr2", "e_total", "chosen_term", "f_score",
+                "vqe_iterations", "vqe_message",
+            ]
         )
         for r in rows:
             score = "" if r.chosen is None else f"{r.scores.get(r.chosen, 0.0):.12g}"
@@ -538,5 +573,7 @@ def write_cycles_csv(reports, path) -> None:
                     f"{r.e_total:.12f}",
                     r.chosen or "",
                     score,
+                    r.vqe_iterations,
+                    r.vqe_message,
                 ]
             )

@@ -316,6 +316,21 @@ def _parity_of(arr):
 
 
 _GROUP_ENTRY_LIMIT = 1 << 23  # cap on precomputed phase-table entries
+SECTOR_TOL = 1e-10  # largest matrix element out of a sector that compiling onto it allows
+
+
+def same_sector(a, b):
+    """True when two sectors (sorted basis-index arrays, None for the full
+    space) are the same space."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _phase_table(points, strings):
+    """sum of w * (-1)^parity(point & m) over the (m, w) pairs, at each point."""
+    table = np.zeros(len(points), dtype=np.complex128)
+    for m, signed in strings:
+        table += signed * (1.0 - 2.0 * _parity_of(points & np.int64(m)))
+    return table
 
 
 class CompiledSum:
@@ -323,63 +338,127 @@ class CompiledSum:
 
     Strings sharing an X-mask are the same index permutation, so their
     phases fold into one precomputed table and the whole group costs a
-    single gather per apply.  The tables are built on first use and skipped
-    when they would outgrow the entry cap (falling back to the per-string
-    loop).
+    single gather per apply.  Above an entry cap the tables are rebuilt on
+    each apply instead of kept.
+
+    With a ``sector`` (the sorted basis indices a vector is restricted to,
+    e.g. the encoded fixed-(N_alpha, N_beta) determinants) vectors hold one
+    amplitude per sector state.  Each group then keeps its table on the
+    sector and the sector position of every state's partner, so an apply is
+    still one gather per group.  Compiling onto a sector raises
+    ``ValueError`` when the operator couples it to states outside it by more
+    than ``SECTOR_TOL``; the entries below that are dropped.
     """
 
-    __slots__ = ("n_qubits", "flips", "masks", "weights", "_groups")
+    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "_groups")
 
-    def __init__(self, op: PauliSum):
+    def __init__(self, op: PauliSum, sector=None):
         if op.n_qubits > 60:
             raise ValueError("compiled kernel supports at most 60 qubits")
-        self.n_qubits = op.n_qubits
         flips, masks, weights = [], [], []
         for (x, z), c in op._terms.items():
             flips.append(x)
             masks.append(z)
             weights.append(c * 1j ** ((x & z).bit_count() % 4))
+        self._set_strings(op.n_qubits, sector, flips, masks, weights)
+        if len(set(flips)) * self.dim <= _GROUP_ENTRY_LIMIT:
+            self._groups = tuple(self._tables())
+        else:
+            self._groups = None
+            if sector is not None:
+                for _ in self._tables():  # run the sector check now, not at apply
+                    pass
+
+    def _set_strings(self, n_qubits, sector, flips, masks, weights):
+        self.n_qubits = n_qubits
+        self.sector = None if sector is None else np.asarray(sector, dtype=np.int64)
         self.flips = np.asarray(flips, dtype=np.int64)
         self.masks = np.asarray(masks, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.complex128)
-        self._groups = None
 
-    def _build_groups(self):
-        n_flips = len(set(self.flips.tolist()))
-        if n_flips * (1 << self.n_qubits) > _GROUP_ENTRY_LIMIT:
-            self._groups = ()
-            return
-        idx = _indices(self.n_qubits)
-        tables: dict[int, np.ndarray] = {}
+    @classmethod
+    def combination(cls, parts, n_qubits, sector=None):
+        """sum of c * K over (c, K) pairs compiled on one space.
+
+        Built from the parts' own tables: each X-mask group's table is the
+        weighted sum of the parts' tables for that mask, so no phase is
+        computed again.
+        """
+        strings: dict[tuple, complex] = {}
+        groups: dict[int, tuple] = {}
+        tabled = True
+        for c, part in parts:
+            if part.n_qubits != n_qubits or not same_sector(part.sector, sector):
+                raise ValueError("parts are compiled on different spaces")
+            for f, m, w in zip(part.flips.tolist(), part.masks.tolist(), part.weights.tolist()):
+                strings[f, m] = strings.get((f, m), 0.0) + c * w
+            tabled = tabled and part._groups is not None
+            for f, table, pos in part._groups or ():
+                prev = groups.get(f)
+                groups[f] = (f, c * table if prev is None else prev[1] + c * table, pos)
+        out = cls.__new__(cls)
+        keys = list(strings)
+        out._set_strings(
+            n_qubits, sector, [f for f, _ in keys], [m for _, m in keys], list(strings.values())
+        )
+        tabled = tabled and len(groups) * out.dim <= _GROUP_ENTRY_LIMIT
+        out._groups = tuple(groups.values()) if tabled else None
+        return out
+
+    @property
+    def dim(self):
+        """Length of the vectors this sum acts on."""
+        return 1 << self.n_qubits if self.sector is None else len(self.sector)
+
+    def __len__(self):
+        return len(self.flips)
+
+    def __iter__(self):
+        """The compiled strings as PauliStrings (weight over i^popcount(x & z))."""
+        for f, m, w in zip(self.flips.tolist(), self.masks.tolist(), self.weights.tolist()):
+            yield PauliString(self.n_qubits, f, m, w * _PHASES[-(f & m).bit_count() % 4])
+
+    def _tables(self):
+        """(X-mask, phase table, gather positions or None) for each X-mask group."""
+        by_flip: dict[int, list] = {}
         for f, m, w in zip(self.flips.tolist(), self.masks.tolist(), self.weights):
-            # parity((idx^f) & m) splits into parity(idx&m) and a sign bit
-            signed = w * (1.0 - 2.0 * ((f & m).bit_count() & 1))
-            table = tables.get(f)
-            if table is None:
-                table = tables[f] = np.zeros(len(idx), dtype=np.complex128)
-            table += signed * (1.0 - 2.0 * _parity_of(idx & np.int64(m)))
-        self._groups = tuple(tables.items())
+            # parity((i^f) & m) splits into parity(i&m) and a sign bit
+            by_flip.setdefault(f, []).append((m, w * (1.0 - 2.0 * ((f & m).bit_count() & 1))))
+        sector = self.sector
+        for f, strings in by_flip.items():
+            if sector is None:
+                yield f, _phase_table(_indices(self.n_qubits), strings), None
+                continue
+            partner = sector ^ f
+            pos = np.minimum(np.searchsorted(sector, partner), len(sector) - 1)
+            inside = sector[pos] == partner
+            # the table at the sector and at the partners outside it: the
+            # matrix elements into the sector and out of it that it drops
+            table = _phase_table(np.concatenate([sector, partner[~inside]]), strings)
+            leak = np.abs(np.concatenate([table[len(sector):], table[: len(sector)][~inside]]))
+            if leak.size and leak.max() > SECTOR_TOL:
+                raise ValueError(
+                    f"operator couples the sector to states outside it "
+                    f"(matrix element {leak.max():.3g})"
+                )
+            table = table[: len(sector)]
+            table[~inside] = 0.0
+            yield f, table, pos if f else None
 
     def apply(self, vec, out=None):
         """Return (sum of strings) @ vec."""
-        idx = _indices(self.n_qubits)
         if out is None:
             out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
         else:
             out[:] = 0.0
-        if self._groups is None:
-            self._build_groups()
-        if self._groups:
-            for f, table in self._groups:
-                if f:
-                    out += table * vec[idx ^ f]
-                else:
-                    out += table * vec
-            return out
-        for f, m, w in zip(self.flips, self.masks, self.weights):
-            src = idx ^ f
-            signs = 1.0 - 2.0 * _parity_of(src & m)
-            out += (w * signs) * vec[src]
+        idx = _indices(self.n_qubits) if self.sector is None else None
+        for f, table, pos in self._groups if self._groups is not None else self._tables():
+            if pos is not None:
+                out += table * vec[pos]
+            elif f:
+                out += table * vec[idx ^ f]
+            else:
+                out += table * vec
         return out
 
     def expectation(self, vec):

@@ -8,30 +8,67 @@ kernel applications, no matrix ever built.  Term order is preserved because
 a first-order product formula is order-sensitive.  Expectations are exact
 (emulating the infinite-shot limit), and gradients come from an adjoint
 sweep, so the minimizer sees analytically exact derivatives.
+
+A state lives either on all 2^n basis states or on a sector: the sorted
+basis indices that the determinants with fixed (N_alpha, N_beta) encode to
+(``spin_sector``).  Number- and spin-conserving ansatzes never leave their
+reference's sector, so the same kernels and the same sweep run on C(n/2,
+N_alpha) * C(n/2, N_beta) amplitudes instead of 2^n (441 against 16,384
+for water).  The sector travels with the state, the ansatz and the compiled
+operators, and mixing spaces raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 from scipy.sparse.linalg import LinearOperator, expm_multiply
 
-from .fermions import OrbitalSequence, ParameterSet, excitation_generator
-from .paulis import CompiledSum, PauliSum
+from .fermions import OrbitalSequence, ParameterSet, excitation_generator, spin_of
+from .paulis import CompiledSum, PauliSum, same_sector
 
 __all__ = [
-    "Statevector", "hf_state", "AnsatzOp", "apply_ansatz",
+    "spin_sector", "Statevector", "hf_state", "AnsatzOp", "apply_ansatz",
     "VQEResult", "vqe_minimize",
 ]
 
 _NORM_TOL = 1e-9
 
 
+def _check_space(what, sector, other):
+    if not same_sector(sector, other):
+        raise ValueError(f"{what} lives on a different sector")
+
+
+def spin_sector(n_modes: int, n_alpha: int, n_beta: int, transform=None) -> np.ndarray:
+    """Sorted basis indices of the determinants with n_alpha alpha and n_beta
+    beta electrons (``fermions.spin_of``), encoded through the transform
+    when one is given (x = beta n is linear, so each index is the XOR of
+    the encoded single-mode columns of its occupied modes).
+    """
+    modes = [[m for m in range(n_modes) if spin_of(m) == s] for s in (0, 1)]
+    masks = [
+        np.array([sum(1 << m for m in occ) for occ in combinations(ms, k)], dtype=np.int64)
+        for ms, k in zip(modes, (n_alpha, n_beta))
+    ]
+    occupations = (masks[0][:, None] | masks[1][None, :]).ravel()
+    if transform is None:
+        return np.sort(occupations)
+    codes = np.zeros_like(occupations)
+    for m in range(n_modes):
+        column = transform.encode_occupation(1 << m)
+        codes ^= np.where(occupations >> m & 1, column, 0)
+    return np.sort(codes)
+
+
 @dataclass(slots=True)
 class Statevector:
-    """A normalized amplitude vector over 2^n computational basis states.
+    """A normalized amplitude vector over 2^n computational basis states,
+    or over a sector of them (``spin_sector``): one amplitude per sector
+    index, in sector order.
 
     Basis index bit q holds the occupation of spin orbital q (little-endian
     occupancy convention).
@@ -39,13 +76,15 @@ class Statevector:
 
     n_qubits: int
     amplitudes: np.ndarray
+    sector: np.ndarray | None = None
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
+        if self.sector is not None:
+            self.sector = np.asarray(self.sector, dtype=np.int64)
+        size = 1 << self.n_qubits if self.sector is None else len(self.sector)
+        if amps.shape != (size,):
+            raise ValueError(f"expected {size} amplitudes, got shape {amps.shape}")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > _NORM_TOL:
             raise ValueError(f"state norm {norm!r} is not 1")
@@ -60,24 +99,27 @@ class Statevector:
         return cls(n_qubits, amps)
 
     def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy())
+        return Statevector(self.n_qubits, self.amplitudes.copy(), self.sector)
 
     def overlap(self, other: "Statevector") -> complex:
+        _check_space("the other state", self.sector, other.sector)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def expectation(self, op) -> float:
         """Exact <psi|op|psi> for a Hermitian PauliSum (real part returned)."""
         if isinstance(op, PauliSum):
-            op = CompiledSum(op)
+            op = CompiledSum(op, self.sector)
+        _check_space("the operator", self.sector, op.sector)
         return float(np.real(op.expectation(self.amplitudes)))
 
 
-def hf_state(n_electrons: int, n_modes: int, transform=None) -> Statevector:
+def hf_state(n_electrons: int, n_modes: int, transform=None, sector=None) -> Statevector:
     """Single-reference state: the n_electrons lowest spin orbitals occupied.
 
     With a transform the occupation pattern is pushed through its encoding,
     so the returned basis state is the reference in that transform's qubit
-    convention; without one the occupation bits are the qubit bits.
+    convention; without one the occupation bits are the qubit bits.  With a
+    sector the state lives on it, which must hold the reference.
     """
     if not 0 <= n_electrons <= n_modes:
         raise ValueError(
@@ -85,29 +127,46 @@ def hf_state(n_electrons: int, n_modes: int, transform=None) -> Statevector:
         )
     occupation = (1 << n_electrons) - 1
     index = occupation if transform is None else transform.encode_occupation(occupation)
-    return Statevector.basis(n_modes, index)
+    if sector is None:
+        return Statevector.basis(n_modes, index)
+    sector = np.asarray(sector, dtype=np.int64)
+    pos = int(np.searchsorted(sector, index))
+    if pos == len(sector) or sector[pos] != index:
+        raise ValueError(f"the reference (basis index {index}) is not in the sector")
+    amps = np.zeros(len(sector), dtype=np.complex128)
+    amps[pos] = 1.0
+    return Statevector(n_modes, amps, sector)
 
 
 @dataclass(slots=True)
 class AnsatzOp:
     """An ordered excitation list, its transform, and parameter values.
 
-    Generators are compiled lazily and cached per excitation name, so a
-    growing term list across minimization cycles reuses earlier work.
+    Generators are compiled on the ansatz's sector (None: the full space)
+    when it is built, and cached per excitation name, so a growing term
+    list across minimization cycles reuses earlier work.
     """
 
     transform: object
     terms: tuple
     params: ParameterSet
+    sector: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
-        cls, transform, terms, params: ParameterSet | None = None, *, cache: dict | None = None
+        cls,
+        transform,
+        terms,
+        params: ParameterSet | None = None,
+        *,
+        cache: dict | None = None,
+        sector=None,
     ) -> "AnsatzOp":
-        """Validate the term list; ``cache`` (name -> compiled generator) is
-        shared, not copied, so ansatzes built over one transform compile
-        each generator once.
+        """Validate the term list and compile its generators; ``cache``
+        (name -> compiled generator) is shared, not copied, so ansatzes
+        built over one transform and sector compile each generator once.
+        On a sector, a term that leaves it raises ``ValueError``.
         """
         terms = tuple(terms)
         names = tuple(seq.name for seq in terms)
@@ -115,23 +174,24 @@ class AnsatzOp:
             raise ValueError("duplicate excitation in ansatz")
         if params is None:
             params = ParameterSet(names, {})
-        return cls(transform, terms, params, {} if cache is None else cache)
+        out = cls(transform, terms, params, sector, {} if cache is None else cache)
+        for seq in terms:
+            out.generator(seq)
+        return out
 
     @property
     def n_qubits(self) -> int:
         return self.transform.n_modes
 
     def with_params(self, params: ParameterSet) -> "AnsatzOp":
-        out = AnsatzOp(self.transform, self.terms, params)
-        out._cache = self._cache
-        return out
+        return AnsatzOp(self.transform, self.terms, params, self.sector, self._cache)
 
     def generator(self, seq: OrbitalSequence):
         """(compiled image of T - T+, whether the cubic identity applies)."""
         compiled = self._cache.get(seq.name)
         if compiled is None:
-            op = excitation_generator(seq, self.transform.n_modes)
-            compiled = self._cache[seq.name] = CompiledSum(op.to_pauli(self.transform))
+            op = excitation_generator(seq, self.transform.n_modes).to_pauli(self.transform)
+            compiled = self._cache[seq.name] = CompiledSum(op, self.sector)
         return compiled, not set(seq.creations()) & set(seq.annihilations())
 
 
@@ -163,8 +223,9 @@ def apply_ansatz(state: Statevector, ansatz: AnsatzOp) -> Statevector:
         raise ValueError(
             f"state has {state.n_qubits} qubits, ansatz expects {ansatz.n_qubits}"
         )
+    _check_space("the ansatz", state.sector, ansatz.sector)
     values = [ansatz.params.get(seq.name) for seq in ansatz.terms]
-    return Statevector(state.n_qubits, _run_terms(ansatz, values, state.amplitudes))
+    return Statevector(state.n_qubits, _run_terms(ansatz, values, state.amplitudes), state.sector)
 
 
 @dataclass(slots=True)
@@ -212,10 +273,13 @@ def vqe_minimize(
     search (L-BFGS-B); the run is deterministic for a given initial point.
     A result that exhausts the iteration cap before reaching the gradient
     tolerance comes back flagged ``converged=False`` with the best point
-    found.
+    found.  The reference, the ansatz and a compiled Hamiltonian must share
+    one sector; a PauliSum Hamiltonian is compiled onto the reference's.
     """
     if isinstance(hamiltonian, PauliSum):
-        hamiltonian = CompiledSum(hamiltonian)
+        hamiltonian = CompiledSum(hamiltonian, reference.sector)
+    _check_space("the Hamiltonian", reference.sector, hamiltonian.sector)
+    _check_space("the ansatz", reference.sector, ansatz.sector)
     start = initial if initial is not None else ansatz.params
     names = [seq.name for seq in ansatz.terms]
     x0 = np.array([start.get(n) for n in names], dtype=float)

@@ -14,6 +14,7 @@ from fqcc.fermions import (
     OrbitalSequence,
     ParameterSet,
     build_hamiltonian,
+    excitation_generator,
     uccsd_pool,
 )
 from fqcc.hmp2 import (
@@ -28,8 +29,8 @@ from fqcc.hmp2 import (
     write_cycles_csv,
     ztilde_operator,
 )
-from fqcc.paulis import PauliSum
-from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state, vqe_minimize
+from fqcc.paulis import CompiledSum, PauliSum
+from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state, spin_sector, vqe_minimize
 from fqcc.transform import Transform
 
 import oracles
@@ -193,6 +194,23 @@ class TestCorrectionBracket:
         m = _sum_matrix(zt)
         assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
+    def test_ztilde_is_the_weighted_generator_sum(self, h2):
+        tr = Transform.bravyi_kitaev(4)
+        pool = uccsd_pool(range(2), range(2, 4))
+        params = ParameterSet(
+            tuple(s.name for s in pool), {s.name: 0.1 * (i + 1) for i, s in enumerate(pool)}
+        )
+        want = sum(
+            params.get(s.name) * _sum_matrix(excitation_generator(s, 4).to_pauli(tr)) for s in pool
+        )
+        assert np.max(np.abs(_sum_matrix(ztilde_operator(AnsatzOp.build(tr, pool, params))) - want)) < 1e-14
+        sector = spin_sector(4, 1, 1, tr)
+        on_sector = ztilde_operator(AnsatzOp.build(tr, pool, params, sector=sector))
+        vec = np.random.default_rng(2).normal(size=len(sector)).astype(complex)
+        full = np.zeros(16, dtype=complex)
+        full[sector] = vec
+        assert np.max(np.abs(on_sector.apply(vec) - (want @ full)[sector])) < 1e-14
+
     def test_ztilde_empty_for_zero_parameters(self):
         tr = Transform.jordan_wigner(4)
         pool = uccsd_pool(range(2), range(2, 4))
@@ -351,6 +369,10 @@ class TestRunLoop:
             assert int(row["n_terms"]) == report.n_terms
             assert float(row["e_total"]) == pytest.approx(report.e_total, abs=1e-9)
             assert row["chosen_term"] == (report.chosen or "")
+            assert int(row["vqe_iterations"]) == report.vqe_iterations
+            assert row["vqe_message"] == report.vqe_message
+        assert rows[0]["vqe_message"] == "no parameters"
+        assert all(int(row["vqe_iterations"]) > 0 for row in rows[1:])
 
     def test_final_params_reproduce_energy(self, h2):
         ham, fock = h2
@@ -363,3 +385,74 @@ class TestRunLoop:
         ansatz = AnsatzOp.build(tr, terms, run.final_params)
         state = apply_ansatz(hf_state(2, 4, tr), ansatz)
         assert state.expectation(h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
+
+
+# water under JW on the full 2^14 space, before the loop moved to the sector
+WATER_JW_E_VQE = [
+    -74.96311985205668, -75.01242005714579, -75.0125582890435,
+    -75.01264998557484, -75.0126551807535,
+]
+WATER_JW_E_TOTAL = [
+    -74.99872108208496, -75.01258185630422, -75.01262143350525,
+    -75.012659936288, -75.0126608334184,
+]
+
+
+@pytest.fixture(scope="module", params=["jw", "bk"])
+def water_run(request, h2o):
+    ham, fock = h2o
+    make = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}[request.param]
+    tr = make(ham.n_modes)
+    return request.param, tr, run_hmp2_loop(ham, fock, transform=tr)
+
+
+class TestWaterOnTheSector:
+    def test_cycles_are_pinned(self, water_run):
+        _, _, run = water_run
+        assert run.converged and run.reason == "energy change below threshold"
+        assert [r.n_terms for r in run.reports] == [0, 36, 37, 38, 39]
+        assert [r.chosen for r in run.reports] == [None, "s_11_7", "s_10_6", "s_13_5", None]
+        assert np.max(np.abs(np.array([r.e_vqe for r in run.reports]) - WATER_JW_E_VQE)) < 1e-10
+        assert np.max(np.abs(np.array([r.e_total for r in run.reports]) - WATER_JW_E_TOTAL)) < 1e-10
+        assert all(r.vqe_iterations > 0 and r.vqe_message for r in run.reports[1:])
+
+    def test_full_space_agrees(self, h2o, water_run):
+        """The loop's final ansatz and brackets, redone on all 2^14 amplitudes."""
+        ham, fock = h2o
+        _, tr, run = water_run
+        n, n_e = ham.n_modes, fock.n_electrons
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        by_name = {s.name: s for s in pool}
+        terms = [by_name[name] for name in run.final.term_names]
+        h_pauli = build_hamiltonian(ham).to_pauli(tr)
+        sector = spin_sector(n, n_e // 2, n_e // 2, tr)
+        states, numerators = [], []
+        for space in (None, sector):
+            ansatz = AnsatzOp.build(tr, terms, run.final_params, sector=space)
+            state = apply_ansatz(hf_state(n_e, n, tr, space), ansatz)
+            states.append(state)
+            numerators.append(
+                first_order_numerators(state, h_pauli, pool, ztilde_operator(ansatz), tr)
+            )
+        full, small = states
+        assert full.expectation(h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
+        assert np.max(np.abs(full.amplitudes[sector] - small.amplitudes)) < 1e-12
+        assert np.linalg.norm(full.amplitudes[sector]) == pytest.approx(1.0, abs=1e-12)
+        for name, value in numerators[0].items():
+            assert numerators[1][name] == pytest.approx(value, abs=1e-10)
+
+    def test_bracket_takes_a_compiled_hamiltonian(self, h2o, water_run):
+        ham, fock = h2o
+        _, tr, run = water_run
+        n, n_e = ham.n_modes, fock.n_electrons
+        sector = spin_sector(n, n_e // 2, n_e // 2, tr)
+        h_pauli = build_hamiltonian(ham).to_pauli(tr)
+        pool = uccsd_pool(range(n_e), range(n_e, n))[:12]
+        state = hf_state(n_e, n, tr, sector)
+        from fqcc.hmp2 import _without_identity
+
+        a = first_order_numerators(state, h_pauli, pool, None, tr)
+        b = first_order_numerators(state, CompiledSum(_without_identity(h_pauli), sector), pool, None, tr)
+        assert a == b
+        with pytest.raises(ValueError, match="different sector"):
+            first_order_numerators(state, CompiledSum(h_pauli), pool, None, tr)

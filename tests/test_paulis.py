@@ -199,6 +199,50 @@ class TestKernels:
             assert abs(expectation(op, vec)) <= op.norm1() + 1e-12
 
 
+    def test_compiled_strings_round_trip(self):
+        op = PauliSum.from_text("0.4 * X0 Y1\n(0.0-0.3j) * Y0 Z2\n(0.2+0.1j) * Y1 Y2\n-1.5 * I", 3)
+        compiled = CompiledSum(op)
+        assert len(compiled) == 4
+        assert PauliSum.from_strings(list(compiled), 3)._terms == op._terms
+
+    def test_combination_sums_the_compiled_parts(self):
+        rng = np.random.default_rng(17)
+
+        def random_sum():
+            strings = []
+            for _ in range(5):
+                letters = {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(4, size=2, replace=False)}
+                strings.append(PauliString.from_letters(4, letters, complex(rng.normal(), rng.normal())))
+            return PauliSum.from_strings(strings, 4)
+
+        a, b = random_sum(), random_sum()
+        combo = CompiledSum.combination([(0.7, CompiledSum(a)), (-1.3, CompiledSum(b))], 4)
+        direct = a * 0.7 + b * -1.3
+        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.allclose(combo.apply(vec), _dense_sum(direct) @ vec, atol=1e-12)
+        assert np.allclose(_dense_sum(PauliSum.from_strings(list(combo), 4)), _dense_sum(direct))
+        assert len(CompiledSum.combination([], 4)) == 0
+        with pytest.raises(ValueError, match="different spaces"):
+            CompiledSum.combination([(1.0, CompiledSum(a))], 4, sector=np.arange(4))
+
+
+    def test_tables_rebuilt_per_apply_above_the_entry_cap(self, monkeypatch):
+        from fqcc import paulis
+
+        op = PauliSum.from_text("0.4 * X0 X1\n0.4 * Y0 Y1\n-0.3 * Z0\n0.2 * Z1 Z2\n0.1 * Z0 Z1", 3)
+        leaky = PauliSum.from_text("0.5 * X0", 3)
+        sector = np.array([0b001, 0b010, 0b011, 0b101, 0b110])
+        vec = np.random.default_rng(8).normal(size=8) + 0j
+        kept = [CompiledSum(op).apply(vec), CompiledSum(op, sector[:2]).apply(vec[:2])]
+        monkeypatch.setattr(paulis, "_GROUP_ENTRY_LIMIT", 0)
+        full, small = CompiledSum(op), CompiledSum(op, sector[:2])
+        assert full._groups is None and small._groups is None
+        assert np.allclose(full.apply(vec), kept[0], atol=1e-14)
+        assert np.allclose(small.apply(vec[:2]), kept[1], atol=1e-14)
+        with pytest.raises(ValueError, match="outside"):
+            CompiledSum(leaky, sector)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_apply_sum_identity(n):
     op = PauliSum.identity(n, 1.0)

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, ParameterSet, build_hamiltonian, excitation_generator, uccsd_pool
 from fqcc.paulis import CompiledSum, PauliSum
-from fqcc.simulate import AnsatzOp, Statevector, VQEResult, apply_ansatz, hf_state, vqe_minimize
+from fqcc.simulate import (
+    AnsatzOp,
+    Statevector,
+    VQEResult,
+    apply_ansatz,
+    hf_state,
+    spin_sector,
+    vqe_minimize,
+)
 from fqcc.transform import Transform
 
 import oracles
@@ -292,3 +300,112 @@ class TestVqeMinimize:
         assert isinstance(res, VQEResult)
         assert isinstance(res.params, ParameterSet)
         assert isinstance(res.message, str)
+
+
+def _encoding(kind, n):
+    """JW, BK, or the unit-triangular encoding seeded by ``kind``."""
+    if kind == "jw":
+        return Transform.jordan_wigner(n)
+    if kind == "bk":
+        return Transform.bravyi_kitaev(n)
+    rng = np.random.default_rng(kind)
+    return Transform.from_lower_bits(n, rng.integers(0, 2, n * (n - 1) // 2).tolist())
+
+
+ENCODINGS = ["jw", "bk", 1, 2, 3]
+
+
+class TestSpinSector:
+    @pytest.mark.parametrize("kind", ENCODINGS)
+    def test_is_the_encoded_determinants(self, kind):
+        tr = _encoding(kind, 6)
+        for n_alpha, n_beta in [(1, 1), (2, 1), (0, 3), (3, 3)]:
+            want = sorted(tr.encode_occupation(d) for d in oracles.sector_dets(6, n_alpha, n_beta))
+            assert spin_sector(6, n_alpha, n_beta, tr).tolist() == want
+        assert spin_sector(6, 2, 1).tolist() == oracles.sector_dets(6, 2, 1)
+
+    @pytest.mark.parametrize("kind", ["jw", "bk"])
+    def test_water_sector_holds_the_reference(self, kind):
+        tr = _encoding(kind, 14)
+        sector = spin_sector(14, 5, 5, tr)
+        assert len(sector) == 441 and np.all(np.diff(sector) > 0)
+        ref = hf_state(10, 14, tr, sector)
+        assert ref.sector is sector and ref.amplitudes.shape == (441,)
+        assert sector[np.argmax(np.abs(ref.amplitudes))] == tr.encode_occupation((1 << 10) - 1)
+
+    def test_reference_outside_the_sector_rejected(self):
+        with pytest.raises(ValueError, match="not in the sector"):
+            hf_state(2, 4, sector=spin_sector(4, 2, 0))
+
+    def test_amplitude_count_follows_the_sector(self):
+        sector = spin_sector(4, 1, 1)
+        with pytest.raises(ValueError, match="expected 4 amplitudes"):
+            Statevector(4, np.ones(16) / 4.0, sector)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(ENCODINGS),
+        counts=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        picks=st.lists(st.tuples(st.integers(0, 10**6), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_sector_apply_is_the_restricted_apply(self, kind, counts, picks, seed):
+        """On a number- and S_z-conserving sum the sector kernel is the full
+        kernel read on the sector, for any vector."""
+        n = 6
+        tr = _encoding(kind, n)
+        pool = uccsd_pool(range(3), range(3, n))
+        op = PauliSum.zero(n)
+        for pick, coeff in picks:
+            op._accumulate(coeff * excitation_generator(pool[pick % len(pool)], n).to_pauli(tr))
+        sector = spin_sector(n, *counts, tr)
+        rng = np.random.default_rng(seed)
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        full = CompiledSum(op.simplify()).apply(vec)[sector]
+        restricted = CompiledSum(op, sector).apply(vec[sector])
+        assert np.max(np.abs(restricted - full), initial=0.0) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["jw", "bk"])
+    def test_hamiltonian_on_every_sector(self, h2, kind):
+        ham = h2[0]
+        tr = _encoding(kind, 4)
+        h_pauli = build_hamiltonian(ham).to_pauli(tr)
+        vec = np.random.default_rng(4).normal(size=16).astype(complex)
+        for counts in [(1, 1), (2, 1), (1, 0), (2, 2)]:
+            sector = spin_sector(4, *counts, tr)
+            full = CompiledSum(h_pauli).apply(vec)[sector]
+            assert np.max(np.abs(CompiledSum(h_pauli, sector).apply(vec[sector]) - full)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["jw", "bk"])
+    def test_spin_flip_is_rejected(self, kind):
+        tr = _encoding(kind, 14)
+        sector = spin_sector(14, 5, 5, tr)
+        flip = OrbitalSequence("single", (11, 8))
+        with pytest.raises(ValueError, match="outside"):
+            CompiledSum(excitation_generator(flip, 14).to_pauli(tr), sector)
+        with pytest.raises(ValueError, match="outside"):
+            AnsatzOp.build(tr, (flip,), sector=sector)
+        # the same term is fine on the full space
+        AnsatzOp.build(tr, (flip,))
+
+    def test_spaces_do_not_mix(self, h2):
+        _, _, tr, h_pauli = h2
+        sector = spin_sector(4, 1, 1, tr)
+        pool = uccsd_pool(range(2), range(2, 4))
+        with pytest.raises(ValueError, match="different sector"):
+            apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool))
+        with pytest.raises(ValueError, match="different sector"):
+            vqe_minimize(CompiledSum(h_pauli), AnsatzOp.build(tr, pool, sector=sector),
+                         hf_state(2, 4, tr, sector))
+
+    def test_vqe_on_the_sector_matches_the_full_space(self, h2):
+        _, _, tr, h_pauli = h2
+        pool = uccsd_pool(range(2), range(2, 4))
+        sector = spin_sector(4, 1, 1, tr)
+        full = vqe_minimize(h_pauli, AnsatzOp.build(tr, pool), hf_state(2, 4, tr))
+        small = vqe_minimize(
+            h_pauli, AnsatzOp.build(tr, pool, sector=sector), hf_state(2, 4, tr, sector)
+        )
+        assert small.energy == pytest.approx(full.energy, abs=1e-10)
+        state = apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool, small.params, sector=sector))
+        assert state.expectation(h_pauli) == pytest.approx(small.energy, abs=1e-12)
