@@ -192,6 +192,8 @@ class OrbitalSequence:
 
     Singles carry indices (p, r) for a+_p a_r; doubles carry (p, q, r, s) for
     a+_p a+_q a_r a_s with p < q and r < s (the canonical sign convention).
+    Every index is a distinct mode, so the generator K = T - T+ satisfies
+    K^3 = -K, which the closed-form exponential in ``simulate`` relies on.
     """
 
     kind: str
@@ -210,10 +212,8 @@ class OrbitalSequence:
                 raise ValueError("double indices must satisfy p < q and r < s")
         else:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
-        if len(set(self.creations())) != len(self.creations()) or len(
-            set(self.annihilations())
-        ) != len(self.annihilations()):
-            raise ValueError("repeated index within an excitation")
+        if len(set(self.indices)) != len(self.indices):
+            raise ValueError(f"excitation {self.kind} {self.indices} repeats a mode")
 
     def creations(self):
         return self.indices[:1] if self.kind == "single" else self.indices[:2]
@@ -346,11 +346,7 @@ def build_uccsd(occ, virt, selected, params: ParameterSet, n_modes=None):
             raise ValueError(
                 f"excitation {seq} is not an occ→virt substitution for the given sets"
             )
-        t = params.get(seq.name)
-        fwd = seq.term(t)
-        rev = fwd.adjoint()
-        terms.append(fwd)
-        terms.append(FermionTerm(-rev.coefficient, rev.ops))
+        terms += (params.get(seq.name) * excitation_generator(seq, n_modes)).terms
     return FermionOperator(n_modes, terms)
 
 
@@ -386,18 +382,18 @@ def anticommutation_check(n_modes, transform, tol=1e-10):
         raise ValueError("dense anticommutation check supports at most 6 modes")
     if transform.n_modes != n_modes:
         raise ValueError("transform mode count mismatch")
-    from .paulis import apply_sum
+    from .paulis import CompiledSum
 
     dim = 1 << n_modes
     eye = np.eye(dim)
 
     def dense(mode, dagger):
-        op = transform.map_ladder(mode, dagger)
+        op = CompiledSum(transform.map_ladder(mode, dagger))
         m = np.empty((dim, dim), dtype=complex)
         for col in range(dim):
             e = np.zeros(dim, dtype=complex)
             e[col] = 1.0
-            m[:, col] = apply_sum(op, e)
+            m[:, col] = op.apply(e)
         return m
 
     a = [dense(j, False) for j in range(n_modes)]

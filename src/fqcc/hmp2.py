@@ -46,11 +46,12 @@ from .fermions import (
     OrbitalSequence,
     ParameterSet,
     build_hamiltonian,
-    excitation_generator,
     uccsd_pool,
 )
 from .paulis import CompiledSum, PauliSum, same_sector
-from .simulate import AnsatzOp, Statevector, apply_ansatz, hf_state, spin_sector, vqe_minimize
+from .simulate import (
+    AnsatzOp, Statevector, apply_ansatz, compile_generator, hf_state, spin_sector, vqe_minimize,
+)
 from .transform import Transform
 
 __all__ = [
@@ -163,10 +164,10 @@ def ztilde_operator(ansatz: AnsatzOp) -> CompiledSum:
     Summed from the ansatz's compiled generators, on its sector.
     """
     parts = []
-    for seq in ansatz.terms:
+    for seq, kernel in zip(ansatz.terms, ansatz.generators):
         value = ansatz.params.get(seq.name)
         if value:
-            parts.append((value, ansatz.generator(seq)[0]))
+            parts.append((value, kernel))
     return CompiledSum.combination(parts, ansatz.n_qubits, ansatz.sector)
 
 
@@ -191,7 +192,7 @@ def first_order_numerators(
     alphas,
     ztilde: PauliSum | CompiledSum | None,
     transform,
-    cache: dict | None = None,
+    table: dict | None = None,
 ) -> dict[str, float]:
     """The correction bracket N_a for each candidate excitation.
 
@@ -199,8 +200,9 @@ def first_order_numerators(
     exactly on the statevector (on its sector, if it has one), sharing
     H|psi> and Zt|psi> across the set.  A PauliSum H loses its identity
     here; a compiled H is used as given, so it must already be without it.
-    ``cache`` (name -> generator compiled on the state's sector) amortizes
-    generator mapping when the same candidate set is swept repeatedly.
+    Each candidate's generator comes from ``simulate.compile_generator`` on
+    the state's sector; a shared ``table`` (one per transform and sector)
+    reuses the generators an ansatz or an earlier sweep already compiled.
     """
     psi = state.amplitudes
     if isinstance(hamiltonian, PauliSum):
@@ -211,15 +213,10 @@ def first_order_numerators(
         z = _compiled_on(ztilde, state.sector, "Zt")
         zhpsi = z.apply(hpsi)
         zpsi = z.apply(psi)
+    table = {} if table is None else table
     out: dict[str, float] = {}
     for seq in alphas:
-        dt = None if cache is None else cache.get(seq.name)
-        if dt is None:
-            dt = CompiledSum(
-                excitation_generator(seq, state.n_qubits).to_pauli(transform), state.sector
-            )
-            if cache is not None:
-                cache[seq.name] = dt
+        dt = compile_generator(seq, transform, state.sector, table)
         dpsi = dt.apply(psi)
         bracket = np.vdot(dpsi, hpsi)
         if zpsi is not None:
@@ -299,6 +296,17 @@ def _ladder_count(seq: OrbitalSequence) -> int:
     return len(seq.creations()) + len(seq.annihilations())
 
 
+def _scores(pool, current, amplitudes) -> dict[str, float]:
+    """|amplitude| / ladder-operator count for each candidate: a pool term
+    not in ``current`` that has an amplitude."""
+    have = {seq.name for seq in current}
+    return {
+        seq.name: abs(amplitudes[seq.name]) / _ladder_count(seq)
+        for seq in pool
+        if seq.name not in have and seq.name in amplitudes
+    }
+
+
 def select_next(
     current_terms,
     pool,
@@ -315,22 +323,19 @@ def select_next(
     per-term energy contributions are given, when no remaining candidate's
     |contribution| reaches it (the loop-complete signal).
     """
-    have = {seq.name for seq in current_terms}
-    candidates = [seq for seq in pool if seq.name not in have and seq.name in amplitudes]
-    if not candidates:
+    scores = _scores(pool, current_terms, amplitudes)
+    if not scores:
         return None
     if threshold is not None and contributions is not None:
-        best_gain = max(abs(contributions.get(s.name, 0.0)) for s in candidates)
+        best_gain = max(abs(contributions.get(name, 0.0)) for name in scores)
         if best_gain < threshold:
             return None
-
-    def score_of(seq):
-        return abs(amplitudes[seq.name]) / _ladder_count(seq)
-
-    top_score = max(score_of(s) for s in candidates)
-    tied = [s for s in candidates if top_score - score_of(s) <= 1e-12 * top_score]
+    top_score = max(scores.values())
+    tied = [
+        s for s in pool if s.name in scores and top_score - scores[s.name] <= 1e-12 * top_score
+    ]
     best = min(tied, key=OrbitalSequence.sort_key)
-    return SelectionResult(best, score_of(best), amplitudes[best.name])
+    return SelectionResult(best, scores[best.name], amplitudes[best.name])
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +391,13 @@ class HMP2Run:
         return self.reports[-1]
 
 
-def _scores(pool, current, amplitudes):
-    have = {seq.name for seq in current}
-    return {
-        seq.name: abs(amplitudes[seq.name]) / _ladder_count(seq)
-        for seq in pool
-        if seq.name not in have and seq.name in amplitudes
-    }
-
-
-def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, reference, cache):
+def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, reference, table):
     """Keep whichever sign of the new parameter gives the lower energy."""
     best_value, best_energy = 0.0, math.inf
     for value in (guess, -guess):
         trial = params.extended(new_seq.name, value)
         ansatz = AnsatzOp.build(
-            transform, tuple(terms) + (new_seq,), trial, cache=cache, sector=reference.sector
+            transform, tuple(terms) + (new_seq,), trial, table=table, sector=reference.sector
         )
         state = apply_ansatz(reference, ansatz)
         energy = float(np.real(h_compiled.expectation(state.amplitudes)))
@@ -478,7 +474,7 @@ def run_hmp2_loop(
         {s.name: amplitudes0.get(s.name, 0.0) for s in seeds},
     )
 
-    gen_cache: dict[str, CompiledSum] = {}  # one compiled generator per excitation
+    generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation, this run
     if not terms:
         selection = select_next(
             (), pool, amplitudes0, contributions0, config.delta_e
@@ -487,7 +483,7 @@ def run_hmp2_loop(
             return HMP2Run(reports, True, "no candidate above threshold", ParameterSet())
         guess = _resolved_sign_guess(
             h_compiled, transform, (), ParameterSet(), selection.term,
-            selection.guess, reference, gen_cache,
+            selection.guess, reference, generators,
         )
         reports[0].chosen = selection.term.name
         reports[0].guess = guess
@@ -499,7 +495,7 @@ def run_hmp2_loop(
         deltas = _denominators(fock, pool)
     converged, reason = False, "cycle cap reached"
     for cycle in range(1, config.max_cycles + 1):
-        ansatz = AnsatzOp.build(transform, tuple(terms), params, cache=gen_cache, sector=sector)
+        ansatz = AnsatzOp.build(transform, tuple(terms), params, table=generators, sector=sector)
         result = vqe_minimize(
             h_compiled, ansatz, reference,
             gtol=config.vqe_gtol, maxiter=config.vqe_maxiter,
@@ -509,7 +505,7 @@ def run_hmp2_loop(
         state = apply_ansatz(reference, ansatz)
         ztilde = ztilde_operator(ansatz)
         numerators = first_order_numerators(
-            state, h_bracket, pool, ztilde, transform, gen_cache
+            state, h_bracket, pool, ztilde, transform, generators
         )
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
@@ -542,7 +538,7 @@ def run_hmp2_loop(
             break
         guess = _resolved_sign_guess(
             h_compiled, transform, terms, params, selection.term,
-            selection.guess, reference, gen_cache,
+            selection.guess, reference, generators,
         )
         report.chosen = selection.term.name
         report.guess = guess

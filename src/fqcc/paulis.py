@@ -472,12 +472,3 @@ def apply_string(s: PauliString, vec):
     w = s.coeff * 1j ** ((s.xmask & s.zmask).bit_count() % 4)
     signs = 1.0 - 2.0 * _parity_of(src & np.int64(s.zmask))
     return (w * signs) * vec[src]
-
-
-def apply_sum(op: PauliSum, vec):
-    return CompiledSum(op).apply(vec)
-
-
-def expectation(op: PauliSum, vec):
-    """Exact <vec|op|vec> on a dense statevector."""
-    return CompiledSum(op).expectation(vec)

@@ -1,13 +1,16 @@
 """Exact-statevector emulation of excitation ansatzes and their minimization.
 
 The ansatz is an ordered product of exponentials exp(t_j (T_j - T_j+)), one
-per excitation, applied term-exactly: every excitation generator K with
-disjoint creation/annihilation index sets satisfies K^3 = -K, so its
-exponential acts in closed form as 1 + sin(t) K + (1 - cos(t)) K^2 -- two
-kernel applications, no matrix ever built.  Term order is preserved because
-a first-order product formula is order-sensitive.  Expectations are exact
-(emulating the infinite-shot limit), and gradients come from an adjoint
-sweep, so the minimizer sees analytically exact derivatives.
+per excitation, applied term-exactly: an excitation's modes are distinct
+(``OrbitalSequence`` rejects any other), so its generator K satisfies
+K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
+(1 - cos(t)) K^2 -- two kernel applications, no matrix ever built.
+``compile_generator`` is the one place an excitation becomes such a kernel;
+an ansatz holds one per term, in term order, and ansatzes built over one
+table share them.  Term order is preserved because a first-order product
+formula is order-sensitive.  Expectations are exact (emulating the
+infinite-shot limit), and gradients come from an adjoint sweep, so the
+minimizer sees analytically exact derivatives.
 
 A state lives either on all 2^n basis states or on a sector: the sorted
 basis indices that the determinants with fixed (N_alpha, N_beta) encode to
@@ -20,18 +23,17 @@ operators, and mixing spaces raises ``ValueError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
-from scipy.sparse.linalg import LinearOperator, expm_multiply
 
 from .fermions import OrbitalSequence, ParameterSet, excitation_generator, spin_of
 from .paulis import CompiledSum, PauliSum, same_sector
 
 __all__ = [
-    "spin_sector", "Statevector", "hf_state", "AnsatzOp", "apply_ansatz",
+    "spin_sector", "Statevector", "hf_state", "compile_generator", "AnsatzOp", "apply_ansatz",
     "VQEResult", "vqe_minimize",
 ]
 
@@ -138,20 +140,35 @@ def hf_state(n_electrons: int, n_modes: int, transform=None, sector=None) -> Sta
     return Statevector(n_modes, amps, sector)
 
 
+def compile_generator(seq: OrbitalSequence, transform, sector, table: dict) -> CompiledSum:
+    """T - T+ for one excitation, mapped through the transform and compiled
+    on the sector (None: the full space).
+
+    ``table`` (excitation -> compiled generator) is shared, not copied: an
+    excitation already in it is returned as is, so callers that pass one
+    table per transform and sector compile each generator once.
+    """
+    compiled = table.get(seq)
+    if compiled is None:
+        op = excitation_generator(seq, transform.n_modes).to_pauli(transform)
+        compiled = table[seq] = CompiledSum(op, sector)
+    return compiled
+
+
 @dataclass(slots=True)
 class AnsatzOp:
     """An ordered excitation list, its transform, and parameter values.
 
-    Generators are compiled on the ansatz's sector (None: the full space)
-    when it is built, and cached per excitation name, so a growing term
-    list across minimization cycles reuses earlier work.
+    ``generators`` runs parallel to ``terms``: the compiled image of each
+    term's T - T+ on the ansatz's sector (None: the full space), built by
+    ``compile_generator`` when the ansatz is built.
     """
 
     transform: object
     terms: tuple
+    generators: tuple
     params: ParameterSet
     sector: np.ndarray | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def build(
@@ -160,13 +177,13 @@ class AnsatzOp:
         terms,
         params: ParameterSet | None = None,
         *,
-        cache: dict | None = None,
+        table: dict | None = None,
         sector=None,
     ) -> "AnsatzOp":
-        """Validate the term list and compile its generators; ``cache``
-        (name -> compiled generator) is shared, not copied, so ansatzes
-        built over one transform and sector compile each generator once.
-        On a sector, a term that leaves it raises ``ValueError``.
+        """Validate the term list and compile its generators through
+        ``table`` (``compile_generator``), so ansatzes built over one table
+        hold the same compiled generators for the terms they share.  On a
+        sector, a term that leaves it raises ``ValueError``.
         """
         terms = tuple(terms)
         names = tuple(seq.name for seq in terms)
@@ -174,46 +191,29 @@ class AnsatzOp:
             raise ValueError("duplicate excitation in ansatz")
         if params is None:
             params = ParameterSet(names, {})
-        out = cls(transform, terms, params, sector, {} if cache is None else cache)
-        for seq in terms:
-            out.generator(seq)
-        return out
+        table = {} if table is None else table
+        generators = tuple(compile_generator(seq, transform, sector, table) for seq in terms)
+        return cls(transform, terms, generators, params, sector)
 
     @property
     def n_qubits(self) -> int:
         return self.transform.n_modes
 
     def with_params(self, params: ParameterSet) -> "AnsatzOp":
-        return AnsatzOp(self.transform, self.terms, params, self.sector, self._cache)
-
-    def generator(self, seq: OrbitalSequence):
-        """(compiled image of T - T+, whether the cubic identity applies)."""
-        compiled = self._cache.get(seq.name)
-        if compiled is None:
-            op = excitation_generator(seq, self.transform.n_modes).to_pauli(self.transform)
-            compiled = self._cache[seq.name] = CompiledSum(op, self.sector)
-        return compiled, not set(seq.creations()) & set(seq.annihilations())
+        return AnsatzOp(self.transform, self.terms, self.generators, params, self.sector)
 
 
-def _apply_exponential(kernel: CompiledSum, cubic: bool, theta: float, vec):
-    if cubic:
-        kv = kernel.apply(vec)
-        kkv = kernel.apply(kv)
-        return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
-    op = LinearOperator(
-        (len(vec), len(vec)),
-        matvec=lambda v: theta * kernel.apply(np.asarray(v).reshape(-1)),
-        rmatvec=lambda v: -theta * kernel.apply(np.asarray(v).reshape(-1)),
-        dtype=np.complex128,
-    )
-    return expm_multiply(op, vec, traceA=0.0)
+def _apply_exponential(kernel: CompiledSum, theta: float, vec):
+    """exp(theta K) vec in closed form, for a generator with K^3 = -K."""
+    kv = kernel.apply(vec)
+    kkv = kernel.apply(kv)
+    return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
 
 
 def _run_terms(ansatz: AnsatzOp, values, vec):
-    for seq, theta in zip(ansatz.terms, values):
+    for kernel, theta in zip(ansatz.generators, values):
         if theta:
-            kernel, cubic = ansatz.generator(seq)
-            vec = _apply_exponential(kernel, cubic, theta, vec)
+            vec = _apply_exponential(kernel, theta, vec)
     return vec
 
 
@@ -251,11 +251,11 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
     grad = np.zeros(len(x))
     ket, bra = psi, hpsi
     for j in range(len(x) - 1, -1, -1):
-        kernel, cubic = ansatz.generator(ansatz.terms[j])
+        kernel = ansatz.generators[j]
         grad[j] = 2.0 * float(np.real(np.vdot(bra, kernel.apply(ket))))
         if j:
-            ket = _apply_exponential(kernel, cubic, -x[j], ket)
-            bra = _apply_exponential(kernel, cubic, -x[j], bra)
+            ket = _apply_exponential(kernel, -x[j], ket)
+            bra = _apply_exponential(kernel, -x[j], bra)
     return energy, grad
 
 

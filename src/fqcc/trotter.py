@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .circuits import Circuit, metrics, peephole_cancel
-from .fermions import FermionOperator, FermionTerm, OrbitalSequence
+from .fermions import FermionOperator, OrbitalSequence, excitation_generator
 from .paulis import PauliString
 from .transform import Transform
 
@@ -170,12 +170,11 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
     fermion-label wires whose letter is non-identity in every string.
     """
     n = transform.n_modes
-    fwd = seq.term(1.0)
-    rev = fwd.adjoint()
     if anti:
-        op = FermionOperator(n, [fwd, FermionTerm(-rev.coefficient, rev.ops)])
+        op = excitation_generator(seq, n)
     else:
-        op = FermionOperator(n, [fwd, rev])
+        fwd = seq.term(1.0)
+        op = FermionOperator(n, [fwd, fwd.adjoint()])
     psum = op.to_pauli(transform).simplify()
 
     expected = 8 if seq.kind == "double" else 2

@@ -183,6 +183,15 @@ class TestOrbitalSequence:
         with pytest.raises(ValueError):
             OrbitalSequence("triple", (0, 1, 2, 3, 4, 5))
 
+    @pytest.mark.parametrize(
+        "kind, indices",
+        [("single", (2, 2)), ("double", (0, 2, 0, 3)), ("double", (1, 3, 0, 1))],
+    )
+    def test_overlapping_modes_rejected(self, kind, indices):
+        # a mode both created and annihilated would break K^3 = -K
+        with pytest.raises(ValueError, match="repeats a mode"):
+            OrbitalSequence(kind, indices)
+
     def test_spin_conservation(self):
         assert OrbitalSequence("single", (2, 0)).conserves_spin()
         assert not OrbitalSequence("single", (3, 0)).conserves_spin()
@@ -227,6 +236,7 @@ class TestUccsdPool:
         restricted = uccsd_pool(occ=(0, 1), virt=(2, 3))
         full = uccsd_pool(occ=(0, 1), virt=(2, 3), spin_conserving=False)
         assert len(full) > len(restricted)
+        assert [s.name for s in full] == ["s_2_0", "s_2_1", "s_3_0", "s_3_1", "d_2_3_0_1"]
 
 
 class TestBuildUccsd:

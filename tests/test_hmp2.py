@@ -441,6 +441,36 @@ class TestWaterOnTheSector:
         for name, value in numerators[0].items():
             assert numerators[1][name] == pytest.approx(value, abs=1e-10)
 
+    def test_numerators_compile_only_what_the_ansatz_lacks(self, h2o, water_run, monkeypatch):
+        ham, fock = h2o
+        _, tr, run = water_run
+        n, n_e = ham.n_modes, fock.n_electrons
+        sector = spin_sector(n, n_e // 2, n_e // 2, tr)
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        by_name = {s.name: s for s in pool}
+        terms = [by_name[name] for name in run.final.term_names]
+        from fqcc.hmp2 import _without_identity
+
+        h = CompiledSum(_without_identity(build_hamiltonian(ham).to_pauli(tr)), sector)
+        table = {}
+        ansatz = AnsatzOp.build(tr, terms, run.final_params, table=table, sector=sector)
+        state = apply_ansatz(hf_state(n_e, n, tr, sector), ansatz)
+        zt = ztilde_operator(ansatz)
+        fresh = first_order_numerators(state, h, pool, zt, tr)
+        compiled = []
+        init = CompiledSum.__init__
+
+        def counting(self, op, sector=None):
+            compiled.append(op)
+            init(self, op, sector)
+
+        monkeypatch.setattr(CompiledSum, "__init__", counting)
+        assert first_order_numerators(state, h, pool, zt, tr, table) == fresh
+        assert len(compiled) == len(pool) - len(terms)
+        assert all(table[seq] is k for seq, k in zip(ansatz.terms, ansatz.generators))
+        assert first_order_numerators(state, h, pool, zt, tr, table) == fresh
+        assert len(compiled) == len(pool) - len(terms)
+
     def test_bracket_takes_a_compiled_hamiltonian(self, h2o, water_run):
         ham, fock = h2o
         _, tr, run = water_run

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqcc.paulis import CompiledSum, PauliString, PauliSum, apply_string, expectation
+from fqcc.paulis import CompiledSum, PauliString, PauliSum, apply_string
 
 import oracles
 
@@ -174,7 +174,7 @@ class TestKernels:
         vec /= np.linalg.norm(vec)
         dense = _dense_sum(op)
         assert np.allclose(CompiledSum(op).apply(vec), dense @ vec, atol=1e-10)
-        assert abs(expectation(op, vec) - np.vdot(vec, dense @ vec)) < 1e-10
+        assert abs(CompiledSum(op).expectation(vec) - np.vdot(vec, dense @ vec)) < 1e-10
 
     def test_expectation_linearity_and_conjugate_symmetry(self):
         rng = np.random.default_rng(5)
@@ -186,9 +186,10 @@ class TestKernels:
         b = PauliSum.from_strings([strings[1]], 3)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        lhs = expectation(a + b, vec)
-        assert abs(lhs - expectation(a, vec) - expectation(b, vec)) < 1e-12
-        assert abs(expectation(a.dagger(), vec) - expectation(a, vec).conjugate()) < 1e-12
+        lhs = CompiledSum(a + b).expectation(vec)
+        assert abs(lhs - CompiledSum(a).expectation(vec) - CompiledSum(b).expectation(vec)) < 1e-12
+        conj = CompiledSum(a).expectation(vec).conjugate()
+        assert abs(CompiledSum(a.dagger()).expectation(vec) - conj) < 1e-12
 
     def test_expectation_bounded_by_one_norm(self):
         rng = np.random.default_rng(9)
@@ -196,7 +197,7 @@ class TestKernels:
         for _ in range(20):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             vec /= np.linalg.norm(vec)
-            assert abs(expectation(op, vec)) <= op.norm1() + 1e-12
+            assert abs(CompiledSum(op).expectation(vec)) <= op.norm1() + 1e-12
 
 
     def test_compiled_strings_round_trip(self):

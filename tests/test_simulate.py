@@ -194,23 +194,6 @@ class TestApplyAnsatz:
         expected = _ansatz_matrix(ansatz, params) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
-    def test_overlapping_indices_use_general_route(self):
-        # creations and annihilations sharing mode 0 break the closed-form
-        # identity, forcing the Krylov exponential path
-        tr = Transform.jordan_wigner(4)
-        seq = OrbitalSequence("double", (0, 2, 0, 3))
-        ansatz = AnsatzOp.build(
-            tr, (seq,), ParameterSet((seq.name,), {seq.name: 0.83})
-        )
-        _, cubic = ansatz.generator(seq)
-        assert not cubic
-        ref = Statevector.basis(4, 0b1001)
-        out = apply_ansatz(ref, ansatz)
-        gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(tr))
-        expected = sla.expm(0.83 * gen) @ ref.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
-
     @settings(max_examples=30, deadline=None)
     @given(
         theta=st.floats(-3.2, 3.2),
@@ -227,6 +210,21 @@ class TestApplyAnsatz:
         gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(tr))
         expected = sla.expm(theta * gen) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+
+
+class TestCompileGenerator:
+    def test_shared_table_shares_compiled_generators(self):
+        tr = Transform.bravyi_kitaev(6)
+        pool = uccsd_pool(range(2), range(2, 6))
+        table = {}
+        first = AnsatzOp.build(tr, pool[:3], table=table)
+        second = AnsatzOp.build(tr, pool[1:5], table=table)
+        assert len(table) == 5
+        assert all(a is b for a, b in zip(first.generators[1:], second.generators[:2]))
+        assert all(table[seq] is k for seq, k in zip(second.terms, second.generators))
+        moved = second.with_params(ParameterSet(second.params.names, {pool[2].name: 0.4}))
+        assert all(a is b for a, b in zip(second.generators, moved.generators))
+        assert AnsatzOp.build(tr, pool[:1]).generators[0] is not first.generators[0]
 
 
 class TestVqeMinimize:
