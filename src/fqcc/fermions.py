@@ -245,45 +245,6 @@ class OrbitalSequence:
 
 
 @dataclass(slots=True)
-class ParameterSet:
-    """Ordered parameter names with values; unset names read as 0."""
-
-    names: tuple = ()
-    values: dict = field(default_factory=dict)
-
-    def get(self, name):
-        return self.values.get(name, 0.0)
-
-    def to_vector(self):
-        return np.array([self.get(n) for n in self.names], dtype=float)
-
-    def with_vector(self, vector):
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (len(self.names),):
-            raise ValueError("parameter vector length mismatch")
-        return ParameterSet(self.names, dict(zip(self.names, vector.tolist())))
-
-    def extended(self, name, value=0.0):
-        if name in self.names:
-            raise ValueError(f"duplicate parameter {name!r}")
-        values = dict(self.values)
-        values[name] = value
-        return ParameterSet(self.names + (name,), values)
-
-
-@dataclass(slots=True)
-class ClusterOperator:
-    """An ordered excitation list with its parameter values."""
-
-    n_modes: int
-    terms: list
-    values: ParameterSet
-
-    def amplitudes(self):
-        return [self.values.get(seq.name) for seq in self.terms]
-
-
-@dataclass(slots=True)
 class FockData:
     """Orbital energies and the reference-energy bookkeeping built on them."""
 
@@ -328,8 +289,16 @@ def uccsd_pool(occ, virt, spin_conserving=True):
     return pool
 
 
-def build_uccsd(occ, virt, selected, params: ParameterSet, n_modes=None):
-    """Anti-Hermitian cluster operator sum_a t_a (T_a - T_a+)."""
+def build_uccsd(occ, virt, selected, amplitudes, n_modes=None):
+    """Anti-Hermitian cluster operator sum_a t_a (T_a - T_a+).
+
+    ``amplitudes`` runs parallel to ``selected``: t_a is the amplitude at
+    excitation a's position, and a length mismatch raises ``ValueError``.
+    """
+    selected = list(selected)
+    amplitudes = list(amplitudes)
+    if len(amplitudes) != len(selected):
+        raise ValueError(f"{len(amplitudes)} amplitudes for {len(selected)} excitations")
     occ = set(occ)
     virt = set(virt)
     if occ & virt:
@@ -338,7 +307,7 @@ def build_uccsd(occ, virt, selected, params: ParameterSet, n_modes=None):
         n_modes = max(occ | virt, default=-1) + 1
     seen = set()
     terms = []
-    for seq in selected:
+    for seq, amplitude in zip(selected, amplitudes):
         if seq in seen:
             raise ValueError(f"duplicate excitation {seq}")
         seen.add(seq)
@@ -346,7 +315,7 @@ def build_uccsd(occ, virt, selected, params: ParameterSet, n_modes=None):
             raise ValueError(
                 f"excitation {seq} is not an occ→virt substitution for the given sets"
             )
-        terms += (params.get(seq.name) * excitation_generator(seq, n_modes)).terms
+        terms += (amplitude * excitation_generator(seq, n_modes)).terms
     return FermionOperator(n_modes, terms)
 
 

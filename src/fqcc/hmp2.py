@@ -28,7 +28,10 @@ The loop runs on its reference's fixed-(N_alpha, N_beta) sector
 Hamiltonian, the ansatz generators and every candidate conserve N and S_z,
 so the whole loop needs only the sector's amplitudes.  H, H without its
 identity and each generator are compiled once per run; Zt is summed from
-the compiled generators.
+the compiled generators.  The loop carries the ansatz's values as a tuple
+parallel to its terms, and each new term is appended last, so the sign of
+its starting value is resolved by applying its one exponential to the
+cycle's state.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ from .fermions import (
     FockData,
     MolecularHamiltonian,
     OrbitalSequence,
-    ParameterSet,
     build_hamiltonian,
     uccsd_pool,
 )
 from .paulis import CompiledSum, PauliSum, same_sector
 from .simulate import (
-    AnsatzOp, Statevector, apply_ansatz, compile_generator, hf_state, spin_sector, vqe_minimize,
+    AnsatzOp, Statevector, _apply_exponential, apply_ansatz, compile_generator, hf_state,
+    spin_sector, vqe_minimize,
 )
 from .transform import Transform
 
@@ -161,13 +164,10 @@ def mp2_classical(
 def ztilde_operator(ansatz: AnsatzOp) -> CompiledSum:
     """Parameter-weighted sum of the ansatz generators (first-order ansatz).
 
-    Summed from the ansatz's compiled generators, on its sector.
+    Summed from the ansatz's compiled generators, each weighted by its
+    term's value, on its sector.
     """
-    parts = []
-    for seq, kernel in zip(ansatz.terms, ansatz.generators):
-        value = ansatz.params.get(seq.name)
-        if value:
-            parts.append((value, kernel))
+    parts = [(value, kernel) for value, kernel in zip(ansatz.values, ansatz.generators) if value]
     return CompiledSum.combination(parts, ansatz.n_qubits, ansatz.sector)
 
 
@@ -324,6 +324,11 @@ def select_next(
     |contribution| reaches it (the loop-complete signal).
     """
     scores = _scores(pool, current_terms, amplitudes)
+    return _select(pool, scores, amplitudes, contributions, threshold)
+
+
+def _select(pool, scores, amplitudes, contributions, threshold) -> SelectionResult | None:
+    """``select_next`` on candidate scores already computed by ``_scores``."""
     if not scores:
         return None
     if threshold is not None and contributions is not None:
@@ -381,26 +386,29 @@ class HMP2Report:
 
 @dataclass(slots=True)
 class HMP2Run:
+    """The per-cycle reports, the stop status, and the optimized values of
+    the final report's ansatz, parallel to ``final.term_names``."""
+
     reports: list
     converged: bool
     reason: str
-    final_params: ParameterSet
+    final_values: tuple
 
     @property
     def final(self) -> HMP2Report:
         return self.reports[-1]
 
 
-def _resolved_sign_guess(h_compiled, transform, terms, params, new_seq, guess, reference, table):
-    """Keep whichever sign of the new parameter gives the lower energy."""
+def _resolved_sign_guess(h_compiled, state, kernel, guess):
+    """Keep whichever sign of the new term's value gives the lower energy.
+
+    The new term comes last in the ansatz, so its exponential (generator
+    ``kernel``) acts on ``state``, the current ansatz's state.
+    """
     best_value, best_energy = 0.0, math.inf
     for value in (guess, -guess):
-        trial = params.extended(new_seq.name, value)
-        ansatz = AnsatzOp.build(
-            transform, tuple(terms) + (new_seq,), trial, table=table, sector=reference.sector
-        )
-        state = apply_ansatz(reference, ansatz)
-        energy = float(np.real(h_compiled.expectation(state.amplitudes)))
+        trial = _apply_exponential(kernel, value, state.amplitudes)
+        energy = float(np.real(h_compiled.expectation(trial)))
         if energy < best_energy:
             best_value, best_energy = value, energy
     return best_value
@@ -440,6 +448,7 @@ def run_hmp2_loop(
     amplitudes0 = mp2.amplitudes
     contributions0 = mp2.contributions
     e_corr2 = mp2.e_corr
+    scores0 = _scores(pool, (), amplitudes0)
     reports = [
         HMP2Report(
             cycle=0,
@@ -449,7 +458,7 @@ def run_hmp2_loop(
             e_corr2=e_corr2,
             e_total=e_hf + e_corr2,
             amplitudes=amplitudes0,
-            scores=_scores(pool, (), amplitudes0),
+            scores=scores0,
             chosen=None,
             guess=None,
             vqe_converged=True,
@@ -469,39 +478,33 @@ def run_hmp2_loop(
     ]
     seeds.sort(key=lambda s: -abs(contributions0[s.name]))
     terms: list[OrbitalSequence] = list(seeds)
-    params = ParameterSet(
-        tuple(s.name for s in seeds),
-        {s.name: amplitudes0.get(s.name, 0.0) for s in seeds},
-    )
+    start = tuple(amplitudes0[s.name] for s in seeds)  # VQE's starting values
 
     generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation, this run
     if not terms:
-        selection = select_next(
-            (), pool, amplitudes0, contributions0, config.delta_e
-        )
+        selection = _select(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:
-            return HMP2Run(reports, True, "no candidate above threshold", ParameterSet())
-        guess = _resolved_sign_guess(
-            h_compiled, transform, (), ParameterSet(), selection.term,
-            selection.guess, reference, generators,
-        )
+            return HMP2Run(reports, True, "no candidate above threshold", ())
+        kernel = compile_generator(selection.term, transform, sector, generators)
+        guess = _resolved_sign_guess(h_compiled, reference, kernel, selection.guess)
         reports[0].chosen = selection.term.name
         reports[0].guess = guess
         terms = [selection.term]
-        params = ParameterSet((selection.term.name,), {selection.term.name: guess})
+        start = (guess,)
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # degeneracies already reported by cycle 0
         deltas = _denominators(fock, pool)
     converged, reason = False, "cycle cap reached"
+    values = ()  # the optimized values of the latest report's ansatz
     for cycle in range(1, config.max_cycles + 1):
-        ansatz = AnsatzOp.build(transform, tuple(terms), params, table=generators, sector=sector)
+        ansatz = AnsatzOp.build(transform, terms, start, table=generators, sector=sector)
         result = vqe_minimize(
             h_compiled, ansatz, reference,
             gtol=config.vqe_gtol, maxiter=config.vqe_maxiter,
         )
-        params = result.params
-        ansatz = ansatz.with_params(params)
+        values = result.values
+        ansatz = ansatz.with_values(values)
         state = apply_ansatz(reference, ansatz)
         ztilde = ztilde_operator(ansatz)
         numerators = first_order_numerators(
@@ -510,7 +513,8 @@ def run_hmp2_loop(
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
         e_total = result.energy + e_corr2
-        selection = select_next(terms, pool, amplitudes, contributions, config.delta_e)
+        scores = _scores(pool, terms, amplitudes)
+        selection = _select(pool, scores, amplitudes, contributions, config.delta_e)
         report = HMP2Report(
             cycle=cycle,
             n_terms=len(terms),
@@ -519,7 +523,7 @@ def run_hmp2_loop(
             e_corr2=e_corr2,
             e_total=e_total,
             amplitudes=amplitudes,
-            scores=_scores(pool, terms, amplitudes),
+            scores=scores,
             chosen=None,
             guess=None,
             vqe_converged=result.converged,
@@ -536,15 +540,13 @@ def run_hmp2_loop(
             converged = True
             reason = "pool exhausted" if done_pool else "no candidate above threshold"
             break
-        guess = _resolved_sign_guess(
-            h_compiled, transform, terms, params, selection.term,
-            selection.guess, reference, generators,
-        )
+        kernel = compile_generator(selection.term, transform, sector, generators)
+        guess = _resolved_sign_guess(h_compiled, state, kernel, selection.guess)
         report.chosen = selection.term.name
         report.guess = guess
         terms.append(selection.term)
-        params = params.extended(selection.term.name, guess)
-    return HMP2Run(reports, converged, reason, params)
+        start = values + (guess,)
+    return HMP2Run(reports, converged, reason, values)
 
 
 def write_cycles_csv(reports, path) -> None:

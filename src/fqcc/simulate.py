@@ -7,10 +7,12 @@ K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
 (1 - cos(t)) K^2 -- two kernel applications, no matrix ever built.
 ``compile_generator`` is the one place an excitation becomes such a kernel;
 an ansatz holds one per term, in term order, and ansatzes built over one
-table share them.  Term order is preserved because a first-order product
-formula is order-sensitive.  Expectations are exact (emulating the
-infinite-shot limit), and gradients come from an adjoint sweep, so the
-minimizer sees analytically exact derivatives.
+table share them.  Its parameters are a float tuple in the same order, one
+angle per term; a tuple of the wrong length raises ``ValueError``.  Term
+order is preserved because a first-order product formula is
+order-sensitive.  Expectations are exact (emulating the infinite-shot
+limit), and gradients come from an adjoint sweep, so the minimizer sees
+analytically exact derivatives.
 
 A state lives either on all 2^n basis states or on a sector: the sorted
 basis indices that the determinants with fixed (N_alpha, N_beta) encode to
@@ -29,7 +31,7 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import minimize
 
-from .fermions import OrbitalSequence, ParameterSet, excitation_generator, spin_of
+from .fermions import OrbitalSequence, excitation_generator, spin_of
 from .paulis import CompiledSum, PauliSum, same_sector
 
 __all__ = [
@@ -155,19 +157,27 @@ def compile_generator(seq: OrbitalSequence, transform, sector, table: dict) -> C
     return compiled
 
 
+def _term_values(values, n_terms: int) -> tuple:
+    values = tuple(float(v) for v in values)
+    if len(values) != n_terms:
+        raise ValueError(f"{len(values)} values for {n_terms} ansatz terms")
+    return values
+
+
 @dataclass(slots=True)
 class AnsatzOp:
-    """An ordered excitation list, its transform, and parameter values.
+    """An ordered excitation list, its transform, and one value per term.
 
-    ``generators`` runs parallel to ``terms``: the compiled image of each
-    term's T - T+ on the ansatz's sector (None: the full space), built by
-    ``compile_generator`` when the ansatz is built.
+    ``generators`` and ``values`` run parallel to ``terms``: the compiled
+    image of each term's T - T+ on the ansatz's sector (None: the full
+    space), built by ``compile_generator`` when the ansatz is built, and
+    the term's angle.
     """
 
     transform: object
     terms: tuple
     generators: tuple
-    params: ParameterSet
+    values: tuple
     sector: np.ndarray | None = None
 
     @classmethod
@@ -175,32 +185,33 @@ class AnsatzOp:
         cls,
         transform,
         terms,
-        params: ParameterSet | None = None,
+        values=None,
         *,
         table: dict | None = None,
         sector=None,
     ) -> "AnsatzOp":
         """Validate the term list and compile its generators through
         ``table`` (``compile_generator``), so ansatzes built over one table
-        hold the same compiled generators for the terms they share.  On a
+        hold the same compiled generators for the terms they share.
+        ``values`` (None: all zero) must hold one angle per term.  On a
         sector, a term that leaves it raises ``ValueError``.
         """
         terms = tuple(terms)
-        names = tuple(seq.name for seq in terms)
-        if len(set(names)) != len(names):
+        if len(set(terms)) != len(terms):
             raise ValueError("duplicate excitation in ansatz")
-        if params is None:
-            params = ParameterSet(names, {})
+        values = (0.0,) * len(terms) if values is None else _term_values(values, len(terms))
         table = {} if table is None else table
         generators = tuple(compile_generator(seq, transform, sector, table) for seq in terms)
-        return cls(transform, terms, generators, params, sector)
+        return cls(transform, terms, generators, values, sector)
 
     @property
     def n_qubits(self) -> int:
         return self.transform.n_modes
 
-    def with_params(self, params: ParameterSet) -> "AnsatzOp":
-        return AnsatzOp(self.transform, self.terms, self.generators, params, self.sector)
+    def with_values(self, values) -> "AnsatzOp":
+        """The same terms and generators with new angles, one per term."""
+        values = _term_values(values, len(self.terms))
+        return AnsatzOp(self.transform, self.terms, self.generators, values, self.sector)
 
 
 def _apply_exponential(kernel: CompiledSum, theta: float, vec):
@@ -224,14 +235,16 @@ def apply_ansatz(state: Statevector, ansatz: AnsatzOp) -> Statevector:
             f"state has {state.n_qubits} qubits, ansatz expects {ansatz.n_qubits}"
         )
     _check_space("the ansatz", state.sector, ansatz.sector)
-    values = [ansatz.params.get(seq.name) for seq in ansatz.terms]
-    return Statevector(state.n_qubits, _run_terms(ansatz, values, state.amplitudes), state.sector)
+    amps = _run_terms(ansatz, ansatz.values, state.amplitudes)
+    return Statevector(state.n_qubits, amps, state.sector)
 
 
 @dataclass(slots=True)
 class VQEResult:
+    """The minimized energy and its angles, one per ansatz term in order."""
+
     energy: float
-    params: ParameterSet
+    values: tuple
     converged: bool
     grad_norm: float
     n_iterations: int
@@ -263,14 +276,14 @@ def vqe_minimize(
     hamiltonian,
     ansatz: AnsatzOp,
     reference: Statevector,
-    initial: ParameterSet | None = None,
     gtol: float = 1e-7,
     maxiter: int = 2000,
 ) -> VQEResult:
     """Minimize <ref| U+ H U |ref> over the ansatz parameters.
 
     Exact expectations and analytic gradients feed a bounded quasi-Newton
-    search (L-BFGS-B); the run is deterministic for a given initial point.
+    search (L-BFGS-B) from the ansatz's values, so a warm start is
+    ``ansatz.with_values(x)``; the run is deterministic for a given start.
     A result that exhausts the iteration cap before reaching the gradient
     tolerance comes back flagged ``converged=False`` with the best point
     found.  The reference, the ansatz and a compiled Hamiltonian must share
@@ -280,26 +293,22 @@ def vqe_minimize(
         hamiltonian = CompiledSum(hamiltonian, reference.sector)
     _check_space("the Hamiltonian", reference.sector, hamiltonian.sector)
     _check_space("the ansatz", reference.sector, ansatz.sector)
-    start = initial if initial is not None else ansatz.params
-    names = [seq.name for seq in ansatz.terms]
-    x0 = np.array([start.get(n) for n in names], dtype=float)
-    if not names:
+    if not ansatz.terms:
         energy = float(np.real(hamiltonian.expectation(reference.amplitudes)))
-        return VQEResult(energy, ParameterSet(), True, 0.0, 0, "no parameters")
+        return VQEResult(energy, (), True, 0.0, 0, "no parameters")
     res = minimize(
         _energy_and_gradient,
-        x0,
+        np.array(ansatz.values),
         args=(hamiltonian, ansatz, reference),
         jac=True,
         method="L-BFGS-B",
         options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-14},
     )
     grad_norm = float(np.max(np.abs(res.jac)))
-    params = ParameterSet(tuple(names), dict(zip(names, res.x.tolist())))
     message = res.message if isinstance(res.message, str) else res.message.decode()
     return VQEResult(
         energy=float(res.fun),
-        params=params,
+        values=tuple(res.x.tolist()),
         converged=grad_norm < gtol,
         grad_norm=grad_norm,
         n_iterations=int(res.nit),

@@ -4,14 +4,12 @@ from scipy.linalg import expm
 
 from fqcc.fermions import (
     AnticommutationReport,
-    ClusterOperator,
     FermionOperator,
     FermionTerm,
     FockData,
     LadderOp,
     MolecularHamiltonian,
     OrbitalSequence,
-    ParameterSet,
     anticommutation_check,
     build_hamiltonian,
     build_uccsd,
@@ -241,14 +239,13 @@ class TestUccsdPool:
 
 class TestBuildUccsd:
     def test_empty_is_zero(self):
-        op = build_uccsd((0, 1), (2, 3), [], ParameterSet())
+        op = build_uccsd((0, 1), (2, 3), [], [])
         assert len(op) == 0
         assert np.allclose(_dense(op), np.zeros((16, 16)), atol=1e-14)
 
     def test_one_single(self):
         seq = OrbitalSequence("single", (2, 0))
-        params = ParameterSet((seq.name,), {seq.name: 0.37})
-        op = build_uccsd((0, 1), (2, 3), [seq], params)
+        op = build_uccsd((0, 1), (2, 3), [seq], [0.37])
         want = 0.37 * (
             oracles.ladder_product_matrix(4, [(2, True), (0, False)])
             - oracles.ladder_product_matrix(4, [(0, True), (2, False)])
@@ -259,11 +256,10 @@ class TestBuildUccsd:
         rng = np.random.default_rng(23)
         occ, virt = (0, 1), (2, 3)
         pool = uccsd_pool(occ, virt)
-        names = tuple(seq.name for seq in pool)
-        params = ParameterSet(names, {n: float(rng.normal()) for n in names})
+        amplitudes = rng.normal(size=len(pool))
         for n_beta in range(3):
             t = Transform(_random_beta(rng, 4))
-            m = _dense(build_uccsd(occ, virt, pool, params), t)
+            m = _dense(build_uccsd(occ, virt, pool, amplitudes), t)
             assert np.allclose(m, -m.conj().T, atol=1e-10)
             u = expm(m)
             assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-10)
@@ -271,49 +267,24 @@ class TestBuildUccsd:
     def test_duplicate_rejected(self):
         seq = OrbitalSequence("single", (2, 0))
         with pytest.raises(ValueError):
-            build_uccsd((0, 1), (2, 3), [seq, seq], ParameterSet())
+            build_uccsd((0, 1), (2, 3), [seq, seq], [0.0, 0.0])
 
     def test_out_of_set_rejected(self):
         seq = OrbitalSequence("single", (1, 0))
         with pytest.raises(ValueError):
-            build_uccsd((0,), (2, 3), [seq], ParameterSet())
+            build_uccsd((0,), (2, 3), [seq], [0.0])
 
     def test_generator_matches_unit_amplitude(self):
         seq = OrbitalSequence("double", (2, 3, 0, 1))
         gen = excitation_generator(seq, 4)
-        params = ParameterSet((seq.name,), {seq.name: 1.0})
-        built = build_uccsd((0, 1), (2, 3), [seq], params)
+        built = build_uccsd((0, 1), (2, 3), [seq], [1.0])
         assert np.allclose(_dense(gen), _dense(built), atol=1e-14)
 
-
-class TestParameterSet:
-    def test_defaults_to_zero(self):
-        ps = ParameterSet(("a", "b"))
-        assert ps.get("a") == 0.0
-        assert np.array_equal(ps.to_vector(), np.zeros(2))
-
-    def test_vector_round_trip(self):
-        ps = ParameterSet(("a", "b", "c")).with_vector([1.0, -2.0, 0.5])
-        assert ps.get("b") == -2.0
-        assert np.array_equal(ps.to_vector(), [1.0, -2.0, 0.5])
-
-    def test_with_vector_length_checked(self):
-        with pytest.raises(ValueError):
-            ParameterSet(("a",)).with_vector([1.0, 2.0])
-
-    def test_extended(self):
-        ps = ParameterSet(("a",), {"a": 1.0}).extended("b", 2.0)
-        assert ps.names == ("a", "b")
-        assert ps.get("b") == 2.0
-        with pytest.raises(ValueError):
-            ps.extended("a")
-
-    def test_cluster_operator_amplitudes(self):
+    @pytest.mark.parametrize("amplitudes", [[], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+    def test_amplitude_count_must_match(self, amplitudes):
         pool = uccsd_pool((0, 1), (2, 3))
-        names = tuple(s.name for s in pool)
-        ps = ParameterSet(names, {names[0]: 0.5})
-        cluster = ClusterOperator(4, list(pool), ps)
-        assert cluster.amplitudes() == [0.5, 0.0, 0.0]
+        with pytest.raises(ValueError, match="amplitudes for 3 excitations"):
+            build_uccsd((0, 1), (2, 3), pool, amplitudes)
 
 
 class TestFockData:

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc import hmp2
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import (
     FockData,
     MolecularHamiltonian,
     OrbitalSequence,
-    ParameterSet,
     build_hamiltonian,
     excitation_generator,
     uccsd_pool,
@@ -175,8 +175,7 @@ class TestCorrectionBracket:
         pool = uccsd_pool(range(2), range(2, 4))
         # a partially-optimized state so the first-order expansion is active
         seq = next(s for s in pool if s.kind == "double")
-        params = ParameterSet((seq.name,), {seq.name: 0.05})
-        ansatz = AnsatzOp.build(tr, (seq,), params)
+        ansatz = AnsatzOp.build(tr, (seq,), (0.05,))
         state = apply_ansatz(hf_state(2, 4), ansatz)
         zt = ztilde_operator(ansatz)
         a = hmp2_correct(state, h_pauli, fock, pool, zt, tr)
@@ -187,25 +186,21 @@ class TestCorrectionBracket:
         _, _ = h2
         tr = Transform.jordan_wigner(4)
         pool = uccsd_pool(range(2), range(2, 4))
-        params = ParameterSet(
-            tuple(s.name for s in pool), {s.name: 0.1 * (i + 1) for i, s in enumerate(pool)}
-        )
-        zt = ztilde_operator(AnsatzOp.build(tr, pool, params))
+        values = [0.1 * (i + 1) for i in range(len(pool))]
+        zt = ztilde_operator(AnsatzOp.build(tr, pool, values))
         m = _sum_matrix(zt)
         assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
     def test_ztilde_is_the_weighted_generator_sum(self, h2):
         tr = Transform.bravyi_kitaev(4)
         pool = uccsd_pool(range(2), range(2, 4))
-        params = ParameterSet(
-            tuple(s.name for s in pool), {s.name: 0.1 * (i + 1) for i, s in enumerate(pool)}
-        )
+        values = [0.1 * (i + 1) for i in range(len(pool))]
         want = sum(
-            params.get(s.name) * _sum_matrix(excitation_generator(s, 4).to_pauli(tr)) for s in pool
+            v * _sum_matrix(excitation_generator(s, 4).to_pauli(tr)) for s, v in zip(pool, values)
         )
-        assert np.max(np.abs(_sum_matrix(ztilde_operator(AnsatzOp.build(tr, pool, params))) - want)) < 1e-14
+        assert np.max(np.abs(_sum_matrix(ztilde_operator(AnsatzOp.build(tr, pool, values))) - want)) < 1e-14
         sector = spin_sector(4, 1, 1, tr)
-        on_sector = ztilde_operator(AnsatzOp.build(tr, pool, params, sector=sector))
+        on_sector = ztilde_operator(AnsatzOp.build(tr, pool, values, sector=sector))
         vec = np.random.default_rng(2).normal(size=len(sector)).astype(complex)
         full = np.zeros(16, dtype=complex)
         full[sector] = vec
@@ -224,8 +219,8 @@ class TestCorrectionBracket:
         pool = uccsd_pool(range(2), range(2, 4))
         ansatz = AnsatzOp.build(tr, pool)
         res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
-        state = apply_ansatz(hf_state(2, 4), ansatz.with_params(res.params))
-        zt = ztilde_operator(ansatz.with_params(res.params))
+        state = apply_ansatz(hf_state(2, 4), ansatz.with_values(res.values))
+        zt = ztilde_operator(ansatz.with_values(res.values))
         corr = hmp2_correct(state, h_pauli, fock, pool, zt, tr)
         assert abs(corr) < 1e-6
         wf = wavefunction_correction(state, h_pauli, fock, pool, zt, tr)
@@ -374,7 +369,7 @@ class TestRunLoop:
         assert rows[0]["vqe_message"] == "no parameters"
         assert all(int(row["vqe_iterations"]) > 0 for row in rows[1:])
 
-    def test_final_params_reproduce_energy(self, h2):
+    def test_final_values_reproduce_energy(self, h2):
         ham, fock = h2
         run = run_hmp2_loop(ham, fock, HMP2Config(delta_e=1e-9, max_cycles=10))
         tr = Transform.jordan_wigner(4)
@@ -382,7 +377,7 @@ class TestRunLoop:
         pool = uccsd_pool(range(2), range(2, 4))
         by_name = {s.name: s for s in pool}
         terms = tuple(by_name[name] for name in run.final.term_names)
-        ansatz = AnsatzOp.build(tr, terms, run.final_params)
+        ansatz = AnsatzOp.build(tr, terms, run.final_values)
         state = apply_ansatz(hf_state(2, 4, tr), ansatz)
         assert state.expectation(h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
 
@@ -398,17 +393,35 @@ WATER_JW_E_TOTAL = [
 ]
 
 
+# the sign-resolved guesses of water's cycles 1-3 under JW
+WATER_JW_GUESSES = [0.007914079984287531, 0.0066346408657548435, -0.0015264056944894774]
+
+
+def _recording(log, fn):
+    def wrapper(*args, **kwargs):
+        log.append(fn(*args, **kwargs))
+        return log[-1]
+
+    return wrapper
+
+
 @pytest.fixture(scope="module", params=["jw", "bk"])
 def water_run(request, h2o):
+    """(kind, transform, run, each cycle's VQE result, each pool scoring)."""
     ham, fock = h2o
     make = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}[request.param]
     tr = make(ham.n_modes)
-    return request.param, tr, run_hmp2_loop(ham, fock, transform=tr)
+    vqe_results, scorings = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmp2, "vqe_minimize", _recording(vqe_results, hmp2.vqe_minimize))
+        mp.setattr(hmp2, "_scores", _recording(scorings, hmp2._scores))
+        run = run_hmp2_loop(ham, fock, transform=tr)
+    return request.param, tr, run, vqe_results, scorings
 
 
 class TestWaterOnTheSector:
     def test_cycles_are_pinned(self, water_run):
-        _, _, run = water_run
+        _, _, run, *_ = water_run
         assert run.converged and run.reason == "energy change below threshold"
         assert [r.n_terms for r in run.reports] == [0, 36, 37, 38, 39]
         assert [r.chosen for r in run.reports] == [None, "s_11_7", "s_10_6", "s_13_5", None]
@@ -416,10 +429,41 @@ class TestWaterOnTheSector:
         assert np.max(np.abs(np.array([r.e_total for r in run.reports]) - WATER_JW_E_TOTAL)) < 1e-10
         assert all(r.vqe_iterations > 0 and r.vqe_message for r in run.reports[1:])
 
+    def test_pool_is_scored_once_per_report(self, water_run):
+        _, _, run, _, scorings = water_run
+        assert len(scorings) == len(run.reports) == 5
+        assert all(scores is r.scores for scores, r in zip(scorings, run.reports))
+
+    def test_sign_guesses(self, h2o, water_run):
+        """The guesses are pinned under JW, and under either transform each
+        chosen sign, run through the whole ansatz, is the lower-energy one."""
+        ham, fock = h2o
+        kind, tr, run, vqe_results, _ = water_run
+        guesses = [r.guess for r in run.reports]
+        assert guesses[0] is None and guesses[-1] is None
+        if kind == "jw":
+            assert np.max(np.abs(np.array(guesses[1:-1]) - WATER_JW_GUESSES)) < 1e-10
+        n, n_e = ham.n_modes, fock.n_electrons
+        sector = spin_sector(n, n_e // 2, n_e // 2, tr)
+        by_name = {s.name: s for s in uccsd_pool(range(n_e), range(n_e, n))}
+        h = CompiledSum(build_hamiltonian(ham).to_pauli(tr), sector)
+        reference = hf_state(n_e, n, tr, sector)
+        table = {}
+        assert len(vqe_results) == len(run.reports) - 1
+        for report, result in zip(run.reports[1:-1], vqe_results):
+            terms = [by_name[name] for name in report.term_names + (report.chosen,)]
+            energy = {}
+            for value in (report.guess, -report.guess):
+                ansatz = AnsatzOp.build(
+                    tr, terms, result.values + (value,), table=table, sector=sector
+                )
+                energy[value] = apply_ansatz(reference, ansatz).expectation(h)
+            assert energy[report.guess] <= energy[-report.guess]
+
     def test_full_space_agrees(self, h2o, water_run):
         """The loop's final ansatz and brackets, redone on all 2^14 amplitudes."""
         ham, fock = h2o
-        _, tr, run = water_run
+        _, tr, run, *_ = water_run
         n, n_e = ham.n_modes, fock.n_electrons
         pool = uccsd_pool(range(n_e), range(n_e, n))
         by_name = {s.name: s for s in pool}
@@ -428,7 +472,7 @@ class TestWaterOnTheSector:
         sector = spin_sector(n, n_e // 2, n_e // 2, tr)
         states, numerators = [], []
         for space in (None, sector):
-            ansatz = AnsatzOp.build(tr, terms, run.final_params, sector=space)
+            ansatz = AnsatzOp.build(tr, terms, run.final_values, sector=space)
             state = apply_ansatz(hf_state(n_e, n, tr, space), ansatz)
             states.append(state)
             numerators.append(
@@ -443,7 +487,7 @@ class TestWaterOnTheSector:
 
     def test_numerators_compile_only_what_the_ansatz_lacks(self, h2o, water_run, monkeypatch):
         ham, fock = h2o
-        _, tr, run = water_run
+        _, tr, run, *_ = water_run
         n, n_e = ham.n_modes, fock.n_electrons
         sector = spin_sector(n, n_e // 2, n_e // 2, tr)
         pool = uccsd_pool(range(n_e), range(n_e, n))
@@ -453,7 +497,7 @@ class TestWaterOnTheSector:
 
         h = CompiledSum(_without_identity(build_hamiltonian(ham).to_pauli(tr)), sector)
         table = {}
-        ansatz = AnsatzOp.build(tr, terms, run.final_params, table=table, sector=sector)
+        ansatz = AnsatzOp.build(tr, terms, run.final_values, table=table, sector=sector)
         state = apply_ansatz(hf_state(n_e, n, tr, sector), ansatz)
         zt = ztilde_operator(ansatz)
         fresh = first_order_numerators(state, h, pool, zt, tr)
@@ -473,7 +517,7 @@ class TestWaterOnTheSector:
 
     def test_bracket_takes_a_compiled_hamiltonian(self, h2o, water_run):
         ham, fock = h2o
-        _, tr, run = water_run
+        _, tr, run, *_ = water_run
         n, n_e = ham.n_modes, fock.n_electrons
         sector = spin_sector(n, n_e // 2, n_e // 2, tr)
         h_pauli = build_hamiltonian(ham).to_pauli(tr)

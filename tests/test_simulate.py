@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import OrbitalSequence, ParameterSet, build_hamiltonian, excitation_generator, uccsd_pool
+from fqcc.fermions import OrbitalSequence, build_hamiltonian, excitation_generator, uccsd_pool
 from fqcc.paulis import CompiledSum, PauliSum
 from fqcc.simulate import (
     AnsatzOp,
@@ -27,13 +27,13 @@ def _sum_matrix(op: PauliSum):
     return oracles.paulisum_matrix(op.n_qubits, [(s.coeff, s.letters()) for s in op])
 
 
-def _ansatz_matrix(ansatz: AnsatzOp, params: ParameterSet):
+def _ansatz_matrix(ansatz: AnsatzOp):
     """Dense product of the per-term exponentials, first term rightmost."""
     n = ansatz.n_qubits
     m = np.eye(1 << n, dtype=complex)
-    for seq in ansatz.terms:
+    for seq, value in zip(ansatz.terms, ansatz.values):
         gen = _sum_matrix(excitation_generator(seq, n).to_pauli(ansatz.transform))
-        m = sla.expm(params.get(seq.name) * gen) @ m
+        m = sla.expm(value * gen) @ m
     return m
 
 
@@ -147,6 +147,7 @@ class TestApplyAnsatz:
         tr = Transform.jordan_wigner(4)
         pool = uccsd_pool(range(2), range(2, 4))
         ansatz = AnsatzOp.build(tr, pool)
+        assert ansatz.values == (0.0,) * len(pool)
         out = apply_ansatz(hf_state(2, 4), ansatz)
         assert np.array_equal(out.amplitudes, hf_state(2, 4).amplitudes)
 
@@ -162,18 +163,24 @@ class TestApplyAnsatz:
         with pytest.raises(ValueError, match="duplicate"):
             AnsatzOp.build(tr, (seq, seq))
 
+    @pytest.mark.parametrize("n_values", [0, 2, 4])
+    def test_wrong_value_count_rejected(self, n_values):
+        tr = Transform.jordan_wigner(4)
+        pool = uccsd_pool(range(2), range(2, 4))
+        values = [0.1] * n_values
+        with pytest.raises(ValueError, match=f"{n_values} values for 3 ansatz terms"):
+            AnsatzOp.build(tr, pool, values)
+        with pytest.raises(ValueError, match=f"{n_values} values for 3 ansatz terms"):
+            AnsatzOp.build(tr, pool).with_values(values)
+
     def test_matches_dense_exponentials_h2(self, h2):
         ham, fock, tr, _ = h2
         pool = uccsd_pool(range(2), range(2, 4))
         rng = np.random.default_rng(7)
-        params = ParameterSet(
-            tuple(s.name for s in pool),
-            {s.name: float(t) for s, t in zip(pool, rng.normal(scale=0.4, size=len(pool)))},
-        )
-        ansatz = AnsatzOp.build(tr, pool, params)
+        ansatz = AnsatzOp.build(tr, pool, rng.normal(scale=0.4, size=len(pool)))
         ref = hf_state(2, 4)
         out = apply_ansatz(ref, ansatz)
-        expected = _ansatz_matrix(ansatz, params) @ ref.amplitudes
+        expected = _ansatz_matrix(ansatz) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
@@ -184,14 +191,10 @@ class TestApplyAnsatz:
             n, tuple(int(rng.integers(2)) for _ in range(n * (n - 1) // 2))
         )
         pool = uccsd_pool(range(3), range(3, 6))[:5]
-        params = ParameterSet(
-            tuple(s.name for s in pool),
-            {s.name: float(t) for s, t in zip(pool, rng.normal(scale=0.3, size=len(pool)))},
-        )
-        ansatz = AnsatzOp.build(tr, pool, params)
+        ansatz = AnsatzOp.build(tr, pool, rng.normal(scale=0.3, size=len(pool)))
         ref = hf_state(3, n, tr)
         out = apply_ansatz(ref, ansatz)
-        expected = _ansatz_matrix(ansatz, params) @ ref.amplitudes
+        expected = _ansatz_matrix(ansatz) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
     @settings(max_examples=30, deadline=None)
@@ -203,8 +206,7 @@ class TestApplyAnsatz:
         pool = uccsd_pool(range(2), range(2, 4), spin_conserving=False)
         seq = pool[pick * len(pool) // 4]
         tr = Transform.jordan_wigner(4)
-        params = ParameterSet((seq.name,), {seq.name: theta})
-        ansatz = AnsatzOp.build(tr, (seq,), params)
+        ansatz = AnsatzOp.build(tr, (seq,), (theta,))
         ref = hf_state(2, 4)
         out = apply_ansatz(ref, ansatz)
         gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(tr))
@@ -222,7 +224,7 @@ class TestCompileGenerator:
         assert len(table) == 5
         assert all(a is b for a, b in zip(first.generators[1:], second.generators[:2]))
         assert all(table[seq] is k for seq, k in zip(second.terms, second.generators))
-        moved = second.with_params(ParameterSet(second.params.names, {pool[2].name: 0.4}))
+        moved = second.with_values((0.0, 0.4, 0.0, 0.0))
         assert all(a is b for a, b in zip(second.generators, moved.generators))
         assert AnsatzOp.build(tr, pool[:1]).generators[0] is not first.generators[0]
 
@@ -272,7 +274,7 @@ class TestVqeMinimize:
         a = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         b = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         assert a.energy == b.energy
-        assert a.params.to_vector().tolist() == b.params.to_vector().tolist()
+        assert a.values == b.values
 
     def test_iteration_cap_flags_nonconvergence(self, h2):
         ham, fock, tr, h_pauli = h2
@@ -288,7 +290,7 @@ class TestVqeMinimize:
         pool = uccsd_pool(range(2), range(2, 4))
         ansatz = AnsatzOp.build(tr, pool)
         best = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
-        warm = vqe_minimize(h_pauli, ansatz, hf_state(2, 4), initial=best.params)
+        warm = vqe_minimize(h_pauli, ansatz.with_values(best.values), hf_state(2, 4))
         assert warm.energy == pytest.approx(best.energy, abs=1e-10)
         assert warm.n_iterations <= best.n_iterations
 
@@ -296,7 +298,7 @@ class TestVqeMinimize:
         ham, fock, tr, h_pauli = h2
         res = vqe_minimize(h_pauli, AnsatzOp.build(tr, ()), hf_state(2, 4))
         assert isinstance(res, VQEResult)
-        assert isinstance(res.params, ParameterSet)
+        assert res.values == ()
         assert isinstance(res.message, str)
 
 
@@ -405,5 +407,5 @@ class TestSpinSector:
             h_pauli, AnsatzOp.build(tr, pool, sector=sector), hf_state(2, 4, tr, sector)
         )
         assert small.energy == pytest.approx(full.energy, abs=1e-10)
-        state = apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool, small.params, sector=sector))
+        state = apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool, small.values, sector=sector))
         assert state.expectation(h_pauli) == pytest.approx(small.energy, abs=1e-12)

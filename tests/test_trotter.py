@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from fqcc import trotter as tr
 from fqcc.circuits import Circuit, apply_to_state, metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import OrbitalSequence, ParameterSet, uccsd_pool
+from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.paulis import PauliString
 from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state
 from fqcc.transform import Transform
@@ -1060,10 +1060,7 @@ class TestPlanStatevector:
         got = apply_to_state(plan.circuit, start)
 
         seqs = [pool[i] for i in plan.order]
-        params = ParameterSet(
-            tuple(s.name for s in seqs), {pool[i].name: angles[i] for i in plan.order}
-        )
-        ansatz = AnsatzOp.build(transform, seqs, params)
+        ansatz = AnsatzOp.build(transform, seqs, [angles[i] for i in plan.order])
         want = apply_ansatz(hf_state(n_e, n, transform), ansatz).amplitudes
         assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
 
