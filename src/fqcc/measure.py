@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .circuits import Circuit
-from .paulis import PauliString, PauliSum
+from .paulis import PauliString, PauliSum, word_key
 from .trotter import PAIR_TABLE
 
 __all__ = [
@@ -270,7 +270,7 @@ class MeasurementPlan:
 
 def _ordered(strings):
     items = strings.strings() if isinstance(strings, PauliSum) else list(strings)
-    return sorted(items, key=lambda s: (-abs(s.coeff), s.sort_word()))
+    return sorted(items, key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
 
 
 def partition_qwc(strings) -> MeasurementPlan:

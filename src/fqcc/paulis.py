@@ -18,6 +18,23 @@ _PHASES = tuple(1j**k for k in range(4))
 
 COEFF_TOL = 1e-12
 
+# bit i of a byte moved to bit 14 - 2i: the byte's first qubit leads
+_SPREAD = tuple(sum((b >> i & 1) << (14 - 2 * i) for i in range(8)) for b in range(256))
+
+
+def word_key(n_qubits, xmask, zmask):
+    """Integer that orders strings as their letter words, qubit 0 first.
+
+    Each qubit is one base-4 digit ``(x ^ z) | z << 1``, so I < X < Y < Z,
+    with qubit 0 the most significant.  Keys compare only between strings
+    on the same number of qubits.
+    """
+    a = xmask ^ zmask
+    key = 0
+    for shift in range(0, n_qubits, 8):
+        key = key << 16 | _SPREAD[a >> shift & 255] | _SPREAD[zmask >> shift & 255] << 1
+    return key
+
 
 def _fmt_coeff(c: complex) -> str:
     if c.imag == 0.0:
@@ -142,9 +159,6 @@ class PauliString:
     def __str__(self):
         return self.to_text()
 
-    def sort_word(self):
-        return "".join(self.letter(q) for q in range(self.n_qubits))
-
 
 class PauliSum:
     """A complex-weighted sum of Pauli strings with canonical merging."""
@@ -192,11 +206,15 @@ class PauliSum:
     def coeff(self, x, z):
         return self._terms.get((x, z), 0.0)
 
+    def items(self):
+        """((x, z), coeff) pairs, unsorted."""
+        return self._terms.items()
+
     def strings(self):
         """Terms as PauliString objects in canonical (letter-word) order."""
-        out = [PauliString(self.n_qubits, x, z, c) for (x, z), c in self._terms.items()]
-        out.sort(key=lambda s: s.sort_word())
-        return out
+        n = self.n_qubits
+        keys = sorted(self._terms, key=lambda k: word_key(n, *k))
+        return [PauliString(n, x, z, self._terms[x, z]) for x, z in keys]
 
     def __iter__(self):
         return iter(self.strings())

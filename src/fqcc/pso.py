@@ -155,7 +155,9 @@ class SearchReport:
     identity-encoding baseline; ``cost_delta_ratio`` is the alternate
     diagnostic best/(best - baseline), negative whenever the search won.
     ``resource_fraction`` compares the particle count against the full
-    2^d search space.
+    2^d search space.  ``evaluations`` counts the distinct encodings the
+    cost function scored for the swarm in this call (the two baselines
+    aside); a resumed swarm's cached scores are not counted again.
     """
 
     n_modes: int
@@ -169,6 +171,7 @@ class SearchReport:
     resource_fraction: float
     steps: int
     best_history: tuple
+    evaluations: int
 
     def best_transform(self) -> Transform:
         return Transform.from_lower_bits(self.n_modes, self.best_bits)
@@ -185,6 +188,8 @@ class SearchReport:
             "n_particles": self.n_particles,
             "resource_fraction": self.resource_fraction,
             "steps": self.steps,
+            "best_history": list(self.best_history),
+            "evaluations": self.evaluations,
         }
 
 
@@ -366,6 +371,7 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
     """
     if swarm is None:
         swarm = init_swarm(config.n_modes, config=config)
+    cached = len(swarm.cost_cache)
     _ensure_evaluated(swarm, cost_fn)
     history = [int(swarm.best_cost)]
     while swarm.t < config.t_max and any(p.active for p in swarm.particles):
@@ -393,6 +399,7 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
         resource_fraction=len(swarm.particles) / float(1 << d),
         steps=swarm.t,
         best_history=tuple(history),
+        evaluations=len(swarm.cost_cache) - cached,
     )
 
 

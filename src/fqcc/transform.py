@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit
-from .paulis import PauliString, PauliSum
+from .paulis import PauliSum
 
 
 def _gf2_inv(a):
@@ -38,6 +38,13 @@ def _gf2_inv(a):
             if r != c and aug[r, c]:
                 aug[r] ^= aug[c]
     return aug[:, n:]
+
+
+def _mask(bits):
+    out = 0
+    for b in bits:
+        out |= 1 << b
+    return out
 
 
 class Transform:
@@ -65,6 +72,16 @@ class Transform:
         self._update = [tuple(i for i in range(n) if i != j and beta[i, j]) for j in range(n)]
         self._parity = [tuple(k for k in range(n) if k != j and m_p[j, k]) for j in range(n)]
         self._remainder = [tuple(k for k in range(n) if k != j and m_r[j, k]) for j in range(n)]
+        # per mode (x, z_parity, z_remainder): a_mode is
+        # (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same with -i
+        self._ladder = tuple(
+            (
+                _mask(self._update[j]) | 1 << j,
+                _mask(self._parity[j]),
+                _mask(self._remainder[j]) | 1 << j,
+            )
+            for j in range(n)
+        )
 
     # -- constructors --------------------------------------------------------
 
@@ -121,21 +138,12 @@ class Transform:
 
     def map_ladder(self, mode, dagger):
         """PauliSum of a_mode or its adjoint under this encoding."""
-        n = self.n_modes
-        if not 0 <= mode < n:
+        if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range")
-        xmask = 1 << mode
-        for i in self._update[mode]:
-            xmask |= 1 << i
-        zp = 0
-        for k in self._parity[mode]:
-            zp |= 1 << k
-        zr = 1 << mode
-        for k in self._remainder[mode]:
-            zr |= 1 << k
+        xmask, zp, zr = self._ladder[mode]
         sign = -1.0j if dagger else 1.0j
         return PauliSum(
-            n,
+            self.n_modes,
             {
                 (xmask, zp): 0.5 + 0.0j,
                 (xmask, zr): 0.5 * sign,

@@ -9,6 +9,8 @@ excitations are compressed onto half the register.  This module provides:
 
 - product-formula sequencing (first order, and the recursive even orders),
 - ``expand_term``: excitation -> rotation list under a chosen transform,
+  with T multiplied out once on the transform's ladder masks (T+ is its
+  conjugate on the same strings) and the strings sorted on mask keys,
 - ``synth_pauli_exp`` / ``term_circuit``: circuit emission,
 - ``intra_order``: per-term string order for each ladder target, by
   dynamic programming over an exact additive cost model (a Held-Karp pass
@@ -18,7 +20,9 @@ excitations are compressed onto half the register.  This module provides:
   are formed from the eligible targets first, so the dynamic program runs
   only at each term's class target, for all terms in one batch,
 - ``bosonic_reduce``: compression of spatially paired double excitations
-  onto one wire per orbital pair, plus the restoration network,
+  onto one wire per orbital pair, plus the restoration network; the
+  Jordan-Wigner expansion and pair compression of each excitation are
+  computed once (a bounded cache) and only the angle is applied per call,
 - ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
   its two-qubit count; the swarm's cost function
   (``ansatz_two_qubit_cost``) reads that count,
@@ -30,7 +34,8 @@ boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
 where they differ and neither is identity.  ``peephole_cancel`` realizes
 exactly these savings, so model and circuit agree gate-for-gate.  The
-planner reads letters only through the strings' bit masks.
+expansion and the planner, chain junctions included, read letters only
+through the strings' bit masks.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from itertools import combinations
 import numpy as np
 
 from .circuits import Circuit, metrics, peephole_cancel
-from .fermions import FermionOperator, OrbitalSequence, excitation_generator
-from .paulis import PauliString
+from .fermions import OrbitalSequence
+from .paulis import COEFF_TOL, PauliString, PauliSum, word_key
 from .transform import Transform
 
 _TOL = 1e-12
@@ -104,10 +109,11 @@ def pf_sequence(pairs, config=PFConfig()):
 # excitation expansion
 # ---------------------------------------------------------------------------
 
-# Four-letter rotation sets are listed in this fixed x/y-word order; any
-# other shape falls back to lexicographic word order.
+# Four-letter rotation sets are listed in this fixed x/y-word order (as z
+# bits on the x/y wires, X = 0, Y = 1); any other shape falls back to
+# lexicographic word order.
 _CANONICAL_WORDS = {
-    word: rank
+    tuple(int(letter == "Y") for letter in word): rank
     for rank, word in enumerate(
         ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
     )
@@ -144,20 +150,26 @@ class TrotterTerm:
         return tuple(sorted(out))
 
 
-def _xy_word(string, xy_wires):
-    return "".join(string.letter(q) for q in xy_wires)
+def _ladder_product(seq, transform):
+    """T = a+... a... (unit amplitude) under ``transform``, as a PauliSum."""
+    prod = PauliSum.identity(transform.n_modes)
+    for mode in seq.creations():
+        prod = prod * transform.map_ladder(mode, True)
+    for mode in seq.annihilations():
+        prod = prod * transform.map_ladder(mode, False)
+    return prod
 
 
 def _canonical_string_order(strings):
-    xy = sorted(
-        q
-        for q in strings[0].support
-        if all(s.letter(q) in ("X", "Y") for s in strings)
-    )
+    n = strings[0].n_qubits
+    xy = strings[0].xmask
+    for s in strings:
+        xy &= s.xmask
+    wires = [q for q in range(n) if xy >> q & 1]
 
     def rank(s):
-        word = _xy_word(s, xy)
-        return (_CANONICAL_WORDS.get(word, len(_CANONICAL_WORDS)), word, s.sort_word())
+        word = tuple(s.zmask >> q & 1 for q in wires)
+        return (_CANONICAL_WORDS.get(word, len(_CANONICAL_WORDS)), word, word_key(n, s.xmask, s.zmask))
 
     return tuple(sorted(strings, key=rank))
 
@@ -168,43 +180,45 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
     Two-body sequences produce exactly eight strings and one-body sequences
     exactly two, all with equal coefficient magnitude; eligibility keeps the
     fermion-label wires whose letter is non-identity in every string.
+
+    T is multiplied out once on the ladder masks: every Pauli string is
+    Hermitian, so T+ has the conjugate coefficients on the same strings.
     """
     n = transform.n_modes
-    if anti:
-        op = excitation_generator(seq, n)
-    else:
-        fwd = seq.term(1.0)
-        op = FermionOperator(n, [fwd, fwd.adjoint()])
-    psum = op.to_pauli(transform).simplify()
+    rotations = {}
+    for key, c in _ladder_product(seq, transform).items():
+        c = c - c.conjugate() if anti else c + c.conjugate()
+        if abs(c) > COEFF_TOL:
+            rotations[key] = c
 
     expected = 8 if seq.kind == "double" else 2
-    raw = psum.strings()
-    if len(raw) != expected:
+    if len(rotations) != expected:
         raise ValueError(
-            f"{seq.name} expanded to {len(raw)} strings, expected {expected}"
+            f"{seq.name} expanded to {len(rotations)} strings, expected {expected}"
         )
     signed = []
     magnitudes = []
-    for s in raw:
+    for x, z in sorted(rotations, key=lambda k: word_key(n, *k)):
+        c = rotations[x, z]
         if anti:
-            if abs(s.coeff.real) > 1e-9:
+            if abs(c.real) > 1e-9:
                 raise ValueError(f"{seq.name}: expansion is not anti-hermitian")
-            rot = -2.0 * s.coeff.imag
+            rot = -2.0 * c.imag
         else:
-            if abs(s.coeff.imag) > 1e-9:
+            if abs(c.imag) > 1e-9:
                 raise ValueError(f"{seq.name}: expansion is not hermitian")
-            rot = s.coeff.real
+            rot = c.real
         magnitudes.append(abs(rot))
-        signed.append(s.with_coeff(1.0 if rot >= 0 else -1.0))
+        signed.append(PauliString(n, x, z, complex(1.0 if rot >= 0 else -1.0)))
     mag = magnitudes[0]
     if any(abs(m - mag) > 1e-9 for m in magnitudes):
         raise ValueError(f"{seq.name}: unequal rotation magnitudes")
 
-    ordered = _canonical_string_order(tuple(signed))
-    labels = sorted(set(seq.indices))
-    eligible = tuple(
-        t for t in labels if all(s.letter(t) != "I" for s in ordered)
-    )
+    ordered = _canonical_string_order(signed)
+    support = ordered[0].xmask | ordered[0].zmask
+    for s in ordered:
+        support &= s.xmask | s.zmask
+    eligible = tuple(t for t in sorted(set(seq.indices)) if support >> t & 1)
     return TrotterTerm(
         source=seq,
         n_qubits=n,
@@ -620,18 +634,6 @@ class InterPlan:
         )
 
 
-def _edge_string(term, placement, last):
-    order = placement.ordering
-    return term.strings[order[-1] if last else order[0]]
-
-
-def _junction_value(terms, left, right, target):
-    a = _edge_string(terms[left.index], left, last=True)
-    b = _edge_string(terms[right.index], right, last=False)
-    two, one = _boundary_saving(a, b, target)
-    return 2 * two + one
-
-
 def inter_order(terms):
     """Group terms by shared eligible target and chain them greedily.
 
@@ -671,28 +673,43 @@ def inter_order(terms):
 
 
 def _chain_class(terms, choices, members, target):
-    placements = {
-        i: (TermPlacement(i, choices[i], False), TermPlacement(i, choices[i], True))
-        for i in members
-    }
     if len(members) == 1:
-        only = placements[members[0]][0]
-        return ClassPlan(target, (only,), ())
+        return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
+
+    # (member, reverse) -> its (first, last) string as (x, z, support off target)
+    keep = ~(1 << target)
+    edges = {}
+    for i in members:
+        ordering = choices[i].ordering
+        head, tail = (
+            (s.xmask, s.zmask, (s.xmask | s.zmask) & keep)
+            for s in (terms[i].strings[ordering[0]], terms[i].strings[ordering[-1]])
+        )
+        edges[i, False] = (head, tail)
+        edges[i, True] = (tail, head)
+
+    def junction(left, right):
+        # _boundary_saving of left's last string and right's first, as 2 * two + one
+        ax, az, asup = edges[left][1]
+        bx, bz, bsup = edges[right][0]
+        both = asup & bsup
+        diff = both & ((ax ^ bx) | (az ^ bz))
+        return 2 * both.bit_count() - diff.bit_count()
 
     best = None
     for i in members:
         for j in members:
             if i == j:
                 continue
-            for a in placements[i]:
-                for b in placements[j]:
-                    value = _junction_value(terms, a, b, target)
+            for a in ((i, False), (i, True)):
+                for b in ((j, False), (j, True)):
+                    value = junction(a, b)
                     if best is None or value > best[0]:
                         best = (value, a, b)
-    _, left, right = best
+    value, left, right = best
     chain = [left, right]
-    savings = [best[0]]
-    used = {left.index, right.index}
+    savings = [value]
+    used = {left[0], right[0]}
 
     while len(used) < len(members):
         pick = None
@@ -700,11 +717,8 @@ def _chain_class(terms, choices, members, target):
             if i in used:
                 continue
             for prefix in (True, False):
-                for cand in placements[i]:
-                    if prefix:
-                        value = _junction_value(terms, cand, chain[0], target)
-                    else:
-                        value = _junction_value(terms, chain[-1], cand, target)
+                for cand in ((i, False), (i, True)):
+                    value = junction(cand, chain[0]) if prefix else junction(chain[-1], cand)
                     if pick is None or value > pick[0]:
                         pick = (value, cand, prefix)
         value, cand, prefix = pick
@@ -714,8 +728,9 @@ def _chain_class(terms, choices, members, target):
         else:
             chain.append(cand)
             savings.append(value)
-        used.add(cand.index)
-    return ClassPlan(target, tuple(chain), tuple(savings))
+        used.add(cand[0])
+    placements = tuple(TermPlacement(i, choices[i], reverse) for i, reverse in chain)
+    return ClassPlan(target, placements, tuple(savings))
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +815,20 @@ def _pair_index(pairing, modes):
     return None
 
 
-def _compress_term(seq, theta, pairing, *, anti):
-    n = 2 * len(pairing)
-    full = expand_term(seq, Transform.jordan_wigner(n), 1.0, anti=anti)
+# Distinct (excitation, pairing, anti) compressions kept; a water pool has
+# ten paired doubles, and relabeling adds their permuted images.
+_COMPRESSION_CACHE = 1024
+
+
+@lru_cache(maxsize=_COMPRESSION_CACHE)
+def _jw_compression(seq, pairing, anti):
+    """The transform-independent part of a compression, for unit theta.
+
+    Expands ``seq`` under Jordan-Wigner, merges the compressed strings and
+    checks their structure; returns the two (mask key, rotation) pairs in
+    key order, the chain wires and the plus/minus pair indices.
+    """
+    full = expand_term(seq, Transform.jordan_wigner(2 * len(pairing)), 1.0, anti=anti)
     merged = {}
     for string, rot in full.rotations():
         comp = compress_string(string.with_coeff(1.0), pairing)
@@ -820,27 +846,28 @@ def _compress_term(seq, theta, pairing, *, anti):
         raise ValueError(f"{seq.name}: compressed rotations should be opposite")
     if not anti and abs(v1 - v2) > 1e-9:
         raise ValueError(f"{seq.name}: compressed rotations should be equal")
-    angle = abs(theta) * abs(v1)
-    flip = -1.0 if theta < 0 else 1.0
-    strings = tuple(
-        PauliString(len(pairing), x, z, flip * (1.0 if v >= 0 else -1.0))
-        for (x, z), v in ((k1, v1), (k2, v2))
-    )
-    xy = sorted(
-        q for q in strings[0].support if strings[0].letter(q) in ("X", "Y")
-    )
-    chain = tuple(
-        q for q in strings[0].support if strings[0].letter(q) == "Z"
-    )
+    strings = [PauliString(len(pairing), *k) for k in (k1, k2)]
+    xy = [q for q in strings[0].support if strings[0].letter(q) in ("X", "Y")]
+    chain = tuple(q for q in strings[0].support if strings[0].letter(q) == "Z")
     if len(xy) != 2 or any(s.letter(q) != "Z" for s in strings for q in chain):
         raise ValueError(f"{seq.name}: unexpected compressed structure")
     plus = _pair_index(pairing, seq.creations())
     minus = _pair_index(pairing, seq.annihilations())
+    return ((k1, v1), (k2, v2)), chain, plus, minus
+
+
+def _compress_term(seq, theta, pairing, *, anti):
+    rotations, chain, plus, minus = _jw_compression(seq, pairing, anti)
+    flip = -1.0 if theta < 0 else 1.0
+    strings = tuple(
+        PauliString(len(pairing), x, z, flip * (1.0 if v >= 0 else -1.0))
+        for (x, z), v in rotations
+    )
     return CompressedTerm(
         source=seq,
         n_pairs=len(pairing),
         theta=theta,
-        angle=angle,
+        angle=abs(theta) * abs(rotations[0][1]),
         strings=strings,
         plus_pair=plus,
         minus_pair=minus,

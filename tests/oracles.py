@@ -3,7 +3,10 @@
 Everything in this module is written from first principles — explicit kron
 products, occupation-number bookkeeping, Gaussian elimination over GF(2),
 determinant enumeration — so that the package is always compared against a
-second, structurally different computation.  Nothing here imports from fqcc.
+second, structurally different computation.  Nothing here imports from fqcc,
+except ``expand_term_via_paulis``: it keeps the generic FermionOperator ->
+PauliSum route and letter-word sort that ``trotter.expand_term`` once used,
+as the reference for the mask-level expansion.
 """
 
 import collections
@@ -273,6 +276,71 @@ def max_path_reference(savings):
                 prev = v
                 break
     return weight, tuple(path)
+
+
+def letter_word(string):
+    """The string's letters on every qubit, qubit 0 first ("I" for identity)."""
+    return "".join(string.letter(q) for q in range(string.n_qubits))
+
+
+_CANONICAL_WORDS = {
+    word: rank
+    for rank, word in enumerate(
+        ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
+    )
+}
+
+
+def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
+    """``trotter.expand_term`` through the generic operator algebra.
+
+    Builds T - T+ (or T + T+) as a FermionOperator, maps both products
+    through ``to_pauli``, and sorts the strings by their letter words.
+    """
+    from fqcc.fermions import FermionOperator, excitation_generator
+    from fqcc.trotter import TrotterTerm
+
+    n = transform.n_modes
+    if anti:
+        op = excitation_generator(seq, n)
+    else:
+        fwd = seq.term(1.0)
+        op = FermionOperator(n, [fwd, fwd.adjoint()])
+    raw = sorted(op.to_pauli(transform).simplify(), key=letter_word)
+    assert len(raw) == (8 if seq.kind == "double" else 2)
+    signed, magnitudes = [], []
+    for s in raw:
+        if anti:
+            assert abs(s.coeff.real) <= 1e-9
+            rot = -2.0 * s.coeff.imag
+        else:
+            assert abs(s.coeff.imag) <= 1e-9
+            rot = s.coeff.real
+        magnitudes.append(abs(rot))
+        signed.append(s.with_coeff(1.0 if rot >= 0 else -1.0))
+    assert all(abs(m - magnitudes[0]) <= 1e-9 for m in magnitudes)
+
+    xy = sorted(
+        q for q in signed[0].support if all(s.letter(q) in ("X", "Y") for s in signed)
+    )
+
+    def rank(s):
+        word = "".join(s.letter(q) for q in xy)
+        return (_CANONICAL_WORDS.get(word, len(_CANONICAL_WORDS)), word, letter_word(s))
+
+    ordered = tuple(sorted(signed, key=rank))
+    eligible = tuple(
+        t for t in sorted(set(seq.indices)) if all(s.letter(t) != "I" for s in ordered)
+    )
+    return TrotterTerm(
+        source=seq,
+        n_qubits=n,
+        theta=theta,
+        angle=theta * magnitudes[0],
+        strings=ordered,
+        eligible_targets=eligible,
+        anti=anti,
+    )
 
 
 def intra_minima(words, targets):

@@ -282,8 +282,8 @@ class TestPartitionQwc:
 
     def test_groups_are_a_partition(self, h2_pauli):
         plan = partition_qwc(h2_pauli)
-        seen = sorted(s.sort_word() for g in plan.groups for s in g.strings)
-        assert seen == sorted(s.sort_word() for s in h2_pauli)
+        seen = sorted(s.key for g in plan.groups for s in g.strings)
+        assert seen == sorted(s.key for s in h2_pauli)
 
     def test_within_group_letterwise_compatibility(self, h2_pauli):
         plan = partition_qwc(h2_pauli)

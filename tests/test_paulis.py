@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqcc.paulis import CompiledSum, PauliString, PauliSum, apply_string
+from fqcc.paulis import CompiledSum, PauliString, PauliSum, apply_string, word_key
 
 import oracles
 
@@ -152,6 +152,20 @@ class TestPauliSum:
     def test_canonical_order_is_stable(self):
         op = PauliSum.from_text("1 * Z0\n1 * X0\n1 * Y0", 1)
         assert [s.letter(0) for s in op] == ["X", "Y", "Z"]
+
+    @pytest.mark.parametrize("n", (1, 8, 9, 14))
+    def test_word_key_orders_as_letter_words(self, n):
+        """Sorting by the mask key equals sorting by the letter word, qubit 0
+        first, on random strings and on strings differing on one qubit."""
+        rng = np.random.default_rng(n)
+        masks = {(int(x), int(z)) for x, z in rng.integers(0, 1 << n, size=(300, 2))}
+        base = int(rng.integers(0, 1 << n))
+        masks |= {(base ^ (x << q), base ^ (z << q)) for q in range(n) for x in (0, 1) for z in (0, 1)}
+        strings = [PauliString(n, x, z) for x, z in masks]
+        by_key = sorted(strings, key=lambda s: word_key(n, s.xmask, s.zmask))
+        assert by_key == sorted(strings, key=oracles.letter_word)
+        op = PauliSum(n, {s.key: 1.0 for s in strings})
+        assert op.strings() == by_key
 
 
 class TestKernels:

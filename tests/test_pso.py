@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -232,6 +233,18 @@ class TestRun:
         assert report.improvement > 0.0
         assert cost(report.best_transform()) == report.best_cost
 
+    @pytest.mark.parametrize("seed, evaluations", [(2, 110), (3, 111)])
+    def test_h4_search_pins(self, seed, evaluations):
+        """The search-h4 benchmark's seed-1 searches: H4's 26-term pool,
+        HF modes occupied, default planner config."""
+        cost = pso.ansatz_cost_fn(uccsd_pool(range(4), range(4, 8)), occupied=range(4))
+        cfg = pso.SwarmConfig(n_modes=8, k_max=1, t_max=3, seed=seed)
+        swarm = pso.init_swarm(8, config=cfg)
+        report = pso.run(cfg, cost, swarm=swarm)
+        assert "".join(map(str, report.best_bits)) == "0000000000000000000010000000"
+        assert report.best_history == (206, 206, 206, 206)
+        assert len(swarm.cost_cache) == report.evaluations == evaluations
+
     def test_improvement_pins(self):
         assert pso.improvement_fraction(42, 33) == pytest.approx(0.2143, abs=5e-5)
         assert pso.improvement_fraction(30, 25) == pytest.approx(0.1667, abs=5e-5)
@@ -248,6 +261,15 @@ class TestRun:
         assert payload["best_bits"] == "".join(str(b) for b in report.best_bits)
         assert payload["best_cost"] == report.best_cost
         assert payload["steps"] == report.steps
+
+    def test_report_dict_carries_history_and_evaluations(self):
+        cfg = pso.SwarmConfig(n_modes=4, k_max=2, t_max=5, seed=6)
+        swarm = pso.init_swarm(4, config=cfg)
+        report = pso.run(cfg, bit_cost, swarm=swarm)
+        payload = json.loads(json.dumps(report.as_dict()))
+        assert tuple(payload["best_history"]) == report.best_history
+        assert len(payload["best_history"]) == report.steps + 1
+        assert payload["evaluations"] == report.evaluations == len(swarm.cost_cache)
 
 
 class TestCheckpoint:
@@ -317,6 +339,7 @@ class TestCheckpoint:
         assert rest.best_bits == unbroken.best_bits
         assert rest.best_cost == unbroken.best_cost
         assert first.best_history + rest.best_history[1:] == unbroken.best_history
+        assert first.evaluations + rest.evaluations == unbroken.evaluations == len(whole.cost_cache)
         for a, b in zip(resumed.particles, whole.particles):
             assert (a.position, a.active, a.recent) == (b.position, b.active, b.recent)
 

@@ -1,6 +1,8 @@
-"""The fixture generator still writes the committed FCIDUMP fixtures, byte
-for byte, so a change to it cannot silently move the tests' inputs."""
+"""The tools under ``tools/``.  The fixture generator still writes the
+committed FCIDUMP fixtures, byte for byte, so a change to it cannot silently
+move the tests' inputs; the planner-layer report runs and counts its layers."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -18,3 +20,21 @@ def test_make_fcidump_reproduces_the_fixture(molecule, fixture, tmp_path):
         check=True, cwd=tmp_path, capture_output=True,
     )
     assert out.read_bytes() == (ROOT / "tests" / "fixtures" / f"{fixture}.fcidump").read_bytes()
+
+
+def test_planner_layers_reports_h4():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "planner_layers.py"), "--systems", "h4"],
+        check=True, capture_output=True, text=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["workers"] == 1
+    assert set(report["systems"]) == {"h4"}
+    h4 = report["systems"]["h4"]
+    assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
+    for layers in h4.values():
+        # 26 pool terms per plan, plus the JW expansions of the 4 paired
+        # doubles, computed in the first plan only
+        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3 * 26 + 4
+        assert layers["compression_calls"] == layers["held_karp_calls"] == 3
+        assert all(layers[f"{layer}_s"] > 0 for layer in ("plan", "expand", "compression", "held_karp", "chaining"))

@@ -196,6 +196,32 @@ class TestProductFormula:
 # ---------------------------------------------------------------------------
 
 
+def _expansion_cases():
+    """(pool, transform) per name: H4's 8-mode pool under JW, BK and eight
+    seeded encodings, a 6-mode pool, and water's 14-mode pool."""
+    rng = np.random.default_rng(11)
+    pools = {
+        "h4": uccsd_pool(range(4), range(4, 8)),
+        "six": uccsd_pool(range(2), range(2, 6)),
+        "water": uccsd_pool(range(10), range(10, 14)),
+    }
+    cases = {}
+    for name, pool, n in (("h4", pools["h4"], 8), ("six", pools["six"], 6)):
+        cases[f"{name}-jw"] = (pool, Transform.jordan_wigner(n))
+        cases[f"{name}-bk"] = (pool, Transform.bravyi_kitaev(n))
+    for i in range(8):
+        cases[f"h4-beta{i}"] = (
+            pools["h4"], Transform.from_lower_bits(8, _random_beta_bits(rng, 8))
+        )
+    cases["six-beta"] = (pools["six"], Transform.from_lower_bits(6, _random_beta_bits(rng, 6)))
+    cases["water-jw"] = (pools["water"], Transform.jordan_wigner(14))
+    cases["water-bk"] = (pools["water"], Transform.bravyi_kitaev(14))
+    return cases
+
+
+_EXPANSION_CASES = _expansion_cases()
+
+
 class TestExpandTerm:
     def test_double_word_order(self):
         seq = OrbitalSequence("double", (2, 3, 0, 1))
@@ -282,6 +308,18 @@ class TestExpandTerm:
         for q in labels:
             identity_somewhere = any(s.letter(q) == "I" for s in term.strings)
             assert (q in term.eligible_targets) == (not identity_somewhere)
+
+    @pytest.mark.parametrize("anti", (True, False))
+    @pytest.mark.parametrize("case", sorted(_EXPANSION_CASES))
+    def test_matches_pauli_sum_route(self, case, anti):
+        """The mask-level expansion equals the FermionOperator -> PauliSum
+        route with letter-word sorting, field for field."""
+        pool, transform = _EXPANSION_CASES[case]
+        for i, seq in enumerate(pool):
+            theta = 0.3 - 0.05 * i
+            got = tr.expand_term(seq, transform, theta, anti=anti)
+            want = oracles.expand_term_via_paulis(seq, transform, theta, anti=anti)
+            assert repr(got) == repr(want)
 
     def test_rotations_and_wires(self):
         term = tr.expand_term(
@@ -1090,6 +1128,22 @@ class TestPlannerPins:
         transform = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}[name](n)
         pool = uccsd_pool(range(n_e), range(n_e, n))
         assert tr.ansatz_two_qubit_cost(pool, transform, occupied=range(n_e)) == cost
+
+    def test_h4_cost_under_seeded_encodings(self):
+        """Default config, HF modes occupied, the 26-term H4 pool under 20
+        unit-triangular encodings drawn from one seed."""
+        pool = uccsd_pool(range(4), range(4, 8))
+        rng = np.random.default_rng(8)
+        costs = [
+            tr.ansatz_two_qubit_cost(
+                pool, Transform.from_lower_bits(8, rng.integers(0, 2, 28).tolist()), occupied=range(4)
+            )
+            for _ in range(20)
+        ]
+        assert costs == [
+            281, 317, 307, 327, 298, 347, 312, 296, 310, 314,
+            320, 282, 313, 311, 318, 285, 330, 312, 291, 302,
+        ]
 
     @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
     def test_class_choices_match_reference(self, name):

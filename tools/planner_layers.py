@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Per-layer times of the planner on H4 and water, under JW and BK.
+
+Plans each system's UCCSD pool with ``trotter.plan_ansatz`` (default
+config, HF modes occupied) three times per encoding and prints one JSON
+object.  For each system and encoding it holds the planner's model
+two-qubit count and the ``time.perf_counter`` seconds and call counts,
+summed over the plans, of:
+
+    plan         trotter.plan_ansatz, the whole planner
+    expand       trotter.expand_term: the pool's expansions, and the JW
+                 expansions inside compression when those are computed
+    compression  trotter.bosonic_reduce
+    held_karp    trotter._dp_choices: savings matrices and the batched DP
+    chaining     trotter._chain_class
+
+The JW-compression cache is cleared before each encoding, so the first plan
+pays for computing the compressions and later plans reuse them.  Everything
+runs in this one process on one thread, so ``workers`` is 1.  The checkout's
+``src`` is imported, not an installed fqcc.
+
+Usage: python3 tools/planner_layers.py [--systems h4 water]
+"""
+
+import argparse
+import json
+import sys
+from collections import defaultdict
+from pathlib import Path
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fqcc import trotter  # noqa: E402
+from fqcc.fermions import uccsd_pool  # noqa: E402
+from fqcc.transform import Transform  # noqa: E402
+
+# (spin orbitals, electrons) of the STO-3G systems
+SYSTEMS = {"h4": (8, 4), "water": (14, 10)}
+ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
+REPEAT = 3  # plans per system and encoding
+LAYERS = {
+    "plan": "plan_ansatz",
+    "expand": "expand_term",
+    "compression": "bosonic_reduce",
+    "held_karp": "_dp_choices",
+    "chaining": "_chain_class",
+}
+
+
+def _timed(fn, totals):
+    def wrapper(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            totals[0] += perf_counter() - start
+            totals[1] += 1
+
+    return wrapper
+
+
+def measure(n_modes, n_electrons, transform):
+    """Layer seconds and calls over ``REPEAT`` plans of one pool."""
+    pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
+    totals = defaultdict(lambda: [0.0, 0])
+    originals = {attr: getattr(trotter, attr) for attr in LAYERS.values()}
+    trotter._jw_compression.cache_clear()
+    try:
+        for layer, attr in LAYERS.items():
+            setattr(trotter, attr, _timed(originals[attr], totals[layer]))
+        for _ in range(REPEAT):
+            plan = trotter.plan_ansatz(pool, transform, occupied=range(n_electrons))
+    finally:
+        for attr, fn in originals.items():
+            setattr(trotter, attr, fn)
+    out = {"model_two_qubit": plan.model_two_qubit}
+    for layer in LAYERS:
+        seconds, calls = totals[layer]
+        out[f"{layer}_s"] = round(seconds, 6)
+        out[f"{layer}_calls"] = calls
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--systems", nargs="+", choices=sorted(SYSTEMS), default=sorted(SYSTEMS))
+    args = parser.parse_args(argv)
+    result = {"workers": 1, "repeat": REPEAT, "systems": {}}
+    for name in args.systems:
+        n_modes, n_electrons = SYSTEMS[name]
+        result["systems"][name] = {
+            enc: measure(n_modes, n_electrons, make(n_modes))
+            for enc, make in ENCODINGS.items()
+        }
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()
