@@ -18,7 +18,15 @@ On each wire a gate acts through a tag (``diag`` for a CNOT control or a CZ,
 ``xtype`` for a CNOT target, ``other``) or, for a one-qubit gate, through its
 2x2 matrix held as four Python complexes and cached per (kind, angle).
 Commutation and closeness use np.allclose's rule |a - b| <= 1e-10 +
-1e-5 |b| in plain complex arithmetic; numpy runs only when a rewrite fires.
+1e-5 |b| in plain complex arithmetic.  Numpy runs in the peephole only
+when a junction rewrite is tried: the control run's product and the Euler
+angles (np.angle) are numpy, while the Euler candidates are rebuilt and
+checked in Python complexes (atol 1e-9).  Dense unitaries and statevector
+application are numpy throughout.
+
+``Gate`` instances are immutable and shared: ``shared_gate`` hands out one
+validated instance per angle-free (kind, wires), which emitters and
+rewrites append as they are; only rotations are built per angle.
 """
 
 from __future__ import annotations
@@ -94,6 +102,16 @@ class Gate:
         if self.kind in _ROTATIONS:
             return _rot_matrix(self.kind, self.theta)
         return _MAT_1Q[self.kind]
+
+
+@lru_cache(maxsize=1 << 14)
+def shared_gate(kind, qubits):
+    """The one validated ``Gate`` of an angle-free kind on ``qubits``.
+
+    Gates are immutable, so emitters and rewrites append these shared
+    instances instead of building and validating a new one per use.
+    """
+    return Gate(kind, qubits)
 
 
 # Fig.-style relative-phase triply-controlled X: 8 T gates, 6 CNOTs, all on
@@ -405,6 +423,14 @@ def _norm_angle(theta):
     return rem, (-1.0 + 0.0j) ** (k % 2)
 
 
+# (angle, gate, phase) with Rz(angle) = phase * gate
+_CLIFFORD_RZ = (
+    (math.pi / 2, "S", np.exp(-0.25j * math.pi)),
+    (-math.pi / 2, "Sdg", np.exp(0.25j * math.pi)),
+    (math.pi, "Z", np.exp(-0.5j * math.pi)),
+)
+
+
 def _emit_diag(angle, wire):
     """Gates realizing Rz(angle) exactly, Cliffordized at pi/2 multiples.
 
@@ -413,19 +439,22 @@ def _emit_diag(angle, wire):
     rem, phase = _norm_angle(angle)
     if abs(rem) < 1e-12:
         return [], phase
-    for target, kind, ph in (
-        (math.pi / 2, "S", np.exp(-0.25j * math.pi)),
-        (-math.pi / 2, "Sdg", np.exp(0.25j * math.pi)),
-        (math.pi, "Z", np.exp(-0.5j * math.pi)),
-    ):
+    for target, kind, ph in _CLIFFORD_RZ:
         if abs(rem - target) < 1e-12:
-            return [Gate(kind, (wire,))], phase * ph
+            return [shared_gate(kind, (wire,))], phase * ph
     return [Gate("Rz", (wire,), rem)], phase
 
 
 def _euler_zxz(g):
-    """g = e^{i delta} Rz(alpha) Rx(phi) Rz(beta); matrix order, beta applied first."""
+    """g = e^{i delta} Rz(alpha) Rx(phi) Rz(beta); matrix order, beta applied first.
+
+    ``g`` is a 2x2 numpy array and the angles come from np.angle on its
+    entries.  Each candidate is rebuilt from ``_mat_tuple`` products and
+    compared with g under np.allclose's rule at atol 1e-9, in Python
+    complexes.
+    """
     a00, a01, a10, a11 = g[0, 0], g[0, 1], g[1, 0], g[1, 1]
+    want = (complex(a00), complex(a01), complex(a10), complex(a11))
     phi = 2.0 * math.atan2(abs(a01), abs(a00))
     ang = np.angle
     if abs(math.sin(phi / 2.0)) <= 1e-12:
@@ -441,26 +470,31 @@ def _euler_zxz(g):
     for u, w in pairs:
         alpha, beta = u + w, u - w
         base = ang(a00) + u if abs(a00) > 1e-12 else ang(a10) - w + math.pi / 2.0
+        rot = _mul(_mul(_mat_tuple("Rz", alpha), _mat_tuple("Rx", phi)), _mat_tuple("Rz", beta))
         for delta in (base, base + math.pi):
-            rec = np.exp(1j * delta) * _rot_matrix("Rz", alpha) @ _rot_matrix("Rx", phi) @ _rot_matrix("Rz", beta)
-            if np.allclose(rec, g, atol=1e-9):
+            ph = cmath.exp(1j * delta)
+            if all(abs(ph * r - w) <= 1e-9 + _RTOL * abs(w) for r, w in zip(rot, want)):
                 return delta, alpha, phi, beta
     raise ValueError("not unitary up to tolerance")
 
 
+_XX_PHASE = (np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi))
+
+
 def _xx_half_gates(v, t, sign):
     """Gate list for exp(-i (sign*pi/2)/2 X_v X_t); returns (gates, phase)."""
+    g = shared_gate
     if sign > 0:
         gates = [
-            Gate("H", (v,)), Gate("CNOT", (v, t)), Gate("S", (v,)), Gate("H", (v,)),
-            Gate("H", (t,)), Gate("S", (t,)), Gate("H", (t,)),
+            g("H", (v,)), g("CNOT", (v, t)), g("S", (v,)), g("H", (v,)),
+            g("H", (t,)), g("S", (t,)), g("H", (t,)),
         ]
-        return gates, np.exp(-0.25j * math.pi)
+        return gates, _XX_PHASE[0]
     gates = [
-        Gate("H", (t,)), Gate("Sdg", (t,)), Gate("H", (t,)),
-        Gate("H", (v,)), Gate("Sdg", (v,)), Gate("CNOT", (v, t)), Gate("H", (v,)),
+        g("H", (t,)), g("Sdg", (t,)), g("H", (t,)),
+        g("H", (v,)), g("Sdg", (v,)), g("CNOT", (v, t)), g("H", (v,)),
     ]
-    return gates, np.exp(0.25j * math.pi)
+    return gates, _XX_PHASE[1]
 
 
 class _GateList:

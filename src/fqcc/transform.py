@@ -21,7 +21,12 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit
-from .paulis import PauliSum
+from .paulis import _PHASES, COEFF_TOL, PauliSum
+
+
+# coefficients of a ladder's strings (x, z_parity) and (x, z_remainder):
+# a_mode is (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same with -i
+_LADDER_COEFFS = ((0.5 + 0.0j, 0.5 * 1.0j), (0.5 + 0.0j, 0.5 * -1.0j))
 
 
 def _gf2_inv(a):
@@ -72,8 +77,7 @@ class Transform:
         self._update = [tuple(i for i in range(n) if i != j and beta[i, j]) for j in range(n)]
         self._parity = [tuple(k for k in range(n) if k != j and m_p[j, k]) for j in range(n)]
         self._remainder = [tuple(k for k in range(n) if k != j and m_r[j, k]) for j in range(n)]
-        # per mode (x, z_parity, z_remainder): a_mode is
-        # (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same with -i
+        # per mode (x, z_parity, z_remainder), the masks of its ladder strings
         self._ladder = tuple(
             (
                 _mask(self._update[j]) | 1 << j,
@@ -141,14 +145,8 @@ class Transform:
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range")
         xmask, zp, zr = self._ladder[mode]
-        sign = -1.0j if dagger else 1.0j
-        return PauliSum(
-            self.n_modes,
-            {
-                (xmask, zp): 0.5 + 0.0j,
-                (xmask, zr): 0.5 * sign,
-            },
-        )
+        cp, cr = _LADDER_COEFFS[1 if dagger else 0]
+        return PauliSum(self.n_modes, {(xmask, zp): cp, (xmask, zr): cr})
 
     def creation(self, mode):
         return self.map_ladder(mode, True)
@@ -157,16 +155,62 @@ class Transform:
         return self.map_ladder(mode, False)
 
     def map_operator(self, terms, constant=0.0):
-        """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum."""
-        out = PauliSum.zero(self.n_modes)
+        """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.
+
+        Each term's ladders are multiplied in one loop over the masks of
+        each ladder's two strings, with ``PauliSum.__mul__``'s phase
+        rule and its merge: a key whose sum is exactly 0 is dropped, and
+        after each ladder every coefficient of magnitude ``COEFF_TOL`` or
+        less.  Products accumulate into one dict in term order, filtered
+        the same way at the end.  Enumeration and merge order are those
+        of multiplying and adding ``PauliSum`` objects, so the items, their
+        order and every coefficient are the same, bit for bit.
+        """
+        n = self.n_modes
+        # per mode, the strings of a_mode and of its adjoint as
+        # (x, z, X letters, Y letters, Z letters, coefficient)
+        right = [
+            tuple(
+                tuple((x, z, x & ~z, x & z, z & ~x, c) for z, c in ((zp, cp), (zr, cr)))
+                for cp, cr in _LADDER_COEFFS
+            )
+            for x, zp, zr in self._ladder
+        ]
+        out = {}
         if constant:
-            out = out + PauliSum.identity(self.n_modes, constant)
+            c = 0.0 + complex(constant)
+            if abs(c) > COEFF_TOL:
+                out[0, 0] = c
+        phases = _PHASES
         for coeff, ops in terms:
-            prod = PauliSum.identity(self.n_modes, complex(coeff))
+            prod = {(0, 0): complex(coeff)}
             for mode, dagger in ops:
-                prod = prod * self.map_ladder(mode, dagger)
-            out._accumulate(prod)
-        return out.simplify()
+                if not 0 <= mode < n:
+                    raise ValueError(f"mode {mode} out of range")
+                step = {}
+                get = step.get
+                for (x1, z1), c1 in prod.items():
+                    xo, yo, zo = x1 & ~z1, x1 & z1, z1 & ~x1
+                    for x2, z2, xt, yt, zt, c2 in right[mode][1 if dagger else 0]:
+                        # XY, YZ, ZX give +i
+                        plus = (xo & yt) | (yo & zt) | (zo & xt)
+                        minus = (yo & xt) | (zo & yt) | (xo & zt)
+                        key = (x1 ^ x2, z1 ^ z2)
+                        c = get(key, 0.0) + c1 * c2 * phases[(plus.bit_count() - minus.bit_count()) % 4]
+                        if c == 0.0:
+                            step.pop(key, None)
+                        else:
+                            step[key] = c
+                if step and min(map(abs, step.values())) <= COEFF_TOL:
+                    step = {k: c for k, c in step.items() if abs(c) > COEFF_TOL}
+                prod = step
+            for key, c in prod.items():
+                c = out.get(key, 0.0) + c
+                if c == 0.0:
+                    out.pop(key, None)
+                else:
+                    out[key] = c
+        return PauliSum(n, {k: c for k, c in out.items() if abs(c) > COEFF_TOL})
 
     # -- encoding circuit --------------------------------------------------------
 

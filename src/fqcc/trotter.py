@@ -11,7 +11,11 @@ excitations are compressed onto half the register.  This module provides:
 - ``expand_term``: excitation -> rotation list under a chosen transform,
   with T multiplied out once on the transform's ladder masks (T+ is its
   conjugate on the same strings) and the strings sorted on mask keys,
-- ``synth_pauli_exp`` / ``term_circuit``: circuit emission,
+- ``synth_pauli_exp`` / ``term_circuit``: circuit emission through one
+  block emitter that reads each string's letters from its masks and
+  appends shared, already-validated H / S / Sdg / CNOT gates
+  (``circuits.shared_gate``); only the Rz of each rotation is built per
+  angle, and no gate is re-validated on its way into the circuit,
 - ``intra_order``: per-term string order for each ladder target, by
   dynamic programming over an exact additive cost model (a Held-Karp pass
   in numpy, batched over (term, target) pairs),
@@ -46,7 +50,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .circuits import Circuit, metrics, peephole_cancel
+from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .fermions import OrbitalSequence
 from .paulis import COEFF_TOL, PauliString, PauliSum, word_key
 from .transform import Transform
@@ -234,10 +238,6 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
 # per-string synthesis
 # ---------------------------------------------------------------------------
 
-_WIND = {"X": ("H",), "Y": ("Sdg", "H"), "Z": ()}
-_UNWIND = {"X": ("H",), "Y": ("H", "S"), "Z": ()}
-
-
 def synth_pauli_exp(string, theta, target, n_qubits=None):
     """exp(-i theta/2 * string) as basis changes, a CNOT ladder, and one Rz.
 
@@ -245,28 +245,50 @@ def synth_pauli_exp(string, theta, target, n_qubits=None):
     uses exactly ``2 * (weight - 1)`` CNOTs.
     """
     n = n_qubits if n_qubits is not None else string.n_qubits
-    if string.letter(target) == "I":
+    support = string.xmask | string.zmask
+    if not support >> target & 1:
         raise ValueError(f"target {target} carries identity in {string.to_text()}")
-    circ = Circuit(n)
-    _emit_block(circ, string, theta, target)
-    return circ
+    if support.bit_length() > n:
+        raise ValueError(f"{string.to_text()} does not fit on {n} wires")
+    gates = []
+    _emit_block(gates, string, Gate("Rz", (target,), theta))
+    return Circuit(n, 0, gates)
 
 
-def _emit_block(circ, string, theta, target):
-    support = string.support
-    for q in support:
-        for kind in _WIND[string.letter(q)]:
-            circ.add(kind, q)
-    for q in support:
-        if q != target:
-            circ.add("CNOT", q, target)
-    circ.add("Rz", target, theta=theta)
-    for q in reversed(support):
-        if q != target:
-            circ.add("CNOT", q, target)
-    for q in reversed(support):
-        for kind in _UNWIND[string.letter(q)]:
-            circ.add(kind, q)
+def _wires(mask):
+    """The set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _emit_block(gates, string, rz):
+    """Append exp(-i theta/2 * string) to ``gates``, ``rz`` being its Rz(theta).
+
+    The ladder targets the wire ``rz`` acts on.  Letters are read from the
+    masks: an X wire is wound with H, a Y wire with Sdg then H, a Z wire
+    with nothing.  Every gate but ``rz`` is a ``shared_gate``.
+    """
+    x, z = string.xmask, string.zmask
+    target = rz.qubits[0]
+    wires = _wires(x | z)
+    ladder = [shared_gate("CNOT", (q, target)) for q in wires if q != target]
+    for q in wires:
+        if x >> q & 1:
+            if z >> q & 1:
+                gates.append(shared_gate("Sdg", (q,)))
+            gates.append(shared_gate("H", (q,)))
+    gates += ladder
+    gates.append(rz)
+    gates += reversed(ladder)
+    for q in reversed(wires):
+        if x >> q & 1:
+            gates.append(shared_gate("H", (q,)))
+            if z >> q & 1:
+                gates.append(shared_gate("S", (q,)))
 
 
 def term_circuit(term, ordering=None, target=None, n_qubits=None):
@@ -277,18 +299,22 @@ def term_circuit(term, ordering=None, target=None, n_qubits=None):
     per-string targets (the highest support wire of each string).
     """
     n = n_qubits if n_qubits is not None else term.n_qubits
-    circ = Circuit(n)
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
     if sorted(order) != list(range(len(term.strings))):
         raise ValueError(f"ordering {order} is not a permutation")
     if target is None and term.eligible_targets:
         target = term.eligible_targets[0]
+    support = 0
+    for string in term.strings:
+        support |= string.xmask | string.zmask
+    if support.bit_length() > n or (target is not None and not 0 <= target < n):
+        raise ValueError(f"term does not fit on {n} wires")
+    gates = []
     for j in order:
         string = term.strings[j]
-        angle = term.angle * string.coeff.real
-        t = target if target is not None else max(string.support)
-        _emit_block(circ, string, angle, t)
-    return circ
+        t = target if target is not None else (string.xmask | string.zmask).bit_length() - 1
+        _emit_block(gates, string, Gate("Rz", (t,), term.angle * string.coeff.real))
+    return Circuit(n, 0, gates)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,21 +1132,22 @@ def emit_circuit(plan, *, peephole=True):
     encoding with compressed terms the circuit is not yet the ansatz.
     """
     n = plan.n_qubits
+    # every part is built on the plan's n wires, so its gates are appended unchecked
     circ = Circuit(n)
     wire_map = {idx: pair[0] for idx, pair in enumerate(plan.pairing)}
     for cterm in plan.compressed:
-        circ.extend(compressed_circuit(cterm, n, wire_map).gates)
-    circ.extend(restoration_circuit(plan.touched_pairs, plan.pairing, n).gates)
+        circ.gates += compressed_circuit(cterm, n, wire_map).gates
+    circ.gates += restoration_circuit(plan.touched_pairs, plan.pairing, n).gates
     blocks = [(cls.placements, cls.target) for cls in plan.inter.classes]
     blocks += [((p,), None) for p in plan.inter.standalone]
     for placements, target in blocks:
         block = Circuit(n)
         for p in placements:
             term = plan.terms[plan.kept[p.index]]
-            block.extend(term_circuit(term, p.ordering, target).gates)
+            block.gates += term_circuit(term, p.ordering, target).gates
         if peephole:
             block = peephole_cancel(block)
-        circ.extend(block.gates)
+        circ.gates += block.gates
         circ.global_phase *= block.global_phase
     return circ
 

@@ -4,9 +4,10 @@ Everything in this module is written from first principles — explicit kron
 products, occupation-number bookkeeping, Gaussian elimination over GF(2),
 determinant enumeration — so that the package is always compared against a
 second, structurally different computation.  Nothing here imports from fqcc,
-except ``expand_term_via_paulis``: it keeps the generic FermionOperator ->
-PauliSum route and letter-word sort that ``trotter.expand_term`` once used,
-as the reference for the mask-level expansion.
+except two references for the mask-level code paths: ``expand_term_via_paulis``
+keeps the generic FermionOperator -> PauliSum route and letter-word sort that
+``trotter.expand_term`` once used, and ``map_operator_via_paulisum`` keeps the
+PauliSum-product route that ``Transform.map_operator`` once used.
 """
 
 import collections
@@ -367,6 +368,29 @@ def intra_minima(words, targets):
     return best, sorted(minima)
 
 
+def map_operator_via_paulisum(transform, terms, constant=0.0):
+    """``Transform.map_operator`` as a product of ``PauliSum`` objects.
+
+    Imports fqcc: each term's ladders are multiplied as ``map_ladder``
+    sums, one ``PauliSum.__mul__`` (with its ``simplify``) per ladder, and
+    the products are accumulated in term order before one last
+    ``simplify``.  The mask loop must give the same items, in the same
+    order, with bit-equal coefficients.
+    """
+    from fqcc.paulis import PauliSum
+
+    n = transform.n_modes
+    out = PauliSum.zero(n)
+    if constant:
+        out = out + PauliSum.identity(n, constant)
+    for coeff, ops in terms:
+        prod = PauliSum.identity(n, complex(coeff))
+        for mode, dagger in ops:
+            prod = prod * transform.map_ladder(mode, dagger)
+        out._accumulate(prod)
+    return out.simplify()
+
+
 # ---------------------------------------------------------------------------
 # FCIDUMP parsing (independent of fqcc.fcidump)
 # ---------------------------------------------------------------------------
@@ -585,8 +609,12 @@ def mp2_oracle(h1, g2, ecore, eps, n_elec):
 # The reference for fqcc.circuits.peephole_cancel: the same rewrites in the
 # same order, with commutation decided by np.allclose on 2x2 products and
 # every scan running over all later gates.  Gates are (kind, qubits, theta)
-# tuples; the matrices and the rewrite arithmetic are built exactly as the
-# package builds them, so emitted angles agree to the last bit.
+# tuples.  The control run's product and the Euler angles are numpy
+# arithmetic here and in the package alike (np.matmul, np.angle), so
+# emitted angles agree to the last bit.  The Euler candidates are rebuilt
+# and compared here in numpy (np.allclose), and in the package in Python
+# complexes under the same closeness rule, which makes this the
+# independent check of that step.
 
 PeepholeOp = collections.namedtuple("PeepholeOp", "kind qubits theta")
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fqcc.circuits import (
     Circuit,
     Gate,
+    _euler_zxz,
     data_block,
     equal_up_to_phase,
     expand_toffolis,
@@ -288,6 +289,51 @@ class TestPeepholeReference:
             circ.add("H", 0).add("X", 1).add("CNOT", 0, 1)
             _assert_matches_reference(circ)
             assert metrics(peephole_cancel(circ)).two_qubit == 1
+
+
+def _random_u2(rng):
+    """A Haar-like random U(2) matrix: QR of a complex Gaussian, column phases fixed."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _zxz(delta, alpha, phi, beta):
+    rot = oracles._ph_rot
+    return np.exp(1j * delta) * rot("Rz", alpha) @ rot("Rx", phi) @ rot("Rz", beta)
+
+
+class TestEulerZXZ:
+    """``_euler_zxz`` rebuilds its candidates in Python complexes; the
+    numpy oracle must give the same four angles, bit for bit."""
+
+    def test_random_unitaries(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            u = _random_u2(rng)
+            got = _euler_zxz(u)
+            assert got == oracles._ph_euler_zxz(u)
+            assert np.allclose(_zxz(*got), u, atol=1e-12)
+
+    def test_branches(self):
+        rng = np.random.default_rng(23)
+        cases = []
+        for delta, a, b in rng.uniform(-np.pi, np.pi, (20, 3)):
+            # phi = 0 (diagonal), phi = pi (anti-diagonal), phi = +-pi/2
+            cases += [_zxz(delta, a, phi, b) for phi in (0.0, np.pi, np.pi / 2, -np.pi / 2)]
+        cases += [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
+        for u in cases:
+            u = np.asarray(u, dtype=complex)
+            got = _euler_zxz(u)
+            assert got == oracles._ph_euler_zxz(u)
+            assert np.allclose(_zxz(*got), u, atol=1e-12)
+
+    def test_non_unitary_rejected(self):
+        for m in (np.diag([1.0, 2.0]), np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros((2, 2))):
+            with pytest.raises(ValueError):
+                _euler_zxz(np.asarray(m, dtype=complex))
+            with pytest.raises(ValueError):
+                oracles._ph_euler_zxz(np.asarray(m, dtype=complex))
 
 
 class TestAncilla:

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc.fcidump import load_fcidump
+from fqcc.fermions import build_hamiltonian
 from fqcc.paulis import PauliSum
 from fqcc.transform import Transform, by_name
 
@@ -301,6 +305,81 @@ class TestMapOperator:
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             Transform.jordan_wigner(2).map_ladder(2, True)
+        with pytest.raises(ValueError):
+            Transform.jordan_wigner(2).map_operator([(1.0, ((0, True), (2, False)))])
+        with pytest.raises(ValueError):
+            Transform.jordan_wigner(2).map_operator([(1.0, ((-1, True),))])
+
+
+_FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def _hamiltonian_terms(fixture):
+    """(n_modes, raw terms, constant) of a fixture's Hamiltonian, as ``to_pauli`` passes them."""
+    ham, _ = load_fcidump(_FIXTURES / fixture).to_spin_orbital()
+    op = build_hamiltonian(ham)
+    raw = [(t.coefficient, tuple((o.mode, o.dagger) for o in t.ops)) for t in op.terms]
+    return op.n_modes, raw, op.constant
+
+
+def _assert_matches_paulisum_route(t, terms, constant=0.0):
+    got = list(t.map_operator(terms, constant).items())
+    want = list(oracles.map_operator_via_paulisum(t, terms, constant).items())
+    assert got == want
+    # repr tells -0.0 from 0.0: the coefficients are equal bit for bit
+    assert repr(got) == repr(want)
+    return got
+
+
+class TestMapOperatorReference:
+    """The mask loop against the PauliSum-product route: the same items,
+    in the same order, with the same coefficient bits."""
+
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta0", "beta1", "beta2"])
+    def test_water_hamiltonian(self, name):
+        n, terms, constant = _hamiltonian_terms("h2o_sto3g.fcidump")
+        if name.startswith("beta"):
+            t = Transform(_random_beta(np.random.default_rng(int(name[4:])), n))
+        else:
+            t = by_name(name, n)
+        assert len(_assert_matches_paulisum_route(t, terms, constant)) > 100
+
+    @pytest.mark.parametrize("name", ["jw", "bk"])
+    def test_h2_hamiltonian(self, name):
+        n, terms, constant = _hamiltonian_terms("h2_sto3g.fcidump")
+        assert len(_assert_matches_paulisum_route(by_name(name, n), terms, constant)) == 15
+
+    def test_repeated_modes_cancel_to_zero(self):
+        t = Transform(_random_beta(np.random.default_rng(4), 4))
+        ops = ((0, True), (2, False), (2, True), (1, False))
+        terms = [
+            (0.7, ((1, True), (1, True))),
+            (-0.3j, ((3, False), (0, True), (3, False))),
+            (1.25, ops),
+            (-1.25, ops),
+        ]
+        assert _assert_matches_paulisum_route(t, terms) == []
+        # a nonzero part survives beside the cancelling ones
+        got = _assert_matches_paulisum_route(t, terms + [(0.5, ((1, True), (1, False)))], 2.0)
+        assert len(got) == 2
+
+    def test_cancelled_keys_return_at_the_end(self):
+        # A's strings cancel to exactly 0 and are dropped, so when A comes
+        # back its strings follow B's
+        t = Transform.bravyi_kitaev(4)
+        a, b = ((0, True), (1, False)), ((2, True), (3, False))
+        got = _assert_matches_paulisum_route(t, [(0.5, a), (0.25, b), (-0.5, a), (0.5, a)])
+        keys = [k for k, _ in got]
+        assert keys[:4] == [k for k, _ in t.map_operator([(1.0, b)]).items()]
+
+    def test_small_partial_products_drop_per_ladder(self):
+        # 3e-12 * 0.5 survives the first ladder, 3e-12 * 0.25 falls under
+        # COEFF_TOL at the second and is dropped there, before it could
+        # reach the 0.5 term's strings
+        t = Transform.jordan_wigner(3)
+        ops = ((0, True), (2, False))
+        got = _assert_matches_paulisum_route(t, [(0.5, ops), (3e-12, ops)])
+        assert got == list(t.map_operator([(0.5, ops)]).items())
 
 
 class TestBetaFile:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -383,6 +384,18 @@ class TestSynthPauliExp:
         )
         with pytest.raises(ValueError):
             tr.term_circuit(term, ordering=(0, 0))
+
+    def test_wires_beyond_the_register_rejected(self):
+        term = tr.expand_term(
+            OrbitalSequence("single", (3, 0)), Transform.jordan_wigner(4), 0.4
+        )
+        assert len(tr.term_circuit(term, n_qubits=4).gates) > 0
+        with pytest.raises(ValueError):
+            tr.term_circuit(term, n_qubits=3)
+        with pytest.raises(ValueError):
+            tr.term_circuit(term, target=5)
+        with pytest.raises(ValueError):
+            tr.synth_pauli_exp(term.strings[0], 0.4, 3, n_qubits=3)
 
 
 # ---------------------------------------------------------------------------
@@ -1119,15 +1132,63 @@ def _reference_savings(strings, target):
     return out
 
 
+def _water_pool():
+    """(modes, electrons, UCCSD pool) of STO-3G water."""
+    ham, fock = load_fcidump(_WATER).to_spin_orbital()
+    n, n_e = ham.n_modes, fock.n_electrons
+    return n, n_e, uccsd_pool(range(n_e), range(n_e, n))
+
+
+def _water_encoding(name, n):
+    if name == "jw":
+        return Transform.jordan_wigner(n)
+    if name == "bk":
+        return Transform.bravyi_kitaev(n)
+    # "beta9": the unit-triangular encoding drawn from seed 9
+    bits = np.random.default_rng(int(name[4:])).integers(0, 2, n * (n - 1) // 2)
+    return Transform.from_lower_bits(n, bits.tolist())
+
+
+def _gate_digest(circ):
+    """sha256 over every gate's kind, wires and angle bits, in order."""
+    h = hashlib.sha256()
+    for g in circ.gates:
+        theta = "-" if g.theta is None else float(g.theta).hex()
+        h.update(f"{g.kind} {g.qubits} {theta}\n".encode())
+    return h.hexdigest()
+
+
 class TestPlannerPins:
     @pytest.mark.parametrize("name,cost", [("jw", 1261), ("bk", 1739)])
     def test_water_cost(self, name, cost):
         """Default config, HF modes occupied, STO-3G water's UCCSD pool."""
-        ham, fock = load_fcidump(_WATER).to_spin_orbital()
-        n, n_e = ham.n_modes, fock.n_electrons
-        transform = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}[name](n)
-        pool = uccsd_pool(range(n_e), range(n_e, n))
+        n, n_e, pool = _water_pool()
+        transform = _water_encoding(name, n)
         assert tr.ansatz_two_qubit_cost(pool, transform, occupied=range(n_e)) == cost
+
+    @pytest.mark.parametrize(
+        "name,two_qubit,n_gates,digest,phase",
+        [
+            ("jw", 1261, 11613,
+             "fd009ffac8d832157dd7363e70adea400ab23dd7ed49c345447458e1633d33c0",
+             -1 - 1.4729969016015758e-13j),
+            ("bk", 1739, 10705,
+             "2422815f933e45c9ddc18c1d0623c00c819ee35735ec74ab1bc860542331acbe",
+             -0.7071067811864575 - 0.7071067811866375j),
+            ("beta9", 3918, 17191,
+             "64ef34a8aac80af03c737f1b4edb9f2109203b2caef9ac0a0a6f198eea7f8295",
+             0.7071067811867092 - 0.7071067811863858j),
+        ],
+    )
+    def test_water_circuit(self, name, two_qubit, n_gates, digest, phase):
+        """The emitted water circuit, gate for gate with bit-equal angles:
+        default config, HF modes occupied."""
+        n, n_e, pool = _water_pool()
+        plan = tr.synthesize_ansatz(pool, _water_encoding(name, n), occupied=range(n_e))
+        assert metrics(plan.circuit).two_qubit == two_qubit
+        assert len(plan.circuit.gates) == n_gates
+        assert _gate_digest(plan.circuit) == digest
+        assert abs(plan.circuit.global_phase - phase) <= 1e-12
 
     def test_h4_cost_under_seeded_encodings(self):
         """Default config, HF modes occupied, the 26-term H4 pool under 20

@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Per-layer times of the planner on H4 and water, under JW and BK.
+"""Per-layer times of the planner and the emitter on H4 and water, under JW and BK.
 
 Plans each system's UCCSD pool with ``trotter.plan_ansatz`` (default
-config, HF modes occupied) three times per encoding and prints one JSON
+config, HF modes occupied) three times per encoding, emits the last plan
+once with ``trotter.emit_circuit`` (peephole on), and prints one JSON
 object.  For each system and encoding it holds the planner's model
-two-qubit count and the ``time.perf_counter`` seconds and call counts,
-summed over the plans, of:
+two-qubit count, the emitted circuit's two-qubit count
+(``circuit_two_qubit``), and the ``time.perf_counter`` seconds and call
+counts of these layers, summed over the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
     expand       trotter.expand_term: the pool's expansions, and the JW
@@ -13,11 +15,17 @@ summed over the plans, of:
     compression  trotter.bosonic_reduce
     held_karp    trotter._dp_choices: savings matrices and the batched DP
     chaining     trotter._chain_class
+    emit         trotter.emit_circuit, the whole emission
+    term_circuit trotter.term_circuit: one kept term's blocks
+    peephole     trotter.peephole_cancel: one class chain or standalone
+                 term, reduced
 
-The JW-compression cache is cleared before each encoding, so the first plan
-pays for computing the compressions and later plans reuse them.  Everything
-runs in this one process on one thread, so ``workers`` is 1.  The checkout's
-``src`` is imported, not an installed fqcc.
+``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
+peephole was given and returned.  The JW-compression cache is cleared
+before each encoding, so the first plan pays for computing the
+compressions and later plans reuse them.  Everything runs in this one
+process on one thread, so ``workers`` is 1.  The checkout's ``src`` is
+imported, not an installed fqcc.
 
 Usage: python3 tools/planner_layers.py [--systems h4 water]
 """
@@ -32,6 +40,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fqcc import trotter  # noqa: E402
+from fqcc.circuits import metrics  # noqa: E402
 from fqcc.fermions import uccsd_pool  # noqa: E402
 from fqcc.transform import Transform  # noqa: E402
 
@@ -45,6 +54,9 @@ LAYERS = {
     "compression": "bosonic_reduce",
     "held_karp": "_dp_choices",
     "chaining": "_chain_class",
+    "emit": "emit_circuit",
+    "term_circuit": "term_circuit",
+    "peephole": "peephole_cancel",
 }
 
 
@@ -60,21 +72,43 @@ def _timed(fn, totals):
     return wrapper
 
 
+def _counted_peephole(fn, gates):
+    """``fn`` that also adds its input and output gate counts to ``gates``."""
+
+    def wrapper(circ, *args, **kwargs):
+        out = fn(circ, *args, **kwargs)
+        gates[0] += len(circ.gates)
+        gates[1] += len(out.gates)
+        return out
+
+    return wrapper
+
+
 def measure(n_modes, n_electrons, transform):
-    """Layer seconds and calls over ``REPEAT`` plans of one pool."""
+    """Layer seconds and calls over ``REPEAT`` plans of one pool and one emission."""
     pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
     totals = defaultdict(lambda: [0.0, 0])
+    gates = [0, 0]
     originals = {attr: getattr(trotter, attr) for attr in LAYERS.values()}
     trotter._jw_compression.cache_clear()
     try:
         for layer, attr in LAYERS.items():
-            setattr(trotter, attr, _timed(originals[attr], totals[layer]))
+            fn = originals[attr]
+            if layer == "peephole":
+                fn = _counted_peephole(fn, gates)
+            setattr(trotter, attr, _timed(fn, totals[layer]))
         for _ in range(REPEAT):
             plan = trotter.plan_ansatz(pool, transform, occupied=range(n_electrons))
+        circuit = trotter.emit_circuit(plan)
     finally:
         for attr, fn in originals.items():
             setattr(trotter, attr, fn)
-    out = {"model_two_qubit": plan.model_two_qubit}
+    out = {
+        "model_two_qubit": plan.model_two_qubit,
+        "circuit_two_qubit": metrics(circuit).two_qubit,
+        "peephole_gates_in": gates[0],
+        "peephole_gates_out": gates[1],
+    }
     for layer in LAYERS:
         seconds, calls = totals[layer]
         out[f"{layer}_s"] = round(seconds, 6)
