@@ -5,11 +5,13 @@ Two independent reductions of the Pauli strings an expectation value needs:
 * **Qubit-space reduction (QSR).**  Partition the register into qubits that
   are genuinely entangled, qubits frozen in a known basis state, and orbital
   pairs confined to the equal-occupation subspace span{|00>, |11>}.  Letters
-  on frozen qubits evaluate to scalars (Z reads the stored bit, X or Y kills
-  the string); letters on a confined pair collapse to one letter on a single
-  compressed wire via an 8-row conversion table (mixed flip/phase pairs drop
-  the string).  Expectations are preserved exactly for states of the declared
-  product form.
+  on frozen qubits evaluate to scalars, and letters on a confined pair
+  collapse to one letter on a single compressed wire.  Both rules read the
+  string's bit masks: an x bit on a frozen qubit drops the string and a z
+  bit on a frozen 1 flips the sign; a pair whose two x bits differ drops the
+  string, otherwise its wire keeps that x bit and takes the xor of the two
+  z bits, and YY gives a factor of -1.  Expectations are preserved exactly
+  for states of the declared product form.
 
 * **Commuting-group partitions.**  Greedy first-fit grouping of strings that
   can be measured simultaneously, under qubit-wise commutation (QWC: joint
@@ -25,7 +27,6 @@ from dataclasses import dataclass
 
 from .circuits import Circuit
 from .paulis import PauliString, PauliSum, word_key
-from .trotter import PAIR_TABLE
 
 __all__ = [
     "QSRContext", "qsr_context_from_terms", "qsr_compress", "qsr_compress_sum",
@@ -97,7 +98,7 @@ def qsr_context_from_terms(terms, n_modes, n_electrons) -> QSRContext:
     pairs: list[tuple[int, int]] = []
     for k in range(n_modes // 2):
         a, b = 2 * k, 2 * k + 1
-        touching = {seq.name: seq for seq in (*touched[a], *touched[b])}
+        touching = {*touched[a], *touched[b]}
         if not touching:
             classical[a] = 1 if a < n_electrons else 0
             classical[b] = 1 if b < n_electrons else 0
@@ -106,7 +107,7 @@ def qsr_context_from_terms(terms, n_modes, n_electrons) -> QSRContext:
             seq.kind == "double"
             and (seq.creations() == (a, b) or not set(seq.creations()) & {a, b})
             and (seq.annihilations() == (a, b) or not set(seq.annihilations()) & {a, b})
-            for seq in touching.values()
+            for seq in touching
         )
         if unit:
             pairs.append((a, b))
@@ -128,28 +129,27 @@ def qsr_compress(s: PauliString, ctx: QSRContext):
     """
     if s.n_qubits != ctx.n_qubits:
         raise ValueError("string and context qubit counts differ")
+    sx, sz = s.xmask, s.zmask
     factor = 1.0
     for q, bit in ctx.classical.items():
-        letter = s.letter(q)
-        if letter == "I":
-            continue
-        if letter == "Z":
-            factor = -factor if bit else factor
-        else:
+        if sx >> q & 1:
             return None, 0.0
-    letters = {}
-    for slot, entry in enumerate(ctx.slots):
-        if entry[0] == "qubit":
-            letters[slot] = s.letter(entry[1])
+        if bit and sz >> q & 1:
+            factor = -factor
+    x = z = 0
+    for slot, (kind, where) in enumerate(ctx.slots):
+        if kind == "qubit":
+            xb, zb = sx >> where & 1, sz >> where & 1
         else:
-            a, b = entry[1]
-            row = PAIR_TABLE.get((s.letter(a), s.letter(b)))
-            if row is None:
+            a, b = where
+            xb, zb = sx >> a & 1, (sz >> a ^ sz >> b) & 1
+            if xb != sx >> b & 1:
                 return None, 0.0
-            letters[slot], sign = row
-            factor *= sign
-    letters = {q: l for q, l in letters.items() if l != "I"}
-    return PauliString.from_letters(max(ctx.reduced_n, 1), letters, s.coeff), factor
+            if xb and sz >> a & sz >> b & 1:
+                factor = -factor
+        x |= xb << slot
+        z |= zb << slot
+    return PauliString(max(ctx.reduced_n, 1), x, z, complex(s.coeff)), factor
 
 
 def qsr_compress_sum(op: PauliSum, ctx: QSRContext) -> PauliSum:

@@ -481,12 +481,3 @@ class CompiledSum:
 
     def expectation(self, vec):
         return complex(np.vdot(vec, self.apply(vec)))
-
-
-def apply_string(s: PauliString, vec):
-    """Apply one string to a statevector (fresh array)."""
-    idx = _indices(s.n_qubits)
-    src = idx ^ s.xmask
-    w = s.coeff * 1j ** ((s.xmask & s.zmask).bit_count() % 4)
-    signs = 1.0 - 2.0 * _parity_of(src & np.int64(s.zmask))
-    return (w * signs) * vec[src]

@@ -24,9 +24,10 @@ excitations are compressed onto half the register.  This module provides:
   are formed from the eligible targets first, so the dynamic program runs
   only at each term's class target, for all terms in one batch,
 - ``bosonic_reduce``: compression of spatially paired double excitations
-  onto one wire per orbital pair, plus the restoration network; the
-  Jordan-Wigner expansion and pair compression of each excitation are
-  computed once (a bounded cache) and only the angle is applied per call,
+  onto one wire per orbital pair (pair l on wire 2l), plus the restoration
+  network; a compressed term is the closed-form two-wire hop of
+  ``CompressedTerm``, built from the excitation's pair indices and angle
+  alone, with no cache and no Jordan-Wigner re-expansion,
 - ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
   its two-qubit count; the swarm's cost function
   (``ansatz_two_qubit_cost``) reads that count,
@@ -53,9 +54,7 @@ import numpy as np
 from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .fermions import OrbitalSequence
 from .paulis import COEFF_TOL, PauliString, PauliSum, word_key
-from .transform import Transform
 
-_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # product-formula sequencing
@@ -763,63 +762,26 @@ def _chain_class(terms, choices, members, target):
 # paired-excitation compression
 # ---------------------------------------------------------------------------
 
-# Letter pair on one compressed orbital pair -> (compressed letter, factor).
-# Pairs mixing {x, y} with {i, z} have no action inside the equal-occupation
-# subspace and drop the whole string.
-PAIR_TABLE = {
-    ("I", "I"): ("I", 1.0),
-    ("I", "Z"): ("Z", 1.0),
-    ("Z", "I"): ("Z", 1.0),
-    ("Z", "Z"): ("I", 1.0),
-    ("X", "X"): ("X", 1.0),
-    ("X", "Y"): ("Y", 1.0),
-    ("Y", "X"): ("Y", 1.0),
-    ("Y", "Y"): ("X", -1.0),
-}
-
-
-def compress_string(string, pairing):
-    """Project one string onto the equal-occupation subspace of each pair.
-
-    Returns a string over ``len(pairing)`` wires with the accumulated sign
-    folded into its coefficient, or None when any pair mixes a flip with an
-    identity/phase letter (no support in the subspace).
-    """
-    letters = {}
-    factor = complex(string.coeff)
-    for idx, (w0, w1) in enumerate(pairing):
-        entry = PAIR_TABLE.get((string.letter(w0), string.letter(w1)))
-        if entry is None:
-            return None
-        letter, sign = entry
-        factor *= sign
-        if letter != "I":
-            letters[idx] = letter
-    return PauliString.from_letters(len(pairing), letters, factor)
-
-
 @dataclass(frozen=True, slots=True)
 class CompressedTerm:
     """A paired double excitation on one wire per orbital pair.
 
-    ``strings`` live on the compressed register (wire = pair index) and
-    carry +/-1 coefficients like TrotterTerm; the circuit uses two CNOTs
-    plus two CZs per chain wire.
+    Pair l holds spin orbitals (2l, 2l+1) and sits on wire 2l.  On the
+    subspace where every pair is empty or full, a+_2P a+_2P+1 a_2R a_2R+1
+    acts as -s+_P s-_R, with s+ = |1><0| = (X - iY)/2 filling a pair and
+    s- = |0><1| = (X + iY)/2 emptying it: the pairs between P and R read
+    ZZ or II under Jordan-Wigner, so no parity string is left.  Hence
+    T + T+ = -1/2 (X_P X_R + Y_P Y_R) and T - T+ = i/2 (Y_P X_R - X_P Y_R),
+    whichever of P and R is larger, and the circuit uses two CNOTs.
     """
 
-    source: OrbitalSequence | None
-    n_pairs: int
+    source: OrbitalSequence
     theta: float
-    angle: float
-    strings: tuple[PauliString, ...]
     plus_pair: int
     minus_pair: int
-    chain: tuple[int, ...]
     anti: bool = False
 
-    @property
-    def two_qubit_cost(self):
-        return 2 + 2 * len(self.chain)
+    two_qubit_cost = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -833,169 +795,87 @@ class BosonicSplit:
         return len(self.touched_pairs)
 
 
-def _pair_index(pairing, modes):
-    want = set(modes)
-    for idx, pair in enumerate(pairing):
-        if set(pair) == want:
-            return idx
-    return None
+def _pair_index(modes):
+    """The orbital pair that ``modes`` (ascending) fill, or None."""
+    low, high = modes
+    return low // 2 if low % 2 == 0 and high == low + 1 else None
 
 
-# Distinct (excitation, pairing, anti) compressions kept; a water pool has
-# ten paired doubles, and relabeling adds their permuted images.
-_COMPRESSION_CACHE = 1024
-
-
-@lru_cache(maxsize=_COMPRESSION_CACHE)
-def _jw_compression(seq, pairing, anti):
-    """The transform-independent part of a compression, for unit theta.
-
-    Expands ``seq`` under Jordan-Wigner, merges the compressed strings and
-    checks their structure; returns the two (mask key, rotation) pairs in
-    key order, the chain wires and the plus/minus pair indices.
-    """
-    full = expand_term(seq, Transform.jordan_wigner(2 * len(pairing)), 1.0, anti=anti)
-    merged = {}
-    for string, rot in full.rotations():
-        comp = compress_string(string.with_coeff(1.0), pairing)
-        if comp is None:
-            raise ValueError(f"{seq.name}: string does not act on paired subspace")
-        key = comp.key
-        merged[key] = merged.get(key, 0.0) + rot * comp.coeff.real
-    merged = {k: v for k, v in merged.items() if abs(v) > _TOL}
-    if len(merged) != 2:
-        raise ValueError(f"{seq.name}: compression produced {len(merged)} strings")
-    (k1, v1), (k2, v2) = sorted(merged.items())
-    if abs(abs(v1) - abs(v2)) > 1e-9:
-        raise ValueError(f"{seq.name}: unequal compressed rotations")
-    if anti and abs(v1 + v2) > 1e-9:
-        raise ValueError(f"{seq.name}: compressed rotations should be opposite")
-    if not anti and abs(v1 - v2) > 1e-9:
-        raise ValueError(f"{seq.name}: compressed rotations should be equal")
-    strings = [PauliString(len(pairing), *k) for k in (k1, k2)]
-    xy = [q for q in strings[0].support if strings[0].letter(q) in ("X", "Y")]
-    chain = tuple(q for q in strings[0].support if strings[0].letter(q) == "Z")
-    if len(xy) != 2 or any(s.letter(q) != "Z" for s in strings for q in chain):
-        raise ValueError(f"{seq.name}: unexpected compressed structure")
-    plus = _pair_index(pairing, seq.creations())
-    minus = _pair_index(pairing, seq.annihilations())
-    return ((k1, v1), (k2, v2)), chain, plus, minus
-
-
-def _compress_term(seq, theta, pairing, *, anti):
-    rotations, chain, plus, minus = _jw_compression(seq, pairing, anti)
-    flip = -1.0 if theta < 0 else 1.0
-    strings = tuple(
-        PauliString(len(pairing), x, z, flip * (1.0 if v >= 0 else -1.0))
-        for (x, z), v in rotations
-    )
-    return CompressedTerm(
-        source=seq,
-        n_pairs=len(pairing),
-        theta=theta,
-        angle=abs(theta) * abs(rotations[0][1]),
-        strings=strings,
-        plus_pair=plus,
-        minus_pair=minus,
-        chain=chain,
-        anti=anti,
-    )
-
-
-def bosonic_reduce(terms, pairing=None, occupied=None):
+def bosonic_reduce(terms, *, occupied=None):
     """Split terms into compressible paired doubles and everything else.
 
     A double excitation compresses when its creations fill one orbital pair
-    and its annihilations another; a reference occupation (when given) must
-    fill or empty each such pair entirely, otherwise the term is kept
-    uncompressed.  Returns a BosonicSplit with term indices preserved.
+    (2l, 2l+1) and its annihilations another; a reference occupation (when
+    given) must fill or empty each such pair entirely, otherwise the term
+    is kept uncompressed.  Returns a BosonicSplit with term indices
+    preserved.
     """
     if not terms:
         return BosonicSplit((), (), ())
-    n = terms[0].n_qubits
-    if pairing is None:
-        if n % 2:
-            raise ValueError("default pairing needs an even number of modes")
-        pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2))
-    else:
-        pairing = tuple(tuple(p) for p in pairing)
+    if terms[0].n_qubits % 2:
+        raise ValueError("orbital pairing needs an even number of modes")
     occ = None if occupied is None else set(occupied)
 
     compressed, kept, touched = [], [], set()
     for i, term in enumerate(terms):
         seq = term.source
-        ok = (
-            seq is not None
-            and seq.kind == "double"
-            and _pair_index(pairing, seq.creations()) is not None
-            and _pair_index(pairing, seq.annihilations()) is not None
-        )
+        ok = seq is not None and seq.kind == "double"
+        if ok:
+            plus = _pair_index(seq.creations())
+            minus = _pair_index(seq.annihilations())
+            ok = plus is not None and minus is not None
         if ok and occ is not None:
-            for pair in (seq.creations(), seq.annihilations()):
-                inside = len(occ.intersection(pair))
-                if inside == 1:
-                    ok = False
+            ok = all(
+                len(occ.intersection(pair)) != 1 for pair in (seq.creations(), seq.annihilations())
+            )
         if not ok:
             kept.append(i)
             continue
-        cterm = _compress_term(seq, term.theta, pairing, anti=term.anti)
-        compressed.append(cterm)
-        touched.update((cterm.plus_pair, cterm.minus_pair))
-        touched.update(cterm.chain)
+        compressed.append(CompressedTerm(seq, term.theta, plus, minus, term.anti))
+        touched.update((plus, minus))
     return BosonicSplit(tuple(compressed), tuple(kept), tuple(sorted(touched)))
 
 
-def compressed_circuit(cterm, n_qubits=None, wire_map=None):
-    """Two-CNOT rotation core for a compressed term, plus CZ chain flanks.
+def compressed_circuit(cterm, n_qubits):
+    """The two-CNOT rotation of a compressed term on wires 2P and 2R.
 
     exp(-i b/2 (XX + ZZ)) equals CNOT . (Rx(b) x Rz(b)) . CNOT; conjugating
     both wires with HSH (a Clifford x-rotation) turns ZZ into YY, and an
-    extra S on the second wire turns XX + YY into XY - YX.  CZ flanks
-    extend either form by a z letter per chain wire.
+    extra S on the upper wire turns XX + YY into XY - YX.  The angle b is
+    |theta| times the rotation magnitude (1/2, or 1 with ``anti``), signed
+    by theta's sign (a negative zero counts as positive) and by the sign of
+    the lower wire's X string.  Every gate but the two rotations is a
+    ``shared_gate``.
     """
-    w = wire_map if wire_map is not None else {q: q for q in range(cterm.n_pairs)}
-    n = n_qubits if n_qubits is not None else cterm.n_pairs
-    first = cterm.strings[0]
-    xy = sorted(q for q in first.support if first.letter(q) in ("X", "Y"))
-    a, b = w[xy[0]], w[xy[1]]
-
+    low, high = sorted((cterm.plus_pair, cterm.minus_pair))
+    a, b = 2 * low, 2 * high
+    if b >= n_qubits:
+        raise ValueError(f"pair {high} does not fit on {n_qubits} wires")
     if cterm.anti:
-        lead = next(s for s in cterm.strings if s.letter(xy[0]) == "X")
-        beta = cterm.angle * lead.coeff.real
+        # the lower wire's X string is X_P Y_R (+1) when P < R, else Y_P X_R (-1)
+        magnitude, sign = 1.0, (1.0 if cterm.plus_pair < cterm.minus_pair else -1.0)
     else:
-        beta = cterm.angle * first.coeff.real
-
-    circ = Circuit(n)
-    for c in cterm.chain:
-        circ.add("CZ", w[c], b)
+        magnitude, sign = 0.5, -1.0
+    beta = abs(cterm.theta) * magnitude * ((-1.0 if cterm.theta < 0 else 1.0) * sign)
+    gates = []
     if cterm.anti:
-        circ.add("Sdg", b)
+        gates.append(shared_gate("Sdg", (b,)))
     for q in (a, b):
-        circ.add("H", q)
-        circ.add("Sdg", q)
-        circ.add("H", q)
-    circ.add("CNOT", a, b)
-    circ.add("Rx", a, theta=beta)
-    circ.add("Rz", b, theta=beta)
-    circ.add("CNOT", a, b)
+        gates += (shared_gate("H", (q,)), shared_gate("Sdg", (q,)), shared_gate("H", (q,)))
+    cnot = shared_gate("CNOT", (a, b))
+    gates += (cnot, Gate("Rx", (a,), beta), Gate("Rz", (b,), beta), cnot)
     for q in (a, b):
-        circ.add("H", q)
-        circ.add("S", q)
-        circ.add("H", q)
+        gates += (shared_gate("H", (q,)), shared_gate("S", (q,)), shared_gate("H", (q,)))
     if cterm.anti:
-        circ.add("S", b)
-    for c in reversed(cterm.chain):
-        circ.add("CZ", w[c], b)
-    return circ
+        gates.append(shared_gate("S", (b,)))
+    return Circuit(n_qubits, 0, gates)
 
 
-def restoration_circuit(touched_pairs, pairing, n_qubits):
-    """Fan each compressed pair wire back out to its partner."""
-    circ = Circuit(n_qubits)
-    for idx in touched_pairs:
-        w0, w1 = pairing[idx]
-        circ.add("CNOT", w0, w1)
-    return circ
+def restoration_circuit(touched_pairs, n_qubits):
+    """Fan each compressed pair wire 2l back out to its partner 2l+1."""
+    if touched_pairs and 2 * max(touched_pairs) + 1 >= n_qubits:
+        raise ValueError(f"pair {max(touched_pairs)} does not fit on {n_qubits} wires")
+    return Circuit(n_qubits, 0, [shared_gate("CNOT", (2 * l, 2 * l + 1)) for l in touched_pairs])
 
 
 # ---------------------------------------------------------------------------
@@ -1031,7 +911,6 @@ class AnsatzPlan:
     inter: InterPlan
     compressed: tuple[CompressedTerm, ...]
     touched_pairs: tuple[int, ...]
-    pairing: tuple[tuple[int, int], ...]
     model_two_qubit: int
     circuit: Circuit | None = None
 
@@ -1074,9 +953,8 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         expand_term(seq, transform, theta, anti=config.anti) for seq, theta in zip(seqs, angles)
     )
 
-    pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2)) if n % 2 == 0 else ()
-    if config.bosonic and pairing:
-        split = bosonic_reduce(terms, pairing, occupied=occupied)
+    if config.bosonic and n % 2 == 0:
+        split = bosonic_reduce(terms, occupied=occupied)
     else:
         split = BosonicSplit((), tuple(range(len(terms))), ())
 
@@ -1095,7 +973,6 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         inter=inter,
         compressed=split.compressed,
         touched_pairs=split.touched_pairs,
-        pairing=pairing,
         model_two_qubit=model,
     )
 
@@ -1134,10 +1011,9 @@ def emit_circuit(plan, *, peephole=True):
     n = plan.n_qubits
     # every part is built on the plan's n wires, so its gates are appended unchecked
     circ = Circuit(n)
-    wire_map = {idx: pair[0] for idx, pair in enumerate(plan.pairing)}
     for cterm in plan.compressed:
-        circ.gates += compressed_circuit(cterm, n, wire_map).gates
-    circ.gates += restoration_circuit(plan.touched_pairs, plan.pairing, n).gates
+        circ.gates += compressed_circuit(cterm, n).gates
+    circ.gates += restoration_circuit(plan.touched_pairs, n).gates
     blocks = [(cls.placements, cls.target) for cls in plan.inter.classes]
     blocks += [((p,), None) for p in plan.inter.standalone]
     for placements, target in blocks:
@@ -1198,7 +1074,6 @@ def plan_report(plan):
                 "term": _term_name(c),
                 "plus_pair": c.plus_pair,
                 "minus_pair": c.minus_pair,
-                "chain": list(c.chain),
                 "cost": c.two_qubit_cost,
             }
             for c in plan.compressed

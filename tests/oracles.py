@@ -4,10 +4,13 @@ Everything in this module is written from first principles — explicit kron
 products, occupation-number bookkeeping, Gaussian elimination over GF(2),
 determinant enumeration — so that the package is always compared against a
 second, structurally different computation.  Nothing here imports from fqcc,
-except two references for the mask-level code paths: ``expand_term_via_paulis``
-keeps the generic FermionOperator -> PauliSum route and letter-word sort that
-``trotter.expand_term`` once used, and ``map_operator_via_paulisum`` keeps the
-PauliSum-product route that ``Transform.map_operator`` once used.
+except three references for the mask-level and closed-form code paths:
+``expand_term_via_paulis`` keeps the generic FermionOperator -> PauliSum route
+and letter-word sort that ``trotter.expand_term`` once used,
+``map_operator_via_paulisum`` keeps the PauliSum-product route that
+``Transform.map_operator`` once used, and ``paired_compression_reference``
+keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
+once used.
 """
 
 import collections
@@ -47,6 +50,19 @@ def paulisum_matrix(n, terms):
     for coeff, letters in terms:
         m += string_matrix(n, letters, coeff)
     return m
+
+
+def apply_string(s, vec):
+    """A Pauli string applied to a statevector, one basis state at a time.
+
+    Reads the string's masks: P|b> = c * i^|x & z| * (-1)^|b & z| * |b ^ x>,
+    scattered into a fresh array.
+    """
+    out = np.zeros(len(vec), dtype=complex)
+    w = s.coeff * 1j ** ((s.xmask & s.zmask).bit_count() % 4)
+    for b, amp in enumerate(vec):
+        out[b ^ s.xmask] += w * (-1) ** (b & s.zmask).bit_count() * amp
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +405,76 @@ def map_operator_via_paulisum(transform, terms, constant=0.0):
             prod = prod * transform.map_ladder(mode, dagger)
         out._accumulate(prod)
     return out.simplify()
+
+
+# ---------------------------------------------------------------------------
+# paired-double compression through the Jordan-Wigner expansion
+# ---------------------------------------------------------------------------
+
+# Letter pair on one orbital pair -> (compressed letter, factor).  Pairs
+# mixing {X, Y} with {I, Z} have no action on span{|00>, |11>}.
+_PAIR_LETTERS = {
+    ("I", "I"): ("I", 1.0),
+    ("I", "Z"): ("Z", 1.0),
+    ("Z", "I"): ("Z", 1.0),
+    ("Z", "Z"): ("I", 1.0),
+    ("X", "X"): ("X", 1.0),
+    ("X", "Y"): ("Y", 1.0),
+    ("Y", "X"): ("Y", 1.0),
+    ("Y", "Y"): ("X", -1.0),
+}
+
+
+def paired_compression_reference(seq, n_modes, theta, *, anti):
+    """``trotter.compressed_circuit`` of a paired double, the long way.
+
+    Imports fqcc: expands ``seq`` under Jordan-Wigner with
+    ``trotter.expand_term`` at unit angle, projects each string letter by
+    letter onto span{|00>, |11>} of every pair (2l, 2l+1), merges the
+    projections and checks their structure: two strings of equal magnitude,
+    opposite with ``anti`` and equal without, X or Y on the same two pair
+    wires and Z on any other ("chain") wire.  The circuit is the two-CNOT
+    core on wires 2P < 2R, flanked by a CZ from each chain pair's wire.  Its
+    angle is |theta| times the merged magnitude, signed by theta (``theta <
+    0``) and by the lead string: the one with X on the lower wire when
+    ``anti``, else either.  Returns (kind, qubits, theta) tuples.
+    """
+    from fqcc.transform import Transform
+    from fqcc.trotter import expand_term
+
+    n_pairs = n_modes // 2
+    full = expand_term(seq, Transform.jordan_wigner(n_modes), 1.0, anti=anti)
+    merged = {}
+    for string, rot in full.rotations():
+        word, factor = "", 1.0
+        for l in range(n_pairs):
+            letter, sign = _PAIR_LETTERS[string.letter(2 * l), string.letter(2 * l + 1)]
+            word += letter
+            factor *= sign
+        merged[word] = merged.get(word, 0.0) + rot * factor
+    merged = {w: v for w, v in merged.items() if abs(v) > 1e-12}
+    assert len(merged) == 2
+    (w1, v1), (w2, v2) = merged.items()
+    assert abs(abs(v1) - abs(v2)) <= 1e-9
+    assert abs(v1 + v2) <= 1e-9 if anti else abs(v1 - v2) <= 1e-9
+    xy = [l for l in range(n_pairs) if w1[l] in "XY"]
+    chain = [l for l in range(n_pairs) if w1[l] == "Z"]
+    assert len(xy) == 2 and all(w2[l] in "XY" for l in xy)
+    assert all(w1[l] == w2[l] for l in range(n_pairs) if l not in xy)
+
+    lead = next(v for w, v in merged.items() if w[xy[0]] == "X") if anti else v1
+    flip = -1.0 if theta < 0 else 1.0
+    beta = abs(theta) * abs(v1) * (flip * (1.0 if lead >= 0 else -1.0))
+    a, b = 2 * xy[0], 2 * xy[1]
+    flank = [("CZ", (2 * c, b), None) for c in chain]
+    gates = flank + ([("Sdg", (b,), None)] if anti else [])
+    for q in (a, b):
+        gates += [("H", (q,), None), ("Sdg", (q,), None), ("H", (q,), None)]
+    cnot = ("CNOT", (a, b), None)
+    gates += [cnot, ("Rx", (a,), beta), ("Rz", (b,), beta), cnot]
+    for q in (a, b):
+        gates += [("H", (q,), None), ("S", (q,), None), ("H", (q,), None)]
+    return gates + ([("S", (b,), None)] if anti else []) + flank[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,22 @@ class TestQsrCompress:
         assert factor == expected_factor
         assert reduced.letter(0) == expected_letter
 
+    def test_pair_projection_table(self):
+        """The pair rule on masks against all 16 letter pairs: (compressed
+        letter, factor), or None where the pair drops the string."""
+        table = {
+            ("I", "I"): ("I", 1.0), ("I", "X"): None, ("I", "Y"): None, ("I", "Z"): ("Z", 1.0),
+            ("X", "I"): None, ("X", "X"): ("X", 1.0), ("X", "Y"): ("Y", 1.0), ("X", "Z"): None,
+            ("Y", "I"): None, ("Y", "X"): ("Y", 1.0), ("Y", "Y"): ("X", -1.0), ("Y", "Z"): None,
+            ("Z", "I"): ("Z", 1.0), ("Z", "X"): None, ("Z", "Y"): None, ("Z", "Z"): ("I", 1.0),
+        }
+        assert len(table) == 16
+        for (a, b), row in table.items():
+            letters = {q: l for q, l in ((0, a), (1, b)) if l != "I"}
+            reduced, factor = qsr_compress(PauliString.from_letters(2, letters), self.PAIR_CTX)
+            assert (None if reduced is None else (reduced.letter(0), factor)) == row, (a, b)
+            assert reduced is not None or factor == 0.0
+
     @pytest.mark.parametrize(
         "letters",
         [

@@ -34,9 +34,8 @@ def test_planner_layers_reports_h4():
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     assert {enc: h4[enc]["circuit_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     for layers in h4.values():
-        # 26 pool terms per plan, plus the JW expansions of the 4 paired
-        # doubles, computed in the first plan only
-        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3 * 26 + 4
+        # 26 pool terms per plan; compression expands nothing
+        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3 * 26
         assert layers["compression_calls"] == layers["held_karp_calls"] == 3
         # one emission: a term circuit per kept term, a peephole per block
         assert layers["emit_calls"] == 1

@@ -15,6 +15,7 @@ from fqcc import trotter as tr
 from fqcc.circuits import Circuit, apply_to_state, metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
+from fqcc.measure import QSRContext, qsr_compress
 from fqcc.paulis import PauliString
 from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state
 from fqcc.transform import Transform
@@ -752,114 +753,119 @@ class TestInterOrder:
 # ---------------------------------------------------------------------------
 
 
-class TestCompression:
-    def test_pair_projection_table(self):
-        assert tr.PAIR_TABLE == {
-            ("I", "I"): ("I", 1.0),
-            ("I", "Z"): ("Z", 1.0),
-            ("Z", "I"): ("Z", 1.0),
-            ("Z", "Z"): ("I", 1.0),
-            ("X", "X"): ("X", 1.0),
-            ("X", "Y"): ("Y", 1.0),
-            ("Y", "X"): ("Y", 1.0),
-            ("Y", "Y"): ("X", -1.0),
-        }
+def _closed_form(n, plus, minus, theta, anti):
+    """The compressed term's unitary on wires 2P and 2R, from its closed form:
+    T + T+ = -1/2 (X_P X_R + Y_P Y_R), T - T+ = i/2 (Y_P X_R - X_P Y_R)."""
+    p, r = 2 * plus, 2 * minus
+    if anti:
+        gen = 0.5j * (
+            oracles.string_matrix(n, {p: "Y", r: "X"}) - oracles.string_matrix(n, {p: "X", r: "Y"})
+        )
+        return sla.expm(theta * gen)
+    gen = -0.5 * (
+        oracles.string_matrix(n, {p: "X", r: "X"}) + oracles.string_matrix(n, {p: "Y", r: "Y"})
+    )
+    return sla.expm(-0.5j * theta * gen)
 
+
+class TestCompression:
     def test_compress_string_examples(self):
-        pairing = ((0, 1), (2, 3))
+        """Pair letters through the measurement reduction's mask rule."""
+        ctx = QSRContext(4, (), {}, ((0, 1), (2, 3)))
         s = PauliString.from_letters(4, {0: "X", 1: "Y", 2: "Z"}, 2.0)
-        comp = tr.compress_string(s, pairing)
-        assert comp.letters() == {0: "Y", 1: "Z"}
-        assert comp.coeff == 2.0
+        reduced, factor = qsr_compress(s, ctx)
+        assert reduced.letters() == {0: "Y", 1: "Z"}
+        assert reduced.coeff == 2.0 and factor == 1.0
         s = PauliString.from_letters(4, {0: "Y", 1: "Y", 2: "Y", 3: "Y"}, 1.0)
-        comp = tr.compress_string(s, pairing)
-        assert comp.letters() == {0: "X", 1: "X"}
-        assert comp.coeff == 1.0  # two sign flips cancel
+        reduced, factor = qsr_compress(s, ctx)
+        assert reduced.letters() == {0: "X", 1: "X"}
+        assert reduced.coeff == 1.0 and factor == 1.0  # two sign flips cancel
         s = PauliString.from_letters(4, {0: "X", 1: "Z"}, 1.0)
-        assert tr.compress_string(s, pairing) is None
+        assert qsr_compress(s, ctx) == (None, 0.0)
 
     def _paired_term(self, theta, anti, n=4):
         seq = OrbitalSequence("double", (2, 3, 0, 1))
         term = tr.expand_term(seq, Transform.jordan_wigner(n), theta, anti=anti)
-        pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2))
-        split = tr.bosonic_reduce([term], pairing)
+        split = tr.bosonic_reduce([term])
         assert split.kept == ()
         assert len(split.compressed) == 1
-        return term, split, pairing
+        return term, split
 
     def test_hermitian_compressed_strings(self):
-        _, split, _ = self._paired_term(0.8, anti=False)
+        term, split = self._paired_term(0.8, anti=False)
         ct = split.compressed[0]
-        assert ct.angle == pytest.approx(0.4)
-        got = {(s.letters()[0], s.letters()[1], s.coeff.real) for s in ct.strings}
-        assert got == {("X", "X", -1.0), ("Y", "Y", -1.0)}
-        assert ct.plus_pair == 1 and ct.minus_pair == 0
-        assert ct.chain == ()
+        assert (ct.source, ct.theta, ct.plus_pair, ct.minus_pair, ct.anti) == (
+            term.source, 0.8, 1, 0, False
+        )
+        got = _circ_matrix(tr.compressed_circuit(ct, 4))
+        assert np.abs(got - _closed_form(4, 1, 0, 0.8, False)).max() < 1e-12
 
     def test_antihermitian_compressed_strings(self):
-        _, split, _ = self._paired_term(0.8, anti=True)
+        _, split = self._paired_term(0.8, anti=True)
         ct = split.compressed[0]
-        assert ct.angle == pytest.approx(0.8)
-        first, second = ct.strings
-        assert first.letters() == {0: "Y", 1: "X"} and first.coeff.real == 1.0
-        assert second.letters() == {0: "X", 1: "Y"} and second.coeff.real == -1.0
+        assert (ct.theta, ct.plus_pair, ct.minus_pair, ct.anti) == (0.8, 1, 0, True)
+        got = _circ_matrix(tr.compressed_circuit(ct, 4))
+        assert np.abs(got - _closed_form(4, 1, 0, 0.8, True)).max() < 1e-12
 
     def test_negative_amplitude_folds_into_signs(self):
-        _, pos, _ = self._paired_term(0.8, anti=True)
-        _, neg, _ = self._paired_term(-0.8, anti=True)
-        assert neg.compressed[0].angle == pytest.approx(0.8)
-        flipped = {
-            (tuple(sorted(s.letters().items())), -s.coeff.real)
-            for s in pos.compressed[0].strings
-        }
-        got = {
-            (tuple(sorted(s.letters().items())), s.coeff.real)
-            for s in neg.compressed[0].strings
-        }
-        assert got == flipped
+        for anti in (False, True):
+            _, pos = self._paired_term(0.8, anti=anti)
+            _, neg = self._paired_term(-0.8, anti=anti)
+            u_pos = _circ_matrix(tr.compressed_circuit(pos.compressed[0], 4))
+            u_neg = _circ_matrix(tr.compressed_circuit(neg.compressed[0], 4))
+            assert np.abs(u_neg - _closed_form(4, 1, 0, -0.8, anti)).max() < 1e-12
+            assert np.abs(u_neg - u_pos.conj().T).max() < 1e-12
 
     def test_compressed_circuit_counts(self):
         for anti in (False, True):
-            _, split, _ = self._paired_term(0.8, anti=anti)
+            _, split = self._paired_term(0.8, anti=anti)
             ct = split.compressed[0]
-            circ = tr.compressed_circuit(ct)
-            m = metrics(circ)
+            m = metrics(tr.compressed_circuit(ct, 4))
             assert m.two_qubit == ct.two_qubit_cost == 2
             assert m.rz_count == 2
 
     def test_compressed_circuit_dense(self):
-        for anti in (False, True):
-            _, split, _ = self._paired_term(0.8, anti=anti)
-            ct = split.compressed[0]
-            gen = sum(
-                oracles.string_matrix(ct.n_pairs, s.letters(), s.coeff)
-                for s in ct.strings
-            )
-            want = sla.expm(-0.5j * ct.angle * gen)
-            got = _circ_matrix(tr.compressed_circuit(ct))
-            assert np.abs(got - want).max() < 1e-12
+        """Every ordered pair of pairs on 6 modes, both conventions, with
+        the pair between P and R (when there is one) left as identity."""
+        n = 6
+        jw = Transform.jordan_wigner(n)
+        for plus, minus in itertools.permutations(range(n // 2), 2):
+            seq = OrbitalSequence("double", (2 * plus, 2 * plus + 1, 2 * minus, 2 * minus + 1))
+            for anti in (False, True):
+                (ct,) = tr.bosonic_reduce([tr.expand_term(seq, jw, 0.8, anti=anti)]).compressed
+                got = _circ_matrix(tr.compressed_circuit(ct, n))
+                assert np.abs(got - _closed_form(n, plus, minus, 0.8, anti)).max() < 1e-12
 
-    def test_chain_flanks_dense(self):
-        for anti, strings in (
-            (False, (
-                PauliString.from_letters(3, {0: "X", 1: "X", 2: "Z"}, -1.0),
-                PauliString.from_letters(3, {0: "Y", 1: "Y", 2: "Z"}, -1.0),
-            )),
-            (True, (
-                PauliString.from_letters(3, {0: "Y", 1: "X", 2: "Z"}, 1.0),
-                PauliString.from_letters(3, {0: "X", 1: "Y", 2: "Z"}, -1.0),
-            )),
-        ):
-            ct = tr.CompressedTerm(None, 3, 0.4, 0.4, strings, 1, 0, (2,), anti)
-            circ = tr.compressed_circuit(ct)
-            m = metrics(circ)
-            assert m.two_qubit == ct.two_qubit_cost == 4
-            assert m.rz_count == 2
-            gen = sum(
-                oracles.string_matrix(3, s.letters(), s.coeff) for s in ct.strings
-            )
-            want = sla.expm(-0.5j * ct.angle * gen)
-            assert np.abs(_circ_matrix(circ) - want).max() < 1e-12
+    def test_closed_form_matches_reference(self):
+        """Gate for gate, with bit-equal angles (signed zeros included), the
+        closed form equals the Jordan-Wigner projection route of every
+        paired double on 10 modes."""
+        n = 10
+        jw = Transform.jordan_wigner(n)
+        for plus, minus in itertools.permutations(range(n // 2), 2):
+            seq = OrbitalSequence("double", (2 * plus, 2 * plus + 1, 2 * minus, 2 * minus + 1))
+            for anti in (False, True):
+                for theta in (0.7, -0.7, 0.0, -0.0, 3.5):
+                    term = tr.expand_term(seq, jw, theta, anti=anti)
+                    (ct,) = tr.bosonic_reduce([term]).compressed
+                    got = [
+                        (g.kind, g.qubits, None if g.theta is None else float(g.theta).hex())
+                        for g in tr.compressed_circuit(ct, n).gates
+                    ]
+                    want = [
+                        (kind, qubits, None if angle is None else float(angle).hex())
+                        for kind, qubits, angle in oracles.paired_compression_reference(
+                            seq, n, theta, anti=anti
+                        )
+                    ]
+                    assert got == want, (plus, minus, anti, theta)
+
+    def test_wires_beyond_the_register_rejected(self):
+        _, split = self._paired_term(0.8, anti=True)
+        with pytest.raises(ValueError, match="fit"):
+            tr.compressed_circuit(split.compressed[0], 2)
+        with pytest.raises(ValueError, match="fit"):
+            tr.restoration_circuit((0, 1), 3)
 
     def test_lift_identity(self):
         """Compressed form agrees with the full rotation after fan-out.
@@ -873,15 +879,11 @@ class TestCompression:
         ):
             for anti in (False, True):
                 term = tr.expand_term(seq, Transform.jordan_wigner(n), 0.6, anti=anti)
-                pairing = tuple((2 * l, 2 * l + 1) for l in range(n // 2))
-                split = tr.bosonic_reduce([term], pairing)
+                split = tr.bosonic_reduce([term])
                 ct = split.compressed[0]
-                wire_map = {idx: pair[0] for idx, pair in enumerate(pairing)}
-                u_comp = _circ_matrix(tr.compressed_circuit(ct, n, wire_map))
+                u_comp = _circ_matrix(tr.compressed_circuit(ct, n))
                 u_full = _circ_matrix(tr.term_circuit(term))
-                r = _circ_matrix(
-                    tr.restoration_circuit(split.touched_pairs, pairing, n)
-                )
+                r = _circ_matrix(tr.restoration_circuit(split.touched_pairs, n))
                 odd_mask = sum(1 << (2 * l + 1) for l in range(n // 2))
                 cols = [s for s in range(1 << n) if s & odd_mask == 0]
                 diff = u_full @ r - r @ u_comp
@@ -896,8 +898,7 @@ class TestCompression:
             OrbitalSequence("double", (6, 7, 2, 3)),
         ]
         terms = [tr.expand_term(s, jw, 0.3, anti=True) for s in seqs]
-        pairing = tuple((2 * l, 2 * l + 1) for l in range(4))
-        split = tr.bosonic_reduce(terms, pairing)
+        split = tr.bosonic_reduce(terms)
         assert len(split.compressed) == 2
         assert split.kept == (1, 2)
         assert split.touched_pairs == (0, 1, 2, 3)
@@ -908,15 +909,13 @@ class TestCompression:
         term = tr.expand_term(
             OrbitalSequence("double", (2, 3, 0, 1)), jw, 0.3, anti=True
         )
-        pairing = ((0, 1), (2, 3))
-        half = tr.bosonic_reduce([term], pairing, occupied=(0,))
+        half = tr.bosonic_reduce([term], occupied=(0,))
         assert half.compressed == () and half.kept == (0,)
-        full = tr.bosonic_reduce([term], pairing, occupied=(0, 1))
+        full = tr.bosonic_reduce([term], occupied=(0, 1))
         assert len(full.compressed) == 1 and full.kept == ()
 
     def test_restoration_circuit_shape(self):
-        pairing = ((0, 1), (2, 3), (4, 5))
-        circ = tr.restoration_circuit((0, 2), pairing, 6)
+        circ = tr.restoration_circuit((0, 2), 6)
         assert [(g.kind, g.qubits) for g in circ.gates] == [
             ("CNOT", (0, 1)),
             ("CNOT", (4, 5)),
@@ -1102,7 +1101,7 @@ class TestPlanStatevector:
         hf = (1 << n_e) - 1
         occupation = hf
         for idx in plan.touched_pairs:
-            w0, w1 = plan.pairing[idx]
+            w0, w1 = 2 * idx, 2 * idx + 1
             if hf >> w0 & 1 and hf >> w1 & 1:
                 occupation &= ~(1 << w1)
         frame = Transform.jordan_wigner(n) if plan.compressed else transform

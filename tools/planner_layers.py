@@ -10,8 +10,7 @@ two-qubit count, the emitted circuit's two-qubit count
 counts of these layers, summed over the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
-    expand       trotter.expand_term: the pool's expansions, and the JW
-                 expansions inside compression when those are computed
+    expand       trotter.expand_term: the pool's expansions
     compression  trotter.bosonic_reduce
     held_karp    trotter._dp_choices: savings matrices and the batched DP
     chaining     trotter._chain_class
@@ -21,11 +20,9 @@ counts of these layers, summed over the plans or over the one emission:
                  term, reduced
 
 ``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
-peephole was given and returned.  The JW-compression cache is cleared
-before each encoding, so the first plan pays for computing the
-compressions and later plans reuse them.  Everything runs in this one
-process on one thread, so ``workers`` is 1.  The checkout's ``src`` is
-imported, not an installed fqcc.
+peephole was given and returned.  Everything runs in this one process on
+one thread, so ``workers`` is 1.  The checkout's ``src`` is imported, not
+an installed fqcc.
 
 Usage: python3 tools/planner_layers.py [--systems h4 water]
 """
@@ -90,7 +87,6 @@ def measure(n_modes, n_electrons, transform):
     totals = defaultdict(lambda: [0.0, 0])
     gates = [0, 0]
     originals = {attr: getattr(trotter, attr) for attr in LAYERS.values()}
-    trotter._jw_compression.cache_clear()
     try:
         for layer, attr in LAYERS.items():
             fn = originals[attr]
