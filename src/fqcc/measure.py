@@ -23,7 +23,7 @@ Two independent reductions of the Pauli strings an expectation value needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuits import Circuit
 from .paulis import PauliString, PauliSum, word_key
@@ -47,13 +47,16 @@ class QSRContext:
     ``classical`` maps a frozen qubit to its basis value; ``pairs`` lists
     orbital pairs confined to span{|00>, |11|}.  Together with ``entangled``
     they must partition the register.  The reduced register keeps one wire
-    per entangled qubit and one per pair, ordered by smallest physical index.
+    per entangled qubit and one per pair, ordered by smallest physical index;
+    ``slots`` lists that layout, built once with the context.
     """
 
     n_qubits: int
     entangled: tuple
     classical: dict
     pairs: tuple
+    # reduced-register layout: ("qubit", q) and ("pair", (a, b)) entries
+    slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         members = list(self.entangled) + list(self.classical)
@@ -61,14 +64,10 @@ class QSRContext:
             members += [a, b]
         if sorted(members) != list(range(self.n_qubits)):
             raise ValueError("entangled, classical, and pair qubits must partition the register")
-
-    @property
-    def slots(self):
-        """Reduced-register layout: ("qubit", q) and ("pair", (a, b)) entries."""
         entries = [("qubit", q) for q in self.entangled]
         entries += [("pair", (a, b)) for a, b in self.pairs]
         entries.sort(key=lambda e: e[1] if e[0] == "qubit" else min(e[1]))
-        return tuple(entries)
+        object.__setattr__(self, "slots", tuple(entries))
 
     @property
     def reduced_n(self):

@@ -24,9 +24,10 @@ from .circuits import Circuit
 from .paulis import _PHASES, COEFF_TOL, PauliSum
 
 
-# coefficients of a ladder's strings (x, z_parity) and (x, z_remainder):
-# a_mode is (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same with -i
-_LADDER_COEFFS = ((0.5 + 0.0j, 0.5 * 1.0j), (0.5 + 0.0j, 0.5 * -1.0j))
+# power-of-i exponents of a ladder's strings (x, z_parity) and (x, z_remainder):
+# a_mode is (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same
+# with -i = i^3
+_LADDER_EXPONENTS = ((0, 1), (0, 3))
 
 
 def _gf2_inv(a):
@@ -53,7 +54,12 @@ def _mask(bits):
 
 
 class Transform:
-    """A beta-parameterized encoding with its derived ladder-operator sets."""
+    """A beta-parameterized encoding with its derived ladder-operator sets.
+
+    ``ladder_strings[mode][dagger]`` holds the two strings of a_mode
+    (``dagger`` 0) or of its adjoint (1) as ``(x, z, e)``: each string
+    carries the coefficient i^e / 2.
+    """
 
     def __init__(self, beta):
         beta = np.array(beta, dtype=np.uint8)
@@ -78,13 +84,17 @@ class Transform:
         self._parity = [tuple(k for k in range(n) if k != j and m_p[j, k]) for j in range(n)]
         self._remainder = [tuple(k for k in range(n) if k != j and m_r[j, k]) for j in range(n)]
         # per mode (x, z_parity, z_remainder), the masks of its ladder strings
-        self._ladder = tuple(
+        ladder_masks = (
             (
                 _mask(self._update[j]) | 1 << j,
                 _mask(self._parity[j]),
                 _mask(self._remainder[j]) | 1 << j,
             )
             for j in range(n)
+        )
+        self.ladder_strings = tuple(
+            tuple(((x, zp, ep), (x, zr, er)) for ep, er in _LADDER_EXPONENTS)
+            for x, zp, zr in ladder_masks
         )
 
     # -- constructors --------------------------------------------------------
@@ -144,9 +154,8 @@ class Transform:
         """PauliSum of a_mode or its adjoint under this encoding."""
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range")
-        xmask, zp, zr = self._ladder[mode]
-        cp, cr = _LADDER_COEFFS[1 if dagger else 0]
-        return PauliSum(self.n_modes, {(xmask, zp): cp, (xmask, zr): cr})
+        strings = self.ladder_strings[mode][1 if dagger else 0]
+        return PauliSum(self.n_modes, {(x, z): 0.5 * _PHASES[e] for x, z, e in strings})
 
     def creation(self, mode):
         return self.map_ladder(mode, True)
@@ -171,10 +180,10 @@ class Transform:
         # (x, z, X letters, Y letters, Z letters, coefficient)
         right = [
             tuple(
-                tuple((x, z, x & ~z, x & z, z & ~x, c) for z, c in ((zp, cp), (zr, cr)))
-                for cp, cr in _LADDER_COEFFS
+                tuple((x, z, x & ~z, x & z, z & ~x, 0.5 * _PHASES[e]) for x, z, e in strings)
+                for strings in per_mode
             )
-            for x, zp, zr in self._ladder
+            for per_mode in self.ladder_strings
         ]
         out = {}
         if constant:
@@ -267,10 +276,3 @@ class Transform:
                 beta[i, j] = ch == "1"
         return cls(beta)
 
-
-def by_name(name, n_modes):
-    if name == "jw":
-        return Transform.jordan_wigner(n_modes)
-    if name == "bk":
-        return Transform.bravyi_kitaev(n_modes)
-    raise ValueError(f"unknown transform {name!r}")

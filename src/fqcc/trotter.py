@@ -9,8 +9,10 @@ excitations are compressed onto half the register.  This module provides:
 
 - product-formula sequencing (first order, and the recursive even orders),
 - ``expand_term``: excitation -> rotation list under a chosen transform,
-  with T multiplied out once on the transform's ladder masks (T+ is its
-  conjugate on the same strings) and the strings sorted on mask keys,
+  with T's 2^k string products enumerated on the transform's ladder masks
+  with an integer power of i each (no complex arithmetic and no merge; T+
+  is the conjugate on the same strings), and the strings sorted on mask
+  keys,
 - ``synth_pauli_exp`` / ``term_circuit``: circuit emission through one
   block emitter that reads each string's letters from its masks and
   appends shared, already-validated H / S / Sdg / CNOT gates
@@ -53,7 +55,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .fermions import OrbitalSequence
-from .paulis import COEFF_TOL, PauliString, PauliSum, word_key
+from .paulis import PauliString, word_key
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,8 @@ def pf_sequence(pairs, config=PFConfig()):
 # excitation expansion
 # ---------------------------------------------------------------------------
 
+_PLUS, _MINUS = complex(1.0), complex(-1.0)
+
 # Four-letter rotation sets are listed in this fixed x/y-word order (as z
 # bits on the x/y wires, X = 0, Y = 1); any other shape falls back to
 # lexicographic word order.
@@ -153,16 +157,6 @@ class TrotterTerm:
         return tuple(sorted(out))
 
 
-def _ladder_product(seq, transform):
-    """T = a+... a... (unit amplitude) under ``transform``, as a PauliSum."""
-    prod = PauliSum.identity(transform.n_modes)
-    for mode in seq.creations():
-        prod = prod * transform.map_ladder(mode, True)
-    for mode in seq.annihilations():
-        prod = prod * transform.map_ladder(mode, False)
-    return prod
-
-
 def _canonical_string_order(strings):
     n = strings[0].n_qubits
     xy = strings[0].xmask
@@ -181,41 +175,57 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
     """Expand one excitation under ``transform`` into a TrotterTerm.
 
     Two-body sequences produce exactly eight strings and one-body sequences
-    exactly two, all with equal coefficient magnitude; eligibility keeps the
-    fermion-label wires whose letter is non-identity in every string.
+    exactly two; eligibility keeps the fermion-label wires whose letter is
+    non-identity in every string.
 
-    T is multiplied out once on the ladder masks: every Pauli string is
-    Hermitian, so T+ has the conjugate coefficients on the same strings.
+    T = a+... a... is enumerated as its 2^k string products on the
+    transform's ladder strings (``Transform.ladder_strings``), each with an
+    integer power of i; no complex number is formed.  A product is carried
+    as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z' adds f' and twice
+    |z & x'| to f; every ladder of one mode shares its x, so x is common to
+    all products.  The products never merge: the two strings of mode j
+    differ by z = row j of beta^-1, and the modes are distinct rows of an
+    invertible matrix, so the 2^k z masks are distinct (checked).  As
+    every coefficient is i^e / 2^k and every string is Hermitian, T+ has
+    the conjugate coefficient on the same string: T + T+ keeps the even
+    e with magnitude 2 / 2^k (sign + for e = 0) and T - T+ the odd e with
+    magnitude 4 / 2^k (sign + for e = 3, the rotation angle being the
+    negated imaginary part).  No coefficient is ever summed, so the kept
+    strings are exactly hermitian (or anti-hermitian) and of one magnitude.
     """
     n = transform.n_modes
-    rotations = {}
-    for key, c in _ladder_product(seq, transform).items():
-        c = c - c.conjugate() if anti else c + c.conjugate()
-        if abs(c) > COEFF_TOL:
-            rotations[key] = c
+    ladders = transform.ladder_strings
+    ops = [(mode, 1) for mode in seq.creations()] + [(mode, 0) for mode in seq.annihilations()]
+    x = 0
+    # partial products i^f X^x Z^z as (z, f mod 4); x is shared by all
+    prods = [(0, 0)]
+    for mode, dagger in ops:
+        if not 0 <= mode < n:
+            raise ValueError(f"mode {mode} out of range")
+        (xl, zp, ep), (_, zr, er) = ladders[mode][dagger]
+        # each ladder string i^e P(x, z) in the X^x Z^z form: Y = iXZ
+        steps = ((zp, ep + (xl & zp).bit_count()), (zr, er + (xl & zr).bit_count()))
+        prods = [
+            (z ^ zl, (f + fl + 2 * (z & xl).bit_count()) & 3)
+            for z, f in prods
+            for zl, fl in steps
+        ]
+        x ^= xl
+    if len({z for z, _ in prods}) != len(prods):
+        raise ValueError(f"{seq.name}: ladder products collide")
 
-    expected = 8 if seq.kind == "double" else 2
-    if len(rotations) != expected:
-        raise ValueError(
-            f"{seq.name} expanded to {len(rotations)} strings, expected {expected}"
-        )
+    parity, plus = (1, 3) if anti else (0, 0)
     signed = []
-    magnitudes = []
-    for x, z in sorted(rotations, key=lambda k: word_key(n, *k)):
-        c = rotations[x, z]
-        if anti:
-            if abs(c.real) > 1e-9:
-                raise ValueError(f"{seq.name}: expansion is not anti-hermitian")
-            rot = -2.0 * c.imag
-        else:
-            if abs(c.imag) > 1e-9:
-                raise ValueError(f"{seq.name}: expansion is not hermitian")
-            rot = c.real
-        magnitudes.append(abs(rot))
-        signed.append(PauliString(n, x, z, complex(1.0 if rot >= 0 else -1.0)))
-    mag = magnitudes[0]
-    if any(abs(m - mag) > 1e-9 for m in magnitudes):
-        raise ValueError(f"{seq.name}: unequal rotation magnitudes")
+    for z, f in prods:
+        e = (f - (x & z).bit_count()) & 3
+        if e & 1 == parity:
+            signed.append(PauliString(n, x, z, _PLUS if e == plus else _MINUS))
+    expected = 8 if seq.kind == "double" else 2
+    if len(signed) != expected:
+        raise ValueError(
+            f"{seq.name} expanded to {len(signed)} strings, expected {expected}"
+        )
+    mag = (4.0 if anti else 2.0) / len(prods)
 
     ordered = _canonical_string_order(signed)
     support = ordered[0].xmask | ordered[0].zmask

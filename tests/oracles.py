@@ -16,6 +16,7 @@ once used.
 import collections
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import expm  # noqa: F401  (re-exported for tests)
@@ -490,7 +491,7 @@ def read_fcidump_so(path):
     alpha), g2 in chemist order (pq|rs), with the 8-fold permutational
     symmetry of real integrals expanded.
     """
-    text = open(path).read()
+    text = Path(path).read_text()
     head, _, body = text.partition("&END")
     if not body:
         head, _, body = text.partition("/")

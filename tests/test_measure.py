@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -218,6 +219,29 @@ class TestQsrCompress:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="qubit"):
             qsr_compress(_string(2, "Z0"), QSRContext(4, (0, 1, 2, 3), {}, ()))
+
+    @pytest.mark.parametrize(
+        "single, n_terms, n_qubits, digest",
+        [
+            (False, 52, 6, "d1c19a635cdbbb4e77be39e6520156038f183677e0f9993083c4b4d66952402e"),
+            (True, 77, 8, "7f4cd937aa338e2c567dfd8b6c34e869cee672437cde7fbbbdd53725f2acb74a"),
+        ],
+    )
+    def test_water_sum_pinned(self, single, n_terms, n_qubits, digest):
+        """Water's JW Hamiltonian under four paired doubles (and a single
+        that entangles pair (12, 13)): the reduced sum, pinned by sha256 of
+        ``repr(items())``, so coefficients, keys and their order."""
+        ham, _ = load_fcidump(H2O_PATH).to_spin_orbital()
+        op = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(14)).simplify()
+        terms = [
+            OrbitalSequence("double", d)
+            for d in ((10, 11, 0, 1), (12, 13, 2, 3), (10, 11, 4, 5), (12, 13, 8, 9))
+        ]
+        if single:
+            terms.append(OrbitalSequence("single", (12, 6)))
+        reduced = qsr_compress_sum(op, qsr_context_from_terms(terms, 14, 10))
+        assert (len(reduced), reduced.n_qubits) == (n_terms, n_qubits)
+        assert hashlib.sha256(repr(reduced.items()).encode()).hexdigest() == digest
 
 
 class TestConjugateString:

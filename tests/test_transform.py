@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import build_hamiltonian
-from fqcc.paulis import PauliSum
-from fqcc.transform import Transform, by_name
+from fqcc.paulis import PauliString, PauliSum
+from fqcc.transform import Transform
 
 import oracles
 
@@ -24,6 +24,9 @@ def _random_beta(rng, n):
         for j in range(i):
             beta[i, j] = rng.integers(2)
     return beta
+
+
+_NAMED = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 
 
 def _basis_matrix(t: Transform):
@@ -69,12 +72,6 @@ class TestValidation:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             Transform(2 * np.eye(2, dtype=np.uint8))
-
-    def test_by_name(self):
-        assert np.array_equal(by_name("jw", 3).beta, np.eye(3, dtype=np.uint8))
-        assert by_name("bk", 3).n_modes == 3
-        with pytest.raises(ValueError):
-            by_name("parity", 3)
 
 
 class TestJordanWigner:
@@ -274,6 +271,34 @@ class TestConjugationEquivalence:
             assert np.allclose(lhs, rhs, atol=1e-10)
 
 
+class TestLadderStrings:
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta0", "beta1", "beta2"])
+    def test_exponents_reproduce_ladders(self, name):
+        """Each stored (x, z, e) carries i^e / 2: the keys and coefficient
+        bits of ``map_ladder``, and densely B a B+.  The two strings of a
+        ladder share x and differ in z by the mode's row of beta^-1."""
+        n = 5
+        if name.startswith("beta"):
+            t = Transform(_random_beta(np.random.default_rng(int(name[4:])), n))
+        else:
+            t = _NAMED[name](n)
+        b = _basis_matrix(t)
+        for mode in range(n):
+            row = sum(int(bit) << k for k, bit in enumerate(t.beta_inv[mode]))
+            for dagger in (0, 1):
+                strings = t.ladder_strings[mode][dagger]
+                got = {(x, z): 0.5 * 1j**e for x, z, e in strings}
+                assert repr(got) == repr(dict(t.map_ladder(mode, bool(dagger)).items()))
+                dense = sum(
+                    0.5 * 1j**e * oracles.string_matrix(n, PauliString(n, x, z).letters())
+                    for x, z, e in strings
+                )
+                want = b @ oracles.ladder_matrix(n, mode, dagger) @ b.conj().T
+                assert np.allclose(dense, want, atol=1e-12)
+                (x0, z0, _), (x1, z1, _) = strings
+                assert x0 == x1 and z0 ^ z1 == row
+
+
 class TestMapOperator:
     def test_number_operator_under_jw(self):
         t = Transform.jordan_wigner(3)
@@ -341,13 +366,13 @@ class TestMapOperatorReference:
         if name.startswith("beta"):
             t = Transform(_random_beta(np.random.default_rng(int(name[4:])), n))
         else:
-            t = by_name(name, n)
+            t = _NAMED[name](n)
         assert len(_assert_matches_paulisum_route(t, terms, constant)) > 100
 
     @pytest.mark.parametrize("name", ["jw", "bk"])
     def test_h2_hamiltonian(self, name):
         n, terms, constant = _hamiltonian_terms("h2_sto3g.fcidump")
-        assert len(_assert_matches_paulisum_route(by_name(name, n), terms, constant)) == 15
+        assert len(_assert_matches_paulisum_route(_NAMED[name](n), terms, constant)) == 15
 
     def test_repeated_modes_cancel_to_zero(self):
         t = Transform(_random_beta(np.random.default_rng(4), 4))

@@ -200,7 +200,8 @@ class TestProductFormula:
 
 def _expansion_cases():
     """(pool, transform) per name: H4's 8-mode pool under JW, BK and eight
-    seeded encodings, a 6-mode pool, and water's 14-mode pool."""
+    seeded encodings, a 6-mode pool, and water's 14-mode pool under JW, BK
+    and four seeded encodings."""
     rng = np.random.default_rng(11)
     pools = {
         "h4": uccsd_pool(range(4), range(4, 8)),
@@ -218,6 +219,10 @@ def _expansion_cases():
     cases["six-beta"] = (pools["six"], Transform.from_lower_bits(6, _random_beta_bits(rng, 6)))
     cases["water-jw"] = (pools["water"], Transform.jordan_wigner(14))
     cases["water-bk"] = (pools["water"], Transform.bravyi_kitaev(14))
+    for i in range(4):
+        cases[f"water-beta{i}"] = (
+            pools["water"], Transform.from_lower_bits(14, _random_beta_bits(rng, 14))
+        )
     return cases
 
 
@@ -315,13 +320,20 @@ class TestExpandTerm:
     @pytest.mark.parametrize("case", sorted(_EXPANSION_CASES))
     def test_matches_pauli_sum_route(self, case, anti):
         """The mask-level expansion equals the FermionOperator -> PauliSum
-        route with letter-word sorting, field for field."""
+        route with letter-word sorting, field for field, signed zero angles
+        included."""
         pool, transform = _EXPANSION_CASES[case]
         for i, seq in enumerate(pool):
-            theta = 0.3 - 0.05 * i
-            got = tr.expand_term(seq, transform, theta, anti=anti)
-            want = oracles.expand_term_via_paulis(seq, transform, theta, anti=anti)
-            assert repr(got) == repr(want)
+            for theta in (0.3 - 0.05 * i, 0.0, -0.0, -0.6):
+                got = tr.expand_term(seq, transform, theta, anti=anti)
+                want = oracles.expand_term_via_paulis(seq, transform, theta, anti=anti)
+                assert repr(got) == repr(want)
+
+    def test_mode_out_of_range(self):
+        jw = Transform.jordan_wigner(4)
+        for indices in ((4, 0), (2, -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                tr.expand_term(OrbitalSequence("single", indices), jw)
 
     def test_rotations_and_wires(self):
         term = tr.expand_term(
@@ -1047,9 +1059,12 @@ _MISSING_BASIS_CHANGE = pytest.mark.xfail(
 
 
 def _plan_order_cases():
-    for name, bosonic, reorder in itertools.product(_SV_ENCODINGS, (True, False), (True, False)):
+    for relabel, name, bosonic, reorder in itertools.product(
+        (False, True), _SV_ENCODINGS, (True, False), (True, False)
+    ):
         marks = [_MISSING_BASIS_CHANGE] if bosonic and name != "jw" else []
-        yield pytest.param(name, bosonic, reorder, marks=marks, id=f"{name}-b{bosonic:d}-r{reorder:d}")
+        case = f"{name}-b{bosonic:d}-r{reorder:d}" + ("-l1" if relabel else "")
+        yield pytest.param(name, bosonic, reorder, relabel, marks=marks, id=case)
 
 
 class TestEmittedPeephole:
@@ -1078,8 +1093,8 @@ class TestEmittedPeephole:
 
 
 class TestPlanStatevector:
-    @pytest.mark.parametrize("name,bosonic,reorder", _plan_order_cases())
-    def test_circuit_is_ansatz_in_plan_order(self, name, bosonic, reorder):
+    @pytest.mark.parametrize("name,bosonic,reorder,relabel", _plan_order_cases())
+    def test_circuit_is_ansatz_in_plan_order(self, name, bosonic, reorder, relabel):
         """The emitted circuit on the compressed reference equals the exact
         excitation exponentials applied to the reference in ``plan.order``.
 
@@ -1087,16 +1102,19 @@ class TestPlanStatevector:
         of each fully occupied touched pair cleared (restoration sets it
         again).  It is encoded in the frame of the circuit's first stage:
         Jordan-Wigner when the plan compresses terms, otherwise the
-        transform's.
+        transform's.  A relabeled plan runs each excitation with its modes
+        mapped through ``plan.labels`` and its angle signed by the remap.
         """
         n, n_e = _SV_MODES, _SV_ELECTRONS
         transform = _SV_ENCODINGS[name]
         pool = uccsd_pool(range(n_e), range(n_e, n))
         angles = np.random.default_rng(5).uniform(-0.6, 0.6, len(pool))
-        cfg = tr.HeuristicConfig(bosonic=bosonic, reorder=reorder)
+        cfg = tr.HeuristicConfig(bosonic=bosonic, reorder=reorder, relabel=relabel)
         plan = tr.synthesize_ansatz(pool, transform, angles, cfg, occupied=range(n_e))
         assert sorted(plan.order) == list(range(len(pool)))
         assert bool(plan.compressed) == bosonic
+        if relabel and name == "bk":
+            assert plan.labels == (4, 5, 2, 3, 0, 1, 6, 7)
 
         hf = (1 << n_e) - 1
         occupation = hf
@@ -1109,8 +1127,12 @@ class TestPlanStatevector:
         start[frame.encode_occupation(occupation)] = 1.0
         got = apply_to_state(plan.circuit, start)
 
-        seqs = [pool[i] for i in plan.order]
-        ansatz = AnsatzOp.build(transform, seqs, [angles[i] for i in plan.order])
+        seqs, values = [], []
+        for i in plan.order:
+            mapped, sign = tr.permute_sequence(pool[i], plan.labels)
+            seqs.append(mapped)
+            values.append(sign * angles[i])
+        ansatz = AnsatzOp.build(transform, seqs, values)
         want = apply_ansatz(hf_state(n_e, n, transform), ansatz).amplitudes
         assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
 
