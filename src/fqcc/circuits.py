@@ -1,4 +1,4 @@
-"""Circuit IR, resource metrics, dense unitaries and a peephole optimizer.
+"""Circuit IR, resource metrics and a peephole optimizer.
 
 Gates act on wires numbered 0..n_data+n_ancilla-1; ancilla wires are the
 highest indices and must enter and leave every circuit in |0>.  A circuit
@@ -21,8 +21,8 @@ Commutation and closeness use np.allclose's rule |a - b| <= 1e-10 +
 1e-5 |b| in plain complex arithmetic.  Numpy runs in the peephole only
 when a junction rewrite is tried: the control run's product and the Euler
 angles (np.angle) are numpy, while the Euler candidates are rebuilt and
-checked in Python complexes (atol 1e-9).  Dense unitaries and statevector
-application are numpy throughout.
+checked in Python complexes (atol 1e-9).  Dense unitaries of circuits
+are a test oracle and live in ``tests/oracles.py``.
 
 ``Gate`` instances are immutable and shared: ``shared_gate`` hands out one
 validated instance per angle-free (kind, wires), which emitters and
@@ -88,10 +88,6 @@ class Gate:
             raise ValueError(f"repeated wire in {self.kind} {self.qubits}")
         if (self.theta is None) == (self.kind in _ROTATIONS):
             raise ValueError(f"theta mismatch for {self.kind}")
-
-    @property
-    def is_two_qubit(self):
-        return self.kind in _TWO_QUBIT
 
     def inverse(self):
         if self.kind in _ROTATIONS:
@@ -264,73 +260,6 @@ def metrics(circ: Circuit, expand=True) -> Metrics:
             level[q] = lvl
         depth = max(depth, lvl)
     return Metrics(two, rz, depth, tc, circ.n_ancilla, len(work.gates))
-
-
-# ---------------------------------------------------------------------------
-# dense unitaries
-# ---------------------------------------------------------------------------
-
-
-def _apply_dense(mat, gate: Gate, n):
-    idx = np.arange(1 << n)
-    if gate.kind == "CNOT":
-        c, t = gate.qubits
-        sel = (idx >> c & 1).astype(bool)
-        mat[idx[sel]] = mat[idx[sel] ^ (1 << t)]
-        return mat
-    if gate.kind == "CZ":
-        a, b = gate.qubits
-        sel = ((idx >> a & 1) & (idx >> b & 1)).astype(bool)
-        mat[sel] *= -1.0
-        return mat
-    (q,) = gate.qubits
-    g = gate.matrix_1q()
-    sel = (idx >> q & 1).astype(bool)
-    lo = mat[~sel]
-    hi = mat[sel]
-    mat[~sel] = g[0, 0] * lo + g[0, 1] * hi
-    mat[sel] = g[1, 0] * lo + g[1, 1] * hi
-    return mat
-
-
-def unitary(circ: Circuit) -> np.ndarray:
-    """Dense unitary on all wires (data + ancilla); capped at 12 qubits."""
-    n = circ.n_qubits
-    if n > 12:
-        raise ValueError("dense unitary is limited to 12 qubits")
-    work = expand_toffolis(circ)
-    u = np.eye(1 << n, dtype=complex) * work.global_phase
-    for g in work.gates:
-        u = _apply_dense(u, g, n)
-    return u
-
-
-def apply_to_state(circ: Circuit, vec: np.ndarray) -> np.ndarray:
-    work = expand_toffolis(circ)
-    out = np.array(vec, dtype=complex, copy=True) * work.global_phase
-    out = out[:, None]
-    for g in work.gates:
-        out = _apply_dense(out, g, circ.n_qubits)
-    return out[:, 0]
-
-
-def data_block(u: np.ndarray, n_data: int, n_ancilla: int):
-    """(block, leakage): the <0_anc|U|0_anc> block and the worst column leak.
-
-    Ancillas are the high wires, so the |0_anc> block is the top-left corner.
-    """
-    d = 1 << n_data
-    block = u[:d, :d]
-    leak = 0.0 if n_ancilla == 0 else float(np.max(np.abs(u[d:, :d])))
-    return block, leak
-
-
-def equal_up_to_phase(a, b, tol=1e-10):
-    ab = a.conj().T @ b
-    lead = ab.flat[np.argmax(np.abs(ab))]
-    if abs(abs(lead) - 1.0) > tol:
-        return False
-    return bool(np.allclose(ab, lead * np.eye(a.shape[0]), atol=tol))
 
 
 # ---------------------------------------------------------------------------

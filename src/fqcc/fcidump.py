@@ -138,7 +138,9 @@ def parse_fcidump(text):
     """Parse FCIDUMP text into an FcidumpRecord.
 
     Orbital energies are optional in the format; without them they are
-    derived from the closed-shell Fock diagonal.
+    derived from the closed-shell Fock diagonal.  A file that gives some
+    orbital energies must give all of them, and NELEC must lie in
+    0..2*NORB.
     """
     head, sep, body = text.partition("&END")
     if not sep:
@@ -154,7 +156,7 @@ def parse_fcidump(text):
 
     h1 = np.zeros((norb, norb))
     g2 = np.zeros((norb, norb, norb, norb))
-    eps = None
+    eps = {}  # 1-based orbital -> the energy the file states
     core = 0.0
     for offset, line in enumerate(body.splitlines()):
         line_no = header_lines + offset
@@ -179,9 +181,7 @@ def parse_fcidump(text):
         if i == j == k == l == 0:
             core = v
         elif j == k == l == 0:
-            if eps is None:
-                eps = np.zeros(norb)
-            eps[i - 1] = v
+            eps[i] = v
         elif k == l == 0:
             if i == 0 or j == 0:
                 raise FcidumpError("one-body entry with a zero index", line_no=line_no)
@@ -195,8 +195,19 @@ def parse_fcidump(text):
                 for c, d in ((r, s), (s, r)):
                     g2[a, b, c, d] = v
                     g2[c, d, a, b] = v
-    if eps is None:
-        eps = _closed_shell_fock_diagonal(h1, g2, nelec)
+    if not eps:
+        energies = _closed_shell_fock_diagonal(h1, g2, nelec)
+    else:
+        if not 0 <= nelec <= 2 * norb:
+            raise FcidumpError(
+                f"NELEC={nelec} is outside 0..{2 * norb} for NORB={norb}", line_no=1
+            )
+        missing = [str(p) for p in range(1, norb + 1) if p not in eps]
+        if missing:
+            raise FcidumpError(
+                f"orbital energies are given, but not for orbitals {', '.join(missing)}"
+            )
+        energies = np.array([eps[p] for p in range(1, norb + 1)])
     return FcidumpRecord(
         norb=norb,
         nelec=nelec,
@@ -206,7 +217,7 @@ def parse_fcidump(text):
         core_energy=core,
         h1=h1,
         g2=g2,
-        orbital_energies=eps,
+        orbital_energies=energies,
     )
 
 

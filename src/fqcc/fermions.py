@@ -17,10 +17,6 @@ def spin_of(mode):
     return mode & 1
 
 
-def spatial_of(mode):
-    return mode >> 1
-
-
 @dataclass(frozen=True, slots=True)
 class LadderOp:
     """A single creation (dagger=True) or annihilation operator."""
@@ -114,13 +110,6 @@ class FermionOperator:
             for t in self.terms
         ]
         return transform.map_operator(raw, constant=self.constant)
-
-
-def number_operator(n_modes):
-    terms = [
-        FermionTerm(1.0, (LadderOp(j, True), LadderOp(j, False))) for j in range(n_modes)
-    ]
-    return FermionOperator(n_modes, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -289,98 +278,8 @@ def uccsd_pool(occ, virt, spin_conserving=True):
     return pool
 
 
-def build_uccsd(occ, virt, selected, amplitudes, n_modes=None):
-    """Anti-Hermitian cluster operator sum_a t_a (T_a - T_a+).
-
-    ``amplitudes`` runs parallel to ``selected``: t_a is the amplitude at
-    excitation a's position, and a length mismatch raises ``ValueError``.
-    """
-    selected = list(selected)
-    amplitudes = list(amplitudes)
-    if len(amplitudes) != len(selected):
-        raise ValueError(f"{len(amplitudes)} amplitudes for {len(selected)} excitations")
-    occ = set(occ)
-    virt = set(virt)
-    if occ & virt:
-        raise ValueError("occupied and virtual index sets overlap")
-    if n_modes is None:
-        n_modes = max(occ | virt, default=-1) + 1
-    seen = set()
-    terms = []
-    for seq, amplitude in zip(selected, amplitudes):
-        if seq in seen:
-            raise ValueError(f"duplicate excitation {seq}")
-        seen.add(seq)
-        if not set(seq.creations()) <= virt or not set(seq.annihilations()) <= occ:
-            raise ValueError(
-                f"excitation {seq} is not an occ→virt substitution for the given sets"
-            )
-        terms += (amplitude * excitation_generator(seq, n_modes)).terms
-    return FermionOperator(n_modes, terms)
-
-
 def excitation_generator(seq: OrbitalSequence, n_modes) -> FermionOperator:
     """T - T+ for a single excitation with unit amplitude."""
     fwd = seq.term(1.0)
     rev = fwd.adjoint()
     return FermionOperator(n_modes, [fwd, FermionTerm(-rev.coefficient, rev.ops)])
-
-
-# ---------------------------------------------------------------------------
-# anticommutation report
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class AnticommutationReport:
-    n_modes: int
-    ok: bool
-    violations: list
-
-    def __str__(self):
-        if self.ok:
-            return f"all canonical anticommutation relations hold on {self.n_modes} modes"
-        lines = [f"{len(self.violations)} violations on {self.n_modes} modes:"]
-        lines += [f"  {rel} ({i},{j}): deviation {dev:.3e}" for rel, i, j, dev in self.violations]
-        return "\n".join(lines)
-
-
-def anticommutation_check(n_modes, transform, tol=1e-10):
-    """Dense check of the canonical anticommutation relations under a transform."""
-    if n_modes > 6:
-        raise ValueError("dense anticommutation check supports at most 6 modes")
-    if transform.n_modes != n_modes:
-        raise ValueError("transform mode count mismatch")
-    from .paulis import CompiledSum
-
-    dim = 1 << n_modes
-    eye = np.eye(dim)
-
-    def dense(mode, dagger):
-        op = CompiledSum(transform.map_ladder(mode, dagger))
-        m = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            m[:, col] = op.apply(e)
-        return m
-
-    a = [dense(j, False) for j in range(n_modes)]
-    ad = [dense(j, True) for j in range(n_modes)]
-    violations = []
-    for i in range(n_modes):
-        for j in range(i, n_modes):
-            dev = np.abs(a[i] @ a[j] + a[j] @ a[i]).max()
-            if dev > tol:
-                violations.append(("{a,a}", i, j, float(dev)))
-            dev = np.abs(ad[i] @ ad[j] + ad[j] @ ad[i]).max()
-            if dev > tol:
-                violations.append(("{a+,a+}", i, j, float(dev)))
-    for i in range(n_modes):
-        for j in range(n_modes):
-            anti = a[i] @ ad[j] + ad[j] @ a[i]
-            want = eye if i == j else 0.0
-            dev = np.abs(anti - want).max()
-            if dev > tol:
-                violations.append(("{a,a+}", i, j, float(dev)))
-    return AnticommutationReport(n_modes, not violations, violations)

@@ -32,6 +32,12 @@ the compiled generators.  The loop carries the ansatz's values as a tuple
 parallel to its terms, and each new term is appended last, so the sign of
 its starting value is resolved by applying its one exponential to the
 cycle's state.
+
+``run_hmp2_loop`` is the one path through these steps: it forms N_a with
+``first_order_numerators``, divides by ``FockData.denominator`` for the
+amplitudes and energy contributions, scores the candidates with
+``candidate_scores`` and picks the next term with ``select_next``.
+``write_cycles_csv`` writes a run's per-cycle table.
 """
 
 from __future__ import annotations
@@ -60,8 +66,7 @@ from .transform import Transform
 __all__ = [
     "MP2Result", "mp2_classical",
     "ztilde_operator", "first_order_numerators",
-    "hmp2_correct", "wavefunction_correction",
-    "SelectionResult", "select_next",
+    "SelectionResult", "candidate_scores", "select_next",
     "HMP2Config", "HMP2Report", "HMP2Run", "run_hmp2_loop", "write_cycles_csv",
 ]
 
@@ -245,41 +250,6 @@ def _second_order(numerators, deltas):
     return amplitudes, contributions
 
 
-def hmp2_correct(
-    state: Statevector,
-    hamiltonian: PauliSum | CompiledSum,
-    fock: FockData,
-    alpha_prime,
-    ztilde: PauliSum | CompiledSum | None,
-    transform,
-) -> float:
-    """Second-order energy correction around the converged ansatz state."""
-    alpha_prime = list(alpha_prime)
-    numerators = first_order_numerators(state, hamiltonian, alpha_prime, ztilde, transform)
-    _, contributions = _second_order(numerators, _denominators(fock, alpha_prime))
-    return sum(contributions.values())
-
-
-def wavefunction_correction(
-    state: Statevector,
-    hamiltonian: PauliSum | CompiledSum,
-    fock: FockData,
-    alphas,
-    ztilde: PauliSum | CompiledSum | None,
-    transform,
-) -> dict[str, float]:
-    """First-order amplitude per excitation: N_a / dE_a.
-
-    With an identity ansatz this is exactly the classical second-order
-    amplitude map; afterwards it measures what the current ansatz has not
-    yet captured.
-    """
-    alphas = list(alphas)
-    numerators = first_order_numerators(state, hamiltonian, alphas, ztilde, transform)
-    amplitudes, _ = _second_order(numerators, _denominators(fock, alphas))
-    return amplitudes
-
-
 # ---------------------------------------------------------------------------
 # term selection
 # ---------------------------------------------------------------------------
@@ -296,7 +266,7 @@ def _ladder_count(seq: OrbitalSequence) -> int:
     return len(seq.creations()) + len(seq.annihilations())
 
 
-def _scores(pool, current, amplitudes) -> dict[str, float]:
+def candidate_scores(pool, current, amplitudes) -> dict[str, float]:
     """|amplitude| / ladder-operator count for each candidate: a pool term
     not in ``current`` that has an amplitude."""
     have = {seq.name for seq in current}
@@ -308,27 +278,20 @@ def _scores(pool, current, amplitudes) -> dict[str, float]:
 
 
 def select_next(
-    current_terms,
     pool,
+    scores: dict,
     amplitudes: dict,
     contributions: dict | None = None,
     threshold: float | None = None,
 ) -> SelectionResult | None:
-    """Pick the candidate with the largest amplitude per added ladder operator.
+    """Pick the candidate with the largest score (``candidate_scores``).
 
-    Candidates are single-term extensions of the current list.  Scores are
-    |amplitude| / (number of ladder operators the term adds); ties (scores
-    within a relative 1e-12 of the best) break on the canonical term order.
-    Returns None when the pool is exhausted or, when a threshold and
-    per-term energy contributions are given, when no remaining candidate's
-    |contribution| reaches it (the loop-complete signal).
+    Ties (scores within a relative 1e-12 of the best) break on the
+    canonical term order; the guess is the winner's amplitude.  Returns
+    None when no candidate is scored (the pool is exhausted) or, when a
+    threshold and per-term energy contributions are given, when no scored
+    candidate's |contribution| reaches it (the loop-complete signal).
     """
-    scores = _scores(pool, current_terms, amplitudes)
-    return _select(pool, scores, amplitudes, contributions, threshold)
-
-
-def _select(pool, scores, amplitudes, contributions, threshold) -> SelectionResult | None:
-    """``select_next`` on candidate scores already computed by ``_scores``."""
     if not scores:
         return None
     if threshold is not None and contributions is not None:
@@ -448,7 +411,7 @@ def run_hmp2_loop(
     amplitudes0 = mp2.amplitudes
     contributions0 = mp2.contributions
     e_corr2 = mp2.e_corr
-    scores0 = _scores(pool, (), amplitudes0)
+    scores0 = candidate_scores(pool, (), amplitudes0)
     reports = [
         HMP2Report(
             cycle=0,
@@ -482,7 +445,7 @@ def run_hmp2_loop(
 
     generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation, this run
     if not terms:
-        selection = _select(pool, scores0, amplitudes0, contributions0, config.delta_e)
+        selection = select_next(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:
             return HMP2Run(reports, True, "no candidate above threshold", ())
         kernel = compile_generator(selection.term, transform, sector, generators)
@@ -513,8 +476,8 @@ def run_hmp2_loop(
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
         e_total = result.energy + e_corr2
-        scores = _scores(pool, terms, amplitudes)
-        selection = _select(pool, scores, amplitudes, contributions, config.delta_e)
+        scores = candidate_scores(pool, terms, amplitudes)
+        selection = select_next(pool, scores, amplitudes, contributions, config.delta_e)
         report = HMP2Report(
             cycle=cycle,
             n_terms=len(terms),

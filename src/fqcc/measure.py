@@ -30,7 +30,7 @@ from .paulis import PauliString, PauliSum, word_key
 
 __all__ = [
     "QSRContext", "qsr_context_from_terms", "qsr_compress", "qsr_compress_sum",
-    "conjugate_string", "MeasurementGroup", "MeasurementPlan",
+    "MeasurementGroup", "MeasurementPlan",
     "partition_qwc", "partition_gc",
 ]
 
@@ -202,15 +202,6 @@ def _conjugate_masks(x, z, sign, kind, qubits):
     return x, z, sign
 
 
-def conjugate_string(s: PauliString, gates) -> PauliString:
-    """Map a string through a Clifford gate list: s -> U s U+ exactly."""
-    x, z, sign = s.xmask, s.zmask, 1.0
-    for gate in gates:
-        kind, qubits = (gate.kind, gate.qubits) if hasattr(gate, "kind") else gate
-        x, z, sign = _conjugate_masks(x, z, sign, kind, qubits)
-    return PauliString(s.n_qubits, x, z, s.coeff * sign)
-
-
 # ---------------------------------------------------------------------------
 # commuting-group partitions
 # ---------------------------------------------------------------------------
@@ -254,10 +245,6 @@ class MeasurementPlan:
     @property
     def total_extra_two_qubit(self):
         return sum(g.extra_two_qubit for g in self.groups)
-
-    @property
-    def average_extra_two_qubit(self):
-        return self.total_extra_two_qubit / self.n_groups if self.groups else 0.0
 
     def measurement_ratio(self, n_baseline=None) -> float:
         """Reduced-to-combined count ratio; 0.5 means no reduction."""

@@ -13,9 +13,9 @@ excitations are compressed onto half the register.  This module provides:
   with an integer power of i each (no complex arithmetic and no merge; T+
   is the conjugate on the same strings), and the strings sorted on mask
   keys,
-- ``synth_pauli_exp`` / ``term_circuit``: circuit emission through one
-  block emitter that reads each string's letters from its masks and
-  appends shared, already-validated H / S / Sdg / CNOT gates
+- ``term_circuit``: circuit emission through one block emitter that
+  reads each string's letters from its masks and appends shared,
+  already-validated H / S / Sdg / CNOT gates
   (``circuits.shared_gate``); only the Rz of each rotation is built per
   angle, and no gate is re-validated on its way into the circuit,
 - ``intra_order``: per-term string order for each ladder target, by
@@ -145,17 +145,6 @@ class TrotterTerm:
     eligible_targets: tuple[int, ...]
     anti: bool = False
 
-    def rotations(self):
-        """(string, signed angle) pairs in stored order."""
-        return tuple((s, self.angle * s.coeff.real) for s in self.strings)
-
-    def wires(self):
-        """Sorted union of the string supports."""
-        out = set()
-        for s in self.strings:
-            out.update(s.support)
-        return tuple(sorted(out))
-
 
 def _canonical_string_order(strings):
     n = strings[0].n_qubits
@@ -247,23 +236,6 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
 # per-string synthesis
 # ---------------------------------------------------------------------------
 
-def synth_pauli_exp(string, theta, target, n_qubits=None):
-    """exp(-i theta/2 * string) as basis changes, a CNOT ladder, and one Rz.
-
-    The ladder folds every other support wire onto ``target``; the block
-    uses exactly ``2 * (weight - 1)`` CNOTs.
-    """
-    n = n_qubits if n_qubits is not None else string.n_qubits
-    support = string.xmask | string.zmask
-    if not support >> target & 1:
-        raise ValueError(f"target {target} carries identity in {string.to_text()}")
-    if support.bit_length() > n:
-        raise ValueError(f"{string.to_text()} does not fit on {n} wires")
-    gates = []
-    _emit_block(gates, string, Gate("Rz", (target,), theta))
-    return Circuit(n, 0, gates)
-
-
 def _wires(mask):
     """The set bits of ``mask``, ascending."""
     out = []
@@ -304,8 +276,9 @@ def term_circuit(term, ordering=None, target=None, n_qubits=None):
     """Blocks for every rotation of ``term``, sharing one ladder target.
 
     ``ordering`` permutes the stored strings; ``target`` defaults to the
-    first eligible wire.  A term with no eligible target falls back to
-    per-string targets (the highest support wire of each string).
+    first eligible wire and must carry a letter in every string.  A term
+    with no eligible target falls back to per-string targets (the highest
+    support wire of each string).
     """
     n = n_qubits if n_qubits is not None else term.n_qubits
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
@@ -313,11 +286,14 @@ def term_circuit(term, ordering=None, target=None, n_qubits=None):
         raise ValueError(f"ordering {order} is not a permutation")
     if target is None and term.eligible_targets:
         target = term.eligible_targets[0]
-    support = 0
+    support, common = 0, -1
     for string in term.strings:
         support |= string.xmask | string.zmask
+        common &= string.xmask | string.zmask
     if support.bit_length() > n or (target is not None and not 0 <= target < n):
         raise ValueError(f"term does not fit on {n} wires")
+    if target is not None and not common >> target & 1:
+        raise ValueError(f"target {target} carries identity in a string of the term")
     gates = []
     for j in order:
         string = term.strings[j]
@@ -895,13 +871,17 @@ def restoration_circuit(touched_pairs, n_qubits):
 
 @dataclass(frozen=True, slots=True)
 class HeuristicConfig:
-    """Which reduction passes to run and how."""
+    """Which reduction passes ``plan_ansatz`` runs, and the rotation convention.
+
+    ``reorder`` runs the per-term and cross-term ordering, ``bosonic`` the
+    paired-double compression, and ``relabel`` the pair-swap relabeling
+    (``relabel_levels`` at its default swap arity).  ``anti`` expands each
+    term as exp(theta * (T - T+)) rather than exp(-i theta / 2 (T + T+)).
+    """
 
     reorder: bool = True
     bosonic: bool = True
     relabel: bool = False
-    relabel_k: int = 2
-    peephole: bool = True
     anti: bool = True
 
 
@@ -954,7 +934,7 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
 
     labels = tuple(range(n))
     if config.relabel:
-        labels = relabel_levels(seqs, transform, config.relabel_k, anti=config.anti).labels
+        labels = relabel_levels(seqs, transform, anti=config.anti).labels
         relabeled = [permute_sequence(seq, labels) for seq in seqs]
         seqs = [mapped for mapped, _ in relabeled]
         angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
@@ -1008,15 +988,16 @@ def _unchained(terms):
     )
 
 
-def emit_circuit(plan, *, peephole=True):
+def emit_circuit(plan):
     """The circuit of a plan, in ``plan.order``.
 
     Compressed blocks lead, followed by the restoration fan-out, then one
-    block per class chain and per standalone term; with ``peephole`` each
-    of those blocks is reduced by ``peephole_cancel``.  Compressed blocks
-    act in the Jordan-Wigner frame and kept terms in the transform's, and
-    no basis change is emitted between the two: under a non-identity
-    encoding with compressed terms the circuit is not yet the ansatz.
+    block per class chain and per standalone term.  Each of those blocks
+    is reduced by ``peephole_cancel``, which realizes the boundary savings
+    that ``plan.model_two_qubit`` counts.  Compressed blocks act in the
+    Jordan-Wigner frame and kept terms in the transform's, and no basis
+    change is emitted between the two: under a non-identity encoding with
+    compressed terms the circuit is not yet the ansatz.
     """
     n = plan.n_qubits
     # every part is built on the plan's n wires, so its gates are appended unchecked
@@ -1031,8 +1012,7 @@ def emit_circuit(plan, *, peephole=True):
         for p in placements:
             term = plan.terms[plan.kept[p.index]]
             block.gates += term_circuit(term, p.ordering, target).gates
-        if peephole:
-            block = peephole_cancel(block)
+        block = peephole_cancel(block)
         circ.gates += block.gates
         circ.global_phase *= block.global_phase
     return circ
@@ -1041,7 +1021,7 @@ def emit_circuit(plan, *, peephole=True):
 def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occupied=None):
     """``plan_ansatz`` followed by ``emit_circuit``: the plan with its circuit."""
     plan = plan_ansatz(seqs, transform, angles, config, occupied=occupied)
-    plan.circuit = emit_circuit(plan, peephole=config.peephole)
+    plan.circuit = emit_circuit(plan)
     return plan
 
 

@@ -10,12 +10,16 @@ and letter-word sort that ``trotter.expand_term`` once used,
 ``map_operator_via_paulisum`` keeps the PauliSum-product route that
 ``Transform.map_operator`` once used, and ``paired_compression_reference``
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
-once used.
+once used.  The last section holds the dense self-checks that only tests
+call (circuit unitaries and statevectors, the anticommutation check,
+Clifford conjugation of a string, a term's signed rotations); they run the
+package's own gate matrices, ladder maps and tableau update.
 """
 
 import collections
 import itertools
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -446,7 +450,7 @@ def paired_compression_reference(seq, n_modes, theta, *, anti):
     n_pairs = n_modes // 2
     full = expand_term(seq, Transform.jordan_wigner(n_modes), 1.0, anti=anti)
     merged = {}
-    for string, rot in full.rotations():
+    for string, rot in rotations(full):
         word, factor = "", 1.0
         for l in range(n_pairs):
             letter, sign = _PAIR_LETTERS[string.letter(2 * l), string.letter(2 * l + 1)]
@@ -978,3 +982,151 @@ def peephole_reference(ops, phase=1.0, junction_rewrite=True):
         if not st.changed:
             break
     return [tuple(op) for op in st.gates], st.phase
+
+
+# ---------------------------------------------------------------------------
+# self-checks on fqcc's own objects: circuits, terms, conjugation, CAR
+# ---------------------------------------------------------------------------
+
+
+def _apply_dense(mat, gate, n):
+    """One ``fqcc.circuits.Gate`` applied to the rows of ``mat``, in place."""
+    idx = np.arange(1 << n)
+    if gate.kind == "CNOT":
+        c, t = gate.qubits
+        sel = (idx >> c & 1).astype(bool)
+        mat[idx[sel]] = mat[idx[sel] ^ (1 << t)]
+        return mat
+    if gate.kind == "CZ":
+        a, b = gate.qubits
+        sel = ((idx >> a & 1) & (idx >> b & 1)).astype(bool)
+        mat[sel] *= -1.0
+        return mat
+    (q,) = gate.qubits
+    g = gate.matrix_1q()
+    sel = (idx >> q & 1).astype(bool)
+    lo = mat[~sel]
+    hi = mat[sel]
+    mat[~sel] = g[0, 0] * lo + g[0, 1] * hi
+    mat[sel] = g[1, 0] * lo + g[1, 1] * hi
+    return mat
+
+
+def unitary(circ):
+    """Dense unitary of an fqcc ``Circuit`` on all wires (data + ancilla); at most 12."""
+    from fqcc.circuits import expand_toffolis
+
+    n = circ.n_qubits
+    if n > 12:
+        raise ValueError("dense unitary is limited to 12 qubits")
+    work = expand_toffolis(circ)
+    u = np.eye(1 << n, dtype=complex) * work.global_phase
+    for g in work.gates:
+        u = _apply_dense(u, g, n)
+    return u
+
+
+def apply_to_state(circ, vec):
+    """An fqcc ``Circuit`` applied to a dense statevector."""
+    from fqcc.circuits import expand_toffolis
+
+    work = expand_toffolis(circ)
+    out = np.array(vec, dtype=complex, copy=True) * work.global_phase
+    out = out[:, None]
+    for g in work.gates:
+        out = _apply_dense(out, g, circ.n_qubits)
+    return out[:, 0]
+
+
+def data_block(u, n_data, n_ancilla):
+    """(block, leakage): the <0_anc|U|0_anc> block and the worst column leak.
+
+    Ancillas are the high wires, so the |0_anc> block is the top-left corner.
+    """
+    d = 1 << n_data
+    block = u[:d, :d]
+    leak = 0.0 if n_ancilla == 0 else float(np.max(np.abs(u[d:, :d])))
+    return block, leak
+
+
+def equal_up_to_phase(a, b, tol=1e-10):
+    ab = a.conj().T @ b
+    lead = ab.flat[np.argmax(np.abs(ab))]
+    if abs(abs(lead) - 1.0) > tol:
+        return False
+    return bool(np.allclose(ab, lead * np.eye(a.shape[0]), atol=tol))
+
+
+def rotations(term):
+    """A ``trotter.TrotterTerm``'s (string, signed angle) pairs in stored order."""
+    return tuple((s, term.angle * s.coeff.real) for s in term.strings)
+
+
+def conjugate_string(s, gates):
+    """Map a string through a Clifford gate list: s -> U s U+ exactly.
+
+    Runs ``measure``'s tableau update; gates are ``Gate``s or (kind, qubits).
+    """
+    from fqcc.measure import _conjugate_masks
+    from fqcc.paulis import PauliString
+
+    x, z, sign = s.xmask, s.zmask, 1.0
+    for gate in gates:
+        kind, qubits = (gate.kind, gate.qubits) if hasattr(gate, "kind") else gate
+        x, z, sign = _conjugate_masks(x, z, sign, kind, qubits)
+    return PauliString(s.n_qubits, x, z, s.coeff * sign)
+
+
+@dataclass(slots=True)
+class AnticommutationReport:
+    n_modes: int
+    ok: bool
+    violations: list
+
+    def __str__(self):
+        if self.ok:
+            return f"all canonical anticommutation relations hold on {self.n_modes} modes"
+        lines = [f"{len(self.violations)} violations on {self.n_modes} modes:"]
+        lines += [f"  {rel} ({i},{j}): deviation {dev:.3e}" for rel, i, j, dev in self.violations]
+        return "\n".join(lines)
+
+
+def anticommutation_check(n_modes, transform, tol=1e-10):
+    """Dense check of the canonical anticommutation relations under a transform."""
+    if n_modes > 6:
+        raise ValueError("dense anticommutation check supports at most 6 modes")
+    if transform.n_modes != n_modes:
+        raise ValueError("transform mode count mismatch")
+    from fqcc.paulis import CompiledSum
+
+    dim = 1 << n_modes
+    eye = np.eye(dim)
+
+    def dense(mode, dagger):
+        op = CompiledSum(transform.map_ladder(mode, dagger))
+        m = np.empty((dim, dim), dtype=complex)
+        for col in range(dim):
+            e = np.zeros(dim, dtype=complex)
+            e[col] = 1.0
+            m[:, col] = op.apply(e)
+        return m
+
+    a = [dense(j, False) for j in range(n_modes)]
+    ad = [dense(j, True) for j in range(n_modes)]
+    violations = []
+    for i in range(n_modes):
+        for j in range(i, n_modes):
+            dev = np.abs(a[i] @ a[j] + a[j] @ a[i]).max()
+            if dev > tol:
+                violations.append(("{a,a}", i, j, float(dev)))
+            dev = np.abs(ad[i] @ ad[j] + ad[j] @ ad[i]).max()
+            if dev > tol:
+                violations.append(("{a+,a+}", i, j, float(dev)))
+    for i in range(n_modes):
+        for j in range(n_modes):
+            anti = a[i] @ ad[j] + ad[j] @ a[i]
+            want = eye if i == j else 0.0
+            dev = np.abs(anti - want).max()
+            if dev > tol:
+                violations.append(("{a,a+}", i, j, float(dev)))
+    return AnticommutationReport(n_modes, not violations, violations)

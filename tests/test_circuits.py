@@ -7,15 +7,13 @@ from fqcc.circuits import (
     Circuit,
     Gate,
     _euler_zxz,
-    data_block,
-    equal_up_to_phase,
     expand_toffolis,
     metrics,
     peephole_cancel,
-    unitary,
 )
 
 import oracles
+from oracles import data_block, equal_up_to_phase, unitary
 
 
 def _oracle_unitary(circ: Circuit):

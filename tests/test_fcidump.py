@@ -71,6 +71,29 @@ class TestParsing:
             assert rec.g2[key] == pytest.approx(0.3)
 
 
+class TestPartialOrbitalEnergies:
+    TWO_ORBITALS = """\
+ &FCI NORB=2,NELEC=2,MS2=0, ORBSYM=1,1, ISYM=1,
+ &END
+  0.3000000000000000E+00    1    1    1    1
+ -0.6000000000000000E+00    1    0    0    0
+"""
+
+    def test_missing_energies_rejected(self):
+        # zero-filling orbital 2 would give a silently wrong Fock denominator
+        with pytest.raises(FcidumpError, match=r"not for orbitals 2$"):
+            parse_fcidump(self.TWO_ORBITALS)
+        full = self.TWO_ORBITALS + "  0.4000000000000000E+00    2    0    0    0\n"
+        assert parse_fcidump(full).orbital_energies.tolist() == [-0.6, 0.4]
+
+    @pytest.mark.parametrize("nelec", [-1, 5])
+    def test_nelec_outside_the_register_rejected(self, nelec):
+        text = self.TWO_ORBITALS.replace("NELEC=2,", f"NELEC={nelec},")
+        text += "  0.4000000000000000E+00    2    0    0    0\n"
+        with pytest.raises(FcidumpError, match=r"NELEC=-?\d+ is outside 0\.\.4"):
+            parse_fcidump(text)
+
+
 class TestMissingOrbitalEnergies:
     # an orbital-energy line is "value i 0 0 0" with i >= 1
     _EPS_LINE = re.compile(r"^\s*\S+\s+[1-9]\d*\s+0\s+0\s+0\s*$\n", re.MULTILINE)

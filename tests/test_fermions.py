@@ -1,27 +1,27 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from fqcc.fermions import (
-    AnticommutationReport,
     FermionOperator,
     FermionTerm,
     FockData,
     LadderOp,
     MolecularHamiltonian,
     OrbitalSequence,
-    anticommutation_check,
     build_hamiltonian,
-    build_uccsd,
-    excitation_generator,
-    number_operator,
-    spatial_of,
     spin_of,
     uccsd_pool,
 )
 from fqcc.transform import Transform
 
 import oracles
+from oracles import AnticommutationReport, anticommutation_check
+
+
+def number_operator(n_modes):
+    """sum_j a+_j a_j on ``n_modes`` modes."""
+    terms = [FermionTerm(1.0, (LadderOp(j, True), LadderOp(j, False))) for j in range(n_modes)]
+    return FermionOperator(n_modes, terms)
 
 
 def _dense(op: FermionOperator, transform=None):
@@ -66,7 +66,6 @@ class TestLadderBasics:
 
     def test_spin_helpers(self):
         assert [spin_of(m) for m in range(4)] == [0, 1, 0, 1]
-        assert [spatial_of(m) for m in range(4)] == [0, 0, 1, 1]
 
 
 class TestFermionOperator:
@@ -235,56 +234,6 @@ class TestUccsdPool:
         full = uccsd_pool(occ=(0, 1), virt=(2, 3), spin_conserving=False)
         assert len(full) > len(restricted)
         assert [s.name for s in full] == ["s_2_0", "s_2_1", "s_3_0", "s_3_1", "d_2_3_0_1"]
-
-
-class TestBuildUccsd:
-    def test_empty_is_zero(self):
-        op = build_uccsd((0, 1), (2, 3), [], [])
-        assert len(op) == 0
-        assert np.allclose(_dense(op), np.zeros((16, 16)), atol=1e-14)
-
-    def test_one_single(self):
-        seq = OrbitalSequence("single", (2, 0))
-        op = build_uccsd((0, 1), (2, 3), [seq], [0.37])
-        want = 0.37 * (
-            oracles.ladder_product_matrix(4, [(2, True), (0, False)])
-            - oracles.ladder_product_matrix(4, [(0, True), (2, False)])
-        )
-        assert np.allclose(_dense(op), want, atol=1e-12)
-
-    def test_anti_hermitian_and_unitary_exponential(self):
-        rng = np.random.default_rng(23)
-        occ, virt = (0, 1), (2, 3)
-        pool = uccsd_pool(occ, virt)
-        amplitudes = rng.normal(size=len(pool))
-        for n_beta in range(3):
-            t = Transform(_random_beta(rng, 4))
-            m = _dense(build_uccsd(occ, virt, pool, amplitudes), t)
-            assert np.allclose(m, -m.conj().T, atol=1e-10)
-            u = expm(m)
-            assert np.allclose(u @ u.conj().T, np.eye(16), atol=1e-10)
-
-    def test_duplicate_rejected(self):
-        seq = OrbitalSequence("single", (2, 0))
-        with pytest.raises(ValueError):
-            build_uccsd((0, 1), (2, 3), [seq, seq], [0.0, 0.0])
-
-    def test_out_of_set_rejected(self):
-        seq = OrbitalSequence("single", (1, 0))
-        with pytest.raises(ValueError):
-            build_uccsd((0,), (2, 3), [seq], [0.0])
-
-    def test_generator_matches_unit_amplitude(self):
-        seq = OrbitalSequence("double", (2, 3, 0, 1))
-        gen = excitation_generator(seq, 4)
-        built = build_uccsd((0, 1), (2, 3), [seq], [1.0])
-        assert np.allclose(_dense(gen), _dense(built), atol=1e-14)
-
-    @pytest.mark.parametrize("amplitudes", [[], [0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
-    def test_amplitude_count_must_match(self, amplitudes):
-        pool = uccsd_pool((0, 1), (2, 3))
-        with pytest.raises(ValueError, match="amplitudes for 3 excitations"):
-            build_uccsd((0, 1), (2, 3), pool, amplitudes)
 
 
 class TestFockData:

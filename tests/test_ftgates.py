@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from fqcc import ftgates
-from fqcc.circuits import Circuit, Gate, data_block, metrics, unitary
+from fqcc.circuits import Circuit, Gate, metrics
 from fqcc.ftgates import (
     FTResourceReport,
     RoleAssignment,
@@ -22,6 +22,8 @@ from fqcc.ftgates import (
     rel_phase_toffoli3,
     weight_sum_accounting,
 )
+
+from oracles import data_block, unitary
 
 THETAS = (0.0, math.pi / 7, math.pi / 2, math.pi, 0.7368, -1.1)
 

@@ -20,12 +20,11 @@ from fqcc.fermions import (
 from fqcc.hmp2 import (
     HMP2Config,
     HMP2Run,
+    candidate_scores,
     first_order_numerators,
-    hmp2_correct,
     mp2_classical,
     run_hmp2_loop,
     select_next,
-    wavefunction_correction,
     write_cycles_csv,
     ztilde_operator,
 )
@@ -45,6 +44,19 @@ ENERGY_TOL = 2e-3
 
 def _sum_matrix(op: PauliSum):
     return oracles.paulisum_matrix(op.n_qubits, [(s.coeff, s.letters()) for s in op])
+
+
+def _second_order(state, hamiltonian, fock, pool, ztilde, transform):
+    """(energy correction sum N_a^2 / dE_a, amplitudes N_a / dE_a) over ``pool``."""
+    numerators = first_order_numerators(state, hamiltonian, pool, ztilde, transform)
+    deltas = {seq.name: fock.denominator(seq) for seq in pool}
+    energy = sum(numerators[name] ** 2 / delta for name, delta in deltas.items())
+    return energy, {name: numerators[name] / delta for name, delta in deltas.items()}
+
+
+def _select(current, pool, amplitudes, contributions=None, threshold=None):
+    scores = candidate_scores(pool, current, amplitudes)
+    return select_next(pool, scores, amplitudes, contributions, threshold)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +166,7 @@ class TestCorrectionBracket:
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
         ref = hf_state(2, 4, tr)
         doubles = [s for s in uccsd_pool(range(2), range(2, 4)) if s.kind == "double"]
-        corr = hmp2_correct(ref, h_pauli, fock, doubles, None, tr)
+        corr, _ = _second_order(ref, h_pauli, fock, doubles, None, tr)
         assert corr == pytest.approx(mp2_classical(ham, fock).e_corr, abs=1e-10)
 
     def test_identity_ansatz_amplitudes_reduce_to_mp2(self, h2):
@@ -162,7 +174,7 @@ class TestCorrectionBracket:
         tr = Transform.jordan_wigner(4)
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
         doubles = [s for s in uccsd_pool(range(2), range(2, 4)) if s.kind == "double"]
-        wf = wavefunction_correction(hf_state(2, 4), h_pauli, fock, doubles, None, tr)
+        _, wf = _second_order(hf_state(2, 4), h_pauli, fock, doubles, None, tr)
         mp2 = mp2_classical(ham, fock)
         for name, amp in mp2.amplitudes.items():
             assert wf[name] == pytest.approx(amp, abs=1e-10)
@@ -178,8 +190,8 @@ class TestCorrectionBracket:
         ansatz = AnsatzOp.build(tr, (seq,), (0.05,))
         state = apply_ansatz(hf_state(2, 4), ansatz)
         zt = ztilde_operator(ansatz)
-        a = hmp2_correct(state, h_pauli, fock, pool, zt, tr)
-        b = hmp2_correct(state, shifted, fock, pool, zt, tr)
+        a, _ = _second_order(state, h_pauli, fock, pool, zt, tr)
+        b, _ = _second_order(state, shifted, fock, pool, zt, tr)
         assert a == pytest.approx(b, abs=1e-10)
 
     def test_ztilde_is_anti_hermitian(self, h2):
@@ -221,9 +233,8 @@ class TestCorrectionBracket:
         res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         state = apply_ansatz(hf_state(2, 4), ansatz.with_values(res.values))
         zt = ztilde_operator(ansatz.with_values(res.values))
-        corr = hmp2_correct(state, h_pauli, fock, pool, zt, tr)
+        corr, wf = _second_order(state, h_pauli, fock, pool, zt, tr)
         assert abs(corr) < 1e-6
-        wf = wavefunction_correction(state, h_pauli, fock, pool, zt, tr)
         # the double that carries all the correlation is already captured
         assert abs(wf["d_2_3_0_1"]) < 1e-3
 
@@ -235,7 +246,7 @@ class TestSelectNext:
     def test_picks_largest_amplitude_per_operator(self):
         pool = self._pool()
         amps = {"s_2_0": 0.1, "s_3_1": 0.02, "d_2_3_0_1": 0.3}
-        sel = select_next((), pool, amps)
+        sel = _select((), pool, amps)
         assert sel.term.name == "d_2_3_0_1"
         assert sel.score == pytest.approx(0.3 / 4)
         assert sel.guess == 0.3
@@ -244,33 +255,33 @@ class TestSelectNext:
         pool = self._pool()
         # single at 0.1 scores 0.05; double at 0.16 scores 0.04
         amps = {"s_2_0": 0.1, "s_3_1": 0.0, "d_2_3_0_1": 0.16}
-        sel = select_next((), pool, amps)
+        sel = _select((), pool, amps)
         assert sel.term.name == "s_2_0"
 
     def test_tie_breaks_canonically(self):
         pool = self._pool()
         amps = {"s_2_0": -0.1, "s_3_1": 0.1, "d_2_3_0_1": 0.0}
-        sel = select_next((), pool, amps)
+        sel = _select((), pool, amps)
         assert sel.term.name == "s_2_0"
         assert sel.guess == -0.1
 
     def test_exhausted_pool_returns_none(self):
         pool = self._pool()
         amps = {s.name: 1.0 for s in pool}
-        assert select_next(pool, pool, amps) is None
+        assert _select(pool, pool, amps) is None
 
     def test_threshold_signals_convergence(self):
         pool = self._pool()
         amps = {s.name: 0.1 for s in pool}
         contribs = {s.name: 1e-9 for s in pool}
-        assert select_next((), pool, amps, contribs, threshold=1e-6) is None
-        sel = select_next((), pool, amps, contribs, threshold=1e-10)
+        assert _select((), pool, amps, contribs, threshold=1e-6) is None
+        sel = _select((), pool, amps, contribs, threshold=1e-10)
         assert sel is not None
 
     def test_terms_without_amplitudes_are_ignored(self):
         pool = self._pool()
         amps = {"s_3_1": 0.2}
-        sel = select_next((), pool, amps)
+        sel = _select((), pool, amps)
         assert sel.term.name == "s_3_1"
 
     @settings(max_examples=40, deadline=None)
@@ -282,7 +293,7 @@ class TestSelectNext:
     def test_score_is_maximal(self, values):
         pool = self._pool()
         amps = {s.name: v for s, v in zip(pool, values)}
-        sel = select_next((), pool, amps)
+        sel = _select((), pool, amps)
         weights = {"single": 2, "double": 4}
         best = max(abs(amps[s.name]) / weights[s.kind] for s in pool)
         assert sel.score == pytest.approx(best, abs=1e-15)
@@ -414,7 +425,7 @@ def water_run(request, h2o):
     vqe_results, scorings = [], []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(hmp2, "vqe_minimize", _recording(vqe_results, hmp2.vqe_minimize))
-        mp.setattr(hmp2, "_scores", _recording(scorings, hmp2._scores))
+        mp.setattr(hmp2, "candidate_scores", _recording(scorings, hmp2.candidate_scores))
         run = run_hmp2_loop(ham, fock, transform=tr)
     return request.param, tr, run, vqe_results, scorings
 

@@ -11,7 +11,6 @@ from fqcc.fermions import OrbitalSequence, build_hamiltonian
 from fqcc.measure import (
     MeasurementPlan,
     QSRContext,
-    conjugate_string,
     partition_gc,
     partition_qwc,
     qsr_compress,
@@ -22,6 +21,7 @@ from fqcc.paulis import PauliString, PauliSum
 from fqcc.transform import Transform
 
 import oracles
+from oracles import conjugate_string
 
 H2_PATH = "tests/fixtures/h2_sto3g.fcidump"
 H2O_PATH = "tests/fixtures/h2o_sto3g.fcidump"

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc import trotter as tr
-from fqcc.circuits import Circuit, apply_to_state, metrics, peephole_cancel
+from fqcc.circuits import Circuit, metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
@@ -50,7 +50,7 @@ def _term_unitary(seq, n, theta, anti):
 
 def _rotations_matrix(term):
     u = np.eye(1 << term.n_qubits, dtype=complex)
-    for string, angle in term.rotations():
+    for string, angle in oracles.rotations(term):
         mat = oracles.string_matrix(term.n_qubits, string.letters())
         u = sla.expm(-0.5j * angle * mat) @ u
     return u
@@ -339,9 +339,9 @@ class TestExpandTerm:
         term = tr.expand_term(
             OrbitalSequence("single", (2, 0)), Transform.jordan_wigner(4), 0.6, anti=True
         )
-        rots = term.rotations()
+        rots = oracles.rotations(term)
         assert [angle for _, angle in rots] == [0.6, -0.6]
-        assert term.wires() == (0, 1, 2)
+        assert set().union(*(s.support for s in term.strings)) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +349,24 @@ class TestExpandTerm:
 # ---------------------------------------------------------------------------
 
 
+def _pauli_exp(string, theta, target):
+    """exp(-i theta/2 * string) from ``term_circuit``, as a one-string term."""
+    term = tr.TrotterTerm(None, string.n_qubits, theta, theta, (string,), (target,))
+    return tr.term_circuit(term, target=target)
+
+
 class TestSynthPauliExp:
+    """One Pauli exponential through ``term_circuit``'s block emitter."""
+
     def test_plain_z(self):
         s = PauliString.from_letters(2, {0: "Z"})
-        circ = tr.synth_pauli_exp(s, 0.5, 0)
+        circ = _pauli_exp(s, 0.5, 0)
         assert [(g.kind, g.qubits) for g in circ.gates] == [("Rz", (0,))]
         assert circ.gates[0].theta == 0.5
 
     def test_zz_ladder(self):
         s = PauliString.from_letters(2, {0: "Z", 1: "Z"})
-        circ = tr.synth_pauli_exp(s, 0.5, 1)
+        circ = _pauli_exp(s, 0.5, 1)
         assert [(g.kind, g.qubits) for g in circ.gates] == [
             ("CNOT", (0, 1)),
             ("Rz", (1,)),
@@ -367,15 +375,18 @@ class TestSynthPauliExp:
 
     def test_mixed_basis_counts(self):
         s = PauliString.from_letters(3, {0: "X", 1: "Y", 2: "Z"})
-        circ = tr.synth_pauli_exp(s, 0.9, 2)
+        circ = _pauli_exp(s, 0.9, 2)
         m = metrics(circ)
         assert m.two_qubit == 4
         assert m.rz_count == 1
 
     def test_identity_target_rejected(self):
         s = PauliString.from_letters(3, {0: "X", 2: "Z"})
-        with pytest.raises(ValueError):
-            tr.synth_pauli_exp(s, 0.9, 1)
+        with pytest.raises(ValueError, match="carries identity"):
+            _pauli_exp(s, 0.9, 1)
+        term = tr.expand_term(OrbitalSequence("single", (2, 0)), Transform.jordan_wigner(4), 0.4)
+        with pytest.raises(ValueError, match="carries identity"):
+            tr.term_circuit(term, target=3)
 
     def test_dense_oracle(self):
         rng = random.Random(9)
@@ -387,7 +398,7 @@ class TestSynthPauliExp:
             target = rng.choice(support)
             theta = rng.uniform(-2, 2)
             s = PauliString.from_letters(n, placed)
-            circ = tr.synth_pauli_exp(s, theta, target, n_qubits=n)
+            circ = _pauli_exp(s, theta, target)
             want = sla.expm(-0.5j * theta * oracles.string_matrix(n, placed))
             assert np.abs(_circ_matrix(circ) - want).max() < 1e-12
 
@@ -407,8 +418,6 @@ class TestSynthPauliExp:
             tr.term_circuit(term, n_qubits=3)
         with pytest.raises(ValueError):
             tr.term_circuit(term, target=5)
-        with pytest.raises(ValueError):
-            tr.synth_pauli_exp(term.strings[0], 0.4, 3, n_qubits=3)
 
 
 # ---------------------------------------------------------------------------
@@ -1125,7 +1134,7 @@ class TestPlanStatevector:
         frame = Transform.jordan_wigner(n) if plan.compressed else transform
         start = np.zeros(1 << n, dtype=complex)
         start[frame.encode_occupation(occupation)] = 1.0
-        got = apply_to_state(plan.circuit, start)
+        got = oracles.apply_to_state(plan.circuit, start)
 
         seqs, values = [], []
         for i in plan.order:

@@ -3,11 +3,11 @@
 
 Plans each system's UCCSD pool with ``trotter.plan_ansatz`` (default
 config, HF modes occupied) three times per encoding, emits the last plan
-once with ``trotter.emit_circuit`` (peephole on), and prints one JSON
-object.  For each system and encoding it holds the planner's model
-two-qubit count, the emitted circuit's two-qubit count
-(``circuit_two_qubit``), and the ``time.perf_counter`` seconds and call
-counts of these layers, summed over the plans or over the one emission:
+once with ``trotter.emit_circuit``, and prints one JSON object.  For each
+system and encoding it holds the planner's model two-qubit count, the
+emitted circuit's two-qubit count (``circuit_two_qubit``), and the
+``time.perf_counter`` seconds and call counts of these layers, summed over
+the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
     expand       trotter.expand_term: the pool's expansions
