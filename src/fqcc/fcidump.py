@@ -9,7 +9,7 @@ convention (even mode = alpha spin).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

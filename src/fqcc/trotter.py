@@ -20,7 +20,9 @@ excitations are compressed onto half the register.  This module provides:
   angle, and no gate is re-validated on its way into the circuit,
 - ``intra_order``: per-term string order for each ladder target, by
   dynamic programming over an exact additive cost model (a Held-Karp pass
-  in numpy, batched over (term, target) pairs),
+  in numpy, batched over (term, target) pairs, that visits only the valid
+  (visited mask, last node, next node) triples, one gather-add and one
+  group max per popcount layer),
 - ``relabel_levels``: greedy level-relabeling over pair-swap permutations,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the dynamic program runs
@@ -401,75 +403,96 @@ def _fallback_choice(term):
 
 
 # Savings matrices solved together in one Held-Karp pass; bounds the pass's
-# working set at 16 * 2^k * k table entries plus one popcount layer.
+# working set at 16 * 2^k * k table entries plus one popcount layer's
+# gathered triples, 16 * C(k, p) * p * (k - p) at most.
 _DP_CHUNK = 16
 
 
 @lru_cache(maxsize=None)
-def _dp_layers(k):
-    """Held-Karp sweep over k nodes, one entry per popcount layer (k-1 .. 1).
+def _dp_triples(k):
+    """Held-Karp sweep over k nodes: the valid (mask, last, next) triples of
+    each popcount layer p = k-1 .. 1, with ``last`` in and ``next`` out of
+    ``mask``, as flat row indices.
 
-    Each entry holds the layer's visited masks, the mask reached by
-    appending each node, and whether that node is still unvisited.
+    Each entry holds the rows written, ``mask * k + last``; the savings rows,
+    ``last * k + next``; the table rows, ``(mask | 1 << next) * k + next``;
+    and the group width ``k - p``.  Triples run mask, last, next ascending,
+    so each (mask, last) group is ``k - p`` consecutive rows.
     """
-    bits = 1 << np.arange(k)
-    popcount = np.array([m.bit_count() for m in range(1 << k)])
     layers = []
     for p in range(k - 1, 0, -1):
-        layer = np.flatnonzero(popcount == p)
-        layers.append((layer, layer[:, None] | bits, (layer[:, None] & bits) == 0))
+        rows, sav, tab = [], [], []
+        for mask in range(1 << k):
+            if mask.bit_count() != p:
+                continue
+            free = [nxt for nxt in range(k) if not mask >> nxt & 1]
+            for last in range(k):
+                if mask >> last & 1:
+                    rows.append(mask * k + last)
+                    sav.extend(last * k + nxt for nxt in free)
+                    tab.extend((mask | 1 << nxt) * k + nxt for nxt in free)
+        layers.append((np.array(rows), np.array(sav), np.array(tab), k - p))
     return tuple(layers)
 
 
 def _held_karp(savings):
-    """Maximum-weight Hamiltonian paths of a (C, k, k) int32 stack.
+    """Maximum-weight Hamiltonian paths of a (C, k, k) non-negative int32 stack.
 
-    ``f[c, mask, last]`` holds the best suffix weight from ``last`` with
-    ``mask`` already visited (0 when no move is left or none gains), so each
-    path is rebuilt greedily, smallest node first.
+    ``f[mask * k + last, c]`` holds the best suffix weight from ``last``
+    with ``mask`` already visited (0 when no move is left); each layer is one
+    gather-add over its valid triples and one max per (mask, last) group, with
+    the batch innermost.  Savings are non-negative, so no move is masked out
+    and no weight is floored at 0.  Each path is rebuilt greedily: at every
+    step the smallest unvisited node that attains the optimum, the first
+    argmax of its group.
     """
     c, k, _ = savings.shape
-    nodes = np.arange(k)
-    f = np.zeros((c, 1 << k, k), dtype=np.int32)
-    for layer, ahead, free in _dp_layers(k):
-        # cand[c, m, last, nxt] = savings[c, last, nxt] + f[c, m | 1 << nxt, nxt]
-        cand = savings[:, None, :, :] + f[:, ahead, nodes][:, :, None, :]
-        f[:, layer, :] = (cand * free[:, None, :]).max(axis=3)
-    weight = f[:, 1 << nodes, nodes].max(axis=1)
+    gain = np.ascontiguousarray(savings.reshape(c, k * k).T)
+    f = np.zeros(((1 << k) * k, c), dtype=np.int32)
+    for rows, sav, tab, width in _dp_triples(k):
+        cand = np.take(gain, sav, axis=0)
+        cand += np.take(f, tab, axis=0)
+        f[rows] = cand.reshape(-1, width, c).max(axis=1)
 
-    rows = np.arange(c)
+    nodes = np.arange(k)[:, None]
+    cols = np.arange(c)
+    weight = f[(1 << nodes) * k + nodes, cols].max(axis=0)
     mask = np.zeros(c, dtype=np.int64)
-    remaining = weight
-    gain = np.zeros((c, k), dtype=np.int32)
-    path = np.empty((c, k), dtype=np.int64)
+    step_gain = np.zeros((k, c), dtype=np.int32)
+    path = np.empty((k, c), dtype=np.int64)
     for step in range(k):
-        reach = mask[:, None] | (1 << nodes)
-        fits = gain + f[rows[:, None], reach, nodes] == remaining[:, None]
-        v = (fits & (reach != mask[:, None])).argmax(axis=1)
-        path[:, step] = v
-        remaining = remaining - gain[rows, v]
+        reach = mask | 1 << nodes
+        cand = step_gain + f[reach * k + nodes, cols]
+        cand[reach == mask] = -1  # visited: below every real candidate
+        v = cand.argmax(axis=0)
+        path[step] = v
         mask |= 1 << v
-        gain = savings[rows, v]
-    return list(zip(weight.tolist(), map(tuple, path.tolist())))
+        step_gain = gain[v * k + nodes, cols]
+    return list(zip(weight.tolist(), map(tuple, path.T.tolist())))
 
 
 def _max_paths(matrices):
     """(weight, path) of each non-negative integer matrix; sizes may mix.
 
     The path is the lexicographically smallest maximum-weight Hamiltonian
-    path.  Matrices of one size are solved ``_DP_CHUNK`` at a time, in int32:
-    path weights must stay below 2**31 (boundary savings are at most twice
-    the register width per step).
+    path.  Matrices of one size are solved ``_DP_CHUNK`` at a time, in int32;
+    a negative entry, or a k x k matrix whose (k - 1) * max entry reaches
+    2**31 (a path weight could overflow), raises ValueError.  Boundary
+    savings are at most twice the register width per step.
     """
     out = [None] * len(matrices)
     by_size = {}
     for idx, mat in enumerate(matrices):
         by_size.setdefault(len(mat), []).append(idx)
-    for idxs in by_size.values():
+    for k, idxs in by_size.items():
         for start in range(0, len(idxs), _DP_CHUNK):
             chunk = idxs[start : start + _DP_CHUNK]
-            stack = np.array([matrices[i] for i in chunk], dtype=np.int32)
-            for i, result in zip(chunk, _held_karp(stack)):
+            stack = np.array([matrices[i] for i in chunk], dtype=np.int64)
+            if stack.min() < 0:
+                raise ValueError("savings matrices must be non-negative")
+            if (k - 1) * int(stack.max()) >= 2**31:
+                raise ValueError(f"a {k} x {k} savings matrix's path weight may overflow int32")
+            for i, result in zip(chunk, _held_karp(stack.astype(np.int32))):
                 out[i] = result
     return out
 

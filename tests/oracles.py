@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import expm  # noqa: F401  (re-exported for tests)
 
 # ---------------------------------------------------------------------------
 # dense Pauli algebra

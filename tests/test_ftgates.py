@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fqcc import ftgates
 from fqcc.circuits import Circuit, Gate, metrics
 from fqcc.ftgates import (
     FTResourceReport,

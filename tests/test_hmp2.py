@@ -1,6 +1,5 @@
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +11,12 @@ from fqcc.fcidump import load_fcidump
 from fqcc.fermions import (
     FockData,
     MolecularHamiltonian,
-    OrbitalSequence,
     build_hamiltonian,
     excitation_generator,
     uccsd_pool,
 )
 from fqcc.hmp2 import (
     HMP2Config,
-    HMP2Run,
     candidate_scores,
     first_order_numerators,
     mp2_classical,

@@ -151,3 +151,29 @@ def test_uncalled_entries_are_current():
     assert not missing, f"UNCALLED names definitions that do not exist: {sorted(missing)}"
     called = UNCALLED.keys() & references(ROOT)
     assert not called, f"UNCALLED lists names that are now used, drop them: {sorted(called)}"
+
+
+def unused_imports(path):
+    """Names that ``path``'s imports bind and no ``Name`` node in it reads.
+
+    ``import a.b`` binds ``a``; ``from __future__`` imports bind nothing.
+    """
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_unused_imports():
+    """Across ``src/fqcc``, ``tools`` and ``tests``; ``__init__.py`` files
+    re-export what they import, so they are not scanned."""
+    found = {}
+    for top in ("src/fqcc", "tools", "tests"):
+        for path in (ROOT / top).rglob("*.py"):
+            if path.name != "__init__.py" and (names := unused_imports(path)):
+                found[str(path.relative_to(ROOT))] = sorted(names)
+    assert not found, f"imported but never used: {found}"

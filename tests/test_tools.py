@@ -37,6 +37,8 @@ def test_planner_layers_reports_h4():
         # 26 pool terms per plan; compression expands nothing
         assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3 * 26
         assert layers["compression_calls"] == layers["held_karp_calls"] == 3
+        # one batched DP per Held-Karp call, inside it
+        assert layers["dp_calls"] == 3 and layers["dp_s"] < layers["held_karp_s"]
         # one emission: a term circuit per kept term, a peephole per block
         assert layers["emit_calls"] == 1
         assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
@@ -44,7 +46,7 @@ def test_planner_layers_reports_h4():
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
-                "plan", "expand", "compression", "held_karp", "chaining",
+                "plan", "expand", "compression", "held_karp", "dp", "chaining",
                 "emit", "term_circuit", "peephole",
             )
         )

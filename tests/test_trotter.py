@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import json
-import math
 import random
 from pathlib import Path
 
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc import trotter as tr
-from fqcc.circuits import Circuit, metrics, peephole_cancel
+from fqcc.circuits import metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
@@ -601,6 +600,57 @@ class TestPlannerReferences:
                     sym[i][j] = sym[j][i] = rng.randint(0, 3)
             matrices.append(sym)
         assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+
+    @pytest.mark.parametrize("name", ["h4-jw", "h4-bk", "h4-beta0", "h4-beta1"])
+    def test_planner_matrices_match_reference(self, name, monkeypatch):
+        """Every savings matrix ``_dp_choices`` builds for H4's pool: the
+        search's plan, and each term at each of its eligible targets."""
+        pool, transform = _EXPANSION_CASES[name]
+        built = {}
+        solve = tr._max_paths
+
+        def recording(matrices):
+            built.update((tuple(map(tuple, m)), m) for m in matrices)
+            return solve(matrices)
+
+        monkeypatch.setattr(tr, "_max_paths", recording)
+        tr.plan_ansatz(pool, transform, occupied=range(4))
+        for seq in pool:
+            tr.intra_order(tr.expand_term(seq, transform, anti=True))
+        matrices = list(built.values())
+        assert any(len(m) == 8 for m in matrices)
+        assert solve(matrices) == [oracles.max_path_reference(m) for m in matrices]
+
+    def test_triple_table_holds_only_valid_triples(self):
+        """At k = 8: sum_p C(8, p) p (8 - p) = 3,584 triples; each (mask, last)
+        group lists the unvisited nodes once each, ascending."""
+        k = 8
+        layers = tr._dp_triples(k)
+        assert sum(len(tab) for _, _, tab, _ in layers) == 3584
+        written = [row for rows, _, _, _ in layers for row in rows.tolist()]
+        partial = range(1, (1 << k) - 1)
+        assert sorted(written) == [m * k + v for m in partial for v in range(k) if m >> v & 1]
+        for p, (rows, sav, tab, width) in zip(range(k - 1, 0, -1), layers):
+            assert width == k - p
+            for row, group_sav, group_tab in zip(
+                rows.tolist(), sav.reshape(-1, width).tolist(), tab.reshape(-1, width).tolist()
+            ):
+                mask, last = divmod(row, k)
+                assert mask.bit_count() == p and mask >> last & 1
+                nodes = [nxt for nxt in range(k) if not mask >> nxt & 1]
+                assert group_sav == [last * k + nxt for nxt in nodes]
+                assert group_tab == [(mask | 1 << nxt) * k + nxt for nxt in nodes]
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            tr._max_paths([[[0, -5, 1], [-5, 0, -2], [1, -2, 0]]])
+
+    def test_int32_overflow_rejected(self):
+        """Two steps of 2**30 reach 2**31; one less per step still fits."""
+        fits = [[0, 2**30 - 1, 2**30 - 1], [2**30 - 1, 0, 2**30 - 1], [2**30 - 1, 2**30 - 1, 0]]
+        assert tr._max_paths([fits]) == [oracles.max_path_reference(fits)]
+        with pytest.raises(ValueError, match="overflow"):
+            tr._max_paths([[[0, 2**30, 2**30], [2**30, 0, 2**30], [2**30, 2**30, 0]]])
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -164,7 +164,6 @@ def eri_prim(a, lmn1, ra, b, lmn2, rb, c, lmn3, rc, d, lmn4, rd):
 
 def _prim_norm(a, lmn):
     l, m, n = lmn
-    from math import factorial
 
     def dfact(k):
         out = 1

@@ -13,6 +13,7 @@ the plans or over the one emission:
     expand       trotter.expand_term: the pool's expansions
     compression  trotter.bosonic_reduce
     held_karp    trotter._dp_choices: savings matrices and the batched DP
+    dp           trotter._max_paths: the batched DP alone, inside held_karp
     chaining     trotter._chain_class
     emit         trotter.emit_circuit, the whole emission
     term_circuit trotter.term_circuit: one kept term's blocks
@@ -50,6 +51,7 @@ LAYERS = {
     "expand": "expand_term",
     "compression": "bosonic_reduce",
     "held_karp": "_dp_choices",
+    "dp": "_max_paths",
     "chaining": "_chain_class",
     "emit": "emit_circuit",
     "term_circuit": "term_circuit",
