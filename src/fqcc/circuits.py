@@ -152,59 +152,6 @@ class Circuit:
             self.gates.append(g)
         return self
 
-    def copy(self):
-        return Circuit(self.n_data, self.n_ancilla, list(self.gates), self.global_phase)
-
-    def dagger(self):
-        inv = [g.inverse() for g in reversed(self.gates)]
-        return Circuit(self.n_data, self.n_ancilla, inv, np.conjugate(self.global_phase))
-
-    # -- text format ---------------------------------------------------------
-
-    def to_text(self):
-        lines = [f"qubits {self.n_data} {self.n_ancilla}"]
-        if self.global_phase != 1.0:
-            lines.append(f"phase {self.global_phase.real!r} {self.global_phase.imag!r}")
-        for g in self.gates:
-            parts = [g.kind] + [str(q) for q in g.qubits]
-            if g.theta is not None:
-                parts.append(repr(g.theta))
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text):
-        n_data = n_ancilla = None
-        phase = 1.0
-        gates = []
-        for ln, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "qubits":
-                n_data, n_ancilla = int(parts[1]), int(parts[2])
-                continue
-            if parts[0] == "phase":
-                phase = complex(float(parts[1]), float(parts[2]))
-                continue
-            kind = parts[0]
-            if kind not in GATE_KINDS:
-                raise ValueError(f"line {ln}: unknown gate {kind!r}")
-            if kind in _ROTATIONS:
-                qubits = tuple(int(p) for p in parts[1:-1])
-                theta = float(parts[-1])
-            else:
-                qubits = tuple(int(p) for p in parts[1:])
-                theta = None
-            gates.append(Gate(kind, qubits, theta))
-        if n_data is None:
-            n_data = 1 + max((q for g in gates for q in g.qubits), default=0)
-            n_ancilla = 0
-        circ = cls(n_data, n_ancilla, [], phase)
-        circ.extend(gates)
-        return circ
-
 
 def expand_toffolis(circ: Circuit) -> Circuit:
     out = Circuit(circ.n_data, circ.n_ancilla, [], circ.global_phase)
@@ -233,14 +180,14 @@ class Metrics:
     n_gates: int
 
 
-def metrics(circ: Circuit, expand=True) -> Metrics:
-    """Count resources; ``expand`` replaces composite Toffolis first.
+def metrics(circ: Circuit) -> Metrics:
+    """Count resources of the circuit with its composite Toffolis expanded.
 
     ``rz_count`` counts continuous-angle rotations (Rz/Rx), ``t_count``
     counts T/Tdg only, and ``rz_depth`` is the depth of the circuit counting
     only rotation layers under ASAP scheduling.
     """
-    work = expand_toffolis(circ) if expand else circ
+    work = expand_toffolis(circ)
     two = rz = tc = 0
     level: dict[int, int] = {}
     depth = 0
@@ -249,9 +196,6 @@ def metrics(circ: Circuit, expand=True) -> Metrics:
             two += 1
         elif g.kind in ("T", "Tdg"):
             tc += 1
-        elif g.kind == "RelPhaseToffoli3" or g.kind == "RelPhaseToffoli3Inverse":
-            two += 6
-            tc += 8
         lvl = max((level.get(q, 0) for q in g.qubits), default=0)
         if g.kind in _ROTATIONS:
             rz += 1
@@ -684,14 +628,13 @@ def _junction_pass(gl: _GateList):
         i = gl.live(gl.order[i])
 
 
-def peephole_cancel(circ: Circuit, junction_rewrite=True) -> Circuit:
+def peephole_cancel(circ: Circuit) -> Circuit:
     """Fixpoint gate-cancellation pass; never increases the two-qubit count."""
     gl = _GateList(circ.gates, circ.global_phase)
     while True:
         gl.changed = False
         _simple_pass(gl)
-        if junction_rewrite:
-            _junction_pass(gl)
+        _junction_pass(gl)
         if not gl.changed:
             break
     return Circuit(circ.n_data, circ.n_ancilla, gl.circuit_gates(), gl.phase)

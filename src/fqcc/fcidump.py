@@ -40,10 +40,6 @@ class FcidumpRecord:
     g2: np.ndarray = None
     orbital_energies: np.ndarray = None
 
-    @property
-    def n_spin_orbitals(self):
-        return 2 * self.norb
-
     def to_spin_orbital(self):
         """(MolecularHamiltonian, FockData) in the interleaved convention.
 

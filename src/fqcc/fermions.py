@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_HERMITICITY_TOL = 1e-10
+
 
 def spin_of(mode):
     """0 for alpha (even modes), 1 for beta (odd modes)."""
@@ -130,15 +132,15 @@ class MolecularHamiltonian:
     h1: dict = field(default_factory=dict)
     h2: dict = field(default_factory=dict)
 
-    def hermiticity_violations(self, tol=1e-10):
-        """Index tuples whose coefficients break Hermiticity."""
+    def hermiticity_violations(self):
+        """Index tuples whose coefficients break Hermiticity by more than ``_HERMITICITY_TOL``."""
         bad = []
         for (p, r), v in self.h1.items():
-            if abs(np.conj(v) - self.h1.get((r, p), 0.0)) > tol:
+            if abs(np.conj(v) - self.h1.get((r, p), 0.0)) > _HERMITICITY_TOL:
                 bad.append(("h1", (p, r)))
         for (p, q, r, s), v in self.h2.items():
             # (a+_p a+_q a_r a_s)+ = a+_s a+_r a_q a_p
-            if abs(np.conj(v) - self.h2.get((s, r, q, p), 0.0)) > tol:
+            if abs(np.conj(v) - self.h2.get((s, r, q, p), 0.0)) > _HERMITICITY_TOL:
                 bad.append(("h2", (p, q, r, s)))
         return bad
 
@@ -222,12 +224,12 @@ class OrbitalSequence:
             spin_of(i) for i in self.annihilations()
         )
 
-    def term(self, amplitude=1.0):
-        """amplitude * a+... a... as a FermionTerm."""
+    def term(self):
+        """a+... a... as a FermionTerm with unit coefficient."""
         ops = tuple(LadderOp(i, True) for i in self.creations()) + tuple(
             LadderOp(i, False) for i in self.annihilations()
         )
-        return FermionTerm(amplitude, ops)
+        return FermionTerm(1.0, ops)
 
     def __str__(self):
         return self.name
@@ -240,10 +242,6 @@ class FockData:
     orbital_energies: dict
     n_electrons: int
 
-    @property
-    def reference_sum(self):
-        return sum(self.orbital_energies[i] for i in range(self.n_electrons))
-
     def denominator(self, seq: OrbitalSequence):
         """Sum of annihilated orbital energies minus created ones.
 
@@ -255,8 +253,8 @@ class FockData:
         return out
 
 
-def uccsd_pool(occ, virt, spin_conserving=True):
-    """All singles and doubles from occ into virt, in canonical order."""
+def uccsd_pool(occ, virt):
+    """All spin-conserving singles and doubles from occ into virt, in canonical order."""
     occ = sorted(occ)
     virt = sorted(virt)
     if set(occ) & set(virt):
@@ -265,14 +263,14 @@ def uccsd_pool(occ, virt, spin_conserving=True):
     for r in occ:
         for p in virt:
             seq = OrbitalSequence("single", (p, r))
-            if not spin_conserving or seq.conserves_spin():
+            if seq.conserves_spin():
                 pool.append(seq)
     for ai, r in enumerate(occ):
         for s in occ[ai + 1 :]:
             for ci, p in enumerate(virt):
                 for q in virt[ci + 1 :]:
                     seq = OrbitalSequence("double", (p, q, r, s))
-                    if not spin_conserving or seq.conserves_spin():
+                    if seq.conserves_spin():
                         pool.append(seq)
     pool.sort(key=OrbitalSequence.sort_key)
     return pool
@@ -280,6 +278,6 @@ def uccsd_pool(occ, virt, spin_conserving=True):
 
 def excitation_generator(seq: OrbitalSequence, n_modes) -> FermionOperator:
     """T - T+ for a single excitation with unit amplitude."""
-    fwd = seq.term(1.0)
+    fwd = seq.term()
     rev = fwd.adjoint()
     return FermionOperator(n_modes, [fwd, FermionTerm(-rev.coefficient, rev.ops)])

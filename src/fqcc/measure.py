@@ -235,23 +235,8 @@ class MeasurementPlan:
     groups: tuple
 
     @property
-    def n_strings(self):
-        return sum(len(g.strings) for g in self.groups)
-
-    @property
     def n_groups(self):
         return len(self.groups)
-
-    @property
-    def total_extra_two_qubit(self):
-        return sum(g.extra_two_qubit for g in self.groups)
-
-    def measurement_ratio(self, n_baseline=None) -> float:
-        """Reduced-to-combined count ratio; 0.5 means no reduction."""
-        base = self.n_strings if n_baseline is None else n_baseline
-        if base + self.n_groups == 0:
-            return 0.0
-        return self.n_groups / (base + self.n_groups)
 
 
 def _ordered(strings):

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+_BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _PHASES = tuple(1j**k for k in range(4))
 
 COEFF_TOL = 1e-12
@@ -51,39 +50,6 @@ class PauliString:
     zmask: int
     coeff: complex = 1.0
 
-    @classmethod
-    def from_letters(cls, n_qubits, letters, coeff=1.0):
-        """Build from a {qubit: letter} mapping."""
-        x = z = 0
-        for q, letter in letters.items():
-            if not 0 <= q < n_qubits:
-                raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
-            xb, zb = _LETTER_BITS[letter]
-            x |= xb << q
-            z |= zb << q
-        return cls(n_qubits, x, z, complex(coeff))
-
-    @classmethod
-    def identity(cls, n_qubits, coeff=1.0):
-        return cls(n_qubits, 0, 0, complex(coeff))
-
-    @classmethod
-    def from_text(cls, text, n_qubits=None):
-        """Parse the ``coeff * X0 Z3 Y5`` format."""
-        head, _, tail = text.partition("*")
-        coeff = complex(head.strip().replace(" ", ""))
-        letters = {}
-        for tok in tail.split():
-            if tok == "I":
-                continue
-            letter, q = tok[0].upper(), int(tok[1:])
-            if letter not in "XYZ":
-                raise ValueError(f"bad Pauli token {tok!r}")
-            letters[q] = letter
-        if n_qubits is None:
-            n_qubits = max(letters, default=-1) + 1
-        return cls.from_letters(max(n_qubits, 1), letters, coeff)
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -104,10 +70,6 @@ class PauliString:
             mask >>= 1
             q += 1
         return out
-
-    @property
-    def support(self):
-        return tuple(sorted(self.letters()))
 
     @property
     def weight(self):
@@ -180,14 +142,6 @@ class PauliSum:
         for s in strings:
             out._add_term(s.xmask, s.zmask, s.coeff)
         return out.simplify()
-
-    @classmethod
-    def zero(cls, n_qubits):
-        return cls(n_qubits)
-
-    @classmethod
-    def identity(cls, n_qubits, coeff=1.0):
-        return cls(n_qubits, {(0, 0): complex(coeff)})
 
     def _add_term(self, x, z, coeff):
         key = (x, z)
@@ -272,28 +226,15 @@ class PauliSum:
     def dagger(self):
         return PauliSum(self.n_qubits, {k: c.conjugate() for k, c in self._terms.items()})
 
-    def simplify(self, tol=COEFF_TOL):
-        self._terms = {k: c for k, c in self._terms.items() if abs(c) > tol}
+    def simplify(self):
+        """Drop every coefficient of magnitude ``COEFF_TOL`` or less."""
+        self._terms = {k: c for k, c in self._terms.items() if abs(c) > COEFF_TOL}
         return self
-
-    def norm1(self):
-        return sum(abs(c) for c in self._terms.values())
-
-    def is_hermitian(self, tol=1e-10):
-        return all(abs(c.imag) <= tol for c in self._terms.values())
 
     # -- text ------------------------------------------------------------------
 
     def to_text(self):
         return "\n".join(s.to_text() for s in self.strings())
-
-    @classmethod
-    def from_text(cls, text, n_qubits=None):
-        strings = [PauliString.from_text(line, n_qubits) for line in text.splitlines() if line.strip()]
-        if n_qubits is None and strings:
-            n_qubits = max(s.n_qubits for s in strings)
-            strings = [PauliString(n_qubits, s.xmask, s.zmask, s.coeff) for s in strings]
-        return cls.from_strings(strings, n_qubits)
 
     def __str__(self):
         return self.to_text()
@@ -463,12 +404,9 @@ class CompiledSum:
             table[~inside] = 0.0
             yield f, table, pos if f else None
 
-    def apply(self, vec, out=None):
+    def apply(self, vec):
         """Return (sum of strings) @ vec."""
-        if out is None:
-            out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
-        else:
-            out[:] = 0.0
+        out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
         idx = _indices(self.n_qubits) if self.sector is None else None
         for f, table, pos in self._groups if self._groups is not None else self._tables():
             if pos is not None:

@@ -177,6 +177,8 @@ class SearchReport:
         return Transform.from_lower_bits(self.n_modes, self.best_bits)
 
     def as_dict(self):
+        """The report as strict JSON values: a tie with JW's cost, whose
+        ``cost_delta_ratio`` is infinite, reads None there."""
         return {
             "n_modes": self.n_modes,
             "best_bits": "".join(str(b) for b in self.best_bits),
@@ -184,7 +186,9 @@ class SearchReport:
             "jw_cost": self.jw_cost,
             "bk_cost": self.bk_cost,
             "improvement": self.improvement,
-            "cost_delta_ratio": self.cost_delta_ratio,
+            "cost_delta_ratio": (
+                None if math.isinf(self.cost_delta_ratio) else self.cost_delta_ratio
+            ),
             "n_particles": self.n_particles,
             "resource_fraction": self.resource_fraction,
             "steps": self.steps,
@@ -245,12 +249,16 @@ def _khot_masks(d, k_max, cap, rng):
     return sorted(seen, key=lambda m: (m.bit_count(), m))
 
 
-def init_swarm(n, k_max=None, seed=0, particles_cap=20000, *, config=None) -> Swarm:
-    """Seed one zero-velocity particle per k-hot pattern, k = 1..k_max."""
+def init_swarm(n, *, config=None) -> Swarm:
+    """Seed one zero-velocity particle per k-hot pattern, k = 1..k_max.
+
+    ``config`` defaults to ``SwarmConfig(n_modes=n)``; a config for another
+    number of modes raises ``ValueError``.
+    """
     if config is None:
-        config = SwarmConfig(
-            n_modes=n, k_max=k_max, seed=seed, particles_cap=particles_cap
-        )
+        config = SwarmConfig(n_modes=n)
+    elif config.n_modes != n:
+        raise ValueError(f"swarm config is for {config.n_modes} modes, not {n}")
     d = config.dimension
     entropy = np.random.SeedSequence(config.seed)
     sampler = np.random.default_rng(entropy)
@@ -510,6 +518,7 @@ def read_checkpoint(path) -> Swarm:
             seed=int(head["seed"]),
             sigmoid_sets_one=head["sigmoid_sets_one"] == "1",
         )
+        t, best_cost, best_line = int(head["t"]), float(head["best_cost"]), head["best"]
     except KeyError as exc:
         raise ValueError(f"checkpoint is missing the {exc.args[0]!r} field") from exc
     d = config.dimension
@@ -558,7 +567,10 @@ def read_checkpoint(path) -> Swarm:
     while i < len(lines):
         if i + 6 >= len(lines):
             raise ValueError("truncated particle record in checkpoint")
-        _, active, best_cost, drift = lines[i].split()
+        fields = tagged(lines[i], "particle").split()
+        if len(fields) != 3:
+            raise ValueError("bad particle line in checkpoint")
+        active, p_best_cost, drift = fields
         particles.append(
             Particle(
                 position=mask_of(tagged(lines[i + 1], "x")),
@@ -566,7 +578,7 @@ def read_checkpoint(path) -> Swarm:
                     [float(tok) for tok in tagged(lines[i + 4], "v").split()]
                 ),
                 best_position=mask_of(tagged(lines[i + 3], "l")),
-                best_cost=float(best_cost),
+                best_cost=float(p_best_cost),
                 initial_position=mask_of(tagged(lines[i + 2], "x0")),
                 active=active == "1",
                 drift_steps=int(drift),
@@ -577,12 +589,11 @@ def read_checkpoint(path) -> Swarm:
         if len(particles[-1].velocity) != d:
             raise ValueError("bad velocity line in checkpoint")
         i += 7
-    best_line = head.get("best", "-")
     return Swarm(
         config=config,
         particles=particles,
-        t=int(head["t"]),
+        t=t,
         best_position=None if best_line == "-" else mask_of(best_line),
-        best_cost=float(head["best_cost"]),
+        best_cost=best_cost,
         cost_cache=cost_cache,
     )

@@ -102,13 +102,6 @@ class Statevector:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    def copy(self) -> "Statevector":
-        return Statevector(self.n_qubits, self.amplitudes.copy(), self.sector)
-
-    def overlap(self, other: "Statevector") -> complex:
-        _check_space("the other state", self.sector, other.sector)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
     def expectation(self, op) -> float:
         """Exact <psi|op|psi> for a Hermitian PauliSum (real part returned)."""
         if isinstance(op, PauliSum):

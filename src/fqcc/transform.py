@@ -46,15 +46,13 @@ def _gf2_inv(a):
     return aug[:, n:]
 
 
-def _mask(bits):
-    out = 0
-    for b in bits:
-        out |= 1 << b
-    return out
+def _mask(row):
+    """Bit mask of the nonzero entries of a 0/1 row."""
+    return sum(1 << k for k in np.flatnonzero(row).tolist())
 
 
 class Transform:
-    """A beta-parameterized encoding with its derived ladder-operator sets.
+    """A beta-parameterized encoding and the Pauli strings of its ladder operators.
 
     ``ladder_strings[mode][dagger]`` holds the two strings of a_mode
     (``dagger`` 0) or of its adjoint (1) as ``(x, z, e)``: each string
@@ -78,20 +76,10 @@ class Transform:
         pi = np.tril(np.ones((n, n), dtype=np.uint8))
         m_r = (pi @ self.beta_inv) & 1
         m_p = m_r ^ self.beta_inv
-        self._m_r = m_r
-        self._m_p = m_p
-        self._update = [tuple(i for i in range(n) if i != j and beta[i, j]) for j in range(n)]
-        self._parity = [tuple(k for k in range(n) if k != j and m_p[j, k]) for j in range(n)]
-        self._remainder = [tuple(k for k in range(n) if k != j and m_r[j, k]) for j in range(n)]
-        # per mode (x, z_parity, z_remainder), the masks of its ladder strings
-        ladder_masks = (
-            (
-                _mask(self._update[j]) | 1 << j,
-                _mask(self._parity[j]),
-                _mask(self._remainder[j]) | 1 << j,
-            )
-            for j in range(n)
-        )
+        # per mode j, the masks (x, z_parity, z_remainder) of its ladder
+        # strings: U(j) and j (column j of beta), P(j) (row j of m_p) and
+        # R(j) and j (row j of m_r, whose diagonal is 1)
+        ladder_masks = ((_mask(beta[:, j]), _mask(m_p[j]), _mask(m_r[j])) for j in range(n))
         self.ladder_strings = tuple(
             tuple(((x, zp, ep), (x, zr, er)) for ep, er in _LADDER_EXPONENTS)
             for x, zp, zr in ladder_masks
@@ -125,9 +113,6 @@ class Transform:
                 k += 1
         return cls(beta)
 
-    def lower_bits(self):
-        return tuple(int(self.beta[i, j]) for i in range(self.n_modes) for j in range(i))
-
     def encode_occupation(self, occupation_mask):
         """Computational-basis index encoding an occupation bitmask (x = beta n)."""
         n = self.n_modes
@@ -137,31 +122,7 @@ class Transform:
         code = (self.beta @ bits) & 1
         return int(sum(int(b) << i for i, b in enumerate(code)))
 
-    # -- derived sets ---------------------------------------------------------
-
-    def update_set(self, j):
-        return self._update[j]
-
-    def parity_set(self, j):
-        return self._parity[j]
-
-    def remainder_set(self, j):
-        return self._remainder[j]
-
     # -- ladder operators ------------------------------------------------------
-
-    def map_ladder(self, mode, dagger):
-        """PauliSum of a_mode or its adjoint under this encoding."""
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode {mode} out of range")
-        strings = self.ladder_strings[mode][1 if dagger else 0]
-        return PauliSum(self.n_modes, {(x, z): 0.5 * _PHASES[e] for x, z, e in strings})
-
-    def creation(self, mode):
-        return self.map_ladder(mode, True)
-
-    def annihilation(self, mode):
-        return self.map_ladder(mode, False)
 
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.
@@ -235,44 +196,3 @@ class Transform:
                 if self.beta[i, j]:
                     circ.add("CNOT", j, i)
         return circ
-
-    # -- beta file format ------------------------------------------------------
-
-    def to_beta_text(self):
-        """Serialize in printed orientation: top mode first, free bits upper."""
-        n = self.n_modes
-        lines = [str(n)]
-        for printed_row in range(n):
-            i = n - 1 - printed_row
-            bits = [str(int(self.beta[i, n - 1 - pc])) for pc in range(printed_row + 1, n)]
-            lines.append("".join(bits))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_beta_text(cls, text):
-        lines = [ln.rstrip("\n") for ln in text.splitlines()]
-        if not lines:
-            raise ValueError("empty beta file")
-        try:
-            n = int(lines[0].strip())
-        except ValueError as exc:
-            raise ValueError("first line of a beta file must be the mode count") from exc
-        rows = lines[1 : 1 + n]
-        if len(rows) < n:
-            raise ValueError(f"expected {n} triangle rows, found {len(rows)}")
-        beta = np.eye(n, dtype=np.uint8)
-        for printed_row, row in enumerate(rows):
-            want = n - 1 - printed_row
-            row = row.strip()
-            if len(row) != want:
-                raise ValueError(
-                    f"triangle row {printed_row} must have {want} bits, found {len(row)}"
-                )
-            i = n - 1 - printed_row
-            for offset, ch in enumerate(row):
-                if ch not in "01":
-                    raise ValueError(f"bad bit {ch!r} in beta file")
-                j = n - 1 - (printed_row + 1 + offset)
-                beta[i, j] = ch == "1"
-        return cls(beta)
-

@@ -274,7 +274,7 @@ def _emit_block(gates, string, rz):
                 gates.append(shared_gate("S", (q,)))
 
 
-def term_circuit(term, ordering=None, target=None, n_qubits=None):
+def term_circuit(term, ordering=None, target=None):
     """Blocks for every rotation of ``term``, sharing one ladder target.
 
     ``ordering`` permutes the stored strings; ``target`` defaults to the
@@ -282,7 +282,7 @@ def term_circuit(term, ordering=None, target=None, n_qubits=None):
     with no eligible target falls back to per-string targets (the highest
     support wire of each string).
     """
-    n = n_qubits if n_qubits is not None else term.n_qubits
+    n = term.n_qubits
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
     if sorted(order) != list(range(len(term.strings))):
         raise ValueError(f"ordering {order} is not a permutation")
@@ -597,20 +597,19 @@ def _labeling_cost(seqs, transform, labels, *, anti, memo):
     return total
 
 
-def relabel_levels(seqs, transform, k=2, *, anti=False, memo=None):
+def relabel_levels(seqs, transform, *, anti=False, memo=None):
     """Greedy pair-swap relabeling that lowers the summed per-term cost.
 
-    Each round scores every candidate permutation applied to the current
-    labeling and adopts the best strict improvement; the search stops on
-    the first round with no improvement.
+    Each round scores every permutation of one or two disjoint orbital-pair
+    transpositions applied to the current labeling and adopts the best
+    strict improvement; the search stops on the first round with no
+    improvement.
     """
     n = transform.n_modes
     if n % 2:
         raise ValueError("relabeling pairs spatial orbitals; mode count must be even")
-    if k < 1:
-        raise ValueError("swap arity must be at least 1")
     memo = {} if memo is None else memo
-    candidates = _pair_swap_perms(n // 2, k)
+    candidates = _pair_swap_perms(n // 2, 2)
     labels = tuple(range(n))
     cost = _labeling_cost(seqs, transform, labels, anti=anti, memo=memo)
     rounds = 0
@@ -898,7 +897,7 @@ class HeuristicConfig:
 
     ``reorder`` runs the per-term and cross-term ordering, ``bosonic`` the
     paired-double compression, and ``relabel`` the pair-swap relabeling
-    (``relabel_levels`` at its default swap arity).  ``anti`` expands each
+    (``relabel_levels``).  ``anti`` expands each
     term as exp(theta * (T - T+)) rather than exp(-i theta / 2 (T + T+)).
     """
 

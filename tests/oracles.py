@@ -10,10 +10,12 @@ and letter-word sort that ``trotter.expand_term`` once used,
 ``map_operator_via_paulisum`` keeps the PauliSum-product route that
 ``Transform.map_operator`` once used, and ``paired_compression_reference``
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
-once used.  The last section holds the dense self-checks that only tests
-call (circuit unitaries and statevectors, the anticommutation check,
-Clifford conjugation of a string, a term's signed rotations); they run the
-package's own gate matrices, ladder maps and tableau update.
+once used.  The last two sections hold what only tests call on fqcc's own
+objects: the dense self-checks (circuit unitaries and statevectors, the
+anticommutation check, Clifford conjugation of a string, a term's signed
+rotations), which run the package's own gate matrices, ladder strings and
+tableau update; and test inputs (a transform's free bits, a ladder as a
+PauliSum, Pauli strings from letters or from the text format).
 """
 
 import collections
@@ -147,6 +149,29 @@ def gf2_inv(a):
     return aug[:, n:]
 
 
+def ladder_sets(beta):
+    """(U(j), P(j), R(j)) of each mode j of a unit lower-triangular beta, as
+    sets, by the definitions in ``fqcc.transform``'s docstring.
+
+    U(j): rows i != j with beta[i, j] = 1; P(j): nonzero columns k != j of
+    row j of pi beta^-1 xor beta^-1; R(j): those of row j of pi beta^-1, where
+    pi is the inclusive lower-triangular parity accumulator.
+    """
+    beta = np.asarray(beta, dtype=np.uint8)
+    n = beta.shape[0]
+    inv = gf2_inv(beta)
+    m_r = gf2_mul(np.tril(np.ones((n, n), dtype=np.uint8)), inv)
+    m_p = m_r ^ inv
+    return [
+        (
+            {i for i in range(n) if i != j and beta[i, j]},
+            {k for k in range(n) if k != j and m_p[j, k]},
+            {k for k in range(n) if k != j and m_r[j, k]},
+        )
+        for j in range(n)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # dense circuit simulation (independent of the package's circuit IR)
 # ---------------------------------------------------------------------------
@@ -240,11 +265,10 @@ def boundary_saving_reference(first, second, target):
 
     Letter by letter over ``first``'s support: a wire other than ``target``
     where ``second`` is not identity saves two CNOTs when the letters agree
-    and one when they differ.  The strings need only ``support`` and
-    ``letter(q)``.
+    and one when they differ.
     """
     two = one = 0
-    for q in first.support:
+    for q in first.letters():
         if q == target:
             continue
         other = second.letter(q)
@@ -325,7 +349,7 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
     if anti:
         op = excitation_generator(seq, n)
     else:
-        fwd = seq.term(1.0)
+        fwd = seq.term()
         op = FermionOperator(n, [fwd, fwd.adjoint()])
     raw = sorted(op.to_pauli(transform).simplify(), key=letter_word)
     assert len(raw) == (8 if seq.kind == "double" else 2)
@@ -342,7 +366,7 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
     assert all(abs(m - magnitudes[0]) <= 1e-9 for m in magnitudes)
 
     xy = sorted(
-        q for q in signed[0].support if all(s.letter(q) in ("X", "Y") for s in signed)
+        q for q in signed[0].letters() if all(s.letter(q) in ("X", "Y") for s in signed)
     )
 
     def rank(s):
@@ -400,13 +424,13 @@ def map_operator_via_paulisum(transform, terms, constant=0.0):
     from fqcc.paulis import PauliSum
 
     n = transform.n_modes
-    out = PauliSum.zero(n)
+    out = PauliSum(n)
     if constant:
-        out = out + PauliSum.identity(n, constant)
+        out = out + PauliSum(n, {(0, 0): complex(constant)})
     for coeff, ops in terms:
-        prod = PauliSum.identity(n, complex(coeff))
+        prod = PauliSum(n, {(0, 0): complex(coeff)})
         for mode, dagger in ops:
-            prod = prod * transform.map_ladder(mode, dagger)
+            prod = prod * map_ladder(transform, mode, dagger)
         out._accumulate(prod)
     return out.simplify()
 
@@ -970,14 +994,13 @@ def _ph_junction_pass(st):
         st.changed = True
 
 
-def peephole_reference(ops, phase=1.0, junction_rewrite=True):
+def peephole_reference(ops, phase=1.0):
     """(ops, phase) after the fixpoint peephole pass; ops are (kind, qubits, theta)."""
     st = _PhState((PeepholeOp(*op) for op in ops), phase)
     while True:
         st.changed = False
         _ph_simple_pass(st)
-        if junction_rewrite:
-            _ph_junction_pass(st)
+        _ph_junction_pass(st)
         if not st.changed:
             break
     return [tuple(op) for op in st.gates], st.phase
@@ -1102,7 +1125,7 @@ def anticommutation_check(n_modes, transform, tol=1e-10):
     eye = np.eye(dim)
 
     def dense(mode, dagger):
-        op = CompiledSum(transform.map_ladder(mode, dagger))
+        op = CompiledSum(map_ladder(transform, mode, dagger))
         m = np.empty((dim, dim), dtype=complex)
         for col in range(dim):
             e = np.zeros(dim, dtype=complex)
@@ -1129,3 +1152,70 @@ def anticommutation_check(n_modes, transform, tol=1e-10):
             if dev > tol:
                 violations.append(("{a,a+}", i, j, float(dev)))
     return AnticommutationReport(n_modes, not violations, violations)
+
+
+# ---------------------------------------------------------------------------
+# test inputs on fqcc's own objects: encoding bits, ladder sums, Pauli strings
+# from letters and from the text format
+# ---------------------------------------------------------------------------
+
+
+def lower_bits(transform):
+    """A transform's strictly-lower beta bits, row-major (i, j < i), as
+    ``Transform.from_lower_bits`` takes them."""
+    n = transform.n_modes
+    return tuple(int(transform.beta[i, j]) for i in range(n) for j in range(i))
+
+
+def map_ladder(transform, mode, dagger):
+    """PauliSum of a_mode (``dagger`` false) or its adjoint under ``transform``,
+    from its stored ladder strings."""
+    from fqcc.paulis import _PHASES, PauliSum
+
+    strings = transform.ladder_strings[mode][1 if dagger else 0]
+    return PauliSum(transform.n_modes, {(x, z): 0.5 * _PHASES[e] for x, z, e in strings})
+
+
+_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+
+
+def from_letters(n_qubits, letters, coeff=1.0):
+    """A PauliString from a {qubit: letter} mapping."""
+    from fqcc.paulis import PauliString
+
+    x = z = 0
+    for q, letter in letters.items():
+        if not 0 <= q < n_qubits:
+            raise ValueError(f"qubit {q} out of range for {n_qubits} qubits")
+        xb, zb = _LETTER_BITS[letter]
+        x |= xb << q
+        z |= zb << q
+    return PauliString(n_qubits, x, z, complex(coeff))
+
+
+def pauli_string(text, n_qubits=None):
+    """Parse the ``coeff * X0 Z3 Y5`` format that ``PauliString.to_text`` writes."""
+    head, _, tail = text.partition("*")
+    coeff = complex(head.strip().replace(" ", ""))
+    letters = {}
+    for tok in tail.split():
+        if tok == "I":
+            continue
+        letter, q = tok[0].upper(), int(tok[1:])
+        if letter not in "XYZ":
+            raise ValueError(f"bad Pauli token {tok!r}")
+        letters[q] = letter
+    if n_qubits is None:
+        n_qubits = max(letters, default=-1) + 1
+    return from_letters(max(n_qubits, 1), letters, coeff)
+
+
+def pauli_sum(text, n_qubits=None):
+    """A PauliSum from one ``pauli_string`` line per string, as ``PauliSum.to_text`` writes."""
+    from fqcc.paulis import PauliString, PauliSum
+
+    strings = [pauli_string(line, n_qubits) for line in text.splitlines() if line.strip()]
+    if n_qubits is None and strings:
+        n_qubits = max(s.n_qubits for s in strings)
+        strings = [PauliString(n_qubits, s.xmask, s.zmask, s.coeff) for s in strings]
+    return PauliSum.from_strings(strings, n_qubits)

@@ -160,8 +160,8 @@ class TestSpinOrbitalExpansion:
         rec = load_fcidump(FIXTURES / "h2o_sto3g.fcidump")
         assert rec.norb == 7
         assert rec.nelec == 10
-        assert rec.n_spin_orbitals == 14
         ham, fock = rec.to_spin_orbital()
+        assert ham.n_modes == 14
         assert ham.hermiticity_violations() == []
         assert fock.n_electrons == 10
         # orbital energies come out sorted from the SCF

@@ -180,7 +180,7 @@ class TestCorrectionBracket:
         ham, fock = h2
         tr = Transform.jordan_wigner(4)
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
-        shifted = h_pauli + PauliSum.identity(4, 100.0)
+        shifted = h_pauli + PauliSum(4, {(0, 0): 100.0})
         pool = uccsd_pool(range(2), range(2, 4))
         # a partially-optimized state so the first-order expansion is active
         seq = next(s for s in pool if s.kind == "double")

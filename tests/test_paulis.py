@@ -30,19 +30,19 @@ class TestPauliString:
         for letter, mat in oracles.PAULI_1Q.items():
             if letter == "I":
                 continue
-            s = PauliString.from_letters(1, {0: letter})
+            s = oracles.from_letters(1, {0: letter})
             assert np.allclose(_dense(s), mat)
 
     def test_identity_times_anything(self):
-        s = PauliString.from_text("0.5 * X0 Y2")
-        ident = PauliString.identity(s.n_qubits, 2.0)
+        s = oracles.pauli_string("0.5 * X0 Y2")
+        ident = PauliString(s.n_qubits, 0, 0, 2.0)
         assert (ident * s).key == s.key
         assert (ident * s).coeff == 1.0
 
     def test_known_products(self):
-        x = PauliString.from_letters(1, {0: "X"})
-        y = PauliString.from_letters(1, {0: "Y"})
-        z = PauliString.from_letters(1, {0: "Z"})
+        x = oracles.from_letters(1, {0: "X"})
+        y = oracles.from_letters(1, {0: "Y"})
+        z = oracles.from_letters(1, {0: "Z"})
         assert (x * y).letter(0) == "Z" and (x * y).coeff == 1j
         assert (y * x).coeff == -1j
         assert (y * z).letter(0) == "X" and (y * z).coeff == 1j
@@ -52,50 +52,50 @@ class TestPauliString:
     @given(letters_st, letters_st, coeff_st, coeff_st)
     @settings(max_examples=150, deadline=None)
     def test_product_matches_dense(self, la, lb, ca, cb):
-        a = PauliString.from_letters(4, la, ca)
-        b = PauliString.from_letters(4, lb, cb)
+        a = oracles.from_letters(4, la, ca)
+        b = oracles.from_letters(4, lb, cb)
         assert np.allclose(_dense(a * b), _dense(a) @ _dense(b), atol=1e-12)
 
     @given(letters_st, letters_st)
     @settings(max_examples=150, deadline=None)
     def test_commutes_general_matches_commutator(self, la, lb):
-        a = PauliString.from_letters(4, la)
-        b = PauliString.from_letters(4, lb)
+        a = oracles.from_letters(4, la)
+        b = oracles.from_letters(4, lb)
         comm = _dense(a) @ _dense(b) - _dense(b) @ _dense(a)
         assert a.commutes_general(b) == np.allclose(comm, 0.0, atol=1e-12)
 
     @given(letters_st, letters_st)
     @settings(max_examples=150, deadline=None)
     def test_qubitwise_implies_general(self, la, lb):
-        a = PauliString.from_letters(4, la)
-        b = PauliString.from_letters(4, lb)
+        a = oracles.from_letters(4, la)
+        b = oracles.from_letters(4, lb)
         if a.commutes_qubitwise(b):
             assert a.commutes_general(b)
 
     def test_qubitwise_counterexample(self):
         # XX and YY commute as operators but not qubit-wise
-        a = PauliString.from_text("1 * X0 X1")
-        b = PauliString.from_text("1 * Y0 Y1")
+        a = oracles.pauli_string("1 * X0 X1")
+        b = oracles.pauli_string("1 * Y0 Y1")
         assert a.commutes_general(b)
         assert not a.commutes_qubitwise(b)
 
     def test_text_round_trip(self):
         for text in ["1.0 * X0 Z3 Y5", "(-0.5+0.125j) * Y1", "2.0 * I"]:
-            s = PauliString.from_text(text)
-            again = PauliString.from_text(s.to_text(), s.n_qubits)
+            s = oracles.pauli_string(text)
+            again = oracles.pauli_string(s.to_text(), s.n_qubits)
             assert again.key == s.key and again.coeff == s.coeff
 
     def test_weight_and_support(self):
-        s = PauliString.from_text("1 * X0 Z3 Y5")
+        s = oracles.pauli_string("1 * X0 Z3 Y5")
         assert s.weight == 3
-        assert s.support == (0, 3, 5)
+        assert sorted(s.letters()) == [0, 3, 5]
         assert s.letter(3) == "Z" and s.letter(1) == "I"
 
 
 class TestPauliSum:
     def test_merge_and_cancel(self):
-        a = PauliString.from_text("1.0 * X0 X1", 2)
-        b = PauliString.from_text("-1.0 * X0 X1", 2)
+        a = oracles.pauli_string("1.0 * X0 X1", 2)
+        b = oracles.pauli_string("-1.0 * X0 X1", 2)
         assert PauliSum.from_strings([a, b]).n_terms == 0
         c = PauliSum.from_strings([a, a])
         assert c.n_terms == 1 and c.strings()[0].coeff == 2.0
@@ -108,7 +108,7 @@ class TestPauliSum:
                 strings = []
                 for _ in range(rng.integers(1, 4)):
                     letters = {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(3, size=rng.integers(1, 3), replace=False)}
-                    strings.append(PauliString.from_letters(3, letters, complex(rng.normal(), rng.normal())))
+                    strings.append(oracles.from_letters(3, letters, complex(rng.normal(), rng.normal())))
                 ops.append(PauliSum.from_strings(strings, 3))
             a, b = ops
             assert np.allclose(_dense_sum(a * b), _dense_sum(a) @ _dense_sum(b), atol=1e-10)
@@ -141,16 +141,16 @@ class TestPauliSum:
             assert one._terms == (a * PauliSum.from_strings([PauliString(4, x, z, c)]))._terms
 
     def test_simplify_drops_tiny_terms(self):
-        s = PauliSum.from_strings([PauliString.from_text("1e-14 * X0", 1)], 1)
+        s = PauliSum.from_strings([oracles.pauli_string("1e-14 * X0", 1)], 1)
         assert s.n_terms == 0
 
     def test_text_round_trip(self):
-        op = PauliSum.from_text("0.5 * X0 Z2\n-0.25 * Y1\n1.0 * I", n_qubits=3)
-        again = PauliSum.from_text(op.to_text(), 3)
+        op = oracles.pauli_sum("0.5 * X0 Z2\n-0.25 * Y1\n1.0 * I", n_qubits=3)
+        again = oracles.pauli_sum(op.to_text(), 3)
         assert again._terms == op._terms
 
     def test_canonical_order_is_stable(self):
-        op = PauliSum.from_text("1 * Z0\n1 * X0\n1 * Y0", 1)
+        op = oracles.pauli_sum("1 * Z0\n1 * X0\n1 * Y0", 1)
         assert [s.letter(0) for s in op] == ["X", "Y", "Z"]
 
     @pytest.mark.parametrize("n", (1, 8, 9, 14))
@@ -172,7 +172,7 @@ class TestKernels:
     @given(letters_st, coeff_st)
     @settings(max_examples=60, deadline=None)
     def test_apply_string_matches_dense(self, la, ca):
-        s = PauliString.from_letters(4, la, ca)
+        s = oracles.from_letters(4, la, ca)
         rng = np.random.default_rng(3)
         vec = rng.normal(size=16) + 1j * rng.normal(size=16)
         assert np.allclose(oracles.apply_string(s, vec), _dense(s) @ vec, atol=1e-12)
@@ -182,7 +182,7 @@ class TestKernels:
         strings = []
         for _ in range(6):
             letters = {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(5, size=3, replace=False)}
-            strings.append(PauliString.from_letters(5, letters, complex(rng.normal(), rng.normal())))
+            strings.append(oracles.from_letters(5, letters, complex(rng.normal(), rng.normal())))
         op = PauliSum.from_strings(strings, 5)
         vec = rng.normal(size=32) + 1j * rng.normal(size=32)
         vec /= np.linalg.norm(vec)
@@ -193,8 +193,8 @@ class TestKernels:
     def test_expectation_linearity_and_conjugate_symmetry(self):
         rng = np.random.default_rng(5)
         strings = [
-            PauliString.from_text("0.3 * X0 Y1", 3),
-            PauliString.from_text("(0.0+0.7j) * Z2", 3),
+            oracles.pauli_string("0.3 * X0 Y1", 3),
+            oracles.pauli_string("(0.0+0.7j) * Z2", 3),
         ]
         a = PauliSum.from_strings([strings[0]], 3)
         b = PauliSum.from_strings([strings[1]], 3)
@@ -207,15 +207,15 @@ class TestKernels:
 
     def test_expectation_bounded_by_one_norm(self):
         rng = np.random.default_rng(9)
-        op = PauliSum.from_text("0.4 * X0 X1\n-0.3 * Z0\n0.2 * Y1", 2)
+        op = oracles.pauli_sum("0.4 * X0 X1\n-0.3 * Z0\n0.2 * Y1", 2)
         for _ in range(20):
             vec = rng.normal(size=4) + 1j * rng.normal(size=4)
             vec /= np.linalg.norm(vec)
-            assert abs(CompiledSum(op).expectation(vec)) <= op.norm1() + 1e-12
+            assert abs(CompiledSum(op).expectation(vec)) <= sum(abs(c) for _, c in op.items()) + 1e-12
 
 
     def test_compiled_strings_round_trip(self):
-        op = PauliSum.from_text("0.4 * X0 Y1\n(0.0-0.3j) * Y0 Z2\n(0.2+0.1j) * Y1 Y2\n-1.5 * I", 3)
+        op = oracles.pauli_sum("0.4 * X0 Y1\n(0.0-0.3j) * Y0 Z2\n(0.2+0.1j) * Y1 Y2\n-1.5 * I", 3)
         compiled = CompiledSum(op)
         assert len(compiled) == 4
         assert PauliSum.from_strings(list(compiled), 3)._terms == op._terms
@@ -227,7 +227,7 @@ class TestKernels:
             strings = []
             for _ in range(5):
                 letters = {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(4, size=2, replace=False)}
-                strings.append(PauliString.from_letters(4, letters, complex(rng.normal(), rng.normal())))
+                strings.append(oracles.from_letters(4, letters, complex(rng.normal(), rng.normal())))
             return PauliSum.from_strings(strings, 4)
 
         a, b = random_sum(), random_sum()
@@ -244,8 +244,8 @@ class TestKernels:
     def test_tables_rebuilt_per_apply_above_the_entry_cap(self, monkeypatch):
         from fqcc import paulis
 
-        op = PauliSum.from_text("0.4 * X0 X1\n0.4 * Y0 Y1\n-0.3 * Z0\n0.2 * Z1 Z2\n0.1 * Z0 Z1", 3)
-        leaky = PauliSum.from_text("0.5 * X0", 3)
+        op = oracles.pauli_sum("0.4 * X0 X1\n0.4 * Y0 Y1\n-0.3 * Z0\n0.2 * Z1 Z2\n0.1 * Z0 Z1", 3)
+        leaky = oracles.pauli_sum("0.5 * X0", 3)
         sector = np.array([0b001, 0b010, 0b011, 0b101, 0b110])
         vec = np.random.default_rng(8).normal(size=8) + 0j
         kept = [CompiledSum(op).apply(vec), CompiledSum(op, sector[:2]).apply(vec[:2])]
@@ -260,6 +260,6 @@ class TestKernels:
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_apply_sum_identity(n):
-    op = PauliSum.identity(n, 1.0)
+    op = PauliSum(n, {(0, 0): 1.0})
     vec = np.linspace(0.0, 1.0, 1 << n).astype(complex)
     assert np.allclose(CompiledSum(op).apply(vec), vec)

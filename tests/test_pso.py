@@ -11,11 +11,17 @@ from fqcc.fermions import uccsd_pool
 from fqcc.transform import Transform
 from fqcc.trotter import HeuristicConfig, plan_ansatz
 
+import oracles
+
 
 def bit_cost(transform):
     """Toy objective: weighted popcount of the free bits (minimum at identity)."""
-    bits = transform.lower_bits()
+    bits = oracles.lower_bits(transform)
     return 3 * sum(bits) + sum(j * b for j, b in enumerate(bits)) % 5
+
+
+def _init(n, k_max, seed, **kwargs):
+    return pso.init_swarm(n, config=pso.SwarmConfig(n_modes=n, k_max=k_max, seed=seed, **kwargs))
 
 
 class TestSwarmConfig:
@@ -58,15 +64,15 @@ class TestSwarmConfig:
 
 class TestInitSwarm:
     def test_counts_small(self):
-        assert len(pso.init_swarm(3, 1, 0).particles) == 3
-        assert len(pso.init_swarm(4, 2, 0).particles) == 21
+        assert len(_init(3, 1, 0).particles) == 3
+        assert len(_init(4, 2, 0).particles) == 21
 
     def test_velocities_start_zero(self):
-        swarm = pso.init_swarm(4, 2, 0)
+        swarm = _init(4, 2, 0)
         assert all((p.velocity == 0.0).all() for p in swarm.particles)
 
     def test_positions_are_khot_and_distinct(self):
-        swarm = pso.init_swarm(4, 2, 0)
+        swarm = _init(4, 2, 0)
         masks = [p.position for p in swarm.particles]
         assert len(set(masks)) == len(masks)
         assert all(1 <= m.bit_count() <= 2 for m in masks)
@@ -74,16 +80,16 @@ class TestInitSwarm:
             assert p.best_position == p.initial_position == p.position
 
     def test_every_position_decodes(self):
-        swarm = pso.init_swarm(5, 3, 0)
+        swarm = _init(5, 3, 0)
         d = swarm.config.dimension
         for p in swarm.particles:
             t = Transform.from_lower_bits(5, [(p.position >> j) & 1 for j in range(d)])
             assert (np.diag(t.beta) == 1).all()
 
     def test_cap_subsamples_deterministically(self):
-        full = {p.position for p in pso.init_swarm(4, 2, 7).particles}
-        a = pso.init_swarm(4, 2, 7, particles_cap=10)
-        b = pso.init_swarm(4, 2, 7, particles_cap=10)
+        full = {p.position for p in _init(4, 2, 7).particles}
+        a = _init(4, 2, 7, particles_cap=10)
+        b = _init(4, 2, 7, particles_cap=10)
         masks = [p.position for p in a.particles]
         assert len(masks) == 10
         assert len(set(masks)) == 10
@@ -92,15 +98,20 @@ class TestInitSwarm:
 
     def test_rejection_sampling_path(self):
         # d = 435: the binomial total is far past the enumeration limit
-        swarm = pso.init_swarm(30, 3, 5, particles_cap=50)
+        swarm = _init(30, 3, 5, particles_cap=50)
         masks = [p.position for p in swarm.particles]
         assert len(set(masks)) == 50
         assert all(1 <= m.bit_count() <= 3 for m in masks)
-        again = pso.init_swarm(30, 3, 5, particles_cap=50)
+        again = _init(30, 3, 5, particles_cap=50)
         assert masks == [p.position for p in again.particles]
 
+    def test_default_config_and_width_check(self):
+        assert pso.init_swarm(4).config == pso.SwarmConfig(n_modes=4)
+        with pytest.raises(ValueError, match="6 modes, not 4"):
+            pso.init_swarm(4, config=pso.SwarmConfig(n_modes=6))
+
     def test_minimal_register(self):
-        swarm = pso.init_swarm(2, 6, 0)
+        swarm = _init(2, 6, 0)
         assert [p.position for p in swarm.particles] == [1]
 
     @settings(max_examples=25, deadline=None)
@@ -110,7 +121,7 @@ class TestInitSwarm:
         seed=st.integers(0, 2**31 - 1),
     )
     def test_swarm_validity(self, n, k_max, seed):
-        swarm = pso.init_swarm(n, k_max, seed)
+        swarm = _init(n, k_max, seed)
         d = n * (n - 1) // 2
         total = sum(math.comb(d, k) for k in range(1, min(k_max, d) + 1))
         masks = [p.position for p in swarm.particles]
@@ -123,7 +134,7 @@ class TestInitSwarm:
 
 class TestStep:
     def test_particle_at_global_best_keeps_zero_velocity(self):
-        swarm = pso.init_swarm(4, 2, 3)
+        swarm = _init(4, 2, 3)
         pso.step(swarm, lambda t: 5)
         leader = next(
             p for p in swarm.particles if p.best_position == swarm.best_position
@@ -152,7 +163,7 @@ class TestStep:
             assert all(p.position == expected for p in swarm.particles)
 
     def test_bests_refresh_and_t_advances(self):
-        swarm = pso.init_swarm(4, 2, 1)
+        swarm = _init(4, 2, 1)
         pso.step(swarm, bit_cost)
         assert swarm.t == 1
         initial_best = swarm.best_cost
@@ -164,7 +175,7 @@ class TestStep:
             assert p.best_cost <= swarm.cost_cache[p.initial_position]
 
     def test_stopped_particles_freeze(self):
-        swarm = pso.init_swarm(4, 2, 1)
+        swarm = _init(4, 2, 1)
         pso.step(swarm, bit_cost)
         victim = swarm.particles[0]
         victim.active = False
@@ -210,7 +221,7 @@ class TestRun:
     def test_drift_rule_stops_early(self):
         # d = 15 > drift_distance, positive inertia locks wanderers far out
         cfg = pso.SwarmConfig(n_modes=6, k_max=2, t_max=3000, seed=5)
-        report = pso.run(cfg, lambda t: 3 * sum(t.lower_bits()))
+        report = pso.run(cfg, lambda t: 3 * sum(oracles.lower_bits(t)))
         assert report.steps < 3000
 
     def test_report_arithmetic_is_self_consistent(self):
@@ -266,15 +277,22 @@ class TestRun:
         cfg = pso.SwarmConfig(n_modes=4, k_max=2, t_max=5, seed=6)
         swarm = pso.init_swarm(4, config=cfg)
         report = pso.run(cfg, bit_cost, swarm=swarm)
-        payload = json.loads(json.dumps(report.as_dict()))
+        payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
         assert tuple(payload["best_history"]) == report.best_history
         assert len(payload["best_history"]) == report.steps + 1
         assert payload["evaluations"] == report.evaluations == len(swarm.cost_cache)
 
+    def test_report_dict_is_strict_json_on_a_tie(self):
+        report = pso.run(pso.SwarmConfig(n_modes=4, k_max=2, t_max=5, seed=6), lambda t: 5)
+        assert report.cost_delta_ratio == math.inf
+        payload = json.loads(json.dumps(report.as_dict(), allow_nan=False))
+        assert payload["cost_delta_ratio"] is None
+        assert payload["best_cost"] == payload["jw_cost"] == 5
+
 
 class TestCheckpoint:
     def _swarm(self):
-        swarm = pso.init_swarm(4, 2, 9)
+        swarm = _init(4, 2, 9)
         for _ in range(3):
             pso.step(swarm, bit_cost)
         return swarm
@@ -317,7 +335,7 @@ class TestCheckpoint:
 
         def hashed_cost(transform):
             # a rugged objective that keeps improving over several steps
-            bits = transform.lower_bits()
+            bits = oracles.lower_bits(transform)
             calls.append(bits)
             return (123 + sum(7**j * b for j, b in enumerate(bits))) % 1009
 
@@ -349,6 +367,29 @@ class TestCheckpoint:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(ValueError, match="truncated"):
+            pso.read_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["t", "best_cost", "best"])
+    def test_rejects_missing_header_field(self, tmp_path, field):
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        lines = [ln for ln in path.read_text().splitlines() if ln.partition(" ")[0] != field]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"missing the '{field}' field"):
+            pso.read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "new,match",
+        [("pxrticle 1 5.0 0", "expected a 'particle' line"), ("particle 1 5.0", "bad particle line")],
+    )
+    def test_rejects_malformed_particle_header(self, tmp_path, new, match):
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        lines = path.read_text().splitlines()
+        at = next(j for j, line in enumerate(lines) if line.startswith("particle "))
+        lines[at] = new
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=match):
             pso.read_checkpoint(path)
 
     @pytest.mark.parametrize(

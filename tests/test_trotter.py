@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -340,7 +341,7 @@ class TestExpandTerm:
         )
         rots = oracles.rotations(term)
         assert [angle for _, angle in rots] == [0.6, -0.6]
-        assert set().union(*(s.support for s in term.strings)) == {0, 1, 2}
+        assert set().union(*(s.letters() for s in term.strings)) == {0, 1, 2}
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +359,13 @@ class TestSynthPauliExp:
     """One Pauli exponential through ``term_circuit``'s block emitter."""
 
     def test_plain_z(self):
-        s = PauliString.from_letters(2, {0: "Z"})
+        s = oracles.from_letters(2, {0: "Z"})
         circ = _pauli_exp(s, 0.5, 0)
         assert [(g.kind, g.qubits) for g in circ.gates] == [("Rz", (0,))]
         assert circ.gates[0].theta == 0.5
 
     def test_zz_ladder(self):
-        s = PauliString.from_letters(2, {0: "Z", 1: "Z"})
+        s = oracles.from_letters(2, {0: "Z", 1: "Z"})
         circ = _pauli_exp(s, 0.5, 1)
         assert [(g.kind, g.qubits) for g in circ.gates] == [
             ("CNOT", (0, 1)),
@@ -373,14 +374,14 @@ class TestSynthPauliExp:
         ]
 
     def test_mixed_basis_counts(self):
-        s = PauliString.from_letters(3, {0: "X", 1: "Y", 2: "Z"})
+        s = oracles.from_letters(3, {0: "X", 1: "Y", 2: "Z"})
         circ = _pauli_exp(s, 0.9, 2)
         m = metrics(circ)
         assert m.two_qubit == 4
         assert m.rz_count == 1
 
     def test_identity_target_rejected(self):
-        s = PauliString.from_letters(3, {0: "X", 2: "Z"})
+        s = oracles.from_letters(3, {0: "X", 2: "Z"})
         with pytest.raises(ValueError, match="carries identity"):
             _pauli_exp(s, 0.9, 1)
         term = tr.expand_term(OrbitalSequence("single", (2, 0)), Transform.jordan_wigner(4), 0.4)
@@ -396,7 +397,7 @@ class TestSynthPauliExp:
             placed = {q: rng.choice(letters) for q in support}
             target = rng.choice(support)
             theta = rng.uniform(-2, 2)
-            s = PauliString.from_letters(n, placed)
+            s = oracles.from_letters(n, placed)
             circ = _pauli_exp(s, theta, target)
             want = sla.expm(-0.5j * theta * oracles.string_matrix(n, placed))
             assert np.abs(_circ_matrix(circ) - want).max() < 1e-12
@@ -412,9 +413,9 @@ class TestSynthPauliExp:
         term = tr.expand_term(
             OrbitalSequence("single", (3, 0)), Transform.jordan_wigner(4), 0.4
         )
-        assert len(tr.term_circuit(term, n_qubits=4).gates) > 0
-        with pytest.raises(ValueError):
-            tr.term_circuit(term, n_qubits=3)
+        assert len(tr.term_circuit(term).gates) > 0
+        with pytest.raises(ValueError, match="does not fit on 3 wires"):
+            tr.term_circuit(dataclasses.replace(term, n_qubits=3))
         with pytest.raises(ValueError):
             tr.term_circuit(term, target=5)
 
@@ -485,8 +486,8 @@ class TestCostModel:
 
     def test_fallback_accounting(self):
         # no wire is shared by every string, so each block takes its own target
-        s1 = PauliString.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
-        s2 = PauliString.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
+        s1 = oracles.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
+        s2 = oracles.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
         term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2), (), False)
         result = tr.intra_order(term)
         assert result.per_target == {}
@@ -495,7 +496,7 @@ class TestCostModel:
 
 
 def _words(term):
-    return [{q: s.letter(q) for q in s.support} for s in term.strings]
+    return [s.letters() for s in term.strings]
 
 
 def _reference_double(transform=None):
@@ -736,7 +737,7 @@ class TestRelabeling:
         ]
         bk = Transform.bravyi_kitaev(6)
         memo = {}
-        state = tr.relabel_levels(seqs, bk, 2, anti=True, memo=memo)
+        state = tr.relabel_levels(seqs, bk, anti=True, memo=memo)
         identity = tr._labeling_cost(seqs, bk, tuple(range(6)), anti=True, memo=memo)
         assert sorted(state.labels) == list(range(6))
         assert state.cost <= identity
@@ -750,7 +751,7 @@ class TestRelabeling:
         ]
         bk = Transform.bravyi_kitaev(6)
         memo = {}
-        state = tr.relabel_levels(seqs, bk, 2, anti=True, memo=memo)
+        state = tr.relabel_levels(seqs, bk, anti=True, memo=memo)
         for cand in tr._pair_swap_perms(3, 2):
             labels = tuple(cand[m] for m in state.labels)
             cost = tr._labeling_cost(seqs, bk, labels, anti=True, memo=memo)
@@ -843,15 +844,15 @@ class TestCompression:
     def test_compress_string_examples(self):
         """Pair letters through the measurement reduction's mask rule."""
         ctx = QSRContext(4, (), {}, ((0, 1), (2, 3)))
-        s = PauliString.from_letters(4, {0: "X", 1: "Y", 2: "Z"}, 2.0)
+        s = oracles.from_letters(4, {0: "X", 1: "Y", 2: "Z"}, 2.0)
         reduced, factor = qsr_compress(s, ctx)
         assert reduced.letters() == {0: "Y", 1: "Z"}
         assert reduced.coeff == 2.0 and factor == 1.0
-        s = PauliString.from_letters(4, {0: "Y", 1: "Y", 2: "Y", 3: "Y"}, 1.0)
+        s = oracles.from_letters(4, {0: "Y", 1: "Y", 2: "Y", 3: "Y"}, 1.0)
         reduced, factor = qsr_compress(s, ctx)
         assert reduced.letters() == {0: "X", 1: "X"}
         assert reduced.coeff == 1.0 and factor == 1.0  # two sign flips cancel
-        s = PauliString.from_letters(4, {0: "X", 1: "Z"}, 1.0)
+        s = oracles.from_letters(4, {0: "X", 1: "Z"}, 1.0)
         assert qsr_compress(s, ctx) == (None, 0.0)
 
     def _paired_term(self, theta, anti, n=4):
