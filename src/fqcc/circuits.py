@@ -11,18 +11,30 @@ into a single-CNOT form whenever the sandwiched one-qubit product G is an
 X-rotation up to Z-rotations (an Euler angle phi = +-pi/2), which is exactly
 the situation arising between adjacent exponential blocks that share wires.
 
-The pass works on a gate list linked both in circuit order and along each
-wire, so a search for a cancellation partner or for the CNOT closing a
-sandwich follows only the wires it concerns, and a deletion costs O(wires).
-On each wire a gate acts through a tag (``diag`` for a CNOT control or a CZ,
-``xtype`` for a CNOT target, ``other``) or, for a one-qubit gate, through its
-2x2 matrix held as four Python complexes and cached per (kind, angle).
-Commutation and closeness use np.allclose's rule |a - b| <= 1e-10 +
-1e-5 |b| in plain complex arithmetic.  Numpy runs in the peephole only
-when a junction rewrite is tried: the control run's product and the Euler
-angles (np.angle) are numpy, while the Euler candidates are rebuilt and
-checked in Python complexes (atol 1e-9).  Dense unitaries of circuits
-are a test oracle and live in ``tests/oracles.py``.
+The pass keeps its working circuit as integer state (``_Peephole``).  Gate
+i's k-th wire is slot ``i << sh | k``, where ``sh`` is 1, or 2 when a 4-wire
+``RelPhaseToffoli3`` is present.  Slots are linked along their wire, so a
+search for a cancellation partner or for the CNOT closing a sandwich steps
+``s = nxt[s]`` along only the wires it concerns, and a deletion costs
+O(wires).  Each slot holds an action code: 0 diag (a CNOT control, a CZ, a
+Toffoli control), 1 xtype (a CNOT target), 2 other (a Toffoli target), or
+an interned one-qubit product: 3 is the empty product, and each (kind,
+angle) and each run of them met in a walk gets the next code.  A code's
+2x2 matrix is held as four Python complexes, with flags for whether it
+commutes with a diag and with an xtype action.  Commutation and closeness
+use np.allclose's rule |a - b| <= 1e-10 + 1e-5 |b| in plain complex
+arithmetic.  Each gate carries interned (kind, wires) signatures of itself
+and of the gate that cancels it, so a partner test is one int compare.
+
+The junction rewrite depends only on the control run's codes, so it is
+worked out once per run and call: the numpy product gate by gate, the
+Euler angles (np.angle, candidates checked in Python complexes at atol
+1e-9), and the phase factor ``exp(i delta) ph_pre ph_xx ph_post``.
+The fixpoint alternates the simple pass and the junction pass until a
+round changes nothing.  It stops one junction pass early when the simple
+pass changed nothing and the previous junction pass changed nothing: the
+junction pass would meet exactly the state it last left unchanged.  Dense
+unitaries of circuits are a test oracle and live in ``tests/oracles.py``.
 
 ``Gate`` instances are immutable and shared: ``shared_gate`` hands out one
 validated instance per angle-free (kind, wires), which emitters and
@@ -36,6 +48,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -210,10 +223,6 @@ def metrics(circ: Circuit) -> Metrics:
 # peephole pass
 # ---------------------------------------------------------------------------
 
-_DIAG = "diag"
-_XTYPE = "xtype"
-_OTHER = "other"
-
 # np.allclose's test |a - b| <= atol + rtol * |b|, elementwise
 _ATOL = 1e-10
 _RTOL = 1e-5
@@ -244,46 +253,15 @@ def _close(a, b):
 
 
 def _is_diag(m):
-    """Off-diagonal entries within 1e-10; ``None`` is the identity."""
-    return m is None or (abs(m[1]) <= _ATOL and abs(m[2]) <= _ATOL)
+    """Off-diagonal entries within 1e-10."""
+    return abs(m[1]) <= _ATOL and abs(m[2]) <= _ATOL
 
 
 def _is_xtype(m):
-    """m @ X is close to X @ m; ``None`` is the identity."""
-    if m is None:
-        return True
+    """m @ X is close to X @ m."""
     m0, m1, m2, m3 = m
     # m @ X = (m1, m0, m3, m2) and X @ m = (m2, m3, m0, m1)
     return _close(m1, m2) and _close(m0, m3) and _close(m3, m0) and _close(m2, m1)
-
-
-def _wire_action(gate: Gate, q):
-    """How a gate acts on wire q: a tag, or the (kind, theta) of a one-qubit gate."""
-    if gate.kind == "CNOT":
-        return _DIAG if q == gate.qubits[0] else _XTYPE
-    if gate.kind == "CZ":
-        return _DIAG
-    if gate.kind in ("RelPhaseToffoli3", "RelPhaseToffoli3Inverse"):
-        return _DIAG if q in gate.qubits[:3] else _OTHER
-    return (gate.kind, gate.theta)
-
-
-@lru_cache(maxsize=4096)
-def _actions_commute(a, b):
-    a_tag = a.__class__ is str
-    b_tag = b.__class__ is str
-    if a_tag and b_tag:
-        return a == b != _OTHER
-    if not (a_tag or b_tag):
-        ma, mb = _mat_tuple(*a), _mat_tuple(*b)
-        return all(_close(x, y) for x, y in zip(_mul(ma, mb), _mul(mb, ma)))
-    if a_tag:
-        a, b = b, a
-    # `a` is a one-qubit gate, `b` a tag
-    if b == _OTHER:
-        return False
-    m = _mat_tuple(*a)
-    return _is_diag(m) if b == _DIAG else _is_xtype(m)
 
 
 def _norm_angle(theta):
@@ -304,18 +282,19 @@ _CLIFFORD_RZ = (
 )
 
 
-def _emit_diag(angle, wire):
-    """Gates realizing Rz(angle) exactly, Cliffordized at pi/2 multiples.
+def _diag_gate(angle):
+    """Rz(angle) as at most one gate, Cliffordized at pi/2 multiples.
 
-    Returns (gates, phase) with Rz(angle) = phase * product(gates).
+    Returns (spec, phase) with Rz(angle) = phase * gate: spec is None for
+    the identity, (kind, None) for S, Sdg or Z, and ("Rz", rem) otherwise.
     """
     rem, phase = _norm_angle(angle)
     if abs(rem) < 1e-12:
-        return [], phase
+        return None, phase
     for target, kind, ph in _CLIFFORD_RZ:
         if abs(rem - target) < 1e-12:
-            return [shared_gate(kind, (wire,))], phase * ph
-    return [Gate("Rz", (wire,), rem)], phase
+            return (kind, None), phase * ph
+    return ("Rz", rem), phase
 
 
 def _euler_zxz(g):
@@ -351,290 +330,408 @@ def _euler_zxz(g):
     raise ValueError("not unitary up to tolerance")
 
 
+# exp(-i (+-pi/2)/2 X_v X_t) = phase * (_xx_half_gates), for + and for -
 _XX_PHASE = (np.exp(-0.25j * math.pi), np.exp(0.25j * math.pi))
 
 
-def _xx_half_gates(v, t, sign):
-    """Gate list for exp(-i (sign*pi/2)/2 X_v X_t); returns (gates, phase)."""
+def _xx_half_gates(v, t, positive):
+    """Gates for exp(-i (+-pi/2)/2 X_v X_t) up to the phase in ``_XX_PHASE``."""
     g = shared_gate
-    if sign > 0:
-        gates = [
+    if positive:
+        return [
             g("H", (v,)), g("CNOT", (v, t)), g("S", (v,)), g("H", (v,)),
             g("H", (t,)), g("S", (t,)), g("H", (t,)),
         ]
-        return gates, _XX_PHASE[0]
-    gates = [
+    return [
         g("H", (t,)), g("Sdg", (t,)), g("H", (t,)),
         g("H", (v,)), g("Sdg", (v,)), g("CNOT", (v, t)), g("H", (v,)),
     ]
-    return gates, _XX_PHASE[1]
 
 
-class _GateList:
-    """The peephole's working circuit, linked in circuit order and per wire.
+def _junction_rewrite(singles):
+    """The rewrite recipe for a sandwich whose control run is ``singles``.
+
+    None when the run's product is no X-rotation up to Z-rotations;
+    otherwise (pre, positive, post, factor): the Rz specs before and after
+    the half XX rotation, the sign of its angle, and the phase factor the
+    rewrite multiplies into the circuit's phase.  The product is numpy,
+    gate by gate.
+    """
+    v_run = np.eye(2, dtype=complex)
+    for g in singles:
+        v_run = g.matrix_1q() @ v_run
+    try:
+        delta, alpha, phi, beta = _euler_zxz(v_run)
+    except ValueError:
+        return None
+    if not (abs(abs(phi) - math.pi / 2.0) < 1e-9):
+        return None
+    pre, ph_pre = _diag_gate(beta)
+    positive = phi > 0
+    ph_xx = _XX_PHASE[0] if positive else _XX_PHASE[1]
+    post, ph_post = _diag_gate(alpha)
+    return pre, positive, post, np.exp(1j * delta) * ph_pre * ph_xx * ph_post
+
+
+def _spec_gate(spec, wire):
+    kind, theta = spec
+    return shared_gate(kind, (wire,)) if theta is None else Gate(kind, (wire,), theta)
+
+
+_QUBITS = attrgetter("qubits")
+
+# action codes: how a gate acts on one of its wires
+_DIAG = 0  # a CNOT control, a CZ, a RelPhaseToffoli3 control
+_XTYPE = 1  # a CNOT target
+_OTHER = 2  # a RelPhaseToffoli3 target
+_ID = 3  # the empty one-qubit product; one-qubit codes follow
+
+
+class _Peephole:
+    """The peephole's working circuit as integer state, linked per wire.
 
     Gates are addressed by index.  ``gates[i]`` becomes None when gate i is
     deleted, and ``order[i]`` is the next gate in circuit order (-1 at the
     end); a deleted gate keeps its ``order`` entry, so stepping on from it
-    still reaches its successors.  ``links[2k][i]`` and ``links[2k + 1][i]``
-    are the gates before and after gate i on wire ``gates[i].qubits[k]``
-    (-1 for none).  Gates put in by a rewrite are appended.
+    still reaches its successors.  Gates put in by a rewrite are appended.
+    ``order``, ``nxt`` and ``prv`` are ``array('i')``: slot numbers run
+    past the small ints Python shares, and a list would hold an int object
+    for each.
+
+    Gate i's k-th wire is slot ``i << sh | k``, with ``sh`` 2 when a 4-wire
+    gate is present and 1 otherwise.  ``nxt[s]`` and ``prv[s]`` are the
+    slots after and before slot s on its wire (-1 for none), and ``act[s]``
+    is its action code.  ``mats``, ``cd`` and ``cx`` hold each code's
+    one-qubit matrix and whether it commutes with a ``_DIAG`` and with an
+    ``_XTYPE`` action; ``_DIAG``, ``_XTYPE`` and ``_OTHER`` have no matrix.
+    ``sig[i]`` and ``want[i]`` are interned (kind, wires) signatures of
+    gate i and of the gate that cancels it (or merges with it, for a
+    rotation); a CZ's wires are sorted.
     """
 
     def __init__(self, gates, phase):
-        self.gates = list(gates)
+        self.gates = gates = list(gates)
         self.phase = phase
-        self.changed = False
-        n = len(self.gates)
-        self.first = 0 if n else -1
+        n = len(gates)
+        self.sh = sh = 2 if max(map(len, map(_QUBITS, gates)), default=0) > 2 else 1
         self.order = array("i", range(1, n + 1))
         if n:
             self.order[-1] = -1
-        width = max([2] + [len(g.qubits) for g in self.gates])
-        self.links = [array("i", [-1]) * n for _ in range(2 * width)]
+        # one gate's slots, unlinked
+        self.pad = array("i", [-1]) * (1 << sh)
+        self.nxt = nxt = self.pad * n
+        self.prv = prv = self.pad * n
+        self.sigs, self.codes = {}, {}
+        self.mats = [None, None, None, (1 + 0j, 0j, 0j, 1 + 0j)]
+        self.cd = [True, False, False, True]
+        self.cx = [False, True, False, True]
+        # run products: (run code, gate code) -> code of the longer run
+        self.step = {}
+        # (code, code) -> whether two one-qubit codes commute
+        self.comm = {}
+        # run code -> _junction_rewrite of that control run
+        self.rewrites = {}
+        # id(gate) -> (sig, want, slot codes, gate); shared gates repeat, and
+        # holding the gate keeps its id from being reused
+        self.described = {}
+        self.sig, self.want, self.act = [], [], []
         last = {}
-        for i, gate in enumerate(self.gates):
-            for k, q in enumerate(gate.qubits):
+        for i, g in enumerate(gates):
+            self._append(g)
+            s = i << sh
+            for q in g.qubits:
                 j = last.get(q, -1)
                 if j >= 0:
-                    self.links[2 * k][i] = j
-                    self.links[self.slot(j, q) + 1][j] = i
-                last[q] = i
+                    prv[s] = j
+                    nxt[j] = s
+                last[q] = s
+                s += 1
 
-    def slot(self, i, q):
-        """Index into ``links`` of the link to the gate before gate i on wire q."""
-        qs = self.gates[i].qubits
-        return 0 if qs[0] == q else 2 * qs.index(q)
+    def code(self, kind, theta):
+        """The action code of a one-qubit gate, interned per (kind, theta)."""
+        key = (kind, theta)
+        c = self.codes.get(key)
+        if c is None:
+            c = self.codes[key] = self._intern(_mat_tuple(kind, theta))
+            self.step[_ID, c] = c
+        return c
 
-    def live(self, i):
-        """The first gate not deleted at or after i in circuit order, or -1."""
+    def _intern(self, m):
+        c = len(self.mats)
+        self.mats.append(m)
+        self.cd.append(_is_diag(m))
+        self.cx.append(_is_xtype(m))
+        return c
+
+    def product(self, run, c):
+        """The code of the one-qubit run ``run`` followed by gate code ``c``, remembered in ``step``."""
+        r = self.step[run, c] = self._intern(_mul(self.mats[c], self.mats[run]))
+        return r
+
+    def commute(self, a, b):
+        """Whether one-qubit codes a and b commute (ab close to ba), remembered in ``comm``."""
+        ma, mb = self.mats[a], self.mats[b]
+        ok = self.comm[a, b] = all(_close(x, y) for x, y in zip(_mul(ma, mb), _mul(mb, ma)))
+        return ok
+
+    def _append(self, g):
+        """Append gate g's signatures and slot codes."""
+        d = self.described.get(id(g)) or self._describe(g)
+        self.sig.append(d[0])
+        self.want.append(d[1])
+        self.act += d[2]
+
+    def _describe(self, g):
+        """(sig, want, slot codes, g) of gate g, remembered by identity."""
+        kind, qs = g.kind, g.qubits
+        sigs = self.sigs
+        key = (kind, tuple(sorted(qs)) if kind == "CZ" else qs)
+        sig = sigs.setdefault(key, len(sigs))
+        if kind not in _ROTATIONS:
+            key = (_INVERSE[kind], key[1])
+        want = sigs.setdefault(key, len(sigs))
+        acts = [_DIAG] * (1 << self.sh)
+        if len(qs) == 1:
+            acts[0] = self.code(kind, g.theta)
+        elif kind == "CNOT":
+            acts[1] = _XTYPE
+        elif len(qs) == 4:
+            acts[3] = _OTHER
+        d = self.described[id(g)] = (sig, want, acts, g)
+        return d
+
+    def set_rotation(self, i, g):
+        """Put rotation g in place of gate i, on the same wire."""
+        self.gates[i] = g
+        self.act[i << self.sh] = self.code(g.kind, g.theta)
+
+    def live(self):
+        """The indices of the gates not deleted, in circuit order.
+
+        The next index is read when it is asked for, so gates that a step
+        deletes or puts in after the current one are skipped or visited.
+        """
         gates, order = self.gates, self.order
-        while i >= 0 and gates[i] is None:
-            i = order[i]
-        return i
-
-    def circuit_gates(self):
-        out = []
-        i = self.live(self.first)
+        # gate 0 stays first in circuit order, deleted or not
+        i = 0 if gates else -1
         while i >= 0:
-            out.append(self.gates[i])
-            i = self.live(self.order[i])
-        return out
+            if gates[i] is not None:
+                yield i
+            i = order[i]
 
     def remove(self, i):
-        links = self.links
-        for k, q in enumerate(self.gates[i].qubits):
-            before, after = links[2 * k][i], links[2 * k + 1][i]
+        nxt, prv = self.nxt, self.prv
+        s = i << self.sh
+        for s in range(s, s + len(self.gates[i].qubits)):
+            before, after = prv[s], nxt[s]
             if before >= 0:
-                links[self.slot(before, q) + 1][before] = after
+                nxt[before] = after
             if after >= 0:
-                links[self.slot(after, q)][after] = before
+                prv[after] = before
         self.gates[i] = None
 
     def replace(self, i, gates):
         """Delete gate i and put ``gates``, which act only on its wires, in its place."""
-        links = self.links
+        nxt, prv, sh, order = self.nxt, self.prv, self.sh, self.order
+        s = i << sh
         wires = self.gates[i].qubits
-        before = {q: links[2 * k][i] for k, q in enumerate(wires)}
-        after = {q: links[2 * k + 1][i] for k, q in enumerate(wires)}
-        self.remove(i)
-        prev, tail = i, self.order[i]
+        before = {q: prv[s + k] for k, q in enumerate(wires)}
+        after = {q: nxt[s + k] for k, q in enumerate(wires)}
+        self.gates[i] = None
+        j = len(self.gates)
+        if gates:
+            order.extend(range(j + 1, j + len(gates) + 1))
+            order[-1] = order[i]
+            order[i] = j
+        nxt.extend(self.pad * len(gates))
+        prv.extend(self.pad * len(gates))
         for gate in gates:
-            j = len(self.gates)
+            self._append(gate)
             self.gates.append(gate)
-            self.order.append(-1)
-            for arr in links:
-                arr.append(-1)
-            self.order[prev] = j
-            prev = j
-            for k, q in enumerate(gate.qubits):
+            s = j << sh
+            for q in gate.qubits:
                 left = before[q]
-                links[2 * k][j] = left
+                prv[s] = left
                 if left >= 0:
-                    links[self.slot(left, q) + 1][left] = j
-                before[q] = j
-        self.order[prev] = tail
+                    nxt[left] = s
+                before[q] = s
+                s += 1
+            j += 1
         for q, left in before.items():
             right = after[q]
             if left >= 0:
-                links[self.slot(left, q) + 1][left] = right
+                nxt[left] = right
             if right >= 0:
-                links[self.slot(right, q)][right] = left
+                prv[right] = left
 
 
-def _cancel_partner(gl: _GateList, i):
-    """The later gate that cancels gate i, or merges with it (rotations).
+def _simple_pass(st: _Peephole):
+    """Normalize rotations, merge them, and cancel inverse pairs; True if anything changed.
 
-    Every gate in between on a shared wire must commute with gate i there.
-    Each wire is followed to its first partner or blocker; a partner acts on
-    all of gate i's wires, so when every wire reaches one it is the same
-    gate and nothing on any wire blocks it.
+    A gate's partner is the later gate whose signature is its ``want``,
+    with every gate in between on a shared wire commuting with it there.
+    Each wire is followed to its first partner or blocker; a partner acts
+    on all of the gate's wires, so when every wire reaches one it is the
+    same gate and nothing on any wire blocks it.
     """
-    gates, links = gl.gates, gl.links
-    g = gates[i]
-    qs = g.qubits
-    want = g.kind if g.kind in _ROTATIONS else _INVERSE[g.kind]
-    found = -1
-    for k, q in enumerate(qs):
-        mine = _wire_action(g, q)
-        h = links[2 * k + 1][i]
-        while h >= 0:
-            hg = gates[h]
-            hq = hg.qubits
-            if hg.kind == want and (hq == qs or (want == "CZ" and set(hq) == set(qs))):
+    gates, nxt, act, sig, want = st.gates, st.nxt, st.act, st.sig, st.want
+    cd, cx, sh, comm = st.cd, st.cx, st.sh, st.comm
+    changed = False
+    for i in st.live():
+        # a rotation absorbs its partners one at a time
+        while True:
+            g = gates[i]
+            kind = g.kind
+            if kind in _ROTATIONS:
+                rem, ph = _norm_angle(g.theta)
+                if abs(rem) < 1e-12:
+                    st.phase *= ph
+                    st.remove(i)
+                    changed = True
+                    break
+                if ph != 1.0 or rem != g.theta:
+                    g = Gate(kind, g.qubits, rem)
+                    st.set_rotation(i, g)
+                    st.phase *= ph
+                    changed = True
+            w = want[i]
+            s = i << sh
+            if kind == "CNOT":
+                # a diag action on the control wire, an xtype one on the target
+                h = nxt[s]
+                while h >= 0 and sig[h >> sh] != w:
+                    h = nxt[h] if cd[act[h]] else -1
+                if h >= 0:
+                    h = nxt[s + 1]
+                    while h >= 0 and sig[h >> sh] != w:
+                        h = nxt[h] if cx[act[h]] else -1
+            else:
+                for s in range(s, s + len(g.qubits)):
+                    mine = act[s]
+                    h = nxt[s]
+                    while h >= 0 and sig[h >> sh] != w:
+                        c = act[h]
+                        if mine < _ID:
+                            ok = mine != _OTHER and (cd if mine == _DIAG else cx)[c]
+                        elif c < _ID:
+                            ok = c != _OTHER and (cd if c == _DIAG else cx)[mine]
+                        else:
+                            ok = comm.get((mine, c))
+                            if ok is None:
+                                ok = st.commute(mine, c)
+                        h = nxt[h] if ok else -1
+                    if h < 0:
+                        break
+            if h < 0:
                 break
-            if not _actions_commute(mine, _wire_action(hg, q)):
-                return -1
-            h = links[1 if hq[0] == q else 2 * hq.index(q) + 1][h]
-        if h < 0:
-            return -1
-        found = h
-    return found
-
-
-def _simple_pass(gl: _GateList):
-    gates = gl.gates
-    i = gl.live(gl.first)
-    while i >= 0:
-        g = gates[i]
-        # drop/normalize null rotations
-        if g.kind in _ROTATIONS:
-            rem, ph = _norm_angle(g.theta)
-            if abs(rem) < 1e-12:
-                gl.phase *= ph
-                gl.remove(i)
-                gl.changed = True
-                i = gl.live(gl.order[i])
-                continue
-            if ph != 1.0 or rem != g.theta:
-                g = gates[i] = Gate(g.kind, g.qubits, rem)
-                gl.phase *= ph
-                gl.changed = True
-        j = _cancel_partner(gl, i)
-        if j < 0:
-            i = gl.live(gl.order[i])
-            continue
-        gl.changed = True
-        if g.kind in _ROTATIONS:
+            j = h >> sh
+            changed = True
+            if kind not in _ROTATIONS:
+                st.remove(j)
+                st.remove(i)
+                break
             theta = gates[j].theta
-            gl.remove(j)
-            gates[i] = Gate(g.kind, g.qubits, g.theta + theta)
-        else:
-            gl.remove(j)
-            gl.remove(i)
-            i = gl.live(gl.order[i])
+            st.remove(j)
+            st.set_rotation(i, Gate(kind, g.qubits, g.theta + theta))
+    return changed
 
 
-def _sandwich_partner(gl: _GateList, i):
-    """The CNOT (v, t) closing the sandwich that CNOT (v, t) at i opens, or -1.
+def _junction_pass(st: _Peephole):
+    """Rewrite two-CNOT sandwiches ``CNOT (v,t) . G(v) . CNOT (v,t)``; True if anything changed.
 
     On the target wire, the one-qubit product between multi-qubit gates
-    must commute with X and each multi-qubit gate must act as an X there
-    (a CNOT target).
+    must commute with X and each multi-qubit gate must act as an X there.
+    On the control wire each multi-qubit gate must act diagonally and meet
+    a diagonal product.  A diagonal control run lets the pair annihilate;
+    a control run with no multi-qubit gate, whose product is an X-rotation
+    up to Z-rotations, becomes one CNOT inside a half XX rotation.
     """
-    gates, links = gl.gates, gl.links
-    qs = gates[i].qubits
-    t = qs[1]
-    run = None
-    h = links[3][i]
-    while h >= 0:
-        hg = gates[h]
-        hq = hg.qubits
-        if hq == qs and hg.kind == "CNOT":
-            return h if _is_xtype(run) else -1
-        if len(hq) == 1:
-            m = _mat_tuple(hg.kind, hg.theta)
-            run = m if run is None else _mul(m, run)
-        elif not _is_xtype(run) or _wire_action(hg, t) != _XTYPE:
-            return -1
-        else:
-            run = None
-        h = links[1 if hq[0] == t else 2 * hq.index(t) + 1][h]
-    return -1
-
-
-def _control_run(gl: _GateList, i, partner):
-    """(product, one-qubit gates, clean) on the control wire inside a sandwich.
-
-    The product and the gate indices cover the one-qubit gates after the
-    last multi-qubit gate on the control; ``clean`` means there is none.
-    None when such a gate does not act diagonally there or meets a
-    non-diagonal product.
-    """
-    gates, links = gl.gates, gl.links
-    v = gates[i].qubits[0]
-    run, singles, clean = None, [], True
-    h = links[1][i]
-    while h != partner:
-        hg = gates[h]
-        hq = hg.qubits
-        if len(hq) == 1:
-            m = _mat_tuple(hg.kind, hg.theta)
-            run = m if run is None else _mul(m, run)
-            singles.append(h)
-        elif _wire_action(hg, v) != _DIAG or not _is_diag(run):
-            return None
-        else:
-            run, singles, clean = None, [], False
-        h = links[1 if hq[0] == v else 2 * hq.index(v) + 1][h]
-    return run, singles, clean
-
-
-def _junction_pass(gl: _GateList):
-    gates = gl.gates
-    i = gl.live(gl.first)
-    while i >= 0:
+    gates, nxt, act, sig = st.gates, st.nxt, st.act, st.sig
+    cd, cx, sh, step, rewrites = st.cd, st.cx, st.sh, st.step, st.rewrites
+    changed = False
+    for i in st.live():
         if gates[i].kind != "CNOT":
-            i = gl.live(gl.order[i])
             continue
-        partner = _sandwich_partner(gl, i)
-        found = None if partner < 0 else _control_run(gl, i, partner)
-        if found is None:
-            i = gl.live(gl.order[i])
+        s = i << sh
+        w = sig[i]
+        # the closing CNOT, along the target wire
+        run = _ID
+        h = nxt[s + 1]
+        while h >= 0 and sig[h >> sh] != w:
+            c = act[h]
+            if c > _ID:
+                run = step.get((run, c)) or st.product(run, c)
+            elif c != _XTYPE or not cx[run]:
+                h = -1
+                break
+            else:
+                run = _ID
+            h = nxt[h]
+        if h < 0 or not cx[run]:
             continue
-        run, singles, clean = found
-        if _is_diag(run):
-            # middle commutes with the CNOT entirely: the pair annihilates
-            gl.remove(partner)
-            gl.remove(i)
-            gl.changed = True
-            i = gl.live(gl.order[i])
+        partner = h >> sh
+        # the control run after the last multi-qubit gate on the control wire
+        stop = partner << sh
+        run, clean = _ID, True
+        h = nxt[s]
+        while h != stop:
+            c = act[h]
+            if c > _ID:
+                run = step.get((run, c)) or st.product(run, c)
+            elif c != _DIAG or not cd[run]:
+                break
+            else:
+                run, clean = _ID, False
+            h = nxt[h]
+        if h != stop:
+            continue
+        if cd[run]:
+            # the middle commutes with the CNOT entirely: the pair annihilates
+            st.remove(partner)
+            st.remove(i)
+            changed = True
             continue
         if not clean:
-            i = gl.live(gl.order[i])
             continue
-        # the rewrite's angles come from the numpy product, gate by gate
-        v_run = np.eye(2, dtype=complex)
-        for j in singles:
-            v_run = gates[j].matrix_1q() @ v_run
-        try:
-            delta, alpha, phi, beta = _euler_zxz(v_run)
-        except ValueError:
-            i = gl.live(gl.order[i])
+        singles = []
+        h = nxt[s]
+        while h != stop:
+            singles.append(h >> sh)
+            h = nxt[h]
+        if run in rewrites:
+            recipe = rewrites[run]
+        else:
+            recipe = rewrites[run] = _junction_rewrite([gates[j] for j in singles])
+        if recipe is None:
             continue
-        if not (abs(abs(phi) - math.pi / 2.0) < 1e-9):
-            i = gl.live(gl.order[i])
-            continue
+        pre, positive, post, factor = recipe
         v, t = gates[i].qubits
-        pre, ph_pre = _emit_diag(beta, v)
-        xx, ph_xx = _xx_half_gates(v, t, 1.0 if phi > 0 else -1.0)
-        post, ph_post = _emit_diag(alpha, v)
-        gl.phase *= np.exp(1j * delta) * ph_pre * ph_xx * ph_post
+        new = [] if pre is None else [_spec_gate(pre, v)]
+        new += _xx_half_gates(v, t, positive)
+        if post is not None:
+            new.append(_spec_gate(post, v))
+        st.phase *= factor
         for j in singles:
-            gl.remove(j)
-        gl.remove(i)
-        gl.replace(partner, pre + xx + post)
-        gl.changed = True
-        i = gl.live(gl.order[i])
+            st.remove(j)
+        st.remove(i)
+        st.replace(partner, new)
+        changed = True
+    return changed
 
 
 def peephole_cancel(circ: Circuit) -> Circuit:
-    """Fixpoint gate-cancellation pass; never increases the two-qubit count."""
-    gl = _GateList(circ.gates, circ.global_phase)
+    """Fixpoint gate-cancellation pass; never increases the two-qubit count.
+
+    The input circuit is left as it is.
+    """
+    st = _Peephole(circ.gates, circ.global_phase)
+    junction_changed = True
     while True:
-        gl.changed = False
-        _simple_pass(gl)
-        _junction_pass(gl)
-        if not gl.changed:
+        simple_changed = _simple_pass(st)
+        if not (simple_changed or junction_changed):
+            # the junction pass would meet the state it last left unchanged
             break
-    return Circuit(circ.n_data, circ.n_ancilla, gl.circuit_gates(), gl.phase)
+        junction_changed = _junction_pass(st)
+        if not (simple_changed or junction_changed):
+            break
+    return Circuit(circ.n_data, circ.n_ancilla, [st.gates[i] for i in st.live()], st.phase)

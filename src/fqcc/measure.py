@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .circuits import Circuit
+from .circuits import Circuit, shared_gate
 from .paulis import PauliString, PauliSum, word_key
 
 __all__ = [
@@ -207,17 +207,6 @@ def _conjugate_masks(x, z, sign, kind, qubits):
 # ---------------------------------------------------------------------------
 
 
-def _qwc_compatible(profile, s):
-    px, pz, psup = profile
-    sup = s.xmask | s.zmask
-    common = sup & psup
-    return not ((s.xmask ^ px) & common or (s.zmask ^ pz) & common)
-
-
-def _commutes(a, b):
-    return not (((a.xmask & b.zmask).bit_count() ^ (a.zmask & b.xmask).bit_count()) & 1)
-
-
 @dataclass(slots=True)
 class MeasurementGroup:
     """Strings measured in one shot, plus the basis change that enables it."""
@@ -244,21 +233,53 @@ def _ordered(strings):
     return sorted(items, key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
 
 
+def _width(strings, ordered):
+    """The register: the sum's width, else the first string's (1 for none).
+
+    Both partitions index qubits by this width, so a string acting beyond
+    it is rejected.
+    """
+    if isinstance(strings, PauliSum):
+        n = strings.n_qubits
+    else:
+        n = ordered[0].n_qubits if ordered else 1
+    if any((s.xmask | s.zmask) >> n for s in ordered):
+        raise ValueError(f"a string acts beyond the {n}-qubit register")
+    return n
+
+
 def partition_qwc(strings) -> MeasurementPlan:
-    """Greedy qubit-wise-commuting partition; measuring costs no extra gates."""
+    """Greedy qubit-wise-commuting partition; measuring costs no extra gates.
+
+    Strings are taken by decreasing |coefficient|, then in word order, and
+    each joins the first group whose members agree with its letter on every
+    qubit they share, or opens a new group.  Groups are bits of Python-int
+    bitsets: ``touched[q]`` holds the groups with a letter on qubit q and
+    ``having[4 q + letter]`` those with that letter there (letter = x bit |
+    z bit << 1).  A string conflicts with ``touched[q] ^ having[4 q +
+    letter]`` on each qubit of its support and joins the lowest group bit
+    outside the union of those sets.
+    """
+    ordered = _ordered(strings)
+    n = _width(strings, ordered)
+    touched = [0] * n
+    having = [0] * (4 * n)
     groups: list[list] = []
-    profiles: list[tuple] = []
-    for s in _ordered(strings):
-        for i, profile in enumerate(profiles):
-            if _qwc_compatible(profile, s):
-                groups[i].append(s)
-                px, pz, psup = profile
-                profiles[i] = (px | s.xmask, pz | s.zmask, psup | s.xmask | s.zmask)
-                break
-        else:
-            groups.append([s])
-            profiles.append((s.xmask, s.zmask, s.xmask | s.zmask))
-    n = strings.n_qubits if isinstance(strings, PauliSum) else (groups[0][0].n_qubits if groups else 1)
+    for s in ordered:
+        x, z = s.xmask, s.zmask
+        letters = [(q, 4 * q + (x >> q & 1 | (z >> q & 1) << 1)) for q in _bits(x | z)]
+        conflict = 0
+        for q, k in letters:
+            conflict |= touched[q] ^ having[k]
+        # the lowest clear bit of conflict
+        g = (~conflict & (conflict + 1)).bit_length() - 1
+        if g == len(groups):
+            groups.append([])
+        groups[g].append(s)
+        bit = 1 << g
+        for q, k in letters:
+            touched[q] |= bit
+            having[k] |= bit
     return MeasurementPlan(
         "qwc",
         tuple(
@@ -267,22 +288,21 @@ def partition_qwc(strings) -> MeasurementPlan:
     )
 
 
-def _independent_generators(group, n):
-    """GF(2) basis of the group's (x|z) row space, as (x, z) mask pairs."""
-    basis: dict[int, int] = {}
-    out = []
-    for s in group:
-        v = (s.xmask << n) | s.zmask
-        while v:
-            hi = v.bit_length() - 1
-            if hi in basis:
-                v ^= basis[hi]
-            else:
-                basis[hi] = v
-                out.append(v)
-                break
-    mask = (1 << n) - 1
-    return [(v >> n, v & mask) for v in out]
+def _add_generator(basis, v):
+    """Grow a GF(2) row basis by the (x << n | z) row v, unless v is in its span.
+
+    ``basis`` maps each generator's highest bit to the generator; v is
+    reduced by the generators in turn and kept, reduced, under its new
+    highest bit.  The generators in insertion order are a basis of the
+    rows added so far.
+    """
+    while v:
+        hi = v.bit_length() - 1
+        if hi in basis:
+            v ^= basis[hi]
+        else:
+            basis[hi] = v
+            return
 
 
 def _bits(mask):
@@ -292,20 +312,22 @@ def _bits(mask):
         mask ^= low
 
 
-def _diagonalizing_circuit(group, n) -> Circuit:
+def _diagonalizing_circuit(basis, n) -> Circuit:
     """Clifford mapping every string in a GC group to Z-type.
 
-    Symplectic elimination over the independent generators: each round takes
-    a generator still carrying X support, clears the other X bits with CNOTs
-    from a pivot, clears stray Z bits with CZs, folds a leftover Y at the
-    pivot with S, and finishes with H so the generator becomes a single Z.
-    Mutual commutation keeps finished pivots clean for every later round.
+    ``basis`` holds the group's independent generators (``_add_generator``).
+    Symplectic elimination over them: each round takes a generator still
+    carrying X support, clears the other X bits with CNOTs from a pivot,
+    clears stray Z bits with CZs, folds a leftover Y at the pivot with S,
+    and finishes with H so the generator becomes a single Z.  Mutual
+    commutation keeps finished pivots clean for every later round.
     """
-    gens = [[x, z] for x, z in _independent_generators(group, n)]
+    mask = (1 << n) - 1
+    gens = [[v >> n, v & mask] for v in basis.values()]
     circ = Circuit(n)
 
     def emit(kind, *qubits):
-        circ.add(kind, *qubits)
+        circ.gates.append(shared_gate(kind, qubits))
         for g in gens:
             g[0], g[1], _ = _conjugate_masks(g[0], g[1], 1.0, kind, qubits)
 
@@ -331,20 +353,37 @@ def partition_gc(strings) -> MeasurementPlan:
 
     Fewer groups than qubit-wise commutation, but each group must be rotated
     into the computational basis before measuring; the group's extra cost is
-    the two-qubit gate count of that Clifford.
+    the two-qubit gate count of that Clifford.  Strings are taken as in
+    ``partition_qwc`` and each joins the first group it commutes with.  A
+    string is tested against the group's independent generators (at most
+    2n, grown by ``_add_generator`` as members join) rather than against
+    every member: what commutes with a basis commutes with its span.  Row
+    ``x << n | z`` against the swapped row ``z << n | x`` of a string has an
+    even popcount exactly when the two commute.
     """
+    ordered = _ordered(strings)
+    n = _width(strings, ordered)
     groups: list[list] = []
-    for s in _ordered(strings):
-        for group in groups:
-            if all(_commutes(s, member) for member in group):
-                group.append(s)
+    bases: list[dict] = []
+    for s in ordered:
+        x, z = s.xmask, s.zmask
+        swapped = z << n | x
+        # g: the first group whose generators all commute with s, else a new one
+        for g, basis in enumerate(bases):
+            for u in basis.values():
+                if (u & swapped).bit_count() & 1:
+                    break
+            else:
                 break
         else:
-            groups.append([s])
-    n = strings.n_qubits if isinstance(strings, PauliSum) else (groups[0][0].n_qubits if groups else 1)
+            g = len(groups)
+            groups.append([])
+            bases.append({})
+        groups[g].append(s)
+        _add_generator(bases[g], x << n | z)
     out = []
-    for group in groups:
-        circ = _diagonalizing_circuit(group, n)
+    for group, basis in zip(groups, bases):
+        circ = _diagonalizing_circuit(basis, n)
         cost = sum(1 for g in circ.gates if g.kind in ("CNOT", "CZ"))
         out.append(MeasurementGroup(tuple(group), circ, cost))
     return MeasurementPlan("gc", tuple(out))

@@ -10,7 +10,9 @@ and letter-word sort that ``trotter.expand_term`` once used,
 ``map_operator_via_paulisum`` keeps the PauliSum-product route that
 ``Transform.map_operator`` once used, and ``paired_compression_reference``
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
-once used.  The last two sections hold what only tests call on fqcc's own
+once used.  ``qwc_groups_reference`` and ``gc_groups_reference`` keep the
+profile and member-by-member loops that ``measure.partition_qwc`` and
+``partition_gc`` once ran.  The last two sections hold what only tests call on fqcc's own
 objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
 rotations), which run the package's own gate matrices, ladder strings and
@@ -1004,6 +1006,50 @@ def peephole_reference(ops, phase=1.0):
         if not st.changed:
             break
     return [tuple(op) for op in st.gates], st.phase
+
+
+# ---------------------------------------------------------------------------
+# first-fit measurement groups: the loops measure.partition_* once ran
+# ---------------------------------------------------------------------------
+
+
+def qwc_groups_reference(ordered):
+    """First-fit qubit-wise-commuting groups of ``ordered``, kept in that order.
+
+    Each group keeps the OR of its members' x, z and support masks; a
+    string joins the first group whose masks agree with its own on their
+    common support.
+    """
+    groups, profiles = [], []
+    for s in ordered:
+        sup = s.xmask | s.zmask
+        for i, (px, pz, psup) in enumerate(profiles):
+            common = sup & psup
+            if not ((s.xmask ^ px) & common or (s.zmask ^ pz) & common):
+                groups[i].append(s)
+                profiles[i] = (px | s.xmask, pz | s.zmask, psup | sup)
+                break
+        else:
+            groups.append([s])
+            profiles.append((s.xmask, s.zmask, sup))
+    return groups
+
+
+def gc_groups_reference(ordered):
+    """First-fit commuting groups of ``ordered``, each string tested against every member."""
+
+    def commute(a, b):
+        return not (((a.xmask & b.zmask).bit_count() ^ (a.zmask & b.xmask).bit_count()) & 1)
+
+    groups = []
+    for s in ordered:
+        for group in groups:
+            if all(commute(s, member) for member in group):
+                group.append(s)
+                break
+        else:
+            groups.append([s])
+    return groups
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc import circuits
 from fqcc.circuits import (
     Circuit,
     Gate,
@@ -228,18 +229,23 @@ _ANGLES = st.one_of(
 
 # CNOTs drawn three times as often, so that sandwiches form
 _KINDS = ["H", "S", "Sdg", "T", "Tdg", "X", "Z", "Rz", "Rx", "CNOT", "CNOT", "CNOT", "CZ"]
+_TOFFOLIS = ["RelPhaseToffoli3", "RelPhaseToffoli3Inverse"]
 
 
 @st.composite
 def _circuits(draw):
+    """Random circuits; from 4 wires on they hold 4-wire Toffolis too."""
     n = draw(st.integers(2, 6))
     wire = st.integers(0, n - 1)
+    kinds = _KINDS + _TOFFOLIS if n >= 4 else _KINDS
     circ = Circuit(n)
     for _ in range(draw(st.integers(0, 40))):
-        kind = draw(st.sampled_from(_KINDS))
+        kind = draw(st.sampled_from(kinds))
         if kind in ("CNOT", "CZ"):
             a, b = draw(st.lists(wire, min_size=2, max_size=2, unique=True))
             circ.add(kind, a, b)
+        elif kind in _TOFFOLIS:
+            circ.add(kind, *draw(st.lists(wire, min_size=4, max_size=4, unique=True)))
         elif kind in ("Rz", "Rx"):
             circ.add(kind, draw(wire), theta=draw(_ANGLES))
         else:
@@ -277,6 +283,67 @@ class TestPeepholeReference:
             circ.add("H", 0).add("X", 1).add("CNOT", 0, 1)
             _assert_matches_reference(circ)
             assert metrics(peephole_cancel(circ)).two_qubit == 1
+
+
+    def test_toffoli_circuits_match(self):
+        # 4-wire slots: Toffolis and their inverses on a few recurring wire
+        # orders cancel, block on their target ("other"), and commute
+        # through diagonal gates on their controls
+        rng = np.random.default_rng(29)
+        orders = [(0, 1, 2, 3), (1, 0, 2, 3), (3, 1, 0, 4)]
+        kinds = ["H", "S", "T", "Z", "X", "Rz", "CNOT", "CZ"] + _TOFFOLIS * 3
+        for _ in range(300):
+            circ = Circuit(5)
+            for _ in range(int(rng.integers(2, 20))):
+                kind = kinds[rng.integers(len(kinds))]
+                if kind in _TOFFOLIS:
+                    circ.add(kind, *orders[rng.integers(len(orders))])
+                elif kind in ("CNOT", "CZ"):
+                    a, b = rng.choice(5, size=2, replace=False)
+                    circ.add(kind, int(a), int(b))
+                elif kind == "Rz":
+                    circ.add(kind, int(rng.integers(5)), theta=float(rng.uniform(-4.0, 4.0)))
+                else:
+                    circ.add(kind, int(rng.integers(5)))
+            _assert_matches_reference(circ)
+
+    def test_toffoli_pair_cancels_across_control_phases(self):
+        circ = Circuit(4).add("RelPhaseToffoli3", 0, 1, 2, 3).add("T", 0).add("CZ", 1, 2)
+        circ.add("RelPhaseToffoli3Inverse", 0, 1, 2, 3)
+        out = peephole_cancel(circ)
+        assert [g.kind for g in out.gates] == ["T", "CZ"]
+        blocked = Circuit(4).add("RelPhaseToffoli3", 0, 1, 2, 3).add("T", 3)
+        blocked.add("RelPhaseToffoli3Inverse", 0, 1, 2, 3)
+        assert len(peephole_cancel(blocked).gates) == 3
+
+    def test_input_circuit_untouched(self):
+        circ = Circuit(3).add("CNOT", 0, 1).add("Rz", 0, theta=0.4).add("H", 0).add("S", 0)
+        circ.add("H", 0).add("Rz", 2, theta=7.0).add("Rz", 2, theta=0.1).add("CNOT", 0, 1)
+        circ.add("CNOT", 1, 2).add("CNOT", 1, 2)
+        gates = list(circ.gates)
+        out = peephole_cancel(circ)
+        assert len(out.gates) < len(gates) and metrics(out).two_qubit == 1
+        assert circ.gates == gates and all(a is b for a, b in zip(circ.gates, gates))
+        assert circ.global_phase == 1.0
+
+    def test_early_stop_after_a_changing_junction_pass(self, monkeypatch):
+        # round 1: the junction pass rewrites the H sandwich and leaves an H
+        # next to the trailing H(1); round 2: the simple pass cancels them
+        # and the junction pass finds nothing; round 3: the simple pass
+        # changes nothing, so the fixpoint stops without a third junction pass
+        calls = []
+        for name in ("_simple_pass", "_junction_pass"):
+            fn = getattr(circuits, name)
+            monkeypatch.setattr(
+                circuits, name, lambda st, fn=fn, name=name: calls.append((name, fn(st))) or calls[-1][1]
+            )
+        circ = Circuit(2).add("CNOT", 0, 1).add("H", 0).add("CNOT", 0, 1).add("H", 1)
+        _assert_matches_reference(circ)
+        assert calls == [
+            ("_simple_pass", False), ("_junction_pass", True),
+            ("_simple_pass", True), ("_junction_pass", False),
+            ("_simple_pass", False),
+        ]
 
 
 def _random_u2(rng):

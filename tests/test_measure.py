@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc import measure
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, build_hamiltonian
 from fqcc.measure import (
@@ -312,6 +313,26 @@ def _commute_pair(a, b):
     return not (((a.xmask & b.zmask).bit_count() ^ (a.zmask & b.xmask).bit_count()) & 1)
 
 
+def _assert_reference_groups(strings):
+    """Both partitions hold the groups of the first-fit loops in oracles, in order."""
+    ordered = measure._ordered(strings)
+    for plan, reference in (
+        (partition_qwc(strings), oracles.qwc_groups_reference),
+        (partition_gc(strings), oracles.gc_groups_reference),
+    ):
+        got = [[(s.xmask, s.zmask, s.coeff) for s in g.strings] for g in plan.groups]
+        want = [[(s.xmask, s.zmask, s.coeff) for s in g] for g in reference(ordered)]
+        assert got == want, plan.criterion
+
+
+def _water_encoding(name):
+    if name == "jw":
+        return Transform.jordan_wigner(14)
+    if name == "bk":
+        return Transform.bravyi_kitaev(14)
+    return Transform.from_lower_bits(14, np.random.default_rng(1).integers(0, 2, 91).tolist())
+
+
 class TestPartitionQwc:
     def test_all_z_is_one_free_group(self):
         strings = [_string(3, t) for t in ("Z0", "Z1", "Z0 Z2", "Z1 Z2")]
@@ -389,6 +410,17 @@ class TestPartitionGc:
         for g in gc.groups:
             assert all(conjugate_string(s, g.basis_change.gates).xmask == 0 for s in g.strings)
 
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta"])
+    def test_groups_match_reference_on_water(self, name):
+        ham, _ = load_fcidump(H2O_PATH).to_spin_orbital()
+        _assert_reference_groups(build_hamiltonian(ham).to_pauli(_water_encoding(name)))
+
+    @pytest.mark.parametrize("partition", [partition_qwc, partition_gc])
+    def test_string_beyond_the_register_rejected(self, partition):
+        # the register is the first string's; X2 lies outside two qubits
+        with pytest.raises(ValueError, match="beyond the 2-qubit register"):
+            partition([_string(2, "X0", 2.0), PauliString(2, 0b100, 0, 1.0)])
+
     def test_single_x_string_costs_nothing_extra(self):
         plan = partition_gc([_string(2, "X0")])
         assert plan.n_groups == 1
@@ -408,6 +440,7 @@ class TestPartitionGc:
             if not (x | z):
                 x = 1
             strings.append(PauliString(n, x, z, 1.0))
+        _assert_reference_groups(strings)
         gc = partition_gc(strings)
         qwc = partition_qwc(strings)
         assert gc.n_groups <= len(strings)

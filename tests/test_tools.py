@@ -43,10 +43,16 @@ def test_planner_layers_reports_h4():
         assert layers["emit_calls"] == 1
         assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
         assert 0 < layers["peephole_gates_out"] <= layers["peephole_gates_in"]
+        # each peephole call runs both passes at least once and drops at
+        # most its last junction pass
+        calls, simple, junction = (
+            layers[f"peephole{part}_calls"] for part in ("", "_simple", "_junction")
+        )
+        assert calls <= junction <= simple <= junction + calls
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
                 "plan", "expand", "compression", "held_karp", "dp", "chaining",
-                "emit", "term_circuit", "peephole",
+                "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
             )
         )

@@ -19,6 +19,12 @@ the plans or over the one emission:
     term_circuit trotter.term_circuit: one kept term's blocks
     peephole     trotter.peephole_cancel: one class chain or standalone
                  term, reduced
+    peephole_simple    circuits._simple_pass: one cancel-and-merge pass
+    peephole_junction  circuits._junction_pass: one sandwich-rewrite pass
+
+Each peephole call runs the two passes in turn until neither changes
+anything, and skips the last junction pass when it would meet the state
+the previous one left unchanged.
 
 ``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
 peephole was given and returned.  Everything runs in this one process on
@@ -37,7 +43,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from fqcc import trotter  # noqa: E402
+from fqcc import circuits, trotter  # noqa: E402
 from fqcc.circuits import metrics  # noqa: E402
 from fqcc.fermions import uccsd_pool  # noqa: E402
 from fqcc.transform import Transform  # noqa: E402
@@ -47,15 +53,17 @@ SYSTEMS = {"h4": (8, 4), "water": (14, 10)}
 ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 REPEAT = 3  # plans per system and encoding
 LAYERS = {
-    "plan": "plan_ansatz",
-    "expand": "expand_term",
-    "compression": "bosonic_reduce",
-    "held_karp": "_dp_choices",
-    "dp": "_max_paths",
-    "chaining": "_chain_class",
-    "emit": "emit_circuit",
-    "term_circuit": "term_circuit",
-    "peephole": "peephole_cancel",
+    "plan": (trotter, "plan_ansatz"),
+    "expand": (trotter, "expand_term"),
+    "compression": (trotter, "bosonic_reduce"),
+    "held_karp": (trotter, "_dp_choices"),
+    "dp": (trotter, "_max_paths"),
+    "chaining": (trotter, "_chain_class"),
+    "emit": (trotter, "emit_circuit"),
+    "term_circuit": (trotter, "term_circuit"),
+    "peephole": (trotter, "peephole_cancel"),
+    "peephole_simple": (circuits, "_simple_pass"),
+    "peephole_junction": (circuits, "_junction_pass"),
 }
 
 
@@ -88,19 +96,19 @@ def measure(n_modes, n_electrons, transform):
     pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
     totals = defaultdict(lambda: [0.0, 0])
     gates = [0, 0]
-    originals = {attr: getattr(trotter, attr) for attr in LAYERS.values()}
+    originals = {layer: getattr(module, attr) for layer, (module, attr) in LAYERS.items()}
     try:
-        for layer, attr in LAYERS.items():
-            fn = originals[attr]
+        for layer, (module, attr) in LAYERS.items():
+            fn = originals[layer]
             if layer == "peephole":
                 fn = _counted_peephole(fn, gates)
-            setattr(trotter, attr, _timed(fn, totals[layer]))
+            setattr(module, attr, _timed(fn, totals[layer]))
         for _ in range(REPEAT):
             plan = trotter.plan_ansatz(pool, transform, occupied=range(n_electrons))
         circuit = trotter.emit_circuit(plan)
     finally:
-        for attr, fn in originals.items():
-            setattr(trotter, attr, fn)
+        for layer, (module, attr) in LAYERS.items():
+            setattr(module, attr, originals[layer])
     out = {
         "model_two_qubit": plan.model_two_qubit,
         "circuit_two_qubit": metrics(circuit).two_qubit,
