@@ -596,32 +596,22 @@ def _simple_pass(st: _Peephole):
                     changed = True
             w = want[i]
             s = i << sh
-            if kind == "CNOT":
-                # a diag action on the control wire, an xtype one on the target
+            for s in range(s, s + len(g.qubits)):
+                mine = act[s]
                 h = nxt[s]
                 while h >= 0 and sig[h >> sh] != w:
-                    h = nxt[h] if cd[act[h]] else -1
-                if h >= 0:
-                    h = nxt[s + 1]
-                    while h >= 0 and sig[h >> sh] != w:
-                        h = nxt[h] if cx[act[h]] else -1
-            else:
-                for s in range(s, s + len(g.qubits)):
-                    mine = act[s]
-                    h = nxt[s]
-                    while h >= 0 and sig[h >> sh] != w:
-                        c = act[h]
-                        if mine < _ID:
-                            ok = mine != _OTHER and (cd if mine == _DIAG else cx)[c]
-                        elif c < _ID:
-                            ok = c != _OTHER and (cd if c == _DIAG else cx)[mine]
-                        else:
-                            ok = comm.get((mine, c))
-                            if ok is None:
-                                ok = st.commute(mine, c)
-                        h = nxt[h] if ok else -1
-                    if h < 0:
-                        break
+                    c = act[h]
+                    if mine < _ID:
+                        ok = mine != _OTHER and (cd if mine == _DIAG else cx)[c]
+                    elif c < _ID:
+                        ok = c != _OTHER and (cd if c == _DIAG else cx)[mine]
+                    else:
+                        ok = comm.get((mine, c))
+                        if ok is None:
+                            ok = st.commute(mine, c)
+                    h = nxt[h] if ok else -1
+                if h < 0:
+                    break
             if h < 0:
                 break
             j = h >> sh
