@@ -315,15 +315,23 @@ def _bits(mask):
 def _diagonalizing_circuit(basis, n) -> Circuit:
     """Clifford mapping every string in a GC group to Z-type.
 
-    ``basis`` holds the group's independent generators (``_add_generator``).
-    Symplectic elimination over them: each round takes a generator still
+    ``basis`` holds the group's independent generators (``_add_generator``);
+    generators that do not all commute raise ``ValueError``.  Symplectic
+    elimination over them: each round takes the first generator still
     carrying X support, clears the other X bits with CNOTs from a pivot,
     clears stray Z bits with CZs, folds a leftover Y at the pivot with S,
     and finishes with H so the generator becomes a single Z.  Mutual
-    commutation keeps finished pivots clean for every later round.
+    commutation keeps finished pivots clean for every later round and
+    keeps every Z-type generator Z-type, so only the generators with X
+    support are carried through the gates, and each round finishes one.
     """
     mask = (1 << n) - 1
-    gens = [[v >> n, v & mask] for v in basis.values()]
+    rows = list(basis.values())
+    for i, u in enumerate(rows):
+        swapped = (u & mask) << n | u >> n
+        if any((v & swapped).bit_count() & 1 for v in rows[:i]):
+            raise ValueError("the group's strings do not all commute")
+    gens = [[v >> n, v & mask] for v in rows]
     circ = Circuit(n)
 
     def emit(kind, *qubits):
@@ -332,9 +340,10 @@ def _diagonalizing_circuit(basis, n) -> Circuit:
             g[0], g[1], _ = _conjugate_masks(g[0], g[1], 1.0, kind, qubits)
 
     while True:
-        active = next((g for g in gens if g[0]), None)
-        if active is None:
-            break
+        gens = [g for g in gens if g[0]]
+        if not gens:
+            return circ
+        active = gens[0]
         pivot = (active[0] & -active[0]).bit_length() - 1
         for q in _bits(active[0]):
             if q != pivot:
@@ -345,7 +354,6 @@ def _diagonalizing_circuit(basis, n) -> Circuit:
         if active[1] >> pivot & 1:
             emit("S", pivot)
         emit("H", pivot)
-    return circ
 
 
 def partition_gc(strings) -> MeasurementPlan:

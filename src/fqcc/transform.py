@@ -18,16 +18,101 @@ where pi is the inclusive lower-triangular parity accumulator.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .circuits import Circuit
-from .paulis import _PHASES, COEFF_TOL, PauliSum
+from .paulis import COEFF_TOL, PauliSum
 
 
 # power-of-i exponents of a ladder's strings (x, z_parity) and (x, z_remainder):
 # a_mode is (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same
 # with -i = i^3
 _LADDER_EXPONENTS = ((0, 1), (0, 3))
+
+
+# map_operator keeps masks in int64 arrays
+_MAX_MODES = 63
+# set bits of each byte value
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# i^e
+_UNITS = np.array([1, 1j, -1, -1j])
+
+
+def _popcount(v):
+    """Set bits of each entry of the contiguous int64 array ``v``: a byte
+    table, then a multiply that sums the eight bytes into the top one."""
+    count = _POPCOUNT8[v.view(np.uint8)].view(np.int64)
+    count *= 0x0101010101010101
+    count >>= 56
+    return count
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+@functools.cache
+def _ladder_order(k):
+    """``later[a, b]``: of k ladders, ladder b comes after ladder a."""
+    return _frozen(np.triu(np.ones((k, k), dtype=bool), 1))
+
+
+@functools.cache
+def _choices(d):
+    """Each of the 2^d choices of d free ladders, the first one leading."""
+    return _frozen(np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1) & 1)
+
+
+def _first_paths(tables, lad, coeffs, place0, columns):
+    """Append the strings of products of k ladders each to ``columns``, for
+    ``Transform.map_operator``, and return each term's number of distinct
+    modes D.
+
+    ``lad`` has one row per term, entries 2 * mode + dagger.  For every
+    string of every term that is neither 0 nor cut (``coeffs``), the four
+    columns get x, z, the power of i of its first path, and its place:
+    ``place0`` of the term plus the index of that path among the 2^D.
+    """
+    x_of, z_of, dz_of, anti_of, f_of, df_of = tables
+    k = lad.shape[1]
+    mode = lad >> 1
+    later = _ladder_order(k)
+    same = mode[:, :, None] == mode[:, None, :]
+    # the choice at a mode's last ladder is free, the others take string 0
+    free = ~(same & later).any(axis=2)
+    distinct = free.sum(axis=1)
+    # a mode alternates between creation and annihilation when its dagger
+    # xor its count of earlier ladders is the same at each of its ladders
+    turn = (lad & 1) ^ (same & later.T).sum(axis=2) & 1
+    alive = ~(same & (turn[:, :, None] != turn[:, None, :])).any(axis=(1, 2))
+    alive &= (np.abs(coeffs * 0.5**distinct) > COEFF_TOL) | (k == 0)
+    x = np.bitwise_xor.reduce(x_of[mode], axis=1)
+    z = np.bitwise_xor.reduce(z_of[mode], axis=1)
+    # i^f of the first path: the strings' own powers of i, and (-1)^|z & x'|
+    # for each later ladder's x' that a Z^z moves past.  String 1 at a free
+    # ladder of mode j adds its own df and no sign: its extra Z^z, row j of
+    # beta^-1, anticommutes with mode j's x alone, and no later ladder has
+    # mode j.
+    signs = (anti_of[mode[:, :, None], mode[:, None, :]] & later).sum(axis=(1, 2))
+    f = f_of[lad].sum(axis=1) + 2 * signs
+    for d in sorted(set(distinct[alive].tolist())):
+        rows = np.flatnonzero(alive & (distinct == d))
+        choice = _choices(d)
+        at = free[rows]
+        zd = np.repeat(z[rows, None], 1 << d, axis=1)
+        for i, step in enumerate(dz_of[mode[rows][at]].reshape(len(rows), d).T):
+            zd ^= step[:, None] * choice[:, i]
+        e = f[rows, None] + df_of[lad[rows][at]].reshape(len(rows), d) @ choice.T
+        # Y = iXZ, so i^f X^x Z^z = i^(f - |x & z|) P(x, z)
+        e -= _popcount(zd & x[rows, None])
+        e &= 3
+        place = place0[rows, None] + np.arange(1 << d)
+        for column, part in zip(columns, (x[rows].repeat(1 << d), zd, e.astype(np.int8), place)):
+            column.append(part.ravel())
+    return distinct
 
 
 def _gf2_inv(a):
@@ -46,9 +131,11 @@ def _gf2_inv(a):
     return aug[:, n:]
 
 
-def _mask(row):
-    """Bit mask of the nonzero entries of a 0/1 row."""
-    return sum(1 << k for k in np.flatnonzero(row).tolist())
+def _masks(rows):
+    """Bit mask of the nonzero entries of each row of a 0/1 matrix."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
 class Transform:
@@ -63,7 +150,7 @@ class Transform:
         beta = np.array(beta, dtype=np.uint8)
         if beta.ndim != 2 or beta.shape[0] != beta.shape[1]:
             raise ValueError("beta must be square")
-        if not np.isin(beta, (0, 1)).all():
+        if (beta > 1).any():
             raise ValueError("beta must be a 0/1 matrix")
         n = beta.shape[0]
         if not (np.diag(beta) == 1).all():
@@ -79,11 +166,31 @@ class Transform:
         # per mode j, the masks (x, z_parity, z_remainder) of its ladder
         # strings: U(j) and j (column j of beta), P(j) (row j of m_p) and
         # R(j) and j (row j of m_r, whose diagonal is 1)
-        ladder_masks = ((_mask(beta[:, j]), _mask(m_p[j]), _mask(m_r[j])) for j in range(n))
+        ladder_masks = zip(_masks(beta.T), _masks(m_p), _masks(m_r))
         self.ladder_strings = tuple(
             tuple(((x, zp, ep), (x, zr, er)) for ep, er in _LADDER_EXPONENTS)
             for x, zp, zr in ladder_masks
         )
+        # map_operator's tables, for up to _MAX_MODES modes.  By mode: the
+        # x mask, string 0's z mask, the z difference of the two strings
+        # (row j of beta^-1), and whether string 0's Z^z anticommutes with
+        # each mode's X^x.  By ladder 2 * mode + dagger: string 0's power of
+        # i in the X^x Z^z form, i^e P(x, z) = i^(e + |x & z|) X^x Z^z, and
+        # string 1's minus string 0's.
+        self._ladder_tables = None
+        if n <= _MAX_MODES:
+            bits = 1 << np.arange(n, dtype=np.int64)
+            beta64, m_p64, m_r64 = (a.astype(np.int64) for a in (beta, m_p, m_r))
+            overlap_p, overlap_r = (beta64.T * m_p64).sum(axis=1), (beta64.T * m_r64).sum(axis=1)
+            exponents = np.array(_LADDER_EXPONENTS)
+            self._ladder_tables = (
+                beta64.T @ bits,
+                m_p64 @ bits,
+                self.beta_inv.astype(np.int64) @ bits,
+                ((m_p64 @ beta64) & 1).astype(bool),
+                ((exponents[:, 0] + overlap_p[:, None]) & 3).ravel(),
+                ((exponents[:, 1] - exponents[:, 0] + (overlap_r - overlap_p)[:, None]) & 3).ravel(),
+            )
 
     # -- constructors --------------------------------------------------------
 
@@ -127,60 +234,112 @@ class Transform:
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.
 
-        Each term's ladders are multiplied in one loop over the masks of
-        each ladder's two strings, with ``PauliSum.__mul__``'s phase
-        rule and its merge: a key whose sum is exactly 0 is dropped, and
-        after each ladder every coefficient of magnitude ``COEFF_TOL`` or
-        less.  Products accumulate into one dict in term order, filtered
-        the same way at the end.  Enumeration and merge order are those
-        of multiplying and adding ``PauliSum`` objects, so the items, their
-        order and every coefficient are the same, bit for bit.
+        All terms are mapped in one numpy pass.  A term of k ladders has
+        2^k paths, one string per ladder, the first ladder's choice
+        leading; as in ``trotter.expand_term``, a path's product is
+        i^f X^x Z^z with integer f and z, and x is shared by the term.  The
+        two strings of mode j differ in z by row j of beta^-1, so paths
+        reach the same z exactly when they agree on the parity of each
+        mode's choices: D distinct modes give 2^D strings, each reached
+        first by the path that takes string 0 at every ladder but its
+        mode's last.  The product is a fermion operator conjugated by the
+        basis change, so it is 0 (some mode's ladders do not alternate
+        between creation and annihilation) or each string has coefficient
+        coeff i^e / 2^D: the merged weight of its 2^(k - D) paths is
+        2^(k - D) i^e, e that of the first.  Only first paths are
+        enumerated.  The additions ``coeff * (i^e * 2^-D)`` of all terms
+        are sorted by string, then by term and path, and each string's are
+        summed in that order, one at a time.
+
+        The result is that of multiplying each term's ladders as
+        ``PauliSum`` objects and adding the products in term order
+        (``PauliSum.__mul__``'s phase rule and merge): the same items, in
+        the same order, with every coefficient equal bit for bit (above
+        underflow).  A running sum that is exactly 0 drops its string,
+        which goes to the end if it comes back.  After each ladder, a
+        product's coefficients of magnitude ``COEFF_TOL`` or less are
+        dropped, and so are the sum's at the end; a term without ladders
+        is added as given.  A term's partial products are exact and never
+        grow, so the per-ladder cut is the cut of the whole product.
+
+        Masks are int64: a transform of more than 63 modes raises
+        ``ValueError``.
         """
         n = self.n_modes
-        # per mode, the strings of a_mode and of its adjoint as
-        # (x, z, X letters, Y letters, Z letters, coefficient)
-        right = [
-            tuple(
-                tuple((x, z, x & ~z, x & z, z & ~x, 0.5 * _PHASES[e]) for x, z, e in strings)
-                for strings in per_mode
-            )
-            for per_mode in self.ladder_strings
-        ]
-        out = {}
+        if n > _MAX_MODES:
+            raise ValueError(f"map_operator supports at most {_MAX_MODES} modes, not {n}")
+        terms = list(terms)
+        ladders = np.array(
+            [2 * mode + (1 if dagger else 0) for _, ops in terms for mode, dagger in ops],
+            dtype=np.int64,
+        )
+        bad = (ladders < 0) | (ladders >= 2 * n)
+        if bad.any():
+            raise ValueError(f"mode {int(ladders[bad][0]) >> 1} out of range")
         if constant:
             c = 0.0 + complex(constant)
             if abs(c) > COEFF_TOL:
-                out[0, 0] = c
-        phases = _PHASES
-        for coeff, ops in terms:
-            prod = {(0, 0): complex(coeff)}
-            for mode, dagger in ops:
-                if not 0 <= mode < n:
-                    raise ValueError(f"mode {mode} out of range")
-                step = {}
-                get = step.get
-                for (x1, z1), c1 in prod.items():
-                    xo, yo, zo = x1 & ~z1, x1 & z1, z1 & ~x1
-                    for x2, z2, xt, yt, zt, c2 in right[mode][1 if dagger else 0]:
-                        # XY, YZ, ZX give +i
-                        plus = (xo & yt) | (yo & zt) | (zo & xt)
-                        minus = (yo & xt) | (zo & yt) | (xo & zt)
-                        key = (x1 ^ x2, z1 ^ z2)
-                        c = get(key, 0.0) + c1 * c2 * phases[(plus.bit_count() - minus.bit_count()) % 4]
-                        if c == 0.0:
-                            step.pop(key, None)
-                        else:
-                            step[key] = c
-                if step and min(map(abs, step.values())) <= COEFF_TOL:
-                    step = {k: c for k, c in step.items() if abs(c) > COEFF_TOL}
-                prod = step
-            for key, c in prod.items():
-                c = out.get(key, 0.0) + c
-                if c == 0.0:
-                    out.pop(key, None)
-                else:
-                    out[key] = c
-        return PauliSum(n, {k: c for k, c in out.items() if abs(c) > COEFF_TOL})
+                # the first string in, as a term without ladders
+                terms.insert(0, (c, ()))
+        if not terms:
+            return PauliSum(n)
+        coeffs = np.array([c for c, _ in terms], dtype=complex)
+        lengths = np.array([len(ops) for _, ops in terms], dtype=np.int64)
+        first = np.cumsum(lengths) - lengths
+        # room for the 2^D first paths of a term, D <= k and D <= n
+        n_paths = 1 << min(int(lengths.max()), n)
+        scale = np.empty_like(coeffs)
+        columns = ([], [], [], [])
+        for k in sorted(set(lengths.tolist())):
+            rows = np.flatnonzero(lengths == k)
+            lad = ladders[first[rows, None] + np.arange(k)]
+            distinct = _first_paths(self._ladder_tables, lad, coeffs[rows], rows * n_paths, columns)
+            scale[rows] = coeffs[rows] * 0.5**distinct
+        if not columns[0]:
+            return PauliSum(n)
+        # each array is dropped once it is used, to keep the peak memory low
+        joined = []
+        for column in columns:
+            joined.append(np.concatenate(column))
+            column.clear()
+        x, z, e, place = joined
+        del joined
+
+        # sort by string, then by place; keep one (x, z) per string
+        order = np.lexsort((place, z, x))
+        x = x[order]
+        z = z[order]
+        edge = np.ones(len(x) + 1, bool)
+        edge[1:-1] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+        bounds = np.flatnonzero(edge)
+        heads, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+        x = x[heads]
+        z = z[heads]
+        e = e[order]
+        place = place[order]
+        del order
+        value = scale[place // n_paths]
+        for q in (1, 2, 3):
+            np.multiply(value, _UNITS[q], out=value, where=e == q)
+        del e
+
+        # sum each string's contributions one at a time: step i adds the
+        # i-th of every string that has more than i, most first.  A string
+        # enters at its first contribution after its running sum was last
+        # exactly 0.
+        most = np.argsort(-counts, kind="stable")
+        starts = heads[most]
+        total = np.zeros(len(heads), complex)
+        enters = starts.copy()
+        for i, active in enumerate((len(heads) - np.cumsum(np.bincount(counts)))[:-1].tolist()):
+            at = starts[:active] + i
+            run = total[:active]
+            run += value[at]
+            np.copyto(enters[:active], at + 1, where=run == 0)
+        out = np.flatnonzero(np.abs(total) > COEFF_TOL)
+        out = out[np.argsort(place[enters[out]])]
+        keys = zip(x[most[out]].tolist(), z[most[out]].tolist())
+        return PauliSum(n, dict(zip(keys, total[out].tolist())))
 
     # -- encoding circuit --------------------------------------------------------
 

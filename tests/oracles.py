@@ -12,7 +12,8 @@ and letter-word sort that ``trotter.expand_term`` once used,
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
 once used.  ``qwc_groups_reference`` and ``gc_groups_reference`` keep the
 profile and member-by-member loops that ``measure.partition_qwc`` and
-``partition_gc`` once ran.  The last two sections hold what only tests call on fqcc's own
+``partition_gc`` once ran, and ``diagonalizing_circuit_reference`` the
+basis change that conjugated every generator.  The last two sections hold what only tests call on fqcc's own
 objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
 rotations), which run the package's own gate matrices, ladder strings and
@@ -1050,6 +1051,39 @@ def gc_groups_reference(ordered):
         else:
             groups.append([s])
     return groups
+
+
+def diagonalizing_circuit_reference(basis, n):
+    """``measure._diagonalizing_circuit`` as it once ran: every generator,
+    finished or not, is conjugated through every gate, and the rounds are
+    unbounded.  Imports fqcc for the gates and the tableau update.
+    Returns the circuit."""
+    from fqcc.circuits import Circuit, shared_gate
+    from fqcc.measure import _bits, _conjugate_masks
+
+    mask = (1 << n) - 1
+    gens = [[v >> n, v & mask] for v in basis.values()]
+    circ = Circuit(n)
+
+    def emit(kind, *qubits):
+        circ.gates.append(shared_gate(kind, qubits))
+        for g in gens:
+            g[0], g[1], _ = _conjugate_masks(g[0], g[1], 1.0, kind, qubits)
+
+    while True:
+        active = next((g for g in gens if g[0]), None)
+        if active is None:
+            return circ
+        pivot = (active[0] & -active[0]).bit_length() - 1
+        for q in _bits(active[0]):
+            if q != pivot:
+                emit("CNOT", pivot, q)
+        for q in _bits(active[1]):
+            if q != pivot:
+                emit("CZ", pivot, q)
+        if active[1] >> pivot & 1:
+            emit("S", pivot)
+        emit("H", pivot)
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,27 @@ class TestPartitionGc:
         ham, _ = load_fcidump(H2O_PATH).to_spin_orbital()
         _assert_reference_groups(build_hamiltonian(ham).to_pauli(_water_encoding(name)))
 
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta"])
+    def test_basis_changes_match_reference_on_water(self, name):
+        ham, _ = load_fcidump(H2O_PATH).to_spin_orbital()
+        plan = partition_gc(build_hamiltonian(ham).to_pauli(_water_encoding(name)))
+        for group in plan.groups:
+            basis = {}
+            for s in group.strings:
+                measure._add_generator(basis, s.xmask << 14 | s.zmask)
+            want = oracles.diagonalizing_circuit_reference(basis, 14)
+            assert [(g.kind, g.qubits) for g in group.basis_change.gates] == [
+                (g.kind, g.qubits) for g in want.gates
+            ]
+
+    def test_anticommuting_group_raises(self):
+        # X and Z anticommute: no Clifford makes both Z-type
+        basis = {}
+        for x, z in ((1, 0), (0, 1)):
+            measure._add_generator(basis, x << 1 | z)
+        with pytest.raises(ValueError, match="do not all commute"):
+            measure._diagonalizing_circuit(basis, 1)
+
     @pytest.mark.parametrize("partition", [partition_qwc, partition_gc])
     def test_string_beyond_the_register_rejected(self, partition):
         # the register is the first string's; X2 lies outside two qubits

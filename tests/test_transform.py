@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import build_hamiltonian
-from fqcc.paulis import PauliString, PauliSum
+from fqcc.paulis import COEFF_TOL, PauliString, PauliSum
 from fqcc.transform import Transform
 
 import oracles
@@ -348,6 +348,13 @@ class TestMapOperator:
         mapped = t.map_operator([(c, ops), (c.conjugate(), rev)])
         assert all(abs(coeff.imag) <= 1e-10 for _, coeff in mapped.items())
 
+    def test_more_than_63_modes_rejected(self):
+        # masks live in int64 arrays; a 64th mode would wrap silently
+        t = Transform.jordan_wigner(64)
+        assert t.ladder_strings[63][0][0][0] == 1 << 63
+        with pytest.raises(ValueError, match="at most 63 modes"):
+            t.map_operator([(1.0, ((0, True), (0, False)))])
+
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):
             Transform.jordan_wigner(2).map_operator([(1.0, ((0, True), (2, False)))])
@@ -424,6 +431,48 @@ class TestMapOperatorReference:
         ops = ((0, True), (2, False))
         got = _assert_matches_paulisum_route(t, [(0.5, ops), (3e-12, ops)])
         assert got == list(t.map_operator([(0.5, ops)]).items())
+
+
+@st.composite
+def _operators(draw):
+    """(transform, terms, constant) over a random unit-lower-triangular beta
+    on 2-6 modes: terms of 0-4 ladders with repeated modes (vanishing
+    products such as a+_p a+_p among them), real and complex coefficients,
+    some just above or below the cut COEFF_TOL * 2^D (D distinct modes),
+    exactly cancelling pairs, and a constant."""
+    n = draw(st.integers(2, 6))
+    bits = draw(st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    t = Transform.from_lower_bits(n, bits)
+    ladder = st.tuples(st.integers(0, n - 1), st.booleans())
+    unit = st.sampled_from([1.0, -1.0, 1j, -1j, complex(0.6, -0.8)])
+    # products scale by powers of 2, which is exact only above underflow
+    finite = st.floats(-2.0, 2.0, allow_subnormal=False)
+    terms = []
+    for _ in range(draw(st.integers(1, 8))):
+        ops = tuple(draw(st.lists(ladder, max_size=4)))
+        kind = draw(st.sampled_from(["real", "complex", "cut", "cancel"]))
+        if kind == "cut":
+            distinct = len({mode for mode, _ in ops})
+            factor = draw(st.sampled_from([1 - 2**-40, 1.0, 1 + 2**-40]))
+            coeff = COEFF_TOL * 2**distinct * factor * draw(unit)
+        elif kind == "complex":
+            coeff = complex(*draw(st.tuples(finite, finite)))
+        else:
+            coeff = draw(finite)
+        terms.append((coeff, ops))
+        if kind == "cancel":
+            terms.append((-coeff, ops))
+    # a cancelled pair's strings come back at the end of the order
+    terms += draw(st.lists(st.sampled_from(terms), max_size=3))
+    constant = draw(st.sampled_from([0.0, 0.75, -3e-13, complex(0.5, 0.25)]))
+    return t, draw(st.permutations(terms)), constant
+
+
+class TestMapOperatorProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_operators())
+    def test_matches_paulisum_route(self, case):
+        _assert_matches_paulisum_route(*case)
 
 
 class TestLowerBits:
