@@ -115,20 +115,25 @@ def _first_paths(tables, lad, coeffs, place0, columns):
     return distinct
 
 
-def _gf2_inv(a):
-    a = np.array(a, dtype=np.uint8) & 1
-    n = a.shape[0]
-    aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if aug[r, c]), None)
-        if pivot is None:
-            raise ValueError("beta is singular over GF(2)")
-        if pivot != c:
-            aug[[c, pivot]] = aug[[pivot, c]]
-        for r in range(n):
-            if r != c and aug[r, c]:
-                aug[r] ^= aug[c]
-    return aug[:, n:]
+def _gf2_inv(beta):
+    """The inverse over GF(2) of a unit lower-triangular 0/1 matrix.
+
+    Forward substitution on row bitmasks: beta X = I gives row i of X as
+    e_i plus the rows j < i of X where beta[i, j] is 1.
+    """
+    n = beta.shape[0]
+    rows = []
+    for i, rest in enumerate(_masks(beta)):
+        row = 1 << i
+        rest ^= row
+        while rest:
+            low = rest & -rest
+            row ^= rows[low.bit_length() - 1]
+            rest ^= low
+        rows.append(row)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
 
 
 def _masks(rows):
@@ -159,6 +164,7 @@ class Transform:
             raise ValueError("beta must be lower triangular in logical mode order")
         self.beta = beta
         self.n_modes = n
+        # unit lower triangular, checked above
         self.beta_inv = _gf2_inv(beta)
         pi = np.tril(np.ones((n, n), dtype=np.uint8))
         m_r = (pi @ self.beta_inv) & 1

@@ -17,7 +17,9 @@ excitations are compressed onto half the register.  This module provides:
   reads each string's letters from its masks and appends shared,
   already-validated H / S / Sdg / CNOT gates
   (``circuits.shared_gate``); only the Rz of each rotation is built per
-  angle, and no gate is re-validated on its way into the circuit,
+  angle, no gate is re-validated on its way into the circuit, and the
+  gates that cancel at a boundary between a term's blocks are never
+  emitted,
 - ``intra_order``: per-term string order for each ladder target, by
   dynamic programming over an exact additive cost model (a Held-Karp pass
   in numpy, batched over (term, target) pairs, that visits only the valid
@@ -41,8 +43,14 @@ excitations are compressed onto half the register.  This module provides:
 The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
-where they differ and neither is identity.  ``peephole_cancel`` realizes
-exactly these savings, so model and circuit agree gate-for-gate.  The
+where they differ and neither is identity (``_boundary_wires``).  Inside a
+term at a shared target, ``term_circuit`` realizes the two-CNOT savings as
+it emits: on an agreeing wire the closing CNOT and basis undo of one block
+and the basis change and opening CNOT of the next are left out, which is
+exact because the strings of a term share their x mask (see
+``term_circuit``).  ``peephole_cancel`` realizes the one-CNOT savings, the
+savings at junctions between chained terms, and those of terms with
+per-string targets, so model and circuit agree gate-for-gate.  The
 expansion and the planner, chain junctions included, read letters only
 through the strings' bit masks.
 """
@@ -248,26 +256,34 @@ def _wires(mask):
     return out
 
 
-def _emit_block(gates, string, rz):
+def _emit_block(gates, string, rz, held_in=0, held_out=0):
     """Append exp(-i theta/2 * string) to ``gates``, ``rz`` being its Rz(theta).
 
     The ladder targets the wire ``rz`` acts on.  Letters are read from the
     masks: an X wire is wound with H, a Y wire with Sdg then H, a Z wire
     with nothing.  Every gate but ``rz`` is a ``shared_gate``.
+
+    ``held_in`` and ``held_out`` mask non-target wires that the previous
+    and the next block of the same target wind with the same letter: on
+    them the basis change and ladder CNOT (``held_in``), or the ladder CNOT
+    and basis undo (``held_out``), are left out, as the neighbouring block
+    leaves them in place.
     """
     x, z = string.xmask, string.zmask
     target = rz.qubits[0]
-    wires = _wires(x | z)
-    ladder = [shared_gate("CNOT", (q, target)) for q in wires if q != target]
-    for q in wires:
+    support = x | z
+    opening = _wires(support & ~held_in)
+    closing = _wires(support & ~held_out)
+    for q in opening:
         if x >> q & 1:
             if z >> q & 1:
                 gates.append(shared_gate("Sdg", (q,)))
             gates.append(shared_gate("H", (q,)))
-    gates += ladder
+    gates += [shared_gate("CNOT", (q, target)) for q in opening if q != target]
     gates.append(rz)
-    gates += reversed(ladder)
-    for q in reversed(wires):
+    closing.reverse()
+    gates += [shared_gate("CNOT", (q, target)) for q in closing if q != target]
+    for q in closing:
         if x >> q & 1:
             gates.append(shared_gate("H", (q,)))
             if z >> q & 1:
@@ -280,7 +296,19 @@ def term_circuit(term, ordering=None, target=None):
     ``ordering`` permutes the stored strings; ``target`` defaults to the
     first eligible wire and must carry a letter in every string.  A term
     with no eligible target falls back to per-string targets (the highest
-    support wire of each string).
+    support wire of each string), and each block is emitted whole.
+
+    At a shared target, each boundary between consecutive blocks leaves
+    out, on every wire where both strings carry the same letter
+    (``_boundary_wires``), the first block's closing CNOT and basis undo
+    and the second's basis change and opening CNOT: the two-CNOT saving of
+    the cost model.  This is exact.  The basis undo and change cancel on
+    that wire, and the CNOT pair commutes with everything between it: the
+    strings of one term share their x mask, so the target is X or Y in
+    both strings or Z in both, and its one-qubit run between the CNOTs
+    commutes with X (it is empty, H H, or an X rotation such as H Sdg H),
+    as do the other ladder CNOTs, which act on it as targets.
+    ``peephole_cancel`` realizes the one-CNOT savings.
     """
     n = term.n_qubits
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
@@ -296,11 +324,16 @@ def term_circuit(term, ordering=None, target=None):
         raise ValueError(f"term does not fit on {n} wires")
     if target is not None and not common >> target & 1:
         raise ValueError(f"target {target} carries identity in a string of the term")
+    strings = [term.strings[j] for j in order]
+    # held[j]: the wires blocks j - 1 and j wind alike; none at either end
+    held = [0] * (len(strings) + 1)
+    if target is not None:
+        held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
     gates = []
-    for j in order:
-        string = term.strings[j]
+    for j, string in enumerate(strings):
         t = target if target is not None else (string.xmask | string.zmask).bit_length() - 1
-        _emit_block(gates, string, Gate("Rz", (t,), term.angle * string.coeff.real))
+        rz = Gate("Rz", (t,), term.angle * string.coeff.real)
+        _emit_block(gates, string, rz, held[j], held[j + 1])
     return Circuit(n, 0, gates)
 
 
@@ -349,15 +382,23 @@ class IntraResult:
     min_cost: int
 
 
-def _boundary_saving(first, second, target):
-    """(two_cnot, one_cnot) savings at the boundary of two blocks.
+def _boundary_wires(first, second, target):
+    """(agree, differ): masks of the wires other than ``target`` where both
+    strings act, with the same letter or with different ones.
 
-    Wires other than ``target`` where both strings act save two CNOTs when
-    the letters agree and one when they differ.
+    The model saves two CNOTs on each ``agree`` wire and one on each
+    ``differ`` wire; ``term_circuit`` leaves the ``agree`` wires' gates
+    out of the blocks it emits.
     """
     both = (first.xmask | first.zmask) & (second.xmask | second.zmask) & ~(1 << target)
     diff = (first.xmask ^ second.xmask) | (first.zmask ^ second.zmask)
-    return (both & ~diff).bit_count(), (both & diff).bit_count()
+    return both & ~diff, both & diff
+
+
+def _boundary_saving(first, second, target):
+    """(two_cnot, one_cnot) savings at the boundary of two blocks."""
+    agree, differ = _boundary_wires(first, second, target)
+    return agree.bit_count(), differ.bit_count()
 
 
 def _savings_matrix(strings, target):
@@ -365,8 +406,8 @@ def _savings_matrix(strings, target):
     mat = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            two, one = _boundary_saving(strings[i], strings[j], target)
-            mat[i][j] = mat[j][i] = 2 * two + one
+            agree, differ = _boundary_wires(strings[i], strings[j], target)
+            mat[i][j] = mat[j][i] = 2 * agree.bit_count() + differ.bit_count()
     return mat
 
 
@@ -1014,9 +1055,12 @@ def emit_circuit(plan):
     """The circuit of a plan, in ``plan.order``.
 
     Compressed blocks lead, followed by the restoration fan-out, then one
-    block per class chain and per standalone term.  Each of those blocks
-    is reduced by ``peephole_cancel``, which realizes the boundary savings
-    that ``plan.model_two_qubit`` counts.  Compressed blocks act in the
+    block per class chain and per standalone term.  ``term_circuit``
+    emits each term with the two-CNOT savings between its own blocks
+    already taken, and ``peephole_cancel`` then reduces each chain or
+    standalone block, realizing the remaining savings that
+    ``plan.model_two_qubit`` counts: the one-CNOT ones and those at the
+    junctions between chained terms, which are emitted whole.  Compressed blocks act in the
     Jordan-Wigner frame and kept terms in the transform's, and no basis
     change is emitted between the two: under a non-identity encoding with
     compressed terms the circuit is not yet the ansatz.

@@ -12,9 +12,11 @@ and letter-word sort that ``trotter.expand_term`` once used,
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
 once used.  ``qwc_groups_reference`` and ``gc_groups_reference`` keep the
 profile and member-by-member loops that ``measure.partition_qwc`` and
-``partition_gc`` once ran, and ``diagonalizing_circuit_reference`` the
-basis change that conjugated every generator.  The last two sections hold what only tests call on fqcc's own
-objects: the dense self-checks (circuit unitaries and statevectors, the
+``partition_gc`` once ran, ``diagonalizing_circuit_reference`` the
+basis change that conjugated every generator, and
+``term_circuit_reference`` the full blocks that ``trotter.term_circuit``
+once emitted.  The last two sections hold what only tests call on fqcc's
+own objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
 rotations), which run the package's own gate matrices, ladder strings and
 tableau update; and test inputs (a transform's free bits, a ladder as a
@@ -137,7 +139,9 @@ def gf2_rank(a):
 
 
 def gf2_inv(a):
-    """Inverse over GF(2) by Gauss-Jordan; raises if singular."""
+    """Inverse over GF(2) by Gauss-Jordan; raises if singular.  The routine
+    ``fqcc.transform._gf2_inv`` ran before it became forward substitution
+    on unit lower-triangular rows."""
     a = np.array(a, dtype=np.uint8) & 1
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)
@@ -1084,6 +1088,40 @@ def diagonalizing_circuit_reference(basis, n):
         if active[1] >> pivot & 1:
             emit("S", pivot)
         emit("H", pivot)
+
+
+def term_circuit_reference(term, ordering=None, target=None):
+    """``trotter.term_circuit`` as it once ran: every string's full block,
+    basis change, CNOT ladder, Rz, ladder and basis undo, with nothing left
+    out at the boundaries.  ``target`` defaults to the first eligible wire;
+    a term with none takes each string's highest support wire.  Imports
+    fqcc for the gates.  Returns the circuit."""
+    from fqcc.circuits import Circuit, Gate, shared_gate
+
+    order = range(len(term.strings)) if ordering is None else ordering
+    if target is None and term.eligible_targets:
+        target = term.eligible_targets[0]
+    gates = []
+    for j in order:
+        string = term.strings[j]
+        x, z = string.xmask, string.zmask
+        t = target if target is not None else (x | z).bit_length() - 1
+        wires = [q for q in range(term.n_qubits) if (x | z) >> q & 1]
+        ladder = [shared_gate("CNOT", (q, t)) for q in wires if q != t]
+        for q in wires:
+            if x >> q & 1:
+                if z >> q & 1:
+                    gates.append(shared_gate("Sdg", (q,)))
+                gates.append(shared_gate("H", (q,)))
+        gates += ladder
+        gates.append(Gate("Rz", (t,), term.angle * string.coeff.real))
+        gates += reversed(ladder)
+        for q in reversed(wires):
+            if x >> q & 1:
+                gates.append(shared_gate("H", (q,)))
+                if z >> q & 1:
+                    gates.append(shared_gate("S", (q,)))
+    return Circuit(term.n_qubits, 0, gates)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ def test_planner_layers_reports_h4():
         # one emission: a term circuit per kept term, a peephole per block
         assert layers["emit_calls"] == 1
         assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
-        assert 0 < layers["peephole_gates_out"] <= layers["peephole_gates_in"]
+        # the peephole never adds a two-qubit gate; junction rewrites may add
+        # one-qubit gates, so the gate count may grow
+        assert 0 < layers["peephole_two_qubit_out"] <= layers["peephole_two_qubit_in"]
         # each peephole call runs both passes at least once and drops at
         # most its last junction pass
         calls, simple, junction = (

@@ -186,6 +186,20 @@ class TestDerivedSets:
             want = {k for k in range(j) if inv[j, k]}
             assert set(parity) ^ set(remainder) == want
 
+    @pytest.mark.parametrize("name", sorted(_NAMED))
+    def test_inverse_matches_gauss_jordan_named(self, name):
+        for n in range(1, 21):
+            t = _NAMED[name](n)
+            assert np.array_equal(t.beta_inv, oracles.gf2_inv(t.beta))
+            assert t.beta_inv.dtype == np.uint8
+
+    def test_inverse_matches_gauss_jordan_random(self):
+        rng = np.random.default_rng(17)
+        for n in range(1, 21):
+            for _ in range(10):
+                beta = _random_beta(rng, n)
+                assert np.array_equal(Transform(beta).beta_inv, oracles.gf2_inv(beta))
+
     def test_update_set_is_column_support(self):
         rng = np.random.default_rng(7)
         beta = _random_beta(rng, 6)

@@ -495,6 +495,88 @@ class TestCostModel:
         assert metrics(peephole_cancel(circ)).two_qubit == result.min_cost == 4
 
 
+def _elision_cases():
+    """(term, ordering, target) at every eligible target of seeded random
+    singles and doubles on 4-8 modes, under JW, BK and seeded encodings,
+    in both rotation conventions, each ordering shuffled."""
+    rng = random.Random(23)
+    nprng = np.random.default_rng(23)
+    cases = []
+    for n in range(4, 9):
+        tfs = [
+            Transform.jordan_wigner(n),
+            Transform.bravyi_kitaev(n),
+            Transform.from_lower_bits(n, _random_beta_bits(nprng, n)),
+        ]
+        for tf in tfs:
+            for kind in ("double",) * 5 + ("single",) * 3:
+                modes = rng.sample(range(n), 4)
+                if kind == "double":
+                    p, q = sorted(modes[:2])
+                    r, s = sorted(modes[2:])
+                    seq = OrbitalSequence("double", (p, q, r, s))
+                else:
+                    seq = OrbitalSequence("single", tuple(modes[:2]))
+                term = tr.expand_term(seq, tf, rng.uniform(-2, 2), anti=rng.random() < 0.5)
+                for target in term.eligible_targets:
+                    ordering = list(range(len(term.strings)))
+                    rng.shuffle(ordering)
+                    cases.append((term, tuple(ordering), target))
+    return cases
+
+
+class TestBoundaryElision:
+    """``term_circuit`` leaves out each boundary's agreeing wires; the
+    blocks it emits against ``oracles.term_circuit_reference``'s full ones."""
+
+    def test_peephole_output_matches_reference(self):
+        cases = _elision_cases()
+        assert len(cases) > 300
+        for term, ordering, target in cases:
+            got = peephole_cancel(tr.term_circuit(term, ordering, target))
+            want = peephole_cancel(oracles.term_circuit_reference(term, ordering, target))
+            assert [(g.kind, g.qubits, g.theta) for g in got.gates] == [
+                (g.kind, g.qubits, g.theta) for g in want.gates
+            ], (term.source.name, term.n_qubits, ordering, target)
+            assert abs(got.global_phase - want.global_phase) <= 1e-12
+
+    def test_unreduced_unitaries_match_reference(self):
+        checked = 0
+        for term, ordering, target in _elision_cases():
+            if term.n_qubits > 6:
+                continue
+            got = _circ_matrix(tr.term_circuit(term, ordering, target))
+            want = _circ_matrix(oracles.term_circuit_reference(term, ordering, target))
+            assert np.abs(got - want).max() < 1e-12
+            checked += 1
+        assert checked > 100
+
+    def test_left_out_gates_are_the_two_cnot_savings(self):
+        """Per boundary, each agreeing wire loses its two CNOTs and its
+        basis undo and change: H twice on an X wire, H and S / Sdg twice on
+        a Y wire, nothing on a Z wire."""
+        for term, ordering, target in _elision_cases():
+            strings = [term.strings[j] for j in ordering]
+            twos = tr.cost_breakdown(term, ordering, target).two_cnot_savings
+            basis = 0
+            for a, b in zip(strings, strings[1:]):
+                agree = tr._boundary_wires(a, b, target)[0]
+                basis += 2 * ((agree & a.xmask).bit_count() + (agree & a.xmask & a.zmask).bit_count())
+            got = metrics(tr.term_circuit(term, ordering, target))
+            want = metrics(oracles.term_circuit_reference(term, ordering, target))
+            assert got.two_qubit == want.two_qubit - 2 * sum(twos)
+            assert got.n_gates == want.n_gates - 2 * sum(twos) - basis
+
+    def test_per_string_targets_emit_whole_blocks(self):
+        s1 = oracles.from_letters(3, {0: "X", 1: "Z"}, 1.0)
+        s2 = oracles.from_letters(3, {0: "X", 1: "Z", 2: "Y"}, -1.0)
+        s3 = oracles.from_letters(3, {1: "Y", 2: "Y"}, 1.0)
+        term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2, s3), (), False)
+        got = tr.term_circuit(term, (2, 0, 1))
+        want = oracles.term_circuit_reference(term, (2, 0, 1))
+        assert got.gates == want.gates
+
+
 def _words(term):
     return [s.letters() for s in term.strings]
 

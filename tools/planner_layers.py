@@ -27,9 +27,15 @@ anything, and skips the last junction pass when it would meet the state
 the previous one left unchanged.
 
 ``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
-peephole was given and returned.  Everything runs in this one process on
-one thread, so ``workers`` is 1.  The checkout's ``src`` is imported, not
-an installed fqcc.
+peephole was given and returned, and ``peephole_two_qubit_in`` and
+``peephole_two_qubit_out`` their two-qubit gates.  ``term_circuit`` hands
+the peephole its blocks with each boundary's agreeing wires already
+cancelled (the model's two-CNOT savings), and the peephole's junction
+rewrites add one-qubit gates, so ``peephole_gates_out`` may exceed
+``peephole_gates_in``; the two-qubit count never grows.  The counting
+runs outside the peephole's time and inside the emission's.  Everything
+runs in this one process on one thread, so ``workers`` is 1.  The
+checkout's ``src`` is imported, not an installed fqcc.
 
 Usage: python3 tools/planner_layers.py [--systems h4 water]
 """
@@ -79,13 +85,21 @@ def _timed(fn, totals):
     return wrapper
 
 
+def _two_qubit(circ):
+    """The circuit's two-wire gates (CNOT and CZ); emitted blocks hold no Toffoli."""
+    return sum(len(g.qubits) == 2 for g in circ.gates)
+
+
 def _counted_peephole(fn, gates):
-    """``fn`` that also adds its input and output gate counts to ``gates``."""
+    """``fn`` that also adds its input and output gate counts, then their
+    two-qubit counts, to ``gates``."""
 
     def wrapper(circ, *args, **kwargs):
         out = fn(circ, *args, **kwargs)
         gates[0] += len(circ.gates)
         gates[1] += len(out.gates)
+        gates[2] += _two_qubit(circ)
+        gates[3] += _two_qubit(out)
         return out
 
     return wrapper
@@ -95,14 +109,14 @@ def measure(n_modes, n_electrons, transform):
     """Layer seconds and calls over ``REPEAT`` plans of one pool and one emission."""
     pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
     totals = defaultdict(lambda: [0.0, 0])
-    gates = [0, 0]
+    gates = [0, 0, 0, 0]
     originals = {layer: getattr(module, attr) for layer, (module, attr) in LAYERS.items()}
     try:
         for layer, (module, attr) in LAYERS.items():
-            fn = originals[layer]
+            fn = _timed(originals[layer], totals[layer])
             if layer == "peephole":
                 fn = _counted_peephole(fn, gates)
-            setattr(module, attr, _timed(fn, totals[layer]))
+            setattr(module, attr, fn)
         for _ in range(REPEAT):
             plan = trotter.plan_ansatz(pool, transform, occupied=range(n_electrons))
         circuit = trotter.emit_circuit(plan)
@@ -114,6 +128,8 @@ def measure(n_modes, n_electrons, transform):
         "circuit_two_qubit": metrics(circuit).two_qubit,
         "peephole_gates_in": gates[0],
         "peephole_gates_out": gates[1],
+        "peephole_two_qubit_in": gates[2],
+        "peephole_two_qubit_out": gates[3],
     }
     for layer in LAYERS:
         seconds, calls = totals[layer]
