@@ -26,9 +26,10 @@ it would leak a Taylor-truncation artifact proportional to the constant.
 The loop runs on its reference's fixed-(N_alpha, N_beta) sector
 (``simulate.spin_sector``) under whatever transform it is given: the
 Hamiltonian, the ansatz generators and every candidate conserve N and S_z,
-so the whole loop needs only the sector's amplitudes.  H, H without its
-identity and each generator are compiled once per run; Zt is summed from
-the compiled generators.  The loop carries the ansatz's values as a tuple
+so the whole loop needs only the sector's amplitudes.  H's ladder form is
+built once per run and serves both the classical cycle 0 and the mapping;
+H, H without its identity and each generator are compiled once per run; Zt
+is summed from the compiled generators.  The loop carries the ansatz's values as a tuple
 parallel to its terms, and each new term is appended last, so the sign of
 its starting value is resolved by applying its one exponential to the
 cycle's state.
@@ -96,10 +97,10 @@ def _apply_ladder(mask: int, ops) -> tuple[int, int]:
     return sign, mask
 
 
-def _h_on_reference(ham: MolecularHamiltonian, ref_mask: int) -> dict[int, float]:
-    """H|ref> as a map from occupation bitmask to amplitude, classically."""
+def _h_on_reference(ham: MolecularHamiltonian, fermion, ref_mask: int) -> dict[int, float]:
+    """H|ref> as a map from occupation bitmask to amplitude, classically,
+    from H's ladder form ``fermion`` (``build_hamiltonian(ham)``)."""
     out: dict[int, float] = {}
-    fermion = build_hamiltonian(ham)
     for term in fermion.terms:
         sign, mask = _apply_ladder(ref_mask, term.ops)
         if sign:
@@ -131,15 +132,20 @@ def mp2_classical(
     returned amplitudes seed variational parameters and the first term
     choice.
     """
-    n_e = fock.n_electrons
     if pool is None:
+        n_e = fock.n_electrons
         pool = [
             seq
             for seq in uccsd_pool(range(n_e), range(n_e, ham.n_modes))
             if seq.kind == "double"
         ]
-    ref_mask = (1 << n_e) - 1
-    hpsi = _h_on_reference(ham, ref_mask)
+    return _mp2(ham, fock, pool, build_hamiltonian(ham))
+
+
+def _mp2(ham, fock, pool, fermion) -> MP2Result:
+    """``mp2_classical`` over ``pool``, with H's ladder form already built."""
+    ref_mask = (1 << fock.n_electrons) - 1
+    hpsi = _h_on_reference(ham, fermion, ref_mask)
     e_corr = 0.0
     amplitudes: dict[str, float] = {}
     contributions: dict[str, float] = {}
@@ -401,13 +407,14 @@ def run_hmp2_loop(
     # the reference fills modes 0 .. n_e-1, alpha (even) and beta (odd) in turn
     sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, transform)
     reference = hf_state(n_e, n, transform, sector)
-    h_pauli = build_hamiltonian(ham).to_pauli(transform)
+    fermion = build_hamiltonian(ham)
+    h_pauli = fermion.to_pauli(transform)
     h_compiled = CompiledSum(h_pauli, sector)
     h_bracket = CompiledSum(_without_identity(h_pauli), sector)
     e_hf = float(np.real(h_compiled.expectation(reference.amplitudes)))
 
     # cycle 0: fully classical bootstrap over the whole candidate pool
-    mp2 = mp2_classical(ham, fock, pool=pool)
+    mp2 = _mp2(ham, fock, pool, fermion)
     amplitudes0 = mp2.amplitudes
     contributions0 = mp2.contributions
     e_corr2 = mp2.e_corr

@@ -4,6 +4,12 @@ A string is stored as a pair of masks: bit q of ``xmask`` / ``zmask`` says
 whether the letter on qubit q has an X / Z component (X = 10, Z = 01,
 Y = 11, I = 00).  Qubit 0 is the least significant bit of a basis index,
 i.e. the rightmost tensor factor.
+
+``CompiledSum`` is the statevector kernel: a sum frozen into a row layout
+of its matrix's nonzeros, applied with one gather, one multiply and one
+row sum, on all 2^n basis states or on a sector of them.  It adds each
+row's entries in the order of its X-mask groups, so its results are those
+of applying one group at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -274,7 +280,7 @@ def _parity_of(arr):
     return _parity_lut()[folded & 0xFFFF]
 
 
-_GROUP_ENTRY_LIMIT = 1 << 23  # cap on precomputed phase-table entries
+_ENTRY_LIMIT = 1 << 23  # cap on the stored nonzeros of a sum of several X-mask groups
 SECTOR_TOL = 1e-10  # largest matrix element out of a sector that compiling onto it allows
 
 
@@ -284,32 +290,70 @@ def same_sector(a, b):
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
-def _phase_table(points, strings):
-    """sum of w * (-1)^parity(point & m) over the (m, w) pairs, at each point."""
+def _phase_table(points, masks, signed):
+    """sum of w * (-1)^parity(point & m) over the (m, w) pairs of ``masks``
+    and ``signed``, at each point, added one string at a time."""
+    signs = 1.0 - 2.0 * _parity_of(points & masks[:, None])
     table = np.zeros(len(points), dtype=np.complex128)
-    for m, signed in strings:
-        table += signed * (1.0 - 2.0 * _parity_of(points & np.int64(m)))
+    for row in signed[:, None] * signs:
+        table += row
     return table
+
+
+def _pack(tables, columns):
+    """Row layout of stacked (groups, dim) phase tables and partner columns:
+    (values, columns, nonzeros).
+
+    ``values[k, r]`` is row r's k-th nonzero in group order and
+    ``columns[k, r]`` the index it multiplies; a row with fewer nonzeros
+    than the width is padded with 0 times its own entry.  The width is at
+    least 1.
+    """
+    hit = tables != 0
+    group, row = np.nonzero(hit)
+    slot = (np.cumsum(hit, axis=0) - 1)[group, row]
+    dim = tables.shape[1]
+    width = max(int(hit.sum(axis=0).max(initial=0)), 1)
+    values = np.zeros((width, dim), dtype=np.complex128)
+    index = np.tile(np.arange(dim, dtype=np.intp), (width, 1))
+    values[slot, row] = tables[group, row]
+    index[slot, row] = columns[group, row]
+    return values, index, len(row)
 
 
 class CompiledSum:
     """A PauliSum frozen into flat arrays for fast statevector application.
 
     Strings sharing an X-mask are the same index permutation, so their
-    phases fold into one precomputed table and the whole group costs a
-    single gather per apply.  Above an entry cap the tables are rebuilt on
-    each apply instead of kept.
+    phases fold into one table per X-mask group: the group's matrix is
+    diag(table) times that permutation.  The sum keeps only the tables'
+    nonzeros, laid out by row: ``values`` and ``columns`` are (width, dim)
+    arrays whose column r holds row r's nonzeros in group order, padded
+    with zeros to the widest row (81 for water's Hamiltonian on its spin
+    sector, 1 for an excitation generator).  An apply is then one gather,
+    one multiply and one ``sum(axis=0)``.  That sum adds each row's entries
+    in slot order, i.e. in group order, exactly as a loop adding one
+    group's ``table * vec[partner]`` at a time would, and the padding adds
+    exact zeros, so the result does not depend on the layout bit for bit
+    (``oracles.compiled_apply_reference`` keeps that loop).  A sum of
+    several groups with more than ``_ENTRY_LIMIT`` nonzeros keeps no
+    layout and rebuilds it on each apply; ``values`` and ``columns`` are
+    then None.
+
+    A sum whose strings share one X mask has K v = t * v[pos] with t =
+    ``values[0]`` and pos = ``columns[0]``, and K^2 is diagonal: ``square``
+    holds d = t * t[pos] (None for any other sum), so exp(theta K) needs
+    one gather (``simulate._apply_exponential``).
 
     With a ``sector`` (the sorted basis indices a vector is restricted to,
     e.g. the encoded fixed-(N_alpha, N_beta) determinants) vectors hold one
-    amplitude per sector state.  Each group then keeps its table on the
-    sector and the sector position of every state's partner, so an apply is
-    still one gather per group.  Compiling onto a sector raises
-    ``ValueError`` when the operator couples it to states outside it by more
-    than ``SECTOR_TOL``; the entries below that are dropped.
+    amplitude per sector state, and columns are the sector positions of
+    each state's partners.  Compiling onto a sector raises ``ValueError``
+    when the operator couples it to states outside it by more than
+    ``SECTOR_TOL``; the entries below that are dropped.
     """
 
-    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "_groups")
+    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "values", "columns", "square")
 
     def __init__(self, op: PauliSum, sector=None):
         if op.n_qubits > 60:
@@ -320,13 +364,7 @@ class CompiledSum:
             masks.append(z)
             weights.append(c * 1j ** ((x & z).bit_count() % 4))
         self._set_strings(op.n_qubits, sector, flips, masks, weights)
-        if len(set(flips)) * self.dim <= _GROUP_ENTRY_LIMIT:
-            self._groups = tuple(self._tables())
-        else:
-            self._groups = None
-            if sector is not None:
-                for _ in self._tables():  # run the sector check now, not at apply
-                    pass
+        self._store(*self._tables())
 
     def _set_strings(self, n_qubits, sector, flips, masks, weights):
         self.n_qubits = n_qubits
@@ -335,33 +373,52 @@ class CompiledSum:
         self.masks = np.asarray(masks, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.complex128)
 
+    def _store(self, tables, columns):
+        """Pack stacked group tables (``_tables``) into the row layout, kept
+        unless a sum of several groups is over the cap, and set ``square``."""
+        values, columns, nonzeros = _pack(tables, columns)
+        one_group = len(tables) == 1
+        kept = one_group or nonzeros <= _ENTRY_LIMIT
+        self.values = values if kept else None
+        self.columns = columns if kept else None
+        self.square = values[0] * values[0][columns[0]] if one_group else None
+
     @classmethod
     def combination(cls, parts, n_qubits, sector=None):
         """sum of c * K over (c, K) pairs compiled on one space.
 
-        Built from the parts' own tables: each X-mask group's table is the
-        weighted sum of the parts' tables for that mask, so no phase is
-        computed again.
+        Built from the parts' stored entries: each X-mask group's table is
+        the weighted sum of the parts' tables for that mask, added part by
+        part, so no phase is computed again.  If a part keeps no layout,
+        the sum is compiled from its strings instead.
         """
         strings: dict[tuple, complex] = {}
-        groups: dict[int, tuple] = {}
-        tabled = True
         for c, part in parts:
             if part.n_qubits != n_qubits or not same_sector(part.sector, sector):
                 raise ValueError("parts are compiled on different spaces")
             for f, m, w in zip(part.flips.tolist(), part.masks.tolist(), part.weights.tolist()):
                 strings[f, m] = strings.get((f, m), 0.0) + c * w
-            tabled = tabled and part._groups is not None
-            for f, table, pos in part._groups or ():
-                prev = groups.get(f)
-                groups[f] = (f, c * table if prev is None else prev[1] + c * table, pos)
         out = cls.__new__(cls)
         keys = list(strings)
         out._set_strings(
             n_qubits, sector, [f for f, _ in keys], [m for _, m in keys], list(strings.values())
         )
-        tabled = tabled and len(groups) * out.dim <= _GROUP_ENTRY_LIMIT
-        out._groups = tuple(groups.values()) if tabled else None
+        if any(part.values is None for _, part in parts):
+            out._store(*out._tables())
+            return out
+        group = {f: g for g, f in enumerate(dict.fromkeys(out.flips.tolist()))}
+        flips = np.array(list(group), dtype=np.int64)
+        order = np.argsort(flips)
+        tables = np.zeros((len(group), out.dim), dtype=np.complex128)
+        columns = np.zeros((len(group), out.dim), dtype=np.intp)
+        points = _indices(n_qubits) if sector is None else out.sector
+        for c, part in parts:
+            slot, row = np.nonzero(part.values)
+            cols = part.columns[slot, row]
+            g = order[np.searchsorted(flips, points[row] ^ points[cols], sorter=order)]
+            tables[g, row] += c * part.values[slot, row]
+            columns[g, row] = cols
+        out._store(tables, columns)
         return out
 
     @property
@@ -378,44 +435,47 @@ class CompiledSum:
             yield PauliString(self.n_qubits, f, m, w * _PHASES[-(f & m).bit_count() % 4])
 
     def _tables(self):
-        """(X-mask, phase table, gather positions or None) for each X-mask group."""
+        """(tables, columns), each (groups, dim): every X-mask group's phase
+        table and its rows' partner columns, in group order (the order of
+        first appearance in ``flips``)."""
         by_flip: dict[int, list] = {}
-        for f, m, w in zip(self.flips.tolist(), self.masks.tolist(), self.weights):
-            # parity((i^f) & m) splits into parity(i&m) and a sign bit
-            by_flip.setdefault(f, []).append((m, w * (1.0 - 2.0 * ((f & m).bit_count() & 1))))
+        for i, f in enumerate(self.flips.tolist()):
+            by_flip.setdefault(f, []).append(i)
         sector = self.sector
-        for f, strings in by_flip.items():
+        tables = np.empty((len(by_flip), self.dim), dtype=np.complex128)
+        columns = np.empty((len(by_flip), self.dim), dtype=np.intp)
+        for g, (f, members) in enumerate(by_flip.items()):
+            masks = self.masks[members]
+            # parity((i^f) & m) splits into parity(i&m) and a sign bit
+            signed = self.weights[members] * (1.0 - 2.0 * _parity_of(masks & f))
             if sector is None:
-                yield f, _phase_table(_indices(self.n_qubits), strings), None
+                idx = _indices(self.n_qubits)
+                tables[g] = _phase_table(idx, masks, signed)
+                columns[g] = idx ^ f
                 continue
             partner = sector ^ f
             pos = np.minimum(np.searchsorted(sector, partner), len(sector) - 1)
             inside = sector[pos] == partner
             # the table at the sector and at the partners outside it: the
             # matrix elements into the sector and out of it that it drops
-            table = _phase_table(np.concatenate([sector, partner[~inside]]), strings)
+            table = _phase_table(np.concatenate([sector, partner[~inside]]), masks, signed)
             leak = np.abs(np.concatenate([table[len(sector):], table[: len(sector)][~inside]]))
             if leak.size and leak.max() > SECTOR_TOL:
                 raise ValueError(
                     f"operator couples the sector to states outside it "
                     f"(matrix element {leak.max():.3g})"
                 )
-            table = table[: len(sector)]
-            table[~inside] = 0.0
-            yield f, table, pos if f else None
+            tables[g] = table[: len(sector)]
+            tables[g, ~inside] = 0.0
+            columns[g] = pos
+        return tables, columns
 
     def apply(self, vec):
-        """Return (sum of strings) @ vec."""
-        out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
-        idx = _indices(self.n_qubits) if self.sector is None else None
-        for f, table, pos in self._groups if self._groups is not None else self._tables():
-            if pos is not None:
-                out += table * vec[pos]
-            elif f:
-                out += table * vec[idx ^ f]
-            else:
-                out += table * vec
-        return out
+        """Return (sum of strings) @ vec: one gather over the row layout."""
+        values, columns = self.values, self.columns
+        if values is None:
+            values, columns, _ = _pack(*self._tables())
+        return (values * vec[columns]).sum(axis=0)
 
     def expectation(self, vec):
         return complex(np.vdot(vec, self.apply(vec)))

@@ -4,7 +4,9 @@ The ansatz is an ordered product of exponentials exp(t_j (T_j - T_j+)), one
 per excitation, applied term-exactly: an excitation's modes are distinct
 (``OrbitalSequence`` rejects any other), so its generator K satisfies
 K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
-(1 - cos(t)) K^2 -- two kernel applications, no matrix ever built.
+(1 - cos(t)) K^2.  Under any linear encoding the generator's strings share
+one X mask, so K is one gather and K^2 is diagonal: an exponential costs
+one gather, and no matrix is ever built.
 ``compile_generator`` is the one place an excitation becomes such a kernel;
 an ansatz holds one per term, in term order, and ansatzes built over one
 table share them.  Its parameters are a float tuple in the same order, one
@@ -141,12 +143,18 @@ def compile_generator(seq: OrbitalSequence, transform, sector, table: dict) -> C
 
     ``table`` (excitation -> compiled generator) is shared, not copied: an
     excitation already in it is returned as is, so callers that pass one
-    table per transform and sector compile each generator once.
+    table per transform and sector compile each generator once.  The
+    image must be one X-mask group, so that the compiled sum carries the
+    diagonal of K^2 that ``_apply_exponential`` uses; any other raises
+    ``ValueError``.
     """
     compiled = table.get(seq)
     if compiled is None:
         op = excitation_generator(seq, transform.n_modes).to_pauli(transform)
-        compiled = table[seq] = CompiledSum(op, sector)
+        compiled = CompiledSum(op, sector)
+        if compiled.square is None:
+            raise ValueError(f"the image of {seq.name} is not one X-mask group")
+        table[seq] = compiled
     return compiled
 
 
@@ -207,11 +215,24 @@ class AnsatzOp:
         return AnsatzOp(self.transform, self.terms, self.generators, values, self.sector)
 
 
-def _apply_exponential(kernel: CompiledSum, theta: float, vec):
-    """exp(theta K) vec in closed form, for a generator with K^3 = -K."""
-    kv = kernel.apply(vec)
-    kkv = kernel.apply(kv)
-    return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
+def _apply_generator(kernel: CompiledSum, vec):
+    """K vec for a generator (``compile_generator``): one gather."""
+    return kernel.values[0] * vec[kernel.columns[0]]
+
+
+def _apply_exponential(kernel: CompiledSum, theta: float, vec, kvec=None):
+    """exp(theta K) vec in closed form, for a generator with K^3 = -K.
+
+    K v = t * v[pos] is one gather, and K^2 v = t * t[pos] * v[pos[pos]] =
+    d * v with d = ``kernel.square``, the diagonal of K^2: pos is an
+    involution wherever t is nonzero.  So exp(theta K) v = v + sin(theta)
+    K v + (1 - cos(theta)) d * v costs one gather, or none when the caller
+    passes ``kvec`` = K vec.  A generator's entries are exactly 0, +-1 or
+    +-i, so d * v equals the second apply K (K v) bit for bit.
+    """
+    if kvec is None:
+        kvec = _apply_generator(kernel, vec)
+    return vec + np.sin(theta) * kvec + (1.0 - np.cos(theta)) * (kernel.square * vec)
 
 
 def _run_terms(ansatz: AnsatzOp, values, vec):
@@ -249,7 +270,9 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
 
     With psi = U_M ... U_1 |ref> and K_j commuting with U_j, the derivative
     for term j is 2 Re <bra_j| K_j |ket_j> where ket_j carries the first j
-    factors and bra_j is H psi pulled back through the later factors.
+    factors and bra_j is H psi pulled back through the later factors.  The
+    sweep's K_j ket_j also serves ket's step back through U_j, so each
+    step costs two gathers: K_j ket_j and K_j bra_j.
     """
     psi = _run_terms(ansatz, x, reference.amplitudes)
     hpsi = hamiltonian.apply(psi)
@@ -258,9 +281,10 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
     ket, bra = psi, hpsi
     for j in range(len(x) - 1, -1, -1):
         kernel = ansatz.generators[j]
-        grad[j] = 2.0 * float(np.real(np.vdot(bra, kernel.apply(ket))))
+        kket = _apply_generator(kernel, ket)
+        grad[j] = 2.0 * float(np.real(np.vdot(bra, kket)))
         if j:
-            ket = _apply_exponential(kernel, -x[j], ket)
+            ket = _apply_exponential(kernel, -x[j], ket, kket)
             bra = _apply_exponential(kernel, -x[j], bra)
     return energy, grad
 

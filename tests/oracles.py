@@ -15,7 +15,9 @@ profile and member-by-member loops that ``measure.partition_qwc`` and
 ``partition_gc`` once ran, ``diagonalizing_circuit_reference`` the
 basis change that conjugated every generator, and
 ``term_circuit_reference`` the full blocks that ``trotter.term_circuit``
-once emitted.  The last two sections hold what only tests call on fqcc's
+once emitted.  ``compiled_apply_reference`` keeps the X-mask group loop
+that ``CompiledSum.apply`` once ran, and ``energy_and_gradient_reference``
+the VQE sweep on it, with two applies per exponential.  The last two sections hold what only tests call on fqcc's
 own objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
 rotations), which run the package's own gate matrices, ladder strings and
@@ -1122,6 +1124,90 @@ def term_circuit_reference(term, ordering=None, target=None):
                 if z >> q & 1:
                     gates.append(shared_gate("S", (q,)))
     return Circuit(term.n_qubits, 0, gates)
+
+
+# ---------------------------------------------------------------------------
+# the X-mask group loop CompiledSum.apply once ran, and the VQE sweep on it
+# ---------------------------------------------------------------------------
+
+
+def compiled_tables_reference(compiled):
+    """One (X mask, table, partner index) per X-mask group of a
+    ``CompiledSum``'s strings, in first-appearance order, as it once kept
+    them: table[r] sums w * (-1)^parity((point_r ^ f) & m) over the group's
+    strings one string at a time, and on a sector an entry whose partner
+    leaves it is 0 (its partner index then points anywhere)."""
+    n, sector = compiled.n_qubits, compiled.sector
+    points = np.arange(1 << n) if sector is None else sector
+    bits = (points[:, None] >> np.arange(n)) & 1
+    groups = {}
+    for f, m, w in zip(compiled.flips.tolist(), compiled.masks.tolist(), compiled.weights):
+        signed = w * (1.0 - 2.0 * ((f & m).bit_count() & 1))
+        parity = bits[:, [q for q in range(n) if m >> q & 1]].sum(axis=1) & 1
+        groups.setdefault(f, []).append(signed * (1.0 - 2.0 * parity))
+    out = []
+    for f, rows in groups.items():
+        table = np.zeros(len(points), dtype=np.complex128)
+        for row in rows:
+            table += row
+        if sector is None:
+            partner = points ^ f
+        else:
+            partner = np.minimum(np.searchsorted(sector, points ^ f), len(sector) - 1)
+            table[sector[partner] != points ^ f] = 0.0
+        out.append((f, table, partner))
+    return out
+
+
+def compiled_apply_reference(compiled, vec, parts=None):
+    """``compiled @ vec`` by the group loop ``CompiledSum.apply`` once ran:
+    out starts at 0 and adds ``table * vec[partner]`` one X-mask group at a
+    time.  With ``parts`` ((c, K) pairs, as ``CompiledSum.combination``
+    takes them) each group's table is the sum of c times the parts' tables
+    for that mask, added part by part, as the combination once built it."""
+    if parts is None:
+        groups = compiled_tables_reference(compiled)
+    else:
+        merged = {}
+        for c, part in parts:
+            for f, table, partner in compiled_tables_reference(part):
+                prev = merged.get(f)
+                merged[f] = (c * table if prev is None else prev[0] + c * table, partner)
+        groups = [(f, table, partner) for f, (table, partner) in merged.items()]
+    out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
+    for _, table, partner in groups:
+        out += table * vec[partner]
+    return out
+
+
+def exponential_reference(kernel, theta, vec):
+    """exp(theta K) vec = vec + sin(theta) K vec + (1 - cos(theta)) K (K vec)
+    for a generator with K^3 = -K, by two applies of the group loop."""
+    kv = compiled_apply_reference(kernel, vec)
+    kkv = compiled_apply_reference(kernel, kv)
+    return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
+
+
+def energy_and_gradient_reference(x, hamiltonian, ansatz, reference):
+    """The exact energy and adjoint-sweep gradient as
+    ``simulate._energy_and_gradient`` once computed them: every product
+    with H or a generator by the group loop, and each backward step five
+    applies (K ket for the gradient, two for each exponential)."""
+    psi = reference.amplitudes
+    for kernel, theta in zip(ansatz.generators, x):
+        if theta:
+            psi = exponential_reference(kernel, theta, psi)
+    hpsi = compiled_apply_reference(hamiltonian, psi)
+    energy = float(np.real(np.vdot(psi, hpsi)))
+    grad = np.zeros(len(x))
+    ket, bra = psi, hpsi
+    for j in range(len(x) - 1, -1, -1):
+        kernel = ansatz.generators[j]
+        grad[j] = 2.0 * float(np.real(np.vdot(bra, compiled_apply_reference(kernel, ket))))
+        if j:
+            ket = exponential_reference(kernel, -x[j], ket)
+            bra = exponential_reference(kernel, -x[j], bra)
+    return energy, grad
 
 
 # ---------------------------------------------------------------------------

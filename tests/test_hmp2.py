@@ -26,7 +26,9 @@ from fqcc.hmp2 import (
     ztilde_operator,
 )
 from fqcc.paulis import CompiledSum, PauliSum
-from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state, spin_sector, vqe_minimize
+from fqcc.simulate import (
+    AnsatzOp, _energy_and_gradient, apply_ansatz, hf_state, spin_sector, vqe_minimize,
+)
 from fqcc.transform import Transform
 
 import oracles
@@ -492,6 +494,24 @@ class TestWaterOnTheSector:
         assert np.linalg.norm(full.amplitudes[sector]) == pytest.approx(1.0, abs=1e-12)
         for name, value in numerators[0].items():
             assert numerators[1][name] == pytest.approx(value, abs=1e-10)
+
+    def test_energy_and_gradient_match_the_five_apply_sweep(self, h2o, water_run):
+        """At the run's final values, bit for bit the sweep that applied
+        each exponential as two kernel applies through the group loop."""
+        ham, fock = h2o
+        _, tr, run, *_ = water_run
+        n, n_e = ham.n_modes, fock.n_electrons
+        sector = spin_sector(n, n_e // 2, n_e // 2, tr)
+        by_name = {s.name: s for s in uccsd_pool(range(n_e), range(n_e, n))}
+        terms = [by_name[name] for name in run.final.term_names]
+        h = CompiledSum(build_hamiltonian(ham).to_pauli(tr), sector)
+        ansatz = AnsatzOp.build(tr, terms, run.final_values, sector=sector)
+        reference = hf_state(n_e, n, tr, sector)
+        x = np.array(run.final_values)
+        energy, grad = _energy_and_gradient(x, h, ansatz, reference)
+        expected = oracles.energy_and_gradient_reference(x, h, ansatz, reference)
+        assert energy == expected[0] and np.array_equal(grad, expected[1])
+        assert energy == pytest.approx(run.final.e_vqe, abs=1e-12)
 
     def test_numerators_compile_only_what_the_ansatz_lacks(self, h2o, water_run, monkeypatch):
         ham, fock = h2o

@@ -5,7 +5,10 @@ pipeline, the tools or the benchmark reach."""
 import ast
 import importlib
 import importlib.metadata
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -219,6 +222,21 @@ def test_uncalled_entries_are_current():
     missing, called = stale_uncalled(ROOT, UNCALLED)
     assert not missing, f"UNCALLED names definitions that do not exist: {missing}"
     assert not called, f"UNCALLED lists names that are now used, drop them: {called}"
+
+
+def test_compile_and_search_modules_leave_scipy_sparse_unloaded():
+    """scipy.sparse takes about 0.2 s to import; the compile and search
+    paths never need it."""
+    code = (
+        "import sys\n"
+        "import fqcc.trotter, fqcc.measure, fqcc.pso, fqcc.transform, fqcc.fermions, fqcc.fcidump\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_member_rule_on_a_synthetic_tree(tmp_path):

@@ -3,9 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc.fcidump import load_fcidump
+from fqcc.fermions import build_hamiltonian, uccsd_pool
+from fqcc.hmp2 import _without_identity, ztilde_operator
 from fqcc.paulis import CompiledSum, PauliString, PauliSum, word_key
+from fqcc.simulate import AnsatzOp, spin_sector
+from fqcc.transform import Transform
 
 import oracles
+
+WATER = "tests/fixtures/h2o_sto3g.fcidump"
 
 
 def _dense(s: PauliString):
@@ -249,13 +256,121 @@ class TestKernels:
         sector = np.array([0b001, 0b010, 0b011, 0b101, 0b110])
         vec = np.random.default_rng(8).normal(size=8) + 0j
         kept = [CompiledSum(op).apply(vec), CompiledSum(op, sector[:2]).apply(vec[:2])]
-        monkeypatch.setattr(paulis, "_GROUP_ENTRY_LIMIT", 0)
+        monkeypatch.setattr(paulis, "_ENTRY_LIMIT", 0)
         full, small = CompiledSum(op), CompiledSum(op, sector[:2])
-        assert full._groups is None and small._groups is None
+        assert full.values is None and small.values is None
         assert np.allclose(full.apply(vec), kept[0], atol=1e-14)
         assert np.allclose(small.apply(vec[:2]), kept[1], atol=1e-14)
         with pytest.raises(ValueError, match="outside"):
             CompiledSum(leaky, sector)
+
+
+def _water_encoding(kind):
+    if kind == "jw":
+        return Transform.jordan_wigner(14)
+    if kind == "bk":
+        return Transform.bravyi_kitaev(14)
+    return Transform.from_lower_bits(14, np.random.default_rng(1).integers(0, 2, 91).tolist())
+
+
+def _vectors(dim, seed):
+    """Six random complex vectors and one real one."""
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        yield rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    yield rng.normal(size=dim)
+
+
+@st.composite
+def closed_sectors(draw):
+    """(n, sector, X masks): a random group of X masks and a union of its
+    cosets, which every string with one of those X masks keeps."""
+    n = draw(st.integers(1, 6))
+    span = {0}
+    for b in draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3)):
+        span |= {s ^ b for s in span}
+    cosets = sorted({min(s ^ v for v in span) for s in range(1 << n)})
+    chosen = draw(st.lists(st.sampled_from(cosets), min_size=1, unique=True))
+    return n, np.array(sorted(c ^ v for c in chosen for v in span)), sorted(span)
+
+
+def _random_sum(draw, n, flips):
+    """A PauliSum over the given X masks; repeated strings add, and exact
+    zeros stay."""
+    terms = {}
+    strings = st.tuples(st.sampled_from(flips), st.integers(0, (1 << n) - 1), sum_coeff_st)
+    for x, z, c in draw(st.lists(strings, max_size=12)):
+        terms[x, z] = terms.get((x, z), 0.0) + c
+    return PauliSum(n, terms)
+
+
+@pytest.fixture(scope="module")
+def water():
+    return load_fcidump(WATER).to_spin_orbital()
+
+
+class TestRowLayout:
+    """``CompiledSum.apply`` equals the X-mask group loop it replaced
+    (``oracles.compiled_apply_reference``) bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["jw", "bk", "beta"])
+    def test_water_hamiltonian(self, water, kind):
+        tr = _water_encoding(kind)
+        sector = spin_sector(14, 5, 5, tr)
+        h_pauli = build_hamiltonian(water[0]).to_pauli(tr)
+        for op in (h_pauli, _without_identity(h_pauli)):
+            compiled = CompiledSum(op, sector)
+            n_groups = len(set(compiled.flips.tolist()))
+            # only nonzeros are stored: fewer slots than one table per group
+            assert compiled.values.shape[1] == len(sector)
+            assert compiled.values.size < n_groups * len(sector)
+            assert compiled.square is None
+            for vec in _vectors(len(sector), 3):
+                assert np.array_equal(
+                    compiled.apply(vec), oracles.compiled_apply_reference(compiled, vec)
+                )
+
+    @pytest.mark.parametrize("kind", ["jw", "bk", "beta"])
+    def test_water_ztilde(self, kind):
+        tr = _water_encoding(kind)
+        sector = spin_sector(14, 5, 5, tr)
+        pool = uccsd_pool(range(10), range(10, 14))
+        rng = np.random.default_rng(7)
+        terms = [pool[i] for i in rng.choice(len(pool), 39, replace=False)]
+        values = rng.normal(scale=0.05, size=39)
+        values[[3, 11]] = 0.0  # terms at zero are left out of Zt
+        ansatz = AnsatzOp.build(tr, terms, values, sector=sector)
+        ztilde = ztilde_operator(ansatz)
+        parts = [(v, k) for v, k in zip(ansatz.values, ansatz.generators) if v]
+        for vec in _vectors(len(sector), 5):
+            assert np.array_equal(
+                ztilde.apply(vec), oracles.compiled_apply_reference(ztilde, vec, parts)
+            )
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_sums(self, data):
+        n, sector, flips = data.draw(closed_sectors())
+        op, other = _random_sum(data.draw, n, flips), _random_sum(data.draw, n, flips)
+        weights = data.draw(st.tuples(sum_coeff_st, sum_coeff_st))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        for space in (None, sector):
+            dim = 1 << n if space is None else len(space)
+            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            a, b = CompiledSum(op, space), CompiledSum(other, space)
+            assert np.array_equal(a.apply(vec), oracles.compiled_apply_reference(a, vec))
+            parts = [(weights[0], a), (weights[1], b)]
+            combo = CompiledSum.combination(parts, n, space)
+            assert np.array_equal(
+                combo.apply(vec), oracles.compiled_apply_reference(combo, vec, parts)
+            )
+        # a string whose X mask takes the first sector state out of the sector
+        inside = set(sector.tolist())
+        outside = [x for x in range(1 << n) if int(sector[0]) ^ x not in inside]
+        if outside:
+            leaky = PauliSum(n, {**op._terms, (data.draw(st.sampled_from(outside)), 0): 1.0})
+            with pytest.raises(ValueError, match="outside"):
+                CompiledSum(leaky, sector)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

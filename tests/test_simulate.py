@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, build_hamiltonian, excitation_generator, uccsd_pool
 from fqcc.paulis import CompiledSum, PauliSum
+from fqcc import simulate
 from fqcc.simulate import (
     AnsatzOp,
     Statevector,
     VQEResult,
+    _apply_exponential,
     apply_ansatz,
+    compile_generator,
     hf_state,
     spin_sector,
     vqe_minimize,
@@ -21,6 +24,7 @@ from fqcc.transform import Transform
 import oracles
 
 H2_PATH = "tests/fixtures/h2_sto3g.fcidump"
+H2O_PATH = "tests/fixtures/h2o_sto3g.fcidump"
 
 
 def _sum_matrix(op: PauliSum):
@@ -219,6 +223,62 @@ class TestCompileGenerator:
         moved = second.with_values((0.0, 0.4, 0.0, 0.0))
         assert all(a is b for a, b in zip(second.generators, moved.generators))
         assert AnsatzOp.build(tr, pool[:1]).generators[0] is not first.generators[0]
+
+
+class TestExponential:
+    """``_apply_exponential``: one gather and the diagonal of K^2."""
+
+    @pytest.mark.parametrize("n, n_e", [(4, 2), (6, 2), (8, 4)])
+    @pytest.mark.parametrize("kind", ["jw", "bk", 1])
+    def test_matches_dense_expm(self, n, n_e, kind):
+        tr = _encoding(kind, n)
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, tr)
+        rng = np.random.default_rng(n)
+        for seq in pool:
+            dense = _sum_matrix(excitation_generator(seq, n).to_pauli(tr))
+            theta = rng.uniform(-np.pi, np.pi)
+            exact = sla.expm(theta * dense)
+            square = np.einsum("ij,ji->i", dense, dense)
+            # the generator keeps the sector, so its blocks are the restrictions
+            for space in (None, sector):
+                rows = np.arange(1 << n) if space is None else space
+                block = np.ix_(rows, rows)
+                kernel = compile_generator(seq, tr, space, {})
+                vec = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+                out = _apply_exponential(kernel, theta, vec)
+                assert np.max(np.abs(out - exact[block] @ vec)) < 1e-12
+                assert np.allclose(kernel.apply(vec), dense[block] @ vec, atol=1e-12)
+                assert np.allclose(kernel.square, square[rows], atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["jw", "bk", 1])
+    def test_equals_two_applies_on_water(self, kind):
+        """For every water generator, bit for bit: its entries are exactly
+        0, +-1 or +-i, so d * v is K (K v) with no rounding."""
+        tr = _encoding(kind, 14)
+        sector = spin_sector(14, 5, 5, tr)
+        pool = uccsd_pool(range(10), range(10, 14))
+        assert len(pool) == 140
+        rng = np.random.default_rng(21)
+        table = {}
+        for seq in pool:
+            kernel = compile_generator(seq, tr, sector, table)
+            assert set(np.unique(kernel.values).tolist()) <= {0, 1, -1, 1j, -1j}
+            theta = rng.uniform(-np.pi, np.pi)
+            vec = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
+            assert np.array_equal(
+                _apply_exponential(kernel, theta, vec),
+                oracles.exponential_reference(kernel, theta, vec),
+            )
+
+    def test_generator_of_several_x_masks_is_rejected(self, h2, monkeypatch):
+        ham, _, tr, _ = h2
+        seq = uccsd_pool(range(2), range(2, 4))[0]
+        monkeypatch.setattr(simulate, "excitation_generator", lambda seq, n: build_hamiltonian(ham))
+        table = {}
+        with pytest.raises(ValueError, match="one X-mask group"):
+            compile_generator(seq, tr, None, table)
+        assert not table
 
 
 class TestVqeMinimize:

@@ -1,6 +1,7 @@
 """The tools under ``tools/``.  The fixture generator still writes the
 committed FCIDUMP fixtures, byte for byte, so a change to it cannot silently
-move the tests' inputs; the planner-layer report runs and counts its layers."""
+move the tests' inputs; the planner-layer and emulator-layer reports run and
+count their layers."""
 
 import json
 import subprocess
@@ -58,3 +59,26 @@ def test_planner_layers_reports_h4():
                 "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
             )
         )
+
+
+def test_emulator_layers_reports_h2():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "emulator_layers.py"), "--systems", "h2"],
+        check=True, capture_output=True, text=True,
+    )
+    report = json.loads(done.stdout)
+    assert report["workers"] == 1
+    assert set(report["systems"]) == {"h2"}
+    h2 = report["systems"]["h2"]
+    assert set(h2) == {"jw", "bk"}
+    for layers in h2.values():
+        # 2 electrons in 4 spin orbitals: one alpha and one beta, 2 x 2 states
+        assert layers["sector_dim"] == 4 and layers["h_strings"] == 15
+        assert 0 < layers["h_nonzeros"] <= 4 * layers["h_width"] <= 4 * 4
+        assert layers["ansatz_terms"] >= 1
+        assert all(
+            layers[f"{layer}_s"] > 0
+            for layer in ("h_compile", "h_apply", "exponential", "energy_gradient", "hmp2")
+        )
+        cycles = layers["cycles"]
+        assert cycles and all(c["vqe_s"] > 0 and c["vqe_iterations"] > 0 for c in cycles)

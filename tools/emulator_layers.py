@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Per-layer times of the statevector emulator on H2 and water, under JW and BK.
+
+For each system and encoding, runs ``hmp2.run_hmp2_loop`` once with the
+default config (timing each cycle's ``vqe_minimize`` call), then times the
+emulator's kernels on the run's spin sector and final ansatz, and prints one
+JSON object.  Each kernel time is seconds per call, the median of ``REPEAT``
+rounds of ``time.perf_counter`` over a fixed number of calls:
+
+    h_compile_s        paulis.CompiledSum: H (already mapped) onto the sector
+    h_apply_s          CompiledSum.apply: H on the final ansatz state
+    exponential_s      simulate._apply_exponential: one excitation exponential
+                       (the pool's last double) on that state
+    energy_gradient_s  simulate._energy_and_gradient: one VQE energy and
+                       gradient at the run's final values
+
+``h_width`` and ``h_nonzeros`` describe H's row layout (the widest row and
+the stored nonzeros), and ``cycles`` lists, per VQE cycle, its seconds and
+L-BFGS-B iterations.  Everything runs in this one process on one thread, so
+``workers`` is 1.  The checkout's ``src`` is imported, not an installed fqcc.
+
+Usage: python3 tools/emulator_layers.py [--systems h2 water]
+"""
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from fqcc import hmp2  # noqa: E402
+from fqcc.fcidump import load_fcidump  # noqa: E402
+from fqcc.fermions import build_hamiltonian, uccsd_pool  # noqa: E402
+from fqcc.paulis import CompiledSum  # noqa: E402
+from fqcc.simulate import (  # noqa: E402
+    AnsatzOp, _apply_exponential, _energy_and_gradient, apply_ansatz, compile_generator,
+    hf_state, spin_sector,
+)
+from fqcc.transform import Transform  # noqa: E402
+
+SYSTEMS = {"h2": "h2_sto3g", "water": "h2o_sto3g"}
+ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
+REPEAT = 7  # timing rounds per kernel; the median round is reported
+
+
+def _per_call(fn, calls):
+    """Median over ``REPEAT`` rounds of the seconds per call of ``fn``."""
+    rounds = []
+    for _ in range(REPEAT):
+        start = perf_counter()
+        for _ in range(calls):
+            fn()
+        rounds.append((perf_counter() - start) / calls)
+    return round(statistics.median(rounds), 9)
+
+
+def _timed_vqe(vqe, cycles):
+    """``vqe`` (``hmp2.vqe_minimize``) that appends each call's seconds and
+    iterations to ``cycles``."""
+
+    def wrapper(*args, **kwargs):
+        start = perf_counter()
+        result = vqe(*args, **kwargs)
+        cycles.append({"vqe_s": round(perf_counter() - start, 6),
+                       "vqe_iterations": result.n_iterations})
+        return result
+
+    return wrapper
+
+
+def measure(ham, fock, transform):
+    """One HMP2 run's VQE cycles and the kernel times on its final ansatz."""
+    n, n_e = ham.n_modes, fock.n_electrons
+    cycles = []
+    vqe = hmp2.vqe_minimize
+    hmp2.vqe_minimize = _timed_vqe(vqe, cycles)
+    try:
+        start = perf_counter()
+        run = hmp2.run_hmp2_loop(ham, fock, transform=transform)
+        hmp2_s = perf_counter() - start
+    finally:
+        hmp2.vqe_minimize = vqe
+
+    pool = uccsd_pool(range(n_e), range(n_e, n))
+    by_name = {s.name: s for s in pool}
+    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, transform)
+    reference = hf_state(n_e, n, transform, sector)
+    h_pauli = build_hamiltonian(ham).to_pauli(transform)
+    h = CompiledSum(h_pauli, sector)
+    terms = [by_name[name] for name in run.final.term_names]
+    ansatz = AnsatzOp.build(transform, terms, run.final_values, sector=sector)
+    x = np.array(ansatz.values)
+    vec = apply_ansatz(reference, ansatz).amplitudes
+    double = [s for s in pool if s.kind == "double"][-1]
+    kernel = compile_generator(double, transform, sector, {})
+    return {
+        "sector_dim": len(sector),
+        "h_strings": len(h_pauli),
+        "h_width": int(h.values.shape[0]),
+        "h_nonzeros": int(np.count_nonzero(h.values)),
+        "ansatz_terms": len(terms),
+        "h_compile_s": _per_call(lambda: CompiledSum(h_pauli, sector), 3),
+        "h_apply_s": _per_call(lambda: h.apply(vec), 200),
+        "exponential_s": _per_call(lambda: _apply_exponential(kernel, 0.1, vec), 2000),
+        "energy_gradient_s": _per_call(
+            lambda: _energy_and_gradient(x, h, ansatz, reference), 20
+        ),
+        "hmp2_s": round(hmp2_s, 6),
+        "cycles": cycles,
+    }
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--systems", nargs="+", choices=sorted(SYSTEMS), default=sorted(SYSTEMS))
+    args = parser.parse_args(argv)
+    result = {"workers": 1, "repeat": REPEAT, "systems": {}}
+    for name in args.systems:
+        path = ROOT / "tests" / "fixtures" / f"{SYSTEMS[name]}.fcidump"
+        ham, fock = load_fcidump(path).to_spin_orbital()
+        result["systems"][name] = {
+            enc: measure(ham, fock, make(ham.n_modes)) for enc, make in ENCODINGS.items()
+        }
+    print(json.dumps(result))
+
+
+if __name__ == "__main__":
+    main()
