@@ -185,10 +185,14 @@ class OrbitalSequence:
     a+_p a+_q a_r a_s with p < q and r < s (the canonical sign convention).
     Every index is a distinct mode, so the generator K = T - T+ satisfies
     K^3 = -K, which the closed-form exponential in ``simulate`` relies on.
+    ``name`` (``s_p_r`` or ``d_p_q_r_s``), the key of reports and CSV
+    columns, is formatted once, and is left out of equality, hashing and
+    ``repr``.
     """
 
     kind: str
     indices: tuple
+    name: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "indices", tuple(self.indices))
@@ -205,16 +209,14 @@ class OrbitalSequence:
             raise ValueError(f"unknown excitation kind {self.kind!r}")
         if len(set(self.indices)) != len(self.indices):
             raise ValueError(f"excitation {self.kind} {self.indices} repeats a mode")
+        name = f"{self.kind[0]}_" + "_".join(str(i) for i in self.indices)
+        object.__setattr__(self, "name", name)
 
     def creations(self):
         return self.indices[:1] if self.kind == "single" else self.indices[:2]
 
     def annihilations(self):
         return self.indices[1:] if self.kind == "single" else self.indices[2:]
-
-    @property
-    def name(self):
-        return f"{self.kind[0]}_" + "_".join(str(i) for i in self.indices)
 
     def sort_key(self):
         return (0 if self.kind == "single" else 1, self.indices)

@@ -100,19 +100,34 @@ def _first_paths(tables, lad, coeffs, place0, columns):
     f = f_of[lad].sum(axis=1) + 2 * signs
     for d in sorted(set(distinct[alive].tolist())):
         rows = np.flatnonzero(alive & (distinct == d))
-        choice = _choices(d)
         at = free[rows]
-        zd = np.repeat(z[rows, None], 1 << d, axis=1)
-        for i, step in enumerate(dz_of[mode[rows][at]].reshape(len(rows), d).T):
-            zd ^= step[:, None] * choice[:, i]
-        e = f[rows, None] + df_of[lad[rows][at]].reshape(len(rows), d) @ choice.T
-        # Y = iXZ, so i^f X^x Z^z = i^(f - |x & z|) P(x, z)
-        e -= _popcount(zd & x[rows, None])
-        e &= 3
+        zd, e = _paths(
+            x[rows], z[rows], f[rows],
+            dz_of[mode[rows][at]].reshape(len(rows), d), df_of[lad[rows][at]].reshape(len(rows), d),
+        )
         place = place0[rows, None] + np.arange(1 << d)
         for column, part in zip(columns, (x[rows].repeat(1 << d), zd, e.astype(np.int8), place)):
             column.append(part.ravel())
     return distinct
+
+
+def _paths(x, z, f, dz, df):
+    """(z, e) of the 2^d paths of each row over its d free ladders.
+
+    A row's first path is i^f X^x Z^z; taking string 1 at free ladder i
+    adds ``dz[:, i]`` to z and ``df[:, i]`` to f.  Paths run as
+    ``_choices(d)``, the first ladder leading, and e is the power of i of
+    the path as i^e P(x, z).
+    """
+    choice = _choices(dz.shape[1])
+    zd = np.repeat(z[:, None], len(choice), axis=1)
+    for i, step in enumerate(dz.T):
+        zd ^= step[:, None] * choice[:, i]
+    e = f[:, None] + df @ choice.T
+    # Y = iXZ, so i^f X^x Z^z = i^(f - |x & z|) P(x, z)
+    e -= _popcount(zd & x[:, None])
+    e &= 3
+    return zd, e
 
 
 def _gf2_inv(beta):
@@ -177,12 +192,12 @@ class Transform:
             tuple(((x, zp, ep), (x, zr, er)) for ep, er in _LADDER_EXPONENTS)
             for x, zp, zr in ladder_masks
         )
-        # map_operator's tables, for up to _MAX_MODES modes.  By mode: the
-        # x mask, string 0's z mask, the z difference of the two strings
-        # (row j of beta^-1), and whether string 0's Z^z anticommutes with
-        # each mode's X^x.  By ladder 2 * mode + dagger: string 0's power of
-        # i in the X^x Z^z form, i^e P(x, z) = i^(e + |x & z|) X^x Z^z, and
-        # string 1's minus string 0's.
+        # map_operator's and ladder_products' tables, for up to _MAX_MODES
+        # modes.  By mode: the x mask, string 0's z mask, the z difference of
+        # the two strings (row j of beta^-1), and whether string 0's Z^z
+        # anticommutes with each mode's X^x.  By ladder 2 * mode + dagger:
+        # string 0's power of i in the X^x Z^z form, i^e P(x, z) =
+        # i^(e + |x & z|) X^x Z^z, and string 1's minus string 0's.
         self._ladder_tables = None
         if n <= _MAX_MODES:
             bits = 1 << np.arange(n, dtype=np.int64)
@@ -236,6 +251,30 @@ class Transform:
         return int(sum(int(b) << i for i, b in enumerate(code)))
 
     # -- ladder operators ------------------------------------------------------
+
+    def ladder_products(self, ladders):
+        """Every string product of each row of ladders on distinct modes.
+
+        ``ladders`` is an int64 array of shape (rows, k), entries
+        2 * mode + dagger, with no mode twice in a row.  Returns ``(x, z,
+        e)``: ``x`` of shape (rows,), shared by a row's products, and ``z``
+        and ``e`` of shape (rows, 2^k).  Product c takes string b_i at
+        ladder i, b_0 the most significant bit of c, and is
+        i^e P(x, z) / 2^k, the paths of ``map_operator`` with D = k.
+        Masks are int64: more than 63 modes raises ``ValueError``.
+        """
+        if self._ladder_tables is None:
+            raise ValueError(f"ladder products support at most {_MAX_MODES} modes")
+        x_of, z_of, dz_of, anti_of, f_of, df_of = self._ladder_tables
+        mode = ladders >> 1
+        x = np.bitwise_xor.reduce(x_of[mode], axis=1)
+        z = np.bitwise_xor.reduce(z_of[mode], axis=1)
+        # as in _first_paths, every ladder being free
+        later = _ladder_order(ladders.shape[1])
+        signs = (anti_of[mode[:, :, None], mode[:, None, :]] & later).sum(axis=(1, 2))
+        f = f_of[ladders].sum(axis=1) + 2 * signs
+        z, e = _paths(x, z, f, dz_of[mode], df_of[ladders])
+        return x, z, e
 
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.

@@ -5,13 +5,17 @@ rotations, each synthesized as a basis-change + CNOT-ladder + Rz block.
 Adjacent blocks that share a ladder target cancel gates at their boundary,
 so the total two-qubit count depends on the string ordering, the choice of
 target wire, the labeling of fermion levels, and whether spatially paired
-excitations are compressed onto half the register.  This module provides:
+excitations are compressed onto half the register.  A plan is a few numpy
+passes over mask arrays: one expansion of the whole pool, one savings
+pass per string count, batched Held-Karp, and one junction matrix per
+class.  This module provides:
 
-- product-formula sequencing (first order, and the recursive even orders),
 - ``expand_term``: excitation -> rotation list under a chosen transform,
-  with T's 2^k string products enumerated on the transform's ladder masks
-  with an integer power of i each (no complex arithmetic and no merge; T+
-  is the conjugate on the same strings), and the strings sorted on mask
+  the one-excitation call of the pool expansion (``_expand_pool``), which
+  takes every term's 2^k string products from the transform's ladder
+  tables in one pass (``Transform.ladder_products``), each with an
+  integer power of i (no complex arithmetic and no merge; T+ is the
+  conjugate on the same strings), and sorts each term's strings on mask
   keys,
 - ``term_circuit``: circuit emission through one block emitter that
   reads each string's letters from its masks and appends shared,
@@ -21,14 +25,18 @@ excitations are compressed onto half the register.  This module provides:
   gates that cancel at a boundary between a term's blocks are never
   emitted,
 - ``intra_order``: per-term string order for each ladder target, by
-  dynamic programming over an exact additive cost model (a Held-Karp pass
-  in numpy, batched over (term, target) pairs, that visits only the valid
-  (visited mask, last node, next node) triples, one gather-add and one
-  group max per popcount layer),
+  dynamic programming over an exact additive cost model: every (term,
+  target) savings matrix of one string count comes from the strings' (x,
+  z) mask arrays at once, and a Held-Karp pass in numpy, batched by a
+  budget of table entries, visits only the valid (visited mask, last
+  node, next node) triples, one gather-add and one group max per popcount
+  layer,
 - ``relabel_levels``: greedy level-relabeling over pair-swap permutations,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the dynamic program runs
-  only at each term's class target, for all terms in one batch,
+  only at each term's class target, for all terms in one batch, and each
+  class chain grows on one matrix of its oriented members' junction
+  savings,
 - ``bosonic_reduce``: compression of spatially paired double excitations
   onto one wire per orbital pair (pair l on wire 2l), plus the restoration
   network; a compressed term is the closed-form two-wire hop of
@@ -65,59 +73,7 @@ import numpy as np
 
 from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .fermions import OrbitalSequence
-from .paulis import PauliString, word_key
-
-
-# ---------------------------------------------------------------------------
-# product-formula sequencing
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class PFConfig:
-    """Product-formula shape: expansion order and repetition count."""
-
-    order: int = 1
-    steps: int = 1
-
-    def __post_init__(self):
-        if self.order != 1 and (self.order < 2 or self.order % 2):
-            raise ValueError(f"order must be 1 or an even integer, got {self.order}")
-        if self.steps < 1:
-            raise ValueError(f"steps must be positive, got {self.steps}")
-
-
-def suzuki_coefficient(k):
-    """Recursive splitting coefficient p_k = 1 / (4 - 4^(1/(2k-1)))."""
-    if k < 2:
-        raise ValueError("the splitting coefficient is defined for k >= 2")
-    return 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
-
-
-def _suzuki(pairs, order):
-    if order == 1:
-        return list(pairs)
-    if order == 2:
-        half = [(label, angle / 2.0) for label, angle in pairs]
-        return half + half[::-1]
-    p = suzuki_coefficient(order // 2)
-    outer = _suzuki([(l, a * p) for l, a in pairs], order - 2)
-    middle = _suzuki([(l, a * (1.0 - 4.0 * p)) for l, a in pairs], order - 2)
-    return outer + outer + middle + outer + outer
-
-
-def pf_sequence(pairs, config=PFConfig()):
-    """Flatten (label, angle) pairs into one product-formula pass.
-
-    Each input angle is divided by ``config.steps``, expanded at
-    ``config.order``, and the resulting block is repeated ``steps`` times.
-    Labels are passed through untouched, so callers may sequence Pauli
-    strings, excitation names, or any other handle.
-    """
-    pairs = list(pairs)
-    step = [(label, angle / config.steps) for label, angle in pairs]
-    block = _suzuki(step, config.order)
-    return block * config.steps
+from .paulis import PauliString
 
 
 # ---------------------------------------------------------------------------
@@ -126,15 +82,17 @@ def pf_sequence(pairs, config=PFConfig()):
 
 _PLUS, _MINUS = complex(1.0), complex(-1.0)
 
-# Four-letter rotation sets are listed in this fixed x/y-word order (as z
-# bits on the x/y wires, X = 0, Y = 1); any other shape falls back to
-# lexicographic word order.
-_CANONICAL_WORDS = {
-    tuple(int(letter == "Y") for letter in word): rank
-    for rank, word in enumerate(
-        ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
-    )
-}
+# Four-letter rotation sets are listed in this fixed x/y-word order; any
+# other shape falls back to lexicographic word order.  A word is indexed by
+# its z bits on the x/y wires (X = 0, Y = 1), the lowest wire the most
+# significant bit.
+_CANONICAL_WORDS = ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
+_WORD_RANK = np.array(
+    [
+        _CANONICAL_WORDS.index(w) if w in _CANONICAL_WORDS else len(_CANONICAL_WORDS)
+        for w in (f"{b:04b}".replace("0", "X").replace("1", "Y") for b in range(16))
+    ]
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,90 +114,124 @@ class TrotterTerm:
     anti: bool = False
 
 
-def _canonical_string_order(strings):
-    n = strings[0].n_qubits
-    xy = strings[0].xmask
-    for s in strings:
-        xy &= s.xmask
-    wires = [q for q in range(n) if xy >> q & 1]
+def _canonical_order(x, z, n):
+    """Flat indices of ``z`` that sort each row's strings canonically.
 
-    def rank(s):
-        word = tuple(s.zmask >> q & 1 for q in wires)
-        return (_CANONICAL_WORDS.get(word, len(_CANONICAL_WORDS)), word, word_key(n, s.xmask, s.zmask))
+    ``x`` (rows,) is a row's shared x mask and ``z`` (rows, s) its
+    strings' z masks, on n qubits; the x/y wires are the set bits of x.
+    Strings sort by canonical word rank, then word, then
+    ``paulis.word_key``.  A row with four x/y wires ranks each string's
+    four-letter word by ``_CANONICAL_WORDS``; every other word, and every
+    word of another length, ranks last.  The word is compared letter by
+    letter from the lowest wire.  With x shared, the word and ``word_key``
+    both compare z from qubit 0 up, so they are the integer order of z
+    read with qubit 0 as the most significant bit, on the x/y wires and
+    on all wires.
+    """
+    qubits = np.arange(n)
+    wires = x[:, None] >> qubits & 1
+    bits = z[:, :, None] >> qubits & 1
+    on_wires = bits & wires[:, None, :]
+    # a row's first four x/y wires weigh 8, 4, 2 and 1 in its word
+    count = np.cumsum(wires, axis=1)
+    word = (on_wires @ ((wires << 4) >> count)[:, :, None])[..., 0]
+    rank = np.where(count[:, -1:] == 4, _WORD_RANK[word], len(_CANONICAL_WORDS))
+    rank += 16 * np.arange(len(z))[:, None]  # rows stay apart, in order
+    lead = 1 << (n - 1 - qubits)
+    return np.lexsort(((bits @ lead).ravel(), (on_wires @ lead).ravel(), rank.ravel()))
 
-    return tuple(sorted(strings, key=rank))
+
+def _expand_pool(seqs, transform, thetas, *, anti):
+    """The TrotterTerm of each excitation at its angle, as ``expand_term``.
+
+    The excitations are grouped by ladder count k, and each group's 2^k
+    string products, their powers of i and the canonical order of the kept
+    strings come from a few numpy passes over all its terms at once; then
+    the strings and terms are built.
+    """
+    seqs = list(seqs)
+    n = transform.n_modes
+    by_count = {}
+    for row, seq in enumerate(seqs):
+        for mode in seq.indices:
+            if not 0 <= mode < n:
+                raise ValueError(f"mode {mode} out of range")
+        by_count.setdefault(len(seq.indices), []).append(row)
+    # T + T+ keeps the even powers of i, sign + at i^0; T - T+ the odd, + at i^3
+    parity, plus = (1, 3) if anti else (0, 0)
+    terms = [None] * len(seqs)
+    for k, rows in by_count.items():
+        group = [seqs[r] for r in rows]
+        ladders = np.array(
+            [
+                [2 * m + 1 for m in seq.creations()] + [2 * m for m in seq.annihilations()]
+                for seq in group
+            ],
+            dtype=np.int64,
+        )
+        x, z, e = transform.ladder_products(ladders)
+        ordered = np.sort(z, axis=1)
+        kept = (e & 1) == parity
+        expected = 1 << (k - 1)
+        collide = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        count = kept.sum(axis=1)
+        if collide.any() or (count != expected).any():
+            for seq, clash, c in zip(group, collide.tolist(), count.tolist()):
+                if clash:
+                    raise ValueError(f"{seq.name}: ladder products collide")
+                if c != expected:
+                    raise ValueError(f"{seq.name} expanded to {c} strings, expected {expected}")
+        z = z[kept].reshape(len(group), expected)
+        order = _canonical_order(x, z, n)
+        positive = e[kept][order] == plus
+        z = z.ravel()[order]
+        common = x | np.bitwise_and.reduce(z.reshape(len(group), expected), axis=1)
+        mag = (4.0 if anti else 2.0) / (1 << k)
+        strings = [
+            PauliString(n, xs, zs, (_MINUS, _PLUS)[sign])
+            for xs, zs, sign in zip(x.repeat(expected).tolist(), z.tolist(), positive.tolist())
+        ]
+        for j, (r, seq, support) in enumerate(zip(rows, group, common.tolist())):
+            theta = thetas[r]
+            terms[r] = TrotterTerm(
+                seq,
+                n,
+                theta,
+                theta * mag,
+                tuple(strings[j * expected : (j + 1) * expected]),
+                tuple(t for t in sorted(seq.indices) if support >> t & 1),
+                anti,
+            )
+    return tuple(terms)
 
 
 def expand_term(seq, transform, theta=1.0, *, anti=False):
     """Expand one excitation under ``transform`` into a TrotterTerm.
 
-    Two-body sequences produce exactly eight strings and one-body sequences
-    exactly two; eligibility keeps the fermion-label wires whose letter is
-    non-identity in every string.
+    This is the one-excitation call of the pool expansion that
+    ``plan_ansatz`` runs (``_expand_pool``).  Two-body sequences produce
+    exactly eight strings and one-body sequences exactly two; eligibility
+    keeps the fermion-label wires whose letter is non-identity in every
+    string.
 
     T = a+... a... is enumerated as its 2^k string products on the
-    transform's ladder strings (``Transform.ladder_strings``), each with an
-    integer power of i; no complex number is formed.  A product is carried
-    as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z' adds f' and twice
-    |z & x'| to f; every ladder of one mode shares its x, so x is common to
-    all products.  The products never merge: the two strings of mode j
-    differ by z = row j of beta^-1, and the modes are distinct rows of an
-    invertible matrix, so the 2^k z masks are distinct (checked).  As
-    every coefficient is i^e / 2^k and every string is Hermitian, T+ has
-    the conjugate coefficient on the same string: T + T+ keeps the even
-    e with magnitude 2 / 2^k (sign + for e = 0) and T - T+ the odd e with
-    magnitude 4 / 2^k (sign + for e = 3, the rotation angle being the
+    transform's ladder strings (``Transform.ladder_products``), each with
+    an integer power of i; no complex number is formed.  A product is
+    carried as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z' adds f' and
+    twice |z & x'| to f; every ladder of one mode shares its x, so x is
+    common to all products.  The products never merge: the two strings of
+    mode j differ by z = row j of beta^-1, and the modes are distinct rows
+    of an invertible matrix, so the 2^k z masks are distinct (checked).
+    As every coefficient is i^e / 2^k and every string is Hermitian, T+
+    has the conjugate coefficient on the same string: T + T+ keeps the
+    even e with magnitude 2 / 2^k (sign + for e = 0) and T - T+ the odd e
+    with magnitude 4 / 2^k (sign + for e = 3, the rotation angle being the
     negated imaginary part).  No coefficient is ever summed, so the kept
     strings are exactly hermitian (or anti-hermitian) and of one magnitude.
+    The strings are sorted by ``_canonical_order``.  A transform of more
+    than 63 modes raises ``ValueError``.
     """
-    n = transform.n_modes
-    ladders = transform.ladder_strings
-    ops = [(mode, 1) for mode in seq.creations()] + [(mode, 0) for mode in seq.annihilations()]
-    x = 0
-    # partial products i^f X^x Z^z as (z, f mod 4); x is shared by all
-    prods = [(0, 0)]
-    for mode, dagger in ops:
-        if not 0 <= mode < n:
-            raise ValueError(f"mode {mode} out of range")
-        (xl, zp, ep), (_, zr, er) = ladders[mode][dagger]
-        # each ladder string i^e P(x, z) in the X^x Z^z form: Y = iXZ
-        steps = ((zp, ep + (xl & zp).bit_count()), (zr, er + (xl & zr).bit_count()))
-        prods = [
-            (z ^ zl, (f + fl + 2 * (z & xl).bit_count()) & 3)
-            for z, f in prods
-            for zl, fl in steps
-        ]
-        x ^= xl
-    if len({z for z, _ in prods}) != len(prods):
-        raise ValueError(f"{seq.name}: ladder products collide")
-
-    parity, plus = (1, 3) if anti else (0, 0)
-    signed = []
-    for z, f in prods:
-        e = (f - (x & z).bit_count()) & 3
-        if e & 1 == parity:
-            signed.append(PauliString(n, x, z, _PLUS if e == plus else _MINUS))
-    expected = 8 if seq.kind == "double" else 2
-    if len(signed) != expected:
-        raise ValueError(
-            f"{seq.name} expanded to {len(signed)} strings, expected {expected}"
-        )
-    mag = (4.0 if anti else 2.0) / len(prods)
-
-    ordered = _canonical_string_order(signed)
-    support = ordered[0].xmask | ordered[0].zmask
-    for s in ordered:
-        support &= s.xmask | s.zmask
-    eligible = tuple(t for t in sorted(set(seq.indices)) if support >> t & 1)
-    return TrotterTerm(
-        source=seq,
-        n_qubits=n,
-        theta=theta,
-        angle=theta * mag,
-        strings=ordered,
-        eligible_targets=eligible,
-        anti=anti,
-    )
+    return _expand_pool([seq], transform, [theta], anti=anti)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +344,11 @@ class CostBreakdown:
 
     @property
     def base(self):
-        return sum(2 * (n - 1) for n in self.letter_counts)
+        return 2 * (sum(self.letter_counts) - len(self.letter_counts))
 
     @property
     def saved(self):
-        return sum(2 * m + n for m, n in zip(self.two_cnot_savings, self.one_cnot_savings))
+        return 2 * sum(self.two_cnot_savings) + sum(self.one_cnot_savings)
 
     @property
     def total(self):
@@ -401,16 +393,6 @@ def _boundary_saving(first, second, target):
     return agree.bit_count(), differ.bit_count()
 
 
-def _savings_matrix(strings, target):
-    k = len(strings)
-    mat = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            agree, differ = _boundary_wires(strings[i], strings[j], target)
-            mat[i][j] = mat[j][i] = 2 * agree.bit_count() + differ.bit_count()
-    return mat
-
-
 def _top_wire(string):
     return (string.xmask | string.zmask).bit_length() - 1
 
@@ -443,10 +425,14 @@ def _fallback_choice(term):
     return IntraChoice(tuple(range(len(seq))), None, breakdown)
 
 
-# Savings matrices solved together in one Held-Karp pass; bounds the pass's
-# working set at 16 * 2^k * k table entries plus one popcount layer's
-# gathered triples, 16 * C(k, p) * p * (k - p) at most.
-_DP_CHUNK = 16
+# Table entries of one Held-Karp batch.  c matrices of k nodes fill a table
+# of c * k * 2^k int32 entries, so a batch holds as many as fit, and at
+# least one: the table takes at most 256 KB and the batch's savings, k^2 c
+# int32 entries, at most 128 KB (at k <= 2), so one batch's tables stay
+# under 1 MB.  The triples gathered for one layer of p visited nodes,
+# c * C(k, p) * p * (k - p), stay below the table up to k = 25 (below 0.8
+# of it up to k = 16).  At k = 8 a batch is 32 matrices.
+_DP_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=None)
@@ -455,10 +441,13 @@ def _dp_triples(k):
     each popcount layer p = k-1 .. 1, with ``last`` in and ``next`` out of
     ``mask``, as flat row indices.
 
-    Each entry holds the rows written, ``mask * k + last``; the savings rows,
-    ``last * k + next``; the table rows, ``(mask | 1 << next) * k + next``;
-    and the group width ``k - p``.  Triples run mask, last, next ascending,
-    so each (mask, last) group is ``k - p`` consecutive rows.
+    Each entry holds the rows written, ``mask * k + last``, with (mask,
+    last) ascending; the savings rows, ``last * k + next``; the table rows,
+    ``(mask | 1 << next) * k + next``; and the group width ``k - p``.  The
+    savings and table rows run by rank of ``next`` among the unvisited
+    nodes, then by (mask, last): the j-th block of ``len(rows)`` triples
+    holds each group's j-th unvisited node, so a group max is an
+    elementwise max over ``k - p`` contiguous blocks.
     """
     layers = []
     for p in range(k - 1, 0, -1):
@@ -470,9 +459,10 @@ def _dp_triples(k):
             for last in range(k):
                 if mask >> last & 1:
                     rows.append(mask * k + last)
-                    sav.extend(last * k + nxt for nxt in free)
-                    tab.extend((mask | 1 << nxt) * k + nxt for nxt in free)
-        layers.append((np.array(rows), np.array(sav), np.array(tab), k - p))
+                    sav.append([last * k + nxt for nxt in free])
+                    tab.append([(mask | 1 << nxt) * k + nxt for nxt in free])
+        sav, tab = (np.array(a).T.ravel() for a in (sav, tab))
+        layers.append((np.array(rows), sav, tab, k - p))
     return tuple(layers)
 
 
@@ -481,11 +471,12 @@ def _held_karp(savings):
 
     ``f[mask * k + last, c]`` holds the best suffix weight from ``last``
     with ``mask`` already visited (0 when no move is left); each layer is one
-    gather-add over its valid triples and one max per (mask, last) group, with
-    the batch innermost.  Savings are non-negative, so no move is masked out
-    and no weight is floored at 0.  Each path is rebuilt greedily: at every
-    step the smallest unvisited node that attains the optimum, the first
-    argmax of its group.
+    gather-add over its valid triples and one max per (mask, last) group
+    over the group's blocks (``_dp_triples``), with the batch innermost.
+    Savings are non-negative, so no move is masked out and no weight is
+    floored at 0.  Each path is rebuilt greedily: at every step the
+    smallest unvisited node that attains the optimum, the first argmax of
+    its group; the last step has one node left.
     """
     c, k, _ = savings.shape
     gain = np.ascontiguousarray(savings.reshape(c, k * k).T)
@@ -493,63 +484,140 @@ def _held_karp(savings):
     for rows, sav, tab, width in _dp_triples(k):
         cand = np.take(gain, sav, axis=0)
         cand += np.take(f, tab, axis=0)
-        f[rows] = cand.reshape(-1, width, c).max(axis=1)
+        f[rows] = cand.reshape(width, -1, c).max(axis=0)
 
+    # f and gain indexed [mask, last, c] and [last, next, c]
+    f, gain = f.reshape(1 << k, k, c), gain.reshape(k, k, c)
     nodes = np.arange(k)[:, None]
+    bits = 1 << nodes
     cols = np.arange(c)
-    weight = f[(1 << nodes) * k + nodes, cols].max(axis=0)
-    mask = np.zeros(c, dtype=np.int64)
-    step_gain = np.zeros((k, c), dtype=np.int32)
+    start = f[bits, nodes, cols]
     path = np.empty((k, c), dtype=np.int64)
-    for step in range(k):
-        reach = mask | 1 << nodes
-        cand = step_gain + f[reach * k + nodes, cols]
+    v = path[0] = start.argmax(axis=0)
+    mask = 1 << v
+    for step in range(1, k - 1):
+        reach = mask | bits
+        cand = gain[v, nodes, cols] + f[reach, nodes, cols]
         cand[reach == mask] = -1  # visited: below every real candidate
-        v = cand.argmax(axis=0)
-        path[step] = v
+        v = path[step] = cand.argmax(axis=0)
         mask |= 1 << v
-        step_gain = gain[v * k + nodes, cols]
-    return list(zip(weight.tolist(), map(tuple, path.T.tolist())))
+    # the last step takes the one node left
+    path[k - 1] = k * (k - 1) // 2 - path[: k - 1].sum(axis=0)
+    return list(zip(start.max(axis=0).tolist(), map(tuple, path.T.tolist())))
 
 
 def _max_paths(matrices):
     """(weight, path) of each non-negative integer matrix; sizes may mix.
 
     The path is the lexicographically smallest maximum-weight Hamiltonian
-    path.  Matrices of one size are solved ``_DP_CHUNK`` at a time, in int32;
-    a negative entry, or a k x k matrix whose (k - 1) * max entry reaches
-    2**31 (a path weight could overflow), raises ValueError.  Boundary
-    savings are at most twice the register width per step.
+    path.  Matrices of one size k are solved in int32, in batches of
+    ``_DP_ENTRIES // (k * 2^k)`` matrices (at least one), so one batch's
+    table holds at most ``_DP_ENTRIES`` entries (256 KB) and its savings
+    at most 128 KB; a negative entry, or a k x k matrix whose
+    (k - 1) * max entry reaches 2**31 (a path weight could overflow),
+    raises ValueError.  Boundary savings are at most twice the register
+    width per step.
     """
     out = [None] * len(matrices)
     by_size = {}
     for idx, mat in enumerate(matrices):
         by_size.setdefault(len(mat), []).append(idx)
     for k, idxs in by_size.items():
-        for start in range(0, len(idxs), _DP_CHUNK):
-            chunk = idxs[start : start + _DP_CHUNK]
-            stack = np.array([matrices[i] for i in chunk], dtype=np.int64)
-            if stack.min() < 0:
-                raise ValueError("savings matrices must be non-negative")
-            if (k - 1) * int(stack.max()) >= 2**31:
-                raise ValueError(f"a {k} x {k} savings matrix's path weight may overflow int32")
-            for i, result in zip(chunk, _held_karp(stack.astype(np.int32))):
+        stack = np.array([matrices[i] for i in idxs], dtype=np.int64)
+        if stack.min() < 0:
+            raise ValueError("savings matrices must be non-negative")
+        if (k - 1) * int(stack.max()) >= 2**31:
+            raise ValueError(f"a {k} x {k} savings matrix's path weight may overflow int32")
+        stack = stack.astype(np.int32)
+        batch = max(1, _DP_ENTRIES // (k << k))
+        for start in range(0, len(idxs), batch):
+            solved = _held_karp(stack[start : start + batch])
+            for i, result in zip(idxs[start : start + batch], solved):
                 out[i] = result
     return out
+
+
+def _mask_arrays(strings):
+    """int64 arrays of the x and z masks of a nested list of strings."""
+    x = np.array([[s.xmask for s in row] for row in strings], dtype=np.int64)
+    z = np.array([[s.zmask for s in row] for row in strings], dtype=np.int64)
+    return x, z
+
+
+# a wire's letter features, indexed by its x bit + 2 * its z bit (I, X, Z, Y):
+# whether the string acts on the wire, then one-hot X, Y and Z
+_LETTER_FEATURES = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0]])
+
+
+def _letter_features(x, z, target):
+    """Each string's letters as 0/1 int64 features, shape (..., n, 4).
+
+    The n wires run up to the highest set bit of any mask or ``target``.
+    Per wire: whether the string acts on it, then one-hot X, Y and Z.  The
+    dot product of two strings' features is the number of wires where both
+    act plus the number where their letters agree, 2 * agree + differ in
+    ``_boundary_wires``' terms, and the first column alone counts the wires
+    where both act.  Zeroing a wire's features on one side leaves the wire
+    out.
+    """
+    wires = np.arange(max(int((x | z).max()).bit_length(), int(target) + 1))
+    return _LETTER_FEATURES[(x[..., None] >> wires & 1) | (z[..., None] >> wires & 1) << 1]
+
+
+def _boundary_counts(strings, targets):
+    """(weight, agree, differ, savings) of each row of ``strings`` at its target.
+
+    ``strings`` holds one row of k strings per target.  ``weight`` (rows,
+    k) counts each string's letters; ``agree``, ``differ`` and ``savings``
+    (rows, k, k) count, at the boundary of strings a and b, the wires
+    other than the target where both act with the same letter, with
+    different ones, and 2 * agree + differ (``_boundary_wires``): products
+    of letter features with the target left out of one side.
+    """
+    feats = _letter_features(*_mask_arrays(strings), targets.max())
+    off = feats.copy()
+    off[np.arange(len(targets)), :, targets] = 0
+    both = off[..., 0] @ feats[..., 0].transpose(0, 2, 1)
+    flat = feats.reshape(*feats.shape[:2], -1)
+    savings = off.reshape(flat.shape) @ flat.transpose(0, 2, 1)
+    return feats[..., 0].sum(axis=2), savings - both, 2 * both - savings, savings
 
 
 def _dp_choices(pairs):
     """The maximum-saving IntraChoice of each (term, target) pair.
 
-    Of a path and its reversal (equal savings), the lexicographically
-    smaller ordering is kept.
+    Pairs are grouped by string count k, and each group's savings
+    matrices come at once from its (pairs, k) x and z mask arrays
+    (``_boundary_counts``).  All groups' matrices go to ``_max_paths`` in
+    one call.  Savings are symmetric, so a path and its reversal save the
+    same, and the lexicographically smallest best path is never greater
+    than its reversal.  Its CostBreakdown, the letter counts and each
+    boundary's agree and differ counts along it, is read from the same
+    arrays, equal to ``cost_breakdown``'s.
     """
-    solved = _max_paths([_savings_matrix(term.strings, target) for term, target in pairs])
-    choices = []
-    for (term, target), (_, path) in zip(pairs, solved):
-        if path[::-1] < path:
-            path = path[::-1]
-        choices.append(IntraChoice(path, target, cost_breakdown(term, path, target)))
+    by_count = {}
+    for idx, (term, _) in enumerate(pairs):
+        by_count.setdefault(len(term.strings), []).append(idx)
+    groups, matrices = [], []
+    for k, idxs in by_count.items():
+        targets = np.array([pairs[i][1] for i in idxs], dtype=np.int64)
+        strings = [pairs[i][0].strings for i in idxs]
+        weight, agree, differ, savings = _boundary_counts(strings, targets)
+        savings[:, np.arange(k), np.arange(k)] = 0  # a string never meets itself
+        groups.append((idxs, weight, agree, differ))
+        matrices += list(savings)
+    solved = iter(_max_paths(matrices))
+    choices = [None] * len(pairs)
+    for idxs, weight, agree, differ in groups:
+        paths = [path for _, path in (next(solved) for _ in idxs)]
+        at = np.array(paths, dtype=np.int64)
+        rows = np.arange(len(idxs))[:, None]
+        counts = weight[rows, at].tolist()
+        twos = agree[rows, at[:, :-1], at[:, 1:]].tolist()
+        ones = differ[rows, at[:, :-1], at[:, 1:]].tolist()
+        for i, path, c, two, one in zip(idxs, paths, counts, twos, ones):
+            breakdown = CostBreakdown(tuple(c), tuple(two), tuple(one))
+            choices[i] = IntraChoice(path, pairs[i][1], breakdown)
     return choices
 
 
@@ -626,16 +694,12 @@ def _pair_swap_perms(n_spatial, k):
 
 
 def _labeling_cost(seqs, transform, labels, *, anti, memo):
-    total = 0
-    for seq in seqs:
-        mapped, _ = permute_sequence(seq, labels)
-        key = (mapped.kind, mapped.indices)
-        cost = memo.get(key)
-        if cost is None:
-            cost = term_min_cost(expand_term(mapped, transform, anti=anti))
-            memo[key] = cost
-        total += cost
-    return total
+    mapped = [permute_sequence(seq, labels)[0] for seq in seqs]
+    keys = [(seq.kind, seq.indices) for seq in mapped]
+    new = {key: seq for key, seq in zip(keys, mapped) if key not in memo}
+    terms = _expand_pool(new.values(), transform, [1.0] * len(new), anti=anti)
+    memo.update((key, term_min_cost(term)) for key, term in zip(new, terms))
+    return sum(memo[key] for key in keys)
 
 
 def relabel_levels(seqs, transform, *, anti=False, memo=None):
@@ -715,10 +779,19 @@ def inter_order(terms):
     the smallest index), removing claimed terms and repeating; this reads
     only the eligible targets.  Each member's string order is then the
     dynamic program's at its class target alone, all members solved in one
-    batch.  Within a class the chain is seeded with the best scoring
-    oriented pair, then grown one term at a time, trying prefix/suffix
-    placement of the original or reversed per-term ordering and keeping the
-    best boundary saving (ties resolved in enumeration order).
+    batch.  A member is placed in its string order or reversed, and a
+    junction saving is the boundary saving, at the class target, of one
+    placed member's last string and the next one's first; each class
+    scores all of them once, in one matrix (``_junction_matrix``).  The
+    chain is seeded with the pair of distinct members with the largest
+    junction saving, then grown one member at a time, placed before the
+    chain's first member or after its last, wherever the saving is
+    largest.  Ties go to the first strict maximum in this order: the seed
+    runs over the left member, then the right member (each in class
+    order), then the left one reversed or not (not first), then the right
+    one; a growth step runs over the members left (in class order), then
+    before the chain or after it (before first), then not reversed or
+    reversed.
     """
     standalone = tuple(
         TermPlacement(i, _fallback_choice(terms[i]))
@@ -746,64 +819,70 @@ def inter_order(terms):
     return InterPlan(classes, standalone)
 
 
+def _junction_matrix(terms, choices, members, target):
+    """Junction savings of every ordered pair of oriented class members.
+
+    Oriented member 2 * j + r is ``members[j]`` in its chosen string order,
+    reversed when r is 1.  Entry [a, b] is the boundary saving, as
+    2 * two + one (``_boundary_saving``), of a's last string followed by
+    b's first string at ``target``: one product of letter features
+    (``_letter_features``), the target left out of the last strings'.
+    """
+    firsts, lasts = [], []
+    for i in members:
+        strings, ordering = terms[i].strings, choices[i].ordering
+        head, tail = strings[ordering[0]], strings[ordering[-1]]
+        firsts += (head, tail)
+        lasts += (tail, head)
+    first, last = _letter_features(*_mask_arrays([firsts, lasts]), target)
+    last[:, target] = 0
+    return last.reshape(len(lasts), -1) @ first.reshape(len(firsts), -1).T
+
+
 def _chain_class(terms, choices, members, target):
+    """One class's chain, seeded and grown on its junction matrix as
+    ``inter_order`` describes.  ``argmax`` returns the first maximum in
+    row-major order, so each candidate array's axes run in the order of
+    the tie rule."""
     if len(members) == 1:
         return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
 
-    # (member, reverse) -> its (first, last) string as (x, z, support off target)
-    keep = ~(1 << target)
-    edges = {}
-    for i in members:
-        ordering = choices[i].ordering
-        head, tail = (
-            (s.xmask, s.zmask, (s.xmask | s.zmask) & keep)
-            for s in (terms[i].strings[ordering[0]], terms[i].strings[ordering[-1]])
-        )
-        edges[i, False] = (head, tail)
-        edges[i, True] = (tail, head)
-
-    def junction(left, right):
-        # _boundary_saving of left's last string and right's first, as 2 * two + one
-        ax, az, asup = edges[left][1]
-        bx, bz, bsup = edges[right][0]
-        both = asup & bsup
-        diff = both & ((ax ^ bx) | (az ^ bz))
-        return 2 * both.bit_count() - diff.bit_count()
-
-    best = None
-    for i in members:
-        for j in members:
-            if i == j:
-                continue
-            for a in ((i, False), (i, True)):
-                for b in ((j, False), (j, True)):
-                    value = junction(a, b)
-                    if best is None or value > best[0]:
-                        best = (value, a, b)
-    value, left, right = best
+    m = len(members)
+    junction = _junction_matrix(terms, choices, members, target)
+    # the seed: (left member, right member, left reversed, right reversed)
+    seed = junction.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
+    seed[np.arange(m), np.arange(m)] = -1  # savings are non-negative
+    li, ri, lr, rr = np.unravel_index(int(seed.argmax()), seed.shape)
+    left, right = 2 * int(li) + int(lr), 2 * int(ri) + int(rr)
     chain = [left, right]
-    savings = [value]
-    used = {left[0], right[0]}
+    savings = [int(junction[left, right])]
 
-    while len(used) < len(members):
-        pick = None
-        for i in members:
-            if i in used:
-                continue
-            for prefix in (True, False):
-                for cand in ((i, False), (i, True)):
-                    value = junction(cand, chain[0]) if prefix else junction(chain[-1], cand)
-                    if pick is None or value > pick[0]:
-                        pick = (value, cand, prefix)
-        value, cand, prefix = pick
-        if prefix:
-            chain.insert(0, cand)
-            savings.insert(0, value)
-        else:
-            chain.append(cand)
+    # cand[j, end, r]: the saving of member j, reversed when r is 1, placed
+    # before the chain (end 0, column of the first member) or after it
+    # (end 1, row of the last); placed members read -1
+    placed = np.zeros(m, dtype=bool)
+    placed[[li, ri]] = True
+    cand = np.stack((junction[:, left].reshape(m, 2), junction[right].reshape(m, 2)), axis=1)
+    cand[placed] = -1
+    for _ in range(m - 2):
+        best = int(cand.argmax())
+        j, end, reverse = best >> 2, best >> 1 & 1, best & 1
+        value = int(cand.flat[best])
+        o = 2 * j + reverse
+        placed[j] = True
+        cand[j] = -1
+        if end:
+            chain.append(o)
             savings.append(value)
-        used.add(cand[0])
-    placements = tuple(TermPlacement(i, choices[i], reverse) for i, reverse in chain)
+            cand[:, 1] = junction[o].reshape(m, 2)
+        else:
+            chain.insert(0, o)
+            savings.insert(0, value)
+            cand[:, 0] = junction[:, o].reshape(m, 2)
+        cand[placed, end] = -1
+    placements = tuple(
+        TermPlacement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
+    )
     return ClassPlan(target, placements, tuple(savings))
 
 
@@ -1002,9 +1081,7 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         seqs = [mapped for mapped, _ in relabeled]
         angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
 
-    terms = tuple(
-        expand_term(seq, transform, theta, anti=config.anti) for seq, theta in zip(seqs, angles)
-    )
+    terms = _expand_pool(seqs, transform, angles, anti=config.anti)
 
     if config.bosonic and n % 2 == 0:
         split = bosonic_reduce(terms, occupied=occupied)

@@ -33,7 +33,6 @@ UNCALLED = {
     "ftgates.weight_sum_accounting": _FT_ROW,
     "ftgates.prefix_linear_functions": _FT_ROW,
     "ftgates.format_linear_form": _FT_ROW,
-    "trotter.pf_sequence": "ROADMAP item 4 builds a product-formula step on it or deletes it",
     "measure.qsr_context_from_terms": "ROADMAP item 5 puts qubit-space reduction on the HMP2 path",
     "measure.qsr_compress_sum": "ROADMAP item 5 puts qubit-space reduction on the HMP2 path",
     "pso.read_checkpoint": "resumes a search from the checkpoint pso.run writes",

@@ -35,11 +35,14 @@ def test_planner_layers_reports_h4():
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     assert {enc: h4[enc]["circuit_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     for layers in h4.values():
-        # 26 pool terms per plan; compression expands nothing
-        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3 * 26
+        # one pool expansion per plan; compression expands nothing
+        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3
         assert layers["compression_calls"] == layers["held_karp_calls"] == 3
         # one batched DP per Held-Karp call, inside it
         assert layers["dp_calls"] == 3 and layers["dp_s"] < layers["held_karp_s"]
+        # a junction matrix per class of two or more members, inside its chain
+        assert 3 <= layers["junctions_calls"] <= layers["chaining_calls"]
+        assert layers["junctions_s"] < layers["chaining_s"]
         # one emission: a term circuit per kept term, a peephole per block
         assert layers["emit_calls"] == 1
         assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
@@ -55,7 +58,7 @@ def test_planner_layers_reports_h4():
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
-                "plan", "expand", "compression", "held_karp", "dp", "chaining",
+                "plan", "expand", "compression", "held_karp", "dp", "chaining", "junctions",
                 "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
             )
         )

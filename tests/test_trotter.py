@@ -97,103 +97,6 @@ def excitation_strategy(min_n=4, max_n=6):
 
 
 # ---------------------------------------------------------------------------
-# product formulas
-# ---------------------------------------------------------------------------
-
-
-class TestProductFormula:
-    def test_first_order_is_passthrough(self):
-        pairs = [("a", 0.3), ("b", 0.5)]
-        assert tr.pf_sequence(pairs, tr.PFConfig(order=1)) == pairs
-
-    def test_second_order_palindrome(self):
-        pairs = [("a", 0.3), ("b", 0.5)]
-        seq = tr.pf_sequence(pairs, tr.PFConfig(order=2))
-        assert seq == [("a", 0.15), ("b", 0.25), ("b", 0.25), ("a", 0.15)]
-
-    def test_second_order_single_term(self):
-        assert tr.pf_sequence([("a", 0.8)], tr.PFConfig(order=2)) == [
-            ("a", 0.4),
-            ("a", 0.4),
-        ]
-
-    def test_steps_divide_and_repeat(self):
-        pairs = [("a", 0.6)]
-        seq = tr.pf_sequence(pairs, tr.PFConfig(order=1, steps=3))
-        assert [label for label, _ in seq] == ["a"] * 3
-        assert [a for _, a in seq] == pytest.approx([0.2] * 3)
-
-    def test_fourth_order_splitting_constant(self):
-        p2 = tr.suzuki_coefficient(2)
-        assert abs(p2 - 1.0 / (4.0 - 4.0 ** (1.0 / 3.0))) < 1e-12
-        assert abs(p2 - 0.4144908) < 5e-8
-
-    def test_higher_splitting_constants(self):
-        for k in (3, 4):
-            want = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
-            assert abs(tr.suzuki_coefficient(k) - want) < 1e-12
-
-    def test_fourth_order_structure(self):
-        pairs = [("a", 0.3), ("b", 0.5)]
-        seq = tr.pf_sequence(pairs, tr.PFConfig(order=4))
-        # five second-order blocks of four rotations each
-        assert len(seq) == 20
-        p2 = tr.suzuki_coefficient(2)
-        assert seq[0] == ("a", 0.3 * p2 / 2)
-        for label, total in pairs:
-            assert abs(sum(a for l, a in seq if l == label) - total) < 1e-12
-
-    @given(
-        st.lists(st.floats(-2, 2, allow_nan=False), min_size=1, max_size=4),
-        st.sampled_from([1, 2, 4, 6]),
-        st.integers(1, 3),
-    )
-    def test_angle_sums_are_conserved(self, angles, order, steps):
-        pairs = [(i, a) for i, a in enumerate(angles)]
-        seq = tr.pf_sequence(pairs, tr.PFConfig(order=order, steps=steps))
-        for i, a in pairs:
-            assert abs(sum(x for l, x in seq if l == i) - a) < 1e-9
-
-    def test_invalid_order_rejected(self):
-        for order in (0, 3, 5, -2):
-            with pytest.raises(ValueError):
-                tr.PFConfig(order=order)
-
-    def test_invalid_steps_rejected(self):
-        with pytest.raises(ValueError):
-            tr.PFConfig(order=2, steps=0)
-
-    def _error_slope(self, order):
-        n = 3
-        words = [{0: "X", 1: "Y", 2: "Z"}, {0: "Z"}, {1: "X"}]
-        angles = [0.9, 0.7, 0.5]
-        mats = [oracles.string_matrix(n, w) for w in words]
-        target = sla.expm(-0.5j * sum(a * m for a, m in zip(angles, mats)))
-        errs = []
-        steps = (2, 4, 8, 16)
-        for r in steps:
-            seq = tr.pf_sequence(
-                list(enumerate(angles)), tr.PFConfig(order=order, steps=r)
-            )
-            u = np.eye(1 << n, dtype=complex)
-            for label, ang in seq:
-                u = sla.expm(-0.5j * ang * mats[label]) @ u
-            errs.append(np.abs(u - target).max())
-        assert min(errs) > 1e-13  # stay clear of the noise floor
-        return np.polyfit(np.log(steps), np.log(errs), 1)[0]
-
-    def test_first_order_error_slope(self):
-        assert -1.25 < self._error_slope(1) < -0.75
-
-    def test_second_order_error_slope(self):
-        # halving the step size must cut the error near quadratically
-        assert -2.4 < self._error_slope(2) < -1.6
-
-    def test_fourth_order_error_slope(self):
-        assert -4.8 < self._error_slope(4) < -3.2
-
-
-# ---------------------------------------------------------------------------
 # excitation expansion
 # ---------------------------------------------------------------------------
 
@@ -667,13 +570,14 @@ class TestPlannerReferences:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(_matrix_st, min_size=1, max_size=40))
     def test_batched_dp_matches_reference(self, matrices):
-        """Mixed sizes and more than one chunk of a size in one batch, with
-        all-zero and heavily tied matrices: equal weight and equal path."""
+        """Mixed sizes in one call, with all-zero and heavily tied matrices:
+        equal weight and equal path.  Batches that split one size are
+        covered by ``test_chunk_boundaries`` and ``test_small_entry_budget``."""
         assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
 
     def test_chunk_boundaries(self):
         rng = random.Random(3)
-        sizes = [8] * (2 * tr._DP_CHUNK + 3) + list(range(1, 8)) * 3
+        sizes = [8] * (2 * (tr._DP_ENTRIES // (8 << 8)) + 3) + list(range(1, 8)) * 3
         rng.shuffle(sizes)
         matrices = []
         for k in sizes:
@@ -706,7 +610,8 @@ class TestPlannerReferences:
 
     def test_triple_table_holds_only_valid_triples(self):
         """At k = 8: sum_p C(8, p) p (8 - p) = 3,584 triples; each (mask, last)
-        group lists the unvisited nodes once each, ascending."""
+        group lists the unvisited nodes once each, ascending, the j-th of
+        them in the j-th block of ``len(rows)`` triples."""
         k = 8
         layers = tr._dp_triples(k)
         assert sum(len(tab) for _, _, tab, _ in layers) == 3584
@@ -715,14 +620,34 @@ class TestPlannerReferences:
         assert sorted(written) == [m * k + v for m in partial for v in range(k) if m >> v & 1]
         for p, (rows, sav, tab, width) in zip(range(k - 1, 0, -1), layers):
             assert width == k - p
+            assert rows.tolist() == sorted(rows.tolist())
             for row, group_sav, group_tab in zip(
-                rows.tolist(), sav.reshape(-1, width).tolist(), tab.reshape(-1, width).tolist()
+                rows.tolist(), sav.reshape(width, -1).T.tolist(), tab.reshape(width, -1).T.tolist()
             ):
                 mask, last = divmod(row, k)
                 assert mask.bit_count() == p and mask >> last & 1
                 nodes = [nxt for nxt in range(k) if not mask >> nxt & 1]
                 assert group_sav == [last * k + nxt for nxt in nodes]
                 assert group_tab == [(mask | 1 << nxt) * k + nxt for nxt in nodes]
+
+    def test_small_entry_budget(self, monkeypatch):
+        """A 48-entry budget: batches of 6 matrices at k = 2, 2 at k = 3 and
+        1 from k = 4 up, so every size but k = 1 splits into batches; the
+        results stay the reference's, and a bad matrix in a later batch
+        still raises."""
+        monkeypatch.setattr(tr, "_DP_ENTRIES", 48)
+        rng = random.Random(5)
+        matrices = []
+        for k in [1, 2, 3, 4, 5, 8] * 7:
+            m = [[0 if i == j else rng.randint(0, 2) for j in range(k)] for i in range(k)]
+            matrices.append(m)
+        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+        negative = [[0, -1, 0], [0, 0, 0], [0, 0, 0]]
+        with pytest.raises(ValueError, match="non-negative"):
+            tr._max_paths([[[0, 1, 1], [1, 0, 1], [1, 1, 0]]] * 5 + [negative])
+        big = [[0, 2**30, 2**30], [2**30, 0, 2**30], [2**30, 2**30, 0]]
+        with pytest.raises(ValueError, match="overflow"):
+            tr._max_paths([[[0, 1, 1], [1, 0, 1], [1, 1, 0]]] * 5 + [big])
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -1390,3 +1315,148 @@ class TestPlannerPins:
                 assert p.choice == want
                 placed += 1
         assert placed == len(kept) - len(plan.inter.standalone) > 0
+
+
+# ---------------------------------------------------------------------------
+# the array planner against the planner on Python ints, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _planner_cases():
+    """(pool, transform, electrons) per name: H2, H4 and water under JW, BK
+    and one seeded encoding each."""
+    rng = np.random.default_rng(19)
+    cases = {}
+    for system, n, n_e in (("h2", 4, 2), ("h4", 8, 4), ("water", 14, 10)):
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        for enc, transform in (
+            ("jw", Transform.jordan_wigner(n)),
+            ("bk", Transform.bravyi_kitaev(n)),
+            ("beta", Transform.from_lower_bits(n, _random_beta_bits(rng, n))),
+        ):
+            cases[f"{system}-{enc}"] = (pool, transform, n_e)
+    return cases
+
+
+_PLANNER_CASES = _planner_cases()
+
+_PLANNER_CONFIGS = {
+    "default": tr.HeuristicConfig(),
+    "relabel": tr.HeuristicConfig(relabel=True),
+    "no-bosonic": tr.HeuristicConfig(bosonic=False),
+    "no-reorder": tr.HeuristicConfig(reorder=False),
+}
+
+
+class TestArrayPlanner:
+    """The pool expansion, the savings and breakdown arrays, and the
+    junction matrices give what ``oracles`` computes one term and one pair
+    at a time: the same objects, field for field."""
+
+    @pytest.mark.parametrize("anti", (True, False))
+    @pytest.mark.parametrize("case", sorted(_PLANNER_CASES))
+    def test_pool_expansion_matches_reference(self, case, anti):
+        """Every pool term, with signed zero angles among them (``repr``
+        tells -0.0 from 0.0); ``expand_term`` is the one-term call."""
+        pool, transform, _ = _PLANNER_CASES[case]
+        thetas = [(0.0, -0.0, 0.3 - 0.05 * i)[i % 3] for i in range(len(pool))]
+        want = tuple(
+            oracles.expand_term_reference(seq, transform, theta, anti=anti)
+            for seq, theta in zip(pool, thetas)
+        )
+        got = tr._expand_pool(pool, transform, thetas, anti=anti)
+        assert got == want and repr(got) == repr(want)
+        single = tuple(
+            tr.expand_term(seq, transform, theta, anti=anti) for seq, theta in zip(pool, thetas)
+        )
+        assert repr(single) == repr(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(
+            lambda spatial: st.tuples(
+                st.just(2 * spatial),
+                st.integers(1, spatial - 1).map(lambda occ: 2 * occ),
+                st.lists(
+                    st.integers(0, 1),
+                    min_size=spatial * (2 * spatial - 1),
+                    max_size=spatial * (2 * spatial - 1),
+                ),
+                st.booleans(),
+            )
+        )
+    )
+    def test_pool_expansion_under_random_encodings(self, case):
+        """Random unit-lower-triangular beta at 4-10 modes, the whole UCCSD
+        pool of an even electron count."""
+        n, n_e, bits, anti = case
+        transform = Transform.from_lower_bits(n, bits)
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        thetas = [0.1 * (i + 1) for i in range(len(pool))]
+        want = tuple(
+            oracles.expand_term_reference(seq, transform, theta, anti=anti)
+            for seq, theta in zip(pool, thetas)
+        )
+        assert tr._expand_pool(pool, transform, thetas, anti=anti) == want
+
+    @pytest.mark.parametrize(
+        "case, config",
+        [
+            (case, config)
+            for case in sorted(_PLANNER_CASES)
+            for config in sorted(_PLANNER_CONFIGS)
+            # the reference relabeling takes seconds on water
+            if config != "relabel" or not case.startswith("water") or case == "water-jw"
+        ],
+    )
+    def test_plan_matches_reference(self, case, config):
+        """HF modes occupied; relabeling runs on water under JW only."""
+        pool, transform, n_e = _PLANNER_CASES[case]
+        cfg = _PLANNER_CONFIGS[config]
+        got = tr.plan_ansatz(pool, transform, config=cfg, occupied=range(n_e))
+        want = oracles.plan_ansatz_reference(pool, transform, cfg, occupied=range(n_e))
+        assert got.labels == want.labels and got.terms == want.terms
+        assert got.kept == want.kept and got.compressed == want.compressed
+        assert got.inter == want.inter
+        assert got.model_two_qubit == want.model_two_qubit
+
+    def test_tied_chains_match_reference(self):
+        """Classes whose junctions tie: copies of one term, where every
+        oriented pair and every growth candidate scores the same, and
+        random terms on three wires, where many do.  The chain is the
+        reference's, so ties go to the first strict maximum in the scan
+        order of ``inter_order``'s docstring."""
+        jw = Transform.jordan_wigner(6)
+        copy = tr.expand_term(OrbitalSequence("double", (4, 5, 0, 1)), jw, 0.3, anti=True)
+        terms = [copy] * 5
+        choices = {i: tr._dp_choices([(copy, 0)])[0] for i in range(5)}
+        got = tr._chain_class(terms, choices, list(range(5)), 0)
+        assert got == oracles.chain_class_reference(terms, choices, list(range(5)), 0)
+        # junctions alternate 3 and 6 with the orientations: the seed is
+        # members 0 and 1, and each next member joins as a prefix, the
+        # first candidate tried at that end
+        assert [(p.index, p.reverse) for p in got.placements] == [
+            (4, True), (3, False), (2, True), (0, False), (1, True),
+        ]
+        assert got.junction_savings == (6, 6, 6, 6)
+
+        rng = random.Random(7)
+        tied = 0
+        for _ in range(300):
+            m = rng.randint(2, 9)
+            terms, choices = [], {}
+            for i in range(m):
+                k = rng.randint(1, 4)
+                strings = tuple(
+                    PauliString(3, rng.randrange(8), rng.randrange(8), 1.0) for _ in range(k)
+                )
+                terms.append(tr.TrotterTerm(None, 3, 0.1, 0.1, strings, (0, 1, 2)))
+                ordering = tuple(rng.sample(range(k), k))
+                choices[i] = tr.IntraChoice(ordering, 0, tr.cost_breakdown(terms[i], ordering, 0))
+            members = rng.sample(range(m), m)
+            target = rng.randrange(3)
+            got = tr._chain_class(terms, choices, members, target)
+            assert got == oracles.chain_class_reference(terms, choices, members, target)
+            values = tr._junction_matrix(terms, choices, members, target)
+            tied += int((values == values.max()).sum() > 2)
+        assert tied > 100

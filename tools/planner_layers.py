@@ -10,11 +10,14 @@ emitted circuit's two-qubit count (``circuit_two_qubit``), and the
 the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
-    expand       trotter.expand_term: the pool's expansions
+    expand       trotter._expand_pool: the pool's expansion, one per plan
     compression  trotter.bosonic_reduce
-    held_karp    trotter._dp_choices: savings matrices and the batched DP
+    held_karp    trotter._dp_choices: savings and breakdown arrays and the
+                 batched DP, one per plan
     dp           trotter._max_paths: the batched DP alone, inside held_karp
-    chaining     trotter._chain_class
+    chaining     trotter._chain_class: one class chain
+    junctions    trotter._junction_matrix: one class's junction matrix,
+                 inside chaining (classes of one member build none)
     emit         trotter.emit_circuit, the whole emission
     term_circuit trotter.term_circuit: one kept term's blocks
     peephole     trotter.peephole_cancel: one class chain or standalone
@@ -60,11 +63,12 @@ ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 REPEAT = 3  # plans per system and encoding
 LAYERS = {
     "plan": (trotter, "plan_ansatz"),
-    "expand": (trotter, "expand_term"),
+    "expand": (trotter, "_expand_pool"),
     "compression": (trotter, "bosonic_reduce"),
     "held_karp": (trotter, "_dp_choices"),
     "dp": (trotter, "_max_paths"),
     "chaining": (trotter, "_chain_class"),
+    "junctions": (trotter, "_junction_matrix"),
     "emit": (trotter, "emit_circuit"),
     "term_circuit": (trotter, "term_circuit"),
     "peephole": (trotter, "peephole_cancel"),
