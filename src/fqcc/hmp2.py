@@ -23,16 +23,16 @@ a warning.  The Hamiltonian's identity component is stripped inside the
 brackets: the exact numerator is blind to it by orthogonality, and keeping
 it would leak a Taylor-truncation artifact proportional to the constant.
 
-The loop runs on its reference's fixed-(N_alpha, N_beta) sector
-(``simulate.spin_sector``) under whatever transform it is given: the
-Hamiltonian, the ansatz generators and every candidate conserve N and S_z,
-so the whole loop needs only the sector's amplitudes.  H's ladder form is
-built once per run and serves both the classical cycle 0 and the mapping;
-H, H without its identity and each generator are compiled once per run; Zt
-is summed from the compiled generators.  The loop carries the ansatz's values as a tuple
-parallel to its terms, and each new term is appended last, so the sign of
-its starting value is resolved by applying its one exponential to the
-cycle's state.
+The loop runs in the emulator's occupation basis, on its reference's
+fixed-(N_alpha, N_beta) sector of occupation masks (``simulate.spin_sector``):
+the Hamiltonian, the ansatz generators and every candidate conserve N and
+S_z, so the whole loop needs only the sector's amplitudes.  H's ladder form
+is built once per run and serves both the classical cycle 0 and the
+mapping; H, H without its identity and each generator are compiled once per
+run; Zt is summed from the compiled generators.  The loop carries the
+ansatz's values as a tuple parallel to its terms, and each new term is
+appended last, so the sign of its starting value is resolved by applying
+its one exponential to the cycle's state.
 
 ``run_hmp2_loop`` is the one path through these steps: it forms N_a with
 ``first_order_numerators``, divides by ``FockData.denominator`` for the
@@ -59,10 +59,9 @@ from .fermions import (
 )
 from .paulis import CompiledSum, PauliSum, same_sector
 from .simulate import (
-    AnsatzOp, Statevector, _apply_exponential, apply_ansatz, compile_generator, hf_state,
-    spin_sector, vqe_minimize,
+    AnsatzOp, Statevector, _apply_exponential, _occupation_image, apply_ansatz,
+    compile_generator, hf_state, spin_sector, vqe_minimize,
 )
-from .transform import Transform
 
 __all__ = [
     "MP2Result", "mp2_classical",
@@ -112,12 +111,12 @@ def _h_on_reference(ham: MolecularHamiltonian, fermion, ref_mask: int) -> dict[i
 
 @dataclass(slots=True)
 class MP2Result:
-    """Second-order correction from the bare reference."""
+    """Second-order correction from the bare reference.  A term with a
+    degenerate denominator has no amplitude; the warning names it."""
 
     e_corr: float
     amplitudes: dict
     contributions: dict
-    excluded: tuple = ()
 
 
 def mp2_classical(
@@ -149,7 +148,6 @@ def _mp2(ham, fock, pool, fermion) -> MP2Result:
     e_corr = 0.0
     amplitudes: dict[str, float] = {}
     contributions: dict[str, float] = {}
-    excluded = []
     for seq in pool:
         sign, mask = _apply_ladder(ref_mask, seq.term().ops)
         numerator = sign * hpsi.get(mask, 0.0) if sign else 0.0
@@ -159,12 +157,11 @@ def _mp2(ham, fock, pool, fermion) -> MP2Result:
                 warnings.warn(
                     f"excluding {seq.name}: degenerate denominator {delta!r}"
                 )
-                excluded.append(seq.name)
             continue
         amplitudes[seq.name] = numerator / delta
         contributions[seq.name] = numerator * numerator / delta
         e_corr += contributions[seq.name]
-    return MP2Result(e_corr, amplitudes, contributions, tuple(excluded))
+    return MP2Result(e_corr, amplitudes, contributions)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +199,6 @@ def first_order_numerators(
     hamiltonian: PauliSum | CompiledSum,
     alphas,
     ztilde: PauliSum | CompiledSum | None,
-    transform,
     table: dict | None = None,
 ) -> dict[str, float]:
     """The correction bracket N_a for each candidate excitation.
@@ -212,8 +208,8 @@ def first_order_numerators(
     H|psi> and Zt|psi> across the set.  A PauliSum H loses its identity
     here; a compiled H is used as given, so it must already be without it.
     Each candidate's generator comes from ``simulate.compile_generator`` on
-    the state's sector; a shared ``table`` (one per transform and sector)
-    reuses the generators an ansatz or an earlier sweep already compiled.
+    the state's sector; a shared ``table`` (one per sector) reuses the
+    generators an ansatz or an earlier sweep already compiled.
     """
     psi = state.amplitudes
     if isinstance(hamiltonian, PauliSum):
@@ -227,7 +223,7 @@ def first_order_numerators(
     table = {} if table is None else table
     out: dict[str, float] = {}
     for seq in alphas:
-        dt = compile_generator(seq, transform, state.sector, table)
+        dt = compile_generator(seq, state.n_qubits, state.sector, table)
         dpsi = dt.apply(psi)
         bracket = np.vdot(dpsi, hpsi)
         if zpsi is not None:
@@ -264,7 +260,6 @@ def _second_order(numerators, deltas):
 @dataclass(slots=True)
 class SelectionResult:
     term: OrbitalSequence
-    score: float
     guess: float
 
 
@@ -309,7 +304,7 @@ def select_next(
         s for s in pool if s.name in scores and top_score - scores[s.name] <= 1e-12 * top_score
     ]
     best = min(tied, key=OrbitalSequence.sort_key)
-    return SelectionResult(best, scores[best.name], amplitudes[best.name])
+    return SelectionResult(best, amplitudes[best.name])
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +382,6 @@ def run_hmp2_loop(
     ham: MolecularHamiltonian,
     fock: FockData,
     config: HMP2Config | None = None,
-    transform: Transform | None = None,
 ) -> HMP2Run:
     """Alternate exact VQE with the perturbative corrector until converged.
 
@@ -401,14 +395,13 @@ def run_hmp2_loop(
     """
     config = config or HMP2Config()
     n = ham.n_modes
-    transform = transform or Transform.jordan_wigner(n)
     n_e = fock.n_electrons
     pool = uccsd_pool(range(n_e), range(n_e, n))
     # the reference fills modes 0 .. n_e-1, alpha (even) and beta (odd) in turn
-    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, transform)
-    reference = hf_state(n_e, n, transform, sector)
+    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2)
+    reference = hf_state(n_e, n, sector=sector)
     fermion = build_hamiltonian(ham)
-    h_pauli = fermion.to_pauli(transform)
+    h_pauli = _occupation_image(fermion)
     h_compiled = CompiledSum(h_pauli, sector)
     h_bracket = CompiledSum(_without_identity(h_pauli), sector)
     e_hf = float(np.real(h_compiled.expectation(reference.amplitudes)))
@@ -450,12 +443,12 @@ def run_hmp2_loop(
     terms: list[OrbitalSequence] = list(seeds)
     start = tuple(amplitudes0[s.name] for s in seeds)  # VQE's starting values
 
-    generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation, this run
+    generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation on the sector
     if not terms:
         selection = select_next(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:
             return HMP2Run(reports, True, "no candidate above threshold", ())
-        kernel = compile_generator(selection.term, transform, sector, generators)
+        kernel = compile_generator(selection.term, n, sector, generators)
         guess = _resolved_sign_guess(h_compiled, reference, kernel, selection.guess)
         reports[0].chosen = selection.term.name
         reports[0].guess = guess
@@ -468,7 +461,7 @@ def run_hmp2_loop(
     converged, reason = False, "cycle cap reached"
     values = ()  # the optimized values of the latest report's ansatz
     for cycle in range(1, config.max_cycles + 1):
-        ansatz = AnsatzOp.build(transform, terms, start, table=generators, sector=sector)
+        ansatz = AnsatzOp.build(n, terms, start, table=generators, sector=sector)
         result = vqe_minimize(
             h_compiled, ansatz, reference,
             gtol=config.vqe_gtol, maxiter=config.vqe_maxiter,
@@ -477,9 +470,7 @@ def run_hmp2_loop(
         ansatz = ansatz.with_values(values)
         state = apply_ansatz(reference, ansatz)
         ztilde = ztilde_operator(ansatz)
-        numerators = first_order_numerators(
-            state, h_bracket, pool, ztilde, transform, generators
-        )
+        numerators = first_order_numerators(state, h_bracket, pool, ztilde, generators)
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
         e_total = result.energy + e_corr2
@@ -510,7 +501,7 @@ def run_hmp2_loop(
             converged = True
             reason = "pool exhausted" if done_pool else "no candidate above threshold"
             break
-        kernel = compile_generator(selection.term, transform, sector, generators)
+        kernel = compile_generator(selection.term, n, sector, generators)
         guess = _resolved_sign_guess(h_compiled, state, kernel, selection.guess)
         report.chosen = selection.term.name
         report.guess = guess

@@ -1,12 +1,19 @@
 """Exact-statevector emulation of excitation ansatzes and their minimization.
 
+The emulator runs in the occupation basis: basis index bit q holds the
+occupation of spin orbital q, which is the Jordan-Wigner encoding.  Exact
+energies do not depend on the encoding: under a linear encoding x -> beta x
+the sector, the reference, H and every generator are the occupation-basis
+ones conjugated by that permutation of the basis states, so only circuits
+need an encoding.
+
 The ansatz is an ordered product of exponentials exp(t_j (T_j - T_j+)), one
 per excitation, applied term-exactly: an excitation's modes are distinct
 (``OrbitalSequence`` rejects any other), so its generator K satisfies
 K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
-(1 - cos(t)) K^2.  Under any linear encoding the generator's strings share
-one X mask, so K is one gather and K^2 is diagonal: an exponential costs
-one gather, and no matrix is ever built.
+(1 - cos(t)) K^2.  The generator's strings share one X mask, so K is one
+gather and K^2 is diagonal: an exponential costs one gather, and no matrix
+is ever built.
 ``compile_generator`` is the one place an excitation becomes such a kernel;
 an ansatz holds one per term, in term order, and ansatzes built over one
 table share them.  Its parameters are a float tuple in the same order, one
@@ -17,7 +24,7 @@ limit), and gradients come from an adjoint sweep, so the minimizer sees
 analytically exact derivatives.
 
 A state lives either on all 2^n basis states or on a sector: the sorted
-basis indices that the determinants with fixed (N_alpha, N_beta) encode to
+occupation masks of the determinants with fixed (N_alpha, N_beta)
 (``spin_sector``).  Number- and spin-conserving ansatzes never leave their
 reference's sector, so the same kernels and the same sweep run on C(n/2,
 N_alpha) * C(n/2, N_beta) amplitudes instead of 2^n (441 against 16,384
@@ -27,14 +34,16 @@ operators, and mixing spaces raises ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fermions import OrbitalSequence, excitation_generator, spin_of
+from .fermions import FermionOperator, OrbitalSequence, excitation_generator, spin_of
 from .paulis import CompiledSum, PauliSum, same_sector
+from .transform import Transform
 
 __all__ = [
     "spin_sector", "Statevector", "hf_state", "compile_generator", "AnsatzOp", "apply_ansatz",
@@ -49,25 +58,26 @@ def _check_space(what, sector, other):
         raise ValueError(f"{what} lives on a different sector")
 
 
-def spin_sector(n_modes: int, n_alpha: int, n_beta: int, transform=None) -> np.ndarray:
-    """Sorted basis indices of the determinants with n_alpha alpha and n_beta
-    beta electrons (``fermions.spin_of``), encoded through the transform
-    when one is given (x = beta n is linear, so each index is the XOR of
-    the encoded single-mode columns of its occupied modes).
-    """
+@functools.cache
+def _jordan_wigner(n_modes: int) -> Transform:
+    """The encoding of the occupation basis, built once per mode count."""
+    return Transform.jordan_wigner(n_modes)
+
+
+def _occupation_image(op: FermionOperator) -> PauliSum:
+    """A fermion operator as a Pauli sum on the occupation basis."""
+    return op.to_pauli(_jordan_wigner(op.n_modes))
+
+
+def spin_sector(n_modes: int, n_alpha: int, n_beta: int) -> np.ndarray:
+    """Sorted occupation masks of the determinants with n_alpha alpha and
+    n_beta beta electrons (``fermions.spin_of``)."""
     modes = [[m for m in range(n_modes) if spin_of(m) == s] for s in (0, 1)]
     masks = [
         np.array([sum(1 << m for m in occ) for occ in combinations(ms, k)], dtype=np.int64)
         for ms, k in zip(modes, (n_alpha, n_beta))
     ]
-    occupations = (masks[0][:, None] | masks[1][None, :]).ravel()
-    if transform is None:
-        return np.sort(occupations)
-    codes = np.zeros_like(occupations)
-    for m in range(n_modes):
-        column = transform.encode_occupation(1 << m)
-        codes ^= np.where(occupations >> m & 1, column, 0)
-    return np.sort(codes)
+    return np.sort((masks[0][:, None] | masks[1][None, :]).ravel())
 
 
 @dataclass(slots=True)
@@ -112,20 +122,16 @@ class Statevector:
         return float(np.real(op.expectation(self.amplitudes)))
 
 
-def hf_state(n_electrons: int, n_modes: int, transform=None, sector=None) -> Statevector:
+def hf_state(n_electrons: int, n_modes: int, *, sector=None) -> Statevector:
     """Single-reference state: the n_electrons lowest spin orbitals occupied.
 
-    With a transform the occupation pattern is pushed through its encoding,
-    so the returned basis state is the reference in that transform's qubit
-    convention; without one the occupation bits are the qubit bits.  With a
-    sector the state lives on it, which must hold the reference.
+    With a sector the state lives on it, which must hold the reference.
     """
     if not 0 <= n_electrons <= n_modes:
         raise ValueError(
             f"cannot place {n_electrons} electrons in {n_modes} spin orbitals"
         )
-    occupation = (1 << n_electrons) - 1
-    index = occupation if transform is None else transform.encode_occupation(occupation)
+    index = (1 << n_electrons) - 1
     if sector is None:
         return Statevector.basis(n_modes, index)
     sector = np.asarray(sector, dtype=np.int64)
@@ -137,21 +143,19 @@ def hf_state(n_electrons: int, n_modes: int, transform=None, sector=None) -> Sta
     return Statevector(n_modes, amps, sector)
 
 
-def compile_generator(seq: OrbitalSequence, transform, sector, table: dict) -> CompiledSum:
-    """T - T+ for one excitation, mapped through the transform and compiled
-    on the sector (None: the full space).
+def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> CompiledSum:
+    """T - T+ for one excitation on ``n_modes`` modes, compiled on the
+    occupation basis restricted to the sector (None: the full space).
 
     ``table`` (excitation -> compiled generator) is shared, not copied: an
     excitation already in it is returned as is, so callers that pass one
-    table per transform and sector compile each generator once.  The
-    image must be one X-mask group, so that the compiled sum carries the
-    diagonal of K^2 that ``_apply_exponential`` uses; any other raises
-    ``ValueError``.
+    table per sector compile each generator once.  The image must be one
+    X-mask group, so that the compiled sum carries the diagonal of K^2 that
+    ``_apply_exponential`` uses; any other raises ``ValueError``.
     """
     compiled = table.get(seq)
     if compiled is None:
-        op = excitation_generator(seq, transform.n_modes).to_pauli(transform)
-        compiled = CompiledSum(op, sector)
+        compiled = CompiledSum(_occupation_image(excitation_generator(seq, n_modes)), sector)
         if compiled.square is None:
             raise ValueError(f"the image of {seq.name} is not one X-mask group")
         table[seq] = compiled
@@ -167,7 +171,8 @@ def _term_values(values, n_terms: int) -> tuple:
 
 @dataclass(slots=True)
 class AnsatzOp:
-    """An ordered excitation list, its transform, and one value per term.
+    """An ordered excitation list on ``n_qubits`` modes, one qubit per
+    mode, and one value per term.
 
     ``generators`` and ``values`` run parallel to ``terms``: the compiled
     image of each term's T - T+ on the ansatz's sector (None: the full
@@ -175,7 +180,7 @@ class AnsatzOp:
     the term's angle.
     """
 
-    transform: object
+    n_qubits: int
     terms: tuple
     generators: tuple
     values: tuple
@@ -184,7 +189,7 @@ class AnsatzOp:
     @classmethod
     def build(
         cls,
-        transform,
+        n_qubits: int,
         terms,
         values=None,
         *,
@@ -202,17 +207,13 @@ class AnsatzOp:
             raise ValueError("duplicate excitation in ansatz")
         values = (0.0,) * len(terms) if values is None else _term_values(values, len(terms))
         table = {} if table is None else table
-        generators = tuple(compile_generator(seq, transform, sector, table) for seq in terms)
-        return cls(transform, terms, generators, values, sector)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.transform.n_modes
+        generators = tuple(compile_generator(seq, n_qubits, sector, table) for seq in terms)
+        return cls(n_qubits, terms, generators, values, sector)
 
     def with_values(self, values) -> "AnsatzOp":
         """The same terms and generators with new angles, one per term."""
         values = _term_values(values, len(self.terms))
-        return AnsatzOp(self.transform, self.terms, self.generators, values, self.sector)
+        return AnsatzOp(self.n_qubits, self.terms, self.generators, values, self.sector)
 
 
 def _apply_generator(kernel: CompiledSum, vec):
@@ -301,10 +302,13 @@ def vqe_minimize(
     Exact expectations and analytic gradients feed a bounded quasi-Newton
     search (L-BFGS-B) from the ansatz's values, so a warm start is
     ``ansatz.with_values(x)``; the run is deterministic for a given start.
-    A result that exhausts the iteration cap before reaching the gradient
-    tolerance comes back flagged ``converged=False`` with the best point
-    found.  The reference, the ansatz and a compiled Hamiltonian must share
-    one sector; a PauliSum Hamiltonian is compiled onto the reference's.
+    ``converged`` is L-BFGS-B's own success: its projected gradient fell
+    below ``gtol`` or its relative reduction of the energy below its
+    ``ftol``, and ``message`` says which.  A run that exhausts the
+    iteration cap, or whose line search fails, comes back flagged
+    ``converged=False`` with the best point found.  The reference, the
+    ansatz and a compiled Hamiltonian must share one sector; a PauliSum
+    Hamiltonian is compiled onto the reference's.
     """
     if isinstance(hamiltonian, PauliSum):
         hamiltonian = CompiledSum(hamiltonian, reference.sector)
@@ -326,7 +330,7 @@ def vqe_minimize(
     return VQEResult(
         energy=float(res.fun),
         values=tuple(res.x.tolist()),
-        converged=grad_norm < gtol,
+        converged=bool(res.success),
         grad_norm=grad_norm,
         n_iterations=int(res.nit),
         message=message,

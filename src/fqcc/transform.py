@@ -159,12 +159,8 @@ def _masks(rows):
 
 
 class Transform:
-    """A beta-parameterized encoding and the Pauli strings of its ladder operators.
-
-    ``ladder_strings[mode][dagger]`` holds the two strings of a_mode
-    (``dagger`` 0) or of its adjoint (1) as ``(x, z, e)``: each string
-    carries the coefficient i^e / 2.
-    """
+    """A beta-parameterized encoding and the tables that map its ladder
+    operators to Pauli strings."""
 
     def __init__(self, beta):
         beta = np.array(beta, dtype=np.uint8)
@@ -184,17 +180,11 @@ class Transform:
         pi = np.tril(np.ones((n, n), dtype=np.uint8))
         m_r = (pi @ self.beta_inv) & 1
         m_p = m_r ^ self.beta_inv
-        # per mode j, the masks (x, z_parity, z_remainder) of its ladder
-        # strings: U(j) and j (column j of beta), P(j) (row j of m_p) and
-        # R(j) and j (row j of m_r, whose diagonal is 1)
-        ladder_masks = zip(_masks(beta.T), _masks(m_p), _masks(m_r))
-        self.ladder_strings = tuple(
-            tuple(((x, zp, ep), (x, zr, er)) for ep, er in _LADDER_EXPONENTS)
-            for x, zp, zr in ladder_masks
-        )
         # map_operator's and ladder_products' tables, for up to _MAX_MODES
-        # modes.  By mode: the x mask, string 0's z mask, the z difference of
-        # the two strings (row j of beta^-1), and whether string 0's Z^z
+        # modes.  By mode j: the x mask (U(j) and j, column j of beta),
+        # string 0's z mask (P(j), row j of m_p; string 1's is R(j) and j,
+        # row j of m_r), the z difference of the two strings (row j of
+        # beta^-1), and whether string 0's Z^z
         # anticommutes with each mode's X^x.  By ladder 2 * mode + dagger:
         # string 0's power of i in the X^x Z^z form, i^e P(x, z) =
         # i^(e + |x & z|) X^x Z^z, and string 1's minus string 0's.
@@ -240,15 +230,6 @@ class Transform:
                 beta[i, j] = 1 if bits[k] else 0
                 k += 1
         return cls(beta)
-
-    def encode_occupation(self, occupation_mask):
-        """Computational-basis index encoding an occupation bitmask (x = beta n)."""
-        n = self.n_modes
-        if not 0 <= occupation_mask < (1 << n):
-            raise ValueError("occupation mask out of range for this transform")
-        bits = np.array([occupation_mask >> k & 1 for k in range(n)], dtype=np.uint8)
-        code = (self.beta @ bits) & 1
-        return int(sum(int(b) << i for i, b in enumerate(code)))
 
     # -- ladder operators ------------------------------------------------------
 

@@ -24,12 +24,16 @@ filled pair by pair, and one junction per oriented pair tried.
 VQE sweep on it, with two applies per exponential.  The last two sections
 hold what only tests call on fqcc's own objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
-rotations), which run the package's own gate matrices, ladder strings and
-tableau update; and test inputs (a transform's free bits, a ladder as a
-PauliSum, Pauli strings from letters or from the text format).
+rotations), which run the package's own gate matrices and tableau update;
+and test inputs (a transform's free bits, its encoded sectors, states and
+generators, a ladder as a PauliSum, Pauli strings from letters or from the
+text format).  A transform's ladder strings and encoded basis indices are
+computed here from its beta alone (``ladder_strings``,
+``encode_occupation``).
 """
 
 import collections
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,6 +187,48 @@ def ladder_sets(beta):
         )
         for j in range(n)
     ]
+
+
+def ladder_strings(transform):
+    """The two Pauli strings of each ladder operator under ``transform``,
+    from its beta alone.
+
+    ``out[mode][dagger]`` holds the strings of a_mode (``dagger`` 0) or of
+    its adjoint (1) as ``(x, z, e)``, each carrying the coefficient i^e / 2:
+    a_j = (P(x, z_0) + i P(x, z_1)) / 2, its adjoint the same with -i = i^3.
+    x is U(j) and j (column j of beta), z_0 is P(j) and z_1 is R(j) and j
+    (``ladder_sets``), as Python ints at any width.
+    """
+    beta = np.asarray(transform.beta, dtype=np.uint8)
+    return _ladder_strings(beta.tobytes(), beta.shape[0])
+
+
+@functools.lru_cache(maxsize=256)
+def _ladder_strings(beta_bytes, n):
+    """``ladder_strings`` of the n x n beta in ``beta_bytes``, kept per beta:
+    the references map one ladder at a time."""
+    beta = np.frombuffer(beta_bytes, dtype=np.uint8).reshape(n, n)
+    inv = gf2_inv(beta)
+    m_r = gf2_mul(np.tril(np.ones((n, n), dtype=np.uint8)), inv)
+    m_p = m_r ^ inv
+
+    def mask(row):
+        return sum(1 << k for k in np.flatnonzero(row).tolist())
+
+    out = []
+    for j in range(n):
+        x, zp, zr = mask(beta[:, j]), mask(m_p[j]), mask(m_r[j])
+        out.append(tuple(((x, zp, ep), (x, zr, er)) for ep, er in ((0, 1), (0, 3))))
+    return tuple(out)
+
+
+def encode_occupation(transform, occupation):
+    """The basis index x = beta n that ``transform`` gives occupation mask n."""
+    n = transform.n_modes
+    if not 0 <= occupation < (1 << n):
+        raise ValueError(f"occupation {occupation} out of range for {n} modes")
+    bits = np.array([occupation >> k & 1 for k in range(n)], dtype=np.uint8)
+    return sum(int(b) << i for i, b in enumerate(gf2_mul(transform.beta, bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +400,7 @@ def expand_term_reference(seq, transform, theta=1.0, *, anti=False):
     """``trotter.expand_term`` one excitation at a time on Python ints.
 
     The 2^k products of the transform's ladder strings
-    (``Transform.ladder_strings``) are built as (z, power of i) pairs, x
+    (``ladder_strings``) are built as (z, power of i) pairs, x
     shared; the kept strings are sorted by canonical word rank, then word,
     then ``word_key``.
     """
@@ -362,7 +408,7 @@ def expand_term_reference(seq, transform, theta=1.0, *, anti=False):
     from fqcc.trotter import TrotterTerm
 
     n = transform.n_modes
-    ladders = transform.ladder_strings
+    ladders = ladder_strings(transform)
     ops = [(mode, 1) for mode in seq.creations()] + [(mode, 0) for mode in seq.annihilations()]
     x = 0
     prods = [(0, 0)]
@@ -1630,8 +1676,9 @@ def anticommutation_check(n_modes, transform, tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# test inputs on fqcc's own objects: encoding bits, ladder sums, Pauli strings
-# from letters and from the text format
+# test inputs on fqcc's own objects: encoding bits, encoded sectors, states
+# and generators, ladder sums, Pauli strings from letters and from the text
+# format
 # ---------------------------------------------------------------------------
 
 
@@ -1642,12 +1689,43 @@ def lower_bits(transform):
     return tuple(int(transform.beta[i, j]) for i in range(n) for j in range(i))
 
 
+def encoded_sector(transform, n_alpha, n_beta):
+    """``simulate.spin_sector`` under ``transform``: the sorted basis indices
+    beta n of the determinants n with n_alpha alpha and n_beta beta
+    electrons."""
+    dets = sector_dets(transform.n_modes, n_alpha, n_beta)
+    return np.array(sorted(encode_occupation(transform, d) for d in dets), dtype=np.int64)
+
+
+def encoded_amplitudes(transform, vec):
+    """A full-space vector of the occupation basis in ``transform``'s basis:
+    the amplitude of occupation n moves to basis index beta n."""
+    codes = [encode_occupation(transform, occupation) for occupation in range(len(vec))]
+    out = np.zeros_like(vec)
+    out[codes] = vec
+    return out
+
+
+def encoded_generators(seqs, transform, sector=None):
+    """{excitation: its T - T+ mapped under ``transform`` and compiled on
+    ``sector``}, a table that ``simulate.AnsatzOp.build`` and
+    ``hmp2.first_order_numerators`` take in place of the occupation-basis
+    generators they would compile."""
+    from fqcc.fermions import excitation_generator
+    from fqcc.paulis import CompiledSum
+
+    n = transform.n_modes
+    return {
+        seq: CompiledSum(excitation_generator(seq, n).to_pauli(transform), sector) for seq in seqs
+    }
+
+
 def map_ladder(transform, mode, dagger):
     """PauliSum of a_mode (``dagger`` false) or its adjoint under ``transform``,
-    from its stored ladder strings."""
+    from ``ladder_strings``."""
     from fqcc.paulis import _PHASES, PauliSum
 
-    strings = transform.ladder_strings[mode][1 if dagger else 0]
+    strings = ladder_strings(transform)[mode][1 if dagger else 0]
     return PauliSum(transform.n_modes, {(x, z): 0.5 * _PHASES[e] for x, z, e in strings})
 
 

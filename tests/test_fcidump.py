@@ -108,7 +108,7 @@ class TestMissingOrbitalEnergies:
         ham_d, fock_d = derived.to_spin_orbital()
         want = mp2_classical(ham, fock)
         got = mp2_classical(ham_d, fock_d)
-        assert want.e_corr < -1e-3 and got.excluded == want.excluded
+        assert want.e_corr < -1e-3 and set(got.amplitudes) == set(want.amplitudes)
         assert got.e_corr == pytest.approx(want.e_corr, abs=1e-9)
 
     @pytest.mark.parametrize("nelec", [1, 4])

@@ -7,7 +7,7 @@ from fqcc.fcidump import load_fcidump
 from fqcc.fermions import build_hamiltonian, uccsd_pool
 from fqcc.hmp2 import _without_identity, ztilde_operator
 from fqcc.paulis import CompiledSum, PauliString, PauliSum, word_key
-from fqcc.simulate import AnsatzOp, spin_sector
+from fqcc.simulate import AnsatzOp
 from fqcc.transform import Transform
 
 import oracles
@@ -316,7 +316,7 @@ class TestRowLayout:
     @pytest.mark.parametrize("kind", ["jw", "bk", "beta"])
     def test_water_hamiltonian(self, water, kind):
         tr = _water_encoding(kind)
-        sector = spin_sector(14, 5, 5, tr)
+        sector = oracles.encoded_sector(tr, 5, 5)
         h_pauli = build_hamiltonian(water[0]).to_pauli(tr)
         for op in (h_pauli, _without_identity(h_pauli)):
             compiled = CompiledSum(op, sector)
@@ -333,13 +333,14 @@ class TestRowLayout:
     @pytest.mark.parametrize("kind", ["jw", "bk", "beta"])
     def test_water_ztilde(self, kind):
         tr = _water_encoding(kind)
-        sector = spin_sector(14, 5, 5, tr)
+        sector = oracles.encoded_sector(tr, 5, 5)
         pool = uccsd_pool(range(10), range(10, 14))
         rng = np.random.default_rng(7)
         terms = [pool[i] for i in rng.choice(len(pool), 39, replace=False)]
         values = rng.normal(scale=0.05, size=39)
         values[[3, 11]] = 0.0  # terms at zero are left out of Zt
-        ansatz = AnsatzOp.build(tr, terms, values, sector=sector)
+        table = oracles.encoded_generators(terms, tr, sector)
+        ansatz = AnsatzOp.build(14, terms, values, table=table, sector=sector)
         ztilde = ztilde_operator(ansatz)
         parts = [(v, k) for v, k in zip(ansatz.values, ansatz.generators) if v]
         for vec in _vectors(len(sector), 5):

@@ -31,12 +31,14 @@ def _sum_matrix(op: PauliSum):
     return oracles.paulisum_matrix(op.n_qubits, [(s.coeff, s.letters()) for s in op])
 
 
-def _ansatz_matrix(ansatz: AnsatzOp):
-    """Dense product of the per-term exponentials, first term rightmost."""
+def _ansatz_matrix(ansatz: AnsatzOp, transform=None):
+    """Dense product of the per-term exponentials, first term rightmost,
+    under ``transform`` (None: the occupation basis, Jordan-Wigner)."""
     n = ansatz.n_qubits
+    transform = transform or Transform.jordan_wigner(n)
     m = np.eye(1 << n, dtype=complex)
     for seq, value in zip(ansatz.terms, ansatz.values):
-        gen = _sum_matrix(excitation_generator(seq, n).to_pauli(ansatz.transform))
+        gen = _sum_matrix(excitation_generator(seq, n).to_pauli(transform))
         m = sla.expm(value * gen) @ m
     return m
 
@@ -44,9 +46,8 @@ def _ansatz_matrix(ansatz: AnsatzOp):
 @pytest.fixture(scope="module")
 def h2():
     ham, fock = load_fcidump(H2_PATH).to_spin_orbital()
-    transform = Transform.jordan_wigner(ham.n_modes)
-    h_pauli = build_hamiltonian(ham).to_pauli(transform)
-    return ham, fock, transform, h_pauli
+    h_pauli = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(ham.n_modes))
+    return ham, fock, h_pauli
 
 
 class TestStatevector:
@@ -108,72 +109,61 @@ class TestHfState:
         with pytest.raises(ValueError):
             hf_state(5, 4)
 
-    def test_identity_transform_matches_default(self):
-        tr = Transform.jordan_wigner(4)
-        assert np.array_equal(hf_state(2, 4, tr).amplitudes, hf_state(2, 4).amplitudes)
-
-    def test_fenwick_encoding_by_hand(self):
-        # occupation 0011 under the Fenwick encoding: bit 1 stores the pair
-        # parity (1 xor 1 = 0) and bit 3 the running total (0), so index 1.
-        tr = Transform.bravyi_kitaev(4)
-        assert hf_state(2, 4, tr).amplitudes[0b0001] == 1.0
+    def test_sector_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            hf_state(2, 4, spin_sector(4, 1, 1))
 
     def test_reference_energy_is_transform_independent(self, h2):
-        ham, fock, _, _ = h2
-        e_ref = None
-        for tr in (Transform.jordan_wigner(4), Transform.bravyi_kitaev(4)):
-            h_pauli = build_hamiltonian(ham).to_pauli(tr)
-            e = hf_state(fock.n_electrons, 4, tr).expectation(h_pauli)
-            if e_ref is None:
-                e_ref = e
-            assert e == pytest.approx(e_ref, abs=1e-12)
+        """The reference's energy in the occupation basis is the HF energy,
+        and that of the encoded reference beta n under BK's H."""
+        ham, fock, h_pauli = h2
+        e_ref = hf_state(fock.n_electrons, 4).expectation(h_pauli)
         h1, g2, ecore, _, _, nelec = oracles.read_fcidump_so(H2_PATH)
         assert e_ref == pytest.approx(oracles.hf_energy(h1, g2, ecore, nelec), abs=1e-10)
+        bk = Transform.bravyi_kitaev(4)
+        encoded = Statevector.basis(4, oracles.encode_occupation(bk, (1 << fock.n_electrons) - 1))
+        assert encoded.expectation(build_hamiltonian(ham).to_pauli(bk)) == pytest.approx(
+            e_ref, abs=1e-12
+        )
 
 
 class TestApplyAnsatz:
     def test_empty_ansatz_is_identity(self):
-        tr = Transform.jordan_wigner(4)
-        ansatz = AnsatzOp.build(tr, ())
+        ansatz = AnsatzOp.build(4, ())
         state = hf_state(2, 4)
         out = apply_ansatz(state, ansatz)
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     def test_zero_parameters_are_identity(self):
-        tr = Transform.jordan_wigner(4)
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         assert ansatz.values == (0.0,) * len(pool)
         out = apply_ansatz(hf_state(2, 4), ansatz)
         assert np.array_equal(out.amplitudes, hf_state(2, 4).amplitudes)
 
     def test_dimension_mismatch(self):
-        tr = Transform.jordan_wigner(4)
-        ansatz = AnsatzOp.build(tr, ())
+        ansatz = AnsatzOp.build(4, ())
         with pytest.raises(ValueError, match="qubits"):
             apply_ansatz(hf_state(2, 6), ansatz)
 
     def test_duplicate_terms_rejected(self):
-        tr = Transform.jordan_wigner(4)
         seq = OrbitalSequence("single", (2, 0))
         with pytest.raises(ValueError, match="duplicate"):
-            AnsatzOp.build(tr, (seq, seq))
+            AnsatzOp.build(4, (seq, seq))
 
     @pytest.mark.parametrize("n_values", [0, 2, 4])
     def test_wrong_value_count_rejected(self, n_values):
-        tr = Transform.jordan_wigner(4)
         pool = uccsd_pool(range(2), range(2, 4))
         values = [0.1] * n_values
         with pytest.raises(ValueError, match=f"{n_values} values for 3 ansatz terms"):
-            AnsatzOp.build(tr, pool, values)
+            AnsatzOp.build(4, pool, values)
         with pytest.raises(ValueError, match=f"{n_values} values for 3 ansatz terms"):
-            AnsatzOp.build(tr, pool).with_values(values)
+            AnsatzOp.build(4, pool).with_values(values)
 
     def test_matches_dense_exponentials_h2(self, h2):
-        ham, fock, tr, _ = h2
         pool = uccsd_pool(range(2), range(2, 4))
         rng = np.random.default_rng(7)
-        ansatz = AnsatzOp.build(tr, pool, rng.normal(scale=0.4, size=len(pool)))
+        ansatz = AnsatzOp.build(4, pool, rng.normal(scale=0.4, size=len(pool)))
         ref = hf_state(2, 4)
         out = apply_ansatz(ref, ansatz)
         expected = _ansatz_matrix(ansatz) @ ref.amplitudes
@@ -181,17 +171,19 @@ class TestApplyAnsatz:
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
     def test_matches_dense_exponentials_random_encoding(self):
+        """The occupation-basis state, permuted by x -> beta x, is the ansatz
+        run under the encoding from the encoded reference."""
         rng = np.random.default_rng(23)
         n = 6
         tr = Transform.from_lower_bits(
             n, tuple(int(rng.integers(2)) for _ in range(n * (n - 1) // 2))
         )
         pool = uccsd_pool(range(3), range(3, 6))[:5]
-        ansatz = AnsatzOp.build(tr, pool, rng.normal(scale=0.3, size=len(pool)))
-        ref = hf_state(3, n, tr)
-        out = apply_ansatz(ref, ansatz)
-        expected = _ansatz_matrix(ansatz) @ ref.amplitudes
-        assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
+        ansatz = AnsatzOp.build(n, pool, rng.normal(scale=0.3, size=len(pool)))
+        out = apply_ansatz(hf_state(3, n), ansatz)
+        ref = Statevector.basis(n, oracles.encode_occupation(tr, 0b111)).amplitudes
+        expected = _ansatz_matrix(ansatz, tr) @ ref
+        assert np.max(np.abs(oracles.encoded_amplitudes(tr, out.amplitudes) - expected)) < 1e-10
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -201,28 +193,26 @@ class TestApplyAnsatz:
     def test_single_term_exponential_property(self, theta, pick):
         # every single from modes 0, 1 into 2, 3, the spin flips s_2_1 and s_3_0 too
         seq = OrbitalSequence("single", (2 + pick // 2, pick % 2))
-        tr = Transform.jordan_wigner(4)
-        ansatz = AnsatzOp.build(tr, (seq,), (theta,))
+        ansatz = AnsatzOp.build(4, (seq,), (theta,))
         ref = hf_state(2, 4)
         out = apply_ansatz(ref, ansatz)
-        gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(tr))
+        gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(Transform.jordan_wigner(4)))
         expected = sla.expm(theta * gen) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
 
 class TestCompileGenerator:
     def test_shared_table_shares_compiled_generators(self):
-        tr = Transform.bravyi_kitaev(6)
         pool = uccsd_pool(range(2), range(2, 6))
         table = {}
-        first = AnsatzOp.build(tr, pool[:3], table=table)
-        second = AnsatzOp.build(tr, pool[1:5], table=table)
+        first = AnsatzOp.build(6, pool[:3], table=table)
+        second = AnsatzOp.build(6, pool[1:5], table=table)
         assert len(table) == 5
         assert all(a is b for a, b in zip(first.generators[1:], second.generators[:2]))
         assert all(table[seq] is k for seq, k in zip(second.terms, second.generators))
         moved = second.with_values((0.0, 0.4, 0.0, 0.0))
         assert all(a is b for a, b in zip(second.generators, moved.generators))
-        assert AnsatzOp.build(tr, pool[:1]).generators[0] is not first.generators[0]
+        assert AnsatzOp.build(6, pool[:1]).generators[0] is not first.generators[0]
 
 
 class TestExponential:
@@ -233,7 +223,7 @@ class TestExponential:
     def test_matches_dense_expm(self, n, n_e, kind):
         tr = _encoding(kind, n)
         pool = uccsd_pool(range(n_e), range(n_e, n))
-        sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, tr)
+        sector = _sector(kind, tr, (n_e + 1) // 2, n_e // 2)
         rng = np.random.default_rng(n)
         for seq in pool:
             dense = _sum_matrix(excitation_generator(seq, n).to_pauli(tr))
@@ -244,7 +234,7 @@ class TestExponential:
             for space in (None, sector):
                 rows = np.arange(1 << n) if space is None else space
                 block = np.ix_(rows, rows)
-                kernel = compile_generator(seq, tr, space, {})
+                kernel = _generators(kind, tr, [seq], space)[seq]
                 vec = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
                 out = _apply_exponential(kernel, theta, vec)
                 assert np.max(np.abs(out - exact[block] @ vec)) < 1e-12
@@ -256,13 +246,11 @@ class TestExponential:
         """For every water generator, bit for bit: its entries are exactly
         0, +-1 or +-i, so d * v is K (K v) with no rounding."""
         tr = _encoding(kind, 14)
-        sector = spin_sector(14, 5, 5, tr)
+        sector = _sector(kind, tr, 5, 5)
         pool = uccsd_pool(range(10), range(10, 14))
         assert len(pool) == 140
         rng = np.random.default_rng(21)
-        table = {}
-        for seq in pool:
-            kernel = compile_generator(seq, tr, sector, table)
+        for seq, kernel in _generators(kind, tr, pool, sector).items():
             assert set(np.unique(kernel.values).tolist()) <= {0, 1, -1, 1j, -1j}
             theta = rng.uniform(-np.pi, np.pi)
             vec = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
@@ -272,20 +260,20 @@ class TestExponential:
             )
 
     def test_generator_of_several_x_masks_is_rejected(self, h2, monkeypatch):
-        ham, _, tr, _ = h2
+        ham = h2[0]
         seq = uccsd_pool(range(2), range(2, 4))[0]
         monkeypatch.setattr(simulate, "excitation_generator", lambda seq, n: build_hamiltonian(ham))
         table = {}
         with pytest.raises(ValueError, match="one X-mask group"):
-            compile_generator(seq, tr, None, table)
+            compile_generator(seq, 4, None, table)
         assert not table
 
 
 class TestVqeMinimize:
     def test_reaches_exact_ground_state_h2(self, h2):
-        ham, fock, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         exact = float(np.linalg.eigvalsh(_sum_matrix(h_pauli))[0])
         assert res.converged
@@ -293,8 +281,8 @@ class TestVqeMinimize:
         assert res.grad_norm < 1e-7
 
     def test_no_parameters_returns_reference_energy(self, h2):
-        ham, fock, tr, h_pauli = h2
-        ansatz = AnsatzOp.build(tr, ())
+        h_pauli = h2[2]
+        ansatz = AnsatzOp.build(4, ())
         res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         assert res.converged
         assert res.n_iterations == 0
@@ -303,9 +291,9 @@ class TestVqeMinimize:
     def test_gradient_matches_finite_differences(self, h2):
         from fqcc.simulate import _energy_and_gradient
 
-        ham, fock, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         compiled = CompiledSum(h_pauli)
         rng = np.random.default_rng(3)
         x = rng.normal(scale=0.3, size=len(pool))
@@ -320,35 +308,35 @@ class TestVqeMinimize:
             assert grad[j] == pytest.approx((ep - em) / (2 * h), abs=5e-8)
 
     def test_deterministic(self, h2):
-        ham, fock, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         a = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         b = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         assert a.energy == b.energy
         assert a.values == b.values
 
     def test_iteration_cap_flags_nonconvergence(self, h2):
-        ham, fock, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4), maxiter=1)
         assert not res.converged
         assert res.n_iterations <= 1
         assert np.isfinite(res.energy)
 
     def test_initial_point_is_respected(self, h2):
-        ham, fock, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        ansatz = AnsatzOp.build(tr, pool)
+        ansatz = AnsatzOp.build(4, pool)
         best = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
         warm = vqe_minimize(h_pauli, ansatz.with_values(best.values), hf_state(2, 4))
         assert warm.energy == pytest.approx(best.energy, abs=1e-10)
         assert warm.n_iterations <= best.n_iterations
 
     def test_result_shape(self, h2):
-        ham, fock, tr, h_pauli = h2
-        res = vqe_minimize(h_pauli, AnsatzOp.build(tr, ()), hf_state(2, 4))
+        h_pauli = h2[2]
+        res = vqe_minimize(h_pauli, AnsatzOp.build(4, ()), hf_state(2, 4))
         assert isinstance(res, VQEResult)
         assert res.values == ()
         assert isinstance(res.message, str)
@@ -364,26 +352,58 @@ def _encoding(kind, n):
     return Transform.from_lower_bits(n, rng.integers(0, 2, n * (n - 1) // 2).tolist())
 
 
+def _sector(kind, tr, n_alpha, n_beta):
+    """The (n_alpha, n_beta) sector in ``tr``'s basis: ``spin_sector`` in
+    the occupation basis (JW), the oracle's encoded sector otherwise."""
+    if kind == "jw":
+        return spin_sector(tr.n_modes, n_alpha, n_beta)
+    return oracles.encoded_sector(tr, n_alpha, n_beta)
+
+
+def _generators(kind, tr, seqs, space):
+    """{excitation: compiled T - T+ under ``tr`` on ``space``}:
+    ``compile_generator`` in the occupation basis (JW), the mapped generator
+    compiled directly otherwise."""
+    if kind == "jw":
+        table = {}
+        for seq in seqs:
+            compile_generator(seq, tr.n_modes, space, table)
+        return table
+    return oracles.encoded_generators(seqs, tr, space)
+
+
 ENCODINGS = ["jw", "bk", 1, 2, 3]
 
 
 class TestSpinSector:
     @pytest.mark.parametrize("kind", ENCODINGS)
     def test_is_the_encoded_determinants(self, kind):
+        """The sector is the joint eigenspace of the encoded N_alpha and
+        N_beta: ``spin_sector`` in the occupation basis, the determinants
+        encoded by beta under any other encoding."""
         tr = _encoding(kind, 6)
+        counts = []
+        for spin in (0, 1):
+            numbers = [(1.0, ((m, True), (m, False))) for m in range(6) if m % 2 == spin]
+            diagonal = CompiledSum(tr.map_operator(numbers)).apply(np.ones(64, dtype=complex))
+            counts.append(np.rint(diagonal.real))
         for n_alpha, n_beta in [(1, 1), (2, 1), (0, 3), (3, 3)]:
-            want = sorted(tr.encode_occupation(d) for d in oracles.sector_dets(6, n_alpha, n_beta))
-            assert spin_sector(6, n_alpha, n_beta, tr).tolist() == want
+            want = np.flatnonzero((counts[0] == n_alpha) & (counts[1] == n_beta)).tolist()
+            assert _sector(kind, tr, n_alpha, n_beta).tolist() == want
         assert spin_sector(6, 2, 1).tolist() == oracles.sector_dets(6, 2, 1)
 
     @pytest.mark.parametrize("kind", ["jw", "bk"])
     def test_water_sector_holds_the_reference(self, kind):
-        tr = _encoding(kind, 14)
-        sector = spin_sector(14, 5, 5, tr)
+        sector = spin_sector(14, 5, 5)
         assert len(sector) == 441 and np.all(np.diff(sector) > 0)
-        ref = hf_state(10, 14, tr, sector)
+        ref = hf_state(10, 14, sector=sector)
         assert ref.sector is sector and ref.amplitudes.shape == (441,)
-        assert sector[np.argmax(np.abs(ref.amplitudes))] == tr.encode_occupation((1 << 10) - 1)
+        assert sector[np.argmax(np.abs(ref.amplitudes))] == (1 << 10) - 1
+        # permuted by x -> beta x, the reference lies in the encoded sector
+        tr = _encoding(kind, 14)
+        encoded = oracles.encoded_sector(tr, 5, 5)
+        assert len(encoded) == 441
+        assert oracles.encode_occupation(tr, (1 << 10) - 1) in encoded.tolist()
 
     def test_reference_outside_the_sector_rejected(self):
         with pytest.raises(ValueError, match="not in the sector"):
@@ -410,7 +430,7 @@ class TestSpinSector:
         op = PauliSum(n)
         for pick, coeff in picks:
             op._accumulate(coeff * excitation_generator(pool[pick % len(pool)], n).to_pauli(tr))
-        sector = spin_sector(n, *counts, tr)
+        sector = _sector(kind, tr, *counts)
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         full = CompiledSum(op.simplify()).apply(vec)[sector]
@@ -424,40 +444,40 @@ class TestSpinSector:
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
         vec = np.random.default_rng(4).normal(size=16).astype(complex)
         for counts in [(1, 1), (2, 1), (1, 0), (2, 2)]:
-            sector = spin_sector(4, *counts, tr)
+            sector = _sector(kind, tr, *counts)
             full = CompiledSum(h_pauli).apply(vec)[sector]
             assert np.max(np.abs(CompiledSum(h_pauli, sector).apply(vec[sector]) - full)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["jw", "bk"])
     def test_spin_flip_is_rejected(self, kind):
         tr = _encoding(kind, 14)
-        sector = spin_sector(14, 5, 5, tr)
         flip = OrbitalSequence("single", (11, 8))
         with pytest.raises(ValueError, match="outside"):
-            CompiledSum(excitation_generator(flip, 14).to_pauli(tr), sector)
+            CompiledSum(excitation_generator(flip, 14).to_pauli(tr), _sector(kind, tr, 5, 5))
         with pytest.raises(ValueError, match="outside"):
-            AnsatzOp.build(tr, (flip,), sector=sector)
+            AnsatzOp.build(14, (flip,), sector=spin_sector(14, 5, 5))
         # the same term is fine on the full space
-        AnsatzOp.build(tr, (flip,))
+        AnsatzOp.build(14, (flip,))
 
     def test_spaces_do_not_mix(self, h2):
-        _, _, tr, h_pauli = h2
-        sector = spin_sector(4, 1, 1, tr)
+        h_pauli = h2[2]
+        sector = spin_sector(4, 1, 1)
         pool = uccsd_pool(range(2), range(2, 4))
         with pytest.raises(ValueError, match="different sector"):
-            apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool))
+            apply_ansatz(hf_state(2, 4, sector=sector), AnsatzOp.build(4, pool))
         with pytest.raises(ValueError, match="different sector"):
-            vqe_minimize(CompiledSum(h_pauli), AnsatzOp.build(tr, pool, sector=sector),
-                         hf_state(2, 4, tr, sector))
+            vqe_minimize(CompiledSum(h_pauli), AnsatzOp.build(4, pool, sector=sector),
+                         hf_state(2, 4, sector=sector))
 
     def test_vqe_on_the_sector_matches_the_full_space(self, h2):
-        _, _, tr, h_pauli = h2
+        h_pauli = h2[2]
         pool = uccsd_pool(range(2), range(2, 4))
-        sector = spin_sector(4, 1, 1, tr)
-        full = vqe_minimize(h_pauli, AnsatzOp.build(tr, pool), hf_state(2, 4, tr))
+        sector = spin_sector(4, 1, 1)
+        full = vqe_minimize(h_pauli, AnsatzOp.build(4, pool), hf_state(2, 4))
         small = vqe_minimize(
-            h_pauli, AnsatzOp.build(tr, pool, sector=sector), hf_state(2, 4, tr, sector)
+            h_pauli, AnsatzOp.build(4, pool, sector=sector), hf_state(2, 4, sector=sector)
         )
         assert small.energy == pytest.approx(full.energy, abs=1e-10)
-        state = apply_ansatz(hf_state(2, 4, tr, sector), AnsatzOp.build(tr, pool, small.values, sector=sector))
+        ansatz = AnsatzOp.build(4, pool, small.values, sector=sector)
+        state = apply_ansatz(hf_state(2, 4, sector=sector), ansatz)
         assert state.expectation(h_pauli) == pytest.approx(small.energy, abs=1e-12)

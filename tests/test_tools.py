@@ -72,16 +72,14 @@ def test_emulator_layers_reports_h2():
     report = json.loads(done.stdout)
     assert report["workers"] == 1
     assert set(report["systems"]) == {"h2"}
-    h2 = report["systems"]["h2"]
-    assert set(h2) == {"jw", "bk"}
-    for layers in h2.values():
-        # 2 electrons in 4 spin orbitals: one alpha and one beta, 2 x 2 states
-        assert layers["sector_dim"] == 4 and layers["h_strings"] == 15
-        assert 0 < layers["h_nonzeros"] <= 4 * layers["h_width"] <= 4 * 4
-        assert layers["ansatz_terms"] >= 1
-        assert all(
-            layers[f"{layer}_s"] > 0
-            for layer in ("h_compile", "h_apply", "exponential", "energy_gradient", "hmp2")
-        )
-        cycles = layers["cycles"]
-        assert cycles and all(c["vqe_s"] > 0 and c["vqe_iterations"] > 0 for c in cycles)
+    layers = report["systems"]["h2"]
+    # 2 electrons in 4 spin orbitals: one alpha and one beta, 2 x 2 states
+    assert layers["sector_dim"] == 4 and layers["h_strings"] == 15
+    assert 0 < layers["h_nonzeros"] <= 4 * layers["h_width"] <= 4 * 4
+    assert layers["ansatz_terms"] >= 1
+    assert all(
+        layers[f"{layer}_s"] > 0
+        for layer in ("h_compile", "h_apply", "exponential", "energy_gradient", "hmp2")
+    )
+    cycles = layers["cycles"]
+    assert cycles and all(c["vqe_s"] > 0 and c["vqe_iterations"] > 0 for c in cycles)

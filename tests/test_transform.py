@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import build_hamiltonian
+from fqcc.fermions import build_hamiltonian, excitation_generator, uccsd_pool
 from fqcc.paulis import COEFF_TOL, PauliString, PauliSum
 from fqcc.transform import Transform
 
@@ -34,8 +34,11 @@ def _bits(mask):
 
 
 def _sets(t, j):
-    """U(j), P(j), R(j) read off the masks of mode j's ladder strings."""
-    (x, z_parity, _), (_, z_remainder, _) = t.ladder_strings[j][0]
+    """U(j), P(j), R(j) read off the masks of mode j's ladder strings in
+    the transform's mapping tables: the x mask, string 0's z and the z
+    difference of the two strings."""
+    x_of, z_of, dz_of = t._ladder_tables[:3]
+    x, z_parity, z_remainder = int(x_of[j]), int(z_of[j]), int(z_of[j] ^ dz_of[j])
     return (
         tuple(i for i in _bits(x) if i != j),
         _bits(z_parity),
@@ -158,9 +161,11 @@ class TestDerivedSets:
         """Both ladders of mode j: x = U(j) | j, z_parity = P(j) and
         z_remainder = R(j) | j, against the sets built from beta."""
         t = Transform(beta)
+        strings = oracles.ladder_strings(t)
         for j, (u, p, r) in enumerate(oracles.ladder_sets(beta)):
+            assert _sets(t, j) == (tuple(sorted(u)), tuple(sorted(p)), tuple(sorted(r)))
             for dagger in (0, 1):
-                (x, z_parity, _), (x_r, z_remainder, _) = t.ladder_strings[j][dagger]
+                (x, z_parity, _), (x_r, z_remainder, _) = strings[j][dagger]
                 assert _bits(x) == _bits(x_r) == tuple(sorted(u | {j}))
                 assert _bits(z_parity) == tuple(sorted(p))
                 assert _bits(z_remainder) == tuple(sorted(r | {j}))
@@ -253,7 +258,7 @@ class TestBasisCircuit:
             b = _basis_matrix(t)
             for x in range(1 << n):
                 col = b[:, x]
-                y = t.encode_occupation(x)
+                y = oracles.encode_occupation(t, x)
                 assert abs(col[y] - 1.0) < 1e-12
                 assert np.sum(np.abs(col)) == pytest.approx(1.0)
 
@@ -270,7 +275,7 @@ class TestBasisCircuit:
         for x in range(32):
             bits = np.array([(x >> k) & 1 for k in range(5)], dtype=np.uint8)
             want = oracles.gf2_mul(t.beta, bits.reshape(-1, 1)).ravel()
-            got = t.encode_occupation(x)
+            got = oracles.encode_occupation(t, x)
             assert [got >> k & 1 for k in range(5)] == list(want)
 
 
@@ -320,10 +325,11 @@ class TestLadderStrings:
         else:
             t = _NAMED[name](n)
         b = _basis_matrix(t)
+        ladders = oracles.ladder_strings(t)
         for mode in range(n):
             row = sum(int(bit) << k for k, bit in enumerate(t.beta_inv[mode]))
             for dagger in (0, 1):
-                strings = t.ladder_strings[mode][dagger]
+                strings = ladders[mode][dagger]
                 dense = sum(
                     0.5 * 1j**e * oracles.string_matrix(n, PauliString(n, x, z).letters())
                     for x, z, e in strings
@@ -332,6 +338,37 @@ class TestLadderStrings:
                 assert np.allclose(dense, want, atol=1e-12)
                 (x0, z0, _), (x1, z1, _) = strings
                 assert x0 == x1 and z0 ^ z1 == row
+
+
+class TestFrameRule:
+    """A linear encoding is Jordan-Wigner followed by the basis permutation
+    P: x -> beta x, so every mapped operator is P (JW image) P^T."""
+
+    @staticmethod
+    def _permutation(t):
+        dim = 1 << t.n_modes
+        p = np.zeros((dim, dim))
+        p[[oracles.encode_occupation(t, x) for x in range(dim)], range(dim)] = 1.0
+        return p
+
+    @pytest.mark.parametrize("name", ["bk", "beta1", "beta2"])
+    def test_images_are_the_jw_images_permuted(self, name):
+        """H2's H and every generator of the 8-mode, 4-electron UCCSD pool."""
+        h2, _ = load_fcidump(_FIXTURES / "h2_sto3g.fcidump").to_spin_orbital()
+        cases = [(build_hamiltonian(h2), 4)]
+        cases += [(excitation_generator(seq, 8), 8) for seq in uccsd_pool(range(4), range(4, 8))]
+        encodings = {}
+        for n in (4, 8):
+            if name == "bk":
+                encodings[n] = Transform.bravyi_kitaev(n)
+            else:
+                encodings[n] = Transform(_random_beta(np.random.default_rng(int(name[4:])), n))
+            assert not np.array_equal(encodings[n].beta, np.eye(n))
+        perms = {n: self._permutation(t) for n, t in encodings.items()}
+        for op, n in cases:
+            jw = _sum_matrix(op.to_pauli(Transform.jordan_wigner(n)))
+            got = _sum_matrix(op.to_pauli(encodings[n]))
+            assert np.allclose(got, perms[n] @ jw @ perms[n].T, atol=1e-12)
 
 
 class TestMapOperator:
@@ -365,7 +402,7 @@ class TestMapOperator:
     def test_more_than_63_modes_rejected(self):
         # masks live in int64 arrays; a 64th mode would wrap silently
         t = Transform.jordan_wigner(64)
-        assert t.ladder_strings[63][0][0][0] == 1 << 63
+        assert oracles.ladder_strings(t)[63][0][0][0] == 1 << 63
         with pytest.raises(ValueError, match="at most 63 modes"):
             t.map_operator([(1.0, ((0, True), (0, False)))])
 

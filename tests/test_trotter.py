@@ -1171,6 +1171,8 @@ class TestPlanStatevector:
         Jordan-Wigner when the plan compresses terms, otherwise the
         transform's.  A relabeled plan runs each excitation with its modes
         mapped through ``plan.labels`` and its angle signed by the remap.
+        The exact state is emulated in the occupation basis and permuted by
+        x -> beta x into the transform's basis.
         """
         n, n_e = _SV_MODES, _SV_ELECTRONS
         transform = _SV_ENCODINGS[name]
@@ -1191,7 +1193,7 @@ class TestPlanStatevector:
                 occupation &= ~(1 << w1)
         frame = Transform.jordan_wigner(n) if plan.compressed else transform
         start = np.zeros(1 << n, dtype=complex)
-        start[frame.encode_occupation(occupation)] = 1.0
+        start[oracles.encode_occupation(frame, occupation)] = 1.0
         got = oracles.apply_to_state(plan.circuit, start)
 
         seqs, values = [], []
@@ -1199,8 +1201,9 @@ class TestPlanStatevector:
             mapped, sign = tr.permute_sequence(pool[i], plan.labels)
             seqs.append(mapped)
             values.append(sign * angles[i])
-        ansatz = AnsatzOp.build(transform, seqs, values)
-        want = apply_ansatz(hf_state(n_e, n, transform), ansatz).amplitudes
+        ansatz = AnsatzOp.build(n, seqs, values)
+        emulated = apply_ansatz(hf_state(n_e, n), ansatz).amplitudes
+        want = oracles.encoded_amplitudes(transform, emulated)
         assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Per-layer times of the statevector emulator on H2 and water, under JW and BK.
+"""Per-layer times of the statevector emulator on H2 and water.
 
-For each system and encoding, runs ``hmp2.run_hmp2_loop`` once with the
-default config (timing each cycle's ``vqe_minimize`` call), then times the
+The emulator runs in the occupation basis (Jordan-Wigner), so there is one
+entry per system and no encoding to choose.  For each system, runs
+``hmp2.run_hmp2_loop`` once with the default config (timing each cycle's ``vqe_minimize`` call), then times the
 emulator's kernels on the run's spin sector and final ansatz, and prints one
 JSON object.  Each kernel time is seconds per call, the median of ``REPEAT``
 rounds of ``time.perf_counter`` over a fixed number of calls:
@@ -39,13 +40,11 @@ from fqcc.fcidump import load_fcidump  # noqa: E402
 from fqcc.fermions import build_hamiltonian, uccsd_pool  # noqa: E402
 from fqcc.paulis import CompiledSum  # noqa: E402
 from fqcc.simulate import (  # noqa: E402
-    AnsatzOp, _apply_exponential, _energy_and_gradient, apply_ansatz, compile_generator,
-    hf_state, spin_sector,
+    AnsatzOp, _apply_exponential, _energy_and_gradient, _occupation_image, apply_ansatz,
+    compile_generator, hf_state, spin_sector,
 )
-from fqcc.transform import Transform  # noqa: E402
 
 SYSTEMS = {"h2": "h2_sto3g", "water": "h2o_sto3g"}
-ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 REPEAT = 7  # timing rounds per kernel; the median round is reported
 
 
@@ -74,7 +73,7 @@ def _timed_vqe(vqe, cycles):
     return wrapper
 
 
-def measure(ham, fock, transform):
+def measure(ham, fock):
     """One HMP2 run's VQE cycles and the kernel times on its final ansatz."""
     n, n_e = ham.n_modes, fock.n_electrons
     cycles = []
@@ -82,23 +81,23 @@ def measure(ham, fock, transform):
     hmp2.vqe_minimize = _timed_vqe(vqe, cycles)
     try:
         start = perf_counter()
-        run = hmp2.run_hmp2_loop(ham, fock, transform=transform)
+        run = hmp2.run_hmp2_loop(ham, fock)
         hmp2_s = perf_counter() - start
     finally:
         hmp2.vqe_minimize = vqe
 
     pool = uccsd_pool(range(n_e), range(n_e, n))
     by_name = {s.name: s for s in pool}
-    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2, transform)
-    reference = hf_state(n_e, n, transform, sector)
-    h_pauli = build_hamiltonian(ham).to_pauli(transform)
+    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2)
+    reference = hf_state(n_e, n, sector=sector)
+    h_pauli = _occupation_image(build_hamiltonian(ham))
     h = CompiledSum(h_pauli, sector)
     terms = [by_name[name] for name in run.final.term_names]
-    ansatz = AnsatzOp.build(transform, terms, run.final_values, sector=sector)
+    ansatz = AnsatzOp.build(n, terms, run.final_values, sector=sector)
     x = np.array(ansatz.values)
     vec = apply_ansatz(reference, ansatz).amplitudes
     double = [s for s in pool if s.kind == "double"][-1]
-    kernel = compile_generator(double, transform, sector, {})
+    kernel = compile_generator(double, n, sector, {})
     return {
         "sector_dim": len(sector),
         "h_strings": len(h_pauli),
@@ -124,9 +123,7 @@ def main(argv=None):
     for name in args.systems:
         path = ROOT / "tests" / "fixtures" / f"{SYSTEMS[name]}.fcidump"
         ham, fock = load_fcidump(path).to_spin_orbital()
-        result["systems"][name] = {
-            enc: measure(ham, fock, make(ham.n_modes)) for enc, make in ENCODINGS.items()
-        }
+        result["systems"][name] = measure(ham, fock)
     print(json.dumps(result))
 
 
