@@ -351,7 +351,11 @@ class HMP2Report:
 @dataclass(slots=True)
 class HMP2Run:
     """The per-cycle reports, the stop status, and the optimized values of
-    the final report's ansatz, parallel to ``final.term_names``."""
+    the final report's ansatz, parallel to ``final.term_names``.
+
+    ``converged`` holds only when the loop met its stop rule and every
+    cycle's VQE converged; ``reason`` says why the loop stopped.
+    """
 
     reports: list
     converged: bool
@@ -390,8 +394,11 @@ def run_hmp2_loop(
     energy over the full candidate set, and appends the best-scoring new
     term with a sign-resolved initial guess.  Stops when the energy gain
     available (predicted or realized) falls below ``delta_e``, the pool is
-    exhausted, or the cycle cap is hit (flagged unconverged).  Every state
-    lives on the reference's (N_alpha, N_beta) sector.
+    exhausted, or the cycle cap is hit (flagged unconverged).  A run in
+    which any cycle's VQE did not converge (for one, it hit
+    ``vqe_maxiter``) is flagged unconverged too, its reason naming the
+    first such cycle.  Every state lives on the reference's (N_alpha,
+    N_beta) sector.
     """
     config = config or HMP2Config()
     n = ham.n_modes
@@ -507,6 +514,13 @@ def run_hmp2_loop(
         report.guess = guess
         terms.append(selection.term)
         start = values + (guess,)
+    unconverged = next((r for r in reports if not r.vqe_converged), None)
+    if unconverged is not None:
+        converged = False
+        reason = (
+            f"cycle {unconverged.cycle}'s VQE did not converge "
+            f"({unconverged.vqe_message}); the loop stopped: {reason}"
+        )
     return HMP2Run(reports, converged, reason, values)
 
 

@@ -18,7 +18,8 @@ Two independent reductions of the Pauli strings an expectation value needs:
   eigenbasis is a product basis, no extra gates) or general commutation (GC:
   fewer groups, but each needs a basis-change Clifford).  The GC circuit is
   built by symplectic elimination over the group's independent generators
-  and its two-qubit gate count is the reported measurement overhead.
+  and its two-qubit gate count (``circuits.metrics``) is the measurement
+  overhead.
 """
 
 from __future__ import annotations
@@ -213,7 +214,6 @@ class MeasurementGroup:
 
     strings: tuple
     basis_change: Circuit
-    extra_two_qubit: int
 
 
 @dataclass(slots=True)
@@ -283,7 +283,7 @@ def partition_qwc(strings) -> MeasurementPlan:
     return MeasurementPlan(
         "qwc",
         tuple(
-            MeasurementGroup(tuple(g), Circuit(n), 0) for g in groups
+            MeasurementGroup(tuple(g), Circuit(n)) for g in groups
         ),
     )
 
@@ -357,11 +357,11 @@ def _diagonalizing_circuit(basis, n) -> Circuit:
 
 
 def partition_gc(strings) -> MeasurementPlan:
-    """Greedy general-commutation partition with basis-change accounting.
+    """Greedy general-commutation partition with a basis change per group.
 
     Fewer groups than qubit-wise commutation, but each group must be rotated
-    into the computational basis before measuring; the group's extra cost is
-    the two-qubit gate count of that Clifford.  Strings are taken as in
+    into the computational basis before measuring by the group's
+    ``basis_change`` Clifford, whose two-qubit gates are the extra cost.  Strings are taken as in
     ``partition_qwc`` and each joins the first group it commutes with.  A
     string is tested against the group's independent generators (at most
     2n, grown by ``_add_generator`` as members join) rather than against
@@ -391,7 +391,5 @@ def partition_gc(strings) -> MeasurementPlan:
         _add_generator(bases[g], x << n | z)
     out = []
     for group, basis in zip(groups, bases):
-        circ = _diagonalizing_circuit(basis, n)
-        cost = sum(1 for g in circ.gates if g.kind in ("CNOT", "CZ"))
-        out.append(MeasurementGroup(tuple(group), circ, cost))
+        out.append(MeasurementGroup(tuple(group), _diagonalizing_circuit(basis, n)))
     return MeasurementPlan("gc", tuple(out))

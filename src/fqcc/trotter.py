@@ -24,27 +24,27 @@ class.  This module provides:
   angle, no gate is re-validated on its way into the circuit, and the
   gates that cancel at a boundary between a term's blocks are never
   emitted,
-- ``intra_order``: per-term string order for each ladder target, by
-  dynamic programming over an exact additive cost model: every (term,
-  target) savings matrix of one string count comes from the strings' (x,
-  z) mask arrays at once, and a Held-Karp pass in numpy, batched by a
-  budget of table entries, visits only the valid (visited mask, last
-  node, next node) triples, one gather-add and one group max per popcount
-  layer,
-- ``relabel_levels``: greedy level-relabeling over pair-swap permutations,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
-  are formed from the eligible targets first, so the dynamic program runs
-  only at each term's class target, for all terms in one batch, and each
-  class chain grows on one matrix of its oriented members' junction
-  savings,
+  are formed from the eligible targets first, so the per-term string order
+  is found only at each term's class target, for all terms in one batch,
+  and each class chain grows on one matrix of its oriented members'
+  junction savings.  The string order is dynamic programming over an
+  exact additive cost model (``_dp_choices``): every (term, target)
+  savings matrix of one string count comes from the strings' (x, z) mask
+  arrays at once, and a Held-Karp pass in numpy, batched by a budget of
+  table entries, visits only the valid (visited mask, last node, next
+  node) triples, one gather-add and one group max per popcount layer,
+- ``relabel_levels``: greedy descent over single orbital-pair swaps of the
+  fermion levels, each candidate labeling scored by ``plan_ansatz``'s own
+  count, so relabeling never raises it,
 - ``bosonic_reduce``: compression of spatially paired double excitations
   onto one wire per orbital pair (pair l on wire 2l), plus the restoration
   network; a compressed term is the closed-form two-wire hop of
   ``CompressedTerm``, built from the excitation's pair indices and angle
   alone, with no cache and no Jordan-Wigner re-expansion,
 - ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
-  its two-qubit count; the swarm's cost function
-  (``ansatz_two_qubit_cost``) reads that count,
+  its two-qubit count, the only cost model: the swarm's cost function
+  (``ansatz_two_qubit_cost``) and the relabeling both read that count,
 - ``emit_circuit``: the circuit of a plan; ``synthesize_ansatz`` is plan
   followed by emit, with a structured plan report.
 
@@ -65,7 +65,7 @@ through the strings' bit masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
 
@@ -366,14 +366,6 @@ class IntraChoice:
         return self.breakdown.total
 
 
-@dataclass(frozen=True, slots=True)
-class IntraResult:
-    """Per-target optima and the cheapest count over targets."""
-
-    per_target: dict[int, IntraChoice]
-    min_cost: int
-
-
 def _boundary_wires(first, second, target):
     """(agree, differ): masks of the wires other than ``target`` where both
     strings act, with the same letter or with different ones.
@@ -621,36 +613,9 @@ def _dp_choices(pairs):
     return choices
 
 
-def intra_order(term):
-    """Optimize string order for each eligible ladder target of one term.
-
-    Each target's ordering is the maximum-saving path over boundary savings
-    (dynamic programming); ``min_cost`` is the cheapest target's count, or
-    the per-string-target fallback when no wire is eligible.
-    """
-    if not term.eligible_targets:
-        return IntraResult({}, _fallback_choice(term).cost)
-    choices = _dp_choices([(term, t) for t in term.eligible_targets])
-    return IntraResult(dict(zip(term.eligible_targets, choices)), min(c.cost for c in choices))
-
-
-def term_min_cost(term):
-    """Cheapest CNOT count over eligible targets (additive model)."""
-    return intra_order(term).min_cost
-
-
 # ---------------------------------------------------------------------------
 # level relabeling
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class LabelingState:
-    """Result of greedy relabeling: mode permutation, cost, round count."""
-
-    labels: tuple[int, ...]
-    cost: int
-    rounds: int
 
 
 def permute_sequence(seq, mode_perm):
@@ -673,61 +638,62 @@ def permute_sequence(seq, mode_perm):
     return OrbitalSequence(seq.kind, tuple(mapped)), sign
 
 
-def _pair_swap_perms(n_spatial, k):
-    """Mode permutations made of 1..k disjoint orbital-pair transpositions."""
-    transpositions = list(combinations(range(n_spatial), 2))
+def _relabeled(seqs, angles, occupied, labels):
+    """The pool relabeled by ``labels``, each angle signed by its remap,
+    and the occupied modes mapped through the labels."""
+    relabeled = [permute_sequence(seq, labels) for seq in seqs]
+    seqs = [mapped for mapped, _ in relabeled]
+    angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
+    return seqs, angles, None if occupied is None else [labels[m] for m in occupied]
+
+
+def _pair_swap_perms(n_spatial):
+    """Mode permutations that swap two spatial orbitals, (2a, 2a+1) with
+    (2b, 2b+1), for each pair a < b in ascending order."""
     perms = []
-    for count in range(1, k + 1):
-        for chosen in combinations(transpositions, count):
-            flat = [x for pair in chosen for x in pair]
-            if len(set(flat)) != len(flat):
-                continue
-            spatial = list(range(n_spatial))
-            for a, b in chosen:
-                spatial[a], spatial[b] = spatial[b], spatial[a]
-            mode = [0] * (2 * n_spatial)
-            for l, m in enumerate(spatial):
-                mode[2 * l] = 2 * m
-                mode[2 * l + 1] = 2 * m + 1
-            perms.append(tuple(mode))
+    for a, b in combinations(range(n_spatial), 2):
+        spatial = list(range(n_spatial))
+        spatial[a], spatial[b] = b, a
+        perms.append(tuple(2 * spatial[m >> 1] + (m & 1) for m in range(2 * n_spatial)))
     return perms
 
 
-def _labeling_cost(seqs, transform, labels, *, anti, memo):
-    mapped = [permute_sequence(seq, labels)[0] for seq in seqs]
-    keys = [(seq.kind, seq.indices) for seq in mapped]
-    new = {key: seq for key, seq in zip(keys, mapped) if key not in memo}
-    terms = _expand_pool(new.values(), transform, [1.0] * len(new), anti=anti)
-    memo.update((key, term_min_cost(term)) for key, term in zip(new, terms))
-    return sum(memo[key] for key in keys)
+def relabel_levels(seqs, transform, config, *, occupied=None):
+    """Greedy orbital-pair relabeling scored by the planner's own count.
 
-
-def relabel_levels(seqs, transform, *, anti=False, memo=None):
-    """Greedy pair-swap relabeling that lowers the summed per-term cost.
-
-    Each round scores every permutation of one or two disjoint orbital-pair
-    transpositions applied to the current labeling and adopts the best
-    strict improvement; the search stops on the first round with no
-    improvement.
+    Mode m is relabeled ``labels[m]`` (``permute_sequence``).  From the
+    identity, each round tries every swap of two spatial orbitals applied
+    after the current labels, C(n/2, 2) candidates, and plans each
+    relabeled pool with ``plan_ansatz`` under ``config`` with relabeling
+    off and ``occupied`` mapped through the trial labels.  The candidate
+    with the lowest ``model_two_qubit`` is adopted if it is strictly below
+    the current count (ties to the first swap in ``_pair_swap_perms``
+    order), and the descent stops on the first round without one.  So the
+    result's count is never above the identity's, and no single swap of it
+    lowers that count.  Returns the labels.
     """
     n = transform.n_modes
     if n % 2:
         raise ValueError("relabeling pairs spatial orbitals; mode count must be even")
-    memo = {} if memo is None else memo
-    candidates = _pair_swap_perms(n // 2, 2)
+    seqs = list(seqs)
+    config = replace(config, relabel=False)
+
+    def count(labels):
+        mapped, angles, occ = _relabeled(seqs, [1.0] * len(seqs), occupied, labels)
+        return plan_ansatz(mapped, transform, angles, config, occupied=occ).model_two_qubit
+
+    candidates = _pair_swap_perms(n // 2)
     labels = tuple(range(n))
-    cost = _labeling_cost(seqs, transform, labels, anti=anti, memo=memo)
-    rounds = 0
+    cost = count(labels)
     while True:
-        rounds += 1
         best_cost, best_labels = cost, None
         for perm in candidates:
-            trial = tuple(perm[labels[i]] for i in range(n))
-            trial_cost = _labeling_cost(seqs, transform, trial, anti=anti, memo=memo)
+            trial = tuple(perm[m] for m in labels)
+            trial_cost = count(trial)
             if trial_cost < best_cost:
                 best_cost, best_labels = trial_cost, trial
         if best_labels is None:
-            return LabelingState(labels, cost, rounds)
+            return labels
         labels, cost = best_labels, best_cost
 
 
@@ -1016,9 +982,11 @@ class HeuristicConfig:
     """Which reduction passes ``plan_ansatz`` runs, and the rotation convention.
 
     ``reorder`` runs the per-term and cross-term ordering, ``bosonic`` the
-    paired-double compression, and ``relabel`` the pair-swap relabeling
+    paired-double compression, and ``relabel`` the orbital-pair relabeling
     (``relabel_levels``).  ``anti`` expands each
     term as exp(theta * (T - T+)) rather than exp(-i theta / 2 (T + T+)).
+    Relabeling plans the pool C(n/2, 2) times per descent round, dozens
+    of plans on STO-3G water, so it is off by default.
     """
 
     reorder: bool = True
@@ -1063,7 +1031,11 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
     Passes run in order: level relabeling (only with ``config.relabel``),
     expansion, paired-double compression, then per-term and cross-term
     ordering of the remainder (without ``config.reorder``, each term keeps
-    its stored string order at its first eligible target).
+    its stored string order at its first eligible target).  A relabeled
+    plan runs each excitation with its modes mapped through
+    ``plan.labels`` and its angle signed by the remap
+    (``permute_sequence``), and ``occupied`` is mapped through the labels
+    before compression, so the plan's reference is the relabeled one.
     ``model_two_qubit`` is the additive accounting; the emitted circuit's
     metrics may only undercut it.  No circuit is built.
     """
@@ -1076,10 +1048,9 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
 
     labels = tuple(range(n))
     if config.relabel:
-        labels = relabel_levels(seqs, transform, anti=config.anti).labels
-        relabeled = [permute_sequence(seq, labels) for seq in seqs]
-        seqs = [mapped for mapped, _ in relabeled]
-        angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
+        occupied = None if occupied is None else tuple(occupied)
+        labels = relabel_levels(seqs, transform, config, occupied=occupied)
+        seqs, angles, occupied = _relabeled(seqs, angles, occupied, labels)
 
     terms = _expand_pool(seqs, transform, angles, anti=config.anti)
 

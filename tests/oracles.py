@@ -574,65 +574,26 @@ def inter_order_reference(terms):
     return tr.InterPlan(classes, standalone)
 
 
-def _term_min_cost_reference(term):
-    from fqcc import trotter as tr
-
-    if not term.eligible_targets:
-        return tr._fallback_choice(term).cost
-    return min(c.cost for c in dp_choices_reference([(term, t) for t in term.eligible_targets]))
-
-
-def relabel_levels_reference(seqs, transform, *, anti=False):
-    """``trotter.relabel_levels``' labels, each term scored through
-    ``expand_term_reference`` and ``dp_choices_reference``."""
-    from fqcc import trotter as tr
-
-    n = transform.n_modes
-    memo = {}
-
-    def cost_of(labels):
-        total = 0
-        for seq in seqs:
-            mapped, _ = tr.permute_sequence(seq, labels)
-            key = (mapped.kind, mapped.indices)
-            if key not in memo:
-                term = expand_term_reference(mapped, transform, anti=anti)
-                memo[key] = _term_min_cost_reference(term)
-            total += memo[key]
-        return total
-
-    candidates = tr._pair_swap_perms(n // 2, 2)
-    labels = tuple(range(n))
-    cost = cost_of(labels)
-    while True:
-        best_cost, best_labels = cost, None
-        for perm in candidates:
-            trial = tuple(perm[labels[i]] for i in range(n))
-            trial_cost = cost_of(trial)
-            if trial_cost < best_cost:
-                best_cost, best_labels = trial_cost, trial
-        if best_labels is None:
-            return labels
-        labels, cost = best_labels, best_cost
-
-
-def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None):
+def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels=None):
     """``trotter.plan_ansatz`` at unit angles on the reference routines
-    above: relabeling, one expansion per term, pair-by-pair savings
-    matrices and junctions.  Compression and the unchained fallback are
-    ``trotter``'s own."""
+    above: one expansion per term, pair-by-pair savings matrices and
+    junctions.  Compression and the unchained fallback are ``trotter``'s
+    own.  No labeling is searched: given ``labels``, the pool and
+    ``occupied`` are relabeled by them as a relabeled plan's are, and
+    ``config.relabel`` is ignored."""
     from fqcc import trotter as tr
 
     config = tr.HeuristicConfig() if config is None else config
     seqs = list(seqs)
     n = transform.n_modes
     angles = [1.0] * len(seqs)
-    labels = tuple(range(n))
-    if config.relabel:
-        labels = relabel_levels_reference(seqs, transform, anti=config.anti)
+    if labels is None:
+        labels = tuple(range(n))
+    else:
         relabeled = [tr.permute_sequence(seq, labels) for seq in seqs]
         seqs = [mapped for mapped, _ in relabeled]
         angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
+        occupied = None if occupied is None else [labels[m] for m in occupied]
     terms = tuple(
         expand_term_reference(seq, transform, theta, anti=config.anti)
         for seq, theta in zip(seqs, angles)

@@ -465,6 +465,16 @@ class TestWaterOnTheSector:
         )
         assert not capped.converged and capped.n_iterations == 1
 
+    def test_capped_vqes_leave_the_run_unconverged(self, h2o):
+        """A run whose VQEs hit ``vqe_maxiter`` stops on its own rule but
+        is flagged unconverged, its reason naming the first such cycle."""
+        run = run_hmp2_loop(*h2o, HMP2Config(vqe_maxiter=1))
+        capped = [r.cycle for r in run.reports if not r.vqe_converged]
+        assert capped and capped[0] == 1
+        assert not run.converged
+        assert run.reason.startswith("cycle 1's VQE did not converge (")
+        assert run.reason.endswith("; the loop stopped: no candidate above threshold")
+
     def test_sign_guesses(self, h2o, water_run):
         """The guesses are pinned, and each chosen sign, run through the
         whole ansatz, is the lower-energy one."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc import measure
+from fqcc.circuits import metrics
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, build_hamiltonian
 from fqcc.measure import (
@@ -338,7 +339,7 @@ class TestPartitionQwc:
         strings = [_string(3, t) for t in ("Z0", "Z1", "Z0 Z2", "Z1 Z2")]
         plan = partition_qwc(strings)
         assert plan.n_groups == 1
-        assert plan.groups[0].extra_two_qubit == 0
+        assert metrics(plan.groups[0].basis_change).two_qubit == 0
 
     def test_xx_yy_zz_needs_three_groups(self):
         strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")]
@@ -361,7 +362,7 @@ class TestPartitionGc:
         strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")]
         plan = partition_gc(strings)
         assert plan.n_groups == 1
-        assert plan.groups[0].extra_two_qubit >= 1
+        assert metrics(plan.groups[0].basis_change).two_qubit >= 1
 
     def test_group_clifford_diagonalizes_members(self, h2_pauli):
         plan = partition_gc(h2_pauli)
@@ -381,11 +382,14 @@ class TestPartitionGc:
         assert np.max(np.abs(off)) < 1e-12
 
     def test_extra_cost_counts_two_qubit_gates_only(self, h2_pauli):
+        """The basis change is a Clifford of CNOT, CZ, S and H, and its
+        extra cost, the two-qubit count ``metrics`` reads, is its CNOTs and
+        CZs."""
         plan = partition_gc(h2_pauli)
         for g in plan.groups:
-            assert g.extra_two_qubit == sum(
-                1 for gate in g.basis_change.gates if gate.kind in ("CNOT", "CZ")
-            )
+            kinds = [gate.kind for gate in g.basis_change.gates]
+            assert set(kinds) <= {"CNOT", "CZ", "S", "H"}
+            assert metrics(g.basis_change).two_qubit == sum(k in ("CNOT", "CZ") for k in kinds)
 
     def test_within_group_commutation(self, h2_pauli):
         plan = partition_gc(h2_pauli)
@@ -406,7 +410,7 @@ class TestPartitionGc:
         gc = partition_gc(hp)
         qwc = partition_qwc(hp)
         assert gc.n_groups < qwc.n_groups <= len(hp)
-        assert all(g.extra_two_qubit == 0 for g in qwc.groups)
+        assert all(g.basis_change.gates == [] for g in qwc.groups)
         for g in gc.groups:
             assert all(conjugate_string(s, g.basis_change.gates).xmask == 0 for s in g.strings)
 
@@ -445,7 +449,7 @@ class TestPartitionGc:
     def test_single_x_string_costs_nothing_extra(self):
         plan = partition_gc([_string(2, "X0")])
         assert plan.n_groups == 1
-        assert plan.groups[0].extra_two_qubit == 0
+        assert metrics(plan.groups[0].basis_change).two_qubit == 0
         rotated = conjugate_string(_string(2, "X0"), plan.groups[0].basis_change.gates)
         assert rotated.xmask == 0
 
@@ -471,7 +475,7 @@ class TestPartitionGc:
             for s in g.strings:
                 assert conjugate_string(s, g.basis_change.gates).xmask == 0
         for g in qwc.groups:
-            assert isinstance(g.extra_two_qubit, int) and g.extra_two_qubit == 0
+            assert g.basis_change.gates == []
 
     def test_plan_shape(self, h2_pauli):
         plan = partition_gc(h2_pauli)

@@ -25,7 +25,7 @@ PYPROJECT = ROOT / "pyproject.toml"
 needs_tomllib = pytest.mark.skipif(tomllib is None, reason="reading pyproject.toml needs tomllib")
 
 # Public names that nothing outside the tests uses yet, each with the reason it stays.
-_FT_ROW = "Clifford+T couplers: ROADMAP item 4 compiles a step from them, item 2's FT row"
+_FT_ROW = "Clifford+T couplers: ROADMAP item 11 compiles a step from them, item 2's FT row"
 UNCALLED = {
     "ftgates.ft_single_body": _FT_ROW,
     "ftgates.ft_two_body_with_z": _FT_ROW,

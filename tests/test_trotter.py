@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -17,7 +18,7 @@ from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
 from fqcc.paulis import PauliString
-from fqcc.simulate import AnsatzOp, apply_ansatz, hf_state
+from fqcc.simulate import AnsatzOp, Statevector, apply_ansatz
 from fqcc.transform import Transform
 
 import oracles
@@ -364,8 +365,7 @@ class TestCostModel:
         for anti in (False, True):
             for seq, tf in cases:
                 term = tr.expand_term(seq, tf, 0.37, anti=anti)
-                result = tr.intra_order(term)
-                picks = [(c.ordering, t) for t, c in result.per_target.items()]
+                picks = [(c.ordering, t) for t, c in _per_target(term).items()]
                 k = len(term.strings)
                 picks.append((tuple(range(k)), term.eligible_targets[0]))
                 shuffled = list(range(k))
@@ -392,10 +392,10 @@ class TestCostModel:
         s1 = oracles.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
         s2 = oracles.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
         term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2), (), False)
-        result = tr.intra_order(term)
-        assert result.per_target == {}
+        choice = tr._fallback_choice(term)
+        assert choice.target is None
         circ = tr.term_circuit(term)
-        assert metrics(peephole_cancel(circ)).two_qubit == result.min_cost == 4
+        assert metrics(peephole_cancel(circ)).two_qubit == choice.cost == 4
 
 
 def _elision_cases():
@@ -484,6 +484,17 @@ def _words(term):
     return [s.letters() for s in term.strings]
 
 
+def _per_target(term):
+    """The dynamic program's choice at each eligible target of one term."""
+    targets = term.eligible_targets
+    return dict(zip(targets, tr._dp_choices([(term, t) for t in targets])))
+
+
+def _min_cost(term):
+    """The cheapest count over a term's eligible targets."""
+    return min(c.cost for c in _per_target(term).values())
+
+
 def _reference_double(transform=None):
     return tr.expand_term(
         OrbitalSequence("double", (2, 3, 0, 1)), transform or Transform.jordan_wigner(4), 0.7
@@ -491,16 +502,16 @@ def _reference_double(transform=None):
 
 
 class TestIntraOrder:
-    """``intra_order``'s dynamic program against ``oracles.intra_minima``,
-    which scores every ordering of every target."""
+    """``_dp_choices``' dynamic program at each eligible target of one term
+    against ``oracles.intra_minima``, which scores every ordering of every
+    target."""
 
     def test_reference_double(self):
         # raw chain ladders cost 48 CNOTs; sharing and boundary cancellation
         # brings the verified optimum to 13
         term = _reference_double()
-        result = tr.intra_order(term)
         cost, minima = oracles.intra_minima(_words(term), term.eligible_targets)
-        assert result.min_cost == cost == 13
+        assert _min_cost(term) == cost == 13
         target, ordering = minima[0]
         assert tr.cost_breakdown(term, ordering, target).base == 48
         circ = tr.term_circuit(term, ordering, target)
@@ -510,8 +521,7 @@ class TestIntraOrder:
         # each per-target optimum is the smaller of its ordering and the
         # reversal, and costs what enumerating that target alone finds
         term = _reference_double()
-        result = tr.intra_order(term)
-        for target, choice in result.per_target.items():
+        for target, choice in _per_target(term).items():
             assert not choice.ordering[::-1] < choice.ordering
             cost, minima = oracles.intra_minima(_words(term), [target])
             assert choice.cost == cost
@@ -519,10 +529,9 @@ class TestIntraOrder:
 
     def test_per_target_matches_enumeration(self):
         term = _reference_double()
-        result = tr.intra_order(term)
         _, minima = oracles.intra_minima(_words(term), term.eligible_targets)
-        for target, choice in result.per_target.items():
-            if choice.cost == result.min_cost:
+        for target, choice in _per_target(term).items():
+            if choice.cost == _min_cost(term):
                 first = next(o for t, o in minima if t == target)
                 assert choice.ordering == first
 
@@ -530,10 +539,9 @@ class TestIntraOrder:
         term = tr.expand_term(
             OrbitalSequence("single", (2, 0)), Transform.jordan_wigner(4), 0.7, anti=True
         )
-        result = tr.intra_order(term)
         cost, minima = oracles.intra_minima(_words(term), term.eligible_targets)
         assert all(ordering == (0, 1) for _, ordering in minima)
-        assert result.min_cost == cost == 5
+        assert _min_cost(term) == cost == 5
 
     def test_enumeration_never_beats_path_optimum(self):
         rng = np.random.default_rng(13)
@@ -543,13 +551,8 @@ class TestIntraOrder:
             p, q = sorted(int(m) for m in modes[:2])
             r, s = sorted(int(m) for m in modes[2:])
             term = tr.expand_term(OrbitalSequence("double", (p, q, r, s)), t, 0.3)
-            result = tr.intra_order(term)
-            for target, choice in result.per_target.items():
+            for target, choice in _per_target(term).items():
                 assert choice.cost == oracles.intra_minima(_words(term), [target])[0]
-
-    def test_term_min_cost_matches(self):
-        term = _reference_double(Transform.bravyi_kitaev(4))
-        assert tr.term_min_cost(term) == tr.intra_order(term).min_cost
 
 
 # square non-negative integer matrices of sizes 1-8; entries up to 0 (all
@@ -603,7 +606,7 @@ class TestPlannerReferences:
         monkeypatch.setattr(tr, "_max_paths", recording)
         tr.plan_ansatz(pool, transform, occupied=range(4))
         for seq in pool:
-            tr.intra_order(tr.expand_term(seq, transform, anti=True))
+            _per_target(tr.expand_term(seq, transform, anti=True))
         matrices = list(built.values())
         assert any(len(m) == 8 for m in matrices)
         assert solve(matrices) == [oracles.max_path_reference(m) for m in matrices]
@@ -687,18 +690,26 @@ class TestPlannerReferences:
 # ---------------------------------------------------------------------------
 
 
+def _relabeled_count(seqs, transform, labels, config=tr.HeuristicConfig(), occupied=None):
+    """The planner's count of ``seqs`` relabeled by ``labels``, relabeling off."""
+    mapped = [tr.permute_sequence(seq, labels)[0] for seq in seqs]
+    occ = None if occupied is None else [labels[m] for m in occupied]
+    config = dataclasses.replace(config, relabel=False)
+    return tr.plan_ansatz(mapped, transform, config=config, occupied=occ).model_two_qubit
+
+
 class TestRelabeling:
     def test_candidate_counts(self):
-        # k transpositions of spatial orbitals: sum over j of the number of
-        # ways to pick j disjoint pairs
-        assert len(tr._pair_swap_perms(4, 1)) == 6
-        assert len(tr._pair_swap_perms(4, 2)) == 9
-        assert len(tr._pair_swap_perms(5, 2)) == 25
+        # one swap of two spatial orbitals: C(n/2, 2) candidates
+        assert len(tr._pair_swap_perms(4)) == 6
+        assert len(tr._pair_swap_perms(5)) == 10
+        assert len(tr._pair_swap_perms(7)) == 21
 
     def test_candidates_are_pairwise_permutations(self):
-        for perm in tr._pair_swap_perms(4, 2):
+        for perm in tr._pair_swap_perms(4):
             assert sorted(perm) == list(range(8))
             assert all(perm[2 * l + 1] == perm[2 * l] + 1 for l in range(4))
+            assert sum(m != perm[m] for m in range(8)) == 4
 
     def test_permute_sign_hand_case(self):
         seq = OrbitalSequence("double", (0, 2, 1, 3))
@@ -743,12 +754,10 @@ class TestRelabeling:
             OrbitalSequence("single", (4, 0)),
         ]
         bk = Transform.bravyi_kitaev(6)
-        memo = {}
-        state = tr.relabel_levels(seqs, bk, anti=True, memo=memo)
-        identity = tr._labeling_cost(seqs, bk, tuple(range(6)), anti=True, memo=memo)
-        assert sorted(state.labels) == list(range(6))
-        assert state.cost <= identity
-        assert state.cost < identity  # this instance strictly improves
+        labels = tr.relabel_levels(seqs, bk, tr.HeuristicConfig())
+        assert sorted(labels) == list(range(6))
+        identity = _relabeled_count(seqs, bk, tuple(range(6)))
+        assert _relabeled_count(seqs, bk, labels) < identity  # this instance strictly improves
 
     def test_result_is_locally_optimal(self):
         seqs = [
@@ -757,17 +766,15 @@ class TestRelabeling:
             OrbitalSequence("single", (4, 0)),
         ]
         bk = Transform.bravyi_kitaev(6)
-        memo = {}
-        state = tr.relabel_levels(seqs, bk, anti=True, memo=memo)
-        for cand in tr._pair_swap_perms(3, 2):
-            labels = tuple(cand[m] for m in state.labels)
-            cost = tr._labeling_cost(seqs, bk, labels, anti=True, memo=memo)
-            assert cost >= state.cost
+        labels = tr.relabel_levels(seqs, bk, tr.HeuristicConfig())
+        cost = _relabeled_count(seqs, bk, labels)
+        for cand in tr._pair_swap_perms(3):
+            assert _relabeled_count(seqs, bk, tuple(cand[m] for m in labels)) >= cost
 
     def test_odd_mode_count_rejected(self):
         with pytest.raises(ValueError):
             tr.relabel_levels(
-                [OrbitalSequence("single", (1, 0))], Transform.jordan_wigner(3)
+                [OrbitalSequence("single", (1, 0))], Transform.jordan_wigner(3), tr.HeuristicConfig()
             )
 
 
@@ -817,12 +824,12 @@ class TestInterOrder:
         plan = tr.inter_order(terms)
         assert all(len(cls.placements) == 1 for cls in plan.classes)
         assert all(cls.junction_savings == () for cls in plan.classes)
-        assert plan.cost == sum(tr.term_min_cost(t) for t in terms)
+        assert plan.cost == sum(_min_cost(t) for t in terms)
 
     def test_chain_saves_over_isolated_blocks(self):
         terms = self._singles([(4, 0), (6, 0), (5, 0)], 8)
         plan = tr.inter_order(terms)
-        isolated = sum(tr.term_min_cost(t) for t in terms)
+        isolated = sum(_min_cost(t) for t in terms)
         assert plan.cost < isolated
         assert sum(plan.classes[0].junction_savings) > 0
 
@@ -1165,14 +1172,16 @@ class TestPlanStatevector:
         """The emitted circuit on the compressed reference equals the exact
         excitation exponentials applied to the reference in ``plan.order``.
 
-        The compressed reference is the HF occupation with the partner wire
-        of each fully occupied touched pair cleared (restoration sets it
-        again).  It is encoded in the frame of the circuit's first stage:
-        Jordan-Wigner when the plan compresses terms, otherwise the
-        transform's.  A relabeled plan runs each excitation with its modes
-        mapped through ``plan.labels`` and its angle signed by the remap.
-        The exact state is emulated in the occupation basis and permuted by
-        x -> beta x into the transform's basis.
+        The reference is the HF occupation mapped through ``plan.labels``
+        (the identity unless relabeled), and a relabeled plan runs each
+        excitation with its modes mapped the same way and its angle signed
+        by the remap.  The compressed reference is that occupation with the
+        partner wire of each fully occupied touched pair cleared
+        (restoration sets it again).  It is encoded in the frame of the
+        circuit's first stage: Jordan-Wigner when the plan compresses
+        terms, otherwise the transform's.  The exact state is emulated in
+        the occupation basis and permuted by x -> beta x into the
+        transform's basis.
         """
         n, n_e = _SV_MODES, _SV_ELECTRONS
         transform = _SV_ENCODINGS[name]
@@ -1182,10 +1191,13 @@ class TestPlanStatevector:
         plan = tr.synthesize_ansatz(pool, transform, angles, cfg, occupied=range(n_e))
         assert sorted(plan.order) == list(range(len(pool)))
         assert bool(plan.compressed) == bosonic
+        assert metrics(plan.circuit).two_qubit == plan.model_two_qubit
         if relabel and name == "bk":
-            assert plan.labels == (4, 5, 2, 3, 0, 1, 6, 7)
+            # the labels follow the planner's count, so they follow its passes
+            want = (6, 7, 2, 3, 4, 5, 0, 1) if bosonic or reorder else (4, 5, 2, 3, 0, 1, 6, 7)
+            assert plan.labels == want
 
-        hf = (1 << n_e) - 1
+        hf = sum(1 << plan.labels[m] for m in range(n_e))
         occupation = hf
         for idx in plan.touched_pairs:
             w0, w1 = 2 * idx, 2 * idx + 1
@@ -1202,7 +1214,7 @@ class TestPlanStatevector:
             seqs.append(mapped)
             values.append(sign * angles[i])
         ansatz = AnsatzOp.build(n, seqs, values)
-        emulated = apply_ansatz(hf_state(n_e, n), ansatz).amplitudes
+        emulated = apply_ansatz(Statevector.basis(n, hf), ansatz).amplitudes
         want = oracles.encoded_amplitudes(transform, emulated)
         assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
 
@@ -1351,6 +1363,13 @@ _PLANNER_CONFIGS = {
 }
 
 
+@functools.cache
+def _relabeled_plan(case):
+    """The plan of a planner case with relabeling on, HF modes occupied."""
+    pool, transform, n_e = _PLANNER_CASES[case]
+    return tr.plan_ansatz(pool, transform, config=_PLANNER_CONFIGS["relabel"], occupied=range(n_e))
+
+
 class TestArrayPlanner:
     """The pool expansion, the savings and breakdown arrays, and the
     junction matrices give what ``oracles`` computes one term and one pair
@@ -1402,22 +1421,22 @@ class TestArrayPlanner:
         )
         assert tr._expand_pool(pool, transform, thetas, anti=anti) == want
 
-    @pytest.mark.parametrize(
-        "case, config",
-        [
-            (case, config)
-            for case in sorted(_PLANNER_CASES)
-            for config in sorted(_PLANNER_CONFIGS)
-            # the reference relabeling takes seconds on water
-            if config != "relabel" or not case.startswith("water") or case == "water-jw"
-        ],
-    )
+    @pytest.mark.parametrize("config", sorted(_PLANNER_CONFIGS))
+    @pytest.mark.parametrize("case", sorted(_PLANNER_CASES))
     def test_plan_matches_reference(self, case, config):
-        """HF modes occupied; relabeling runs on water under JW only."""
+        """HF modes occupied.  A relabeled plan is checked against the
+        reference on the pool relabeled by the plan's own labels."""
         pool, transform, n_e = _PLANNER_CASES[case]
         cfg = _PLANNER_CONFIGS[config]
-        got = tr.plan_ansatz(pool, transform, config=cfg, occupied=range(n_e))
-        want = oracles.plan_ansatz_reference(pool, transform, cfg, occupied=range(n_e))
+        if cfg.relabel:
+            got = _relabeled_plan(case)
+            labels = got.labels
+        else:
+            got = tr.plan_ansatz(pool, transform, config=cfg, occupied=range(n_e))
+            labels = None
+        want = oracles.plan_ansatz_reference(
+            pool, transform, cfg, occupied=range(n_e), labels=labels
+        )
         assert got.labels == want.labels and got.terms == want.terms
         assert got.kept == want.kept and got.compressed == want.compressed
         assert got.inter == want.inter
@@ -1463,3 +1482,31 @@ class TestArrayPlanner:
             values = tr._junction_matrix(terms, choices, members, target)
             tied += int((values == values.max()).sum() > 2)
         assert tied > 100
+
+
+class TestRelabeledPlans:
+    """Relabeling scored by the planner's own count, on every planner case:
+    default config, HF modes occupied."""
+
+    @pytest.mark.parametrize("case", sorted(_PLANNER_CASES))
+    def test_never_above_unrelabeled(self, case):
+        """The emitted circuit also costs what the relabeled plan says."""
+        pool, transform, n_e = _PLANNER_CASES[case]
+        plan = _relabeled_plan(case)
+        assert plan.model_two_qubit <= tr.ansatz_two_qubit_cost(pool, transform, occupied=range(n_e))
+        assert metrics(tr.emit_circuit(plan)).two_qubit == plan.model_two_qubit
+
+    @pytest.mark.parametrize("case", sorted(_PLANNER_CASES))
+    def test_no_single_swap_lowers_the_count(self, case):
+        pool, transform, n_e = _PLANNER_CASES[case]
+        plan = _relabeled_plan(case)
+        count = _relabeled_count(pool, transform, plan.labels, occupied=range(n_e))
+        assert count == plan.model_two_qubit
+        for perm in tr._pair_swap_perms(transform.n_modes // 2):
+            trial = tuple(perm[m] for m in plan.labels)
+            assert _relabeled_count(pool, transform, trial, occupied=range(n_e)) >= count
+
+    @pytest.mark.parametrize("case,cost", [("h4-jw", 194), ("h4-bk", 252), ("water-jw", 1251)])
+    def test_relabeled_cost(self, case, cost):
+        """H4 from 202 (JW) and 261 (BK), water JW from 1261."""
+        assert _relabeled_plan(case).model_two_qubit == cost
