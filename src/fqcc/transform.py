@@ -6,14 +6,13 @@ beta is unit lower triangular in this (logical) ordering, so the free bits
 sit strictly below the diagonal.  Jordan-Wigner is beta = identity and the
 Fenwick-tree choice of beta reproduces the Bravyi-Kitaev transform.
 
-Ladder operators map to two-string Pauli sums whose supports are read off
-three derived index sets per mode j:
-
-* update set U(j): rows i != j with beta[i, j] = 1 (X support above j),
-* parity set P(j): nonzero columns of row j of pi beta^-1 xor beta^-1,
-* remainder set R(j): nonzero columns of row j of pi beta^-1,
-
-where pi is the inclusive lower-triangular parity accumulator.
+Every such encoding is Jordan-Wigner followed by the CNOT network B with
+B|x> = |beta x> (``basis_circuit``).  Operators are therefore mapped and
+expanded under Jordan-Wigner, where a_j is Z_{<j} (X_j + i Y_j) / 2 in
+closed form, and each resulting string is conjugated once by B
+(``Transform.frame``): B X^x Z^z B+ = X^(beta x) Z^(beta^-T z), so a
+string P(x, z), with Y = iXZ on the wires of x & z, goes to
+i^(|x & z| - |x' & z'|) P(x', z').
 """
 
 from __future__ import annotations
@@ -26,16 +25,12 @@ from .circuits import Circuit
 from .paulis import COEFF_TOL, PauliSum
 
 
-# power-of-i exponents of a ladder's strings (x, z_parity) and (x, z_remainder):
-# a_mode is (P(x, z_parity) + i P(x, z_remainder)) / 2, its adjoint the same
-# with -i = i^3
-_LADDER_EXPONENTS = ((0, 1), (0, 3))
-
-
-# map_operator keeps masks in int64 arrays
+# masks live in int64 arrays
 _MAX_MODES = 63
 # set bits of each byte value
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# bit b of each byte value v, as [b, v]
+_BYTE_BITS = np.arange(256) >> np.arange(8)[:, None] & 1
 # i^e
 _UNITS = np.array([1, 1j, -1, -1j])
 
@@ -66,17 +61,33 @@ def _choices(d):
     return _frozen(np.arange(1 << d)[:, None] >> np.arange(d - 1, -1, -1) & 1)
 
 
-def _first_paths(tables, lad, coeffs, place0, columns):
-    """Append the strings of products of k ladders each to ``columns``, for
-    ``Transform.map_operator``, and return each term's number of distinct
-    modes D.
+def _jw_products(lad):
+    """Jordan-Wigner products of each row of ladders (2 * mode + dagger).
+
+    a_j = (X_j + i Y_j) Z_{<j} / 2, and i Y_j = i^2 X_j Z_j (-i Y_j = X_j Z_j
+    for the adjoint): as i^f X^x Z^z, string 0 is X_j Z_{<j} with f = 0 and
+    string 1 adds (dz, df) = (1 << j, 2 - 2 dagger).  Returns x, z and f of
+    the product of every ladder's string 0, and (dz, df) by ladder.  Each
+    later X_m that moves left past an earlier Z_{<j}, m < j, adds 2 to f.
+    """
+    mode = lad >> 1
+    bit = 1 << mode
+    x = np.bitwise_xor.reduce(bit, axis=1)
+    z = np.bitwise_xor.reduce(bit - 1, axis=1)
+    passes = (mode[:, :, None] > mode[:, None, :]) & _ladder_order(lad.shape[1])
+    return x, z, 2 * passes.sum(axis=(1, 2)), bit, 2 - 2 * (lad & 1)
+
+
+def _first_paths(lad, coeffs, place0, columns):
+    """Append the Jordan-Wigner strings of products of k ladders each to
+    ``columns``, for ``Transform.map_operator``, and return each term's
+    number of distinct modes D.
 
     ``lad`` has one row per term, entries 2 * mode + dagger.  For every
     string of every term that is neither 0 nor cut (``coeffs``), the four
     columns get x, z, the power of i of its first path, and its place:
     ``place0`` of the term plus the index of that path among the 2^D.
     """
-    x_of, z_of, dz_of, anti_of, f_of, df_of = tables
     k = lad.shape[1]
     mode = lad >> 1
     later = _ladder_order(k)
@@ -89,21 +100,15 @@ def _first_paths(tables, lad, coeffs, place0, columns):
     turn = (lad & 1) ^ (same & later.T).sum(axis=2) & 1
     alive = ~(same & (turn[:, :, None] != turn[:, None, :])).any(axis=(1, 2))
     alive &= (np.abs(coeffs * 0.5**distinct) > COEFF_TOL) | (k == 0)
-    x = np.bitwise_xor.reduce(x_of[mode], axis=1)
-    z = np.bitwise_xor.reduce(z_of[mode], axis=1)
-    # i^f of the first path: the strings' own powers of i, and (-1)^|z & x'|
-    # for each later ladder's x' that a Z^z moves past.  String 1 at a free
-    # ladder of mode j adds its own df and no sign: its extra Z^z, row j of
-    # beta^-1, anticommutes with mode j's x alone, and no later ladder has
-    # mode j.
-    signs = (anti_of[mode[:, :, None], mode[:, None, :]] & later).sum(axis=(1, 2))
-    f = f_of[lad].sum(axis=1) + 2 * signs
+    # String 1 at a free ladder of mode j adds its own df and no sign: its
+    # extra Z_j anticommutes with X_j alone, and no later ladder has mode j.
+    x, z, f, dz, df = _jw_products(lad)
     for d in sorted(set(distinct[alive].tolist())):
         rows = np.flatnonzero(alive & (distinct == d))
         at = free[rows]
         zd, e = _paths(
             x[rows], z[rows], f[rows],
-            dz_of[mode[rows][at]].reshape(len(rows), d), df_of[lad[rows][at]].reshape(len(rows), d),
+            dz[rows][at].reshape(len(rows), d), df[rows][at].reshape(len(rows), d),
         )
         place = place0[rows, None] + np.arange(1 << d)
         for column, part in zip(columns, (x[rows].repeat(1 << d), zd, e.astype(np.int8), place)):
@@ -159,8 +164,8 @@ def _masks(rows):
 
 
 class Transform:
-    """A beta-parameterized encoding and the tables that map its ladder
-    operators to Pauli strings."""
+    """A beta-parameterized encoding: Jordan-Wigner followed by the basis
+    change B with B|x> = |beta x>."""
 
     def __init__(self, beta):
         beta = np.array(beta, dtype=np.uint8)
@@ -177,31 +182,19 @@ class Transform:
         self.n_modes = n
         # unit lower triangular, checked above
         self.beta_inv = _gf2_inv(beta)
-        pi = np.tril(np.ones((n, n), dtype=np.uint8))
-        m_r = (pi @ self.beta_inv) & 1
-        m_p = m_r ^ self.beta_inv
-        # map_operator's and ladder_products' tables, for up to _MAX_MODES
-        # modes.  By mode j: the x mask (U(j) and j, column j of beta),
-        # string 0's z mask (P(j), row j of m_p; string 1's is R(j) and j,
-        # row j of m_r), the z difference of the two strings (row j of
-        # beta^-1), and whether string 0's Z^z
-        # anticommutes with each mode's X^x.  By ladder 2 * mode + dagger:
-        # string 0's power of i in the X^x Z^z form, i^e P(x, z) =
-        # i^(e + |x & z|) X^x Z^z, and string 1's minus string 0's.
-        self._ladder_tables = None
-        if n <= _MAX_MODES:
-            bits = 1 << np.arange(n, dtype=np.int64)
-            beta64, m_p64, m_r64 = (a.astype(np.int64) for a in (beta, m_p, m_r))
-            overlap_p, overlap_r = (beta64.T * m_p64).sum(axis=1), (beta64.T * m_r64).sum(axis=1)
-            exponents = np.array(_LADDER_EXPONENTS)
-            self._ladder_tables = (
-                beta64.T @ bits,
-                m_p64 @ bits,
-                self.beta_inv.astype(np.int64) @ bits,
-                ((m_p64 @ beta64) & 1).astype(bool),
-                ((exponents[:, 0] + overlap_p[:, None]) & 3).ravel(),
-                ((exponents[:, 1] - exponents[:, 0] + (overlap_r - overlap_p)[:, None]) & 3).ravel(),
-            )
+
+    @functools.cached_property
+    def _frame_tables(self):
+        """``frame``'s x and z tables: by byte c of a mask and its value v,
+        the x' of X^(v << 8c), an xor of columns of beta, and the z' of
+        Z^(v << 8c), an xor of rows of beta^-1."""
+        n = self.n_modes
+        tables = []
+        for matrix in (self.beta.T, self.beta_inv):
+            masks = np.zeros(n + -n % 8, np.int64)
+            masks[:n] = matrix.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
+            tables.append(np.bitwise_xor.reduce(masks.reshape(-1, 8, 1) * _BYTE_BITS, axis=1))
+        return tables
 
     # -- constructors --------------------------------------------------------
 
@@ -233,6 +226,24 @@ class Transform:
 
     # -- ladder operators ------------------------------------------------------
 
+    def frame(self, x, z):
+        """Conjugate strings by the basis change: ``(x', z', q)`` with
+        B P(x, z) B+ = i^q P(x', z') and q = |x & z| - |x' & z'| (int8).
+
+        ``x`` and ``z`` are int64 mask arrays that broadcast together.
+        x' = beta x and z' = beta^-T z are looked up a byte at a time
+        (``_frame_tables``), so no array holds an entry per string and mode.
+        Masks are int64: more than 63 modes raises ``ValueError``.
+        """
+        if self.n_modes > _MAX_MODES:
+            raise ValueError(f"masks hold at most {_MAX_MODES} modes, not {self.n_modes}")
+        x_out, z_out = np.zeros_like(x), np.zeros_like(z)
+        for c, (x_table, z_table) in enumerate(zip(*self._frame_tables)):
+            x_out ^= x_table[x >> 8 * c & 255]
+            z_out ^= z_table[z >> 8 * c & 255]
+        q = _popcount(x & z) - _popcount(x_out & z_out)
+        return x_out, z_out, q.astype(np.int8)
+
     def ladder_products(self, ladders):
         """Every string product of each row of ladders on distinct modes.
 
@@ -241,41 +252,36 @@ class Transform:
         e)``: ``x`` of shape (rows,), shared by a row's products, and ``z``
         and ``e`` of shape (rows, 2^k).  Product c takes string b_i at
         ladder i, b_0 the most significant bit of c, and is
-        i^e P(x, z) / 2^k, the paths of ``map_operator`` with D = k.
-        Masks are int64: more than 63 modes raises ``ValueError``.
+        i^e P(x, z) / 2^k, the paths of ``map_operator`` with D = k: taken
+        under Jordan-Wigner, then framed by B in one call, which raises
+        ``ValueError`` for more than 63 modes.
         """
-        if self._ladder_tables is None:
-            raise ValueError(f"ladder products support at most {_MAX_MODES} modes")
-        x_of, z_of, dz_of, anti_of, f_of, df_of = self._ladder_tables
-        mode = ladders >> 1
-        x = np.bitwise_xor.reduce(x_of[mode], axis=1)
-        z = np.bitwise_xor.reduce(z_of[mode], axis=1)
-        # as in _first_paths, every ladder being free
-        later = _ladder_order(ladders.shape[1])
-        signs = (anti_of[mode[:, :, None], mode[:, None, :]] & later).sum(axis=(1, 2))
-        f = f_of[ladders].sum(axis=1) + 2 * signs
-        z, e = _paths(x, z, f, dz_of[mode], df_of[ladders])
-        return x, z, e
+        x, z, f, dz, df = _jw_products(ladders)
+        z, e = _paths(x, z, f, dz, df)
+        x, z, q = self.frame(x[:, None], z)
+        return x[:, 0], z, (e + q) & 3
 
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.
 
-        All terms are mapped in one numpy pass.  A term of k ladders has
-        2^k paths, one string per ladder, the first ladder's choice
-        leading; as in ``trotter.expand_term``, a path's product is
-        i^f X^x Z^z with integer f and z, and x is shared by the term.  The
-        two strings of mode j differ in z by row j of beta^-1, so paths
-        reach the same z exactly when they agree on the parity of each
-        mode's choices: D distinct modes give 2^D strings, each reached
-        first by the path that takes string 0 at every ladder but its
-        mode's last.  The product is a fermion operator conjugated by the
-        basis change, so it is 0 (some mode's ladders do not alternate
-        between creation and annihilation) or each string has coefficient
-        coeff i^e / 2^D: the merged weight of its 2^(k - D) paths is
-        2^(k - D) i^e, e that of the first.  Only first paths are
+        All terms are mapped in one numpy pass under Jordan-Wigner.  A term
+        of k ladders has 2^k paths, one string per ladder, the first
+        ladder's choice leading; as in ``trotter.expand_term``, a path's
+        product is i^f X^x Z^z with integer f and z, and x is shared by the
+        term.  The two strings of mode j differ in z by Z_j, so paths reach
+        the same z exactly when they agree on the parity of each mode's
+        choices: D distinct modes give 2^D strings, each reached first by
+        the path that takes string 0 at every ladder but its mode's last.
+        The product is a fermion operator, so it is 0 (some mode's ladders
+        do not alternate between creation and annihilation) or each string
+        has coefficient coeff i^e / 2^D: the merged weight of its 2^(k - D)
+        paths is 2^(k - D) i^e, e that of the first.  Only first paths are
         enumerated.  The additions ``coeff * (i^e * 2^-D)`` of all terms
-        are sorted by string, then by term and path, and each string's are
-        summed in that order, one at a time.
+        are sorted by string, then by term and path.  Each string is then
+        framed by B (``frame``), its q added to its additions' e, and its
+        additions summed in that order, one at a time.  The frame is a
+        bijection and i^q is exact, so framing after the merge changes no
+        coefficient.
 
         The result is that of multiplying each term's ladders as
         ``PauliSum`` objects and adding the products in term order
@@ -288,12 +294,10 @@ class Transform:
         is added as given.  A term's partial products are exact and never
         grow, so the per-ladder cut is the cut of the whole product.
 
-        Masks are int64: a transform of more than 63 modes raises
-        ``ValueError``.
+        Masks are int64: ``frame`` raises ``ValueError`` for a transform of
+        more than 63 modes.
         """
         n = self.n_modes
-        if n > _MAX_MODES:
-            raise ValueError(f"map_operator supports at most {_MAX_MODES} modes, not {n}")
         terms = list(terms)
         ladders = np.array(
             [2 * mode + (1 if dagger else 0) for _, ops in terms for mode, dagger in ops],
@@ -319,7 +323,7 @@ class Transform:
         for k in sorted(set(lengths.tolist())):
             rows = np.flatnonzero(lengths == k)
             lad = ladders[first[rows, None] + np.arange(k)]
-            distinct = _first_paths(self._ladder_tables, lad, coeffs[rows], rows * n_paths, columns)
+            distinct = _first_paths(lad, coeffs[rows], rows * n_paths, columns)
             scale[rows] = coeffs[rows] * 0.5**distinct
         if not columns[0]:
             return PauliSum(n)
@@ -339,9 +343,10 @@ class Transform:
         edge[1:-1] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
         bounds = np.flatnonzero(edge)
         heads, counts = bounds[:-1], bounds[1:] - bounds[:-1]
-        x = x[heads]
-        z = z[heads]
+        x, z, q = self.frame(x[heads], z[heads])
         e = e[order]
+        e += q.repeat(counts)
+        e &= 3
         place = place[order]
         del order
         value = scale[place // n_paths]

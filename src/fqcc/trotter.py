@@ -12,11 +12,11 @@ class.  This module provides:
 
 - ``expand_term``: excitation -> rotation list under a chosen transform,
   the one-excitation call of the pool expansion (``_expand_pool``), which
-  takes every term's 2^k string products from the transform's ladder
-  tables in one pass (``Transform.ladder_products``), each with an
-  integer power of i (no complex arithmetic and no merge; T+ is the
-  conjugate on the same strings), and sorts each term's strings on mask
-  keys,
+  takes every term's 2^k string products in one pass per ladder count
+  (``Transform.ladder_products``: Jordan-Wigner products in closed form,
+  conjugated once by the encoding's basis change), each with an integer
+  power of i (no complex arithmetic and no merge; T+ is the conjugate on
+  the same strings), and sorts each term's strings on mask keys,
 - ``term_circuit``: circuit emission through one block emitter that
   reads each string's letters from its masks and appends shared,
   already-validated H / S / Sdg / CNOT gates
@@ -170,17 +170,8 @@ def _expand_pool(seqs, transform, thetas, *, anti):
             dtype=np.int64,
         )
         x, z, e = transform.ladder_products(ladders)
-        ordered = np.sort(z, axis=1)
         kept = (e & 1) == parity
         expected = 1 << (k - 1)
-        collide = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        count = kept.sum(axis=1)
-        if collide.any() or (count != expected).any():
-            for seq, clash, c in zip(group, collide.tolist(), count.tolist()):
-                if clash:
-                    raise ValueError(f"{seq.name}: ladder products collide")
-                if c != expected:
-                    raise ValueError(f"{seq.name} expanded to {c} strings, expected {expected}")
         z = z[kept].reshape(len(group), expected)
         order = _canonical_order(x, z, n)
         positive = e[kept][order] == plus
@@ -214,15 +205,17 @@ def expand_term(seq, transform, theta=1.0, *, anti=False):
     keeps the fermion-label wires whose letter is non-identity in every
     string.
 
-    T = a+... a... is enumerated as its 2^k string products on the
-    transform's ladder strings (``Transform.ladder_products``), each with
-    an integer power of i; no complex number is formed.  A product is
-    carried as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z' adds f' and
-    twice |z & x'| to f; every ladder of one mode shares its x, so x is
-    common to all products.  The products never merge: the two strings of
-    mode j differ by z = row j of beta^-1, and the modes are distinct rows
-    of an invertible matrix, so the 2^k z masks are distinct (checked).
-    As every coefficient is i^e / 2^k and every string is Hermitian, T+
+    T = a+... a... is enumerated as its 2^k string products
+    (``Transform.ladder_products``), each with an integer power of i; no
+    complex number is formed.  The products are taken under Jordan-Wigner
+    and then conjugated by the basis change B (``Transform.frame``).  A
+    product is carried as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z'
+    adds f' and twice |z & x'| to f; every ladder of one mode shares its
+    x, so x is common to all products.  The products never merge: under
+    Jordan-Wigner the two strings of mode j differ by Z_j, so products
+    over distinct modes have distinct z masks, and the frame is a
+    bijection (``oracles.expand_term_reference`` checks this).  As every
+    coefficient is i^e / 2^k and every string is Hermitian, T+
     has the conjugate coefficient on the same string: T + T+ keeps the
     even e with magnitude 2 / 2^k (sign + for e = 0) and T - T+ the odd e
     with magnitude 4 / 2^k (sign + for e = 3, the rotation angle being the

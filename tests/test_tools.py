@@ -37,6 +37,8 @@ def test_planner_layers_reports_h4():
     for layers in h4.values():
         # one pool expansion per plan; compression expands nothing
         assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3
+        # one frame per ladder count (singles and doubles) per expansion, inside it
+        assert layers["frame_calls"] == 6 and layers["frame_s"] < layers["expand_s"]
         assert layers["compression_calls"] == layers["held_karp_calls"] == 3
         # one batched DP per Held-Karp call, inside it
         assert layers["dp_calls"] == 3 and layers["dp_s"] < layers["held_karp_s"]
@@ -58,7 +60,7 @@ def test_planner_layers_reports_h4():
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
-                "plan", "expand", "compression", "held_karp", "dp", "chaining", "junctions",
+                "plan", "expand", "frame", "compression", "held_karp", "dp", "chaining", "junctions",
                 "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
             )
         )

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import build_hamiltonian, excitation_generator, uccsd_pool
+from fqcc.fermions import OrbitalSequence, build_hamiltonian, excitation_generator, uccsd_pool
 from fqcc.paulis import COEFF_TOL, PauliString, PauliSum
 from fqcc.transform import Transform
+from fqcc.trotter import expand_term
 
 import oracles
 
@@ -34,11 +35,11 @@ def _bits(mask):
 
 
 def _sets(t, j):
-    """U(j), P(j), R(j) read off the masks of mode j's ladder strings in
-    the transform's mapping tables: the x mask, string 0's z and the z
-    difference of the two strings."""
-    x_of, z_of, dz_of = t._ladder_tables[:3]
-    x, z_parity, z_remainder = int(x_of[j]), int(z_of[j]), int(z_of[j] ^ dz_of[j])
+    """U(j), P(j), R(j) read off mode j's ladder strings under ``t``: its
+    Jordan-Wigner strings X_j Z_{<j} and Y_j Z_{<j} passed through
+    ``t.frame`` give the x mask, string 0's z and string 1's z."""
+    x, z, _ = t.frame(np.int64(1 << j), np.array([(1 << j) - 1, (2 << j) - 1], dtype=np.int64))
+    x, z_parity, z_remainder = int(x), int(z[0]), int(z[1])
     return (
         tuple(i for i in _bits(x) if i != j),
         _bits(z_parity),
@@ -342,7 +343,29 @@ class TestLadderStrings:
 
 class TestFrameRule:
     """A linear encoding is Jordan-Wigner followed by the basis permutation
-    P: x -> beta x, so every mapped operator is P (JW image) P^T."""
+    P: x -> beta x, so every mapped operator is P (JW image) P^T, and
+    ``Transform.frame``, which maps and expands through that rule, is the
+    dense conjugation by ``basis_circuit``."""
+
+    @given(
+        beta_strategy(1, 6),
+        st.integers(0, (1 << 6) - 1),
+        st.integers(0, (1 << 6) - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_frame_is_dense_conjugation(self, beta, x, z):
+        """i^q P(x', z') equals B P(x, z) B+, B built from ``basis_circuit``."""
+        t = Transform(beta)
+        n = t.n_modes
+        x &= (1 << n) - 1
+        z &= (1 << n) - 1
+        xs, zs, qs = t.frame(np.array([x], dtype=np.int64), np.array([z], dtype=np.int64))
+        b = _basis_matrix(t)
+        want = b @ oracles.string_matrix(n, PauliString(n, x, z).letters()) @ b.conj().T
+        got = 1j ** int(qs[0]) * oracles.string_matrix(
+            n, PauliString(n, int(xs[0]), int(zs[0])).letters()
+        )
+        assert np.allclose(got, want, atol=1e-12)
 
     @staticmethod
     def _permutation(t):
@@ -405,6 +428,12 @@ class TestMapOperator:
         assert oracles.ladder_strings(t)[63][0][0][0] == 1 << 63
         with pytest.raises(ValueError, match="at most 63 modes"):
             t.map_operator([(1.0, ((0, True), (0, False)))])
+
+    def test_more_than_63_modes_rejected_by_expansion(self):
+        t = Transform.jordan_wigner(64)
+        seq = OrbitalSequence("double", (2, 63, 0, 1))
+        with pytest.raises(ValueError, match="at most 63 modes"):
+            expand_term(seq, t)
 
     def test_mode_out_of_range(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,8 @@ the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
     expand       trotter._expand_pool: the pool's expansion, one per plan
+    frame        transform.Transform.frame: the basis change of one ladder
+                 count's products, inside expand
     compression  trotter.bosonic_reduce
     held_karp    trotter._dp_choices: savings and breakdown arrays and the
                  batched DP, one per plan
@@ -64,6 +66,7 @@ REPEAT = 3  # plans per system and encoding
 LAYERS = {
     "plan": (trotter, "plan_ansatz"),
     "expand": (trotter, "_expand_pool"),
+    "frame": (Transform, "frame"),
     "compression": (trotter, "bosonic_reduce"),
     "held_karp": (trotter, "_dp_choices"),
     "dp": (trotter, "_max_paths"),
