@@ -277,9 +277,3 @@ def uccsd_pool(occ, virt):
     pool.sort(key=OrbitalSequence.sort_key)
     return pool
 
-
-def excitation_generator(seq: OrbitalSequence, n_modes) -> FermionOperator:
-    """T - T+ for a single excitation with unit amplitude."""
-    fwd = seq.term()
-    rev = fwd.adjoint()
-    return FermionOperator(n_modes, [fwd, FermionTerm(-rev.coefficient, rev.ops)])

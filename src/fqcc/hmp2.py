@@ -28,11 +28,12 @@ fixed-(N_alpha, N_beta) sector of occupation masks (``simulate.spin_sector``):
 the Hamiltonian, the ansatz generators and every candidate conserve N and
 S_z, so the whole loop needs only the sector's amplitudes.  H's ladder form
 is built once per run and serves both the classical cycle 0 and the
-mapping; H, H without its identity and each generator are compiled once per
-run; Zt is summed from the compiled generators.  The loop carries the
-ansatz's values as a tuple parallel to its terms, and each new term is
-appended last, so the sign of its starting value is resolved by applying
-its one exponential to the cycle's state.
+mapping; H and H without its identity are compiled once per run; each
+generator is built once per run from the occupation masks
+(``simulate.compile_generator``), and Zt stacks their weighted rows.  The
+loop carries the ansatz's values as a tuple parallel to its terms, and each
+new term is appended last, so the sign of its starting value is resolved by
+applying its one exponential to the cycle's state.
 
 ``run_hmp2_loop`` is the one path through these steps: it forms N_a with
 ``first_order_numerators``, divides by ``FockData.denominator`` for the
@@ -59,7 +60,7 @@ from .fermions import (
 )
 from .paulis import CompiledSum, PauliSum, same_sector
 from .simulate import (
-    AnsatzOp, Statevector, _apply_exponential, _occupation_image, apply_ansatz,
+    AnsatzOp, RowKernel, Statevector, _apply_exponential, _occupation_image, apply_ansatz,
     compile_generator, hf_state, spin_sector, vqe_minimize,
 )
 
@@ -169,14 +170,18 @@ def _mp2(ham, fock, pool, fermion) -> MP2Result:
 # ---------------------------------------------------------------------------
 
 
-def ztilde_operator(ansatz: AnsatzOp) -> CompiledSum:
+def ztilde_operator(ansatz: AnsatzOp) -> RowKernel:
     """Parameter-weighted sum of the ansatz generators (first-order ansatz).
 
-    Summed from the ansatz's compiled generators, each weighted by its
-    term's value, on its sector.
+    The stack of each term's generator row weighted by its value, over the
+    terms with a nonzero value, on the ansatz's sector: an apply adds the
+    weighted generators' entries in term order.
     """
-    parts = [(value, kernel) for value, kernel in zip(ansatz.values, ansatz.generators) if value]
-    return CompiledSum.combination(parts, ansatz.n_qubits, ansatz.sector)
+    rows = [(value, kernel) for value, kernel in zip(ansatz.values, ansatz.generators) if value]
+    shape = (len(rows), 1 << ansatz.n_qubits if ansatz.sector is None else len(ansatz.sector))
+    values = np.array([v * kernel.values[0] for v, kernel in rows], dtype=np.complex128)
+    columns = np.array([kernel.columns[0] for _, kernel in rows], dtype=np.intp)
+    return RowKernel(ansatz.n_qubits, ansatz.sector, values.reshape(shape), columns.reshape(shape))
 
 
 def _without_identity(op: PauliSum) -> PauliSum:
@@ -198,7 +203,7 @@ def first_order_numerators(
     state: Statevector,
     hamiltonian: PauliSum | CompiledSum,
     alphas,
-    ztilde: PauliSum | CompiledSum | None,
+    ztilde: PauliSum | CompiledSum | RowKernel | None,
     table: dict | None = None,
 ) -> dict[str, float]:
     """The correction bracket N_a for each candidate excitation.
@@ -450,7 +455,7 @@ def run_hmp2_loop(
     terms: list[OrbitalSequence] = list(seeds)
     start = tuple(amplitudes0[s.name] for s in seeds)  # VQE's starting values
 
-    generators: dict[OrbitalSequence, CompiledSum] = {}  # one per excitation on the sector
+    generators: dict[OrbitalSequence, RowKernel] = {}  # one per excitation on the sector
     if not terms:
         selection = select_next(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:
@@ -525,14 +530,15 @@ def run_hmp2_loop(
 
 
 def write_cycles_csv(reports, path) -> None:
-    """Per-cycle convergence table (the data behind energy-descent plots)."""
+    """Per-cycle convergence table (the data behind energy-descent plots),
+    with each cycle's VQE iterations, final gradient norm and stop message."""
     rows = reports.reports if isinstance(reports, HMP2Run) else reports
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
                 "cycle", "n_terms", "e_vqe", "e_corr2", "e_total", "chosen_term", "f_score",
-                "vqe_iterations", "vqe_message",
+                "vqe_iterations", "vqe_grad_norm", "vqe_message",
             ]
         )
         for r in rows:
@@ -547,6 +553,7 @@ def write_cycles_csv(reports, path) -> None:
                     r.chosen or "",
                     score,
                     r.vqe_iterations,
+                    f"{r.vqe_grad_norm:.12g}",
                     r.vqe_message,
                 ]
             )

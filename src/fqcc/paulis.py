@@ -251,7 +251,6 @@ class PauliSum:
 # ---------------------------------------------------------------------------
 
 _PARITY_LUT = None
-_INDEX_CACHE: dict[int, np.ndarray] = {}
 
 
 def _parity_lut():
@@ -264,14 +263,6 @@ def _parity_lut():
     return _PARITY_LUT
 
 
-def _indices(n_qubits):
-    idx = _INDEX_CACHE.get(n_qubits)
-    if idx is None:
-        idx = np.arange(1 << n_qubits, dtype=np.int64)
-        _INDEX_CACHE[n_qubits] = idx
-    return idx
-
-
 def _parity_of(arr):
     folded = arr
     if folded.dtype.itemsize * 8 > 32:
@@ -280,7 +271,7 @@ def _parity_of(arr):
     return _parity_lut()[folded & 0xFFFF]
 
 
-_ENTRY_LIMIT = 1 << 23  # cap on the stored nonzeros of a sum of several X-mask groups
+_ENTRY_LIMIT = 1 << 23  # cap on the stored nonzeros of a sum's row layout
 SECTOR_TOL = 1e-10  # largest matrix element out of a sector that compiling onto it allows
 
 
@@ -330,20 +321,14 @@ class CompiledSum:
     nonzeros, laid out by row: ``values`` and ``columns`` are (width, dim)
     arrays whose column r holds row r's nonzeros in group order, padded
     with zeros to the widest row (81 for water's Hamiltonian on its spin
-    sector, 1 for an excitation generator).  An apply is then one gather,
-    one multiply and one ``sum(axis=0)``.  That sum adds each row's entries
-    in slot order, i.e. in group order, exactly as a loop adding one
-    group's ``table * vec[partner]`` at a time would, and the padding adds
-    exact zeros, so the result does not depend on the layout bit for bit
-    (``oracles.compiled_apply_reference`` keeps that loop).  A sum of
-    several groups with more than ``_ENTRY_LIMIT`` nonzeros keeps no
-    layout and rebuilds it on each apply; ``values`` and ``columns`` are
-    then None.
-
-    A sum whose strings share one X mask has K v = t * v[pos] with t =
-    ``values[0]`` and pos = ``columns[0]``, and K^2 is diagonal: ``square``
-    holds d = t * t[pos] (None for any other sum), so exp(theta K) needs
-    one gather (``simulate._apply_exponential``).
+    sector).  An apply is then one gather, one multiply and one
+    ``sum(axis=0)``.  That sum adds each row's entries in slot order, i.e.
+    in group order, exactly as a loop adding one group's ``table *
+    vec[partner]`` at a time would, and the padding adds exact zeros, so the
+    result does not depend on the layout bit for bit
+    (``oracles.compiled_apply_reference`` keeps that loop).  A sum with more
+    than ``_ENTRY_LIMIT`` nonzeros keeps no layout and rebuilds it on each
+    apply; ``values`` and ``columns`` are then None.
 
     With a ``sector`` (the sorted basis indices a vector is restricted to,
     e.g. the encoded fixed-(N_alpha, N_beta) determinants) vectors hold one
@@ -353,7 +338,7 @@ class CompiledSum:
     ``SECTOR_TOL``; the entries below that are dropped.
     """
 
-    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "values", "columns", "square")
+    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "values", "columns")
 
     def __init__(self, op: PauliSum, sector=None):
         if op.n_qubits > 60:
@@ -363,63 +348,15 @@ class CompiledSum:
             flips.append(x)
             masks.append(z)
             weights.append(c * 1j ** ((x & z).bit_count() % 4))
-        self._set_strings(op.n_qubits, sector, flips, masks, weights)
-        self._store(*self._tables())
-
-    def _set_strings(self, n_qubits, sector, flips, masks, weights):
-        self.n_qubits = n_qubits
+        self.n_qubits = op.n_qubits
         self.sector = None if sector is None else np.asarray(sector, dtype=np.int64)
         self.flips = np.asarray(flips, dtype=np.int64)
         self.masks = np.asarray(masks, dtype=np.int64)
         self.weights = np.asarray(weights, dtype=np.complex128)
-
-    def _store(self, tables, columns):
-        """Pack stacked group tables (``_tables``) into the row layout, kept
-        unless a sum of several groups is over the cap, and set ``square``."""
-        values, columns, nonzeros = _pack(tables, columns)
-        one_group = len(tables) == 1
-        kept = one_group or nonzeros <= _ENTRY_LIMIT
+        values, columns, nonzeros = _pack(*self._tables())
+        kept = nonzeros <= _ENTRY_LIMIT
         self.values = values if kept else None
         self.columns = columns if kept else None
-        self.square = values[0] * values[0][columns[0]] if one_group else None
-
-    @classmethod
-    def combination(cls, parts, n_qubits, sector=None):
-        """sum of c * K over (c, K) pairs compiled on one space.
-
-        Built from the parts' stored entries: each X-mask group's table is
-        the weighted sum of the parts' tables for that mask, added part by
-        part, so no phase is computed again.  If a part keeps no layout,
-        the sum is compiled from its strings instead.
-        """
-        strings: dict[tuple, complex] = {}
-        for c, part in parts:
-            if part.n_qubits != n_qubits or not same_sector(part.sector, sector):
-                raise ValueError("parts are compiled on different spaces")
-            for f, m, w in zip(part.flips.tolist(), part.masks.tolist(), part.weights.tolist()):
-                strings[f, m] = strings.get((f, m), 0.0) + c * w
-        out = cls.__new__(cls)
-        keys = list(strings)
-        out._set_strings(
-            n_qubits, sector, [f for f, _ in keys], [m for _, m in keys], list(strings.values())
-        )
-        if any(part.values is None for _, part in parts):
-            out._store(*out._tables())
-            return out
-        group = {f: g for g, f in enumerate(dict.fromkeys(out.flips.tolist()))}
-        flips = np.array(list(group), dtype=np.int64)
-        order = np.argsort(flips)
-        tables = np.zeros((len(group), out.dim), dtype=np.complex128)
-        columns = np.zeros((len(group), out.dim), dtype=np.intp)
-        points = _indices(n_qubits) if sector is None else out.sector
-        for c, part in parts:
-            slot, row = np.nonzero(part.values)
-            cols = part.columns[slot, row]
-            g = order[np.searchsorted(flips, points[row] ^ points[cols], sorter=order)]
-            tables[g, row] += c * part.values[slot, row]
-            columns[g, row] = cols
-        out._store(tables, columns)
-        return out
 
     @property
     def dim(self):
@@ -449,7 +386,7 @@ class CompiledSum:
             # parity((i^f) & m) splits into parity(i&m) and a sign bit
             signed = self.weights[members] * (1.0 - 2.0 * _parity_of(masks & f))
             if sector is None:
-                idx = _indices(self.n_qubits)
+                idx = np.arange(1 << self.n_qubits, dtype=np.int64)
                 tables[g] = _phase_table(idx, masks, signed)
                 columns[g] = idx ^ f
                 continue

@@ -11,11 +11,11 @@ The ansatz is an ordered product of exponentials exp(t_j (T_j - T_j+)), one
 per excitation, applied term-exactly: an excitation's modes are distinct
 (``OrbitalSequence`` rejects any other), so its generator K satisfies
 K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
-(1 - cos(t)) K^2.  The generator's strings share one X mask, so K is one
-gather and K^2 is diagonal: an exponential costs one gather, and no matrix
-is ever built.
-``compile_generator`` is the one place an excitation becomes such a kernel;
-an ansatz holds one per term, in term order, and ansatzes built over one
+(1 - cos(t)) K^2.  On occupation masks K is a signed permutation, so K is
+one gather and K^2 is diagonal: an exponential costs one gather, and no
+matrix or Pauli string is ever built.  ``compile_generator`` is the one
+place an excitation becomes such a kernel, read off the ladder rule; an
+ansatz holds one per term, in term order, and ansatzes built over one
 table share them.  Its parameters are a float tuple in the same order, one
 angle per term; a tuple of the wrong length raises ``ValueError``.  Term
 order is preserved because a first-order product formula is
@@ -34,20 +34,19 @@ operators, and mixing spaces raises ``ValueError``.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .fermions import FermionOperator, OrbitalSequence, excitation_generator, spin_of
-from .paulis import CompiledSum, PauliSum, same_sector
+from .fermions import FermionOperator, OrbitalSequence, spin_of
+from .paulis import CompiledSum, PauliSum, _parity_of, same_sector
 from .transform import Transform
 
 __all__ = [
-    "spin_sector", "Statevector", "hf_state", "compile_generator", "AnsatzOp", "apply_ansatz",
-    "VQEResult", "vqe_minimize",
+    "spin_sector", "Statevector", "hf_state", "RowKernel", "compile_generator", "AnsatzOp",
+    "apply_ansatz", "VQEResult", "vqe_minimize",
 ]
 
 _NORM_TOL = 1e-9
@@ -58,15 +57,9 @@ def _check_space(what, sector, other):
         raise ValueError(f"{what} lives on a different sector")
 
 
-@functools.cache
-def _jordan_wigner(n_modes: int) -> Transform:
-    """The encoding of the occupation basis, built once per mode count."""
-    return Transform.jordan_wigner(n_modes)
-
-
 def _occupation_image(op: FermionOperator) -> PauliSum:
-    """A fermion operator as a Pauli sum on the occupation basis."""
-    return op.to_pauli(_jordan_wigner(op.n_modes))
+    """A fermion operator as a Pauli sum on the occupation basis (JW)."""
+    return op.to_pauli(Transform.jordan_wigner(op.n_modes))
 
 
 def spin_sector(n_modes: int, n_alpha: int, n_beta: int) -> np.ndarray:
@@ -143,23 +136,82 @@ def hf_state(n_electrons: int, n_modes: int, *, sector=None) -> Statevector:
     return Statevector(n_modes, amps, sector)
 
 
-def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> CompiledSum:
+@dataclass(frozen=True, slots=True)
+class RowKernel:
+    """An operator by rows: ``values`` and ``columns`` are (width, dim), and
+    column r holds row r's entries and the amplitudes they multiply, so an
+    apply is one gather and a ``sum(axis=0)`` in slot order.  A generator
+    (``compile_generator``) has width 1, 0 times its own amplitude in a row
+    without an entry, and ``square``, the diagonal of K^2; Zt
+    (``hmp2.ztilde_operator``) stacks one weighted generator row per term.
+    """
+
+    n_qubits: int
+    sector: np.ndarray | None
+    values: np.ndarray
+    columns: np.ndarray
+    square: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.values)
+
+    def apply(self, vec):
+        return (self.values * vec[self.columns]).sum(axis=0)
+
+
+def _apply_ladders(masks: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """``hmp2._apply_ladder`` on every mask at once: (signs, masks), both 0
+    where the product annihilates the state.  The sign's parity is that of
+    the xor of the occupied modes below each acted-on mode."""
+    alive = np.ones(len(masks), dtype=bool)
+    below = np.zeros_like(masks)
+    for op in reversed(ops):
+        bit = 1 << op.mode
+        alive &= ((masks & bit) == 0) == op.dagger
+        below ^= masks & (bit - 1)
+        masks = masks ^ bit
+    signs = (1 - 2 * _parity_of(below).astype(np.int64)) * alive
+    return signs, np.where(alive, masks, 0)
+
+
+def _generator_kernel(seq: OrbitalSequence, n_modes: int, sector) -> RowKernel:
+    """T - T+ as a width-1 ``RowKernel``: row r holds +s at c where
+    T+|r> = s|c>, or -s at c where T|r> = s|c>."""
+    if sector is not None:
+        sector = np.asarray(sector, dtype=np.int64)
+    points = np.arange(1 << n_modes, dtype=np.int64) if sector is None else sector
+    term = seq.term()
+    values = np.zeros(len(points), dtype=np.complex128)
+    columns = np.arange(len(points), dtype=np.intp)
+    for ops, sense in ((term.adjoint().ops, 1), (term.ops, -1)):
+        signs, partners = _apply_ladders(points, ops)
+        rows = np.flatnonzero(signs)
+        partners = partners[rows]
+        if sector is not None:
+            pos = np.minimum(np.searchsorted(sector, partners), len(sector) - 1)
+            if np.any(sector[pos] != partners):
+                raise ValueError(f"{seq.name} couples the sector to states outside it")
+            partners = pos
+        values[rows] = sense * signs[rows]
+        columns[rows] = partners
+    return RowKernel(n_modes, sector, values[None, :], columns[None, :], values * values[columns])
+
+
+def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> RowKernel:
     """T - T+ for one excitation on ``n_modes`` modes, compiled on the
     occupation basis restricted to the sector (None: the full space).
 
-    ``table`` (excitation -> compiled generator) is shared, not copied: an
-    excitation already in it is returned as is, so callers that pass one
-    table per sector compile each generator once.  The image must be one
-    X-mask group, so that the compiled sum carries the diagonal of K^2 that
-    ``_apply_exponential`` uses; any other raises ``ValueError``.
+    Built by the ladder rule on the occupation masks: each state meets at
+    most one of T and T+, so K has one entry per row.  A sector state that
+    K takes out of the sector raises ``ValueError``.  ``table`` (excitation
+    -> compiled generator) is shared, not copied: an excitation already in
+    it is returned as is, so callers that pass one table per sector compile
+    each generator once.
     """
-    compiled = table.get(seq)
-    if compiled is None:
-        compiled = CompiledSum(_occupation_image(excitation_generator(seq, n_modes)), sector)
-        if compiled.square is None:
-            raise ValueError(f"the image of {seq.name} is not one X-mask group")
-        table[seq] = compiled
-    return compiled
+    kernel = table.get(seq)
+    if kernel is None:
+        kernel = table[seq] = _generator_kernel(seq, n_modes, sector)
+    return kernel
 
 
 def _term_values(values, n_terms: int) -> tuple:
@@ -174,8 +226,8 @@ class AnsatzOp:
     """An ordered excitation list on ``n_qubits`` modes, one qubit per
     mode, and one value per term.
 
-    ``generators`` and ``values`` run parallel to ``terms``: the compiled
-    image of each term's T - T+ on the ansatz's sector (None: the full
+    ``generators`` and ``values`` run parallel to ``terms``: each term's
+    T - T+ as a ``RowKernel`` on the ansatz's sector (None: the full
     space), built by ``compile_generator`` when the ansatz is built, and
     the term's angle.
     """
@@ -216,12 +268,12 @@ class AnsatzOp:
         return AnsatzOp(self.n_qubits, self.terms, self.generators, values, self.sector)
 
 
-def _apply_generator(kernel: CompiledSum, vec):
+def _apply_generator(kernel: RowKernel, vec):
     """K vec for a generator (``compile_generator``): one gather."""
     return kernel.values[0] * vec[kernel.columns[0]]
 
 
-def _apply_exponential(kernel: CompiledSum, theta: float, vec, kvec=None):
+def _apply_exponential(kernel: RowKernel, theta: float, vec, kvec=None):
     """exp(theta K) vec in closed form, for a generator with K^3 = -K.
 
     K v = t * v[pos] is one gather, and K^2 v = t * t[pos] * v[pos[pos]] =

@@ -20,8 +20,12 @@ once emitted.  ``expand_term_reference``, ``dp_choices_reference``,
 as it ran on Python ints: one expansion per term, each savings matrix
 filled pair by pair, and one junction per oriented pair tried.
 ``compiled_apply_reference`` keeps the X-mask group loop that
-``CompiledSum.apply`` once ran, and ``energy_and_gradient_reference`` the
-VQE sweep on it, with two applies per exponential.  The last two sections
+``CompiledSum.apply`` once ran, ``energy_and_gradient_reference`` the
+VQE sweep on it, with two applies per exponential, and
+``stacked_sum_reference`` the one-generator-at-a-time loop that Zt's
+stacked rows replace.  ``encoded_generators`` keeps the Pauli route
+(``excitation_generator`` mapped and compiled) that
+``simulate.compile_generator`` once took, under any encoding.  The last two sections
 hold what only tests call on fqcc's own objects: the dense self-checks (circuit unitaries and statevectors, the
 anticommutation check, Clifford conjugation of a string, a term's signed
 rotations), which run the package's own gate matrices and tableau update;
@@ -629,7 +633,7 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
     Builds T - T+ (or T + T+) as a FermionOperator, maps both products
     through ``to_pauli``, and sorts the strings by their letter words.
     """
-    from fqcc.fermions import FermionOperator, excitation_generator
+    from fqcc.fermions import FermionOperator
     from fqcc.trotter import TrotterTerm
 
     n = transform.n_modes
@@ -1437,32 +1441,33 @@ def compiled_tables_reference(compiled):
     return out
 
 
-def compiled_apply_reference(compiled, vec, parts=None):
+def compiled_apply_reference(compiled, vec):
     """``compiled @ vec`` by the group loop ``CompiledSum.apply`` once ran:
     out starts at 0 and adds ``table * vec[partner]`` one X-mask group at a
-    time.  With ``parts`` ((c, K) pairs, as ``CompiledSum.combination``
-    takes them) each group's table is the sum of c times the parts' tables
-    for that mask, added part by part, as the combination once built it."""
-    if parts is None:
-        groups = compiled_tables_reference(compiled)
-    else:
-        merged = {}
-        for c, part in parts:
-            for f, table, partner in compiled_tables_reference(part):
-                prev = merged.get(f)
-                merged[f] = (c * table if prev is None else prev[0] + c * table, partner)
-        groups = [(f, table, partner) for f, (table, partner) in merged.items()]
+    time."""
     out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
-    for _, table, partner in groups:
+    for _, table, partner in compiled_tables_reference(compiled):
         out += table * vec[partner]
+    return out
+
+
+def stacked_sum_reference(parts, vec):
+    """sum of c * K vec over (c, K) pairs of a value and a generator
+    (``simulate.RowKernel`` of width 1), by a loop: out starts at 0 and adds
+    ``(c * t) * vec[pos]`` one generator at a time, with t and pos its
+    row's values and columns, as ``hmp2.ztilde_operator``'s stack must sum
+    them."""
+    out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
+    for c, kernel in parts:
+        out += (c * kernel.values[0]) * vec[kernel.columns[0]]
     return out
 
 
 def exponential_reference(kernel, theta, vec):
     """exp(theta K) vec = vec + sin(theta) K vec + (1 - cos(theta)) K (K vec)
-    for a generator with K^3 = -K, by two applies of the group loop."""
-    kv = compiled_apply_reference(kernel, vec)
-    kkv = compiled_apply_reference(kernel, kv)
+    for a generator with K^3 = -K, by two applies."""
+    kv = kernel.apply(vec)
+    kkv = kernel.apply(kv)
     return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
 
 
@@ -1481,7 +1486,7 @@ def energy_and_gradient_reference(x, hamiltonian, ansatz, reference):
     ket, bra = psi, hpsi
     for j in range(len(x) - 1, -1, -1):
         kernel = ansatz.generators[j]
-        grad[j] = 2.0 * float(np.real(np.vdot(bra, compiled_apply_reference(kernel, ket))))
+        grad[j] = 2.0 * float(np.real(np.vdot(bra, kernel.apply(ket))))
         if j:
             ket = exponential_reference(kernel, -x[j], ket)
             bra = exponential_reference(kernel, -x[j], bra)
@@ -1607,13 +1612,7 @@ def anticommutation_check(n_modes, transform, tol=1e-10):
     eye = np.eye(dim)
 
     def dense(mode, dagger):
-        op = CompiledSum(map_ladder(transform, mode, dagger))
-        m = np.empty((dim, dim), dtype=complex)
-        for col in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[col] = 1.0
-            m[:, col] = op.apply(e)
-        return m
+        return operator_matrix(CompiledSum(map_ladder(transform, mode, dagger)), dim)
 
     a = [dense(j, False) for j in range(n_modes)]
     ad = [dense(j, True) for j in range(n_modes)]
@@ -1667,18 +1666,46 @@ def encoded_amplitudes(transform, vec):
     return out
 
 
+def excitation_generator(seq, n_modes):
+    """T - T+ for a single excitation with unit amplitude, as the
+    FermionOperator that the Pauli route maps."""
+    from fqcc.fermions import FermionOperator, FermionTerm
+
+    fwd = seq.term()
+    rev = fwd.adjoint()
+    return FermionOperator(n_modes, [fwd, FermionTerm(-rev.coefficient, rev.ops)])
+
+
 def encoded_generators(seqs, transform, sector=None):
     """{excitation: its T - T+ mapped under ``transform`` and compiled on
     ``sector``}, a table that ``simulate.AnsatzOp.build`` and
     ``hmp2.first_order_numerators`` take in place of the occupation-basis
-    generators they would compile."""
-    from fqcc.fermions import excitation_generator
+    generators they would compile.
+
+    This is the Pauli route ``simulate.compile_generator`` once took: the
+    image is one X-mask group (checked), so its compiled row layout has
+    width 1, and it is handed over as a ``simulate.RowKernel`` carrying
+    the diagonal of K^2.
+    """
     from fqcc.paulis import CompiledSum
+    from fqcc.simulate import RowKernel
 
     n = transform.n_modes
-    return {
-        seq: CompiledSum(excitation_generator(seq, n).to_pauli(transform), sector) for seq in seqs
-    }
+    out = {}
+    for seq in seqs:
+        compiled = CompiledSum(excitation_generator(seq, n).to_pauli(transform), sector)
+        assert len(set(compiled.flips.tolist())) == 1, f"{seq.name}: not one X-mask group"
+        values, columns = compiled.values, compiled.columns
+        square = values[0] * values[0][columns[0]]
+        out[seq] = RowKernel(n, compiled.sector, values, columns, square)
+    return out
+
+
+def operator_matrix(op, dim):
+    """The dense matrix of any operator with an ``apply``, one column per
+    basis vector of its ``dim``-long space."""
+    eye = np.eye(dim, dtype=complex)
+    return np.column_stack([op.apply(eye[col]) for col in range(dim)])
 
 
 def map_ladder(transform, mode, dagger):

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqcc import hmp2
+from fqcc import hmp2, simulate
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import (
     FockData,
     MolecularHamiltonian,
     build_hamiltonian,
-    excitation_generator,
     uccsd_pool,
 )
 from fqcc.hmp2 import (
@@ -203,7 +202,7 @@ class TestCorrectionBracket:
         pool = uccsd_pool(range(2), range(2, 4))
         values = [0.1 * (i + 1) for i in range(len(pool))]
         zt = ztilde_operator(AnsatzOp.build(4, pool, values))
-        m = _sum_matrix(zt)
+        m = oracles.operator_matrix(zt, 16)
         assert np.max(np.abs(m + m.conj().T)) < 1e-12
 
     def test_ztilde_is_the_weighted_generator_sum(self, h2):
@@ -213,10 +212,12 @@ class TestCorrectionBracket:
         pool = uccsd_pool(range(2), range(2, 4))
         values = [0.1 * (i + 1) for i in range(len(pool))]
         want = sum(
-            v * _sum_matrix(excitation_generator(s, 4).to_pauli(tr)) for s, v in zip(pool, values)
+            v * _sum_matrix(oracles.excitation_generator(s, 4).to_pauli(tr))
+            for s, v in zip(pool, values)
         )
         ansatz = AnsatzOp.build(4, pool, values, table=oracles.encoded_generators(pool, tr))
-        assert np.max(np.abs(_sum_matrix(ztilde_operator(ansatz)) - want)) < 1e-14
+        zt = ztilde_operator(ansatz)
+        assert np.max(np.abs(oracles.operator_matrix(zt, 16) - want)) < 1e-14
         sector = oracles.encoded_sector(tr, 1, 1)
         table = oracles.encoded_generators(pool, tr, sector)
         on_sector = ztilde_operator(AnsatzOp.build(4, pool, values, table=table, sector=sector))
@@ -373,6 +374,8 @@ class TestRunLoop:
             assert float(row["e_total"]) == pytest.approx(report.e_total, abs=1e-9)
             assert row["chosen_term"] == (report.chosen or "")
             assert int(row["vqe_iterations"]) == report.vqe_iterations
+            grad_norm = float(row["vqe_grad_norm"])
+            assert grad_norm == pytest.approx(report.vqe_grad_norm, rel=1e-10)
             assert row["vqe_message"] == report.vqe_message
         assert rows[0]["vqe_message"] == "no parameters"
         assert all(int(row["vqe_iterations"]) > 0 for row in rows[1:])
@@ -545,13 +548,13 @@ class TestWaterOnTheSector:
         zt = ztilde_operator(ansatz)
         fresh = first_order_numerators(state, h, pool, zt)
         compiled = []
-        init = CompiledSum.__init__
+        build = simulate._generator_kernel
 
-        def counting(self, op, sector=None):
-            compiled.append(op)
-            init(self, op, sector)
+        def counting(seq, n_modes, sector):
+            compiled.append(seq)
+            return build(seq, n_modes, sector)
 
-        monkeypatch.setattr(CompiledSum, "__init__", counting)
+        monkeypatch.setattr(simulate, "_generator_kernel", counting)
         assert first_order_numerators(state, h, pool, zt, table) == fresh
         assert len(compiled) == len(pool) - len(terms)
         assert all(table[seq] is k for seq, k in zip(ansatz.terms, ansatz.generators))

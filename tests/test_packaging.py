@@ -26,6 +26,7 @@ needs_tomllib = pytest.mark.skipif(tomllib is None, reason="reading pyproject.to
 
 # Public names that nothing outside the tests uses yet, each with the reason it stays.
 _FT_ROW = "Clifford+T couplers: ROADMAP item 11 compiles a step from them, item 2's FT row"
+_HEADER = "an FCIDUMP header field: the record keeps the whole header it parsed"
 UNCALLED = {
     "ftgates.ft_single_body": _FT_ROW,
     "ftgates.ft_two_body_with_z": _FT_ROW,
@@ -33,6 +34,14 @@ UNCALLED = {
     "ftgates.weight_sum_accounting": _FT_ROW,
     "ftgates.prefix_linear_functions": _FT_ROW,
     "ftgates.format_linear_form": _FT_ROW,
+    "ftgates.FTResourceReport.variant": _FT_ROW,
+    "ftgates.FTResourceReport.extrapolated": _FT_ROW,
+    "fcidump.FcidumpRecord.ms2": _HEADER,
+    "fcidump.FcidumpRecord.orbsym": _HEADER,
+    "fcidump.FcidumpRecord.isym": _HEADER,
+    "measure.MeasurementGroup.basis_change": (
+        "the circuit that measures the group; ROADMAP item 7 makes it an output or deletes it"
+    ),
     "measure.qsr_context_from_terms": "ROADMAP item 5 puts qubit-space reduction on the HMP2 path",
     "measure.qsr_compress_sum": "ROADMAP item 5 puts qubit-space reduction on the HMP2 path",
     "pso.read_checkpoint": "resumes a search from the checkpoint pso.run writes",
@@ -98,17 +107,51 @@ def public_definitions(root):
     return out
 
 
+def _is_dataclass(cls):
+    for decorator in cls.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _slot_names(cls):
+    """The string constants of a class body's ``__slots__`` assignment."""
+    for item in cls.body:
+        if isinstance(item, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+        ):
+            for node in ast.walk(item.value):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    yield node
+
+
+def _member_names(cls):
+    """The public defs (methods, properties, classmethods), dataclass
+    fields and ``__slots__`` names directly in a class body."""
+    names = [
+        item.name
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    if _is_dataclass(cls):
+        names += [
+            item.target.id
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        ]
+    names += [node.value for node in _slot_names(cls)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def public_members(root):
-    """'module.Class.member' of every public def (method, property or
-    classmethod) directly in a top-level class body of ``src/fqcc``."""
+    """'module.Class.member' of every public member (``_member_names``) of a
+    top-level class of ``src/fqcc``."""
     out = set()
     for path in (root / "src" / "fqcc").glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        if not item.name.startswith("_"):
-                            out.add(f"{path.stem}.{node.name}.{item.name}")
+                out.update(f"{path.stem}.{node.name}.{name}" for name in _member_names(node))
     return out
 
 
@@ -129,9 +172,12 @@ def _referenced_name(node):
 
 
 def _referenced_member(node):
-    # a member is reached through an attribute; a bare Name of the same
-    # spelling is a local or a loop variable
-    return node.attr if isinstance(node, ast.Attribute) else _string(node)
+    # a member is read through an attribute; a bare Name of the same
+    # spelling is a local or a loop variable, and an assignment to the
+    # attribute sets a field without reading it
+    if isinstance(node, ast.Attribute):
+        return None if isinstance(node.ctx, ast.Store) else node.attr
+    return _string(node)
 
 
 def _scanned_statements(root):
@@ -176,8 +222,9 @@ def references(root):
 def member_references(root):
     """'module.Class.member' of each public member that code outside the tests refers to.
 
-    A reference is an Attribute or a string constant with the member's
-    name; a member's own body does not count.
+    A reference is a read of an Attribute, or a string constant, with the
+    member's name; a member's own body, and a ``__slots__`` entry naming
+    it, do not count.
     """
     members = {}
     for qualified in public_members(root):
@@ -190,6 +237,9 @@ def member_references(root):
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     qualified = f"{module}.{stmt.name}.{item.name}"
                     own.update((id(node), qualified) for node in ast.walk(item))
+            own.update(
+                (id(node), f"{module}.{stmt.name}.{node.value}") for node in _slot_names(stmt)
+            )
         for node in ast.walk(stmt):
             out.update(members.get(_referenced_member(node), set()) - {own.get(id(node))})
     return out
@@ -263,9 +313,26 @@ def test_member_rule_on_a_synthetic_tree(tmp_path):
                 return 0
 
 
+        @dataclass
+        class Report:
+            read: int
+            written: int
+            passed: int
+            _hidden: int = 0
+
+
+        class Slots:
+            __slots__ = ("kept", "unread", "_own")
+
+            def __init__(self):
+                self.kept = self.unread = self._own = 0
+
+
         def run(box):
             named = box.used()
-            return named
+            report = Report(1, 2, passed=3)
+            report.written = Slots().kept
+            return named, report.read
         """
     ))
     (tmp_path / "tools").mkdir()
@@ -275,7 +342,13 @@ def test_member_rule_on_a_synthetic_tree(tmp_path):
     assert "mod.Box.idle" in unused  # referenced nowhere
     assert "mod.Box.recursive" in unused  # only from its own body
     assert "mod.Box.named" in unused  # only a local Name of the same spelling
-    assert unused == ["mod.Box.idle", "mod.Box.named", "mod.Box.recursive"]
+    assert "mod.Report.written" in unused  # only assigned
+    assert "mod.Report.passed" in unused  # only a keyword at construction
+    assert "mod.Slots.unread" in unused  # only its __slots__ entry and a store
+    assert unused == [
+        "mod.Box.idle", "mod.Box.named", "mod.Box.recursive",
+        "mod.Report.passed", "mod.Report.written", "mod.Slots.unread",
+    ]
     assert stale_uncalled(tmp_path, uncalled) == (["mod.Box.gone"], ["mod.Box.used"])
 
 

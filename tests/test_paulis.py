@@ -227,27 +227,6 @@ class TestKernels:
         assert len(compiled) == 4
         assert PauliSum.from_strings(list(compiled), 3)._terms == op._terms
 
-    def test_combination_sums_the_compiled_parts(self):
-        rng = np.random.default_rng(17)
-
-        def random_sum():
-            strings = []
-            for _ in range(5):
-                letters = {int(q): "XYZ"[rng.integers(3)] for q in rng.choice(4, size=2, replace=False)}
-                strings.append(oracles.from_letters(4, letters, complex(rng.normal(), rng.normal())))
-            return PauliSum.from_strings(strings, 4)
-
-        a, b = random_sum(), random_sum()
-        combo = CompiledSum.combination([(0.7, CompiledSum(a)), (-1.3, CompiledSum(b))], 4)
-        direct = a * 0.7 + b * -1.3
-        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
-        assert np.allclose(combo.apply(vec), _dense_sum(direct) @ vec, atol=1e-12)
-        assert np.allclose(_dense_sum(PauliSum.from_strings(list(combo), 4)), _dense_sum(direct))
-        assert len(CompiledSum.combination([], 4)) == 0
-        with pytest.raises(ValueError, match="different spaces"):
-            CompiledSum.combination([(1.0, CompiledSum(a))], 4, sector=np.arange(4))
-
-
     def test_tables_rebuilt_per_apply_above_the_entry_cap(self, monkeypatch):
         from fqcc import paulis
 
@@ -324,7 +303,6 @@ class TestRowLayout:
             # only nonzeros are stored: fewer slots than one table per group
             assert compiled.values.shape[1] == len(sector)
             assert compiled.values.size < n_groups * len(sector)
-            assert compiled.square is None
             for vec in _vectors(len(sector), 3):
                 assert np.array_equal(
                     compiled.apply(vec), oracles.compiled_apply_reference(compiled, vec)
@@ -343,28 +321,22 @@ class TestRowLayout:
         ansatz = AnsatzOp.build(14, terms, values, table=table, sector=sector)
         ztilde = ztilde_operator(ansatz)
         parts = [(v, k) for v, k in zip(ansatz.values, ansatz.generators) if v]
+        assert ztilde.values.shape == (37, len(sector))
         for vec in _vectors(len(sector), 5):
-            assert np.array_equal(
-                ztilde.apply(vec), oracles.compiled_apply_reference(ztilde, vec, parts)
-            )
+            assert np.array_equal(ztilde.apply(vec), oracles.stacked_sum_reference(parts, vec))
 
     @given(data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_random_sums(self, data):
         n, sector, flips = data.draw(closed_sectors())
-        op, other = _random_sum(data.draw, n, flips), _random_sum(data.draw, n, flips)
-        weights = data.draw(st.tuples(sum_coeff_st, sum_coeff_st))
+        op = _random_sum(data.draw, n, flips)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         for space in (None, sector):
             dim = 1 << n if space is None else len(space)
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            a, b = CompiledSum(op, space), CompiledSum(other, space)
-            assert np.array_equal(a.apply(vec), oracles.compiled_apply_reference(a, vec))
-            parts = [(weights[0], a), (weights[1], b)]
-            combo = CompiledSum.combination(parts, n, space)
-            assert np.array_equal(
-                combo.apply(vec), oracles.compiled_apply_reference(combo, vec, parts)
-            )
+            compiled = CompiledSum(op, space)
+            want = oracles.compiled_apply_reference(compiled, vec)
+            assert np.array_equal(compiled.apply(vec), want)
         # a string whose X mask takes the first sector state out of the sector
         inside = set(sector.tolist())
         outside = [x for x in range(1 << n) if int(sector[0]) ^ x not in inside]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import OrbitalSequence, build_hamiltonian, excitation_generator, uccsd_pool
+from fqcc.fermions import OrbitalSequence, build_hamiltonian, uccsd_pool
 from fqcc.paulis import CompiledSum, PauliSum
 from fqcc import simulate
 from fqcc.simulate import (
@@ -38,7 +38,7 @@ def _ansatz_matrix(ansatz: AnsatzOp, transform=None):
     transform = transform or Transform.jordan_wigner(n)
     m = np.eye(1 << n, dtype=complex)
     for seq, value in zip(ansatz.terms, ansatz.values):
-        gen = _sum_matrix(excitation_generator(seq, n).to_pauli(transform))
+        gen = _sum_matrix(oracles.excitation_generator(seq, n).to_pauli(transform))
         m = sla.expm(value * gen) @ m
     return m
 
@@ -196,7 +196,7 @@ class TestApplyAnsatz:
         ansatz = AnsatzOp.build(4, (seq,), (theta,))
         ref = hf_state(2, 4)
         out = apply_ansatz(ref, ansatz)
-        gen = _sum_matrix(excitation_generator(seq, 4).to_pauli(Transform.jordan_wigner(4)))
+        gen = _sum_matrix(oracles.excitation_generator(seq, 4).to_pauli(Transform.jordan_wigner(4)))
         expected = sla.expm(theta * gen) @ ref.amplitudes
         assert np.max(np.abs(out.amplitudes - expected)) < 1e-10
 
@@ -214,6 +214,36 @@ class TestCompileGenerator:
         assert all(a is b for a, b in zip(second.generators, moved.generators))
         assert AnsatzOp.build(6, pool[:1]).generators[0] is not first.generators[0]
 
+    def test_equals_the_jw_pauli_route(self):
+        """Byte for byte the Pauli route's kernel (the generator mapped under
+        JW and compiled): every water generator on the (5, 5) sector and
+        every 8-mode generator on the full space."""
+        jw14, jw8 = Transform.jordan_wigner(14), Transform.jordan_wigner(8)
+        for tr, pool, space in [
+            (jw14, uccsd_pool(range(10), range(10, 14)), spin_sector(14, 5, 5)),
+            (jw8, uccsd_pool(range(4), range(4, 8)), None),
+        ]:
+            routed = oracles.encoded_generators(pool, tr, space)
+            table = {}
+            for seq in pool:
+                got, want = compile_generator(seq, tr.n_modes, space, table), routed[seq]
+                assert got.values.shape == (1, 256 if space is None else 441)
+                for field in ("values", "columns", "square"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seq.name, field)
+
+    def test_ladder_rule_matches_apply_ladder(self):
+        """The vectorized ladder rule is ``hmp2._apply_ladder`` on every
+        water sector state, for T and T+ of every pool excitation."""
+        from fqcc.hmp2 import _apply_ladder
+
+        sector = spin_sector(14, 5, 5)
+        for seq in uccsd_pool(range(10), range(10, 14)):
+            for term in (seq.term(), seq.term().adjoint()):
+                signs, masks = simulate._apply_ladders(sector, term.ops)
+                want = [_apply_ladder(int(m), term.ops) for m in sector]
+                assert list(zip(signs.tolist(), masks.tolist())) == want, seq.name
+
 
 class TestExponential:
     """``_apply_exponential``: one gather and the diagonal of K^2."""
@@ -226,7 +256,7 @@ class TestExponential:
         sector = _sector(kind, tr, (n_e + 1) // 2, n_e // 2)
         rng = np.random.default_rng(n)
         for seq in pool:
-            dense = _sum_matrix(excitation_generator(seq, n).to_pauli(tr))
+            dense = _sum_matrix(oracles.excitation_generator(seq, n).to_pauli(tr))
             theta = rng.uniform(-np.pi, np.pi)
             exact = sla.expm(theta * dense)
             square = np.einsum("ij,ji->i", dense, dense)
@@ -258,15 +288,6 @@ class TestExponential:
                 _apply_exponential(kernel, theta, vec),
                 oracles.exponential_reference(kernel, theta, vec),
             )
-
-    def test_generator_of_several_x_masks_is_rejected(self, h2, monkeypatch):
-        ham = h2[0]
-        seq = uccsd_pool(range(2), range(2, 4))[0]
-        monkeypatch.setattr(simulate, "excitation_generator", lambda seq, n: build_hamiltonian(ham))
-        table = {}
-        with pytest.raises(ValueError, match="one X-mask group"):
-            compile_generator(seq, 4, None, table)
-        assert not table
 
 
 class TestVqeMinimize:
@@ -429,7 +450,8 @@ class TestSpinSector:
         pool = uccsd_pool(range(3), range(3, n))
         op = PauliSum(n)
         for pick, coeff in picks:
-            op._accumulate(coeff * excitation_generator(pool[pick % len(pool)], n).to_pauli(tr))
+            generator = oracles.excitation_generator(pool[pick % len(pool)], n)
+            op._accumulate(coeff * generator.to_pauli(tr))
         sector = _sector(kind, tr, *counts)
         rng = np.random.default_rng(seed)
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
@@ -453,7 +475,12 @@ class TestSpinSector:
         tr = _encoding(kind, 14)
         flip = OrbitalSequence("single", (11, 8))
         with pytest.raises(ValueError, match="outside"):
-            CompiledSum(excitation_generator(flip, 14).to_pauli(tr), _sector(kind, tr, 5, 5))
+            image = oracles.excitation_generator(flip, 14).to_pauli(tr)
+            CompiledSum(image, _sector(kind, tr, 5, 5))
+        table = {}
+        with pytest.raises(ValueError, match="outside"):
+            compile_generator(flip, 14, spin_sector(14, 5, 5), table)
+        assert not table
         with pytest.raises(ValueError, match="outside"):
             AnsatzOp.build(14, (flip,), sector=spin_sector(14, 5, 5))
         # the same term is fine on the full space

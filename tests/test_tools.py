@@ -81,7 +81,9 @@ def test_emulator_layers_reports_h2():
     assert layers["ansatz_terms"] >= 1
     assert all(
         layers[f"{layer}_s"] > 0
-        for layer in ("h_compile", "h_apply", "exponential", "energy_gradient", "hmp2")
+        for layer in (
+            "h_compile", "generators", "h_apply", "exponential", "energy_gradient", "hmp2",
+        )
     )
     cycles = layers["cycles"]
     assert cycles and all(c["vqe_s"] > 0 and c["vqe_iterations"] > 0 for c in cycles)

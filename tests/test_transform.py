@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
-from fqcc.fermions import OrbitalSequence, build_hamiltonian, excitation_generator, uccsd_pool
+from fqcc.fermions import OrbitalSequence, build_hamiltonian, uccsd_pool
 from fqcc.paulis import COEFF_TOL, PauliString, PauliSum
 from fqcc.transform import Transform
 from fqcc.trotter import expand_term
@@ -379,7 +379,8 @@ class TestFrameRule:
         """H2's H and every generator of the 8-mode, 4-electron UCCSD pool."""
         h2, _ = load_fcidump(_FIXTURES / "h2_sto3g.fcidump").to_spin_orbital()
         cases = [(build_hamiltonian(h2), 4)]
-        cases += [(excitation_generator(seq, 8), 8) for seq in uccsd_pool(range(4), range(4, 8))]
+        pool = uccsd_pool(range(4), range(4, 8))
+        cases += [(oracles.excitation_generator(seq, 8), 8) for seq in pool]
         encodings = {}
         for n in (4, 8):
             if name == "bk":

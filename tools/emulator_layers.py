@@ -9,6 +9,9 @@ JSON object.  Each kernel time is seconds per call, the median of ``REPEAT``
 rounds of ``time.perf_counter`` over a fixed number of calls:
 
     h_compile_s        paulis.CompiledSum: H (already mapped) onto the sector
+    generators_s       simulate.compile_generator: every pool generator built
+                       once on the sector, from the occupation masks, into a
+                       fresh table (seconds per whole pool)
     h_apply_s          CompiledSum.apply: H on the final ansatz state
     exponential_s      simulate._apply_exponential: one excitation exponential
                        (the pool's last double) on that state
@@ -105,6 +108,9 @@ def measure(ham, fock):
         "h_nonzeros": int(np.count_nonzero(h.values)),
         "ansatz_terms": len(terms),
         "h_compile_s": _per_call(lambda: CompiledSum(h_pauli, sector), 3),
+        "generators_s": _per_call(
+            lambda: [compile_generator(seq, n, sector, {}) for seq in pool], 1
+        ),
         "h_apply_s": _per_call(lambda: h.apply(vec), 200),
         "exponential_s": _per_call(lambda: _apply_exponential(kernel, 0.1, vec), 2000),
         "energy_gradient_s": _per_call(
