@@ -75,34 +75,6 @@ class FermionOperator:
             if t.max_mode() >= n_modes:
                 raise ValueError(f"term {t} references mode >= {n_modes}")
 
-    def adjoint(self):
-        return FermionOperator(
-            self.n_modes,
-            [t.adjoint() for t in self.terms],
-            self.constant.conjugate(),
-        )
-
-    def __add__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return FermionOperator(self.n_modes, self.terms, self.constant + other)
-        if other.n_modes != self.n_modes:
-            raise ValueError("mode-count mismatch")
-        return FermionOperator(
-            self.n_modes, self.terms + other.terms, self.constant + other.constant
-        )
-
-    def __mul__(self, scalar):
-        return FermionOperator(
-            self.n_modes,
-            [FermionTerm(t.coefficient * scalar, t.ops) for t in self.terms],
-            self.constant * scalar,
-        )
-
-    __rmul__ = __mul__
-
-    def __len__(self):
-        return len(self.terms)
-
     def to_pauli(self, transform):
         """Map through a fermion-to-qubit transform to a PauliSum."""
         if transform.n_modes != self.n_modes:

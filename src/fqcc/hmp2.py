@@ -58,10 +58,10 @@ from .fermions import (
     build_hamiltonian,
     uccsd_pool,
 )
-from .paulis import CompiledSum, PauliSum, same_sector
+from .paulis import CompiledSum, PauliSum
 from .simulate import (
-    AnsatzOp, RowKernel, Statevector, _apply_exponential, _occupation_image, apply_ansatz,
-    compile_generator, hf_state, spin_sector, vqe_minimize,
+    AnsatzOp, RowKernel, Statevector, _apply_exponential, _check_space, _occupation_image,
+    apply_ansatz, compile_generator, hf_state, spin_sector, vqe_minimize,
 )
 
 __all__ = [
@@ -186,45 +186,35 @@ def ztilde_operator(ansatz: AnsatzOp) -> RowKernel:
 
 def _without_identity(op: PauliSum) -> PauliSum:
     kept = [s for s in op.strings() if s.key != (0, 0)]
-    out = PauliSum.from_strings(kept, n_qubits=op.n_qubits)
-    return out
-
-
-def _compiled_on(op, sector, what):
-    """``op`` compiled onto ``sector``; an already compiled one must live there."""
-    if isinstance(op, PauliSum):
-        return CompiledSum(op, sector)
-    if not same_sector(op.sector, sector):
-        raise ValueError(f"{what} is compiled on a different sector than the state")
-    return op
+    return PauliSum.from_strings(kept, n_qubits=op.n_qubits)
 
 
 def first_order_numerators(
     state: Statevector,
-    hamiltonian: PauliSum | CompiledSum,
+    hamiltonian: CompiledSum,
     alphas,
-    ztilde: PauliSum | CompiledSum | RowKernel | None,
+    ztilde: RowKernel | None,
     table: dict | None = None,
 ) -> dict[str, float]:
     """The correction bracket N_a for each candidate excitation.
 
     Computes <psi| Dt+ H |psi> - <psi| Dt+ Zt H |psi> + <psi| Zt Dt+ H |psi>
     exactly on the statevector (on its sector, if it has one), sharing
-    H|psi> and Zt|psi> across the set.  A PauliSum H loses its identity
-    here; a compiled H is used as given, so it must already be without it.
-    Each candidate's generator comes from ``simulate.compile_generator`` on
-    the state's sector; a shared ``table`` (one per sector) reuses the
-    generators an ansatz or an earlier sweep already compiled.
+    H|psi> and Zt|psi> across the set.  H and Zt (``ztilde_operator``)
+    must be compiled on the state's sector, and H is used as given, so it
+    must already be without its identity.  Each candidate's generator
+    comes from ``simulate.compile_generator`` on the state's sector; a
+    shared ``table`` (one per sector) reuses the generators an ansatz or an
+    earlier sweep already compiled.
     """
     psi = state.amplitudes
-    if isinstance(hamiltonian, PauliSum):
-        hamiltonian = _without_identity(hamiltonian)
-    hpsi = _compiled_on(hamiltonian, state.sector, "H").apply(psi)
+    _check_space("H", state.sector, hamiltonian.sector)
+    hpsi = hamiltonian.apply(psi)
     zhpsi = zpsi = None
     if ztilde is not None and len(ztilde):
-        z = _compiled_on(ztilde, state.sector, "Zt")
-        zhpsi = z.apply(hpsi)
-        zpsi = z.apply(psi)
+        _check_space("Zt", state.sector, ztilde.sector)
+        zhpsi = ztilde.apply(hpsi)
+        zpsi = ztilde.apply(psi)
     table = {} if table is None else table
     out: dict[str, float] = {}
     for seq in alphas:

@@ -1,8 +1,10 @@
-"""Pauli-string algebra on integer bit masks.
+"""Pauli strings on integer bit masks, and the statevector kernel.
 
-A string is stored as a pair of masks: bit q of ``xmask`` / ``zmask`` says
-whether the letter on qubit q has an X / Z component (X = 10, Z = 01,
-Y = 11, I = 00).  Qubit 0 is the least significant bit of a basis index,
+``PauliString`` and ``PauliSum`` hold what a mapping produces: a string's
+masks and coefficient, and a sum merged by key and listed in letter-word
+order.  A string is stored as a pair of masks: bit q of ``xmask`` /
+``zmask`` says whether the letter on qubit q has an X / Z component (X =
+10, Z = 01, Y = 11, I = 00).  Qubit 0 is the least significant bit of a basis index,
 i.e. the rightmost tensor factor.
 
 ``CompiledSum`` is the statevector kernel: a sum frozen into a row layout
@@ -17,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-_BITS_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_PHASES = tuple(1j**k for k in range(4))
 
 COEFF_TOL = 1e-12
 
@@ -41,12 +40,6 @@ def word_key(n_qubits, xmask, zmask):
     return key
 
 
-def _fmt_coeff(c: complex) -> str:
-    if c.imag == 0.0:
-        return repr(c.real)
-    return repr(complex(c))
-
-
 @dataclass(frozen=True, slots=True)
 class PauliString:
     """One Pauli string with a complex coefficient."""
@@ -56,52 +49,13 @@ class PauliString:
     zmask: int
     coeff: complex = 1.0
 
-    # -- structure ---------------------------------------------------------
-
     @property
     def key(self):
         return (self.xmask, self.zmask)
 
-    def letter(self, q):
-        return _BITS_LETTER[(self.xmask >> q & 1, self.zmask >> q & 1)]
-
-    def letters(self):
-        """Support as a {qubit: letter} dict."""
-        out = {}
-        mask = self.xmask | self.zmask
-        q = 0
-        while mask:
-            if mask & 1:
-                out[q] = self.letter(q)
-            mask >>= 1
-            q += 1
-        return out
-
     @property
     def weight(self):
         return (self.xmask | self.zmask).bit_count()
-
-    def with_coeff(self, coeff):
-        return PauliString(self.n_qubits, self.xmask, self.zmask, complex(coeff))
-
-    # -- algebra -----------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.with_coeff(self.coeff * other)
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit-count mismatch")
-        x1, z1, x2, z2 = self.xmask, self.zmask, other.xmask, other.zmask
-        plus = ((x1 & ~z1) & (x2 & z2)) | ((x1 & z1) & (z2 & ~x2)) | ((z1 & ~x1) & (x2 & ~z2))
-        minus = ((x1 & z1) & (x2 & ~z2)) | ((z1 & ~x1) & (x2 & z2)) | ((x1 & ~z1) & (z2 & ~x2))
-        phase = 1j ** ((plus.bit_count() - minus.bit_count()) % 4)
-        return PauliString(self.n_qubits, x1 ^ x2, z1 ^ z2, self.coeff * other.coeff * phase)
-
-    __rmul__ = __mul__
-
-    def dagger(self):
-        # every Pauli string is Hermitian; only the coefficient conjugates
-        return self.with_coeff(self.coeff.conjugate())
 
     def commutes_general(self, other):
         """True when the two strings commute as operators."""
@@ -115,21 +69,9 @@ class PauliString:
         differ = (self.xmask ^ other.xmask) | (self.zmask ^ other.zmask)
         return both & differ == 0
 
-    # -- text --------------------------------------------------------------
-
-    def to_text(self):
-        letters = self.letters()
-        if not letters:
-            return f"{_fmt_coeff(self.coeff)} * I"
-        body = " ".join(f"{letters[q]}{q}" for q in sorted(letters))
-        return f"{_fmt_coeff(self.coeff)} * {body}"
-
-    def __str__(self):
-        return self.to_text()
-
 
 class PauliSum:
-    """A complex-weighted sum of Pauli strings with canonical merging."""
+    """A complex-weighted sum of Pauli strings, merged by key."""
 
     __slots__ = ("n_qubits", "_terms")
 
@@ -157,93 +99,19 @@ class PauliSum:
         else:
             self._terms[key] = c
 
-    # -- container protocol --------------------------------------------------
-
-    @property
-    def n_terms(self):
-        return len(self._terms)
-
-    def coeff(self, x, z):
-        return self._terms.get((x, z), 0.0)
-
-    def items(self):
-        """((x, z), coeff) pairs, unsorted."""
-        return self._terms.items()
-
     def strings(self):
         """Terms as PauliString objects in canonical (letter-word) order."""
         n = self.n_qubits
         keys = sorted(self._terms, key=lambda k: word_key(n, *k))
         return [PauliString(n, x, z, self._terms[x, z]) for x, z in keys]
 
-    def __iter__(self):
-        return iter(self.strings())
-
     def __len__(self):
         return len(self._terms)
-
-    # -- algebra -------------------------------------------------------------
-
-    def _check(self, other):
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("qubit-count mismatch")
-
-    def _accumulate(self, other):
-        """Add ``other`` in place, keeping small coefficients until ``simplify``."""
-        self._check(other)
-        for (x, z), c in other._terms.items():
-            self._add_term(x, z, c)
-        return self
-
-    def __add__(self, other):
-        if isinstance(other, PauliString):
-            other = PauliSum.from_strings([other])
-        return PauliSum(self.n_qubits, self._terms)._accumulate(other).simplify()
-
-    def __sub__(self, other):
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return PauliSum(self.n_qubits, {k: c * other for k, c in self._terms.items()})
-        if isinstance(other, PauliString):
-            other = PauliSum.from_strings([other])
-        self._check(other)
-        out = PauliSum(self.n_qubits)
-        add = out._add_term
-        # per right-hand term: masks, its X / Y / Z letter masks, coefficient
-        right = [
-            (x2, z2, x2 & ~z2, x2 & z2, z2 & ~x2, c2) for (x2, z2), c2 in other._terms.items()
-        ]
-        for (x1, z1), c1 in self._terms.items():
-            xo, yo, zo = x1 & ~z1, x1 & z1, z1 & ~x1
-            for x2, z2, xt, yt, zt, c2 in right:
-                # the phase rule of PauliString.__mul__: XY, YZ, ZX give +i
-                plus = (xo & yt) | (yo & zt) | (zo & xt)
-                minus = (yo & xt) | (zo & yt) | (xo & zt)
-                add(x1 ^ x2, z1 ^ z2, c1 * c2 * _PHASES[(plus.bit_count() - minus.bit_count()) % 4])
-        return out.simplify()
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self * other
-        return NotImplemented
-
-    def dagger(self):
-        return PauliSum(self.n_qubits, {k: c.conjugate() for k, c in self._terms.items()})
 
     def simplify(self):
         """Drop every coefficient of magnitude ``COEFF_TOL`` or less."""
         self._terms = {k: c for k, c in self._terms.items() if abs(c) > COEFF_TOL}
         return self
-
-    # -- text ------------------------------------------------------------------
-
-    def to_text(self):
-        return "\n".join(s.to_text() for s in self.strings())
-
-    def __str__(self):
-        return self.to_text()
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +122,13 @@ _PARITY_LUT = None
 
 
 def _parity_lut():
+    """Parity of every 16-bit index, built on first use."""
     global _PARITY_LUT
     if _PARITY_LUT is None:
-        lut = np.zeros(1 << 16, dtype=np.uint8)
-        for i in range(1, 1 << 16):
-            lut[i] = lut[i >> 1] ^ (i & 1)
-        _PARITY_LUT = lut
+        fold = np.arange(1 << 16, dtype=np.uint16)
+        for shift in (8, 4, 2, 1):
+            fold ^= fold >> shift
+        _PARITY_LUT = (fold & 1).astype(np.uint8)
     return _PARITY_LUT
 
 
@@ -362,14 +231,6 @@ class CompiledSum:
     def dim(self):
         """Length of the vectors this sum acts on."""
         return 1 << self.n_qubits if self.sector is None else len(self.sector)
-
-    def __len__(self):
-        return len(self.flips)
-
-    def __iter__(self):
-        """The compiled strings as PauliStrings (weight over i^popcount(x & z))."""
-        for f, m, w in zip(self.flips.tolist(), self.masks.tolist(), self.weights.tolist()):
-            yield PauliString(self.n_qubits, f, m, w * _PHASES[-(f & m).bit_count() % 4])
 
     def _tables(self):
         """(tables, columns), each (groups, dim): every X-mask group's phase

@@ -107,13 +107,6 @@ class Statevector:
         amps[index] = 1.0
         return cls(n_qubits, amps)
 
-    def expectation(self, op) -> float:
-        """Exact <psi|op|psi> for a Hermitian PauliSum (real part returned)."""
-        if isinstance(op, PauliSum):
-            op = CompiledSum(op, self.sector)
-        _check_space("the operator", self.sector, op.sector)
-        return float(np.real(op.expectation(self.amplitudes)))
-
 
 def hf_state(n_electrons: int, n_modes: int, *, sector=None) -> Statevector:
     """Single-reference state: the n_electrons lowest spin orbitals occupied.
@@ -343,7 +336,7 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
 
 
 def vqe_minimize(
-    hamiltonian,
+    hamiltonian: CompiledSum,
     ansatz: AnsatzOp,
     reference: Statevector,
     gtol: float = 1e-7,
@@ -359,11 +352,8 @@ def vqe_minimize(
     ``ftol``, and ``message`` says which.  A run that exhausts the
     iteration cap, or whose line search fails, comes back flagged
     ``converged=False`` with the best point found.  The reference, the
-    ansatz and a compiled Hamiltonian must share one sector; a PauliSum
-    Hamiltonian is compiled onto the reference's.
+    ansatz and the compiled Hamiltonian must share one sector.
     """
-    if isinstance(hamiltonian, PauliSum):
-        hamiltonian = CompiledSum(hamiltonian, reference.sector)
     _check_space("the Hamiltonian", reference.sector, hamiltonian.sector)
     _check_space("the ansatz", reference.sector, ansatz.sector)
     if not ansatz.terms:

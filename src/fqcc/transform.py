@@ -283,10 +283,10 @@ class Transform:
         bijection and i^q is exact, so framing after the merge changes no
         coefficient.
 
-        The result is that of multiplying each term's ladders as
-        ``PauliSum`` objects and adding the products in term order
-        (``PauliSum.__mul__``'s phase rule and merge): the same items, in
-        the same order, with every coefficient equal bit for bit (above
+        The result is that of multiplying each term's ladders as Pauli
+        sums and adding the products in term order
+        (``oracles.map_operator_via_paulisum`` in the tests): the same
+        items, in the same order, with every coefficient equal bit for bit (above
         underflow).  A running sum that is exactly 0 drops its string,
         which goes to the end if it comes back.  After each ladder, a
         product's coefficients of magnitude ``COEFF_TOL`` or less are

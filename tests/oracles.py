@@ -7,7 +7,7 @@ second, structurally different computation.  Nothing here imports from fqcc,
 except three references for the mask-level and closed-form code paths:
 ``expand_term_via_paulis`` keeps the generic FermionOperator -> PauliSum route
 and letter-word sort that ``trotter.expand_term`` once used,
-``map_operator_via_paulisum`` keeps the PauliSum-product route that
+``map_operator_via_paulisum`` keeps the Pauli-sum-product route that
 ``Transform.map_operator`` once used, and ``paired_compression_reference``
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
 once used.  ``qwc_groups_reference`` and ``gc_groups_reference`` keep the
@@ -25,11 +25,19 @@ VQE sweep on it, with two applies per exponential, and
 ``stacked_sum_reference`` the one-generator-at-a-time loop that Zt's
 stacked rows replace.  ``encoded_generators`` keeps the Pauli route
 (``excitation_generator`` mapped and compiled) that
-``simulate.compile_generator`` once took, under any encoding.  The last two sections
-hold what only tests call on fqcc's own objects: the dense self-checks (circuit unitaries and statevectors, the
-anticommutation check, Clifford conjugation of a string, a term's signed
-rotations), which run the package's own gate matrices and tableau update;
-and test inputs (a transform's free bits, its encoded sectors, states and
+``simulate.compile_generator`` once took, under any encoding.
+
+``letter``, ``letters``, ``string_product``, ``sum_product``,
+``sum_matrix`` and ``expectation`` are the Pauli algebra that fqcc's
+``PauliString`` and ``PauliSum`` do not carry, since no pipeline
+multiplies, conjugates or prints an operator: the tests read letters,
+build products and take expectations with them, and
+``map_operator_via_paulisum`` multiplies with ``sum_product``.  The last
+two sections hold what only tests call on fqcc's own objects: the dense
+self-checks (circuit unitaries and statevectors, the anticommutation
+check, Clifford conjugation of a string, a term's signed rotations),
+which run the package's own gate matrices and tableau update; and test
+inputs (a transform's free bits, its encoded sectors, states and
 generators, a ladder as a PauliSum, Pauli strings from letters or from the
 text format).  A transform's ladder strings and encoded basis indices are
 computed here from its beta alone (``ladder_strings``,
@@ -317,9 +325,9 @@ def _boundary_cnots(first, second, target):
     CNOTs and different letters cancel one.
     """
     saved = 0
-    for q, letter in first.items():
+    for q, here in first.items():
         if q != target and q in second:
-            saved += 2 if second[q] == letter else 1
+            saved += 2 if second[q] == here else 1
     return saved
 
 
@@ -331,13 +339,13 @@ def boundary_saving_reference(first, second, target):
     and one when they differ.
     """
     two = one = 0
-    for q in first.letters():
+    for q, here in letters(first).items():
         if q == target:
             continue
-        other = second.letter(q)
+        other = letter(second, q)
         if other == "I":
             continue
-        if other == first.letter(q):
+        if other == here:
             two += 1
         else:
             one += 1
@@ -616,7 +624,7 @@ def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels
 
 def letter_word(string):
     """The string's letters on every qubit, qubit 0 first ("I" for identity)."""
-    return "".join(string.letter(q) for q in range(string.n_qubits))
+    return "".join(letter(string, q) for q in range(string.n_qubits))
 
 
 _CANONICAL_WORDS = {
@@ -634,6 +642,7 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
     through ``to_pauli``, and sorts the strings by their letter words.
     """
     from fqcc.fermions import FermionOperator
+    from fqcc.paulis import PauliString
     from fqcc.trotter import TrotterTerm
 
     n = transform.n_modes
@@ -642,7 +651,7 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
     else:
         fwd = seq.term()
         op = FermionOperator(n, [fwd, fwd.adjoint()])
-    raw = sorted(op.to_pauli(transform).simplify(), key=letter_word)
+    raw = sorted(op.to_pauli(transform).strings(), key=letter_word)
     assert len(raw) == (8 if seq.kind == "double" else 2)
     signed, magnitudes = [], []
     for s in raw:
@@ -653,20 +662,20 @@ def expand_term_via_paulis(seq, transform, theta=1.0, *, anti=False):
             assert abs(s.coeff.imag) <= 1e-9
             rot = s.coeff.real
         magnitudes.append(abs(rot))
-        signed.append(s.with_coeff(1.0 if rot >= 0 else -1.0))
+        signed.append(PauliString(n, s.xmask, s.zmask, complex(1.0 if rot >= 0 else -1.0)))
     assert all(abs(m - magnitudes[0]) <= 1e-9 for m in magnitudes)
 
     xy = sorted(
-        q for q in signed[0].letters() if all(s.letter(q) in ("X", "Y") for s in signed)
+        q for q in letters(signed[0]) if all(letter(s, q) in ("X", "Y") for s in signed)
     )
 
     def rank(s):
-        word = "".join(s.letter(q) for q in xy)
+        word = "".join(letter(s, q) for q in xy)
         return (_CANONICAL_WORDS.get(word, len(_CANONICAL_WORDS)), word, letter_word(s))
 
     ordered = tuple(sorted(signed, key=rank))
     eligible = tuple(
-        t for t in sorted(set(seq.indices)) if all(s.letter(t) != "I" for s in ordered)
+        t for t in sorted(set(seq.indices)) if all(letter(s, t) != "I" for s in ordered)
     )
     return TrotterTerm(
         source=seq,
@@ -704,26 +713,88 @@ def intra_minima(words, targets):
 
 
 def map_operator_via_paulisum(transform, terms, constant=0.0):
-    """``Transform.map_operator`` as a product of ``PauliSum`` objects.
+    """``Transform.map_operator`` as a product of Pauli sums.
 
     Imports fqcc: each term's ladders are multiplied as ``map_ladder``
-    sums, one ``PauliSum.__mul__`` (with its ``simplify``) per ladder, and
-    the products are accumulated in term order before one last
-    ``simplify``.  The mask loop must give the same items, in the same
-    order, with bit-equal coefficients.
+    sums, one ``sum_product`` (with its ``simplify``) per ladder, and the
+    products are accumulated in term order before one last ``simplify``.
+    The mask loop must give the same items, in the same order, with
+    bit-equal coefficients.
     """
     from fqcc.paulis import PauliSum
 
     n = transform.n_modes
     out = PauliSum(n)
     if constant:
-        out = out + PauliSum(n, {(0, 0): complex(constant)})
+        out._add_term(0, 0, complex(constant))
+        out.simplify()
     for coeff, ops in terms:
         prod = PauliSum(n, {(0, 0): complex(coeff)})
         for mode, dagger in ops:
-            prod = prod * map_ladder(transform, mode, dagger)
-        out._accumulate(prod)
+            prod = sum_product(prod, map_ladder(transform, mode, dagger))
+        for (x, z), c in prod._terms.items():
+            out._add_term(x, z, c)
     return out.simplify()
+
+
+# ---------------------------------------------------------------------------
+# Pauli algebra on fqcc's strings and sums, which fqcc itself never runs
+# ---------------------------------------------------------------------------
+
+
+def letter(string, q):
+    """The string's letter on qubit q: "I", "X", "Y" or "Z"."""
+    return "IXZY"[(string.xmask >> q & 1) | (string.zmask >> q & 1) << 1]
+
+
+def letters(string):
+    """The string's support as a {qubit: letter} dict, in qubit order."""
+    support = string.xmask | string.zmask
+    return {q: letter(string, q) for q in range(support.bit_length()) if support >> q & 1}
+
+
+def _product_masks(x1, z1, x2, z2):
+    """(x, z, phase) of the product of the strings (x1, z1) and (x2, z2):
+    XY, YZ and ZX give +i, their reverses -i."""
+    xo, yo, zo = x1 & ~z1, x1 & z1, z1 & ~x1
+    xt, yt, zt = x2 & ~z2, x2 & z2, z2 & ~x2
+    plus = (xo & yt) | (yo & zt) | (zo & xt)
+    minus = (yo & xt) | (zo & yt) | (xo & zt)
+    return x1 ^ x2, z1 ^ z2, 1j ** ((plus.bit_count() - minus.bit_count()) % 4)
+
+
+def string_product(a, b):
+    """The PauliString a b, coefficients and phase included."""
+    from fqcc.paulis import PauliString
+
+    x, z, phase = _product_masks(a.xmask, a.zmask, b.xmask, b.zmask)
+    return PauliString(a.n_qubits, x, z, a.coeff * b.coeff * phase)
+
+
+def sum_product(a, b):
+    """The PauliSum a b: each pair of terms multiplied, ``a``'s terms
+    outermost, added by key in that order, then ``simplify``."""
+    from fqcc.paulis import PauliSum
+
+    out = PauliSum(a.n_qubits)
+    for (x1, z1), c1 in a._terms.items():
+        for (x2, z2), c2 in b._terms.items():
+            x, z, phase = _product_masks(x1, z1, x2, z2)
+            out._add_term(x, z, c1 * c2 * phase)
+    return out.simplify()
+
+
+def sum_matrix(op):
+    """Dense matrix of a PauliSum."""
+    return paulisum_matrix(op.n_qubits, [(s.coeff, letters(s)) for s in op.strings()])
+
+
+def expectation(state, op):
+    """<psi|op|psi> (real part) of a PauliSum, compiled onto the state's
+    sector (``simulate.Statevector``)."""
+    from fqcc.paulis import CompiledSum
+
+    return float(np.real(CompiledSum(op, state.sector).expectation(state.amplitudes)))
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +838,8 @@ def paired_compression_reference(seq, n_modes, theta, *, anti):
     for string, rot in rotations(full):
         word, factor = "", 1.0
         for l in range(n_pairs):
-            letter, sign = _PAIR_LETTERS[string.letter(2 * l), string.letter(2 * l + 1)]
-            word += letter
+            pair, sign = _PAIR_LETTERS[letter(string, 2 * l), letter(string, 2 * l + 1)]
+            word += pair
             factor *= sign
         merged[word] = merged.get(word, 0.0) + rot * factor
     merged = {w: v for w, v in merged.items() if abs(v) > 1e-12}
@@ -1711,10 +1782,10 @@ def operator_matrix(op, dim):
 def map_ladder(transform, mode, dagger):
     """PauliSum of a_mode (``dagger`` false) or its adjoint under ``transform``,
     from ``ladder_strings``."""
-    from fqcc.paulis import _PHASES, PauliSum
+    from fqcc.paulis import PauliSum
 
     strings = ladder_strings(transform)[mode][1 if dagger else 0]
-    return PauliSum(transform.n_modes, {(x, z): 0.5 * _PHASES[e] for x, z, e in strings})
+    return PauliSum(transform.n_modes, {(x, z): 0.5 * 1j**e for x, z, e in strings})
 
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -1735,7 +1806,7 @@ def from_letters(n_qubits, letters, coeff=1.0):
 
 
 def pauli_string(text, n_qubits=None):
-    """Parse the ``coeff * X0 Z3 Y5`` format that ``PauliString.to_text`` writes."""
+    """A PauliString from the text ``coeff * X0 Z3 Y5`` ("coeff * I" for identity)."""
     head, _, tail = text.partition("*")
     coeff = complex(head.strip().replace(" ", ""))
     letters = {}
@@ -1752,7 +1823,7 @@ def pauli_string(text, n_qubits=None):
 
 
 def pauli_sum(text, n_qubits=None):
-    """A PauliSum from one ``pauli_string`` line per string, as ``PauliSum.to_text`` writes."""
+    """A PauliSum from one ``pauli_string`` line per string."""
     from fqcc.paulis import PauliString, PauliSum
 
     strings = [pauli_string(line, n_qubits) for line in text.splitlines() if line.strip()]

@@ -146,8 +146,7 @@ class TestSpinOrbitalExpansion:
         path = FIXTURES / "h2_sto3g.fcidump"
         ham, _ = load_fcidump(path).to_spin_orbital()
         pauli = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(4))
-        terms = [(s.coeff, s.letters()) for s in pauli.strings()]
-        dense = oracles.paulisum_matrix(4, terms)
+        dense = oracles.sum_matrix(pauli)
         assert np.allclose(dense, dense.conj().T, atol=1e-12)
         ground = np.linalg.eigvalsh(dense)[0]
         h1, g2, ecore, eps, n_so, nelec = oracles.read_fcidump_so(path)

@@ -41,13 +41,16 @@ WATER_E_MP2 = -74.9977
 ENERGY_TOL = 2e-3
 
 
-def _sum_matrix(op: PauliSum):
-    return oracles.paulisum_matrix(op.n_qubits, [(s.coeff, s.letters()) for s in op])
+def _bracket_h(h_pauli, sector=None):
+    """H compiled for the bracket, as the loop compiles it: without its
+    identity, on ``sector``."""
+    return CompiledSum(hmp2._without_identity(h_pauli), sector)
 
 
-def _second_order(state, hamiltonian, fock, pool, ztilde, table=None):
+def _second_order(state, h_pauli, fock, pool, ztilde, table=None):
     """(energy correction sum N_a^2 / dE_a, amplitudes N_a / dE_a) over ``pool``."""
-    numerators = first_order_numerators(state, hamiltonian, pool, ztilde, table)
+    h = _bracket_h(h_pauli, state.sector)
+    numerators = first_order_numerators(state, h, pool, ztilde, table)
     deltas = {seq.name: fock.denominator(seq) for seq in pool}
     energy = sum(numerators[name] ** 2 / delta for name, delta in deltas.items())
     return energy, {name: numerators[name] / delta for name, delta in deltas.items()}
@@ -152,7 +155,7 @@ class TestReferenceOrthogonality:
         )
         f_pauli = build_hamiltonian(diag).to_pauli(tr)
         pool = uccsd_pool(range(2), range(2, 4))
-        nums = first_order_numerators(hf_state(2, 4), f_pauli, pool, None)
+        nums = first_order_numerators(hf_state(2, 4), _bracket_h(f_pauli), pool, None)
         assert all(abs(v) < 1e-10 for v in nums.values())
 
 
@@ -187,7 +190,8 @@ class TestCorrectionBracket:
         ham, fock = h2
         tr = Transform.jordan_wigner(4)
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
-        shifted = h_pauli + PauliSum(4, {(0, 0): 100.0})
+        shifted = PauliSum(4, h_pauli._terms)
+        shifted._add_term(0, 0, 100.0)
         pool = uccsd_pool(range(2), range(2, 4))
         # a partially-optimized state so the first-order expansion is active
         seq = next(s for s in pool if s.kind == "double")
@@ -212,7 +216,7 @@ class TestCorrectionBracket:
         pool = uccsd_pool(range(2), range(2, 4))
         values = [0.1 * (i + 1) for i in range(len(pool))]
         want = sum(
-            v * _sum_matrix(oracles.excitation_generator(s, 4).to_pauli(tr))
+            v * oracles.sum_matrix(oracles.excitation_generator(s, 4).to_pauli(tr))
             for s, v in zip(pool, values)
         )
         ansatz = AnsatzOp.build(4, pool, values, table=oracles.encoded_generators(pool, tr))
@@ -237,7 +241,7 @@ class TestCorrectionBracket:
         h_pauli = build_hamiltonian(ham).to_pauli(tr)
         pool = uccsd_pool(range(2), range(2, 4))
         ansatz = AnsatzOp.build(4, pool)
-        res = vqe_minimize(h_pauli, ansatz, hf_state(2, 4))
+        res = vqe_minimize(CompiledSum(h_pauli), ansatz, hf_state(2, 4))
         state = apply_ansatz(hf_state(2, 4), ansatz.with_values(res.values))
         zt = ztilde_operator(ansatz.with_values(res.values))
         corr, wf = _second_order(state, h_pauli, fock, pool, zt)
@@ -389,7 +393,7 @@ class TestRunLoop:
         terms = tuple(by_name[name] for name in run.final.term_names)
         ansatz = AnsatzOp.build(4, terms, run.final_values)
         state = apply_ansatz(hf_state(2, 4), ansatz)
-        assert state.expectation(h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
+        assert oracles.expectation(state, h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
 
 
 # water under JW on the full 2^14 space, before the loop moved to the sector
@@ -498,7 +502,7 @@ class TestWaterOnTheSector:
                 ansatz = AnsatzOp.build(
                     n, terms, result.values + (value,), table=table, sector=sector
                 )
-                energy[value] = apply_ansatz(reference, ansatz).expectation(h)
+                energy[value] = h.expectation(apply_ansatz(reference, ansatz).amplitudes).real
             assert energy[report.guess] <= energy[-report.guess]
 
     def test_full_space_agrees(self, h2o, water_run):
@@ -512,10 +516,12 @@ class TestWaterOnTheSector:
             state = apply_ansatz(hf_state(n_e, n, sector=space), ansatz)
             states.append(state)
             numerators.append(
-                first_order_numerators(state, h_pauli, pool, ztilde_operator(ansatz))
+                first_order_numerators(
+                    state, _bracket_h(h_pauli, space), pool, ztilde_operator(ansatz)
+                )
             )
         full, small = states
-        assert full.expectation(h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
+        assert oracles.expectation(full, h_pauli) == pytest.approx(run.final.e_vqe, abs=1e-9)
         assert np.max(np.abs(full.amplitudes[sector] - small.amplitudes)) < 1e-12
         assert np.linalg.norm(full.amplitudes[sector]) == pytest.approx(1.0, abs=1e-12)
         for name, value in numerators[0].items():
@@ -538,10 +544,7 @@ class TestWaterOnTheSector:
     def test_numerators_compile_only_what_the_ansatz_lacks(self, h2o, water_run, monkeypatch):
         run = water_run[0]
         n, n_e, pool, terms, sector = _water_setup(h2o, run)
-        from fqcc.hmp2 import _without_identity
-
-        h_pauli = build_hamiltonian(h2o[0]).to_pauli(Transform.jordan_wigner(n))
-        h = CompiledSum(_without_identity(h_pauli), sector)
+        h = _bracket_h(build_hamiltonian(h2o[0]).to_pauli(Transform.jordan_wigner(n)), sector)
         table = {}
         ansatz = AnsatzOp.build(n, terms, run.final_values, table=table, sector=sector)
         state = apply_ansatz(hf_state(n_e, n, sector=sector), ansatz)
@@ -562,14 +565,14 @@ class TestWaterOnTheSector:
         assert len(compiled) == len(pool) - len(terms)
 
     def test_bracket_takes_a_compiled_hamiltonian(self, h2o, water_run):
-        n, n_e, pool, _, sector = _water_setup(h2o, water_run[0])
+        """H and Zt must be compiled on the state's sector."""
+        run = water_run[0]
+        n, n_e, pool, terms, sector = _water_setup(h2o, run)
         h_pauli = build_hamiltonian(h2o[0]).to_pauli(Transform.jordan_wigner(n))
         pool = pool[:12]
         state = hf_state(n_e, n, sector=sector)
-        from fqcc.hmp2 import _without_identity
-
-        a = first_order_numerators(state, h_pauli, pool, None)
-        b = first_order_numerators(state, CompiledSum(_without_identity(h_pauli), sector), pool, None)
-        assert a == b
-        with pytest.raises(ValueError, match="different sector"):
-            first_order_numerators(state, CompiledSum(h_pauli), pool, None)
+        with pytest.raises(ValueError, match="H lives on a different sector"):
+            first_order_numerators(state, _bracket_h(h_pauli), pool, None)
+        zt = ztilde_operator(AnsatzOp.build(n, terms, run.final_values))
+        with pytest.raises(ValueError, match="Zt lives on a different sector"):
+            first_order_numerators(state, _bracket_h(h_pauli, sector), pool, zt)

@@ -273,6 +273,36 @@ def test_uncalled_entries_are_current():
     assert not called, f"UNCALLED lists names that are now used, drop them: {called}"
 
 
+_ARITHMETIC = {
+    "__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__matmul__", "__neg__",
+    "__truediv__",
+}
+
+
+def arithmetic_dunders(root):
+    """'module.Class.dunder' of each arithmetic operator that a top-level
+    class of ``src/fqcc`` defines, by a def or by an assignment."""
+    out = []
+    for path in sorted((root / "src" / "fqcc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = [item.name]
+                else:
+                    names = [t.id for t in getattr(item, "targets", ()) if isinstance(t, ast.Name)]
+                out += [f"{path.stem}.{node.name}.{name}" for name in names if name in _ARITHMETIC]
+    return out
+
+
+def test_no_operator_algebra():
+    """No pipeline multiplies, adds or negates operators; the tests' algebra
+    lives in tests/oracles.py."""
+    found = arithmetic_dunders(ROOT)
+    assert not found, f"arithmetic operators defined in fqcc: {found}; move them to tests/oracles.py"
+
+
 def test_compile_and_search_modules_leave_scipy_sparse_unloaded():
     """scipy.sparse takes about 0.2 s to import; the compile and search
     paths never need it."""
@@ -312,6 +342,11 @@ def test_member_rule_on_a_synthetic_tree(tmp_path):
             def _private(self):
                 return 0
 
+            def __mul__(self, other):
+                return self
+
+            __rmul__ = __mul__
+
 
         @dataclass
         class Report:
@@ -350,6 +385,7 @@ def test_member_rule_on_a_synthetic_tree(tmp_path):
         "mod.Report.passed", "mod.Report.written", "mod.Slots.unread",
     ]
     assert stale_uncalled(tmp_path, uncalled) == (["mod.Box.gone"], ["mod.Box.used"])
+    assert arithmetic_dunders(tmp_path) == ["mod.Box.__mul__", "mod.Box.__rmul__"]
 
 
 def unused_imports(path):
