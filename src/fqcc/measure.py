@@ -228,27 +228,20 @@ class MeasurementPlan:
         return len(self.groups)
 
 
-def _ordered(strings):
-    items = strings.strings() if isinstance(strings, PauliSum) else list(strings)
-    return sorted(items, key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
+def _ordered(paulis):
+    return sorted(paulis.strings(), key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
 
 
-def _width(strings, ordered):
-    """The register: the sum's width, else the first string's (1 for none).
-
-    Both partitions index qubits by this width, so a string acting beyond
-    it is rejected.
-    """
-    if isinstance(strings, PauliSum):
-        n = strings.n_qubits
-    else:
-        n = ordered[0].n_qubits if ordered else 1
+def _width(paulis, ordered):
+    """The sum's register; both partitions index qubits by it, so a string
+    acting beyond it is rejected."""
+    n = paulis.n_qubits
     if any((s.xmask | s.zmask) >> n for s in ordered):
         raise ValueError(f"a string acts beyond the {n}-qubit register")
     return n
 
 
-def partition_qwc(strings) -> MeasurementPlan:
+def partition_qwc(paulis: PauliSum) -> MeasurementPlan:
     """Greedy qubit-wise-commuting partition; measuring costs no extra gates.
 
     Strings are taken by decreasing |coefficient|, then in word order, and
@@ -260,8 +253,8 @@ def partition_qwc(strings) -> MeasurementPlan:
     letter]`` on each qubit of its support and joins the lowest group bit
     outside the union of those sets.
     """
-    ordered = _ordered(strings)
-    n = _width(strings, ordered)
+    ordered = _ordered(paulis)
+    n = _width(paulis, ordered)
     touched = [0] * n
     having = [0] * (4 * n)
     groups: list[list] = []
@@ -356,7 +349,7 @@ def _diagonalizing_circuit(basis, n) -> Circuit:
         emit("H", pivot)
 
 
-def partition_gc(strings) -> MeasurementPlan:
+def partition_gc(paulis: PauliSum) -> MeasurementPlan:
     """Greedy general-commutation partition with a basis change per group.
 
     Fewer groups than qubit-wise commutation, but each group must be rotated
@@ -369,8 +362,8 @@ def partition_gc(strings) -> MeasurementPlan:
     ``x << n | z`` against the swapped row ``z << n | x`` of a string has an
     even popcount exactly when the two commute.
     """
-    ordered = _ordered(strings)
-    n = _width(strings, ordered)
+    ordered = _ordered(paulis)
+    n = _width(paulis, ordered)
     groups: list[list] = []
     bases: list[dict] = []
     for s in ordered:

@@ -16,7 +16,9 @@ position alternates between exactly two patterns for a full window, or
 when they sit further than ``drift_distance`` bit flips from home for
 more than ``drift_window`` consecutive steps without a new personal
 best; the search ends at ``t_max`` steps or when every particle has
-stopped.
+stopped.  The sigmoid is 1 / (1 + exp(-v)) with ``math.exp``, which
+equals ``scipy.special.expit`` bit for bit; scipy is not imported, since
+its import would take most of a search process's start-up.
 
 Cost evaluations are pure functions of the decoded encoding, cached per
 bit pattern and run serially; randomness is partitioned into one stream
@@ -34,7 +36,6 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .transform import Transform
 from .trotter import HeuristicConfig, ansatz_two_qubit_cost
@@ -328,8 +329,29 @@ def _oscillating(recent, window):
     return all(v == (a if i % 2 == 0 else b) for i, v in enumerate(tail))
 
 
+def _sigmoid(velocity):
+    """1 / (1 + exp(-v)) per entry, with libm's ``exp`` as scipy's ``expit`` uses.
+
+    Equal to ``scipy.special.expit`` bit for bit, so seeded trajectories do
+    not depend on which one runs; ``np.exp`` is off by a few ulp on some
+    inputs.  Where exp(-v) overflows the sigmoid is 0.0, as 1 / (1 + inf).
+    """
+    out = np.empty(len(velocity))
+    for j, v in enumerate(velocity.tolist()):
+        try:
+            out[j] = 1.0 / (1.0 + math.exp(-v))
+        except OverflowError:
+            out[j] = 0.0
+    return out
+
+
 def step(swarm, cost_fn) -> Swarm:
-    """One synchronized move: velocities, bit resampling, bests, stop rules."""
+    """One synchronized move: velocities, bit resampling, bests, stop rules.
+
+    Each bit resamples against ``_sigmoid`` of its velocity, computed with
+    ``math.exp``: importing scipy for this one function would cost a search
+    process most of its start-up.
+    """
     cfg = swarm.config
     _ensure_evaluated(swarm, cost_fn)
     d = cfg.dimension
@@ -345,9 +367,9 @@ def step(swarm, cost_fn) -> Swarm:
         )
         draws = p.rng.random(d)
         if cfg.sigmoid_sets_one:
-            ones = draws <= expit(p.velocity)
+            ones = draws <= _sigmoid(p.velocity)
         else:
-            ones = draws > expit(p.velocity)
+            ones = draws > _sigmoid(p.velocity)
         p.position = int(sum(1 << int(j) for j in np.flatnonzero(ones)))
 
     costs = _evaluate(swarm, cost_fn, [p.position for p in movers])

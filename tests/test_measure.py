@@ -19,7 +19,7 @@ from fqcc.measure import (
     qsr_compress_sum,
     qsr_context_from_terms,
 )
-from fqcc.paulis import PauliString
+from fqcc.paulis import PauliString, PauliSum
 from fqcc.transform import Transform
 
 import oracles
@@ -332,13 +332,13 @@ def _water_encoding(name):
 
 class TestPartitionQwc:
     def test_all_z_is_one_free_group(self):
-        strings = [_string(3, t) for t in ("Z0", "Z1", "Z0 Z2", "Z1 Z2")]
+        strings = PauliSum.from_strings(_string(3, t) for t in ("Z0", "Z1", "Z0 Z2", "Z1 Z2"))
         plan = partition_qwc(strings)
         assert plan.n_groups == 1
         assert metrics(plan.groups[0].basis_change).two_qubit == 0
 
     def test_xx_yy_zz_needs_three_groups(self):
-        strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")]
+        strings = PauliSum.from_strings([_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")])
         assert partition_qwc(strings).n_groups == 3
 
     def test_groups_are_a_partition(self, h2_pauli):
@@ -355,7 +355,7 @@ class TestPartitionQwc:
 
 class TestPartitionGc:
     def test_xx_yy_zz_is_one_group_with_extra_cost(self):
-        strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")]
+        strings = PauliSum.from_strings([_string(2, "X0 X1"), _string(2, "Y0 Y1"), _string(2, "Z0 Z1")])
         plan = partition_gc(strings)
         assert plan.n_groups == 1
         assert metrics(plan.groups[0].basis_change).two_qubit >= 1
@@ -369,7 +369,7 @@ class TestPartitionGc:
 
     def test_dense_simultaneous_diagonalization(self):
         strings = [_string(2, "X0 X1"), _string(2, "Y0 Y1", 0.5), _string(2, "Z0 Z1", 0.25)]
-        plan = partition_gc(strings)
+        plan = partition_gc(PauliSum.from_strings(strings))
         circ = plan.groups[0].basis_change
         u = oracles.circuit_matrix(2, [(g.kind, g.qubits, g.theta) for g in circ.gates])
         total = sum(_dense(s) for s in strings)
@@ -438,12 +438,12 @@ class TestPartitionGc:
 
     @pytest.mark.parametrize("partition", [partition_qwc, partition_gc])
     def test_string_beyond_the_register_rejected(self, partition):
-        # the register is the first string's; X2 lies outside two qubits
+        # the register is the sum's; X2 lies outside two qubits
         with pytest.raises(ValueError, match="beyond the 2-qubit register"):
-            partition([_string(2, "X0", 2.0), PauliString(2, 0b100, 0, 1.0)])
+            partition(PauliSum.from_strings([_string(2, "X0", 2.0), PauliString(2, 0b100, 0, 1.0)]))
 
     def test_single_x_string_costs_nothing_extra(self):
-        plan = partition_gc([_string(2, "X0")])
+        plan = partition_gc(PauliSum.from_strings([_string(2, "X0")]))
         assert plan.n_groups == 1
         assert metrics(plan.groups[0].basis_change).two_qubit == 0
         rotated = conjugate_string(_string(2, "X0"), plan.groups[0].basis_change.gates)
@@ -461,12 +461,13 @@ class TestPartitionGc:
             if not (x | z):
                 x = 1
             strings.append(PauliString(n, x, z, 1.0))
-        _assert_reference_groups(strings)
-        gc = partition_gc(strings)
-        qwc = partition_qwc(strings)
-        assert gc.n_groups <= len(strings)
-        assert qwc.n_groups <= len(strings)
-        assert _n_strings(gc) == _n_strings(qwc) == len(strings)
+        paulis = PauliSum.from_strings(strings)  # repeated strings merge
+        _assert_reference_groups(paulis)
+        gc = partition_gc(paulis)
+        qwc = partition_qwc(paulis)
+        assert gc.n_groups <= len(paulis)
+        assert qwc.n_groups <= len(paulis)
+        assert _n_strings(gc) == _n_strings(qwc) == len(paulis)
         for g in gc.groups:
             for s in g.strings:
                 assert conjugate_string(s, g.basis_change.gates).xmask == 0

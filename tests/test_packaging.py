@@ -303,13 +303,19 @@ def test_no_operator_algebra():
     assert not found, f"arithmetic operators defined in fqcc: {found}; move them to tests/oracles.py"
 
 
-def test_compile_and_search_modules_leave_scipy_sparse_unloaded():
-    """scipy.sparse takes about 0.2 s to import; the compile and search
-    paths never need it."""
+def test_compile_and_search_paths_load_no_scipy():
+    """Importing scipy takes about half a search process's start-up, and only
+    ``simulate`` (L-BFGS-B) needs it: the compile modules and a whole
+    search run without loading any of it."""
     code = (
         "import sys\n"
-        "import fqcc.trotter, fqcc.measure, fqcc.pso, fqcc.transform, fqcc.fermions, fqcc.fcidump\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
+        "import fqcc.trotter, fqcc.measure, fqcc.pso, fqcc.transform, fqcc.fermions, fqcc.fcidump, fqcc.circuits\n"
+        "from fqcc import pso\n"
+        "from fqcc.fermions import uccsd_pool\n"
+        "config = pso.SwarmConfig(n_modes=4, k_max=2, t_max=3, seed=1)\n"
+        "report = pso.run(config, pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3)), occupied=range(2)))\n"
+        "assert report.steps > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(

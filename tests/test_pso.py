@@ -162,6 +162,15 @@ class TestStep:
             pso.step(swarm, bit_cost)
             assert all(p.position == expected for p in swarm.particles)
 
+    def test_sigmoid_is_scipy_expit(self):
+        """Bit for bit, so seeded trajectories match the scipy sigmoid's;
+        exp(-v) overflows below v = -709.78, where both give 0.0."""
+        from scipy.special import expit
+
+        edges = [709.78, 709.79, 745.2, 1e308, math.inf, 0.0, 5e-324, 36.0, 37.0]
+        for v in (np.linspace(-800.0, 800.0, 400_011), np.array(edges + [-e for e in edges])):
+            assert np.array_equal(pso._sigmoid(v), expit(v))
+
     def test_bests_refresh_and_t_advances(self):
         swarm = _init(4, 2, 1)
         pso.step(swarm, bit_cost)
