@@ -19,17 +19,22 @@ the first cycle.
 
 Orbital-energy denominators dE come from the reference orbital energies
 (annihilated minus created); near-degenerate denominators are excluded with
-a warning.  The Hamiltonian's identity component is stripped inside the
-brackets: the exact numerator is blind to it by orthogonality, and keeping
-it would leak a Taylor-truncation artifact proportional to the constant.
+a warning.  The bracket is blind to any constant in H: the constant adds
+c <psi|Dt+|psi>, which is 0 because Dt psi is orthogonal to psi (Dt is real
+and antisymmetric, psi real), and c <psi|[Zt, Dt+]|psi>, whose two halves
+cancel for the same reason.
 
 The loop runs in the emulator's occupation basis, on its reference's
 fixed-(N_alpha, N_beta) sector of occupation masks (``simulate.spin_sector``):
 the Hamiltonian, the ansatz generators and every candidate conserve N and
 S_z, so the whole loop needs only the sector's amplitudes.  H's ladder form
 is built once per run and serves both the classical cycle 0 and the
-mapping; H and H without its identity are compiled once per run; each
-generator is built once per run from the occupation masks
+mapping.  One operator is compiled per run: H - E_HF, with H's identity
+folded into the shift, so the VQE minimizes an energy near 0 whose last
+decreases round-off does not hide (``simulate.vqe_minimize``).  The VQE,
+the sign guesses (energy differences) and the bracket (blind to the
+constant) all use it, and the reports add E_HF back.  Each generator is
+built once per run from the occupation masks
 (``simulate.compile_generator``), and Zt stacks their weighted rows.  The
 loop carries the ansatz's values as a tuple parallel to its terms, and each
 new term is appended last, so the sign of its starting value is resolved by
@@ -58,7 +63,7 @@ from .fermions import (
     build_hamiltonian,
     uccsd_pool,
 )
-from .paulis import CompiledSum, PauliSum
+from .paulis import CompiledSum, PauliString, PauliSum
 from .simulate import (
     AnsatzOp, RowKernel, Statevector, _apply_exponential, _check_space, _occupation_image,
     apply_ansatz, compile_generator, hf_state, spin_sector, vqe_minimize,
@@ -72,6 +77,7 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-8
+_TIE_WINDOW = 1e-4  # relative score gap within which select_next calls a tie
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +145,14 @@ def mp2_classical(
             for seq in uccsd_pool(range(n_e), range(n_e, ham.n_modes))
             if seq.kind == "double"
         ]
-    return _mp2(ham, fock, pool, build_hamiltonian(ham))
-
-
-def _mp2(ham, fock, pool, fermion) -> MP2Result:
-    """``mp2_classical`` over ``pool``, with H's ladder form already built."""
     ref_mask = (1 << fock.n_electrons) - 1
-    hpsi = _h_on_reference(ham, fermion, ref_mask)
+    return _mp2(fock, pool, _h_on_reference(ham, build_hamiltonian(ham), ref_mask))
+
+
+def _mp2(fock, pool, hpsi) -> MP2Result:
+    """``mp2_classical`` over ``pool``, with H|ref> (``_h_on_reference``)
+    already built."""
+    ref_mask = (1 << fock.n_electrons) - 1
     e_corr = 0.0
     amplitudes: dict[str, float] = {}
     contributions: dict[str, float] = {}
@@ -184,11 +191,6 @@ def ztilde_operator(ansatz: AnsatzOp) -> RowKernel:
     return RowKernel(ansatz.n_qubits, ansatz.sector, values.reshape(shape), columns.reshape(shape))
 
 
-def _without_identity(op: PauliSum) -> PauliSum:
-    kept = [s for s in op.strings() if s.key != (0, 0)]
-    return PauliSum.from_strings(kept, n_qubits=op.n_qubits)
-
-
 def first_order_numerators(
     state: Statevector,
     hamiltonian: CompiledSum,
@@ -201,8 +203,9 @@ def first_order_numerators(
     Computes <psi| Dt+ H |psi> - <psi| Dt+ Zt H |psi> + <psi| Zt Dt+ H |psi>
     exactly on the statevector (on its sector, if it has one), sharing
     H|psi> and Zt|psi> across the set.  H and Zt (``ztilde_operator``)
-    must be compiled on the state's sector, and H is used as given, so it
-    must already be without its identity.  Each candidate's generator
+    must be compiled on the state's sector.  H may carry any constant (the
+    loop passes H - E_HF): the bracket is blind to it (module docstring),
+    up to round-off.  Each candidate's generator
     comes from ``simulate.compile_generator`` on the state's sector; a
     shared ``table`` (one per sector) reuses the generators an ansatz or an
     earlier sweep already compiled.
@@ -282,11 +285,18 @@ def select_next(
 ) -> SelectionResult | None:
     """Pick the candidate with the largest score (``candidate_scores``).
 
-    Ties (scores within a relative 1e-12 of the best) break on the
-    canonical term order; the guess is the winner's amplitude.  Returns
-    None when no candidate is scored (the pool is exhausted) or, when a
-    threshold and per-term energy contributions are given, when no scored
-    candidate's |contribution| reaches it (the loop-complete signal).
+    Ties (scores within a relative ``_TIE_WINDOW`` of the best) break on
+    the canonical term order; the guess is the winner's amplitude.  The
+    window is wide on purpose: spin partners (the alpha and beta copies of
+    one excitation) score equal at the VQE's stationary point, but a VQE
+    stopped at a gradient of 1e-7 leaves them up to a few 1e-6 apart, in a
+    direction set by the optimizer's path.  On water every candidate that
+    is not a spin partner of the top one scores at least 42% below it.
+
+    Returns None when no candidate is scored (the pool is exhausted) or,
+    when a threshold and per-term energy contributions are given, when no
+    scored candidate's |contribution| reaches it (the loop-complete
+    signal).
     """
     if not scores:
         return None
@@ -296,7 +306,8 @@ def select_next(
             return None
     top_score = max(scores.values())
     tied = [
-        s for s in pool if s.name in scores and top_score - scores[s.name] <= 1e-12 * top_score
+        s for s in pool
+        if s.name in scores and top_score - scores[s.name] <= _TIE_WINDOW * top_score
     ]
     best = min(tied, key=OrbitalSequence.sort_key)
     return SelectionResult(best, amplitudes[best.name])
@@ -315,7 +326,10 @@ class HMP2Config:
     the realized change of the last cycle, reaches it.  ``initial_threshold``
     seeds the first ansatz with every term whose classical second-order
     contribution exceeds it (None follows ``delta_e``; ``math.inf`` starts
-    from the bare reference and grows one term per cycle).
+    from the bare reference and grows one term per cycle).  ``vqe_gtol`` is
+    each VQE's stop rule, on the gradient's max-norm
+    (``simulate.vqe_minimize``): 1e-7 is the floor measured on water, where
+    a tenth of it ends some cycles in line-search failures.
     """
 
     delta_e: float = 1e-6
@@ -340,6 +354,7 @@ class HMP2Report:
     vqe_converged: bool
     vqe_grad_norm: float
     vqe_iterations: int
+    vqe_evaluations: int
     vqe_message: str
 
 
@@ -404,12 +419,16 @@ def run_hmp2_loop(
     reference = hf_state(n_e, n, sector=sector)
     fermion = build_hamiltonian(ham)
     h_pauli = _occupation_image(fermion)
-    h_compiled = CompiledSum(h_pauli, sector)
-    h_bracket = CompiledSum(_without_identity(h_pauli), sector)
-    e_hf = float(np.real(h_compiled.expectation(reference.amplitudes)))
+    ref_mask = (1 << n_e) - 1
+    h_ref = _h_on_reference(ham, fermion, ref_mask)
+    e_hf = h_ref[ref_mask]
+    # H - E_HF, the one operator the run compiles
+    h_compiled = CompiledSum(
+        PauliSum.from_strings(h_pauli.strings() + [PauliString(n, 0, 0, -e_hf)]), sector
+    )
 
     # cycle 0: fully classical bootstrap over the whole candidate pool
-    mp2 = _mp2(ham, fock, pool, fermion)
+    mp2 = _mp2(fock, pool, h_ref)
     amplitudes0 = mp2.amplitudes
     contributions0 = mp2.contributions
     e_corr2 = mp2.e_corr
@@ -429,6 +448,7 @@ def run_hmp2_loop(
             vqe_converged=True,
             vqe_grad_norm=0.0,
             vqe_iterations=0,
+            vqe_evaluations=0,
             vqe_message="no parameters",
         )
     ]
@@ -472,17 +492,18 @@ def run_hmp2_loop(
         ansatz = ansatz.with_values(values)
         state = apply_ansatz(reference, ansatz)
         ztilde = ztilde_operator(ansatz)
-        numerators = first_order_numerators(state, h_bracket, pool, ztilde, generators)
+        numerators = first_order_numerators(state, h_compiled, pool, ztilde, generators)
         amplitudes, contributions = _second_order(numerators, deltas)
         e_corr2 = sum(contributions.values())
-        e_total = result.energy + e_corr2
+        e_vqe = e_hf + result.energy
+        e_total = e_vqe + e_corr2
         scores = candidate_scores(pool, terms, amplitudes)
         selection = select_next(pool, scores, amplitudes, contributions, config.delta_e)
         report = HMP2Report(
             cycle=cycle,
             n_terms=len(terms),
             term_names=tuple(s.name for s in terms),
-            e_vqe=result.energy,
+            e_vqe=e_vqe,
             e_corr2=e_corr2,
             e_total=e_total,
             amplitudes=amplitudes,
@@ -492,6 +513,7 @@ def run_hmp2_loop(
             vqe_converged=result.converged,
             vqe_grad_norm=result.grad_norm,
             vqe_iterations=result.n_iterations,
+            vqe_evaluations=result.n_evaluations,
             vqe_message=result.message,
         )
         reports.append(report)
@@ -521,14 +543,15 @@ def run_hmp2_loop(
 
 def write_cycles_csv(reports, path) -> None:
     """Per-cycle convergence table (the data behind energy-descent plots),
-    with each cycle's VQE iterations, final gradient norm and stop message."""
+    with each cycle's VQE iterations, energy-and-gradient evaluations, final
+    gradient norm and stop message."""
     rows = reports.reports if isinstance(reports, HMP2Run) else reports
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [
                 "cycle", "n_terms", "e_vqe", "e_corr2", "e_total", "chosen_term", "f_score",
-                "vqe_iterations", "vqe_grad_norm", "vqe_message",
+                "vqe_iterations", "vqe_evaluations", "vqe_grad_norm", "vqe_message",
             ]
         )
         for r in rows:
@@ -543,6 +566,7 @@ def write_cycles_csv(reports, path) -> None:
                     r.chosen or "",
                     score,
                     r.vqe_iterations,
+                    r.vqe_evaluations,
                     f"{r.vqe_grad_norm:.12g}",
                     r.vqe_message,
                 ]

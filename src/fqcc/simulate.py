@@ -30,15 +30,25 @@ reference's sector, so the same kernels and the same sweep run on C(n/2,
 N_alpha) * C(n/2, N_beta) amplitudes instead of 2^n (441 against 16,384
 for water).  The sector travels with the state, the ansatz and the compiled
 operators, and mixing spaces raises ``ValueError``.
+
+``vqe_minimize`` runs an unbounded limited-memory BFGS written with numpy
+only (Nocedal and Wright, *Numerical Optimization*: the two-loop recursion,
+Algorithm 7.4, with memory 10, and a strong-Wolfe line search with zoom and
+cubic interpolation, Algorithms 3.5-3.6), so the emulator loads no scipy.
+It stops only when the gradient's max-norm is at most ``gtol``; a failed
+line search or the iteration cap ends it unconverged at the best point it
+evaluated.  The line search compares energies, so an objective far from 0
+(a molecular energy of -75 Ha) hides its last decreases in round-off:
+shift it by a constant close to the answer (``hmp2`` minimizes H - E_HF).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fermions import FermionOperator, OrbitalSequence, spin_of
 from .paulis import CompiledSum, PauliSum, _parity_of, same_sector
@@ -301,13 +311,21 @@ def apply_ansatz(state: Statevector, ansatz: AnsatzOp) -> Statevector:
 
 @dataclass(slots=True)
 class VQEResult:
-    """The minimized energy and its angles, one per ansatz term in order."""
+    """The minimized energy and its angles, one per ansatz term in order.
+
+    ``converged`` holds exactly when ``grad_norm``, the gradient's max-norm
+    at ``values``, is at most the run's ``gtol``; ``message`` names the rule
+    that stopped the run.  ``n_iterations`` counts accepted steps and
+    ``n_evaluations`` the energy-and-gradient evaluations, line searches
+    included.
+    """
 
     energy: float
     values: tuple
     converged: bool
     grad_norm: float
     n_iterations: int
+    n_evaluations: int
     message: str
 
 
@@ -335,6 +353,113 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
     return energy, grad
 
 
+_MEMORY = 10  # correction pairs kept by the two-loop recursion
+_C1, _C2 = 1e-4, 0.9  # strong-Wolfe constants: sufficient decrease, curvature
+_LINE_EVALS = 20  # evaluations one line search may spend
+
+
+def _two_loop(g, pairs):
+    """-H g for the L-BFGS inverse-Hessian estimate H of the correction
+    ``pairs`` (s, y, 1 / (y . s)), oldest first, with H0 = (s.y / y.y) I
+    from the newest (Nocedal and Wright, Algorithm 7.4)."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    return -q
+
+
+def _cubic_step(lo, hi):
+    """The step of the zoom interval's next trial: the minimizer of the
+    cubic through both ends' energies and slopes (Nocedal and Wright, eq.
+    3.59), kept a tenth of the interval away from either end, else its
+    midpoint.  ``lo`` and ``hi`` are (step, energy, slope, ...) points."""
+    (a, fa, da), (b, fb, db) = lo[:3], hi[:3]
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    margin = 0.1 * abs(b - a)
+    if disc >= 0.0:
+        d2 = math.copysign(math.sqrt(disc), b - a)
+        denom = db - da + 2.0 * d2
+        if denom:
+            step = b - (b - a) * (db + d2 - d1) / denom
+            if min(a, b) + margin <= step <= max(a, b) - margin:
+                return step
+    return 0.5 * (a + b)
+
+
+def _line_search(evaluate, f0, slope0, step):
+    """A point (step, energy, slope, gradient, x) along the search
+    direction that meets the strong Wolfe conditions, or None when
+    ``_LINE_EVALS`` evaluations find none.
+
+    ``evaluate(step)`` returns the point at ``step``.  Trial steps double
+    until one brackets an acceptable step (Nocedal and Wright, Algorithm
+    3.5); the bracket [lo, hi] then shrinks by safeguarded cubic
+    interpolation (Algorithm 3.6).  ``lo`` is always the lowest point found
+    that meets the sufficient-decrease condition.
+    """
+    lo, hi = (0.0, f0, slope0), None
+    for _ in range(_LINE_EVALS):
+        point = evaluate(step if hi is None else _cubic_step(lo, hi))
+        trial, f, slope = point[:3]
+        if f > f0 + _C1 * trial * slope0 or f >= lo[1]:
+            hi = point
+        elif abs(slope) <= -_C2 * slope0:
+            return point
+        else:
+            # a slope pointing back past lo (or up, before any bracket):
+            # the old lo bounds the far side
+            if slope * ((hi[0] if hi is not None else math.inf) - lo[0]) >= 0.0:
+                hi = lo
+            lo = point
+            step = 2.0 * trial
+    return None
+
+
+def _lbfgs(fun, x, gtol, maxiter):
+    """Minimize ``fun`` (x -> (f, gradient)) from x by L-BFGS: returns a
+    point (x, f, g) and (iterations, evaluations, message).  Stops at the
+    current iterate when max |g| <= gtol, or at the lowest point evaluated
+    after ``maxiter`` steps or when a line search fails."""
+    f, g = fun(x)
+    best = (x, f, g)
+    pairs = []
+    n_iter, n_eval = 0, 1
+
+    def evaluate(step):
+        nonlocal best, n_eval
+        xt = x + step * direction
+        ft, gt = fun(xt)
+        n_eval += 1
+        if ft < best[1]:
+            best = (xt, ft, gt)
+        return step, ft, float(gt @ direction), gt, xt
+
+    while True:
+        if np.max(np.abs(g)) <= gtol:
+            return (x, f, g), (n_iter, n_eval, "gradient max-norm at or below gtol")
+        if n_iter == maxiter:
+            return best, (n_iter, n_eval, "iteration cap reached")
+        direction = _two_loop(g, pairs)
+        step = 1.0 if pairs else min(1.0, 1.0 / float(np.linalg.norm(g)))
+        point = _line_search(evaluate, f, float(g @ direction), step)
+        if point is None:
+            return best, (n_iter, n_eval, "line search failed")
+        _, f_new, _, g_new, x_new = point
+        s, y = x_new - x, g_new - g
+        if s @ y > 0.0:
+            pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-_MEMORY:]
+        x, f, g = x_new, f_new, g_new
+        n_iter += 1
+
+
 def vqe_minimize(
     hamiltonian: CompiledSum,
     ansatz: AnsatzOp,
@@ -344,36 +469,32 @@ def vqe_minimize(
 ) -> VQEResult:
     """Minimize <ref| U+ H U |ref> over the ansatz parameters.
 
-    Exact expectations and analytic gradients feed a bounded quasi-Newton
-    search (L-BFGS-B) from the ansatz's values, so a warm start is
+    Exact expectations and analytic gradients feed L-BFGS (module
+    docstring) from the ansatz's values, so a warm start is
     ``ansatz.with_values(x)``; the run is deterministic for a given start.
-    ``converged`` is L-BFGS-B's own success: its projected gradient fell
-    below ``gtol`` or its relative reduction of the energy below its
-    ``ftol``, and ``message`` says which.  A run that exhausts the
-    iteration cap, or whose line search fails, comes back flagged
-    ``converged=False`` with the best point found.  The reference, the
-    ansatz and the compiled Hamiltonian must share one sector.
+    It is ``converged`` only when the gradient's max-norm falls to ``gtol``
+    or below.  A run that takes ``maxiter`` steps, or whose line search
+    fails (round-off hides any further decrease), comes back flagged
+    ``converged=False`` with the lowest-energy point it evaluated, and
+    ``message`` says which rule stopped it.  The reference, the ansatz and
+    the compiled Hamiltonian must share one sector.
     """
     _check_space("the Hamiltonian", reference.sector, hamiltonian.sector)
     _check_space("the ansatz", reference.sector, ansatz.sector)
     if not ansatz.terms:
         energy = float(np.real(hamiltonian.expectation(reference.amplitudes)))
-        return VQEResult(energy, (), True, 0.0, 0, "no parameters")
-    res = minimize(
-        _energy_and_gradient,
-        np.array(ansatz.values),
-        args=(hamiltonian, ansatz, reference),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "gtol": gtol, "ftol": 1e-14},
+        return VQEResult(energy, (), True, 0.0, 0, 1, "no parameters")
+    (x, energy, grad), (n_iter, n_eval, message) = _lbfgs(
+        lambda v: _energy_and_gradient(v, hamiltonian, ansatz, reference),
+        np.array(ansatz.values), gtol, maxiter,
     )
-    grad_norm = float(np.max(np.abs(res.jac)))
-    message = res.message if isinstance(res.message, str) else res.message.decode()
+    grad_norm = float(np.max(np.abs(grad)))
     return VQEResult(
-        energy=float(res.fun),
-        values=tuple(res.x.tolist()),
-        converged=bool(res.success),
+        energy=energy,
+        values=tuple(x.tolist()),
+        converged=grad_norm <= gtol,
         grad_norm=grad_norm,
-        n_iterations=int(res.nit),
+        n_iterations=n_iter,
+        n_evaluations=n_eval,
         message=message,
     )

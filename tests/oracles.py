@@ -23,7 +23,9 @@ filled pair by pair, and one junction per oriented pair tried.
 ``CompiledSum.apply`` once ran, ``energy_and_gradient_reference`` the
 VQE sweep on it, with two applies per exponential, and
 ``stacked_sum_reference`` the one-generator-at-a-time loop that Zt's
-stacked rows replace.  ``encoded_generators`` keeps the Pauli route
+stacked rows replace.  ``lbfgsb_reference`` runs scipy's L-BFGS-B, the
+minimizer that ``simulate.vqe_minimize`` once called, on the same energy
+and gradient.  ``encoded_generators`` keeps the Pauli route
 (``excitation_generator`` mapped and compiled) that
 ``simulate.compile_generator`` once took, under any encoding.
 
@@ -1562,6 +1564,20 @@ def energy_and_gradient_reference(x, hamiltonian, ansatz, reference):
             ket = exponential_reference(kernel, -x[j], ket)
             bra = exponential_reference(kernel, -x[j], bra)
     return energy, grad
+
+
+def lbfgsb_reference(energy_and_gradient, x0, gtol):
+    """(energy, x, gradient max-norm) where scipy's L-BFGS-B stops from
+    ``x0`` with its relative-reduction test off (``ftol=0``), so only the
+    projected gradient's max-norm reaching ``gtol`` (or a line-search
+    failure) ends it; no bounds, so the projection is the identity."""
+    from scipy.optimize import minimize
+
+    res = minimize(
+        energy_and_gradient, np.asarray(x0, dtype=float), jac=True, method="L-BFGS-B",
+        options={"maxiter": 2000, "gtol": gtol, "ftol": 0.0},
+    )
+    return float(res.fun), res.x, float(np.max(np.abs(res.jac)))
 
 
 # ---------------------------------------------------------------------------

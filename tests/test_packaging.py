@@ -57,20 +57,34 @@ def _project():
         return tomllib.load(fh)["project"]
 
 
-def _dependencies():
-    return _project()["dependencies"] if tomllib else []
+def _dependencies(extra=None):
+    """The runtime dependencies, or those of the optional ``extra``."""
+    if not tomllib:
+        return []
+    project = _project()
+    return project["dependencies"] if extra is None else project["optional-dependencies"][extra]
 
 
 def _module_name(spec):
     return re.sub(r"[-.]", "_", Requirement(spec).name.lower())
 
 
-@needs_tomllib
-@pytest.mark.parametrize("spec", _dependencies())
-def test_runtime_dependency_imports_at_declared_version(spec):
+def _imports_at_declared_version(spec):
     req = Requirement(spec)
     importlib.import_module(_module_name(spec))
     assert req.specifier.contains(importlib.metadata.version(req.name), prereleases=True)
+
+
+@needs_tomllib
+@pytest.mark.parametrize("spec", _dependencies())
+def test_runtime_dependency_imports_at_declared_version(spec):
+    _imports_at_declared_version(spec)
+
+
+@needs_tomllib
+@pytest.mark.parametrize("spec", _dependencies("dev"))
+def test_dev_dependency_imports_at_declared_version(spec):
+    _imports_at_declared_version(spec)
 
 
 @needs_tomllib
@@ -304,17 +318,23 @@ def test_no_operator_algebra():
 
 
 def test_compile_and_search_paths_load_no_scipy():
-    """Importing scipy takes about half a search process's start-up, and only
-    ``simulate`` (L-BFGS-B) needs it: the compile modules and a whole
-    search run without loading any of it."""
+    """Importing scipy took most of a process's start-up, and nothing in
+    fqcc needs it: every module, a whole search and a whole H2 HMP2 run
+    (VQE included) run without loading any of it."""
+    h2 = ROOT / "tests" / "fixtures" / "h2_sto3g.fcidump"
     code = (
         "import sys\n"
         "import fqcc.trotter, fqcc.measure, fqcc.pso, fqcc.transform, fqcc.fermions, fqcc.fcidump, fqcc.circuits\n"
-        "from fqcc import pso\n"
+        "import fqcc.simulate, fqcc.hmp2\n"
+        "from fqcc import hmp2, pso\n"
+        "from fqcc.fcidump import load_fcidump\n"
         "from fqcc.fermions import uccsd_pool\n"
         "config = pso.SwarmConfig(n_modes=4, k_max=2, t_max=3, seed=1)\n"
         "report = pso.run(config, pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3)), occupied=range(2)))\n"
         "assert report.steps > 0\n"
+        f"ham, fock = load_fcidump({str(h2)!r}).to_spin_orbital()\n"
+        "run = hmp2.run_hmp2_loop(ham, fock)\n"
+        "assert run.converged and run.final.vqe_iterations > 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import build_hamiltonian, uccsd_pool
-from fqcc.hmp2 import _without_identity, ztilde_operator
+from fqcc.hmp2 import ztilde_operator
 from fqcc.paulis import CompiledSum, PauliString, PauliSum, word_key
 from fqcc.simulate import AnsatzOp
 from fqcc.transform import Transform
@@ -258,7 +258,9 @@ class TestRowLayout:
         tr = _water_encoding(kind)
         sector = oracles.encoded_sector(tr, 5, 5)
         h_pauli = build_hamiltonian(water[0]).to_pauli(tr)
-        for op in (h_pauli, _without_identity(h_pauli)):
+        # and H shifted by a constant, the shape of the H - E_HF that the HMP2 loop compiles
+        shifted = PauliSum.from_strings(h_pauli.strings() + [PauliString(14, 0, 0, 75.0)])
+        for op in (h_pauli, shifted):
             compiled = CompiledSum(op, sector)
             n_groups = len(set(compiled.flips.tolist()))
             # only nonzeros are stored: fewer slots than one table per group

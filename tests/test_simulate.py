@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, build_hamiltonian, uccsd_pool
-from fqcc.paulis import CompiledSum, PauliSum
+from fqcc.paulis import CompiledSum, PauliString, PauliSum
 from fqcc import simulate
 from fqcc.simulate import (
     AnsatzOp,
@@ -24,6 +24,7 @@ from fqcc.transform import Transform
 import oracles
 
 H2_PATH = "tests/fixtures/h2_sto3g.fcidump"
+H4_PATH = "tests/fixtures/h4_sto3g.fcidump"
 H2O_PATH = "tests/fixtures/h2o_sto3g.fcidump"
 
 
@@ -276,9 +277,10 @@ class TestVqeMinimize:
         ansatz = AnsatzOp.build(4, pool)
         res = vqe_minimize(h2[3], ansatz, hf_state(2, 4))
         exact = float(np.linalg.eigvalsh(oracles.sum_matrix(h2[2]))[0])
-        assert res.converged
+        assert res.converged and res.message == "gradient max-norm at or below gtol"
         assert res.energy == pytest.approx(exact, abs=1e-8)
         assert res.grad_norm < 1e-7
+        assert res.n_evaluations > res.n_iterations > 0
 
     def test_no_parameters_returns_reference_energy(self, h2):
         ansatz = AnsatzOp.build(4, ())
@@ -319,9 +321,30 @@ class TestVqeMinimize:
         pool = uccsd_pool(range(2), range(2, 4))
         ansatz = AnsatzOp.build(4, pool)
         res = vqe_minimize(h, ansatz, hf_state(2, 4), maxiter=1)
-        assert not res.converged
+        assert not res.converged and res.message == "iteration cap reached"
         assert res.n_iterations <= 1
         assert np.isfinite(res.energy)
+
+    def test_line_search_failure_returns_the_best_point(self, h2, monkeypatch):
+        """At ``gtol=0`` round-off ends the run in a failed line search;
+        it reports the lowest energy it evaluated, with that point's
+        values and gradient."""
+        h = h2[3]
+        ansatz = AnsatzOp.build(4, uccsd_pool(range(2), range(2, 4)))
+        evaluated = []
+        sweep = simulate._energy_and_gradient
+
+        def recording(x, *args):
+            evaluated.append((x.copy(), *sweep(x, *args)))
+            return evaluated[-1][1:]
+
+        monkeypatch.setattr(simulate, "_energy_and_gradient", recording)
+        res = vqe_minimize(h, ansatz, hf_state(2, 4), gtol=0.0)
+        assert not res.converged and res.message == "line search failed"
+        assert res.n_evaluations == len(evaluated)
+        x, energy, grad = min(evaluated, key=lambda point: point[1])
+        assert res.energy == energy and res.values == tuple(x.tolist())
+        assert res.grad_norm == np.max(np.abs(grad)) > 0.0
 
     def test_initial_point_is_respected(self, h2):
         h = h2[3]
@@ -338,6 +361,45 @@ class TestVqeMinimize:
         assert isinstance(res, VQEResult)
         assert res.values == ()
         assert isinstance(res.message, str)
+        assert res.n_evaluations == 1
+
+
+def _shifted_problem(path):
+    """(H - E_HF compiled on the spin sector, the UCCSD pool, the reference)
+    of an FCIDUMP, shifted as ``hmp2.run_hmp2_loop`` shifts it."""
+    ham, fock = load_fcidump(path).to_spin_orbital()
+    n, n_e = ham.n_modes, fock.n_electrons
+    h_pauli = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(n))
+    sector = spin_sector(n, (n_e + 1) // 2, n_e // 2)
+    reference = hf_state(n_e, n, sector=sector)
+    e_hf = oracles.expectation(reference, h_pauli)
+    shifted = PauliSum.from_strings(h_pauli.strings() + [PauliString(n, 0, 0, -e_hf)])
+    return CompiledSum(shifted, sector), uccsd_pool(range(n_e), range(n_e, n)), reference
+
+
+class TestAgainstLbfgsb:
+    """The numpy L-BFGS and scipy's L-BFGS-B (``oracles.lbfgsb_reference``,
+    ``ftol=0``) stop at the same minimum: energies within 1e-12, and both
+    gradients' max-norms at or below ``gtol``."""
+
+    @pytest.mark.parametrize(
+        "path, n_terms, scale",
+        [(H2O_PATH, 39, 0.0), (H4_PATH, None, 0.0), (H4_PATH, None, 0.3)],
+        ids=["water", "h4", "h4-seeded"],
+    )
+    def test_same_minimum(self, path, n_terms, scale):
+        h, pool, reference = _shifted_problem(path)
+        pool = pool[:n_terms]
+        start = np.random.default_rng(0).uniform(-scale, scale, len(pool))
+        ansatz = AnsatzOp.build(reference.n_qubits, pool, start, sector=reference.sector)
+        gtol = 1e-7
+        res = vqe_minimize(h, ansatz, reference, gtol=gtol)
+        energy, _, grad_norm = oracles.lbfgsb_reference(
+            lambda x: simulate._energy_and_gradient(x, h, ansatz, reference), start, gtol
+        )
+        assert res.converged and res.grad_norm <= gtol
+        assert grad_norm <= gtol
+        assert res.energy == pytest.approx(energy, abs=1e-12)
 
 
 def _encoding(kind, n):

@@ -13,7 +13,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("molecule, fixture", [("h2", "h2_sto3g"), ("water", "h2o_sto3g")])
+@pytest.mark.parametrize(
+    "molecule, fixture", [("h2", "h2_sto3g"), ("h4", "h4_sto3g"), ("water", "h2o_sto3g")]
+)
 def test_make_fcidump_reproduces_the_fixture(molecule, fixture, tmp_path):
     out = tmp_path / f"{fixture}.fcidump"
     subprocess.run(
@@ -87,3 +89,4 @@ def test_emulator_layers_reports_h2():
     )
     cycles = layers["cycles"]
     assert cycles and all(c["vqe_s"] > 0 and c["vqe_iterations"] > 0 for c in cycles)
+    assert all(c["vqe_evaluations"] > c["vqe_iterations"] for c in cycles)

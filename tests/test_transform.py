@@ -344,6 +344,22 @@ class TestLadderStrings:
                 assert x0 == x1 and z0 ^ z1 == row
 
 
+def test_popcount_is_int_bit_count():
+    """The popcount counts bits exactly, on random masks of 0 to 60 bits
+    (each width's all-ones mask included)."""
+    from fqcc.transform import _popcount
+
+    rng = np.random.default_rng(11)
+    widths = rng.integers(0, 61, size=4000)
+    masks = rng.integers(0, 1 << 60, size=4000, dtype=np.int64) & ((1 << widths) - 1)
+    masks = np.concatenate([masks, (1 << np.arange(61, dtype=np.int64)) - 1])
+    want = np.array([int(m).bit_count() for m in masks.tolist()], dtype=np.int64)
+    before = masks.copy()
+    count = _popcount(masks)
+    assert count.dtype == np.int64 and np.array_equal(count, want)
+    assert np.array_equal(masks, before)  # the input is left as it was
+
+
 class TestFrameRule:
     """A linear encoding is Jordan-Wigner followed by the basis permutation
     P: x -> beta x, so every mapped operator is P (JW image) P^T, and

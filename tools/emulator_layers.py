@@ -19,9 +19,10 @@ rounds of ``time.perf_counter`` over a fixed number of calls:
                        gradient at the run's final values
 
 ``h_width`` and ``h_nonzeros`` describe H's row layout (the widest row and
-the stored nonzeros), and ``cycles`` lists, per VQE cycle, its seconds and
-L-BFGS-B iterations.  Everything runs in this one process on one thread, so
-``workers`` is 1.  The checkout's ``src`` is imported, not an installed fqcc.
+the stored nonzeros), and ``cycles`` lists, per VQE cycle, its seconds,
+L-BFGS iterations and energy-and-gradient evaluations.  Everything runs in
+this one process on one thread, so ``workers`` is 1.  The checkout's
+``src`` is imported, not an installed fqcc.
 
 Usage: python3 tools/emulator_layers.py [--systems h2 water]
 """
@@ -70,7 +71,8 @@ def _timed_vqe(vqe, cycles):
         start = perf_counter()
         result = vqe(*args, **kwargs)
         cycles.append({"vqe_s": round(perf_counter() - start, 6),
-                       "vqe_iterations": result.n_iterations})
+                       "vqe_iterations": result.n_iterations,
+                       "vqe_evaluations": result.n_evaluations})
         return result
 
     return wrapper

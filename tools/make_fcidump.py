@@ -7,7 +7,7 @@ Integrals use the McMurchie-Davidson scheme (Hermite expansion coefficients
 plus the Boys function); the SCF is a plain closed-shell Roothaan iteration,
 adequate for the tiny molecules shipped here.
 
-Usage: python3 make_fcidump.py {h2|water} [output-path]
+Usage: python3 make_fcidump.py {h2|h4|water} [output-path]
 """
 
 import sys
@@ -326,6 +326,9 @@ def molecule(name):
     if name == "h2":
         r = 0.7414 * ANGSTROM_TO_BOHR
         return [("H", (0.0, 0.0, 0.0)), ("H", (0.0, 0.0, r))], 2
+    if name == "h4":  # a linear chain, 1.0 Angstrom between neighbours
+        r = 1.0 * ANGSTROM_TO_BOHR
+        return [("H", (0.0, 0.0, k * r)) for k in range(4)], 4
     if name == "water":
         r = 0.9584 * ANGSTROM_TO_BOHR
         half = np.deg2rad(104.45) / 2
