@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 _HERMITICITY_TOL = 1e-10
 
 
@@ -55,7 +53,7 @@ class FermionTerm:
         )
 
     def max_mode(self):
-        return max((op.mode for op in self.ops), default=-1)
+        return max([op.mode for op in self.ops], default=-1)
 
     def __str__(self):
         body = " ".join(str(op) for op in self.ops) or "1"
@@ -108,11 +106,11 @@ class MolecularHamiltonian:
         """Index tuples whose coefficients break Hermiticity by more than ``_HERMITICITY_TOL``."""
         bad = []
         for (p, r), v in self.h1.items():
-            if abs(np.conj(v) - self.h1.get((r, p), 0.0)) > _HERMITICITY_TOL:
+            if abs(v.conjugate() - self.h1.get((r, p), 0.0)) > _HERMITICITY_TOL:
                 bad.append(("h1", (p, r)))
         for (p, q, r, s), v in self.h2.items():
             # (a+_p a+_q a_r a_s)+ = a+_s a+_r a_q a_p
-            if abs(np.conj(v) - self.h2.get((s, r, q, p), 0.0)) > _HERMITICITY_TOL:
+            if abs(v.conjugate() - self.h2.get((s, r, q, p), 0.0)) > _HERMITICITY_TOL:
                 bad.append(("h2", (p, q, r, s)))
         return bad
 
@@ -124,23 +122,22 @@ def build_hamiltonian(h: MolecularHamiltonian) -> FermionOperator:
         listing = ", ".join(f"{kind}{idx}" for kind, idx in bad[:12])
         more = "" if len(bad) <= 12 else f" (+{len(bad) - 12} more)"
         raise ValueError(f"non-Hermitian coefficients at {listing}{more}")
+    ladders: dict = {}  # one LadderOp per (mode, dagger), shared by the terms
+
+    def ladder(mode, dagger):
+        op = ladders.get((mode, dagger))
+        if op is None:
+            op = ladders[mode, dagger] = LadderOp(mode, dagger)
+        return op
+
     terms = []
     for (p, r), v in sorted(h.h1.items()):
         if v != 0.0:
-            terms.append(FermionTerm(v, (LadderOp(p, True), LadderOp(r, False))))
+            terms.append(FermionTerm(v, (ladder(p, True), ladder(r, False))))
     for (p, q, r, s), v in sorted(h.h2.items()):
         if v != 0.0:
-            terms.append(
-                FermionTerm(
-                    v,
-                    (
-                        LadderOp(p, True),
-                        LadderOp(q, True),
-                        LadderOp(r, False),
-                        LadderOp(s, False),
-                    ),
-                )
-            )
+            ops = (ladder(p, True), ladder(q, True), ladder(r, False), ladder(s, False))
+            terms.append(FermionTerm(v, ops))
     return FermionOperator(h.n_modes, terms, h.core_energy)
 
 

@@ -33,12 +33,13 @@ mapping.  One operator is compiled per run: H - E_HF, with H's identity
 folded into the shift, so the VQE minimizes an energy near 0 whose last
 decreases round-off does not hide (``simulate.vqe_minimize``).  The VQE,
 the sign guesses (energy differences) and the bracket (blind to the
-constant) all use it, and the reports add E_HF back.  Each generator is
-built once per run from the occupation masks
-(``simulate.compile_generator``), and Zt stacks their weighted rows.  The
-loop carries the ansatz's values as a tuple parallel to its terms, and each
-new term is appended last, so the sign of its starting value is resolved by
-applying its one exponential to the cycle's state.
+constant) all use it, and the reports add E_HF back.  Every pool
+generator is built once per run, up front and from the occupation masks,
+in batched passes (``simulate.compile_generators``), and Zt stacks their
+weighted rows.  The loop carries the ansatz's values as a tuple parallel
+to its terms, and each new term is appended last, so the sign of its
+starting value is resolved by applying its one exponential to the cycle's
+state.
 
 ``run_hmp2_loop`` is the one path through these steps: it forms N_a with
 ``first_order_numerators``, divides by ``FockData.denominator`` for the
@@ -63,10 +64,10 @@ from .fermions import (
     build_hamiltonian,
     uccsd_pool,
 )
-from .paulis import CompiledSum, PauliString, PauliSum
+from .paulis import CompiledSum, _shifted
 from .simulate import (
     AnsatzOp, RowKernel, Statevector, _apply_exponential, _check_space, _occupation_image,
-    apply_ansatz, compile_generator, hf_state, spin_sector, vqe_minimize,
+    apply_ansatz, compile_generator, compile_generators, hf_state, spin_sector, vqe_minimize,
 )
 
 __all__ = [
@@ -206,9 +207,9 @@ def first_order_numerators(
     must be compiled on the state's sector.  H may carry any constant (the
     loop passes H - E_HF): the bracket is blind to it (module docstring),
     up to round-off.  Each candidate's generator
-    comes from ``simulate.compile_generator`` on the state's sector; a
-    shared ``table`` (one per sector) reuses the generators an ansatz or an
-    earlier sweep already compiled.
+    comes from ``simulate.compile_generators`` on the state's sector, the
+    missing ones built together; a shared ``table`` (one per sector) reuses
+    the generators an ansatz or an earlier sweep already compiled.
     """
     psi = state.amplitudes
     _check_space("H", state.sector, hamiltonian.sector)
@@ -220,8 +221,8 @@ def first_order_numerators(
         zpsi = ztilde.apply(psi)
     table = {} if table is None else table
     out: dict[str, float] = {}
-    for seq in alphas:
-        dt = compile_generator(seq, state.n_qubits, state.sector, table)
+    alphas = list(alphas)
+    for seq, dt in zip(alphas, compile_generators(alphas, state.n_qubits, state.sector, table)):
         dpsi = dt.apply(psi)
         bracket = np.vdot(dpsi, hpsi)
         if zpsi is not None:
@@ -392,6 +393,18 @@ def _resolved_sign_guess(h_compiled, state, kernel, guess):
     return best_value
 
 
+def _hamiltonian_minus_hf(ham: MolecularHamiltonian, n_e: int, sector):
+    """(H|ref>, E_HF, H - E_HF compiled on ``sector``), the reference
+    filling modes 0 .. n_e - 1.  H's ladder form is built once: it gives
+    H|ref> (``_h_on_reference``), whose reference entry is E_HF, and H's
+    Jordan-Wigner image, which is shifted (``paulis._shifted``) and compiled."""
+    fermion = build_hamiltonian(ham)
+    ref_mask = (1 << n_e) - 1
+    h_ref = _h_on_reference(ham, fermion, ref_mask)
+    e_hf = h_ref[ref_mask]
+    return h_ref, e_hf, CompiledSum(_shifted(_occupation_image(fermion), -e_hf), sector)
+
+
 def run_hmp2_loop(
     ham: MolecularHamiltonian,
     fock: FockData,
@@ -417,15 +430,7 @@ def run_hmp2_loop(
     # the reference fills modes 0 .. n_e-1, alpha (even) and beta (odd) in turn
     sector = spin_sector(n, (n_e + 1) // 2, n_e // 2)
     reference = hf_state(n_e, n, sector=sector)
-    fermion = build_hamiltonian(ham)
-    h_pauli = _occupation_image(fermion)
-    ref_mask = (1 << n_e) - 1
-    h_ref = _h_on_reference(ham, fermion, ref_mask)
-    e_hf = h_ref[ref_mask]
-    # H - E_HF, the one operator the run compiles
-    h_compiled = CompiledSum(
-        PauliSum.from_strings(h_pauli.strings() + [PauliString(n, 0, 0, -e_hf)]), sector
-    )
+    h_ref, e_hf, h_compiled = _hamiltonian_minus_hf(ham, n_e, sector)
 
     # cycle 0: fully classical bootstrap over the whole candidate pool
     mp2 = _mp2(fock, pool, h_ref)
@@ -465,7 +470,9 @@ def run_hmp2_loop(
     terms: list[OrbitalSequence] = list(seeds)
     start = tuple(amplitudes0[s.name] for s in seeds)  # VQE's starting values
 
-    generators: dict[OrbitalSequence, RowKernel] = {}  # one per excitation on the sector
+    # one generator per pool excitation on the sector, built together
+    generators: dict[OrbitalSequence, RowKernel] = {}
+    compile_generators(pool, n, sector, generators)
     if not terms:
         selection = select_next(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:

@@ -99,11 +99,15 @@ class PauliSum:
         else:
             self._terms[key] = c
 
+    def _canonical_keys(self):
+        """The terms' (x, z) keys in canonical (letter-word) order."""
+        n = self.n_qubits
+        return sorted(self._terms, key=lambda k: word_key(n, *k))
+
     def strings(self):
         """Terms as PauliString objects in canonical (letter-word) order."""
         n = self.n_qubits
-        keys = sorted(self._terms, key=lambda k: word_key(n, *k))
-        return [PauliString(n, x, z, self._terms[x, z]) for x, z in keys]
+        return [PauliString(n, x, z, self._terms[x, z]) for x, z in self._canonical_keys()]
 
     def __len__(self):
         return len(self._terms)
@@ -112,6 +116,16 @@ class PauliSum:
         """Drop every coefficient of magnitude ``COEFF_TOL`` or less."""
         self._terms = {k: c for k, c in self._terms.items() if abs(c) > COEFF_TOL}
         return self
+
+
+def _shifted(op: PauliSum, shift) -> PauliSum:
+    """``op`` plus ``shift`` times the identity, its terms in canonical
+    order: the sum ``PauliSum.from_strings(op.strings() + [PauliString(n,
+    0, 0, shift)])`` builds, coefficient for coefficient, without a string
+    object per term."""
+    out = PauliSum(op.n_qubits, {key: 0.0 + op._terms[key] for key in op._canonical_keys()})
+    out._add_term(0, 0, shift)
+    return out.simplify()
 
 
 # ---------------------------------------------------------------------------
@@ -132,12 +146,16 @@ def _parity_lut():
     return _PARITY_LUT
 
 
-def _parity_of(arr):
+def _parity_of(arr, bits=64):
+    """Parity of each entry of a non-negative integer array whose entries
+    fit in ``bits`` bits: halves are folded together down to 16 bits, then
+    read off the table."""
     folded = arr
-    if folded.dtype.itemsize * 8 > 32:
+    if bits > 32 and folded.dtype.itemsize * 8 > 32:
         folded = folded ^ (folded >> 32)
-    folded = folded ^ (folded >> 16)
-    return _parity_lut()[folded & 0xFFFF]
+    if bits > 16:
+        folded = (folded ^ (folded >> 16)) & 0xFFFF
+    return _parity_lut()[folded]
 
 
 _ENTRY_LIMIT = 1 << 23  # cap on the stored nonzeros of a sum's row layout
@@ -150,14 +168,27 @@ def same_sector(a, b):
     return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
-def _phase_table(points, masks, signed):
-    """sum of w * (-1)^parity(point & m) over the (m, w) pairs of ``masks``
-    and ``signed``, at each point, added one string at a time."""
-    signs = 1.0 - 2.0 * _parity_of(points & masks[:, None])
-    table = np.zeros(len(points), dtype=np.complex128)
-    for row in signed[:, None] * signs:
-        table += row
-    return table
+_BLOCK_ENTRIES = 1 << 14  # table entries per block of groups, bounding its scratch arrays
+
+
+def _ordered_sums(points, counts, starts, strings, masks, weights, bits):
+    """Row b: the sum of w * (-1)^parity(point & m) at each point of
+    ``points[b]``, over the strings (m, w) = (``masks[j]``, ``weights[j]``)
+    for j in ``strings[starts[b] : starts[b] + counts[b]]``, added one
+    string at a time in that order, from 0.  Points and masks fit in
+    ``bits`` bits.
+
+    Rows come sorted by count, most first, so step i adds the i-th string
+    of a leading block of rows: every row sees its own strings' additions
+    in order, as a loop over one row at a time would make them.  Each
+    addend is w or -w, exactly w times the sign.
+    """
+    out = np.zeros(points.shape, dtype=np.complex128)
+    for i, active in enumerate((len(counts) - np.cumsum(np.bincount(counts)))[:-1].tolist()):
+        j = strings[starts[:active, None] + i]
+        w = weights[j]
+        out[:active] += np.where(_parity_of(points[:active] & masks[j], bits), -w, w)
+    return out
 
 
 def _pack(tables, columns):
@@ -190,11 +221,14 @@ class CompiledSum:
     nonzeros, laid out by row: ``values`` and ``columns`` are (width, dim)
     arrays whose column r holds row r's nonzeros in group order, padded
     with zeros to the widest row (81 for water's Hamiltonian on its spin
-    sector).  An apply is then one gather, one multiply and one
-    ``sum(axis=0)``.  That sum adds each row's entries in slot order, i.e.
-    in group order, exactly as a loop adding one group's ``table *
-    vec[partner]`` at a time would, and the padding adds exact zeros, so the
-    result does not depend on the layout bit for bit
+    sector).  The tables are built by array passes over blocks of groups
+    (``_tables``) that add each entry's strings in member order, so they
+    equal those of a loop over the groups and their strings bit for bit
+    (``oracles.compiled_tables_loop``).  An apply is then one gather, one
+    multiply and one ``sum(axis=0)``.  That sum adds each row's entries in
+    slot order, i.e. in group order, exactly as a loop adding one group's
+    ``table * vec[partner]`` at a time would, and the padding adds exact
+    zeros, so the result does not depend on the layout bit for bit
     (``oracles.compiled_apply_reference`` keeps that loop).  A sum with more
     than ``_ENTRY_LIMIT`` nonzeros keeps no layout and rebuilds it on each
     apply; ``values`` and ``columns`` are then None.
@@ -235,37 +269,56 @@ class CompiledSum:
     def _tables(self):
         """(tables, columns), each (groups, dim): every X-mask group's phase
         table and its rows' partner columns, in group order (the order of
-        first appearance in ``flips``)."""
-        by_flip: dict[int, list] = {}
-        for i, f in enumerate(self.flips.tolist()):
-            by_flip.setdefault(f, []).append(i)
-        sector = self.sector
-        tables = np.empty((len(by_flip), self.dim), dtype=np.complex128)
-        columns = np.empty((len(by_flip), self.dim), dtype=np.intp)
-        for g, (f, members) in enumerate(by_flip.items()):
-            masks = self.masks[members]
-            # parity((i^f) & m) splits into parity(i&m) and a sign bit
-            signed = self.weights[members] * (1.0 - 2.0 * _parity_of(masks & f))
-            if sector is None:
-                idx = np.arange(1 << self.n_qubits, dtype=np.int64)
-                tables[g] = _phase_table(idx, masks, signed)
-                columns[g] = idx ^ f
-                continue
-            partner = sector ^ f
-            pos = np.minimum(np.searchsorted(sector, partner), len(sector) - 1)
-            inside = sector[pos] == partner
-            # the table at the sector and at the partners outside it: the
-            # matrix elements into the sector and out of it that it drops
-            table = _phase_table(np.concatenate([sector, partner[~inside]]), masks, signed)
-            leak = np.abs(np.concatenate([table[len(sector):], table[: len(sector)][~inside]]))
-            if leak.size and leak.max() > SECTOR_TOL:
+        first appearance in ``flips``).
+
+        Group f's table at row r sums w * (-1)^parity((r ^ f) & m) over its
+        strings in ``flips`` order, one string at a time, for blocks of
+        groups at once (``_ordered_sums``, most strings first, up to
+        ``_BLOCK_ENTRIES`` entries a block), so each entry equals that of a
+        loop over the groups and their strings
+        (``oracles.compiled_tables_loop``).  On a sector, the entries of rows
+        whose partner r ^ f is outside it, and the table at those partners,
+        w * (-1)^parity(r & m) summed alike, are the matrix elements out of
+        the sector and into it that the sum drops.
+        """
+        sector, dim = self.sector, self.dim
+        if not len(self.flips):
+            return np.zeros((0, dim), dtype=np.complex128), np.zeros((0, dim), dtype=np.intp)
+        points = np.arange(dim, dtype=np.int64) if sector is None else sector
+        flips, first, group = np.unique(self.flips, return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        flips = flips[by_first]
+        group = np.argsort(by_first)[group]
+        counts = np.bincount(group, minlength=len(flips))
+        # group g's strings, in order, are strings[starts[g] : starts[g] + counts[g]]
+        strings = np.argsort(group, kind="stable")
+        starts = np.cumsum(counts) - counts
+        partners = points ^ flips[:, None]
+        if sector is not None:
+            columns = np.minimum(np.searchsorted(sector, partners), dim - 1)
+            outside = sector[columns] != partners
+            leaks = np.zeros(len(flips))
+        else:
+            columns = partners.astype(np.intp)
+        tables = np.empty(partners.shape, dtype=np.complex128)
+        most = np.argsort(-counts, kind="stable")
+        block = max(_BLOCK_ENTRIES // dim, 1)
+        for start in range(0, len(most), block):
+            g = most[start : start + block]
+            parts = (counts[g], starts[g], strings, self.masks, self.weights, self.n_qubits)
+            tables[g] = _ordered_sums(partners[g], *parts)
+            if sector is not None:
+                into = _ordered_sums(np.broadcast_to(points, (len(g), dim)), *parts)
+                leak = np.maximum(np.abs(tables[g]), np.abs(into))
+                leaks[g] = np.where(outside[g], leak, 0.0).max(axis=1)
+        if sector is not None:
+            bad = np.flatnonzero(leaks > SECTOR_TOL)
+            if bad.size:
                 raise ValueError(
                     f"operator couples the sector to states outside it "
-                    f"(matrix element {leak.max():.3g})"
+                    f"(matrix element {leaks[bad[0]]:.3g})"
                 )
-            tables[g] = table[: len(sector)]
-            tables[g, ~inside] = 0.0
-            columns[g] = pos
+            tables[outside] = 0.0
         return tables, columns
 
     def apply(self, vec):

@@ -13,15 +13,30 @@ per excitation, applied term-exactly: an excitation's modes are distinct
 K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
 (1 - cos(t)) K^2.  On occupation masks K is a signed permutation, so K is
 one gather and K^2 is diagonal: an exponential costs one gather, and no
-matrix or Pauli string is ever built.  ``compile_generator`` is the one
-place an excitation becomes such a kernel, read off the ladder rule; an
-ansatz holds one per term, in term order, and ansatzes built over one
-table share them.  Its parameters are a float tuple in the same order, one
-angle per term; a tuple of the wrong length raises ``ValueError``.  Term
-order is preserved because a first-order product formula is
-order-sensitive.  Expectations are exact (emulating the infinite-shot
-limit), and gradients come from an adjoint sweep, so the minimizer sees
-analytically exact derivatives.
+matrix or Pauli string is ever built.  ``compile_generators`` is the one
+place excitations become such kernels, read off the ladder rule in
+batched numpy passes, one ladder count at a time, for all the excitations
+a table lacks (``compile_generator`` is a batch of one); an ansatz holds
+one per term, in term order, and ansatzes built over one table share
+them.  Its parameters are a float tuple in the same order, one angle per
+term; a tuple of the wrong length raises ``ValueError``.  Term order is
+preserved because a first-order product formula is order-sensitive.
+Expectations are exact (emulating the infinite-shot limit), and gradients
+come from an adjoint sweep, so the minimizer sees analytically exact
+derivatives.
+
+A sweep works on a few hundred amplitudes per exponential (441 for
+water), so numpy's per-call overhead, not arithmetic, sets its cost.  It
+reads each generator's arrays once per call, takes every angle's sine and
+cosine from one vector ``np.sin`` and ``np.cos`` call, forms each
+(1 - cos(t)) K^2 diagonal once for both passes, and updates its vectors
+in place.  Each exponential still adds v, sin(t) K v and
+(1 - cos(t)) K^2 v in that order, so every result equals the sweep of two
+kernel applies and scalar sin and cos per exponential bit for bit
+(``oracles.energy_and_gradient_reference``).  That rests on numpy's sin and
+cos giving the same bits for a vector as for each element alone, and on
+sin(-t) = -sin(t) and cos(-t) = cos(t) bit for bit; the tests compare the
+two sweeps wherever they run.
 
 A state lives either on all 2^n basis states or on a sector: the sorted
 occupation masks of the determinants with fixed (N_alpha, N_beta)
@@ -55,8 +70,8 @@ from .paulis import CompiledSum, PauliSum, _parity_of, same_sector
 from .transform import Transform
 
 __all__ = [
-    "spin_sector", "Statevector", "hf_state", "RowKernel", "compile_generator", "AnsatzOp",
-    "apply_ansatz", "VQEResult", "vqe_minimize",
+    "spin_sector", "Statevector", "hf_state", "RowKernel", "compile_generators",
+    "compile_generator", "AnsatzOp", "apply_ansatz", "VQEResult", "vqe_minimize",
 ]
 
 _NORM_TOL = 1e-9
@@ -162,59 +177,100 @@ class RowKernel:
         return (self.values * vec[self.columns]).sum(axis=0)
 
 
-def _apply_ladders(masks: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """``hmp2._apply_ladder`` on every mask at once: (signs, masks), both 0
-    where the product annihilates the state.  The sign's parity is that of
-    the xor of the occupied modes below each acted-on mode."""
-    alive = np.ones(len(masks), dtype=bool)
-    below = np.zeros_like(masks)
-    for op in reversed(ops):
-        bit = 1 << op.mode
-        alive &= ((masks & bit) == 0) == op.dagger
+def _apply_ladders(masks: np.ndarray, modes: np.ndarray, daggers) -> tuple[np.ndarray, np.ndarray]:
+    """``hmp2._apply_ladder`` on every mask at once, for a batch of ladder
+    products: row b of ``modes`` (rows, k) is one product of k ladders,
+    ladder i on mode ``modes[b, i]`` and a creation when ``daggers[i]``,
+    applied rightmost first.  Returns (signs, masks), each (rows, len(masks)),
+    both 0 where the product annihilates the state.  The sign's parity is
+    that of the xor of the occupied modes below each acted-on mode."""
+    alive = np.ones((len(modes), len(masks)), dtype=bool)
+    below = np.zeros(alive.shape, dtype=np.int64)
+    bits = 1 << modes[:, :, None]
+    for i in reversed(range(len(daggers))):
+        bit = bits[:, i]
+        alive &= ((masks & bit) == 0) == daggers[i]
         below ^= masks & (bit - 1)
         masks = masks ^ bit
     signs = (1 - 2 * _parity_of(below).astype(np.int64)) * alive
     return signs, np.where(alive, masks, 0)
 
 
-def _generator_kernel(seq: OrbitalSequence, n_modes: int, sector) -> RowKernel:
-    """T - T+ as a width-1 ``RowKernel``: row r holds +s at c where
-    T+|r> = s|c>, or -s at c where T|r> = s|c>."""
+# amplitudes per generator batch: each kernel keeps its row of the batch's
+# arrays, and batches of 1 << 14 raised a water HMP2 run's peak RSS by 0.4-1 MB
+_BATCH_ENTRIES = 1 << 12
+
+
+def _generator_kernels(seqs, n_modes: int, sector) -> list:
+    """T - T+ of each excitation as a width-1 ``RowKernel``: row r holds +s
+    at c where T+|r> = s|c>, or -s at c where T|r> = s|c>.
+
+    Excitations with the same ladder count are built together, a batch of
+    up to ``_BATCH_ENTRIES`` amplitudes at a time, and each kernel's arrays
+    are its row of the batch's.  A product a+... a... of k ladders and its
+    adjoint share the dagger pattern, k/2 creations first, on reversed
+    modes.  The first excitation (in ``seqs`` order) that couples the
+    sector to a state outside it raises ``ValueError``.
+    """
     if sector is not None:
         sector = np.asarray(sector, dtype=np.int64)
     points = np.arange(1 << n_modes, dtype=np.int64) if sector is None else sector
-    term = seq.term()
-    values = np.zeros(len(points), dtype=np.complex128)
-    columns = np.arange(len(points), dtype=np.intp)
-    for ops, sense in ((term.adjoint().ops, 1), (term.ops, -1)):
-        signs, partners = _apply_ladders(points, ops)
-        rows = np.flatnonzero(signs)
-        partners = partners[rows]
-        if sector is not None:
-            pos = np.minimum(np.searchsorted(sector, partners), len(sector) - 1)
-            if np.any(sector[pos] != partners):
-                raise ValueError(f"{seq.name} couples the sector to states outside it")
-            partners = pos
-        values[rows] = sense * signs[rows]
-        columns[rows] = partners
-    return RowKernel(n_modes, sector, values[None, :], columns[None, :], values * values[columns])
+    dim = len(points)
+    step = max(_BATCH_ENTRIES // dim, 1)
+    kernels, leaving = [None] * len(seqs), []
+    by_count: dict[int, list] = {}
+    for i, seq in enumerate(seqs):
+        by_count.setdefault(len(seq.indices), []).append(i)
+    for k, members in by_count.items():
+        daggers = (True,) * (k // 2) + (False,) * (k // 2)
+        for start in range(0, len(members), step):
+            batch = members[start : start + step]
+            modes = np.array([seqs[i].indices for i in batch], dtype=np.int64)
+            values = np.zeros((len(batch), dim), dtype=np.complex128)
+            columns = np.tile(np.arange(dim, dtype=np.intp), (len(batch), 1))
+            for ladder_modes, sense in ((modes[:, ::-1], 1), (modes, -1)):
+                signs, partners = _apply_ladders(points, ladder_modes, daggers)
+                rows = np.nonzero(signs)
+                partners = partners[rows]
+                if sector is not None:
+                    pos = np.minimum(np.searchsorted(sector, partners), dim - 1)
+                    leaving += [batch[b] for b in rows[0][sector[pos] != partners].tolist()]
+                    partners = pos
+                values[rows] = sense * signs[rows]
+                columns[rows] = partners
+            square = values * np.take_along_axis(values, columns, axis=1)
+            for b, i in enumerate(batch):
+                kernels[i] = RowKernel(
+                    n_modes, sector, values[b : b + 1], columns[b : b + 1], square[b]
+                )
+    if leaving:
+        raise ValueError(f"{seqs[min(leaving)].name} couples the sector to states outside it")
+    return kernels
 
 
-def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> RowKernel:
-    """T - T+ for one excitation on ``n_modes`` modes, compiled on the
-    occupation basis restricted to the sector (None: the full space).
+def compile_generators(seqs, n_modes: int, sector, table: dict) -> tuple:
+    """T - T+ for each excitation on ``n_modes`` modes, compiled on the
+    occupation basis restricted to the sector (None: the full space), in
+    ``seqs`` order.
 
     Built by the ladder rule on the occupation masks: each state meets at
     most one of T and T+, so K has one entry per row.  A sector state that
-    K takes out of the sector raises ``ValueError``.  ``table`` (excitation
-    -> compiled generator) is shared, not copied: an excitation already in
-    it is returned as is, so callers that pass one table per sector compile
-    each generator once.
+    K takes out of the sector raises ``ValueError``, naming the first such
+    excitation, and leaves ``table`` unchanged.  ``table`` (excitation ->
+    compiled generator) is shared, not copied: an excitation already in it
+    is returned as is, and the missing ones are built together, in batches
+    of one ladder count (``_generator_kernels``), so callers that pass one
+    table per sector compile each generator once.
     """
-    kernel = table.get(seq)
-    if kernel is None:
-        kernel = table[seq] = _generator_kernel(seq, n_modes, sector)
-    return kernel
+    missing = [seq for seq in dict.fromkeys(seqs) if seq not in table]
+    if missing:
+        table.update(zip(missing, _generator_kernels(missing, n_modes, sector)))
+    return tuple(table[seq] for seq in seqs)
+
+
+def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> RowKernel:
+    """``compile_generators`` for one excitation: a batch of one."""
+    return compile_generators((seq,), n_modes, sector, table)[0]
 
 
 def _term_values(values, n_terms: int) -> tuple:
@@ -231,7 +287,7 @@ class AnsatzOp:
 
     ``generators`` and ``values`` run parallel to ``terms``: each term's
     T - T+ as a ``RowKernel`` on the ansatz's sector (None: the full
-    space), built by ``compile_generator`` when the ansatz is built, and
+    space), built by ``compile_generators`` when the ansatz is built, and
     the term's angle.
     """
 
@@ -252,7 +308,7 @@ class AnsatzOp:
         sector=None,
     ) -> "AnsatzOp":
         """Validate the term list and compile its generators through
-        ``table`` (``compile_generator``), so ansatzes built over one table
+        ``table`` (``compile_generators``), so ansatzes built over one table
         hold the same compiled generators for the terms they share.
         ``values`` (None: all zero) must hold one angle per term.  On a
         sector, a term that leaves it raises ``ValueError``.
@@ -262,7 +318,7 @@ class AnsatzOp:
             raise ValueError("duplicate excitation in ansatz")
         values = (0.0,) * len(terms) if values is None else _term_values(values, len(terms))
         table = {} if table is None else table
-        generators = tuple(compile_generator(seq, n_qubits, sector, table) for seq in terms)
+        generators = compile_generators(terms, n_qubits, sector, table)
         return cls(n_qubits, terms, generators, values, sector)
 
     def with_values(self, values) -> "AnsatzOp":
@@ -271,30 +327,60 @@ class AnsatzOp:
         return AnsatzOp(self.n_qubits, self.terms, self.generators, values, self.sector)
 
 
-def _apply_generator(kernel: RowKernel, vec):
-    """K vec for a generator (``compile_generator``): one gather."""
-    return kernel.values[0] * vec[kernel.columns[0]]
+def _rotate(vec, kvec, sin, one_minus_cos_square, scratch):
+    """exp(theta K) vec, written over ``vec``: vec + sin(theta) K vec +
+    (1 - cos(theta)) d * vec, added in that order, from ``kvec`` = K vec
+    (scaled in place) and (1 - cos(theta)) d, with d the diagonal of K^2;
+    ``scratch`` is a work vector.  d is 0 or -1, so ((1 - cos(theta)) d) vec
+    equals (1 - cos(theta)) (d vec) exactly: those products round nothing."""
+    np.multiply(one_minus_cos_square, vec, out=scratch)
+    kvec *= sin
+    vec += kvec
+    vec += scratch
 
 
-def _apply_exponential(kernel: RowKernel, theta: float, vec, kvec=None):
+def _apply_exponential(kernel: RowKernel, theta: float, vec):
     """exp(theta K) vec in closed form, for a generator with K^3 = -K.
 
     K v = t * v[pos] is one gather, and K^2 v = t * t[pos] * v[pos[pos]] =
     d * v with d = ``kernel.square``, the diagonal of K^2: pos is an
     involution wherever t is nonzero.  So exp(theta K) v = v + sin(theta)
-    K v + (1 - cos(theta)) d * v costs one gather, or none when the caller
-    passes ``kvec`` = K vec.  A generator's entries are exactly 0, +-1 or
-    +-i, so d * v equals the second apply K (K v) bit for bit.
+    K v + (1 - cos(theta)) d * v costs one gather (``_rotate``).  A
+    generator's entries are exactly 0, +-1 or +-i, so d * v equals the
+    second apply K (K v) bit for bit.
     """
-    if kvec is None:
-        kvec = _apply_generator(kernel, vec)
-    return vec + np.sin(theta) * kvec + (1.0 - np.cos(theta)) * (kernel.square * vec)
+    out = np.array(vec, dtype=np.complex128)
+    kvec = kernel.values[0] * vec[kernel.columns[0]]
+    _rotate(out, kvec, np.sin(theta), (1.0 - np.cos(theta)) * kernel.square, np.empty_like(out))
+    return out
 
 
-def _run_terms(ansatz: AnsatzOp, values, vec):
-    for kernel, theta in zip(ansatz.generators, values):
+def _sweep_terms(generators, x) -> list:
+    """Per term, (t, pos, theta, sin(theta), (1 - cos(theta)) d): its
+    generator's row values and columns, each read once, its angle, and the
+    angle's sine and 1 - cosine, from one ``np.sin`` and one ``np.cos`` call
+    over all angles, the latter times d, the diagonal of K^2.  Elementwise,
+    those calls equal the scalar ones bit for bit; sine is odd and cosine
+    even, so the inverse factor exp(-theta K) takes -sin and the same
+    (1 - cos(theta)) d."""
+    x = np.asarray(x, dtype=float)
+    one_minus_cos = (1.0 - np.cos(x)).tolist()
+    return [
+        (k.values[0], k.columns[0], theta, sin, c * k.square)
+        for k, theta, sin, c in zip(generators, x.tolist(), np.sin(x).tolist(), one_minus_cos)
+    ]
+
+
+def _run_terms(terms, vec):
+    """A copy of ``vec`` with each exponential of ``_sweep_terms`` applied
+    in term order; a zero angle is skipped."""
+    vec = np.array(vec, dtype=np.complex128)
+    scratch = np.empty_like(vec)
+    for values, columns, theta, sin, one_minus_cos_square in terms:
         if theta:
-            vec = _apply_exponential(kernel, theta, vec)
+            kvec = vec[columns]
+            kvec *= values
+            _rotate(vec, kvec, sin, one_minus_cos_square, scratch)
     return vec
 
 
@@ -305,7 +391,7 @@ def apply_ansatz(state: Statevector, ansatz: AnsatzOp) -> Statevector:
             f"state has {state.n_qubits} qubits, ansatz expects {ansatz.n_qubits}"
         )
     _check_space("the ansatz", state.sector, ansatz.sector)
-    amps = _run_terms(ansatz, ansatz.values, state.amplitudes)
+    amps = _run_terms(_sweep_terms(ansatz.generators, ansatz.values), state.amplitudes)
     return Statevector(state.n_qubits, amps, state.sector)
 
 
@@ -336,21 +422,33 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
     for term j is 2 Re <bra_j| K_j |ket_j> where ket_j carries the first j
     factors and bra_j is H psi pulled back through the later factors.  The
     sweep's K_j ket_j also serves ket's step back through U_j, so each
-    step costs two gathers: K_j ket_j and K_j bra_j.
+    step costs two gathers: K_j ket_j and K_j bra_j.  Each generator's
+    arrays, each angle's sine and (1 - cos) d are formed once per call
+    (``_sweep_terms``) and serve both passes, and the arithmetic is that of
+    one ``_apply_exponential`` per factor, so the result equals the sweep
+    of two kernel applies per exponential bit for bit
+    (``oracles.energy_and_gradient_reference``).
     """
-    psi = _run_terms(ansatz, x, reference.amplitudes)
+    terms = _sweep_terms(ansatz.generators, x)
+    psi = _run_terms(terms, reference.amplitudes)
     hpsi = hamiltonian.apply(psi)
-    energy = float(np.real(np.vdot(psi, hpsi)))
-    grad = np.zeros(len(x))
+    energy = float(np.vdot(psi, hpsi).real)
+    grad = []
     ket, bra = psi, hpsi
-    for j in range(len(x) - 1, -1, -1):
-        kernel = ansatz.generators[j]
-        kket = _apply_generator(kernel, ket)
-        grad[j] = 2.0 * float(np.real(np.vdot(bra, kket)))
+    scratch = np.empty_like(psi)
+    for j in range(len(terms) - 1, -1, -1):
+        values, columns, _, sin, one_minus_cos_square = terms[j]
+        kvec = ket[columns]
+        kvec *= values
+        grad.append(2.0 * float(np.vdot(bra, kvec).real))
         if j:
-            ket = _apply_exponential(kernel, -x[j], ket, kket)
-            bra = _apply_exponential(kernel, -x[j], bra)
-    return energy, grad
+            # ket and bra step back through U_j in place
+            _rotate(ket, kvec, -sin, one_minus_cos_square, scratch)
+            kvec = bra[columns]
+            kvec *= values
+            _rotate(bra, kvec, -sin, one_minus_cos_square, scratch)
+    grad.reverse()
+    return energy, np.array(grad)
 
 
 _MEMORY = 10  # correction pairs kept by the two-loop recursion

@@ -21,7 +21,6 @@ import functools
 
 import numpy as np
 
-from .circuits import Circuit
 from .paulis import COEFF_TOL, PauliSum
 
 
@@ -378,8 +377,12 @@ class Transform:
         """CNOT network B with B|x> = |beta x> on computational basis states.
 
         Rows are processed from the top mode down so that every source wire
-        still carries its original bit when it is read.
+        still carries its original bit when it is read.  ``circuits`` is
+        imported here, so mapping an operator (the emulator's only use of
+        a transform) does not load it.
         """
+        from .circuits import Circuit
+
         circ = Circuit(self.n_modes)
         for i in range(self.n_modes - 1, 0, -1):
             for j in range(i):

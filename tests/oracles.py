@@ -20,12 +20,17 @@ once emitted.  ``expand_term_reference``, ``dp_choices_reference``,
 as it ran on Python ints: one expansion per term, each savings matrix
 filled pair by pair, and one junction per oriented pair tried.
 ``compiled_apply_reference`` keeps the X-mask group loop that
-``CompiledSum.apply`` once ran, ``energy_and_gradient_reference`` the
-VQE sweep on it, with two applies per exponential, and
-``stacked_sum_reference`` the one-generator-at-a-time loop that Zt's
-stacked rows replace.  ``lbfgsb_reference`` runs scipy's L-BFGS-B, the
-minimizer that ``simulate.vqe_minimize`` once called, on the same energy
-and gradient.  ``encoded_generators`` keeps the Pauli route
+``CompiledSum.apply`` once ran, ``compiled_tables_loop`` the group and
+member loops that built ``CompiledSum``'s tables,
+``energy_and_gradient_reference`` and ``ansatz_state_reference`` the
+VQE sweep on it, with two applies and scalar sin and cos per
+exponential, and ``stacked_sum_reference`` the one-generator-at-a-time
+loop that Zt's stacked rows replace.  ``generator_kernel_reference``
+keeps the one-excitation-at-a-time ladder rule that
+``simulate.compile_generators`` now runs in batches.
+``lbfgsb_reference`` runs scipy's L-BFGS-B, the minimizer that
+``simulate.vqe_minimize`` once called, on the same energy and gradient.
+``encoded_generators`` keeps the Pauli route
 (``excitation_generator`` mapped and compiled) that
 ``simulate.compile_generator`` once took, under any encoding.
 
@@ -1514,6 +1519,61 @@ def compiled_tables_reference(compiled):
     return out
 
 
+def _parity(a):
+    """Parity of the set bits of each entry of an int64 array."""
+    a = np.ascontiguousarray(a, dtype=np.int64)
+    return np.unpackbits(a.view(np.uint8)).reshape(*a.shape, 64).sum(axis=-1, dtype=np.int64) & 1
+
+
+def compiled_tables_loop(compiled, sector_tol=1e-10):
+    """(tables, columns), each (groups, dim), as ``CompiledSum._tables``
+    once built them: a loop over the X-mask groups of ``compiled.flips`` in
+    first-appearance order and, in each, over its strings, adding one
+    string's phase row at a time from 0.  On a sector, the table is also
+    taken at the partners outside it, and a matrix element into or out of
+    the sector above ``sector_tol`` raises ``ValueError`` at the first group
+    that has one; the entries whose partner leaves the sector are set to 0.
+    ``compiled`` needs only ``n_qubits``, ``sector``, ``flips``, ``masks``
+    and ``weights``."""
+    by_flip = {}
+    for i, f in enumerate(compiled.flips.tolist()):
+        by_flip.setdefault(f, []).append(i)
+    sector = compiled.sector
+    dim = 1 << compiled.n_qubits if sector is None else len(sector)
+    tables = np.empty((len(by_flip), dim), dtype=np.complex128)
+    columns = np.empty((len(by_flip), dim), dtype=np.intp)
+
+    def phase_table(points, masks, signed):
+        signs = 1.0 - 2.0 * _parity(points & masks[:, None])
+        table = np.zeros(len(points), dtype=np.complex128)
+        for row in signed[:, None] * signs:
+            table += row
+        return table
+
+    for g, (f, members) in enumerate(by_flip.items()):
+        masks = compiled.masks[members]
+        signed = compiled.weights[members] * (1.0 - 2.0 * _parity(masks & f))
+        if sector is None:
+            idx = np.arange(dim, dtype=np.int64)
+            tables[g] = phase_table(idx, masks, signed)
+            columns[g] = idx ^ f
+            continue
+        partner = sector ^ f
+        pos = np.minimum(np.searchsorted(sector, partner), len(sector) - 1)
+        inside = sector[pos] == partner
+        table = phase_table(np.concatenate([sector, partner[~inside]]), masks, signed)
+        leak = np.abs(np.concatenate([table[len(sector):], table[: len(sector)][~inside]]))
+        if leak.size and leak.max() > sector_tol:
+            raise ValueError(
+                f"operator couples the sector to states outside it "
+                f"(matrix element {leak.max():.3g})"
+            )
+        tables[g] = table[: len(sector)]
+        tables[g, ~inside] = 0.0
+        columns[g] = pos
+    return tables, columns
+
+
 def compiled_apply_reference(compiled, vec):
     """``compiled @ vec`` by the group loop ``CompiledSum.apply`` once ran:
     out starts at 0 and adds ``table * vec[partner]`` one X-mask group at a
@@ -1544,15 +1604,23 @@ def exponential_reference(kernel, theta, vec):
     return vec + np.sin(theta) * kv + (1.0 - np.cos(theta)) * kkv
 
 
+def ansatz_state_reference(ansatz, x, amplitudes):
+    """The ansatz's exponentials at angles ``x`` applied to ``amplitudes``
+    in term order, one ``exponential_reference`` (two applies and scalar
+    sin and cos) per nonzero angle."""
+    psi = amplitudes
+    for kernel, theta in zip(ansatz.generators, x):
+        if theta:
+            psi = exponential_reference(kernel, theta, psi)
+    return psi
+
+
 def energy_and_gradient_reference(x, hamiltonian, ansatz, reference):
     """The exact energy and adjoint-sweep gradient as
     ``simulate._energy_and_gradient`` once computed them: every product
     with H or a generator by the group loop, and each backward step five
     applies (K ket for the gradient, two for each exponential)."""
-    psi = reference.amplitudes
-    for kernel, theta in zip(ansatz.generators, x):
-        if theta:
-            psi = exponential_reference(kernel, theta, psi)
+    psi = ansatz_state_reference(ansatz, x, reference.amplitudes)
     hpsi = compiled_apply_reference(hamiltonian, psi)
     energy = float(np.real(np.vdot(psi, hpsi)))
     grad = np.zeros(len(x))
@@ -1761,6 +1829,43 @@ def excitation_generator(seq, n_modes):
     fwd = seq.term()
     rev = fwd.adjoint()
     return FermionOperator(n_modes, [fwd, FermionTerm(-rev.coefficient, rev.ops)])
+
+
+def generator_kernel_reference(seq, n_modes, sector):
+    """(values, columns, square) of T - T+ for one excitation, as
+    ``simulate`` once built each generator on its own: the ladder rule
+    applied to every state, T+ then T, one ladder at a time, each state's
+    sign from the parity of the occupied modes below each acted-on mode.
+    Row r holds +s at c where T+|r> = s|c> and -s at c where T|r> = s|c>;
+    values and columns are (1, dim), and square is values * values[columns].
+    A partner outside the sector raises ``ValueError`` naming the
+    excitation."""
+    points = np.arange(1 << n_modes, dtype=np.int64) if sector is None else sector
+    creations, annihilations = seq.creations(), seq.annihilations()
+    term = [(m, True) for m in creations] + [(m, False) for m in annihilations]
+    adjoint = [(m, not dagger) for m, dagger in reversed(term)]
+    values = np.zeros(len(points), dtype=np.complex128)
+    columns = np.arange(len(points), dtype=np.intp)
+    for ops, sense in ((adjoint, 1), (term, -1)):
+        masks = points
+        alive = np.ones(len(points), dtype=bool)
+        below = np.zeros_like(points)
+        for mode, dagger in reversed(ops):
+            bit = 1 << mode
+            alive &= ((masks & bit) == 0) == dagger
+            below ^= masks & (bit - 1)
+            masks = masks ^ bit
+        signs = (1 - 2 * _parity(below)) * alive
+        rows = np.flatnonzero(signs)
+        partners = masks[rows]
+        if sector is not None:
+            pos = np.minimum(np.searchsorted(sector, partners), len(sector) - 1)
+            if np.any(sector[pos] != partners):
+                raise ValueError(f"{seq.name} couples the sector to states outside it")
+            partners = pos
+        values[rows] = sense * signs[rows]
+        columns[rows] = partners
+    return values[None, :], columns[None, :], values * values[columns]
 
 
 def encoded_generators(seqs, transform, sector=None):

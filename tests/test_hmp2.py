@@ -621,13 +621,13 @@ class TestWaterOnTheSector:
         zt = ztilde_operator(ansatz)
         fresh = first_order_numerators(state, h, pool, zt)
         compiled = []
-        build = simulate._generator_kernel
+        build = simulate._generator_kernels
 
-        def counting(seq, n_modes, sector):
-            compiled.append(seq)
-            return build(seq, n_modes, sector)
+        def counting(seqs, n_modes, sector):
+            compiled.extend(seqs)
+            return build(seqs, n_modes, sector)
 
-        monkeypatch.setattr(simulate, "_generator_kernel", counting)
+        monkeypatch.setattr(simulate, "_generator_kernels", counting)
         assert first_order_numerators(state, h, pool, zt, table) == fresh
         assert len(compiled) == len(pool) - len(terms)
         assert all(table[seq] is k for seq, k in zip(ansatz.terms, ansatz.generators))

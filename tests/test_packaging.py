@@ -48,6 +48,10 @@ UNCALLED = {
     "trotter.plan_report": "a plan's JSON report, an output the north star names",
     "hmp2.write_cycles_csv": "a run's per-cycle table, an output the north star names",
     "transform.Transform.basis_circuit": "ROADMAP item 1 emits and charges the basis change B",
+    "fermions.FermionTerm.adjoint": (
+        "a term's Hermitian conjugate, which the tests' oracles build T+ with; "
+        "simulate reads T+ off the excitation's reversed modes"
+    ),
     "pso.SearchReport.as_dict": "a search's JSON report, an output the north star names",
 }
 
@@ -342,6 +346,27 @@ def test_compile_and_search_paths_load_no_scipy():
         [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_emulator_path_loads_no_circuits():
+    """The emulator builds no circuit: importing ``fqcc.hmp2`` and running a
+    whole H2 HMP2 loop leave ``fqcc.circuits`` unloaded (``transform``
+    imports it only inside ``basis_circuit``)."""
+    h2 = ROOT / "tests" / "fixtures" / "h2_sto3g.fcidump"
+    code = (
+        "import sys\n"
+        "import fqcc.hmp2\n"
+        "loaded = 'fqcc.circuits' in sys.modules\n"
+        "from fqcc.fcidump import load_fcidump\n"
+        f"ham, fock = load_fcidump({str(h2)!r}).to_spin_orbital()\n"
+        "assert fqcc.hmp2.run_hmp2_loop(ham, fock).converged\n"
+        "print(loaded, 'fqcc.circuits' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True, text=True, env=env
+    )
+    assert done.stdout.strip() == "False False"
 
 
 def test_member_rule_on_a_synthetic_tree(tmp_path):

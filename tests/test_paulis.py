@@ -309,6 +309,85 @@ class TestRowLayout:
                 CompiledSum(leaky, sector)
 
 
+def _assert_tables_equal_the_group_loop(compiled):
+    """``CompiledSum``'s tables and row layout equal those of the group and
+    member loops it replaced (``oracles.compiled_tables_loop``)."""
+    from fqcc import paulis
+
+    tables, columns = compiled._tables()
+    want_tables, want_columns = oracles.compiled_tables_loop(compiled)
+    assert np.array_equal(tables, want_tables) and np.array_equal(columns, want_columns)
+    values, index, _ = paulis._pack(want_tables, want_columns)
+    assert np.array_equal(compiled.values, values) and np.array_equal(compiled.columns, index)
+
+
+class TestTablesAgainstTheGroupLoop:
+    """The batched table pass adds each row's terms in member order, group
+    by group, exactly as the loop over groups and members did."""
+
+    def test_water_sector(self, water):
+        tr = Transform.jordan_wigner(14)
+        sector = oracles.encoded_sector(tr, 5, 5)
+        h_pauli = build_hamiltonian(water[0]).to_pauli(tr)
+        # and the shape of H - E_HF that the HMP2 loop compiles
+        shifted = PauliSum.from_strings(h_pauli.strings() + [PauliString(14, 0, 0, -75.0)])
+        for op in (h_pauli, shifted):
+            compiled = CompiledSum(op, sector)
+            assert len(set(compiled.flips.tolist())) == 162
+            _assert_tables_equal_the_group_loop(compiled)
+
+    @pytest.mark.parametrize("kind", ["jw", "bk"])
+    def test_full_8_mode_space(self, kind):
+        ham, _ = load_fcidump("tests/fixtures/h4_sto3g.fcidump").to_spin_orbital()
+        tr = Transform.jordan_wigner(8) if kind == "jw" else Transform.bravyi_kitaev(8)
+        _assert_tables_equal_the_group_loop(CompiledSum(build_hamiltonian(ham).to_pauli(tr)))
+
+    @pytest.mark.parametrize("ops", ["0.5 * X0\n(0.0-0.5j) * Y0", "0.5 * X0\n(0.0+0.5j) * Y0"])
+    def test_one_way_coupling_leaks(self, ops):
+        """|1><0| takes the sector {|0>} out of itself and |0><1| brings a
+        state outside it in: each leaks in one direction only, and the
+        loop's error is raised for both."""
+        from types import SimpleNamespace
+
+        op = oracles.pauli_sum(ops, 1)
+        full = CompiledSum(op)
+        sector = np.array([0])
+        strings = SimpleNamespace(
+            n_qubits=1, sector=sector, flips=full.flips, masks=full.masks, weights=full.weights
+        )
+        with pytest.raises(ValueError, match="outside") as want:
+            oracles.compiled_tables_loop(strings)
+        with pytest.raises(ValueError, match="outside") as got:
+            CompiledSum(op, sector)
+        assert str(got.value) == str(want.value)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_sums(self, data):
+        """Sums over a few X masks (so groups repeat them), exact zeros and
+        repeated strings included, on the full space and on a sector they
+        keep; a string that leaves the sector raises the loop's error."""
+        from types import SimpleNamespace
+
+        n, sector, flips = data.draw(closed_sectors())
+        op = _random_sum(data.draw, n, flips)
+        for space in (None, sector):
+            _assert_tables_equal_the_group_loop(CompiledSum(op, space))
+        inside = set(sector.tolist())
+        outside = [x for x in range(1 << n) if int(sector[0]) ^ x not in inside]
+        if outside:
+            leaky = PauliSum(n, {**op._terms, (data.draw(st.sampled_from(outside)), 0): 1.0})
+            full = CompiledSum(leaky)
+            strings = SimpleNamespace(
+                n_qubits=n, sector=sector, flips=full.flips, masks=full.masks, weights=full.weights
+            )
+            with pytest.raises(ValueError, match="outside") as want:
+                oracles.compiled_tables_loop(strings)
+            with pytest.raises(ValueError, match="outside") as got:
+                CompiledSum(leaky, sector)
+            assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_apply_sum_identity(n):
     op = PauliSum(n, {(0, 0): 1.0})

@@ -13,8 +13,10 @@ from fqcc.simulate import (
     Statevector,
     VQEResult,
     _apply_exponential,
+    _energy_and_gradient,
     apply_ansatz,
     compile_generator,
+    compile_generators,
     hf_state,
     spin_sector,
     vqe_minimize,
@@ -213,6 +215,48 @@ class TestCompileGenerator:
                     a, b = getattr(got, field), getattr(want, field)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seq.name, field)
 
+    def test_batches_equal_one_excitation_at_a_time(self):
+        """Bit for bit the ladder rule run on one excitation at a time
+        (``oracles.generator_kernel_reference``), in the input order: all
+        140 water excitations on the (5, 5) sector, shuffled, and every H4
+        excitation on the full 8-mode space."""
+        rng = np.random.default_rng(11)
+        water = uccsd_pool(range(10), range(10, 14))
+        assert len(water) == 140
+        for n, pool, space in [
+            (14, [water[i] for i in rng.permutation(len(water))], spin_sector(14, 5, 5)),
+            (8, uccsd_pool(range(4), range(4, 8)), None),
+        ]:
+            table = {}
+            kernels = compile_generators(pool, n, space, table)
+            assert len(kernels) == len(table) == len(pool)
+            for seq, kernel in zip(pool, kernels):
+                want = oracles.generator_kernel_reference(seq, n, space)
+                got = (kernel.values, kernel.columns, kernel.square)
+                for field, a, b in zip(("values", "columns", "square"), got, want):
+                    assert a.dtype == b.dtype and a.shape == b.shape, (seq.name, field)
+                    assert a.tobytes() == b.tobytes(), (seq.name, field)
+
+    def test_first_excitation_leaving_the_sector_is_named(self):
+        """A batch with excitations that leave the sector raises for the
+        first of them in the input order, whatever its ladder count, and
+        compiles nothing."""
+        sector = spin_sector(14, 5, 5)
+        pool = uccsd_pool(range(10), range(10, 14))
+        flip_single = OrbitalSequence("single", (11, 8))
+        flip_double = OrbitalSequence("double", (10, 13, 0, 2))
+        for batch, first in [
+            (pool[:30] + [flip_double] + pool[30:] + [flip_single], flip_double),
+            ([flip_single] + pool + [flip_double], flip_single),
+        ]:
+            with pytest.raises(ValueError, match="outside") as info:
+                oracles.generator_kernel_reference(first, 14, sector)
+            table = {pool[0]: compile_generator(pool[0], 14, sector, {})}
+            with pytest.raises(ValueError, match=f"^{first.name} couples") as got:
+                compile_generators(batch, 14, sector, table)
+            assert str(got.value) == str(info.value)
+            assert list(table) == [pool[0]]
+
     def test_ladder_rule_matches_apply_ladder(self):
         """The vectorized ladder rule is ``hmp2._apply_ladder`` on every
         water sector state, for T and T+ of every pool excitation."""
@@ -221,9 +265,11 @@ class TestCompileGenerator:
         sector = spin_sector(14, 5, 5)
         for seq in uccsd_pool(range(10), range(10, 14)):
             for term in (seq.term(), seq.term().adjoint()):
-                signs, masks = simulate._apply_ladders(sector, term.ops)
+                modes = np.array([[op.mode for op in term.ops]])
+                daggers = [op.dagger for op in term.ops]
+                signs, masks = simulate._apply_ladders(sector, modes, daggers)
                 want = [_apply_ladder(int(m), term.ops) for m in sector]
-                assert list(zip(signs.tolist(), masks.tolist())) == want, seq.name
+                assert list(zip(signs[0].tolist(), masks[0].tolist())) == want, seq.name
 
 
 class TestExponential:
@@ -268,6 +314,44 @@ class TestExponential:
             assert np.array_equal(
                 _apply_exponential(kernel, theta, vec),
                 oracles.exponential_reference(kernel, theta, vec),
+            )
+
+
+class TestSweepAgainstReference:
+    """``_energy_and_gradient`` and ``apply_ansatz`` equal the sweep of two
+    kernel applies and scalar sin and cos per exponential
+    (``oracles.energy_and_gradient_reference``) bit for bit."""
+
+    @pytest.mark.parametrize("path, n_e, space", [
+        (H4_PATH, 4, "sector"), (H4_PATH, 4, "full"), (H2O_PATH, 10, "sector"),
+    ])
+    def test_seeded_angles(self, path, n_e, space):
+        ham, _ = load_fcidump(path).to_spin_orbital()
+        n = ham.n_modes
+        sector = spin_sector(n, n_e // 2, n_e // 2) if space == "sector" else None
+        h = CompiledSum(build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(n)), sector)
+        reference = hf_state(n_e, n, sector=sector)
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        rng = np.random.default_rng(n)
+        terms = [pool[i] for i in rng.choice(len(pool), min(len(pool), 39), replace=False)]
+        table = {}
+        for scale in (0.05, 1.0, 40.0, 3e3):
+            x = rng.normal(scale=scale, size=len(terms))
+            # exact zeros (skipped going forward, un-applied going back),
+            # at both ends too for the larger scales
+            zeros = rng.choice(np.arange(1, len(terms) - 1), 3, replace=False)
+            x[zeros] = [0.0, -0.0, 0.0]
+            if scale > 1.0:
+                x[0] = x[-1] = 0.0
+            x[rng.random(len(terms)) < 0.5] *= -1.0
+            ansatz = AnsatzOp.build(n, terms, x, table=table, sector=sector)
+            energy, grad = _energy_and_gradient(x, h, ansatz, reference)
+            want = oracles.energy_and_gradient_reference(x, h, ansatz, reference)
+            assert energy == want[0] and grad.dtype == want[1].dtype
+            assert np.array_equal(grad, want[1]), scale
+            state = apply_ansatz(reference, ansatz).amplitudes
+            assert np.array_equal(
+                state, oracles.ansatz_state_reference(ansatz, ansatz.values, reference.amplitudes)
             )
 
 

@@ -84,7 +84,8 @@ def test_emulator_layers_reports_h2():
     assert all(
         layers[f"{layer}_s"] > 0
         for layer in (
-            "h_compile", "generators", "h_apply", "exponential", "energy_gradient", "hmp2",
+            "h_build", "h_compile", "generators", "h_apply", "exponential", "energy_gradient",
+            "hmp2",
         )
     )
     cycles = layers["cycles"]

@@ -8,10 +8,15 @@ emulator's kernels on the run's spin sector and final ansatz, and prints one
 JSON object.  Each kernel time is seconds per call, the median of ``REPEAT``
 rounds of ``time.perf_counter`` over a fixed number of calls:
 
+    h_build_s          hmp2._hamiltonian_minus_hf: H - E_HF from the integrals,
+                       as each HMP2 run builds it (ladder form, H|ref> and
+                       E_HF, Jordan-Wigner map, shift and compile onto the
+                       sector)
     h_compile_s        paulis.CompiledSum: H (already mapped) onto the sector
-    generators_s       simulate.compile_generator: every pool generator built
-                       once on the sector, from the occupation masks, into a
-                       fresh table (seconds per whole pool)
+    generators_s       simulate.compile_generators: every pool generator built
+                       on the sector, from the occupation masks, into a
+                       fresh table in one call, as each HMP2 run builds
+                       them (seconds per whole pool)
     h_apply_s          CompiledSum.apply: H on the final ansatz state
     exponential_s      simulate._apply_exponential: one excitation exponential
                        (the pool's last double) on that state
@@ -45,7 +50,7 @@ from fqcc.fermions import build_hamiltonian, uccsd_pool  # noqa: E402
 from fqcc.paulis import CompiledSum  # noqa: E402
 from fqcc.simulate import (  # noqa: E402
     AnsatzOp, _apply_exponential, _energy_and_gradient, _occupation_image, apply_ansatz,
-    compile_generator, hf_state, spin_sector,
+    compile_generator, compile_generators, hf_state, spin_sector,
 )
 
 SYSTEMS = {"h2": "h2_sto3g", "water": "h2o_sto3g"}
@@ -109,10 +114,9 @@ def measure(ham, fock):
         "h_width": int(h.values.shape[0]),
         "h_nonzeros": int(np.count_nonzero(h.values)),
         "ansatz_terms": len(terms),
+        "h_build_s": _per_call(lambda: hmp2._hamiltonian_minus_hf(ham, n_e, sector), 3),
         "h_compile_s": _per_call(lambda: CompiledSum(h_pauli, sector), 3),
-        "generators_s": _per_call(
-            lambda: [compile_generator(seq, n, sector, {}) for seq in pool], 1
-        ),
+        "generators_s": _per_call(lambda: compile_generators(pool, n, sector, {}), 1),
         "h_apply_s": _per_call(lambda: h.apply(vec), 200),
         "exponential_s": _per_call(lambda: _apply_exponential(kernel, 0.1, vec), 2000),
         "energy_gradient_s": _per_call(
