@@ -53,10 +53,6 @@ class PauliString:
     def key(self):
         return (self.xmask, self.zmask)
 
-    @property
-    def weight(self):
-        return (self.xmask | self.zmask).bit_count()
-
     def commutes_general(self, other):
         """True when the two strings commute as operators."""
         a = (self.xmask & other.zmask).bit_count() & 1

@@ -21,9 +21,13 @@ equals ``scipy.special.expit`` bit for bit; scipy is not imported, since
 its import would take most of a search process's start-up.
 
 Cost evaluations are pure functions of the decoded encoding, cached per
-bit pattern and run serially; randomness is partitioned into one stream
-per particle.  Checkpoints are plain text, carry the cost cache, and are
-replaced atomically.
+bit pattern.  The new positions of the initial swarm and of each step,
+and the closing JW and BK baselines, are each scored in one call of the
+cost function's optional ``many(transforms)`` form, which
+``ansatz_cost_fn`` provides as one batched planner pass; a cost function
+without it is called once per encoding, with the same results.
+Randomness is partitioned into one stream per particle.  Checkpoints are
+plain text, carry the cost cache, and are replaced atomically.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .transform import Transform
-from .trotter import HeuristicConfig, ansatz_two_qubit_cost
+from .trotter import HeuristicConfig, ansatz_two_qubit_cost, ansatz_two_qubit_costs
 
 __all__ = [
     "SwarmConfig",
@@ -287,12 +291,22 @@ def _decode(n, d, mask):
     return Transform.from_lower_bits(n, [(mask >> j) & 1 for j in range(d)])
 
 
+def _scores(cost_fn, transforms):
+    """``cost_fn``'s count of each transform: one ``cost_fn.many`` call when
+    the cost function has that form, otherwise one call per transform."""
+    many = getattr(cost_fn, "many", None)
+    costs = many(transforms) if many is not None else [cost_fn(t) for t in transforms]
+    return [int(c) for c in costs]
+
+
 def _evaluate(swarm, cost_fn, masks):
-    """Costs for a batch of positions; each new position is evaluated once."""
+    """Costs for a batch of positions; each new position is evaluated once,
+    all of them in one ``_scores`` call."""
     cache = swarm.cost_cache
     n, d = swarm.config.n_modes, swarm.config.dimension
-    for m in sorted({m for m in masks if m not in cache}):
-        cache[m] = int(cost_fn(_decode(n, d, m)))
+    new = sorted({m for m in masks if m not in cache})
+    if new:
+        cache.update(zip(new, _scores(cost_fn, [_decode(n, d, m) for m in new])))
     return [cache[m] for m in masks]
 
 
@@ -395,9 +409,16 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
     """Full search against the identity/tree baselines.
 
     ``cost_fn`` maps a Transform to the two-qubit count of the synthesized
-    circuit (pure and deterministic; see ``ansatz_cost_fn``).  Passing a
-    ``swarm`` resumes it in place.  ``best_history`` records the global
-    best after initialization and after each step of this call.
+    circuit (see ``ansatz_cost_fn``).  It must be pure: a count depends on
+    the encoding alone, never on which encodings are scored with it, in
+    what order, or what was scored before, so a seeded search is the same
+    whichever way its scores are taken.  A ``many(transforms)`` attribute,
+    returning the counts of a list of encodings, is optional: when present,
+    each batch of new positions (the initial swarm, then each step) is
+    scored in one ``many`` call, and so are the closing JW and BK
+    baselines; otherwise ``cost_fn`` is called once per encoding.
+    Passing a ``swarm`` resumes it in place.  ``best_history`` records the
+    global best after initialization and after each step of this call.
     """
     if swarm is None:
         swarm = init_swarm(config.n_modes, config=config)
@@ -413,8 +434,7 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
         write_checkpoint(swarm, checkpoint_path)
 
     n, d = config.n_modes, config.dimension
-    jw_cost = int(cost_fn(Transform.jordan_wigner(n)))
-    bk_cost = int(cost_fn(Transform.bravyi_kitaev(n)))
+    jw_cost, bk_cost = _scores(cost_fn, [Transform.jordan_wigner(n), Transform.bravyi_kitaev(n)])
     best_cost = int(swarm.best_cost)
     bits = tuple((swarm.best_position >> j) & 1 for j in range(d))
     return SearchReport(
@@ -434,12 +454,23 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
 
 
 def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
-    """Two-qubit planner count of a fixed excitation list, as f(transform)."""
+    """Two-qubit planner count of a fixed excitation list, as f(transform).
+
+    The function also has the form ``many(transforms)``, the counts of a
+    list of encodings from one batched planner call
+    (``trotter.ansatz_two_qubit_costs``), equal to calling it on each.
+    The count is pure: it depends on the encoding alone, not on the other
+    encodings of a call, their order or earlier calls.
+    """
     seqs = tuple(seqs)
 
     def cost(transform):
         return ansatz_two_qubit_cost(seqs, transform, config, occupied=occupied)
 
+    def many(transforms):
+        return ansatz_two_qubit_costs(seqs, transforms, config, occupied=occupied)
+
+    cost.many = many
     return cost
 
 

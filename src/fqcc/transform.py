@@ -26,8 +26,6 @@ from .paulis import COEFF_TOL, PauliSum
 
 # masks live in int64 arrays
 _MAX_MODES = 63
-# set bits of each byte value
-_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 # bit b of each byte value v, as [b, v]
 _BYTE_BITS = np.arange(256) >> np.arange(8)[:, None] & 1
 # i^e
@@ -35,9 +33,20 @@ _UNITS = np.array([1, 1j, -1, -1j])
 
 
 def _popcount(v):
-    """Set bits of each entry of the contiguous int64 array ``v``: a byte
-    table, then a multiply that sums the eight bytes into the top one."""
-    count = _POPCOUNT8[v.view(np.uint8)].view(np.int64)
+    """Set bits of each entry of the int64 array ``v``, whose entries are
+    non-negative: the arithmetic (SWAR) count, which sums bit pairs, then
+    nibbles, then bytes, and multiplies the eight byte sums into the top
+    byte."""
+    count = v >> 1
+    count &= 0x5555555555555555
+    np.subtract(v, count, out=count)
+    part = count >> 2
+    part &= 0x3333333333333333
+    count &= 0x3333333333333333
+    count += part
+    np.right_shift(count, 4, out=part)
+    count += part
+    count &= 0x0F0F0F0F0F0F0F0F
     count *= 0x0101010101010101
     count >>= 56
     return count
@@ -162,6 +171,49 @@ def _masks(rows):
     return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
 
 
+def ladder_products(ladders):
+    """Every Jordan-Wigner string product of each row of ladders on distinct modes.
+
+    ``ladders`` is an int64 array of shape (rows, k), entries
+    2 * mode + dagger, with no mode twice in a row.  Returns ``(x, z,
+    e)``: ``x`` of shape (rows,), shared by a row's products, and ``z``
+    and ``e`` of shape (rows, 2^k).  Product c takes string b_i at
+    ladder i, b_0 the most significant bit of c, and is i^e P(x, z) / 2^k
+    under Jordan-Wigner, the paths of ``Transform.map_operator`` with
+    D = k.  An encoding's products are these framed by its basis change
+    (``frame_stack``), with q added to e.
+    """
+    x, z, f, dz, df = _jw_products(ladders)
+    z, e = _paths(x, z, f, dz, df)
+    return x, z, e
+
+
+def frame_stack(transforms, x, z):
+    """``Transform.frame`` under each encoding of a stack of one width.
+
+    Returns ``(x', z', q)``, each with a leading axis over ``transforms``
+    and then the broadcast shape of the int64 mask arrays ``x`` and
+    ``z``.  The encodings' byte tables (``_frame_tables``) are stacked,
+    so each byte of a mask is looked up for every encoding in one gather.
+    Masks are int64: more than 63 modes raises ``ValueError``.
+    """
+    n = transforms[0].n_modes
+    if n > _MAX_MODES:
+        raise ValueError(f"masks hold at most {_MAX_MODES} modes, not {n}")
+    if any(t.n_modes != n for t in transforms):
+        raise ValueError("the encodings of a stack must share their number of modes")
+    x_tables, z_tables = (
+        np.stack(tables) for tables in zip(*(t._frame_tables for t in transforms))
+    )
+    x_out = x_tables[:, 0, x & 255]
+    z_out = z_tables[:, 0, z & 255]
+    for c in range(1, x_tables.shape[1]):
+        x_out ^= x_tables[:, c, x >> 8 * c & 255]
+        z_out ^= z_tables[:, c, z >> 8 * c & 255]
+    q = _popcount(x & z) - _popcount(x_out & z_out)
+    return x_out, z_out, q.astype(np.int8)
+
+
 class Transform:
     """A beta-parameterized encoding: Jordan-Wigner followed by the basis
     change B with B|x> = |beta x>."""
@@ -230,35 +282,13 @@ class Transform:
         B P(x, z) B+ = i^q P(x', z') and q = |x & z| - |x' & z'| (int8).
 
         ``x`` and ``z`` are int64 mask arrays that broadcast together.
-        x' = beta x and z' = beta^-T z are looked up a byte at a time
-        (``_frame_tables``), so no array holds an entry per string and mode.
-        Masks are int64: more than 63 modes raises ``ValueError``.
+        ``frame_stack`` of this one encoding: x' = beta x and z' =
+        beta^-T z are looked up a byte at a time (``_frame_tables``), so no
+        array holds an entry per string and mode.  Masks are int64: more
+        than 63 modes raises ``ValueError``.
         """
-        if self.n_modes > _MAX_MODES:
-            raise ValueError(f"masks hold at most {_MAX_MODES} modes, not {self.n_modes}")
-        x_out, z_out = np.zeros_like(x), np.zeros_like(z)
-        for c, (x_table, z_table) in enumerate(zip(*self._frame_tables)):
-            x_out ^= x_table[x >> 8 * c & 255]
-            z_out ^= z_table[z >> 8 * c & 255]
-        q = _popcount(x & z) - _popcount(x_out & z_out)
-        return x_out, z_out, q.astype(np.int8)
-
-    def ladder_products(self, ladders):
-        """Every string product of each row of ladders on distinct modes.
-
-        ``ladders`` is an int64 array of shape (rows, k), entries
-        2 * mode + dagger, with no mode twice in a row.  Returns ``(x, z,
-        e)``: ``x`` of shape (rows,), shared by a row's products, and ``z``
-        and ``e`` of shape (rows, 2^k).  Product c takes string b_i at
-        ladder i, b_0 the most significant bit of c, and is
-        i^e P(x, z) / 2^k, the paths of ``map_operator`` with D = k: taken
-        under Jordan-Wigner, then framed by B in one call, which raises
-        ``ValueError`` for more than 63 modes.
-        """
-        x, z, f, dz, df = _jw_products(ladders)
-        z, e = _paths(x, z, f, dz, df)
-        x, z, q = self.frame(x[:, None], z)
-        return x[:, 0], z, (e + q) & 3
+        x_out, z_out, q = frame_stack((self,), x, z)
+        return x_out[0], z_out[0], q[0]
 
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.

@@ -5,18 +5,30 @@ rotations, each synthesized as a basis-change + CNOT-ladder + Rz block.
 Adjacent blocks that share a ladder target cancel gates at their boundary,
 so the total two-qubit count depends on the string ordering, the choice of
 target wire, the labeling of fermion levels, and whether spatially paired
-excitations are compressed onto half the register.  A plan is a few numpy
-passes over mask arrays: one expansion of the whole pool, one savings
-pass per string count, batched Held-Karp, and one junction matrix per
-class.  This module provides:
+excitations are compressed onto half the register.
+
+The planner is one set of numpy passes over mask arrays, batched over
+encodings: a stack of T encodings of one pool is planned as one, and a
+single plan is a stack of one.  The pool's Jordan-Wigner string products
+are taken once (``_jw_pool``), framed for every encoding from stacked byte
+tables (``_expand``), and sorted canonically for every (encoding, term)
+row in one pass; the paired-double split reads only the excitations and
+the reference, so it runs once (``_pair_split``); ``inter_order`` forms
+every encoding's classes at once, solves every (term, target) string order
+of one string count in one deduplicated Held-Karp pass, and seeds and
+grows the chains of all classes, padded to a common member count, in one
+loop.  The swarm's cost reads only the counts
+(``ansatz_two_qubit_costs``), and ``plan_ansatz`` reads the arrays of a
+stack of one into the terms, strings and choices that the emitter uses.
+This module provides:
 
 - ``expand_term``: excitation -> rotation list under a chosen transform,
-  the one-excitation call of the pool expansion (``_expand_pool``), which
-  takes every term's 2^k string products in one pass per ladder count
-  (``Transform.ladder_products``: Jordan-Wigner products in closed form,
-  conjugated once by the encoding's basis change), each with an integer
-  power of i (no complex arithmetic and no merge; T+ is the conjugate on
-  the same strings), and sorts each term's strings on mask keys,
+  the planner's expansion of one excitation: every term's 2^k string
+  products (``transform.ladder_products``: Jordan-Wigner products in
+  closed form, conjugated by the encoding's basis change,
+  ``frame_stack``), each with an integer power of i (no complex arithmetic
+  and no merge; T+ is the conjugate on the same strings), and each term's
+  strings sorted on mask keys,
 - ``term_circuit``: circuit emission through one block emitter that
   reads each string's letters from its masks and appends shared,
   already-validated H / S / Sdg / CNOT gates
@@ -26,16 +38,17 @@ class.  This module provides:
   emitted,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the per-term string order
-  is found only at each term's class target, for all terms in one batch,
-  and each class chain grows on one matrix of its oriented members'
-  junction savings.  The string order is dynamic programming over an
-  exact additive cost model (``_dp_choices``): every (term, target)
-  savings matrix of one string count comes from the strings' (x, z) mask
-  arrays at once, and a Held-Karp pass in numpy, batched by a budget of
-  table entries, visits only the valid (visited mask, last node, next
-  node) triples, one gather-add and one group max per popcount layer,
+  is found only at each term's class target, for all terms of all
+  encodings in one batch, and each class chain grows on one matrix of its
+  oriented members' junction savings.  The string order is dynamic
+  programming over an exact additive cost model (``_dp_paths``): every
+  (term, target) savings matrix of one string count comes from the
+  strings' (x, z) mask arrays at once, and a Held-Karp pass in numpy,
+  batched by a budget of table entries, visits only the valid (visited
+  mask, last node, next node) triples, one gather-add and one group max
+  per popcount layer,
 - ``relabel_levels``: greedy descent over single orbital-pair swaps of the
-  fermion levels, each candidate labeling scored by ``plan_ansatz``'s own
+  fermion levels, each candidate labeling scored by the planner's own
   count, so relabeling never raises it,
 - ``bosonic_reduce``: compression of spatially paired double excitations
   onto one wire per orbital pair (pair l on wire 2l), plus the restoration
@@ -44,7 +57,8 @@ class.  This module provides:
   alone, with no cache and no Jordan-Wigner re-expansion,
 - ``plan_ansatz``: the one planner (relabel, expand, compress, order) and
   its two-qubit count, the only cost model: the swarm's cost function
-  (``ansatz_two_qubit_cost``) and the relabeling both read that count,
+  (``ansatz_two_qubit_costs``, one encoding or many) and the relabeling
+  both read that count,
 - ``emit_circuit``: the circuit of a plan; ``synthesize_ansatz`` is plan
   followed by emit, with a structured plan report.
 
@@ -68,12 +82,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .fermions import OrbitalSequence
 from .paulis import PauliString
+from .transform import _popcount, frame_stack, ladder_products
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +103,8 @@ _PLUS, _MINUS = complex(1.0), complex(-1.0)
 # its z bits on the x/y wires (X = 0, Y = 1), the lowest wire the most
 # significant bit.
 _CANONICAL_WORDS = ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
+# each byte value with its eight bits reversed
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint64)
 _WORD_RANK = np.array(
     [
         _CANONICAL_WORDS.index(w) if w in _CANONICAL_WORDS else len(_CANONICAL_WORDS)
@@ -114,6 +132,18 @@ class TrotterTerm:
     anti: bool = False
 
 
+def _reversed_bits(v, n):
+    """Each entry of the non-negative int64 array ``v`` with its low n bits
+    reversed, as uint64: qubit 0 becomes the most significant bit.  The
+    bytes of ``v`` are reversed by table, then shifted into place."""
+    width = -(-n // 8) * 8
+    out = _REVERSED_BYTES[v & 255]
+    for c in range(8, width, 8):
+        out <<= np.uint64(8)
+        out |= _REVERSED_BYTES[v >> c & 255]
+    return out >> np.uint64(width - n)
+
+
 def _canonical_order(x, z, n):
     """Flat indices of ``z`` that sort each row's strings canonically.
 
@@ -128,40 +158,57 @@ def _canonical_order(x, z, n):
     read with qubit 0 as the most significant bit, on the x/y wires and
     on all wires.
     """
-    qubits = np.arange(n)
-    wires = x[:, None] >> qubits & 1
-    bits = z[:, :, None] >> qubits & 1
-    on_wires = bits & wires[:, None, :]
-    # a row's first four x/y wires weigh 8, 4, 2 and 1 in its word
-    count = np.cumsum(wires, axis=1)
-    word = (on_wires @ ((wires << 4) >> count)[:, :, None])[..., 0]
-    rank = np.where(count[:, -1:] == 4, _WORD_RANK[word], len(_CANONICAL_WORDS))
-    rank += 16 * np.arange(len(z))[:, None]  # rows stay apart, in order
-    lead = 1 << (n - 1 - qubits)
-    return np.lexsort(((bits @ lead).ravel(), (on_wires @ lead).ravel(), rank.ravel()))
+    rows = len(z)
+    on_wires = z & x[:, None]
+    # a four-wire row's word: its z bits on the wires, the lowest wire leading
+    four = np.flatnonzero(_popcount(x) == 4)
+    rank = np.full(z.shape, len(_CANONICAL_WORDS), dtype=np.int64)
+    if len(four):
+        rest, word = x[four], np.zeros((len(four), z.shape[1]), dtype=np.int64)
+        for lead in (8, 4, 2, 1):
+            low = rest & -rest
+            rest ^= low
+            word += (on_wires[four] & low[:, None] != 0) * lead
+        rank[four] = _WORD_RANK[word]
+    rank += 16 * np.arange(rows)[:, None]  # rows stay apart, in order
+    return np.lexsort(
+        (_reversed_bits(z, n).ravel(), _reversed_bits(on_wires, n).ravel(), rank.ravel())
+    )
 
 
-def _expand_pool(seqs, transform, thetas, *, anti):
-    """The TrotterTerm of each excitation at its angle, as ``expand_term``.
+class _Group(NamedTuple):
+    """The pool's excitations of one ladder count k under each of T
+    encodings: R terms of s = 2^(k-1) strings each.
 
-    The excitations are grouped by ladder count k, and each group's 2^k
-    string products, their powers of i and the canonical order of the kept
-    strings come from a few numpy passes over all its terms at once; then
-    the strings and terms are built.
+    ``rows`` (R,) are the terms' indices in the pool, ascending; ``x``
+    (T, R) is each term's shared x mask, ``z`` (T, R, s) its strings' z
+    masks in canonical order and ``plus`` (T, R, s) whether each string's
+    sign is +; ``eligible`` (T, R) masks the fermion-label wires whose
+    letter is non-identity in every string of the term.
     """
-    seqs = list(seqs)
-    n = transform.n_modes
+
+    rows: np.ndarray
+    x: np.ndarray
+    z: np.ndarray
+    plus: np.ndarray
+    eligible: np.ndarray
+
+
+def _jw_pool(seqs, n):
+    """The pool's Jordan-Wigner string products, one entry per ladder
+    count k: (rows, x, z, e, modes), with ``ladder_products``' x, z and e
+    of the rows' excitations (creations, then annihilations) and
+    ``modes`` the mask of each excitation's fermion labels.  Any encoding's
+    expansion frames these (``_expand``)."""
     by_count = {}
     for row, seq in enumerate(seqs):
         for mode in seq.indices:
             if not 0 <= mode < n:
                 raise ValueError(f"mode {mode} out of range")
         by_count.setdefault(len(seq.indices), []).append(row)
-    # T + T+ keeps the even powers of i, sign + at i^0; T - T+ the odd, + at i^3
-    parity, plus = (1, 3) if anti else (0, 0)
-    terms = [None] * len(seqs)
-    for k, rows in by_count.items():
-        group = [seqs[r] for r in rows]
+    pool = []
+    for k in sorted(by_count):
+        group = [seqs[r] for r in by_count[k]]
         ladders = np.array(
             [
                 [2 * m + 1 for m in seq.creations()] + [2 * m for m in seq.annihilations()]
@@ -169,46 +216,90 @@ def _expand_pool(seqs, transform, thetas, *, anti):
             ],
             dtype=np.int64,
         )
-        x, z, e = transform.ladder_products(ladders)
+        modes = np.bitwise_or.reduce(1 << (ladders >> 1), axis=1)
+        pool.append((np.array(by_count[k], dtype=np.int64), *ladder_products(ladders), modes))
+    return pool
+
+
+def _expand(pool, transforms, *, anti):
+    """Each ladder count's terms (``_Group``) under every encoding of
+    ``transforms``, from the Jordan-Wigner products of ``_jw_pool``.
+
+    Each group's products are framed for all encodings in one call
+    (``frame_stack``).  T + T+ keeps the even powers of i, with sign + at
+    i^0, and T - T+ the odd ones, with sign + at i^3; exactly half of a
+    term's 2^k products are kept.  The kept strings of every (encoding,
+    term) row are sorted by ``_canonical_order`` in one pass.
+    """
+    parity, plus = (1, 3) if anti else (0, 0)
+    n = transforms[0].n_modes
+    groups = []
+    for rows, x, z, e, modes in pool:
+        x, z, q = frame_stack(transforms, x[:, None], z)
+        e = (e + q) & 3
         kept = (e & 1) == parity
-        expected = 1 << (k - 1)
-        z = z[kept].reshape(len(group), expected)
-        order = _canonical_order(x, z, n)
-        positive = e[kept][order] == plus
-        z = z.ravel()[order]
-        common = x | np.bitwise_and.reduce(z.reshape(len(group), expected), axis=1)
-        mag = (4.0 if anti else 2.0) / (1 << k)
+        n_enc, n_rows, s = len(transforms), len(rows), z.shape[2] // 2
+        x = x[:, :, 0]
+        z = z[kept].reshape(n_enc * n_rows, s)
+        order = _canonical_order(x.ravel(), z, n)
+        z = z.ravel()[order].reshape(n_enc, n_rows, s)
+        positive = (e[kept][order] == plus).reshape(n_enc, n_rows, s)
+        support = x | np.bitwise_and.reduce(z, axis=2)
+        groups.append(_Group(rows, x, z, positive, support & modes))
+    return groups
+
+
+def _terms(seqs, thetas, groups, n, anti):
+    """The TrotterTerm of each excitation at its angle under the first
+    encoding of ``groups``: its strings, signs and eligible targets read
+    off the arrays."""
+    terms = [None] * len(seqs)
+    for group in groups:
+        s = group.z.shape[2]
+        mag = (4.0 if anti else 2.0) / (2 * s)
         strings = [
             PauliString(n, xs, zs, (_MINUS, _PLUS)[sign])
-            for xs, zs, sign in zip(x.repeat(expected).tolist(), z.tolist(), positive.tolist())
+            for xs, zs, sign in zip(
+                group.x[0].repeat(s).tolist(), group.z[0].ravel().tolist(),
+                group.plus[0].ravel().tolist(),
+            )
         ]
-        for j, (r, seq, support) in enumerate(zip(rows, group, common.tolist())):
-            theta = thetas[r]
+        for j, (r, support) in enumerate(zip(group.rows.tolist(), group.eligible[0].tolist())):
+            seq, theta = seqs[r], thetas[r]
             terms[r] = TrotterTerm(
                 seq,
                 n,
                 theta,
                 theta * mag,
-                tuple(strings[j * expected : (j + 1) * expected]),
+                tuple(strings[j * s : (j + 1) * s]),
                 tuple(t for t in sorted(seq.indices) if support >> t & 1),
                 anti,
             )
     return tuple(terms)
 
 
+def _expand_pool(seqs, transform, thetas, *, anti):
+    """The TrotterTerm of each excitation at its angle under one encoding:
+    ``_expand`` of a stack of one, read into objects (``_terms``)."""
+    seqs = list(seqs)
+    n = transform.n_modes
+    groups = _expand(_jw_pool(seqs, n), (transform,), anti=anti)
+    return _terms(seqs, thetas, groups, n, anti)
+
+
 def expand_term(seq, transform, theta=1.0, *, anti=False):
     """Expand one excitation under ``transform`` into a TrotterTerm.
 
-    This is the one-excitation call of the pool expansion that
-    ``plan_ansatz`` runs (``_expand_pool``).  Two-body sequences produce
+    This is the planner's expansion (``_expand``) of a pool of one
+    excitation under one encoding.  Two-body sequences produce
     exactly eight strings and one-body sequences exactly two; eligibility
     keeps the fermion-label wires whose letter is non-identity in every
     string.
 
     T = a+... a... is enumerated as its 2^k string products
-    (``Transform.ladder_products``), each with an integer power of i; no
+    (``transform.ladder_products``), each with an integer power of i; no
     complex number is formed.  The products are taken under Jordan-Wigner
-    and then conjugated by the basis change B (``Transform.frame``).  A
+    and then conjugated by the basis change B (``frame_stack``).  A
     product is carried as i^f X^x Z^z, so multiplying by i^f' X^x' Z^z'
     adds f' and twice |z & x'| to f; every ladder of one mode shares its
     x, so x is common to all products.  The products never merge: under
@@ -372,51 +463,15 @@ def _boundary_wires(first, second, target):
     return both & ~diff, both & diff
 
 
-def _boundary_saving(first, second, target):
-    """(two_cnot, one_cnot) savings at the boundary of two blocks."""
-    agree, differ = _boundary_wires(first, second, target)
-    return agree.bit_count(), differ.bit_count()
-
-
-def _top_wire(string):
-    return (string.xmask | string.zmask).bit_length() - 1
-
-
-def cost_breakdown(term, ordering, target):
-    """Recount the additive model for an explicit (ordering, target)."""
-    seq = [term.strings[j] for j in ordering]
-    counts = tuple(s.weight for s in seq)
-    twos, ones = [], []
-    for a, b in zip(seq, seq[1:]):
-        two, one = _boundary_saving(a, b, target)
-        twos.append(two)
-        ones.append(one)
-    return CostBreakdown(counts, tuple(twos), tuple(ones))
-
-
-def _fallback_choice(term):
-    """Per-string-target accounting for terms with no shared target."""
-    seq = term.strings
-    counts = tuple(s.weight for s in seq)
-    twos, ones = [], []
-    for a, b in zip(seq, seq[1:]):
-        if _top_wire(a) == _top_wire(b):
-            two, one = _boundary_saving(a, b, _top_wire(a))
-        else:
-            two = one = 0
-        twos.append(two)
-        ones.append(one)
-    breakdown = CostBreakdown(counts, tuple(twos), tuple(ones))
-    return IntraChoice(tuple(range(len(seq))), None, breakdown)
-
-
-# Table entries of one Held-Karp batch.  c matrices of k nodes fill a table
-# of c * k * 2^k int32 entries, so a batch holds as many as fit, and at
-# least one: the table takes at most 256 KB and the batch's savings, k^2 c
-# int32 entries, at most 128 KB (at k <= 2), so one batch's tables stay
-# under 1 MB.  The triples gathered for one layer of p visited nodes,
-# c * C(k, p) * p * (k - p), stay below the table up to k = 25 (below 0.8
-# of it up to k = 16).  At k = 8 a batch is 32 matrices.
+# Table entries of one Held-Karp batch, counted in int32: c matrices of k
+# nodes fill a table of c * k * 2^k entries, so a batch holds as many as
+# fit in 256 KB (twice as many in int16), and at least one, and the
+# batch's savings, k^2 c entries, take at most 128 KB (at k <= 2), so one
+# batch's tables stay under 1 MB.  The triples gathered for one layer of p
+# visited nodes, c * C(k, p) * p * (k - p), stay below the table up to
+# k = 25 (below 0.8 of it up to k = 16).  At k = 8 an int16 batch is 64
+# matrices.  The savings matrices, the chains' junction matrices and the
+# encodings planned together are bounded by this many entries too.
 _DP_ENTRIES = 1 << 16
 
 
@@ -452,7 +507,8 @@ def _dp_triples(k):
 
 
 def _held_karp(savings):
-    """Maximum-weight Hamiltonian paths of a (C, k, k) non-negative int32 stack.
+    """Maximum-weight Hamiltonian paths of a (C, k, k) non-negative integer
+    stack whose path weights fit its dtype.
 
     ``f[mask * k + last, c]`` holds the best suffix weight from ``last``
     with ``mask`` already visited (0 when no move is left); each layer is one
@@ -461,11 +517,12 @@ def _held_karp(savings):
     Savings are non-negative, so no move is masked out and no weight is
     floored at 0.  Each path is rebuilt greedily: at every step the
     smallest unvisited node that attains the optimum, the first argmax of
-    its group; the last step has one node left.
+    its group; the last step has one node left.  Returns the weights (C,)
+    and the paths (C, k).
     """
     c, k, _ = savings.shape
     gain = np.ascontiguousarray(savings.reshape(c, k * k).T)
-    f = np.zeros(((1 << k) * k, c), dtype=np.int32)
+    f = np.zeros(((1 << k) * k, c), dtype=savings.dtype)
     for rows, sav, tab, width in _dp_triples(k):
         cand = np.take(gain, sav, axis=0)
         cand += np.take(f, tab, axis=0)
@@ -488,122 +545,135 @@ def _held_karp(savings):
         mask |= 1 << v
     # the last step takes the one node left
     path[k - 1] = k * (k - 1) // 2 - path[: k - 1].sum(axis=0)
-    return list(zip(start.max(axis=0).tolist(), map(tuple, path.T.tolist())))
+    return start.max(axis=0), path.T
 
 
 def _max_paths(matrices):
-    """(weight, path) of each non-negative integer matrix; sizes may mix.
+    """(weights, paths) of a (C, k, k) stack of non-negative integer matrices.
 
-    The path is the lexicographically smallest maximum-weight Hamiltonian
-    path.  Matrices of one size k are solved in int32, in batches of
-    ``_DP_ENTRIES // (k * 2^k)`` matrices (at least one), so one batch's
-    table holds at most ``_DP_ENTRIES`` entries (256 KB) and its savings
-    at most 128 KB; a negative entry, or a k x k matrix whose
-    (k - 1) * max entry reaches 2**31 (a path weight could overflow),
-    raises ValueError.  Boundary savings are at most twice the register
-    width per step.
+    Each path is the lexicographically smallest maximum-weight Hamiltonian
+    path of its matrix; ``weights`` (C,) and ``paths`` (C, k) are int64.
+    The stack is solved in int16 when (k - 1) times its largest entry, a
+    bound on every path weight, is below 2**15, and in int32 otherwise, in
+    batches of ``_DP_ENTRIES // (k * 2^k)`` matrices in int32 and twice as
+    many in int16 (at least one), so one batch's table takes at most 256 KB
+    and its savings at most 128 KB; a negative entry, or a k x k stack
+    whose (k - 1) * max entry reaches 2**31 (a path weight could
+    overflow), raises ValueError.  Boundary savings are at most twice the
+    register width per step, so the planner's matrices take int16.
     """
-    out = [None] * len(matrices)
-    by_size = {}
-    for idx, mat in enumerate(matrices):
-        by_size.setdefault(len(mat), []).append(idx)
-    for k, idxs in by_size.items():
-        stack = np.array([matrices[i] for i in idxs], dtype=np.int64)
-        if stack.min() < 0:
-            raise ValueError("savings matrices must be non-negative")
-        if (k - 1) * int(stack.max()) >= 2**31:
-            raise ValueError(f"a {k} x {k} savings matrix's path weight may overflow int32")
-        stack = stack.astype(np.int32)
-        batch = max(1, _DP_ENTRIES // (k << k))
-        for start in range(0, len(idxs), batch):
-            solved = _held_karp(stack[start : start + batch])
-            for i, result in zip(idxs[start : start + batch], solved):
-                out[i] = result
-    return out
+    stack = np.asarray(matrices, dtype=np.int64)
+    c, k = stack.shape[:2]
+    weights, paths = np.zeros(c, dtype=np.int64), np.zeros((c, k), dtype=np.int64)
+    if not c:
+        return weights, paths
+    if stack.min() < 0:
+        raise ValueError("savings matrices must be non-negative")
+    top = (k - 1) * int(stack.max())
+    if top >= 2**31:
+        raise ValueError(f"a {k} x {k} savings matrix's path weight may overflow int32")
+    stack = stack.astype(np.int16 if top < 2**15 else np.int32)
+    batch = max(1, _DP_ENTRIES * 4 // (stack.itemsize * (k << k)))
+    for start in range(0, c, batch):
+        weights[start : start + batch], paths[start : start + batch] = _held_karp(
+            stack[start : start + batch]
+        )
+    return weights, paths
 
 
-def _mask_arrays(strings):
-    """int64 arrays of the x and z masks of a nested list of strings."""
-    x = np.array([[s.xmask for s in row] for row in strings], dtype=np.int64)
-    z = np.array([[s.zmask for s in row] for row in strings], dtype=np.int64)
-    return x, z
+def _bit_length(v):
+    """Bit length of each entry of a non-negative int64 array."""
+    v = v | v >> 1
+    for shift in (2, 4, 8, 16, 32):
+        v |= v >> shift
+    return _popcount(v)
 
 
-# a wire's letter features, indexed by its x bit + 2 * its z bit (I, X, Z, Y):
-# whether the string acts on the wire, then one-hot X, Y and Z
-_LETTER_FEATURES = np.array([[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0]])
+def _along(x, z, path, target):
+    """Letter counts along each path and each boundary's agree and differ
+    counts: (weight (P, s), agree (P, s - 1), differ (P, s - 1)).
 
-
-def _letter_features(x, z, target):
-    """Each string's letters as 0/1 int64 features, shape (..., n, 4).
-
-    The n wires run up to the highest set bit of any mask or ``target``.
-    Per wire: whether the string acts on it, then one-hot X, Y and Z.  The
-    dot product of two strings' features is the number of wires where both
-    act plus the number where their letters agree, 2 * agree + differ in
-    ``_boundary_wires``' terms, and the first column alone counts the wires
-    where both act.  Zeroing a wire's features on one side leaves the wire
-    out.
+    Row p is one term: ``x[p]`` its strings' shared x mask and ``z[p]``
+    (s,) their z masks; ``path[p]`` orders them (None: stored order).  At
+    a boundary the wires other than the target where both strings act
+    with the same letter agree and those with different ones differ
+    (``_boundary_wires``).  As x is shared, the strings differ in letter
+    exactly where their z masks differ, and both act on a wire of x or
+    of both z masks.  ``target`` (P,) is each row's shared target; None
+    gives each block its own target, its top wire (``term_circuit``'s
+    fallback), and a boundary between blocks of different targets saves
+    nothing.
     """
-    wires = np.arange(max(int((x | z).max()).bit_length(), int(target) + 1))
-    return _LETTER_FEATURES[(x[..., None] >> wires & 1) | (z[..., None] >> wires & 1) << 1]
+    if path is not None:
+        z = np.take_along_axis(z, path, axis=1)
+    support = x[:, None] | z
+    weight = _popcount(support)
+    a, b = z[:, :-1], z[:, 1:]
+    if target is None:
+        top = _bit_length(support)
+        keep = ~(1 << np.maximum(top[:, :-1] - 1, 0))
+        keep[top[:, :-1] != top[:, 1:]] = 0
+    else:
+        keep = ~(1 << target)[:, None]
+    differ = a ^ b
+    both = (x[:, None] | (a & b)) & keep
+    return weight, _popcount(both & ~differ), _popcount(both & differ)
 
 
-def _boundary_counts(strings, targets):
-    """(weight, agree, differ, savings) of each row of ``strings`` at its target.
+def _costs(weight, agree, differ):
+    """Each row's CNOT count: 2 (weight - 1) per block, less 2 per agreeing
+    and 1 per differing wire at each boundary."""
+    return 2 * (weight.sum(axis=1) - weight.shape[1]) - 2 * agree.sum(axis=1) - differ.sum(axis=1)
 
-    ``strings`` holds one row of k strings per target.  ``weight`` (rows,
-    k) counts each string's letters; ``agree``, ``differ`` and ``savings``
-    (rows, k, k) count, at the boundary of strings a and b, the wires
-    other than the target where both act with the same letter, with
-    different ones, and 2 * agree + differ (``_boundary_wires``): products
-    of letter features with the target left out of one side.
+
+def _savings(x, z, target):
+    """The (P, s, s) boundary savings 2 * agree + differ of every ordered
+    pair of each row's strings at its target (0 on the diagonal), from the
+    masks as in ``_along``."""
+    a, b = z[:, :, None], z[:, None, :]
+    both = a & b
+    both |= x[:, None, None]
+    both &= ~(1 << target)[:, None, None]
+    savings = _popcount(both)
+    agree = a ^ b
+    np.invert(agree, out=agree)
+    agree &= both
+    savings += _popcount(agree)
+    s = z.shape[1]
+    savings[:, np.arange(s), np.arange(s)] = 0  # a string never meets itself
+    return savings
+
+
+def _dp_paths(x, z, target):
+    """The maximum-saving string order of each (term, target) row: the
+    lexicographically smallest best path of its savings matrix
+    (``_savings``, ``_max_paths``).  Savings are symmetric, so a path and
+    its reversal save the same, and that path is never greater than its
+    reversal.
+
+    Rows with equal masks and target, which neighbouring encodings share
+    for the terms their change does not touch, are solved once: the rows
+    are sorted on (x, target, z), and each run of equal keys takes its
+    first row's path.  The distinct rows' matrices are built and solved in
+    chunks of at most ``_DP_ENTRIES // 8`` matrix entries.
     """
-    feats = _letter_features(*_mask_arrays(strings), targets.max())
-    off = feats.copy()
-    off[np.arange(len(targets)), :, targets] = 0
-    both = off[..., 0] @ feats[..., 0].transpose(0, 2, 1)
-    flat = feats.reshape(*feats.shape[:2], -1)
-    savings = off.reshape(flat.shape) @ flat.transpose(0, 2, 1)
-    return feats[..., 0].sum(axis=2), savings - both, 2 * both - savings, savings
-
-
-def _dp_choices(pairs):
-    """The maximum-saving IntraChoice of each (term, target) pair.
-
-    Pairs are grouped by string count k, and each group's savings
-    matrices come at once from its (pairs, k) x and z mask arrays
-    (``_boundary_counts``).  All groups' matrices go to ``_max_paths`` in
-    one call.  Savings are symmetric, so a path and its reversal save the
-    same, and the lexicographically smallest best path is never greater
-    than its reversal.  Its CostBreakdown, the letter counts and each
-    boundary's agree and differ counts along it, is read from the same
-    arrays, equal to ``cost_breakdown``'s.
-    """
-    by_count = {}
-    for idx, (term, _) in enumerate(pairs):
-        by_count.setdefault(len(term.strings), []).append(idx)
-    groups, matrices = [], []
-    for k, idxs in by_count.items():
-        targets = np.array([pairs[i][1] for i in idxs], dtype=np.int64)
-        strings = [pairs[i][0].strings for i in idxs]
-        weight, agree, differ, savings = _boundary_counts(strings, targets)
-        savings[:, np.arange(k), np.arange(k)] = 0  # a string never meets itself
-        groups.append((idxs, weight, agree, differ))
-        matrices += list(savings)
-    solved = iter(_max_paths(matrices))
-    choices = [None] * len(pairs)
-    for idxs, weight, agree, differ in groups:
-        paths = [path for _, path in (next(solved) for _ in idxs)]
-        at = np.array(paths, dtype=np.int64)
-        rows = np.arange(len(idxs))[:, None]
-        counts = weight[rows, at].tolist()
-        twos = agree[rows, at[:, :-1], at[:, 1:]].tolist()
-        ones = differ[rows, at[:, :-1], at[:, 1:]].tolist()
-        for i, path, c, two, one in zip(idxs, paths, counts, twos, ones):
-            breakdown = CostBreakdown(tuple(c), tuple(two), tuple(one))
-            choices[i] = IntraChoice(path, pairs[i][1], breakdown)
-    return choices
+    rows, s = z.shape
+    paths = np.empty((rows, s), dtype=np.int64)
+    if not rows:
+        return paths
+    keys = np.column_stack((x, target, z))
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    fresh = np.ones(rows, dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    heads = order[fresh]
+    solved = np.empty((len(heads), s), dtype=np.int64)
+    chunk = max(1, _DP_ENTRIES // (8 * s * s))
+    for start in range(0, len(heads), chunk):
+        at = heads[start : start + chunk]
+        solved[start : start + chunk] = _max_paths(_savings(x[at], z[at], target[at]))[1]
+    paths[order] = solved[np.cumsum(fresh) - 1]
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -656,15 +726,20 @@ def relabel_levels(seqs, transform, config, *, occupied=None):
 
     Mode m is relabeled ``labels[m]`` (``permute_sequence``).  From the
     identity, each round tries every swap of two spatial orbitals applied
-    after the current labels, C(n/2, 2) candidates, and plans each
-    relabeled pool with ``plan_ansatz`` under ``config`` with relabeling
-    off and ``occupied`` mapped through the trial labels.  The candidate
-    with the lowest ``model_two_qubit`` is adopted if it is strictly below
+    after the current labels, C(n/2, 2) candidates, and counts each
+    relabeled pool's plan (``ansatz_two_qubit_costs``) under ``config``
+    with relabeling off and ``occupied`` mapped through the trial labels.
+    The candidate with the lowest count is adopted if it is strictly below
     the current count (ties to the first swap in ``_pair_swap_perms``
     order), and the descent stops on the first round without one.  So the
     result's count is never above the identity's, and no single swap of it
     lowers that count.  Returns the labels.
     """
+    return _descend(seqs, transform, config, occupied)[0]
+
+
+def _descend(seqs, transform, config, occupied):
+    """``relabel_levels``' descent: the labels and their count."""
     n = transform.n_modes
     if n % 2:
         raise ValueError("relabeling pairs spatial orbitals; mode count must be even")
@@ -672,8 +747,8 @@ def relabel_levels(seqs, transform, config, *, occupied=None):
     config = replace(config, relabel=False)
 
     def count(labels):
-        mapped, angles, occ = _relabeled(seqs, [1.0] * len(seqs), occupied, labels)
-        return plan_ansatz(mapped, transform, angles, config, occupied=occ).model_two_qubit
+        mapped, _, occ = _relabeled(seqs, [1.0] * len(seqs), occupied, labels)
+        return ansatz_two_qubit_costs(mapped, (transform,), config, occupied=occ)[0]
 
     candidates = _pair_swap_perms(n // 2)
     labels = tuple(range(n))
@@ -686,7 +761,7 @@ def relabel_levels(seqs, transform, config, *, occupied=None):
             if trial_cost < best_cost:
                 best_cost, best_labels = trial_cost, trial
         if best_labels is None:
-            return labels
+            return labels, cost
         labels, cost = best_labels, best_cost
 
 
@@ -731,118 +806,325 @@ class InterPlan:
         )
 
 
-def inter_order(terms):
-    """Group terms by shared eligible target and chain them greedily.
+class _Order(NamedTuple):
+    """``inter_order``'s placements of the kept terms under a stack of T
+    encodings, as arrays.
 
-    Classes are formed around the most frequently eligible wire (ties to
-    the smallest index), removing claimed terms and repeating; this reads
-    only the eligible targets.  Each member's string order is then the
-    dynamic program's at its class target alone, all members solved in one
-    batch.  A member is placed in its string order or reversed, and a
-    junction saving is the boundary saving, at the class target, of one
-    placed member's last string and the next one's first; each class
-    scores all of them once, in one matrix (``_junction_matrix``).  The
-    chain is seeded with the pair of distinct members with the largest
-    junction saving, then grown one member at a time, placed before the
-    chain's first member or after its last, wherever the saving is
-    largest.  Ties go to the first strict maximum in this order: the seed
-    runs over the left member, then the right member (each in class
-    order), then the left one reversed or not (not first), then the right
-    one; a growth step runs over the members left (in class order), then
-    before the chain or after it (before first), then not reversed or
-    reversed.
+    ``counts`` (T,) is each encoding's CNOT count of the kept terms.  A
+    class (id c, ascending in the order classes are formed) has target
+    ``class_target[c]``; its members are the pairs p with
+    ``pair_class[p] == c``, kept term ``pair_term[p]``, listed by class and
+    then by term.  ``placed`` holds, per ladder count, pair ids with each
+    pair's string order and its ``_along`` counts; ``alone`` holds, per
+    ladder count, the (encoding, kept term) of each term without an
+    eligible target with its ``_along`` counts in stored order; and
+    ``chains``, per batch of classes of two or more members, their ids
+    and member counts with ``_chains``' record of their seed and growth.
     """
-    standalone = tuple(
-        TermPlacement(i, _fallback_choice(terms[i]))
-        for i in range(len(terms))
-        if not terms[i].eligible_targets
-    )
-    remaining = [i for i in range(len(terms)) if terms[i].eligible_targets]
 
-    groups = []
-    while remaining:
-        counts = {}
-        for i in remaining:
-            for t in terms[i].eligible_targets:
-                counts[t] = counts.get(t, 0) + 1
-        target = min(counts, key=lambda t: (-counts[t], t))
-        members = [i for i in remaining if target in terms[i].eligible_targets]
-        remaining = [i for i in remaining if target not in terms[i].eligible_targets]
-        groups.append((target, members))
-
-    choices = iter(_dp_choices([(terms[i], t) for t, members in groups for i in members]))
-    classes = tuple(
-        _chain_class(terms, {i: next(choices) for i in members}, members, target)
-        for target, members in groups
-    )
-    return InterPlan(classes, standalone)
+    counts: np.ndarray
+    class_target: np.ndarray
+    pair_term: np.ndarray
+    pair_class: np.ndarray
+    placed: tuple
+    alone: tuple
+    chains: tuple
 
 
-def _junction_matrix(terms, choices, members, target):
-    """Junction savings of every ordered pair of oriented class members.
+def _classes(eligible, n):
+    """The classes of every encoding's kept terms, from their eligible masks.
 
-    Oriented member 2 * j + r is ``members[j]`` in its chosen string order,
-    reversed when r is 1.  Entry [a, b] is the boundary saving, as
-    2 * two + one (``_boundary_saving``), of a's last string followed by
-    b's first string at ``target``: one product of letter features
-    (``_letter_features``), the target left out of the last strings'.
+    ``eligible`` is (T, K).  In every encoding at once, the wire most
+    often eligible among the remaining terms (ties to the smallest wire)
+    forms a class of the remaining terms eligible there, which are then
+    removed, until no term with an eligible wire remains.  Returns
+    ``class_b`` and ``class_target`` (C,), each class's encoding and
+    target, the classes of one encoding in the order they were formed;
+    and ``pair_b``, ``pair_term`` and ``pair_class`` (P,), one entry per
+    member, by class and then by term.
     """
-    firsts, lasts = [], []
-    for i in members:
-        strings, ordering = terms[i].strings, choices[i].ordering
-        head, tail = strings[ordering[0]], strings[ordering[-1]]
-        firsts += (head, tail)
-        lasts += (tail, head)
-    first, last = _letter_features(*_mask_arrays([firsts, lasts]), target)
-    last[:, target] = 0
-    return last.reshape(len(lasts), -1) @ first.reshape(len(firsts), -1).T
+    bits = (eligible[:, :, None] >> np.arange(n) & 1).astype(bool)
+    remaining = eligible != 0
+    parts = ([], [], [], [], [])
+    n_classes = 0
+    while True:
+        active = np.flatnonzero(remaining.any(axis=1))
+        if not len(active):
+            break
+        open_terms = remaining[active]
+        target = (bits[active] & open_terms[:, :, None]).sum(axis=1).argmax(axis=1)
+        members = open_terms & bits[active, :, target]
+        remaining[active] = open_terms & ~members
+        b, term = np.nonzero(members)
+        for part, values in zip(parts, (active, target, active[b], term, n_classes + b)):
+            part.append(values)
+        n_classes += len(active)
+    return [np.concatenate(part) if part else np.zeros(0, dtype=np.int64) for part in parts]
 
 
-def _chain_class(terms, choices, members, target):
-    """One class's chain, seeded and grown on its junction matrix as
-    ``inter_order`` describes.  ``argmax`` returns the first maximum in
-    row-major order, so each candidate array's axes run in the order of
-    the tie rule."""
-    if len(members) == 1:
-        return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
+# a wire's letter features, indexed by its x bit + 2 * its z bit (I, X, Z, Y):
+# whether the string acts on the wire, then one-hot X, Y and Z.  They are
+# float32 so that products of them run in BLAS; every such product is a
+# count of at most 2 per wire, exact in float32.
+_LETTER_FEATURES = np.array(
+    [[0, 0, 0, 0], [1, 1, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0]], dtype=np.float32
+)
 
-    m = len(members)
-    junction = _junction_matrix(terms, choices, members, target)
+
+def _junctions(last, first, target):
+    """The junction savings of each class's oriented members, (C, 2m, 2m) int16.
+
+    Entry [c, a, b] is the boundary saving 2 * agree + differ, at the
+    class target, of oriented member a's last string followed by oriented
+    member b's first (``_boundary_wires``); ``last`` and ``first`` are the
+    (x, z) masks, (C, 2m) each, of each oriented member's last and first
+    strings.  Per wire, the dot product of two strings' letter features
+    counts 1 where both act and 1 more where their letters agree, so one
+    batched product of the features, with the target left out of the last
+    strings', gives the matrices.
+    """
+    n = max(int(np.bitwise_or.reduce(np.concatenate(last + first), axis=None)).bit_length(),
+            int(target.max()) + 1)
+    wires = np.arange(n)
+    lf, ff = (
+        _LETTER_FEATURES[(x[..., None] >> wires & 1) | (z[..., None] >> wires & 1) << 1]
+        for x, z in (last, first)
+    )
+    lf[np.arange(len(target)), :, target] = 0
+    shape = (*lf.shape[:2], 4 * n)
+    return (lf.reshape(shape) @ ff.reshape(shape).transpose(0, 2, 1)).astype(np.int16)
+
+
+def _chains(first, last, target, members, sizes):
+    """Seed and grow the chains of C classes at once.
+
+    Class c has ``sizes[c]`` >= 2 members, the ids in the first
+    ``sizes[c]`` columns of ``members`` (C, M) in class order (the other
+    columns pad it to M), and target ``target[c]``.  Oriented member
+    2 * j + r is member j in its order, reversed when r is 1;
+    ``first`` and ``last`` are the (x, z) masks of the first and last
+    strings of each oriented id 2 * id + r.  The classes' junction
+    matrices (``_junctions``) are built in one pass, padded members
+    reading -1 there, so they are never picked.  The seed and each growth
+    step are one argmax per class over candidates laid out in the order
+    of ``inter_order``'s tie rule, so each takes the first maximum; class
+    c's steps after its first ``sizes[c] - 2`` change nothing.  Returns
+    the savings of each chain (C,) and its record for ``_chain_order``:
+    the seed's left and right oriented members and saving (C,) each, and
+    each growth step's pick and saving (C, M - 2), the pick being the
+    flat index 4 j + 2 end + r of the candidates, end 1 when the member
+    joins after the chain.
+    """
+    n_cls, m = members.shape
+    cls = np.arange(n_cls)
+    ids = (2 * members[:, :, None] + np.arange(2)).reshape(n_cls, 2 * m)
+    junction = _junctions(tuple(a[ids] for a in last), tuple(a[ids] for a in first), target)
+    padded = np.arange(2 * m) >= 2 * sizes[:, None]
+    junction[padded] = -1
+    junction.transpose(0, 2, 1)[padded] = -1
     # the seed: (left member, right member, left reversed, right reversed)
-    seed = junction.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
-    seed[np.arange(m), np.arange(m)] = -1  # savings are non-negative
-    li, ri, lr, rr = np.unravel_index(int(seed.argmax()), seed.shape)
-    left, right = 2 * int(li) + int(lr), 2 * int(ri) + int(rr)
-    chain = [left, right]
-    savings = [int(junction[left, right])]
+    seed = junction.reshape(n_cls, m, 2, m, 2).transpose(0, 1, 3, 2, 4).copy()
+    seed[:, np.arange(m), np.arange(m)] = -1  # savings are non-negative
+    best = seed.reshape(n_cls, -1).argmax(axis=1)
+    li, ri = best // (4 * m), best // 4 % m
+    left, right = 2 * li + (best >> 1 & 1), 2 * ri + (best & 1)
+    seed_saving = junction[cls, left, right].astype(np.int64)
 
-    # cand[j, end, r]: the saving of member j, reversed when r is 1, placed
-    # before the chain (end 0, column of the first member) or after it
-    # (end 1, row of the last); placed members read -1
-    placed = np.zeros(m, dtype=bool)
-    placed[[li, ri]] = True
-    cand = np.stack((junction[:, left].reshape(m, 2), junction[right].reshape(m, 2)), axis=1)
-    cand[placed] = -1
-    for _ in range(m - 2):
-        best = int(cand.argmax())
-        j, end, reverse = best >> 2, best >> 1 & 1, best & 1
-        value = int(cand.flat[best])
-        o = 2 * j + reverse
-        placed[j] = True
-        cand[j] = -1
-        if end:
+    # rows[c, 0, lo] and rows[c, 1, hi]: the saving of each oriented member
+    # o placed before the chain's first oriented member lo, or after its
+    # last, hi.  cand[c, j, end, r] holds them for o = 2 j + r at both ends
+    # of the chain, placed members -1; slots[c, end, o] is that entry's
+    # flat index.  A pick 4 j + 2 end + r makes o the new end, whose row
+    # is rows[c, end, o].
+    rows = np.stack((junction.transpose(0, 2, 1), junction), axis=1).reshape(n_cls * 4 * m, 2 * m)
+    o = np.arange(2 * m)
+    slots = (cls * 4 * m)[:, None, None] + 2 * np.arange(2)[:, None] + 4 * (o >> 1) + (o & 1)
+    placed = np.zeros((n_cls, 2 * m), dtype=bool)
+    for j in (li, ri):
+        placed.reshape(n_cls, m, 2)[cls, j] = True
+    cand = np.empty(n_cls * 4 * m, dtype=np.int16)
+    for end, ends in enumerate((left, right)):
+        new = rows[cls * 4 * m + 2 * m * end + ends]
+        new[placed] = -1
+        cand[slots[:, end]] = new
+    flat, quads = cand.reshape(n_cls, 4 * m), cand.reshape(n_cls * m, 4)
+    picks, values = (np.zeros((n_cls, m - 2), dtype=np.int64) for _ in range(2))
+    for step in range(m - 2):
+        best = picks[:, step] = flat.argmax(axis=1)
+        values[:, step] = flat[cls, best]
+        end, member = best >> 1 & 1, cls * m + (best >> 2)
+        placed.reshape(n_cls * m, 2)[member] = True
+        quads[member] = -1
+        new = rows[cls * 4 * m + 2 * m * end + (best >> 1 & -2) + (best & 1)]
+        new[placed] = -1
+        cand[slots[cls, end]] = new
+    values *= np.arange(m - 2) < (sizes - 2)[:, None]
+    saved = seed_saving + values.sum(axis=1)
+    return saved, (left, right, seed_saving, picks, values)
+
+
+def _chain_batches(size, n):
+    """The classes of two or more members, largest first, in batches for
+    ``_chains``: each batch pads its classes to its first class's member
+    count M, and its junction matrices and the letter features they are
+    built from, 2M (2M + 4n) entries per class on n wires, hold at most
+    ``_DP_ENTRIES`` entries (at least one class)."""
+    order = np.argsort(-size, kind="stable")
+    order = order[size[order] > 1]
+    batches, at = [], 0
+    while at < len(order):
+        m = int(size[order[at]])
+        count = max(1, _DP_ENTRIES // (2 * m * (2 * m + 4 * n)))
+        batches.append(order[at : at + count])
+        at += count
+    return batches
+
+
+def _chain_order(size, left, right, saving, picks, values):
+    """A chain's oriented members, first to last, and its junction savings,
+    from the ``_chains`` record of one class of ``size`` members."""
+    chain, savings = [left, right], [saving]
+    for best, value in zip(picks[: size - 2], values):
+        o = (best >> 1 & -2) | (best & 1)
+        if best >> 1 & 1:
             chain.append(o)
             savings.append(value)
-            cand[:, 1] = junction[o].reshape(m, 2)
         else:
             chain.insert(0, o)
             savings.insert(0, value)
-            cand[:, 0] = junction[:, o].reshape(m, 2)
-        cand[placed, end] = -1
-    placements = tuple(
-        TermPlacement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
+    return chain, savings
+
+
+def inter_order(groups, kept, n, n_enc, *, reorder=True):
+    """Place the kept terms under each encoding of a stack: ``_Order``.
+
+    ``groups`` are the pool's terms under the T = ``n_enc`` encodings
+    (``_expand``) and ``kept`` the pool rows that compression leaves,
+    ascending.  Classes are formed around the most frequently eligible
+    wire (``_classes``); this reads only the eligible targets.  Each
+    member's string order is then the dynamic program's at its class
+    target alone (``_dp_paths``), all members of all encodings of one
+    string count in one pass.  A member is placed in its string order or
+    reversed, and a junction saving is the boundary saving, at the class
+    target, of one placed member's last string and the next one's first;
+    each class scores all of them once, in one matrix (``_junctions``).
+    The chain is seeded with the pair of distinct members with the
+    largest junction saving, then grown one member at a time, placed
+    before the chain's first member or after its last, wherever the
+    saving is largest (``_chains``, every class of a batch at once, the
+    batch padded to its largest member count).  Ties go to the first
+    strict maximum in this order: the seed runs over the left member, then the right member (each in class
+    order), then the left one reversed or not (not first), then the right
+    one; a growth step runs over the members left (in class order), then
+    before the chain or after it (before first), then not reversed or
+    reversed.  Without ``reorder``, each term is its own class at its
+    first eligible target, strings in stored order.  A term with no
+    eligible target stands alone, each string at its own target.
+    """
+    where = {}
+    for g, group in enumerate(groups):
+        where.update((row, (g, r)) for r, row in enumerate(group.rows.tolist()))
+    g_of, r_of = np.array([where[row] for row in kept], dtype=np.int64).reshape(-1, 2).T
+    eligible = np.zeros((n_enc, len(kept)), dtype=np.int64)
+    for g, group in enumerate(groups):
+        at = np.flatnonzero(g_of == g)
+        eligible[:, at] = group.eligible[:, r_of[at]]
+    if reorder:
+        class_b, class_target, pair_b, pair_term, pair_class = _classes(eligible, n)
+    else:
+        pair_b, pair_term = np.nonzero(eligible)
+        pair_class = np.arange(len(pair_b))
+        low = eligible[pair_b, pair_term]
+        class_b, class_target = pair_b, _popcount((low & -low) - 1)
+    pair_target = class_target[pair_class]
+
+    counts = np.zeros(n_enc, dtype=np.int64)
+    x_of, head, tail = (np.zeros(len(pair_b), dtype=np.int64) for _ in range(3))
+    placed, alone = [], []
+    alone_b, alone_term = np.nonzero(eligible == 0)
+    for g, group in enumerate(groups):
+        at = np.flatnonzero(g_of[pair_term] == g)
+        if len(at):
+            b, r, target = pair_b[at], r_of[pair_term[at]], pair_target[at]
+            x, z = group.x[b, r], group.z[b, r]
+            if reorder:
+                path = _dp_paths(x, z, target)
+            else:
+                path = np.broadcast_to(np.arange(z.shape[1]), z.shape)
+            counted = _along(x, z, path, target)
+            np.add.at(counts, b, _costs(*counted))
+            rows = np.arange(len(at))
+            x_of[at], head[at], tail[at] = x, z[rows, path[:, 0]], z[rows, path[:, -1]]
+            placed.append((at, path, *counted))
+        at = np.flatnonzero(g_of[alone_term] == g)
+        if len(at):
+            b, term = alone_b[at], alone_term[at]
+            r = r_of[term]
+            counted = _along(group.x[b, r], group.z[b, r], None, None)
+            np.add.at(counts, b, _costs(*counted))
+            alone.append((b, term, *counted))
+
+    chains = []
+    if reorder and len(pair_class):
+        # oriented id 2 p + r: pair p in its order, reversed when r is 1
+        x2 = x_of.repeat(2)
+        first = (x2, np.stack((head, tail), axis=1).ravel())
+        last = (x2, np.stack((tail, head), axis=1).ravel())
+        size = np.bincount(pair_class)
+        start = np.cumsum(size) - size
+        for cls in _chain_batches(size, n):
+            m = int(size[cls[0]])
+            members = start[cls, None] + np.minimum(np.arange(m), size[cls, None] - 1)
+            saved, record = _chains(first, last, class_target[cls], members, size[cls])
+            np.add.at(counts, class_b[cls], -saved)
+            chains.append((cls, size[cls], *record))
+    return _Order(
+        counts, class_target, pair_term, pair_class, tuple(placed), tuple(alone), tuple(chains)
     )
-    return ClassPlan(target, placements, tuple(savings))
+
+
+def _inter_plan(order):
+    """The InterPlan of the first encoding of ``order``'s stack, built
+    from its arrays; with a stack of one, the whole order."""
+    choices = {}
+    for ids, paths, *counted in order.placed:
+        for p, path, weight, agree, differ in zip(
+            ids.tolist(), paths.tolist(), *(part.tolist() for part in counted)
+        ):
+            target = int(order.class_target[order.pair_class[p]])
+            choices[p] = IntraChoice(
+                tuple(path), target, CostBreakdown(tuple(weight), tuple(agree), tuple(differ))
+            )
+    records = {}
+    for cls, *record in order.chains:
+        for c, *fields in zip(cls.tolist(), *(part.tolist() for part in record)):
+            records[c] = fields
+    members = {}
+    for p, c in enumerate(order.pair_class.tolist()):
+        members.setdefault(c, []).append(p)
+    terms = order.pair_term.tolist()
+    classes = []
+    for c, pairs in members.items():
+        target = int(order.class_target[c])
+        if c not in records:
+            p = pairs[0]
+            classes.append(ClassPlan(target, (TermPlacement(terms[p], choices[p]),), ()))
+            continue
+        chain, savings = _chain_order(*records[c])
+        placements = tuple(
+            TermPlacement(terms[pairs[o >> 1]], choices[pairs[o >> 1]], bool(o & 1)) for o in chain
+        )
+        classes.append(ClassPlan(target, placements, tuple(savings)))
+    standalone = []
+    for _, term_ids, *counted in order.alone:
+        for i, weight, agree, differ in zip(
+            term_ids.tolist(), *(part.tolist() for part in counted)
+        ):
+            breakdown = CostBreakdown(tuple(weight), tuple(agree), tuple(differ))
+            choice = IntraChoice(tuple(range(len(weight))), None, breakdown)
+            standalone.append(TermPlacement(i, choice))
+    standalone.sort(key=lambda p: p.index)
+    return InterPlan(tuple(classes), tuple(standalone))
 
 
 # ---------------------------------------------------------------------------
@@ -888,24 +1170,14 @@ def _pair_index(modes):
     return low // 2 if low % 2 == 0 and high == low + 1 else None
 
 
-def bosonic_reduce(terms, *, occupied=None):
-    """Split terms into compressible paired doubles and everything else.
-
-    A double excitation compresses when its creations fill one orbital pair
-    (2l, 2l+1) and its annihilations another; a reference occupation (when
-    given) must fill or empty each such pair entirely, otherwise the term
-    is kept uncompressed.  Returns a BosonicSplit with term indices
-    preserved.
-    """
-    if not terms:
-        return BosonicSplit((), (), ())
-    if terms[0].n_qubits % 2:
-        raise ValueError("orbital pairing needs an even number of modes")
+def _pair_split(seqs, occupied):
+    """``bosonic_reduce``'s split of a pool of excitations (None for a term
+    without one): the kept rows, (row, plus pair, minus pair) of each
+    compressed one, and the touched pairs, ascending.  It reads only the
+    excitations and ``occupied``, so it holds under every encoding."""
     occ = None if occupied is None else set(occupied)
-
-    compressed, kept, touched = [], [], set()
-    for i, term in enumerate(terms):
-        seq = term.source
+    kept, compressed, touched = [], [], set()
+    for i, seq in enumerate(seqs):
         ok = seq is not None and seq.kind == "double"
         if ok:
             plus = _pair_index(seq.creations())
@@ -918,9 +1190,38 @@ def bosonic_reduce(terms, *, occupied=None):
         if not ok:
             kept.append(i)
             continue
-        compressed.append(CompressedTerm(seq, term.theta, plus, minus, term.anti))
+        compressed.append((i, plus, minus))
         touched.update((plus, minus))
-    return BosonicSplit(tuple(compressed), tuple(kept), tuple(sorted(touched)))
+    return tuple(kept), compressed, tuple(sorted(touched))
+
+
+def bosonic_reduce(terms, *, occupied=None):
+    """Split terms into compressible paired doubles and everything else.
+
+    A double excitation compresses when its creations fill one orbital pair
+    (2l, 2l+1) and its annihilations another; a reference occupation (when
+    given) must fill or empty each such pair entirely, otherwise the term
+    is kept uncompressed (``_pair_split``).  Returns a BosonicSplit with
+    term indices preserved.
+    """
+    if not terms:
+        return BosonicSplit((), (), ())
+    if terms[0].n_qubits % 2:
+        raise ValueError("orbital pairing needs an even number of modes")
+    return _bosonic_split(_pair_split([term.source for term in terms], occupied), terms)
+
+
+def _bosonic_split(split, terms):
+    """The BosonicSplit of ``_pair_split``'s ``split`` of ``terms``."""
+    kept, compressed, touched = split
+    return BosonicSplit(
+        tuple(
+            CompressedTerm(terms[i].source, terms[i].theta, plus, minus, terms[i].anti)
+            for i, plus, minus in compressed
+        ),
+        kept,
+        touched,
+    )
 
 
 def compressed_circuit(cterm, n_qubits):
@@ -1018,6 +1319,30 @@ class AnsatzPlan:
         )
 
 
+def _plan_arrays(seqs, transforms, config, occupied, pool):
+    """The planner on one pool under a stack of encodings, relabeling
+    aside: ``(split, groups, order, counts)``, with ``pool`` the pool's
+    Jordan-Wigner products (``_jw_pool``), ``split`` as ``_pair_split``'s
+    (every row kept when compression is off) and ``counts`` (T,) each
+    encoding's ``model_two_qubit``.
+
+    Compression (``_pair_split``) reads only the excitations and
+    ``occupied``, so it runs once for the stack; expansion
+    (``_expand``) and ordering (``inter_order``) each run once over all
+    encodings.
+    """
+    n = transforms[0].n_modes
+    if config.bosonic and n % 2 == 0:
+        split = _pair_split(seqs, occupied)
+    else:
+        split = (tuple(range(len(seqs))), (), ())
+    kept, compressed, touched = split
+    groups = _expand(pool, transforms, anti=config.anti)
+    order = inter_order(groups, kept, n, len(transforms), reorder=config.reorder)
+    counts = order.counts + CompressedTerm.two_qubit_cost * len(compressed) + len(touched)
+    return split, groups, order, counts
+
+
 def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occupied=None):
     """Plan the reduction pipeline over a sequence of excitations.
 
@@ -1029,8 +1354,11 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
     ``plan.labels`` and its angle signed by the remap
     (``permute_sequence``), and ``occupied`` is mapped through the labels
     before compression, so the plan's reference is the relabeled one.
-    ``model_two_qubit`` is the additive accounting; the emitted circuit's
-    metrics may only undercut it.  No circuit is built.
+    The passes are the swarm's (``ansatz_two_qubit_costs``) on a stack of
+    one encoding (``_plan_arrays``); only then are the terms, strings and
+    choices built from their arrays.  ``model_two_qubit`` is the additive
+    accounting; the emitted circuit's metrics may only undercut it.  No
+    circuit is built.
     """
     seqs = list(seqs)
     n = transform.n_modes
@@ -1045,50 +1373,20 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         labels = relabel_levels(seqs, transform, config, occupied=occupied)
         seqs, angles, occupied = _relabeled(seqs, angles, occupied, labels)
 
-    terms = _expand_pool(seqs, transform, angles, anti=config.anti)
-
-    if config.bosonic and n % 2 == 0:
-        split = bosonic_reduce(terms, occupied=occupied)
-    else:
-        split = BosonicSplit((), tuple(range(len(terms))), ())
-
-    kept_terms = [terms[i] for i in split.kept]
-    inter = inter_order(kept_terms) if config.reorder else _unchained(kept_terms)
-    model = (
-        inter.cost
-        + sum(c.two_qubit_cost for c in split.compressed)
-        + split.restoration_cnots
+    split, groups, order, counts = _plan_arrays(
+        seqs, (transform,), config, occupied, _jw_pool(seqs, n)
     )
+    terms = _terms(seqs, angles, groups, n, config.anti)
+    split = _bosonic_split(split, terms)
     return AnsatzPlan(
         n_qubits=n,
         labels=labels,
         terms=terms,
         kept=split.kept,
-        inter=inter,
+        inter=_inter_plan(order),
         compressed=split.compressed,
         touched_pairs=split.touched_pairs,
-        model_two_qubit=model,
-    )
-
-
-def _unchained(terms):
-    """Each term alone at its first eligible target, strings in stored order."""
-    placements = []
-    for i, term in enumerate(terms):
-        if term.eligible_targets:
-            target = term.eligible_targets[0]
-            ordering = tuple(range(len(term.strings)))
-            choice = IntraChoice(ordering, target, cost_breakdown(term, ordering, target))
-        else:
-            choice = _fallback_choice(term)
-        placements.append(TermPlacement(i, choice))
-    return InterPlan(
-        tuple(
-            ClassPlan(p.choice.target, (p,), ())
-            for p in placements
-            if p.choice.target is not None
-        ),
-        tuple(p for p in placements if p.choice.target is None),
+        model_two_qubit=int(counts[0]),
     )
 
 
@@ -1132,9 +1430,40 @@ def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *,
     return plan
 
 
+def ansatz_two_qubit_costs(seqs, transforms, config=HeuristicConfig(), *, occupied=None):
+    """The planner's two-qubit count of one pool under each encoding of
+    ``transforms`` (all of one width), without building a term, a string
+    or a circuit.
+
+    The pool's Jordan-Wigner products are taken once, and the encodings
+    are planned together (``_plan_arrays``) in stacks of at most
+    ``_DP_ENTRIES`` string products.  Each count equals ``plan_ansatz``'s
+    ``model_two_qubit`` for that encoding, whatever the other encodings
+    and their order.  With ``config.relabel``, each encoding's relabeling
+    descent runs in turn (``ansatz_two_qubit_cost``).  Nothing is kept
+    between calls.
+    """
+    seqs, transforms = list(seqs), list(transforms)
+    if config.relabel:
+        return [ansatz_two_qubit_cost(seqs, t, config, occupied=occupied) for t in transforms]
+    if not transforms:
+        return []
+    pool = _jw_pool(seqs, transforms[0].n_modes)
+    stack = max(1, _DP_ENTRIES // max(1, sum(z.size for _, _, z, _, _ in pool)))
+    counts = []
+    for start in range(0, len(transforms), stack):
+        part = transforms[start : start + stack]
+        counts += _plan_arrays(seqs, part, config, occupied, pool)[3].tolist()
+    return counts
+
+
 def ansatz_two_qubit_cost(seqs, transform, config=HeuristicConfig(), *, occupied=None):
-    """The planner's two-qubit count, without circuit emission."""
-    return plan_ansatz(seqs, transform, None, config, occupied=occupied).model_two_qubit
+    """The planner's two-qubit count under one encoding, without circuit
+    emission: ``ansatz_two_qubit_costs`` of one encoding, or with
+    ``config.relabel`` the count of the labels its descent ends on."""
+    if config.relabel:
+        return _descend(seqs, transform, config, None if occupied is None else tuple(occupied))[1]
+    return ansatz_two_qubit_costs(seqs, (transform,), config, occupied=occupied)[0]
 
 
 def plan_report(plan):

@@ -15,10 +15,7 @@ profile and member-by-member loops that ``measure.partition_qwc`` and
 ``partition_gc`` once ran, ``diagonalizing_circuit_reference`` the
 basis change that conjugated every generator, and
 ``term_circuit_reference`` the full blocks that ``trotter.term_circuit``
-once emitted.  ``expand_term_reference``, ``dp_choices_reference``,
-``chain_class_reference`` and ``plan_ansatz_reference`` keep the planner
-as it ran on Python ints: one expansion per term, each savings matrix
-filled pair by pair, and one junction per oriented pair tried.
+once emitted.  The planner's references are in ``planner_oracles``.
 ``compiled_apply_reference`` keeps the X-mask group loop that
 ``CompiledSum.apply`` once ran, ``compiled_tables_loop`` the group and
 member loops that built ``CompiledSum``'s tables,
@@ -399,234 +396,6 @@ def max_path_reference(savings):
                 prev = v
                 break
     return weight, tuple(path)
-
-
-# ---------------------------------------------------------------------------
-# the planner as it ran on Python ints, one term and one pair at a time
-# ---------------------------------------------------------------------------
-
-# x/y words of four-letter rotation sets in canonical order, as z bits on the
-# x/y wires (X = 0, Y = 1)
-_CANONICAL_ZWORDS = {
-    tuple(int(letter == "Y") for letter in word): rank
-    for rank, word in enumerate(
-        ("XXXX", "XXYY", "XYYX", "XYXY", "YYXX", "YXXY", "YXYX", "YYYY")
-    )
-}
-
-
-def expand_term_reference(seq, transform, theta=1.0, *, anti=False):
-    """``trotter.expand_term`` one excitation at a time on Python ints.
-
-    The 2^k products of the transform's ladder strings
-    (``ladder_strings``) are built as (z, power of i) pairs, x
-    shared; the kept strings are sorted by canonical word rank, then word,
-    then ``word_key``.
-    """
-    from fqcc.paulis import PauliString, word_key
-    from fqcc.trotter import TrotterTerm
-
-    n = transform.n_modes
-    ladders = ladder_strings(transform)
-    ops = [(mode, 1) for mode in seq.creations()] + [(mode, 0) for mode in seq.annihilations()]
-    x = 0
-    prods = [(0, 0)]
-    for mode, dagger in ops:
-        if not 0 <= mode < n:
-            raise ValueError(f"mode {mode} out of range")
-        (xl, zp, ep), (_, zr, er) = ladders[mode][dagger]
-        steps = ((zp, ep + (xl & zp).bit_count()), (zr, er + (xl & zr).bit_count()))
-        prods = [
-            (z ^ zl, (f + fl + 2 * (z & xl).bit_count()) & 3)
-            for z, f in prods
-            for zl, fl in steps
-        ]
-        x ^= xl
-    if len({z for z, _ in prods}) != len(prods):
-        raise ValueError(f"{seq.name}: ladder products collide")
-
-    parity, plus = (1, 3) if anti else (0, 0)
-    signed = []
-    for z, f in prods:
-        e = (f - (x & z).bit_count()) & 3
-        if e & 1 == parity:
-            signed.append(PauliString(n, x, z, complex(1.0) if e == plus else complex(-1.0)))
-    expected = 8 if seq.kind == "double" else 2
-    if len(signed) != expected:
-        raise ValueError(f"{seq.name} expanded to {len(signed)} strings, expected {expected}")
-    mag = (4.0 if anti else 2.0) / len(prods)
-
-    wires = [q for q in range(n) if x >> q & 1]
-
-    def rank(s):
-        word = tuple(s.zmask >> q & 1 for q in wires)
-        rank = _CANONICAL_ZWORDS.get(word, len(_CANONICAL_ZWORDS))
-        return rank, word, word_key(n, s.xmask, s.zmask)
-
-    ordered = tuple(sorted(signed, key=rank))
-    support = ordered[0].xmask | ordered[0].zmask
-    for s in ordered:
-        support &= s.xmask | s.zmask
-    eligible = tuple(t for t in sorted(set(seq.indices)) if support >> t & 1)
-    return TrotterTerm(seq, n, theta, theta * mag, ordered, eligible, anti)
-
-
-def savings_matrix_reference(strings, target):
-    """Boundary savings 2 * two + one of every string pair, pair by pair."""
-    from fqcc.trotter import _boundary_wires
-
-    k = len(strings)
-    mat = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            agree, differ = _boundary_wires(strings[i], strings[j], target)
-            mat[i][j] = mat[j][i] = 2 * agree.bit_count() + differ.bit_count()
-    return mat
-
-
-def dp_choices_reference(pairs):
-    """``trotter._dp_choices`` with each savings matrix filled pair by pair
-    and each breakdown recounted by ``cost_breakdown``."""
-    from fqcc import trotter as tr
-
-    solved = tr._max_paths(
-        [savings_matrix_reference(term.strings, target) for term, target in pairs]
-    )
-    choices = []
-    for (term, target), (_, path) in zip(pairs, solved):
-        if path[::-1] < path:
-            path = path[::-1]
-        choices.append(tr.IntraChoice(path, target, tr.cost_breakdown(term, path, target)))
-    return choices
-
-
-def chain_class_reference(terms, choices, members, target):
-    """``trotter._chain_class`` scoring one junction per oriented pair it
-    tries: the seed scans every oriented pair, each growth step every
-    remaining member at both ends, and the first strict maximum wins."""
-    from fqcc.trotter import ClassPlan, TermPlacement
-
-    if len(members) == 1:
-        return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
-
-    keep = ~(1 << target)
-    edges = {}
-    for i in members:
-        ordering = choices[i].ordering
-        head, tail = (
-            (s.xmask, s.zmask, (s.xmask | s.zmask) & keep)
-            for s in (terms[i].strings[ordering[0]], terms[i].strings[ordering[-1]])
-        )
-        edges[i, False] = (head, tail)
-        edges[i, True] = (tail, head)
-
-    def junction(left, right):
-        ax, az, asup = edges[left][1]
-        bx, bz, bsup = edges[right][0]
-        both = asup & bsup
-        diff = both & ((ax ^ bx) | (az ^ bz))
-        return 2 * both.bit_count() - diff.bit_count()
-
-    best = None
-    for i in members:
-        for j in members:
-            if i == j:
-                continue
-            for a in ((i, False), (i, True)):
-                for b in ((j, False), (j, True)):
-                    value = junction(a, b)
-                    if best is None or value > best[0]:
-                        best = (value, a, b)
-    value, left, right = best
-    chain = [left, right]
-    savings = [value]
-    used = {left[0], right[0]}
-
-    while len(used) < len(members):
-        pick = None
-        for i in members:
-            if i in used:
-                continue
-            for prefix in (True, False):
-                for cand in ((i, False), (i, True)):
-                    value = junction(cand, chain[0]) if prefix else junction(chain[-1], cand)
-                    if pick is None or value > pick[0]:
-                        pick = (value, cand, prefix)
-        value, cand, prefix = pick
-        if prefix:
-            chain.insert(0, cand)
-            savings.insert(0, value)
-        else:
-            chain.append(cand)
-            savings.append(value)
-        used.add(cand[0])
-    placements = tuple(TermPlacement(i, choices[i], reverse) for i, reverse in chain)
-    return ClassPlan(target, placements, tuple(savings))
-
-
-def inter_order_reference(terms):
-    """``trotter.inter_order`` on ``dp_choices_reference`` and
-    ``chain_class_reference``."""
-    from fqcc import trotter as tr
-
-    standalone = tuple(
-        tr.TermPlacement(i, tr._fallback_choice(terms[i]))
-        for i in range(len(terms))
-        if not terms[i].eligible_targets
-    )
-    remaining = [i for i in range(len(terms)) if terms[i].eligible_targets]
-    groups = []
-    while remaining:
-        counts = {}
-        for i in remaining:
-            for t in terms[i].eligible_targets:
-                counts[t] = counts.get(t, 0) + 1
-        target = min(counts, key=lambda t: (-counts[t], t))
-        members = [i for i in remaining if target in terms[i].eligible_targets]
-        remaining = [i for i in remaining if target not in terms[i].eligible_targets]
-        groups.append((target, members))
-    choices = iter(dp_choices_reference([(terms[i], t) for t, members in groups for i in members]))
-    classes = tuple(
-        chain_class_reference(terms, {i: next(choices) for i in members}, members, target)
-        for target, members in groups
-    )
-    return tr.InterPlan(classes, standalone)
-
-
-def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels=None):
-    """``trotter.plan_ansatz`` at unit angles on the reference routines
-    above: one expansion per term, pair-by-pair savings matrices and
-    junctions.  Compression and the unchained fallback are ``trotter``'s
-    own.  No labeling is searched: given ``labels``, the pool and
-    ``occupied`` are relabeled by them as a relabeled plan's are, and
-    ``config.relabel`` is ignored."""
-    from fqcc import trotter as tr
-
-    config = tr.HeuristicConfig() if config is None else config
-    seqs = list(seqs)
-    n = transform.n_modes
-    angles = [1.0] * len(seqs)
-    if labels is None:
-        labels = tuple(range(n))
-    else:
-        relabeled = [tr.permute_sequence(seq, labels) for seq in seqs]
-        seqs = [mapped for mapped, _ in relabeled]
-        angles = [sign * theta for (_, sign), theta in zip(relabeled, angles)]
-        occupied = None if occupied is None else [labels[m] for m in occupied]
-    terms = tuple(
-        expand_term_reference(seq, transform, theta, anti=config.anti)
-        for seq, theta in zip(seqs, angles)
-    )
-    if config.bosonic and n % 2 == 0:
-        split = tr.bosonic_reduce(terms, occupied=occupied)
-    else:
-        split = tr.BosonicSplit((), tuple(range(len(terms))), ())
-    kept_terms = [terms[i] for i in split.kept]
-    inter = inter_order_reference(kept_terms) if config.reorder else tr._unchained(kept_terms)
-    model = inter.cost + sum(c.two_qubit_cost for c in split.compressed) + split.restoration_cnots
-    return tr.AnsatzPlan(
-        n, labels, terms, split.kept, inter, split.compressed, split.touched_pairs, model
-    )
 
 
 def letter_word(string):

@@ -265,6 +265,49 @@ class TestRun:
         assert report.best_history == (206, 206, 206, 206)
         assert len(swarm.cost_cache) == report.evaluations == evaluations
 
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_batched_cost_gives_the_plain_search(self, seed):
+        """The search-h4 searches scored through ``many`` and through a
+        plain wrapper that scores one encoding per call: the same report
+        and the same cost cache, in the same order."""
+        cost = pso.ansatz_cost_fn(uccsd_pool(range(4), range(4, 8)), occupied=range(4))
+        cfg = pso.SwarmConfig(n_modes=8, k_max=1, t_max=3, seed=seed)
+        runs = []
+        for fn in (cost, lambda t: cost(t)):
+            swarm = pso.init_swarm(8, config=cfg)
+            runs.append((pso.run(cfg, fn, swarm=swarm), list(swarm.cost_cache.items())))
+        assert runs[0] == runs[1]
+
+    def test_many_is_called_once_per_evaluation(self, monkeypatch):
+        """One ``many`` call per ``_evaluate`` that meets new positions,
+        each with exactly the new ones, and one for both baselines."""
+        cost = pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3, 4, 5)), occupied=range(2))
+        batches, evaluations = [], []
+        many = cost.many
+
+        def recording(transforms):
+            batches.append([oracles.lower_bits(t) for t in transforms])
+            return many(transforms)
+
+        cost.many = recording
+        evaluate = pso._evaluate
+
+        def counting(swarm, cost_fn, masks):
+            new = sorted({m for m in masks if m not in swarm.cost_cache})
+            if new:
+                evaluations.append(new)
+            return evaluate(swarm, cost_fn, masks)
+
+        monkeypatch.setattr(pso, "_evaluate", counting)
+        cfg = pso.SwarmConfig(n_modes=6, k_max=2, t_max=4, seed=1)
+        report = pso.run(cfg, cost)
+        d = cfg.dimension
+        masks = [[sum(b << j for j, b in enumerate(bits)) for bits in batch] for batch in batches]
+        assert masks[:-1] == evaluations
+        assert batches[-1] == [(0,) * d, oracles.lower_bits(Transform.bravyi_kitaev(6))]
+        # the initial swarm and every step met new positions here
+        assert len(evaluations) == report.steps + 1 == len(batches) - 1
+
     def test_improvement_pins(self):
         assert pso.improvement_fraction(42, 33) == pytest.approx(0.2143, abs=5e-5)
         assert pso.improvement_fraction(30, 25) == pytest.approx(0.1667, abs=5e-5)

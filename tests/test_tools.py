@@ -34,19 +34,27 @@ def test_planner_layers_reports_h4():
     assert report["workers"] == 1
     assert set(report["systems"]) == {"h4"}
     h4 = report["systems"]["h4"]
+    # the swarm's batched cost: 28 encodings in one call, the same counts as
+    # one call each, and cheaper per encoding
+    batch = h4.pop("cost_batch")
+    assert batch["encodings"] == 28 and batch["counts_equal"] is True
+    assert 0 < batch["per_encoding_s"] < batch["single_per_encoding_s"]
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     assert {enc: h4[enc]["circuit_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     for layers in h4.values():
-        # one pool expansion per plan; compression expands nothing
-        assert layers["plan_calls"] == 3 and layers["expand_calls"] == 3
+        # one pool expansion, one compression split and one ordering per plan
+        assert layers["plan_calls"] == layers["expand_calls"] == 3
+        assert layers["compression_calls"] == layers["ordering_calls"] == 3
         # one frame per ladder count (singles and doubles) per expansion, inside it
         assert layers["frame_calls"] == 6 and layers["frame_s"] < layers["expand_s"]
-        assert layers["compression_calls"] == layers["held_karp_calls"] == 3
-        # one batched DP per Held-Karp call, inside it
-        assert layers["dp_calls"] == 3 and layers["dp_s"] < layers["held_karp_s"]
-        # a junction matrix per class of two or more members, inside its chain
-        assert 3 <= layers["junctions_calls"] <= layers["chaining_calls"]
-        assert layers["junctions_s"] < layers["chaining_s"]
+        # one DP pass per ladder count inside each ordering, and at H4 one
+        # batched DP per pass, inside it
+        assert layers["held_karp_calls"] == layers["dp_calls"] == 6
+        assert layers["dp_s"] < layers["held_karp_s"] < layers["ordering_s"]
+        # every class of a plan padded into one chain batch, its junction
+        # matrices built inside it
+        assert layers["chaining_calls"] == layers["junctions_calls"] == 3
+        assert layers["junctions_s"] < layers["chaining_s"] < layers["ordering_s"]
         # one emission: a term circuit per kept term, a peephole per block
         assert layers["emit_calls"] == 1
         assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
@@ -62,7 +70,8 @@ def test_planner_layers_reports_h4():
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
-                "plan", "expand", "frame", "compression", "held_karp", "dp", "chaining", "junctions",
+                "plan", "expand", "frame", "compression", "ordering", "held_karp", "dp", "chaining",
+                "junctions",
                 "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
             )
         )

@@ -345,14 +345,16 @@ class TestLadderStrings:
 
 
 def test_popcount_is_int_bit_count():
-    """The popcount counts bits exactly, on random masks of 0 to 60 bits
-    (each width's all-ones mask included)."""
+    """The arithmetic popcount counts bits exactly, on random masks of 0 to
+    63 bits, bits 0 to 62, the non-negative int64 range (each width's
+    all-ones mask included)."""
     from fqcc.transform import _popcount
 
     rng = np.random.default_rng(11)
-    widths = rng.integers(0, 61, size=4000)
-    masks = rng.integers(0, 1 << 60, size=4000, dtype=np.int64) & ((1 << widths) - 1)
-    masks = np.concatenate([masks, (1 << np.arange(61, dtype=np.int64)) - 1])
+    widths = rng.integers(0, 64, size=4000)
+    masks = rng.integers(0, 2**63 - 1, size=4000, dtype=np.int64, endpoint=True) >> (63 - widths)
+    masks = np.concatenate([masks, np.array([(1 << w) - 1 for w in range(64)], dtype=np.int64)])
+    assert int(masks.max()).bit_length() == 63 and masks.min() == 0
     want = np.array([int(m).bit_count() for m in masks.tolist()], dtype=np.int64)
     before = masks.copy()
     count = _popcount(masks)

@@ -12,6 +12,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqcc import pso
 from fqcc import trotter as tr
 from fqcc.circuits import metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
@@ -22,6 +23,7 @@ from fqcc.simulate import AnsatzOp, Statevector, apply_ansatz
 from fqcc.transform import Transform
 
 import oracles
+import planner_oracles
 
 
 def _random_beta_bits(rng, n):
@@ -368,7 +370,8 @@ class TestCostModel:
                 rng.shuffle(shuffled)
                 picks.append((tuple(shuffled), rng.choice(term.eligible_targets)))
                 for ordering, target in picks:
-                    want = tr.cost_breakdown(term, ordering, target).total
+                    want = _model(term, ordering, target).total
+                    assert want == planner_oracles.cost_breakdown(term, ordering, target).total
                     circ = tr.term_circuit(term, ordering, target)
                     got = metrics(peephole_cancel(circ)).two_qubit
                     assert got == want, (seq.name, tf.n_modes, anti, ordering, target)
@@ -388,10 +391,13 @@ class TestCostModel:
         s1 = oracles.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
         s2 = oracles.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
         term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2), (), False)
-        choice = tr._fallback_choice(term)
+        choice = planner_oracles.fallback_choice(term)
         assert choice.target is None
+        # the planner's count: each block at its own top wire
+        x, z = np.array([s1.xmask]), np.array([[s1.zmask, s2.zmask]])
+        cost = int(tr._costs(*tr._along(x, z, None, None))[0])
         circ = tr.term_circuit(term)
-        assert metrics(peephole_cancel(circ)).two_qubit == choice.cost == 4
+        assert metrics(peephole_cancel(circ)).two_qubit == choice.cost == cost == 4
 
 
 def _elision_cases():
@@ -456,7 +462,7 @@ class TestBoundaryElision:
         a Y wire, nothing on a Z wire."""
         for term, ordering, target in _elision_cases():
             strings = [term.strings[j] for j in ordering]
-            twos = tr.cost_breakdown(term, ordering, target).two_cnot_savings
+            twos = _model(term, ordering, target).two_cnot_savings
             basis = 0
             for a, b in zip(strings, strings[1:]):
                 agree = tr._boundary_wires(a, b, target)[0]
@@ -480,10 +486,28 @@ def _words(term):
     return [oracles.letters(s) for s in term.strings]
 
 
+def _model(term, ordering, target):
+    """The planner's accounting of one term in one string order at one
+    target (``_along``), as a CostBreakdown."""
+    x = np.array([term.strings[0].xmask], dtype=np.int64)
+    z = np.array([[s.zmask for s in term.strings]], dtype=np.int64)
+    counted = tr._along(x, z, np.array([ordering]), np.array([target]))
+    return tr.CostBreakdown(*(tuple(part[0].tolist()) for part in counted))
+
+
 def _per_target(term):
-    """The dynamic program's choice at each eligible target of one term."""
+    """The dynamic program's choice at each eligible target of one term
+    (``_dp_paths``), all targets in one call."""
     targets = term.eligible_targets
-    return dict(zip(targets, tr._dp_choices([(term, t) for t in targets])))
+    x = np.full(len(targets), term.strings[0].xmask, dtype=np.int64)
+    z = np.array([[s.zmask for s in term.strings]] * len(targets), dtype=np.int64).reshape(
+        len(targets), len(term.strings)
+    )
+    paths = tr._dp_paths(x, z, np.array(targets, dtype=np.int64))
+    return {
+        t: tr.IntraChoice(tuple(path), t, _model(term, path, t))
+        for t, path in zip(targets, paths.tolist())
+    }
 
 
 def _min_cost(term):
@@ -498,7 +522,7 @@ def _reference_double(transform=None):
 
 
 class TestIntraOrder:
-    """``_dp_choices``' dynamic program at each eligible target of one term
+    """``_dp_paths``' dynamic program at each eligible target of one term
     against ``oracles.intra_minima``, which scores every ordering of every
     target."""
 
@@ -509,7 +533,7 @@ class TestIntraOrder:
         cost, minima = oracles.intra_minima(_words(term), term.eligible_targets)
         assert _min_cost(term) == cost == 13
         target, ordering = minima[0]
-        assert tr.cost_breakdown(term, ordering, target).base == 48
+        assert _model(term, ordering, target).base == 48
         circ = tr.term_circuit(term, ordering, target)
         assert metrics(peephole_cancel(circ)).two_qubit == 13
 
@@ -572,7 +596,7 @@ class TestPlannerReferences:
         """Mixed sizes in one call, with all-zero and heavily tied matrices:
         equal weight and equal path.  Batches that split one size are
         covered by ``test_chunk_boundaries`` and ``test_small_entry_budget``."""
-        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+        assert planner_oracles.max_paths_list(matrices) == [oracles.max_path_reference(m) for m in matrices]
 
     def test_chunk_boundaries(self):
         rng = random.Random(3)
@@ -585,11 +609,11 @@ class TestPlannerReferences:
                 for j in range(i + 1, k):
                     sym[i][j] = sym[j][i] = rng.randint(0, 3)
             matrices.append(sym)
-        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+        assert planner_oracles.max_paths_list(matrices) == [oracles.max_path_reference(m) for m in matrices]
 
     @pytest.mark.parametrize("name", ["h4-jw", "h4-bk", "h4-beta0", "h4-beta1"])
     def test_planner_matrices_match_reference(self, name, monkeypatch):
-        """Every savings matrix ``_dp_choices`` builds for H4's pool: the
+        """Every savings matrix ``_dp_paths`` builds for H4's pool: the
         search's plan, and each term at each of its eligible targets."""
         pool, transform = _EXPANSION_CASES[name]
         built = {}
@@ -605,7 +629,7 @@ class TestPlannerReferences:
             _per_target(tr.expand_term(seq, transform, anti=True))
         matrices = list(built.values())
         assert any(len(m) == 8 for m in matrices)
-        assert solve(matrices) == [oracles.max_path_reference(m) for m in matrices]
+        assert planner_oracles.max_paths_list(matrices) == [oracles.max_path_reference(m) for m in matrices]
 
     def test_triple_table_holds_only_valid_triples(self):
         """At k = 8: sum_p C(8, p) p (8 - p) = 3,584 triples; each (mask, last)
@@ -640,7 +664,7 @@ class TestPlannerReferences:
         for k in [1, 2, 3, 4, 5, 8] * 7:
             m = [[0 if i == j else rng.randint(0, 2) for j in range(k)] for i in range(k)]
             matrices.append(m)
-        assert tr._max_paths(matrices) == [oracles.max_path_reference(m) for m in matrices]
+        assert planner_oracles.max_paths_list(matrices) == [oracles.max_path_reference(m) for m in matrices]
         negative = [[0, -1, 0], [0, 0, 0], [0, 0, 0]]
         with pytest.raises(ValueError, match="non-negative"):
             tr._max_paths([[[0, 1, 1], [1, 0, 1], [1, 1, 0]]] * 5 + [negative])
@@ -655,7 +679,7 @@ class TestPlannerReferences:
     def test_int32_overflow_rejected(self):
         """Two steps of 2**30 reach 2**31; one less per step still fits."""
         fits = [[0, 2**30 - 1, 2**30 - 1], [2**30 - 1, 0, 2**30 - 1], [2**30 - 1, 2**30 - 1, 0]]
-        assert tr._max_paths([fits]) == [oracles.max_path_reference(fits)]
+        assert planner_oracles.max_paths_list([fits]) == [oracles.max_path_reference(fits)]
         with pytest.raises(ValueError, match="overflow"):
             tr._max_paths([[[0, 2**30, 2**30], [2**30, 0, 2**30], [2**30, 2**30, 0]]])
 
@@ -673,12 +697,22 @@ class TestPlannerReferences:
         )
     )
     def test_boundary_saving_matches_reference(self, case):
-        """Random string pairs; the target may lie outside either support."""
+        """Random string pairs; the target may lie outside either support.
+        ``_boundary_wires`` (the emitter's), the junctions' mask form, and
+        the savings' and ``_along``'s mask form for strings that share x."""
         n, x1, z1, x2, z2, target = case
         a, b = PauliString(n, x1, z1), PauliString(n, x2, z2)
-        assert tr._boundary_saving(a, b, target) == oracles.boundary_saving_reference(
-            a, b, target
-        )
+        two, one = oracles.boundary_saving_reference(a, b, target)
+        agree, differ = tr._boundary_wires(a, b, target)
+        assert (agree.bit_count(), differ.bit_count()) == (two, one)
+        last, first = (tuple(np.array([[v]]) for v in pair) for pair in ((x1, z1), (x2, z2)))
+        assert tr._junctions(last, first, np.array([target]))[0, 0, 0] == 2 * two + one
+
+        two, one = oracles.boundary_saving_reference(a, PauliString(n, x1, z2), target)
+        x, z, t = np.array([x1]), np.array([[z1, z2]]), np.array([target])
+        assert tr._savings(x, z, t)[0, 0, 1] == 2 * two + one
+        _, agree, differ = tr._along(x, z, None, t)
+        assert (agree[0, 0], differ[0, 0]) == (two, one)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +813,15 @@ class TestRelabeling:
 # ---------------------------------------------------------------------------
 
 
+def _inter_order(terms, transform):
+    """The cross-term ordering of expanded terms: ``plan_ansatz``'s, with
+    compression off, on their excitations and angles."""
+    config = tr.HeuristicConfig(bosonic=False, anti=terms[0].anti)
+    plan = tr.plan_ansatz([t.source for t in terms], transform, [t.theta for t in terms], config)
+    assert plan.terms == tuple(terms)
+    return plan.inter
+
+
 class TestInterOrder:
     def _singles(self, pairs, n, transform=None):
         t = transform if transform is not None else Transform.jordan_wigner(n)
@@ -789,7 +832,7 @@ class TestInterOrder:
 
     def test_shared_wire_forms_one_class(self):
         terms = self._singles([(4, 0), (6, 0), (5, 1)], 8)
-        plan = tr.inter_order(terms)
+        plan = _inter_order(terms, Transform.jordan_wigner(8))
         by_target = {cls.target: cls for cls in plan.classes}
         assert set(by_target) == {0, 1}
         assert len(by_target[0].placements) == 2
@@ -798,7 +841,7 @@ class TestInterOrder:
 
     def test_tie_breaks_to_smallest_wire(self):
         terms = self._singles([(1, 0), (2, 0), (3, 1)], 4)
-        plan = tr.inter_order(terms)
+        plan = _inter_order(terms, Transform.jordan_wigner(4))
         assert [cls.target for cls in plan.classes] == [0, 1]
         assert sorted(p.index for p in plan.classes[0].placements) == [0, 1]
         assert [p.index for p in plan.classes[1].placements] == [2]
@@ -807,7 +850,7 @@ class TestInterOrder:
         pool = uccsd_pool((0, 1, 2, 3), (4, 5, 6, 7))
         jw = Transform.jordan_wigner(8)
         terms = [tr.expand_term(s, jw, 0.1, anti=True) for s in pool]
-        plan = tr.inter_order(terms)
+        plan = _inter_order(terms, jw)
         seen = [p.index for cls in plan.classes for p in cls.placements]
         seen += [p.index for p in plan.standalone]
         assert sorted(seen) == list(range(len(terms)))
@@ -817,14 +860,14 @@ class TestInterOrder:
 
     def test_disjoint_supports_save_nothing(self):
         terms = self._singles([(1, 0), (3, 2), (5, 4)], 6)
-        plan = tr.inter_order(terms)
+        plan = _inter_order(terms, Transform.jordan_wigner(6))
         assert all(len(cls.placements) == 1 for cls in plan.classes)
         assert all(cls.junction_savings == () for cls in plan.classes)
         assert plan.cost == sum(_min_cost(t) for t in terms)
 
     def test_chain_saves_over_isolated_blocks(self):
         terms = self._singles([(4, 0), (6, 0), (5, 0)], 8)
-        plan = tr.inter_order(terms)
+        plan = _inter_order(terms, Transform.jordan_wigner(8))
         isolated = sum(_min_cost(t) for t in terms)
         assert plan.cost < isolated
         assert sum(plan.classes[0].junction_savings) > 0
@@ -1321,7 +1364,9 @@ class TestPlannerPins:
                 _, path = oracles.max_path_reference(savings)
                 path = min(path, path[::-1])
                 want = tr.IntraChoice(
-                    path, cls.target, tr.cost_breakdown(kept[p.index], path, cls.target)
+                    path,
+                    cls.target,
+                    planner_oracles.cost_breakdown(kept[p.index], path, cls.target),
                 )
                 assert p.choice == want
                 placed += 1
@@ -1379,7 +1424,7 @@ class TestArrayPlanner:
         pool, transform, _ = _PLANNER_CASES[case]
         thetas = [(0.0, -0.0, 0.3 - 0.05 * i)[i % 3] for i in range(len(pool))]
         want = tuple(
-            oracles.expand_term_reference(seq, transform, theta, anti=anti)
+            planner_oracles.expand_term_reference(seq, transform, theta, anti=anti)
             for seq, theta in zip(pool, thetas)
         )
         got = tr._expand_pool(pool, transform, thetas, anti=anti)
@@ -1412,7 +1457,7 @@ class TestArrayPlanner:
         pool = uccsd_pool(range(n_e), range(n_e, n))
         thetas = [0.1 * (i + 1) for i in range(len(pool))]
         want = tuple(
-            oracles.expand_term_reference(seq, transform, theta, anti=anti)
+            planner_oracles.expand_term_reference(seq, transform, theta, anti=anti)
             for seq, theta in zip(pool, thetas)
         )
         assert tr._expand_pool(pool, transform, thetas, anti=anti) == want
@@ -1430,7 +1475,7 @@ class TestArrayPlanner:
         else:
             got = tr.plan_ansatz(pool, transform, config=cfg, occupied=range(n_e))
             labels = None
-        want = oracles.plan_ansatz_reference(
+        want = planner_oracles.plan_ansatz_reference(
             pool, transform, cfg, occupied=range(n_e), labels=labels
         )
         assert got.labels == want.labels and got.terms == want.terms
@@ -1447,9 +1492,9 @@ class TestArrayPlanner:
         jw = Transform.jordan_wigner(6)
         copy = tr.expand_term(OrbitalSequence("double", (4, 5, 0, 1)), jw, 0.3, anti=True)
         terms = [copy] * 5
-        choices = {i: tr._dp_choices([(copy, 0)])[0] for i in range(5)}
-        got = tr._chain_class(terms, choices, list(range(5)), 0)
-        assert got == oracles.chain_class_reference(terms, choices, list(range(5)), 0)
+        choices = {i: _per_target(copy)[0] for i in range(5)}
+        got, _ = _chain_class(terms, choices, list(range(5)), 0)
+        assert got == planner_oracles.chain_class_reference(terms, choices, list(range(5)), 0)
         # junctions alternate 3 and 6 with the orientations: the seed is
         # members 0 and 1, and each next member joins as a prefix, the
         # first candidate tried at that end
@@ -1470,14 +1515,193 @@ class TestArrayPlanner:
                 )
                 terms.append(tr.TrotterTerm(None, 3, 0.1, 0.1, strings, (0, 1, 2)))
                 ordering = tuple(rng.sample(range(k), k))
-                choices[i] = tr.IntraChoice(ordering, 0, tr.cost_breakdown(terms[i], ordering, 0))
+                choices[i] = tr.IntraChoice(
+                    ordering, 0, planner_oracles.cost_breakdown(terms[i], ordering, 0)
+                )
             members = rng.sample(range(m), m)
             target = rng.randrange(3)
-            got = tr._chain_class(terms, choices, members, target)
-            assert got == oracles.chain_class_reference(terms, choices, members, target)
-            values = tr._junction_matrix(terms, choices, members, target)
+            got, values = _chain_class(terms, choices, members, target)
+            assert got == planner_oracles.chain_class_reference(terms, choices, members, target)
             tied += int((values == values.max()).sum() > 2)
         assert tied > 100
+
+    def test_batched_chains_match_one_class_at_a_time(self):
+        """Classes of mixed member counts chained in one ``_chains`` call,
+        padded to the largest, give each class's own chain: 40 random
+        classes of 2-9 members on four wires, in shuffled order, where
+        many junctions tie."""
+        rng = random.Random(29)
+        classes = []
+        for _ in range(40):
+            m = rng.randint(2, 9)
+            ends = [[(rng.randrange(16), rng.randrange(16)) for _ in range(m)] for _ in range(2)]
+            classes.append((*ends, rng.randrange(4)))
+        rng.shuffle(classes)
+
+        def solve(batch):
+            heads = [h for head, _, _ in batch for h in head]
+            tails = [t for _, tail, _ in batch for t in tail]
+            first, last = _oriented(heads, tails)
+            sizes = np.array([len(head) for head, _, _ in batch])
+            start = np.cumsum(sizes) - sizes
+            m = int(sizes.max())
+            members = start[:, None] + np.minimum(np.arange(m), sizes[:, None] - 1)
+            targets = np.array([t for _, _, t in batch])
+            saved, record = tr._chains(first, last, targets, members, sizes)
+            return [
+                (int(s), tr._chain_order(int(sizes[c]), *(part[c].tolist() for part in record)))
+                for c, s in enumerate(saved)
+            ]
+
+        assert solve(classes) == [solve([c])[0] for c in classes]
+
+
+def _oriented(heads, tails):
+    """The (x, z) masks of each oriented id's first and last strings: id
+    2 q + r is member q, reversed when r is 1, from each member's
+    (x, z) head and tail."""
+    head, tail = (np.array(ends, dtype=np.int64).reshape(-1, 2) for ends in (heads, tails))
+    first = tuple(np.stack((head[:, i], tail[:, i]), axis=1).ravel() for i in (0, 1))
+    last = tuple(np.stack((tail[:, i], head[:, i]), axis=1).ravel() for i in (0, 1))
+    return first, last
+
+
+def _chain_class(terms, choices, members, target):
+    """One class chained by ``trotter._chains`` and read as ``_inter_plan``
+    reads it, with its junction matrix."""
+    m = len(members)
+    if m == 1:
+        return tr.ClassPlan(target, (tr.TermPlacement(members[0], choices[members[0]]),), ()), None
+    heads, tails = (
+        [
+            (s.xmask, s.zmask)
+            for s in (terms[i].strings[choices[i].ordering[end]] for i in members)
+        ]
+        for end in (0, -1)
+    )
+    first, last = _oriented(heads, tails)
+    saved, record = tr._chains(first, last, np.array([target]), np.arange(m)[None], np.array([m]))
+    chain, savings = tr._chain_order(m, *(part[0].tolist() for part in record))
+    assert sum(savings) == saved[0]
+    placements = tuple(
+        tr.TermPlacement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
+    )
+    junction = tr._junctions(
+        tuple(a[None] for a in last), tuple(a[None] for a in first), np.array([target])
+    )[0]
+    return tr.ClassPlan(target, placements, tuple(savings)), junction
+
+
+def _count_sets():
+    """(pool, occupied, encodings) per name: seeded encodings at 4, 6 and 8
+    modes with JW and BK; water's JW, BK and a seed-9 encoding; and the 91
+    one-bit neighbours of water's JW."""
+    sets = {}
+    for n in (4, 6, 8):
+        rng = np.random.default_rng(n)
+        seeded = [Transform.from_lower_bits(n, _random_beta_bits(rng, n)) for _ in range(6)]
+        encodings = [Transform.jordan_wigner(n), Transform.bravyi_kitaev(n), *seeded]
+        sets[f"{n}-modes"] = (uccsd_pool(range(n // 2), range(n // 2, n)), range(n // 2), encodings)
+    water = uccsd_pool(range(10), range(10, 14))
+    beta9 = np.random.default_rng(9).integers(0, 2, 91).tolist()
+    sets["water"] = (
+        water,
+        range(10),
+        [
+            Transform.jordan_wigner(14),
+            Transform.bravyi_kitaev(14),
+            Transform.from_lower_bits(14, beta9),
+        ],
+    )
+    sets["water-jw-neighbours"] = (
+        water,
+        range(10),
+        [Transform.from_lower_bits(14, [int(j == i) for j in range(91)]) for i in range(91)],
+    )
+    return sets
+
+
+_COUNT_SETS = _count_sets()
+_COUNT_CONFIGS = {
+    "default": tr.HeuristicConfig(),
+    "plain": tr.HeuristicConfig(bosonic=False, reorder=False),
+    "relabel": tr.HeuristicConfig(relabel=True),
+}
+
+
+def _count_case(name, config):
+    """(pool, occupied, encodings) of a set under a config: a relabeled
+    water plan takes a descent of dozens of plans, so water's relabeled
+    set is its JW encoding alone."""
+    pool, occupied, encodings = _COUNT_SETS[name]
+    if name == "water" and config == "relabel":
+        encodings = encodings[:1]
+    return pool, occupied, encodings
+
+
+@functools.cache
+def _reference_counts(name, config):
+    """The per-encoding planner's count of each encoding of a set."""
+    pool, occupied, encodings = _count_case(name, config)
+    cfg = _COUNT_CONFIGS[config]
+    return [
+        planner_oracles.plan_count_per_encoding(pool, t, cfg, occupied=occupied) for t in encodings
+    ]
+
+
+class TestBatchedCounts:
+    """The swarm's batched cost (``ansatz_cost_fn(...).many``) against the
+    planner as it ran one encoding at a time (``oracles``): every count
+    equal, whatever the encodings' order and batch."""
+
+    @pytest.mark.parametrize(
+        "name, config",
+        [
+            (name, config)
+            for name in sorted(_COUNT_SETS)
+            for config in sorted(_COUNT_CONFIGS)
+            if not (name == "water-jw-neighbours" and config == "relabel")
+        ],
+    )
+    def test_counts_match_the_per_encoding_planner(self, name, config):
+        """In input order, shuffled, and as batches of one.  With
+        relabeling on, each encoding's descent runs in turn."""
+        pool, occupied, encodings = _count_case(name, config)
+        want = _reference_counts(name, config)
+        many = pso.ansatz_cost_fn(pool, _COUNT_CONFIGS[config], occupied=occupied).many
+        assert many(encodings) == want
+        perm = random.Random(len(encodings)).sample(range(len(encodings)), len(encodings))
+        assert many([encodings[i] for i in perm]) == [want[i] for i in perm]
+        assert [many([t])[0] for t in encodings] == want
+
+    def test_counts_build_no_terms_or_strings(self, monkeypatch):
+        """Counting reads arrays only: no TrotterTerm, PauliString or
+        IntraChoice is built, for one encoding or many."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a count built a planner object")
+
+        for name in ("TrotterTerm", "PauliString", "IntraChoice", "CostBreakdown"):
+            monkeypatch.setattr(tr, name, forbidden)
+        pool, occupied, encodings = _COUNT_SETS["8-modes"]
+        want = _reference_counts("8-modes", "default")
+        assert tr.ansatz_two_qubit_costs(pool, encodings, occupied=occupied) == want
+        assert tr.ansatz_two_qubit_cost(pool, encodings[0], occupied=occupied) == want[0]
+
+    def test_stacks_split_under_the_entry_budget(self, monkeypatch):
+        """A budget that fits one encoding per stack gives the same counts."""
+        pool, occupied, encodings = _COUNT_SETS["6-modes"]
+        monkeypatch.setattr(tr, "_DP_ENTRIES", 64)
+        assert tr.ansatz_two_qubit_costs(pool, encodings, occupied=occupied) == _reference_counts(
+            "6-modes", "default"
+        )
+
+    def test_empty_inputs(self):
+        jw = Transform.jordan_wigner(4)
+        assert tr.ansatz_two_qubit_costs(uccsd_pool((0, 1), (2, 3)), []) == []
+        assert tr.ansatz_two_qubit_costs([], [jw, jw]) == [0, 0]
+        plan = tr.plan_ansatz([], jw)
+        assert plan.model_two_qubit == 0 and plan.inter == tr.InterPlan((), ())
 
 
 class TestRelabeledPlans:

@@ -10,22 +10,33 @@ emitted circuit's two-qubit count (``circuit_two_qubit``), and the
 the plans or over the one emission:
 
     plan         trotter.plan_ansatz, the whole planner
-    expand       trotter._expand_pool: the pool's expansion, one per plan
-    frame        transform.Transform.frame: the basis change of one ladder
-                 count's products, inside expand
-    compression  trotter.bosonic_reduce
-    held_karp    trotter._dp_choices: savings and breakdown arrays and the
-                 batched DP, one per plan
-    dp           trotter._max_paths: the batched DP alone, inside held_karp
-    chaining     trotter._chain_class: one class chain
-    junctions    trotter._junction_matrix: one class's junction matrix,
-                 inside chaining (classes of one member build none)
+    expand       trotter._expand: the pool's expansion under a stack of
+                 encodings (here a stack of one), one per plan
+    frame        transform.frame_stack: the basis change of one ladder
+                 count's products under the stack, inside expand
+    compression  trotter._pair_split: the paired-double split, one per plan
+    ordering     trotter.inter_order: classes, string orders and chains
+    held_karp    trotter._dp_paths: one ladder count's savings matrices and
+                 their DP, inside ordering
+    dp           trotter._max_paths: a batched DP alone, inside held_karp
+    chaining     trotter._chains: the chains of all classes of one member
+                 count, inside ordering
+    junctions    trotter._junctions: those classes' junction matrices,
+                 inside chaining
     emit         trotter.emit_circuit, the whole emission
     term_circuit trotter.term_circuit: one kept term's blocks
     peephole     trotter.peephole_cancel: one class chain or standalone
                  term, reduced
     peephole_simple    circuits._simple_pass: one cancel-and-merge pass
     peephole_junction  circuits._junction_pass: one sandwich-rewrite pass
+
+Next to the encodings, ``cost_batch`` times the swarm's cost on a batch
+(``trotter.ansatz_two_qubit_costs``, the ``many`` form of
+``pso.ansatz_cost_fn``): one call over a system's batch of encodings
+(H4: 28 encodings drawn from seed 0; water: the 91 one-bit neighbours of
+JW), against one ``ansatz_two_qubit_cost`` call per encoding.  It reports
+the best of three rounds of each, as seconds per encoding, and whether
+the counts agree.
 
 Each peephole call runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
@@ -54,6 +65,8 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np  # noqa: E402
+
 from fqcc import circuits, trotter  # noqa: E402
 from fqcc.circuits import metrics  # noqa: E402
 from fqcc.fermions import uccsd_pool  # noqa: E402
@@ -65,19 +78,51 @@ ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 REPEAT = 3  # plans per system and encoding
 LAYERS = {
     "plan": (trotter, "plan_ansatz"),
-    "expand": (trotter, "_expand_pool"),
-    "frame": (Transform, "frame"),
-    "compression": (trotter, "bosonic_reduce"),
-    "held_karp": (trotter, "_dp_choices"),
+    "expand": (trotter, "_expand"),
+    "frame": (trotter, "frame_stack"),
+    "compression": (trotter, "_pair_split"),
+    "ordering": (trotter, "inter_order"),
+    "held_karp": (trotter, "_dp_paths"),
     "dp": (trotter, "_max_paths"),
-    "chaining": (trotter, "_chain_class"),
-    "junctions": (trotter, "_junction_matrix"),
+    "chaining": (trotter, "_chains"),
+    "junctions": (trotter, "_junctions"),
     "emit": (trotter, "emit_circuit"),
     "term_circuit": (trotter, "term_circuit"),
     "peephole": (trotter, "peephole_cancel"),
     "peephole_simple": (circuits, "_simple_pass"),
     "peephole_junction": (circuits, "_junction_pass"),
 }
+
+
+def batch(name, n_modes):
+    """The encodings ``cost_batch`` scores for a system."""
+    d = n_modes * (n_modes - 1) // 2
+    if name == "h4":
+        rng = np.random.default_rng(0)
+        bits = [rng.integers(0, 2, d).tolist() for _ in range(28)]
+        return [Transform.from_lower_bits(n_modes, b) for b in bits]
+    return [Transform.from_lower_bits(n_modes, [int(j == i) for j in range(d)]) for i in range(d)]
+
+
+def cost_batch(name, n_modes, n_electrons):
+    """Seconds per encoding of one batched cost call and of single calls."""
+    pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
+    occupied = range(n_electrons)
+    transforms = batch(name, n_modes)
+    batched, single = [], []
+    for _ in range(REPEAT):
+        start = perf_counter()
+        many = trotter.ansatz_two_qubit_costs(pool, transforms, occupied=occupied)
+        batched.append(perf_counter() - start)
+        start = perf_counter()
+        one = [trotter.ansatz_two_qubit_cost(pool, t, occupied=occupied) for t in transforms]
+        single.append(perf_counter() - start)
+    return {
+        "encodings": len(transforms),
+        "per_encoding_s": round(min(batched) / len(transforms), 7),
+        "single_per_encoding_s": round(min(single) / len(transforms), 7),
+        "counts_equal": many == one,
+    }
 
 
 def _timed(fn, totals):
@@ -156,6 +201,7 @@ def main(argv=None):
             enc: measure(n_modes, n_electrons, make(n_modes))
             for enc, make in ENCODINGS.items()
         }
+        result["systems"][name]["cost_batch"] = cost_batch(name, n_modes, n_electrons)
     print(json.dumps(result))
 
 
