@@ -67,7 +67,7 @@ from .fermions import (
 from .paulis import CompiledSum, _shifted
 from .simulate import (
     AnsatzOp, RowKernel, Statevector, _apply_exponential, _check_space, _occupation_image,
-    apply_ansatz, compile_generator, compile_generators, hf_state, spin_sector, vqe_minimize,
+    apply_ansatz, compile_generators, hf_state, spin_sector, vqe_minimize,
 )
 
 __all__ = [
@@ -330,7 +330,9 @@ class HMP2Config:
     from the bare reference and grows one term per cycle).  ``vqe_gtol`` is
     each VQE's stop rule, on the gradient's max-norm
     (``simulate.vqe_minimize``): 1e-7 is the floor measured on water, where
-    a tenth of it ends some cycles in line-search failures.
+    a tenth of it ends some cycles in line-search failures.  A negative
+    ``max_cycles`` or ``vqe_maxiter``, or a negative or NaN ``delta_e`` or
+    ``vqe_gtol``, raises ``ValueError``.
     """
 
     delta_e: float = 1e-6
@@ -338,6 +340,12 @@ class HMP2Config:
     max_cycles: int = 50
     vqe_gtol: float = 1e-7
     vqe_maxiter: int = 2000
+
+    def __post_init__(self):
+        if self.max_cycles < 0 or self.vqe_maxiter < 0:
+            raise ValueError("max_cycles and vqe_maxiter must be non-negative")
+        if not (self.delta_e >= 0 and self.vqe_gtol >= 0):
+            raise ValueError("delta_e and vqe_gtol must be non-negative numbers")
 
 
 @dataclass(slots=True)
@@ -470,14 +478,15 @@ def run_hmp2_loop(
     terms: list[OrbitalSequence] = list(seeds)
     start = tuple(amplitudes0[s.name] for s in seeds)  # VQE's starting values
 
-    # one generator per pool excitation on the sector, built together
+    # one generator per pool excitation on the sector, built together; every
+    # selected term is a pool member, so its kernel is read from this table
     generators: dict[OrbitalSequence, RowKernel] = {}
     compile_generators(pool, n, sector, generators)
     if not terms:
         selection = select_next(pool, scores0, amplitudes0, contributions0, config.delta_e)
         if selection is None:
             return HMP2Run(reports, True, "no candidate above threshold", ())
-        kernel = compile_generator(selection.term, n, sector, generators)
+        kernel = generators[selection.term]
         guess = _resolved_sign_guess(h_compiled, reference, kernel, selection.guess)
         reports[0].chosen = selection.term.name
         reports[0].guess = guess
@@ -532,7 +541,7 @@ def run_hmp2_loop(
             converged = True
             reason = "pool exhausted" if done_pool else "no candidate above threshold"
             break
-        kernel = compile_generator(selection.term, n, sector, generators)
+        kernel = generators[selection.term]
         guess = _resolved_sign_guess(h_compiled, state, kernel, selection.guess)
         report.chosen = selection.term.name
         report.guess = guess

@@ -460,9 +460,11 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
     list of encodings from one batched planner call
     (``trotter.ansatz_two_qubit_costs``), equal to calling it on each.
     The count is pure: it depends on the encoding alone, not on the other
-    encodings of a call, their order or earlier calls.
+    encodings of a call, their order or earlier calls.  ``occupied`` is
+    read once, here, so a one-shot iterator serves every call.
     """
     seqs = tuple(seqs)
+    occupied = None if occupied is None else tuple(occupied)
 
     def cost(transform):
         return ansatz_two_qubit_cost(seqs, transform, config, occupied=occupied)

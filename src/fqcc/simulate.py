@@ -16,11 +16,11 @@ one gather and K^2 is diagonal: an exponential costs one gather, and no
 matrix or Pauli string is ever built.  ``compile_generators`` is the one
 place excitations become such kernels, read off the ladder rule in
 batched numpy passes, one ladder count at a time, for all the excitations
-a table lacks (``compile_generator`` is a batch of one); an ansatz holds
-one per term, in term order, and ansatzes built over one table share
-them.  Its parameters are a float tuple in the same order, one angle per
-term; a tuple of the wrong length raises ``ValueError``.  Term order is
-preserved because a first-order product formula is order-sensitive.
+a table lacks; an ansatz holds one per term, in term order, and ansatzes
+built over one table share them.  Its parameters are a float tuple in the
+same order, one angle per term; a tuple of the wrong length raises
+``ValueError``.  Term order is preserved because a first-order product
+formula is order-sensitive.
 Expectations are exact (emulating the infinite-shot limit), and gradients
 come from an adjoint sweep, so the minimizer sees analytically exact
 derivatives.
@@ -65,13 +65,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .fermions import FermionOperator, OrbitalSequence, spin_of
+from .fermions import FermionOperator, spin_of
 from .paulis import CompiledSum, PauliSum, _parity_of, same_sector
 from .transform import Transform
 
 __all__ = [
     "spin_sector", "Statevector", "hf_state", "RowKernel", "compile_generators",
-    "compile_generator", "AnsatzOp", "apply_ansatz", "VQEResult", "vqe_minimize",
+    "AnsatzOp", "apply_ansatz", "VQEResult", "vqe_minimize",
 ]
 
 _NORM_TOL = 1e-9
@@ -159,7 +159,7 @@ class RowKernel:
     """An operator by rows: ``values`` and ``columns`` are (width, dim), and
     column r holds row r's entries and the amplitudes they multiply, so an
     apply is one gather and a ``sum(axis=0)`` in slot order.  A generator
-    (``compile_generator``) has width 1, 0 times its own amplitude in a row
+    (``compile_generators``) has width 1, 0 times its own amplitude in a row
     without an entry, and ``square``, the diagonal of K^2; Zt
     (``hmp2.ztilde_operator``) stacks one weighted generator row per term.
     """
@@ -266,11 +266,6 @@ def compile_generators(seqs, n_modes: int, sector, table: dict) -> tuple:
     if missing:
         table.update(zip(missing, _generator_kernels(missing, n_modes, sector)))
     return tuple(table[seq] for seq in seqs)
-
-
-def compile_generator(seq: OrbitalSequence, n_modes: int, sector, table: dict) -> RowKernel:
-    """``compile_generators`` for one excitation: a batch of one."""
-    return compile_generators((seq,), n_modes, sector, table)[0]
 
 
 def _term_values(values, n_terms: int) -> tuple:
@@ -575,8 +570,13 @@ def vqe_minimize(
     fails (round-off hides any further decrease), comes back flagged
     ``converged=False`` with the lowest-energy point it evaluated, and
     ``message`` says which rule stopped it.  The reference, the ansatz and
-    the compiled Hamiltonian must share one sector.
+    the compiled Hamiltonian must share one sector.  A negative ``maxiter``,
+    or a negative or NaN ``gtol``, raises ``ValueError``.
     """
+    if maxiter < 0:
+        raise ValueError("maxiter must be non-negative")
+    if not gtol >= 0:
+        raise ValueError("gtol must be a non-negative number")
     _check_space("the Hamiltonian", reference.sector, hamiltonian.sector)
     _check_space("the ansatz", reference.sector, ansatz.sector)
     if not ansatz.terms:

@@ -19,8 +19,15 @@ of one string count in one deduplicated Held-Karp pass, and seeds and
 grows the chains of all classes, padded to a common member count, in one
 loop.  The swarm's cost reads only the counts
 (``ansatz_two_qubit_costs``), and ``plan_ansatz`` reads the arrays of a
-stack of one into the terms, strings and choices that the emitter uses.
-This module provides:
+stack of one into the terms, strings and class chains that the emitter
+uses.
+
+Every term has an eligible target: ``Transform`` accepts only a unit
+lower-triangular beta, which maps an excitation's shared x mask to beta x,
+and beta x has the bit of the excitation's lowest mode m set (beta[m, m] =
+1, and beta[m, j] = 0 for every higher mode j), so wire m is X or Y in
+every string of the term.  So every kept term sits in a class, at the
+class's target, and the plan is its class chains.  This module provides:
 
 - ``expand_term``: excitation -> rotation list under a chosen transform,
   the planner's expansion of one excitation: every term's 2^k string
@@ -70,11 +77,10 @@ term at a shared target, ``term_circuit`` realizes the two-CNOT savings as
 it emits: on an agreeing wire the closing CNOT and basis undo of one block
 and the basis change and opening CNOT of the next are left out, which is
 exact because the strings of a term share their x mask (see
-``term_circuit``).  ``peephole_cancel`` realizes the one-CNOT savings, the
-savings at junctions between chained terms, and those of terms with
-per-string targets, so model and circuit agree gate-for-gate.  The
-expansion and the planner, chain junctions included, read letters only
-through the strings' bit masks.
+``term_circuit``).  ``peephole_cancel`` realizes the one-CNOT savings and
+the savings at junctions between chained terms, so model and circuit agree
+gate-for-gate.  The expansion and the planner, chain junctions included,
+read letters only through the strings' bit masks.
 """
 
 from __future__ import annotations
@@ -371,44 +377,44 @@ def term_circuit(term, ordering=None, target=None):
 
     ``ordering`` permutes the stored strings; ``target`` defaults to the
     first eligible wire and must carry a letter in every string.  A term
-    with no eligible target falls back to per-string targets (the highest
-    support wire of each string), and each block is emitted whole.
+    with no eligible target and no ``target`` raises ``ValueError``; no
+    expanded term is one (see the module docstring).
 
-    At a shared target, each boundary between consecutive blocks leaves
-    out, on every wire where both strings carry the same letter
-    (``_boundary_wires``), the first block's closing CNOT and basis undo
-    and the second's basis change and opening CNOT: the two-CNOT saving of
-    the cost model.  This is exact.  The basis undo and change cancel on
-    that wire, and the CNOT pair commutes with everything between it: the
-    strings of one term share their x mask, so the target is X or Y in
-    both strings or Z in both, and its one-qubit run between the CNOTs
-    commutes with X (it is empty, H H, or an X rotation such as H Sdg H),
-    as do the other ladder CNOTs, which act on it as targets.
-    ``peephole_cancel`` realizes the one-CNOT savings.
+    Each boundary between consecutive blocks leaves out, on every wire
+    where both strings carry the same letter (``_boundary_wires``), the
+    first block's closing CNOT and basis undo and the second's basis
+    change and opening CNOT: the two-CNOT saving of the cost model.  This
+    is exact.  The basis undo and change cancel on that wire, and the CNOT
+    pair commutes with everything between it: the strings of one term
+    share their x mask, so the target is X or Y in both strings or Z in
+    both, and its one-qubit run between the CNOTs commutes with X (it is
+    empty, H H, or an X rotation such as H Sdg H), as do the other ladder
+    CNOTs, which act on it as targets.  ``peephole_cancel`` realizes the
+    one-CNOT savings.
     """
     n = term.n_qubits
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
     if sorted(order) != list(range(len(term.strings))):
         raise ValueError(f"ordering {order} is not a permutation")
-    if target is None and term.eligible_targets:
+    if target is None:
+        if not term.eligible_targets:
+            raise ValueError("term has no eligible target; pass one")
         target = term.eligible_targets[0]
     support, common = 0, -1
     for string in term.strings:
         support |= string.xmask | string.zmask
         common &= string.xmask | string.zmask
-    if support.bit_length() > n or (target is not None and not 0 <= target < n):
+    if support.bit_length() > n or not 0 <= target < n:
         raise ValueError(f"term does not fit on {n} wires")
-    if target is not None and not common >> target & 1:
+    if not common >> target & 1:
         raise ValueError(f"target {target} carries identity in a string of the term")
     strings = [term.strings[j] for j in order]
     # held[j]: the wires blocks j - 1 and j wind alike; none at either end
     held = [0] * (len(strings) + 1)
-    if target is not None:
-        held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
+    held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
     gates = []
     for j, string in enumerate(strings):
-        t = target if target is not None else (string.xmask | string.zmask).bit_length() - 1
-        rz = Gate("Rz", (t,), term.angle * string.coeff.real)
+        rz = Gate("Rz", (target,), term.angle * string.coeff.real)
         _emit_block(gates, string, rz, held[j], held[j + 1])
     return Circuit(n, 0, gates)
 
@@ -416,38 +422,6 @@ def term_circuit(term, ordering=None, target=None):
 # ---------------------------------------------------------------------------
 # cost model
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class CostBreakdown:
-    """Additive CNOT accounting for one (ordering, target) realization."""
-
-    letter_counts: tuple[int, ...]
-    two_cnot_savings: tuple[int, ...]
-    one_cnot_savings: tuple[int, ...]
-
-    @property
-    def base(self):
-        return 2 * (sum(self.letter_counts) - len(self.letter_counts))
-
-    @property
-    def saved(self):
-        return 2 * sum(self.two_cnot_savings) + sum(self.one_cnot_savings)
-
-    @property
-    def total(self):
-        return self.base - self.saved
-
-
-@dataclass(frozen=True, slots=True)
-class IntraChoice:
-    ordering: tuple[int, ...]
-    target: int | None
-    breakdown: CostBreakdown
-
-    @property
-    def cost(self):
-        return self.breakdown.total
 
 
 def _boundary_wires(first, second, target):
@@ -581,42 +555,24 @@ def _max_paths(matrices):
     return weights, paths
 
 
-def _bit_length(v):
-    """Bit length of each entry of a non-negative int64 array."""
-    v = v | v >> 1
-    for shift in (2, 4, 8, 16, 32):
-        v |= v >> shift
-    return _popcount(v)
-
-
 def _along(x, z, path, target):
     """Letter counts along each path and each boundary's agree and differ
     counts: (weight (P, s), agree (P, s - 1), differ (P, s - 1)).
 
     Row p is one term: ``x[p]`` its strings' shared x mask and ``z[p]``
-    (s,) their z masks; ``path[p]`` orders them (None: stored order).  At
-    a boundary the wires other than the target where both strings act
-    with the same letter agree and those with different ones differ
-    (``_boundary_wires``).  As x is shared, the strings differ in letter
-    exactly where their z masks differ, and both act on a wire of x or
-    of both z masks.  ``target`` (P,) is each row's shared target; None
-    gives each block its own target, its top wire (``term_circuit``'s
-    fallback), and a boundary between blocks of different targets saves
-    nothing.
+    (s,) their z masks; ``path[p]`` orders them (None: stored order), and
+    ``target`` (P,) is each row's shared target.  At a boundary the wires
+    other than the target where both strings act with the same letter
+    agree and those with different ones differ (``_boundary_wires``).  As
+    x is shared, the strings differ in letter exactly where their z masks
+    differ, and both act on a wire of x or of both z masks.
     """
     if path is not None:
         z = np.take_along_axis(z, path, axis=1)
-    support = x[:, None] | z
-    weight = _popcount(support)
+    weight = _popcount(x[:, None] | z)
     a, b = z[:, :-1], z[:, 1:]
-    if target is None:
-        top = _bit_length(support)
-        keep = ~(1 << np.maximum(top[:, :-1] - 1, 0))
-        keep[top[:, :-1] != top[:, 1:]] = 0
-    else:
-        keep = ~(1 << target)[:, None]
     differ = a ^ b
-    both = (x[:, None] | (a & b)) & keep
+    both = (x[:, None] | (a & b)) & ~(1 << target)[:, None]
     return weight, _popcount(both & ~differ), _popcount(both & differ)
 
 
@@ -701,6 +657,12 @@ def permute_sequence(seq, mode_perm):
     return OrbitalSequence(seq.kind, tuple(mapped)), sign
 
 
+def _frozen(occupied):
+    """``occupied`` read once into a tuple (None stays None): a one-shot
+    iterator then serves every plan of a call."""
+    return None if occupied is None else tuple(occupied)
+
+
 def _relabeled(seqs, angles, occupied, labels):
     """The pool relabeled by ``labels``, each angle signed by its remap,
     and the occupied modes mapped through the labels."""
@@ -735,7 +697,7 @@ def relabel_levels(seqs, transform, config, *, occupied=None):
     result's count is never above the identity's, and no single swap of it
     lowers that count.  Returns the labels.
     """
-    return _descend(seqs, transform, config, occupied)[0]
+    return _descend(seqs, transform, config, _frozen(occupied))[0]
 
 
 def _descend(seqs, transform, config, occupied):
@@ -772,15 +734,14 @@ def _descend(seqs, transform, config, occupied):
 
 @dataclass(frozen=True, slots=True)
 class TermPlacement:
-    """One term inside a class chain: index, orientation, realized choice."""
+    """One kept term in a class chain: its index among the kept terms, its
+    string order as emitted (the dynamic program's, reversed when
+    ``reverse`` is set), and its CNOT count at the class target."""
 
     index: int
-    choice: IntraChoice
-    reverse: bool = False
-
-    @property
-    def ordering(self):
-        return self.choice.ordering[::-1] if self.reverse else self.choice.ordering
+    ordering: tuple[int, ...]
+    reverse: bool
+    cost: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -791,19 +752,7 @@ class ClassPlan:
 
     @property
     def cost(self):
-        return sum(p.choice.cost for p in self.placements) - sum(self.junction_savings)
-
-
-@dataclass(frozen=True, slots=True)
-class InterPlan:
-    classes: tuple[ClassPlan, ...]
-    standalone: tuple[TermPlacement, ...]
-
-    @property
-    def cost(self):
-        return sum(c.cost for c in self.classes) + sum(
-            p.choice.cost for p in self.standalone
-        )
+        return sum(p.cost for p in self.placements) - sum(self.junction_savings)
 
 
 class _Order(NamedTuple):
@@ -815,9 +764,7 @@ class _Order(NamedTuple):
     ``class_target[c]``; its members are the pairs p with
     ``pair_class[p] == c``, kept term ``pair_term[p]``, listed by class and
     then by term.  ``placed`` holds, per ladder count, pair ids with each
-    pair's string order and its ``_along`` counts; ``alone`` holds, per
-    ladder count, the (encoding, kept term) of each term without an
-    eligible target with its ``_along`` counts in stored order; and
+    pair's string order and CNOT count at its class target; and
     ``chains``, per batch of classes of two or more members, their ids
     and member counts with ``_chains``' record of their seed and growth.
     """
@@ -827,7 +774,6 @@ class _Order(NamedTuple):
     pair_term: np.ndarray
     pair_class: np.ndarray
     placed: tuple
-    alone: tuple
     chains: tuple
 
 
@@ -837,7 +783,7 @@ def _classes(eligible, n):
     ``eligible`` is (T, K).  In every encoding at once, the wire most
     often eligible among the remaining terms (ties to the smallest wire)
     forms a class of the remaining terms eligible there, which are then
-    removed, until no term with an eligible wire remains.  Returns
+    removed, until every term is in a class.  Returns
     ``class_b`` and ``class_target`` (C,), each class's encoding and
     target, the classes of one encoding in the order they were formed;
     and ``pair_b``, ``pair_term`` and ``pair_class`` (P,), one entry per
@@ -1000,26 +946,27 @@ def inter_order(groups, kept, n, n_enc, *, reorder=True):
 
     ``groups`` are the pool's terms under the T = ``n_enc`` encodings
     (``_expand``) and ``kept`` the pool rows that compression leaves,
-    ascending.  Classes are formed around the most frequently eligible
-    wire (``_classes``); this reads only the eligible targets.  Each
-    member's string order is then the dynamic program's at its class
-    target alone (``_dp_paths``), all members of all encodings of one
-    string count in one pass.  A member is placed in its string order or
-    reversed, and a junction saving is the boundary saving, at the class
-    target, of one placed member's last string and the next one's first;
-    each class scores all of them once, in one matrix (``_junctions``).
-    The chain is seeded with the pair of distinct members with the
-    largest junction saving, then grown one member at a time, placed
-    before the chain's first member or after its last, wherever the
-    saving is largest (``_chains``, every class of a batch at once, the
-    batch padded to its largest member count).  Ties go to the first
-    strict maximum in this order: the seed runs over the left member, then the right member (each in class
-    order), then the left one reversed or not (not first), then the right
-    one; a growth step runs over the members left (in class order), then
-    before the chain or after it (before first), then not reversed or
-    reversed.  Without ``reorder``, each term is its own class at its
-    first eligible target, strings in stored order.  A term with no
-    eligible target stands alone, each string at its own target.
+    ascending.  Every term has an eligible target (see the module
+    docstring), so every term joins a class.  Classes are formed around
+    the most frequently eligible wire (``_classes``); this reads only the
+    eligible targets.  Each member's string order is then the dynamic
+    program's at its class target alone (``_dp_paths``), all members of
+    all encodings of one string count in one pass.  A member is placed in
+    its string order or reversed, and a junction saving is the boundary
+    saving, at the class target, of one placed member's last string and
+    the next one's first; each class scores all of them once, in one
+    matrix (``_junctions``).  The chain is seeded with the pair of
+    distinct members with the largest junction saving, then grown one
+    member at a time, placed before the chain's first member or after its
+    last, wherever the saving is largest (``_chains``, every class of a
+    batch at once, the batch padded to its largest member count).  Ties go
+    to the first strict maximum in this order: the seed runs over the left
+    member, then the right member (each in class order), then the left one
+    reversed or not (not first), then the right one; a growth step runs
+    over the members left (in class order), then before the chain or after
+    it (before first), then not reversed or reversed.  Without
+    ``reorder``, each term is its own class at its first eligible target,
+    strings in stored order.
     """
     where = {}
     for g, group in enumerate(groups):
@@ -1040,29 +987,22 @@ def inter_order(groups, kept, n, n_enc, *, reorder=True):
 
     counts = np.zeros(n_enc, dtype=np.int64)
     x_of, head, tail = (np.zeros(len(pair_b), dtype=np.int64) for _ in range(3))
-    placed, alone = [], []
-    alone_b, alone_term = np.nonzero(eligible == 0)
+    placed = []
     for g, group in enumerate(groups):
         at = np.flatnonzero(g_of[pair_term] == g)
-        if len(at):
-            b, r, target = pair_b[at], r_of[pair_term[at]], pair_target[at]
-            x, z = group.x[b, r], group.z[b, r]
-            if reorder:
-                path = _dp_paths(x, z, target)
-            else:
-                path = np.broadcast_to(np.arange(z.shape[1]), z.shape)
-            counted = _along(x, z, path, target)
-            np.add.at(counts, b, _costs(*counted))
-            rows = np.arange(len(at))
-            x_of[at], head[at], tail[at] = x, z[rows, path[:, 0]], z[rows, path[:, -1]]
-            placed.append((at, path, *counted))
-        at = np.flatnonzero(g_of[alone_term] == g)
-        if len(at):
-            b, term = alone_b[at], alone_term[at]
-            r = r_of[term]
-            counted = _along(group.x[b, r], group.z[b, r], None, None)
-            np.add.at(counts, b, _costs(*counted))
-            alone.append((b, term, *counted))
+        if not len(at):
+            continue
+        b, r, target = pair_b[at], r_of[pair_term[at]], pair_target[at]
+        x, z = group.x[b, r], group.z[b, r]
+        if reorder:
+            path = _dp_paths(x, z, target)
+        else:
+            path = np.broadcast_to(np.arange(z.shape[1]), z.shape)
+        cost = _costs(*_along(x, z, path, target))
+        np.add.at(counts, b, cost)
+        rows = np.arange(len(at))
+        x_of[at], head[at], tail[at] = x, z[rows, path[:, 0]], z[rows, path[:, -1]]
+        placed.append((at, path, cost))
 
     chains = []
     if reorder and len(pair_class):
@@ -1078,23 +1018,21 @@ def inter_order(groups, kept, n, n_enc, *, reorder=True):
             saved, record = _chains(first, last, class_target[cls], members, size[cls])
             np.add.at(counts, class_b[cls], -saved)
             chains.append((cls, size[cls], *record))
-    return _Order(
-        counts, class_target, pair_term, pair_class, tuple(placed), tuple(alone), tuple(chains)
-    )
+    return _Order(counts, class_target, pair_term, pair_class, tuple(placed), tuple(chains))
 
 
-def _inter_plan(order):
-    """The InterPlan of the first encoding of ``order``'s stack, built
-    from its arrays; with a stack of one, the whole order."""
+def _class_plans(order):
+    """The ClassPlans of ``order``, the placements of a stack of one, in
+    the order the classes were formed."""
     choices = {}
-    for ids, paths, *counted in order.placed:
-        for p, path, weight, agree, differ in zip(
-            ids.tolist(), paths.tolist(), *(part.tolist() for part in counted)
-        ):
-            target = int(order.class_target[order.pair_class[p]])
-            choices[p] = IntraChoice(
-                tuple(path), target, CostBreakdown(tuple(weight), tuple(agree), tuple(differ))
-            )
+    for ids, paths, costs in order.placed:
+        choices.update(zip(ids.tolist(), zip(map(tuple, paths.tolist()), costs.tolist())))
+    terms = order.pair_term.tolist()
+
+    def place(p, reverse=False):
+        path, cost = choices[p]
+        return TermPlacement(terms[p], path[::-1] if reverse else path, reverse, cost)
+
     records = {}
     for cls, *record in order.chains:
         for c, *fields in zip(cls.tolist(), *(part.tolist() for part in record)):
@@ -1102,29 +1040,15 @@ def _inter_plan(order):
     members = {}
     for p, c in enumerate(order.pair_class.tolist()):
         members.setdefault(c, []).append(p)
-    terms = order.pair_term.tolist()
     classes = []
     for c, pairs in members.items():
-        target = int(order.class_target[c])
-        if c not in records:
-            p = pairs[0]
-            classes.append(ClassPlan(target, (TermPlacement(terms[p], choices[p]),), ()))
-            continue
-        chain, savings = _chain_order(*records[c])
-        placements = tuple(
-            TermPlacement(terms[pairs[o >> 1]], choices[pairs[o >> 1]], bool(o & 1)) for o in chain
-        )
-        classes.append(ClassPlan(target, placements, tuple(savings)))
-    standalone = []
-    for _, term_ids, *counted in order.alone:
-        for i, weight, agree, differ in zip(
-            term_ids.tolist(), *(part.tolist() for part in counted)
-        ):
-            breakdown = CostBreakdown(tuple(weight), tuple(agree), tuple(differ))
-            choice = IntraChoice(tuple(range(len(weight))), None, breakdown)
-            standalone.append(TermPlacement(i, choice))
-    standalone.sort(key=lambda p: p.index)
-    return InterPlan(tuple(classes), tuple(standalone))
+        if c in records:
+            chain, savings = _chain_order(*records[c])
+            placements = tuple(place(pairs[o >> 1], bool(o & 1)) for o in chain)
+        else:
+            placements, savings = (place(pairs[0]),), ()
+        classes.append(ClassPlan(int(order.class_target[c]), placements, tuple(savings)))
+    return tuple(classes)
 
 
 # ---------------------------------------------------------------------------
@@ -1291,18 +1215,18 @@ class HeuristicConfig:
 
 @dataclass(slots=True)
 class AnsatzPlan:
-    """Planner output: the choices, their two-qubit accounting, and the circuit.
+    """Planner output: the class chains, their two-qubit accounting, and the circuit.
 
+    ``classes`` chain every kept term, each at its class's target.
     ``circuit`` stays None until the plan is emitted.  The circuit runs the
-    source terms in ``order``: compressed terms, then the class chains, then
-    the standalone terms.
+    source terms in ``order``: compressed terms, then the class chains.
     """
 
     n_qubits: int
     labels: tuple[int, ...]
     terms: tuple[TrotterTerm, ...]
     kept: tuple[int, ...]
-    inter: InterPlan
+    classes: tuple[ClassPlan, ...]
     compressed: tuple[CompressedTerm, ...]
     touched_pairs: tuple[int, ...]
     model_two_qubit: int
@@ -1312,10 +1236,8 @@ class AnsatzPlan:
     def order(self):
         """Source-term indices in the order the circuit runs them."""
         kept = set(self.kept)
-        placements = [p for cls in self.inter.classes for p in cls.placements]
-        placements += self.inter.standalone
         return tuple(i for i in range(len(self.terms)) if i not in kept) + tuple(
-            self.kept[p.index] for p in placements
+            self.kept[p.index] for cls in self.classes for p in cls.placements
         )
 
 
@@ -1356,11 +1278,11 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
     before compression, so the plan's reference is the relabeled one.
     The passes are the swarm's (``ansatz_two_qubit_costs``) on a stack of
     one encoding (``_plan_arrays``); only then are the terms, strings and
-    choices built from their arrays.  ``model_two_qubit`` is the additive
+    class chains built from their arrays.  ``model_two_qubit`` is the additive
     accounting; the emitted circuit's metrics may only undercut it.  No
     circuit is built.
     """
-    seqs = list(seqs)
+    seqs, occupied = list(seqs), _frozen(occupied)
     n = transform.n_modes
     if angles is None:
         angles = [1.0] * len(seqs)
@@ -1369,7 +1291,6 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
 
     labels = tuple(range(n))
     if config.relabel:
-        occupied = None if occupied is None else tuple(occupied)
         labels = relabel_levels(seqs, transform, config, occupied=occupied)
         seqs, angles, occupied = _relabeled(seqs, angles, occupied, labels)
 
@@ -1383,7 +1304,7 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         labels=labels,
         terms=terms,
         kept=split.kept,
-        inter=_inter_plan(order),
+        classes=_class_plans(order),
         compressed=split.compressed,
         touched_pairs=split.touched_pairs,
         model_two_qubit=int(counts[0]),
@@ -1394,12 +1315,12 @@ def emit_circuit(plan):
     """The circuit of a plan, in ``plan.order``.
 
     Compressed blocks lead, followed by the restoration fan-out, then one
-    block per class chain and per standalone term.  ``term_circuit``
-    emits each term with the two-CNOT savings between its own blocks
-    already taken, and ``peephole_cancel`` then reduces each chain or
-    standalone block, realizing the remaining savings that
-    ``plan.model_two_qubit`` counts: the one-CNOT ones and those at the
-    junctions between chained terms, which are emitted whole.  Compressed blocks act in the
+    block per class chain, every term at its class's target.
+    ``term_circuit`` emits each term with the two-CNOT savings between its
+    own blocks already taken, and ``peephole_cancel`` then reduces each
+    chain, realizing the remaining savings that ``plan.model_two_qubit``
+    counts: the one-CNOT ones and those at the junctions between chained
+    terms, which are emitted whole.  Compressed blocks act in the
     Jordan-Wigner frame and kept terms in the transform's, and no basis
     change is emitted between the two: under a non-identity encoding with
     compressed terms the circuit is not yet the ansatz.
@@ -1410,13 +1331,11 @@ def emit_circuit(plan):
     for cterm in plan.compressed:
         circ.gates += compressed_circuit(cterm, n).gates
     circ.gates += restoration_circuit(plan.touched_pairs, n).gates
-    blocks = [(cls.placements, cls.target) for cls in plan.inter.classes]
-    blocks += [((p,), None) for p in plan.inter.standalone]
-    for placements, target in blocks:
+    for cls in plan.classes:
         block = Circuit(n)
-        for p in placements:
+        for p in cls.placements:
             term = plan.terms[plan.kept[p.index]]
-            block.gates += term_circuit(term, p.ordering, target).gates
+            block.gates += term_circuit(term, p.ordering, cls.target).gates
         block = peephole_cancel(block)
         circ.gates += block.gates
         circ.global_phase *= block.global_phase
@@ -1443,7 +1362,7 @@ def ansatz_two_qubit_costs(seqs, transforms, config=HeuristicConfig(), *, occupi
     descent runs in turn (``ansatz_two_qubit_cost``).  Nothing is kept
     between calls.
     """
-    seqs, transforms = list(seqs), list(transforms)
+    seqs, transforms, occupied = list(seqs), list(transforms), _frozen(occupied)
     if config.relabel:
         return [ansatz_two_qubit_cost(seqs, t, config, occupied=occupied) for t in transforms]
     if not transforms:
@@ -1462,7 +1381,7 @@ def ansatz_two_qubit_cost(seqs, transform, config=HeuristicConfig(), *, occupied
     emission: ``ansatz_two_qubit_costs`` of one encoding, or with
     ``config.relabel`` the count of the labels its descent ends on."""
     if config.relabel:
-        return _descend(seqs, transform, config, None if occupied is None else tuple(occupied))[1]
+        return _descend(seqs, transform, config, _frozen(occupied))[1]
     return ansatz_two_qubit_costs(seqs, (transform,), config, occupied=occupied)[0]
 
 
@@ -1470,7 +1389,7 @@ def plan_report(plan):
     """JSON-ready description of an AnsatzPlan; circuit metrics once emitted."""
     kept_terms = [plan.terms[i] for i in plan.kept]
     classes = []
-    for cls in plan.inter.classes:
+    for cls in plan.classes:
         classes.append(
             {
                 "target": cls.target,
@@ -1479,7 +1398,7 @@ def plan_report(plan):
                         "term": _term_name(kept_terms[p.index]),
                         "ordering": list(p.ordering),
                         "reversed": p.reverse,
-                        "cost": p.choice.cost,
+                        "cost": p.cost,
                     }
                     for p in cls.placements
                 ],
@@ -1491,10 +1410,6 @@ def plan_report(plan):
         "n_qubits": plan.n_qubits,
         "labels": list(plan.labels),
         "classes": classes,
-        "standalone": [
-            {"term": _term_name(kept_terms[p.index]), "cost": p.choice.cost}
-            for p in plan.inter.standalone
-        ],
         "compressed": [
             {
                 "term": _term_name(c),

@@ -1224,19 +1224,16 @@ def diagonalizing_circuit_reference(basis, n):
 def term_circuit_reference(term, ordering=None, target=None):
     """``trotter.term_circuit`` as it once ran: every string's full block,
     basis change, CNOT ladder, Rz, ladder and basis undo, with nothing left
-    out at the boundaries.  ``target`` defaults to the first eligible wire;
-    a term with none takes each string's highest support wire.  Imports
-    fqcc for the gates.  Returns the circuit."""
+    out at the boundaries.  ``target`` defaults to the first eligible wire.
+    Imports fqcc for the gates.  Returns the circuit."""
     from fqcc.circuits import Circuit, Gate, shared_gate
 
     order = range(len(term.strings)) if ordering is None else ordering
-    if target is None and term.eligible_targets:
-        target = term.eligible_targets[0]
+    t = term.eligible_targets[0] if target is None else target
     gates = []
     for j in order:
         string = term.strings[j]
         x, z = string.xmask, string.zmask
-        t = target if target is not None else (x | z).bit_length() - 1
         wires = [q for q in range(term.n_qubits) if (x | z) >> q & 1]
         ladder = [shared_gate("CNOT", (q, t)) for q in wires if q != t]
         for q in wires:

@@ -8,8 +8,10 @@ filled pair by pair, and one junction per oriented pair tried.
 batched over encodings: one pool expansion per encoding, terms and
 strings built first, then each stage on their masks, and
 ``plan_count_per_encoding`` is its count, the reference of the swarm's
-batched cost.  ``cost_breakdown``, ``fallback_choice`` and ``unchained``
+batched cost.  ``cost_breakdown``, ``model_cost`` and ``unchained``
 recount a term's accounting from its strings, as the planner once did.
+A ``Choice`` is one term's string order and CNOT count at one target, and
+``placement`` puts it in a chain.
 
 They live apart from ``oracles``, which the benchmark's HMP2 workload
 imports for its FCI reference: a process that imports a module without
@@ -17,9 +19,27 @@ cached bytecode compiles it, and the compiler's memory counts in that
 process's peak.
 """
 
+from typing import NamedTuple
+
 import numpy as np
 
 from oracles import ladder_strings
+
+
+class Choice(NamedTuple):
+    """One term's string order at one target and its CNOT count there."""
+
+    ordering: tuple
+    cost: int
+
+
+def placement(index, choice, reverse=False):
+    """The ``TermPlacement`` of kept term ``index`` placed in ``choice``'s
+    string order, reversed when ``reverse`` is set."""
+    from fqcc.trotter import TermPlacement
+
+    ordering = choice.ordering[::-1] if reverse else choice.ordering
+    return TermPlacement(index, ordering, reverse, choice.cost)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +127,7 @@ def savings_matrix_reference(strings, target):
 
 def dp_choices_reference(pairs):
     """``trotter._dp_choices`` with each savings matrix filled pair by pair
-    and each breakdown recounted by ``cost_breakdown``."""
-    from fqcc import trotter as tr
-
+    and each count recounted by ``model_cost``."""
     solved = max_paths_list(
         [savings_matrix_reference(term.strings, target) for term, target in pairs]
     )
@@ -117,7 +135,7 @@ def dp_choices_reference(pairs):
     for (term, target), (_, path) in zip(pairs, solved):
         if path[::-1] < path:
             path = path[::-1]
-        choices.append(tr.IntraChoice(path, target, cost_breakdown(term, path, target)))
+        choices.append(Choice(path, model_cost(term, path, target)))
     return choices
 
 
@@ -125,10 +143,10 @@ def chain_class_reference(terms, choices, members, target):
     """``trotter._chain_class`` scoring one junction per oriented pair it
     tries: the seed scans every oriented pair, each growth step every
     remaining member at both ends, and the first strict maximum wins."""
-    from fqcc.trotter import ClassPlan, TermPlacement
+    from fqcc.trotter import ClassPlan
 
     if len(members) == 1:
-        return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
+        return ClassPlan(target, (placement(members[0], choices[members[0]]),), ())
 
     keep = ~(1 << target)
     edges = {}
@@ -181,36 +199,27 @@ def chain_class_reference(terms, choices, members, target):
             chain.append(cand)
             savings.append(value)
         used.add(cand[0])
-    placements = tuple(TermPlacement(i, choices[i], reverse) for i, reverse in chain)
+    placements = tuple(placement(i, choices[i], reverse) for i, reverse in chain)
     return ClassPlan(target, placements, tuple(savings))
 
 
 def inter_order_reference(terms):
-    """``trotter.inter_order`` on ``dp_choices_reference`` and
-    ``chain_class_reference``."""
-    from fqcc import trotter as tr
-
-    standalone = tuple(
-        tr.TermPlacement(i, fallback_choice(terms[i]))
-        for i in range(len(terms))
-        if not terms[i].eligible_targets
-    )
+    """``trotter.inter_order``'s class chains on ``dp_choices_reference``
+    and ``chain_class_reference``."""
     groups = _classes_of(terms)
     choices = iter(dp_choices_reference([(terms[i], t) for t, members in groups for i in members]))
-    classes = tuple(
+    return tuple(
         chain_class_reference(terms, {i: next(choices) for i in members}, members, target)
         for target, members in groups
     )
-    return tr.InterPlan(classes, standalone)
 
 
 def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels=None):
     """``trotter.plan_ansatz`` at unit angles on the reference routines
     above: one expansion per term, pair-by-pair savings matrices and
-    junctions.  Compression and the unchained fallback are ``trotter``'s
-    own.  No labeling is searched: given ``labels``, the pool and
-    ``occupied`` are relabeled by them as a relabeled plan's are, and
-    ``config.relabel`` is ignored."""
+    junctions.  Compression is ``trotter``'s own.  No labeling is
+    searched: given ``labels``, the pool and ``occupied`` are relabeled by
+    them as a relabeled plan's are, and ``config.relabel`` is ignored."""
     from fqcc import trotter as tr
 
     config = tr.HeuristicConfig() if config is None else config
@@ -233,11 +242,8 @@ def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels
     else:
         split = tr.BosonicSplit((), tuple(range(len(terms))), ())
     kept_terms = [terms[i] for i in split.kept]
-    inter = inter_order_reference(kept_terms) if config.reorder else unchained(kept_terms)
-    model = inter.cost + sum(c.two_qubit_cost for c in split.compressed) + split.restoration_cnots
-    return tr.AnsatzPlan(
-        n, labels, terms, split.kept, inter, split.compressed, split.touched_pairs, model
-    )
+    classes = inter_order_reference(kept_terms) if config.reorder else unchained(kept_terms)
+    return _plan(n, labels, terms, split, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -259,14 +265,10 @@ def _boundary_saving(first, second, target):
     return agree.bit_count(), differ.bit_count()
 
 
-def _top_wire(string):
-    return (string.xmask | string.zmask).bit_length() - 1
-
-
 def cost_breakdown(term, ordering, target):
-    """Recount the additive model for an explicit (ordering, target)."""
-    from fqcc.trotter import CostBreakdown
-
+    """Recount the additive model for an explicit (ordering, target): each
+    block's letter count, then each boundary's two-CNOT and one-CNOT
+    savings."""
     seq = [term.strings[j] for j in ordering]
     counts = tuple((s.xmask | s.zmask).bit_count() for s in seq)
     twos, ones = [], []
@@ -274,47 +276,42 @@ def cost_breakdown(term, ordering, target):
         two, one = _boundary_saving(a, b, target)
         twos.append(two)
         ones.append(one)
-    return CostBreakdown(counts, tuple(twos), tuple(ones))
+    return counts, tuple(twos), tuple(ones)
 
 
-def fallback_choice(term):
-    """Per-string-target accounting for terms with no shared target."""
-    from fqcc.trotter import CostBreakdown, IntraChoice
+def breakdown_cost(counts, twos, ones):
+    """A breakdown's CNOT count: 2 (weight - 1) per block, less 2 per
+    agreeing and 1 per differing wire at each boundary."""
+    return 2 * (sum(counts) - len(counts)) - 2 * sum(twos) - sum(ones)
 
-    seq = term.strings
-    counts = tuple((s.xmask | s.zmask).bit_count() for s in seq)
-    twos, ones = [], []
-    for a, b in zip(seq, seq[1:]):
-        if _top_wire(a) == _top_wire(b):
-            two, one = _boundary_saving(a, b, _top_wire(a))
-        else:
-            two = one = 0
-        twos.append(two)
-        ones.append(one)
-    breakdown = CostBreakdown(counts, tuple(twos), tuple(ones))
-    return IntraChoice(tuple(range(len(seq))), None, breakdown)
+
+def model_cost(term, ordering, target):
+    """The additive model's CNOT count for an explicit (ordering, target)."""
+    return breakdown_cost(*cost_breakdown(term, ordering, target))
 
 
 def unchained(terms):
-    """Each term alone at its first eligible target, strings in stored order."""
-    from fqcc import trotter as tr
+    """Each term its own class at its first eligible target, strings in
+    stored order."""
+    from fqcc.trotter import ClassPlan
 
-    placements = []
+    classes = []
     for i, term in enumerate(terms):
-        if term.eligible_targets:
-            target = term.eligible_targets[0]
-            ordering = tuple(range(len(term.strings)))
-            choice = tr.IntraChoice(ordering, target, cost_breakdown(term, ordering, target))
-        else:
-            choice = fallback_choice(term)
-        placements.append(tr.TermPlacement(i, choice))
-    return tr.InterPlan(
-        tuple(
-            tr.ClassPlan(p.choice.target, (p,), ())
-            for p in placements
-            if p.choice.target is not None
-        ),
-        tuple(p for p in placements if p.choice.target is None),
+        target = term.eligible_targets[0]
+        ordering = tuple(range(len(term.strings)))
+        choice = Choice(ordering, model_cost(term, ordering, target))
+        classes.append(ClassPlan(target, (placement(i, choice),), ()))
+    return tuple(classes)
+
+
+def _plan(n, labels, terms, split, classes):
+    """The AnsatzPlan of ``split``'s kept terms chained in ``classes``."""
+    from fqcc.trotter import AnsatzPlan
+
+    model = sum(cls.cost for cls in classes)
+    model += sum(c.two_qubit_cost for c in split.compressed) + split.restoration_cnots
+    return AnsatzPlan(
+        n, labels, terms, split.kept, classes, split.compressed, split.touched_pairs, model
     )
 
 
@@ -432,10 +429,8 @@ def _boundary_counts(strings, targets):
 
 
 def dp_choices_per_encoding(pairs):
-    """The maximum-saving IntraChoice of each (term, target) pair, its
+    """The maximum-saving Choice of each (term, target) pair, its
     savings matrices from letter features, grouped by string count."""
-    from fqcc.trotter import CostBreakdown, IntraChoice
-
     by_count = {}
     for idx, (term, _) in enumerate(pairs):
         by_count.setdefault(len(term.strings), []).append(idx)
@@ -457,8 +452,7 @@ def dp_choices_per_encoding(pairs):
         twos = agree[rows, at[:, :-1], at[:, 1:]].tolist()
         ones = differ[rows, at[:, :-1], at[:, 1:]].tolist()
         for i, path, c, two, one in zip(idxs, paths, counts, twos, ones):
-            breakdown = CostBreakdown(tuple(c), tuple(two), tuple(one))
-            choices[i] = IntraChoice(path, pairs[i][1], breakdown)
+            choices[i] = Choice(path, breakdown_cost(c, two, one))
     return choices
 
 
@@ -479,10 +473,10 @@ def junction_matrix_per_encoding(terms, choices, members, target):
 def chain_class_per_encoding(terms, choices, members, target):
     """One class's chain, seeded and grown on its junction matrix, the
     first maximum in row-major order winning each tie."""
-    from fqcc.trotter import ClassPlan, TermPlacement
+    from fqcc.trotter import ClassPlan
 
     if len(members) == 1:
-        return ClassPlan(target, (TermPlacement(members[0], choices[members[0]]),), ())
+        return ClassPlan(target, (placement(members[0], choices[members[0]]),), ())
     m = len(members)
     junction = junction_matrix_per_encoding(terms, choices, members, target)
     seed = junction.reshape(m, 2, m, 2).transpose(0, 2, 1, 3).copy()
@@ -512,14 +506,14 @@ def chain_class_per_encoding(terms, choices, members, target):
             cand[:, 0] = junction[:, o].reshape(m, 2)
         cand[placed, end] = -1
     placements = tuple(
-        TermPlacement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
+        placement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
     )
     return ClassPlan(target, placements, tuple(savings))
 
 
 def _classes_of(terms):
     """(target, members) of each class, most frequent eligible wire first."""
-    remaining = [i for i in range(len(terms)) if terms[i].eligible_targets]
+    remaining = list(range(len(terms)))
     groups = []
     while remaining:
         counts = {}
@@ -536,22 +530,14 @@ def _classes_of(terms):
 def inter_order_per_encoding(terms):
     """Classes by shared eligible target, every member's DP in one batch,
     and each class chained on its junction matrix."""
-    from fqcc.trotter import InterPlan, TermPlacement
-
-    standalone = tuple(
-        TermPlacement(i, fallback_choice(terms[i]))
-        for i in range(len(terms))
-        if not terms[i].eligible_targets
-    )
     groups = _classes_of(terms)
     choices = iter(
         dp_choices_per_encoding([(terms[i], t) for t, members in groups for i in members])
     )
-    classes = tuple(
+    return tuple(
         chain_class_per_encoding(terms, {i: next(choices) for i in members}, members, target)
         for target, members in groups
     )
-    return InterPlan(classes, standalone)
 
 
 def plan_per_encoding(seqs, transform, config=None, *, occupied=None, labels=None):
@@ -574,11 +560,8 @@ def plan_per_encoding(seqs, transform, config=None, *, occupied=None, labels=Non
     else:
         split = tr.BosonicSplit((), tuple(range(len(terms))), ())
     kept_terms = [terms[i] for i in split.kept]
-    inter = inter_order_per_encoding(kept_terms) if config.reorder else unchained(kept_terms)
-    model = inter.cost + sum(c.two_qubit_cost for c in split.compressed) + split.restoration_cnots
-    return tr.AnsatzPlan(
-        n, labels, terms, split.kept, inter, split.compressed, split.touched_pairs, model
-    )
+    classes = inter_order_per_encoding(kept_terms) if config.reorder else unchained(kept_terms)
+    return _plan(n, labels, terms, split, classes)
 
 
 def plan_count_per_encoding(seqs, transform, config=None, *, occupied=None):

@@ -369,6 +369,25 @@ class TestRunLoop:
         assert run.reason == "cycle cap reached"
         assert len(run.reports) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_cycles", -3),
+            ("vqe_maxiter", -1),
+            ("delta_e", -1e-6),
+            ("delta_e", float("nan")),
+            ("vqe_gtol", -1e-7),
+            ("vqe_gtol", float("nan")),
+        ],
+    )
+    def test_bad_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            HMP2Config(**{field: value})
+
+    def test_zero_caps_accepted(self):
+        cfg = HMP2Config(max_cycles=0, vqe_maxiter=0, delta_e=0.0, vqe_gtol=0.0)
+        assert (cfg.max_cycles, cfg.vqe_maxiter, cfg.delta_e, cfg.vqe_gtol) == (0, 0, 0.0, 0.0)
+
     def test_csv_round_trip(self, h2, tmp_path):
         ham, fock = h2
         cfg = HMP2Config(delta_e=1e-9, initial_threshold=math.inf, max_cycles=10)

@@ -222,6 +222,15 @@ class TestRun:
             cost = pso.ansatz_cost_fn(pool, cfg, occupied=range(2))
             assert cost(bk) == plan_ansatz(pool, bk, config=cfg, occupied=range(2)).model_two_qubit
 
+    def test_one_shot_occupied_scores_alike_on_every_call(self):
+        """``occupied`` given as an iterator is read once: H4 under BK
+        scores the same on the first call, the second and through ``many``."""
+        pool = uccsd_pool(range(4), range(4, 8))
+        bk = Transform.bravyi_kitaev(8)
+        want = plan_ansatz(pool, bk, occupied=(0,)).model_two_qubit
+        cost = pso.ansatz_cost_fn(pool, occupied=iter([0]))
+        assert [cost(bk), cost(bk)] == cost.many([bk, bk]) == [want, want]
+
     def test_oscillation_rule_stops_early(self):
         cfg = pso.SwarmConfig(n_modes=4, k_max=2, t_max=4000, seed=2, inertia=-2.0)
         report = pso.run(cfg, bit_cost)

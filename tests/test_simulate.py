@@ -15,7 +15,6 @@ from fqcc.simulate import (
     _apply_exponential,
     _energy_and_gradient,
     apply_ansatz,
-    compile_generator,
     compile_generators,
     hf_state,
     spin_sector,
@@ -209,7 +208,7 @@ class TestCompileGenerator:
             routed = oracles.encoded_generators(pool, tr, space)
             table = {}
             for seq in pool:
-                got, want = compile_generator(seq, tr.n_modes, space, table), routed[seq]
+                got, want = compile_generators((seq,), tr.n_modes, space, table)[0], routed[seq]
                 assert got.values.shape == (1, 256 if space is None else 441)
                 for field in ("values", "columns", "square"):
                     a, b = getattr(got, field), getattr(want, field)
@@ -251,7 +250,7 @@ class TestCompileGenerator:
         ]:
             with pytest.raises(ValueError, match="outside") as info:
                 oracles.generator_kernel_reference(first, 14, sector)
-            table = {pool[0]: compile_generator(pool[0], 14, sector, {})}
+            table = {pool[0]: compile_generators((pool[0],), 14, sector, {})[0]}
             with pytest.raises(ValueError, match=f"^{first.name} couples") as got:
                 compile_generators(batch, 14, sector, table)
             assert str(got.value) == str(info.value)
@@ -409,6 +408,26 @@ class TestVqeMinimize:
         assert res.n_iterations <= 1
         assert np.isfinite(res.energy)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"maxiter": -1}, "maxiter"),
+            ({"gtol": -1e-7}, "gtol"),
+            ({"gtol": float("nan")}, "gtol"),
+        ],
+    )
+    def test_bad_caps_rejected(self, h2, kwargs, match):
+        """A negative cap would never equal the iteration count, so the run
+        would go on without one; a NaN ``gtol`` would never be met."""
+        ansatz = AnsatzOp.build(4, uccsd_pool(range(2), range(2, 4)))
+        with pytest.raises(ValueError, match=match):
+            vqe_minimize(h2[3], ansatz, hf_state(2, 4), **kwargs)
+
+    def test_zero_caps_accepted(self, h2):
+        ansatz = AnsatzOp.build(4, uccsd_pool(range(2), range(2, 4)))
+        res = vqe_minimize(h2[3], ansatz, hf_state(2, 4), maxiter=0)
+        assert res.n_iterations == 0 and res.message == "iteration cap reached"
+
     def test_line_search_failure_returns_the_best_point(self, h2, monkeypatch):
         """At ``gtol=0`` round-off ends the run in a failed line search;
         it reports the lowest energy it evaluated, with that point's
@@ -506,12 +525,12 @@ def _sector(kind, tr, n_alpha, n_beta):
 
 def _generators(kind, tr, seqs, space):
     """{excitation: compiled T - T+ under ``tr`` on ``space``}:
-    ``compile_generator`` in the occupation basis (JW), the mapped generator
+    ``compile_generators`` in the occupation basis (JW), the mapped generator
     compiled directly otherwise."""
     if kind == "jw":
         table = {}
         for seq in seqs:
-            compile_generator(seq, tr.n_modes, space, table)
+            compile_generators((seq,), tr.n_modes, space, table)
         return table
     return oracles.encoded_generators(seqs, tr, space)
 
@@ -603,7 +622,7 @@ class TestSpinSector:
             CompiledSum(image, _sector(kind, tr, 5, 5))
         table = {}
         with pytest.raises(ValueError, match="outside"):
-            compile_generator(flip, 14, spin_sector(14, 5, 5), table)
+            compile_generators((flip,), 14, spin_sector(14, 5, 5), table)
         assert not table
         with pytest.raises(ValueError, match="outside"):
             AnsatzOp.build(14, (flip,), sector=spin_sector(14, 5, 5))

@@ -218,6 +218,38 @@ class TestExpandTerm:
             identity_somewhere = any(oracles.letter(s, q) == "I" for s in term.strings)
             assert (q in term.eligible_targets) == (not identity_somewhere)
 
+    @given(excitation_strategy(4, 14), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lowest_mode_is_eligible(self, case, anti):
+        """Under every unit lower-triangular beta, the excitation's lowest
+        mode m is X or Y in every string: beta x has bit m set."""
+        transform, seq = case
+        term = tr.expand_term(seq, transform, 0.3, anti=anti)
+        m = min(seq.indices)
+        assert m in term.eligible_targets
+        assert all(s.xmask >> m & 1 for s in term.strings)
+
+    def test_lowest_mode_is_eligible_in_pools(self):
+        """Whole UCCSD pools at 4-14 modes under JW, BK and seeded betas, in
+        both conventions, and each pool relabeled by a seeded permutation."""
+        rng = np.random.default_rng(31)
+        checked = 0
+        for n in range(4, 15):
+            n_e = n // 2
+            pool = uccsd_pool(range(n_e), range(n_e, n))
+            perm = rng.permutation(n).tolist()
+            relabeled = [tr.permute_sequence(seq, perm)[0] for seq in pool]
+            encodings = [Transform.jordan_wigner(n), Transform.bravyi_kitaev(n)]
+            encodings += [Transform.from_lower_bits(n, _random_beta_bits(rng, n)) for _ in range(3)]
+            for seqs, transform, anti in itertools.product(
+                (pool, relabeled), encodings, (False, True)
+            ):
+                terms = tr._expand_pool(seqs, transform, [0.3] * len(seqs), anti=anti)
+                for seq, term in zip(seqs, terms):
+                    assert min(seq.indices) in term.eligible_targets, (n, seq.name)
+                    checked += 1
+        assert checked > 5000
+
     @pytest.mark.parametrize("anti", (True, False))
     @pytest.mark.parametrize("case", sorted(_EXPANSION_CASES))
     def test_matches_pauli_sum_route(self, case, anti):
@@ -304,6 +336,17 @@ class TestSynthPauliExp:
             want = sla.expm(-0.5j * theta * oracles.string_matrix(n, placed))
             assert np.abs(_circ_matrix(circ) - want).max() < 1e-12
 
+    def test_term_without_eligible_target_rejected(self):
+        """No wire acts in every string: with no ``target`` there is no
+        ladder target to share, so the term is rejected; a shared wire
+        passed as ``target`` is used."""
+        s1 = oracles.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
+        s2 = oracles.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
+        term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2), (), False)
+        with pytest.raises(ValueError, match="no eligible target"):
+            tr.term_circuit(term)
+        assert metrics(peephole_cancel(tr.term_circuit(term, target=1))).two_qubit == 4
+
     def test_term_circuit_rejects_bad_ordering(self):
         term = tr.expand_term(
             OrbitalSequence("single", (1, 0)), Transform.jordan_wigner(2), 0.4
@@ -328,12 +371,6 @@ class TestSynthPauliExp:
 
 
 class TestCostModel:
-    def test_breakdown_arithmetic(self):
-        bd = tr.CostBreakdown((4, 4, 4), (2, 0), (0, 1))
-        assert bd.base == 18
-        assert bd.saved == 5
-        assert bd.total == 13
-
     def test_counts_match_reduced_circuits(self):
         """The additive model equals post-cancellation CNOT counts exactly.
 
@@ -370,8 +407,8 @@ class TestCostModel:
                 rng.shuffle(shuffled)
                 picks.append((tuple(shuffled), rng.choice(term.eligible_targets)))
                 for ordering, target in picks:
-                    want = _model(term, ordering, target).total
-                    assert want == planner_oracles.cost_breakdown(term, ordering, target).total
+                    want = _cost(term, ordering, target)
+                    assert want == planner_oracles.model_cost(term, ordering, target)
                     circ = tr.term_circuit(term, ordering, target)
                     got = metrics(peephole_cancel(circ)).two_qubit
                     assert got == want, (seq.name, tf.n_modes, anti, ordering, target)
@@ -385,19 +422,6 @@ class TestCostModel:
         circ = tr.term_circuit(term)
         reduced = peephole_cancel(circ)
         assert np.abs(_circ_matrix(circ) - _circ_matrix(reduced)).max() < 1e-12
-
-    def test_fallback_accounting(self):
-        # no wire is shared by every string, so each block takes its own target
-        s1 = oracles.from_letters(3, {0: "Z", 1: "Z"}, 1.0)
-        s2 = oracles.from_letters(3, {1: "Z", 2: "Z"}, 1.0)
-        term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2), (), False)
-        choice = planner_oracles.fallback_choice(term)
-        assert choice.target is None
-        # the planner's count: each block at its own top wire
-        x, z = np.array([s1.xmask]), np.array([[s1.zmask, s2.zmask]])
-        cost = int(tr._costs(*tr._along(x, z, None, None))[0])
-        circ = tr.term_circuit(term)
-        assert metrics(peephole_cancel(circ)).two_qubit == choice.cost == cost == 4
 
 
 def _elision_cases():
@@ -462,7 +486,7 @@ class TestBoundaryElision:
         a Y wire, nothing on a Z wire."""
         for term, ordering, target in _elision_cases():
             strings = [term.strings[j] for j in ordering]
-            twos = _model(term, ordering, target).two_cnot_savings
+            _, twos, _ = _model(term, ordering, target)
             basis = 0
             for a, b in zip(strings, strings[1:]):
                 agree = tr._boundary_wires(a, b, target)[0]
@@ -472,15 +496,6 @@ class TestBoundaryElision:
             assert got.two_qubit == want.two_qubit - 2 * sum(twos)
             assert got.n_gates == want.n_gates - 2 * sum(twos) - basis
 
-    def test_per_string_targets_emit_whole_blocks(self):
-        s1 = oracles.from_letters(3, {0: "X", 1: "Z"}, 1.0)
-        s2 = oracles.from_letters(3, {0: "X", 1: "Z", 2: "Y"}, -1.0)
-        s3 = oracles.from_letters(3, {1: "Y", 2: "Y"}, 1.0)
-        term = tr.TrotterTerm(None, 3, 0.5, 0.5, (s1, s2, s3), (), False)
-        got = tr.term_circuit(term, (2, 0, 1))
-        want = oracles.term_circuit_reference(term, (2, 0, 1))
-        assert got.gates == want.gates
-
 
 def _words(term):
     return [oracles.letters(s) for s in term.strings]
@@ -488,15 +503,24 @@ def _words(term):
 
 def _model(term, ordering, target):
     """The planner's accounting of one term in one string order at one
-    target (``_along``), as a CostBreakdown."""
+    target (``_along``): each block's letter count, then each boundary's
+    agreeing and differing wire counts."""
+    return tuple(tuple(part[0].tolist()) for part in _along_one(term, ordering, target))
+
+
+def _along_one(term, ordering, target):
     x = np.array([term.strings[0].xmask], dtype=np.int64)
     z = np.array([[s.zmask for s in term.strings]], dtype=np.int64)
-    counted = tr._along(x, z, np.array([ordering]), np.array([target]))
-    return tr.CostBreakdown(*(tuple(part[0].tolist()) for part in counted))
+    return tr._along(x, z, np.array([ordering]), np.array([target]))
+
+
+def _cost(term, ordering, target):
+    """The planner's CNOT count of ``_model``'s accounting (``_costs``)."""
+    return int(tr._costs(*_along_one(term, ordering, target))[0])
 
 
 def _per_target(term):
-    """The dynamic program's choice at each eligible target of one term
+    """The dynamic program's Choice at each eligible target of one term
     (``_dp_paths``), all targets in one call."""
     targets = term.eligible_targets
     x = np.full(len(targets), term.strings[0].xmask, dtype=np.int64)
@@ -505,7 +529,7 @@ def _per_target(term):
     )
     paths = tr._dp_paths(x, z, np.array(targets, dtype=np.int64))
     return {
-        t: tr.IntraChoice(tuple(path), t, _model(term, path, t))
+        t: planner_oracles.Choice(tuple(path), _cost(term, path, t))
         for t, path in zip(targets, paths.tolist())
     }
 
@@ -533,7 +557,8 @@ class TestIntraOrder:
         cost, minima = oracles.intra_minima(_words(term), term.eligible_targets)
         assert _min_cost(term) == cost == 13
         target, ordering = minima[0]
-        assert _model(term, ordering, target).base == 48
+        weight, _, _ = _model(term, ordering, target)
+        assert 2 * (sum(weight) - len(weight)) == 48
         circ = tr.term_circuit(term, ordering, target)
         assert metrics(peephole_cancel(circ)).two_qubit == 13
 
@@ -814,12 +839,12 @@ class TestRelabeling:
 
 
 def _inter_order(terms, transform):
-    """The cross-term ordering of expanded terms: ``plan_ansatz``'s, with
+    """The class chains of expanded terms: ``plan_ansatz``'s, with
     compression off, on their excitations and angles."""
     config = tr.HeuristicConfig(bosonic=False, anti=terms[0].anti)
     plan = tr.plan_ansatz([t.source for t in terms], transform, [t.theta for t in terms], config)
     assert plan.terms == tuple(terms)
-    return plan.inter
+    return plan.classes
 
 
 class TestInterOrder:
@@ -832,45 +857,44 @@ class TestInterOrder:
 
     def test_shared_wire_forms_one_class(self):
         terms = self._singles([(4, 0), (6, 0), (5, 1)], 8)
-        plan = _inter_order(terms, Transform.jordan_wigner(8))
-        by_target = {cls.target: cls for cls in plan.classes}
+        classes = _inter_order(terms, Transform.jordan_wigner(8))
+        by_target = {cls.target: cls for cls in classes}
         assert set(by_target) == {0, 1}
         assert len(by_target[0].placements) == 2
         assert len(by_target[1].placements) == 1
-        assert plan.standalone == ()
 
     def test_tie_breaks_to_smallest_wire(self):
         terms = self._singles([(1, 0), (2, 0), (3, 1)], 4)
-        plan = _inter_order(terms, Transform.jordan_wigner(4))
-        assert [cls.target for cls in plan.classes] == [0, 1]
-        assert sorted(p.index for p in plan.classes[0].placements) == [0, 1]
-        assert [p.index for p in plan.classes[1].placements] == [2]
+        classes = _inter_order(terms, Transform.jordan_wigner(4))
+        assert [cls.target for cls in classes] == [0, 1]
+        assert sorted(p.index for p in classes[0].placements) == [0, 1]
+        assert [p.index for p in classes[1].placements] == [2]
 
     def test_members_partition_terms(self):
         pool = uccsd_pool((0, 1, 2, 3), (4, 5, 6, 7))
         jw = Transform.jordan_wigner(8)
         terms = [tr.expand_term(s, jw, 0.1, anti=True) for s in pool]
-        plan = _inter_order(terms, jw)
-        seen = [p.index for cls in plan.classes for p in cls.placements]
-        seen += [p.index for p in plan.standalone]
+        classes = _inter_order(terms, jw)
+        seen = [p.index for cls in classes for p in cls.placements]
         assert sorted(seen) == list(range(len(terms)))
-        for cls in plan.classes:
-            assert all(p.choice.target == cls.target for p in cls.placements)
+        for cls in classes:
+            for p in cls.placements:
+                assert p.cost == _cost(terms[p.index], p.ordering, cls.target)
             assert len(cls.junction_savings) == len(cls.placements) - 1
 
     def test_disjoint_supports_save_nothing(self):
         terms = self._singles([(1, 0), (3, 2), (5, 4)], 6)
-        plan = _inter_order(terms, Transform.jordan_wigner(6))
-        assert all(len(cls.placements) == 1 for cls in plan.classes)
-        assert all(cls.junction_savings == () for cls in plan.classes)
-        assert plan.cost == sum(_min_cost(t) for t in terms)
+        classes = _inter_order(terms, Transform.jordan_wigner(6))
+        assert all(len(cls.placements) == 1 for cls in classes)
+        assert all(cls.junction_savings == () for cls in classes)
+        assert sum(cls.cost for cls in classes) == sum(_min_cost(t) for t in terms)
 
     def test_chain_saves_over_isolated_blocks(self):
         terms = self._singles([(4, 0), (6, 0), (5, 0)], 8)
-        plan = _inter_order(terms, Transform.jordan_wigner(8))
+        classes = _inter_order(terms, Transform.jordan_wigner(8))
         isolated = sum(_min_cost(t) for t in terms)
-        assert plan.cost < isolated
-        assert sum(plan.classes[0].junction_savings) > 0
+        assert sum(cls.cost for cls in classes) < isolated
+        assert sum(classes[0].junction_savings) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1134,8 +1158,7 @@ class TestSynthesizeAnsatz:
         assert report["restoration_cnots"] == len(plan.touched_pairs)
         names = {m["term"] for cls in report["classes"] for m in cls["members"]}
         names |= {c["term"] for c in report["compressed"]}
-        names |= set(report["standalone"])
-        assert names == {s.name for s in pool}
+        assert names == {s.name for s in pool} and "standalone" not in report
         unemitted = tr.plan_ansatz(pool, Transform.jordan_wigner(4), [0.1, 0.2, 0.3])
         assert json.loads(json.dumps(tr.plan_report(unemitted))) == {k: v for k, v in report.items() if k != "metrics"}
 
@@ -1350,27 +1373,26 @@ class TestPlannerPins:
 
     @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
     def test_class_choices_match_reference(self, name):
-        """Each class member's choice is the reference path at the class's
-        target, read in its lexicographically smaller direction."""
+        """Each class member's string order is the reference path at the
+        class's target, read in its lexicographically smaller direction and
+        reversed when the member is, at the reference count."""
         n, n_e = _SV_MODES, _SV_ELECTRONS
         plan = tr.plan_ansatz(
             uccsd_pool(range(n_e), range(n_e, n)), _SV_ENCODINGS[name], occupied=range(n_e)
         )
         kept = [plan.terms[i] for i in plan.kept]
         placed = 0
-        for cls in plan.inter.classes:
+        for cls in plan.classes:
             for p in cls.placements:
                 savings = _reference_savings(kept[p.index].strings, cls.target)
                 _, path = oracles.max_path_reference(savings)
                 path = min(path, path[::-1])
-                want = tr.IntraChoice(
-                    path,
-                    cls.target,
-                    planner_oracles.cost_breakdown(kept[p.index], path, cls.target),
+                choice = planner_oracles.Choice(
+                    path, planner_oracles.model_cost(kept[p.index], path, cls.target)
                 )
-                assert p.choice == want
+                assert p == planner_oracles.placement(p.index, choice, p.reverse)
                 placed += 1
-        assert placed == len(kept) - len(plan.inter.standalone) > 0
+        assert placed == len(kept) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1480,7 +1502,7 @@ class TestArrayPlanner:
         )
         assert got.labels == want.labels and got.terms == want.terms
         assert got.kept == want.kept and got.compressed == want.compressed
-        assert got.inter == want.inter
+        assert got.classes == want.classes
         assert got.model_two_qubit == want.model_two_qubit
 
     def test_tied_chains_match_reference(self):
@@ -1515,8 +1537,8 @@ class TestArrayPlanner:
                 )
                 terms.append(tr.TrotterTerm(None, 3, 0.1, 0.1, strings, (0, 1, 2)))
                 ordering = tuple(rng.sample(range(k), k))
-                choices[i] = tr.IntraChoice(
-                    ordering, 0, planner_oracles.cost_breakdown(terms[i], ordering, 0)
+                choices[i] = planner_oracles.Choice(
+                    ordering, planner_oracles.model_cost(terms[i], ordering, 0)
                 )
             members = rng.sample(range(m), m)
             target = rng.randrange(3)
@@ -1567,11 +1589,11 @@ def _oriented(heads, tails):
 
 
 def _chain_class(terms, choices, members, target):
-    """One class chained by ``trotter._chains`` and read as ``_inter_plan``
+    """One class chained by ``trotter._chains`` and read as ``_class_plans``
     reads it, with its junction matrix."""
     m = len(members)
     if m == 1:
-        return tr.ClassPlan(target, (tr.TermPlacement(members[0], choices[members[0]]),), ()), None
+        return tr.ClassPlan(target, (planner_oracles.placement(members[0], choices[members[0]]),), ()), None
     heads, tails = (
         [
             (s.xmask, s.zmask)
@@ -1584,7 +1606,8 @@ def _chain_class(terms, choices, members, target):
     chain, savings = tr._chain_order(m, *(part[0].tolist() for part in record))
     assert sum(savings) == saved[0]
     placements = tuple(
-        tr.TermPlacement(members[o >> 1], choices[members[o >> 1]], bool(o & 1)) for o in chain
+        planner_oracles.placement(members[o >> 1], choices[members[o >> 1]], bool(o & 1))
+        for o in chain
     )
     junction = tr._junctions(
         tuple(a[None] for a in last), tuple(a[None] for a in first), np.array([target])
@@ -1675,13 +1698,13 @@ class TestBatchedCounts:
         assert [many([t])[0] for t in encodings] == want
 
     def test_counts_build_no_terms_or_strings(self, monkeypatch):
-        """Counting reads arrays only: no TrotterTerm, PauliString or
-        IntraChoice is built, for one encoding or many."""
+        """Counting reads arrays only: no TrotterTerm, PauliString,
+        TermPlacement or ClassPlan is built, for one encoding or many."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a count built a planner object")
 
-        for name in ("TrotterTerm", "PauliString", "IntraChoice", "CostBreakdown"):
+        for name in ("TrotterTerm", "PauliString", "TermPlacement", "ClassPlan"):
             monkeypatch.setattr(tr, name, forbidden)
         pool, occupied, encodings = _COUNT_SETS["8-modes"]
         want = _reference_counts("8-modes", "default")
@@ -1696,12 +1719,33 @@ class TestBatchedCounts:
             "6-modes", "default"
         )
 
+    def test_one_shot_occupied_is_read_once(self, monkeypatch):
+        """An iterator ``occupied`` counts as its tuple across stacks split
+        by the entry budget and through a relabeling descent.  Mode 0 alone
+        half-fills pair 0, which blocks compressing the doubles that empty
+        it, so a used-up iterator (no mode occupied) would count less."""
+        pool, _, encodings = _COUNT_SETS["8-modes"]
+        occupied = (0,)
+        monkeypatch.setattr(tr, "_DP_ENTRIES", 64)
+        want = tr.ansatz_two_qubit_costs(pool, encodings, occupied=occupied)
+        assert want != tr.ansatz_two_qubit_costs(pool, encodings, occupied=())
+        assert tr.ansatz_two_qubit_costs(pool, encodings, occupied=iter(occupied)) == want
+        cfg = tr.HeuristicConfig(relabel=True)
+        bk = Transform.bravyi_kitaev(8)
+        want = tr.relabel_levels(pool, bk, cfg, occupied=tuple(occupied))
+        assert tr.relabel_levels(pool, bk, cfg, occupied=iter(occupied)) == want
+        plan = tr.plan_ansatz(pool, bk, config=cfg, occupied=iter(occupied))
+        assert plan.labels == want
+        assert plan.model_two_qubit == tr.ansatz_two_qubit_cost(
+            pool, bk, cfg, occupied=iter(occupied)
+        )
+
     def test_empty_inputs(self):
         jw = Transform.jordan_wigner(4)
         assert tr.ansatz_two_qubit_costs(uccsd_pool((0, 1), (2, 3)), []) == []
         assert tr.ansatz_two_qubit_costs([], [jw, jw]) == [0, 0]
         plan = tr.plan_ansatz([], jw)
-        assert plan.model_two_qubit == 0 and plan.inter == tr.InterPlan((), ())
+        assert plan.model_two_qubit == 0 and plan.classes == ()
 
 
 class TestRelabeledPlans:

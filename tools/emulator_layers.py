@@ -50,7 +50,7 @@ from fqcc.fermions import build_hamiltonian, uccsd_pool  # noqa: E402
 from fqcc.paulis import CompiledSum  # noqa: E402
 from fqcc.simulate import (  # noqa: E402
     AnsatzOp, _apply_exponential, _energy_and_gradient, _occupation_image, apply_ansatz,
-    compile_generator, compile_generators, hf_state, spin_sector,
+    compile_generators, hf_state, spin_sector,
 )
 
 SYSTEMS = {"h2": "h2_sto3g", "water": "h2o_sto3g"}
@@ -107,7 +107,7 @@ def measure(ham, fock):
     x = np.array(ansatz.values)
     vec = apply_ansatz(reference, ansatz).amplitudes
     double = [s for s in pool if s.kind == "double"][-1]
-    kernel = compile_generator(double, n, sector, {})
+    kernel = compile_generators((double,), n, sector, {})[0]
     return {
         "sector_dim": len(sector),
         "h_strings": len(h_pauli),

@@ -25,8 +25,7 @@ the plans or over the one emission:
                  inside chaining
     emit         trotter.emit_circuit, the whole emission
     term_circuit trotter.term_circuit: one kept term's blocks
-    peephole     trotter.peephole_cancel: one class chain or standalone
-                 term, reduced
+    peephole     trotter.peephole_cancel: one class chain, reduced
     peephole_simple    circuits._simple_pass: one cancel-and-merge pass
     peephole_junction  circuits._junction_pass: one sandwich-rewrite pass
 
