@@ -8,6 +8,7 @@ orbital l sit on adjacent modes (2l, 2l+1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 _HERMITICITY_TOL = 1e-10
 
@@ -17,16 +18,24 @@ def spin_of(mode):
     return mode & 1
 
 
-@dataclass(frozen=True, slots=True)
-class LadderOp:
-    """A single creation (dagger=True) or annihilation operator."""
-
+class _Ladder(NamedTuple):
     mode: int
     dagger: bool
 
-    def __post_init__(self):
-        if self.mode < 0:
+
+class LadderOp(_Ladder):
+    """A single creation (dagger=True) or annihilation operator.
+
+    It is the (mode, dagger) pair that ``Transform.map_operator`` reads, so
+    a term's ops are mapped as they are, without being rebuilt.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, mode, dagger):
+        if mode < 0:
             raise ValueError("mode must be non-negative")
+        return super().__new__(cls, mode, dagger)
 
     def adjoint(self):
         return LadderOp(self.mode, not self.dagger)
@@ -77,10 +86,8 @@ class FermionOperator:
         """Map through a fermion-to-qubit transform to a PauliSum."""
         if transform.n_modes != self.n_modes:
             raise ValueError("transform mode count does not match operator")
-        raw = [
-            (t.coefficient, tuple((op.mode, op.dagger) for op in t.ops))
-            for t in self.terms
-        ]
+        # each term's ops are already (mode, dagger) pairs (``LadderOp``)
+        raw = [(t.coefficient, t.ops) for t in self.terms]
         return transform.map_operator(raw, constant=self.constant)
 
 

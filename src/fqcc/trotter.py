@@ -36,13 +36,13 @@ class's target, and the plan is its class chains.  This module provides:
   ``frame_stack``), each with an integer power of i (no complex arithmetic
   and no merge; T+ is the conjugate on the same strings), and each term's
   strings sorted on mask keys,
-- ``term_circuit``: circuit emission through one block emitter that
-  reads each string's letters from its masks and appends shared,
-  already-validated H / S / Sdg / CNOT gates
-  (``circuits.shared_gate``); only the Rz of each rotation is built per
-  angle, no gate is re-validated on its way into the circuit, and the
-  gates that cancel at a boundary between a term's blocks are never
-  emitted,
+- ``term_circuit``: one term's circuit through the chain emitter
+  (``_emit_chain``), which reads each string's letters from its masks and
+  appends shared, already-validated H / S / Sdg / CNOT gates
+  (``circuits.shared_gate``); only the Rz of each rotation and the Z
+  rotations of a junction rewrite are built per angle, no gate is
+  re-validated on its way into the circuit, and no gate that the
+  peephole would cancel is emitted,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the per-term string order
   is found only at each term's class target, for all terms of all
@@ -72,15 +72,16 @@ class's target, and the plan is its class chains.  This module provides:
 The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
-where they differ and neither is identity (``_boundary_wires``).  Inside a
-term at a shared target, ``term_circuit`` realizes the two-CNOT savings as
-it emits: on an agreeing wire the closing CNOT and basis undo of one block
-and the basis change and opening CNOT of the next are left out, which is
-exact because the strings of a term share their x mask (see
-``term_circuit``).  ``peephole_cancel`` realizes the one-CNOT savings and
-the savings at junctions between chained terms, so model and circuit agree
-gate-for-gate.  The expansion and the planner, chain junctions included,
-read letters only through the strings' bit masks.
+where they differ and neither is identity (``_boundary_wires``).  The
+emitter realizes every one of them as it emits, the same way at every
+boundary of a class chain, inside a term or at a junction between terms
+(``_emit_chain``): an agreeing wire's CNOT pair and basis gates are left
+out, and a differing wire's pair becomes the one CNOT of
+``peephole_cancel``'s junction rewrite.  Each chain comes out in the form
+the peephole leaves it, so the peephole, still the last step of each
+chain, changes nothing, and model and circuit agree gate-for-gate.  The
+expansion, the planner and the emitter read letters only through the
+strings' bit masks.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
+from .circuits import _INVERSE, _junction_rewrite, _norm_angle, _xx_half_gates
 from .fermions import OrbitalSequence
 from .paulis import PauliString
 from .transform import _popcount, frame_stack, ladder_products
@@ -338,59 +340,155 @@ def _wires(mask):
     return out
 
 
-def _emit_block(gates, string, rz, held_in=0, held_out=0):
-    """Append exp(-i theta/2 * string) to ``gates``, ``rz`` being its Rz(theta).
+# a letter's basis change and undo, indexed by its x bit + 2 * its z bit (I, X, Z, Y)
+_CHANGE = ((), ("H",), (), ("Sdg", "H"))
+_UNDO = ((), ("H",), (), ("H", "S"))
 
-    The ladder targets the wire ``rz`` acts on.  Letters are read from the
-    masks: an X wire is wound with H, a Y wire with Sdg then H, a Z wire
-    with nothing.  Every gate but ``rz`` is a ``shared_gate``.
 
-    ``held_in`` and ``held_out`` mask non-target wires that the previous
-    and the next block of the same target wind with the same letter: on
-    them the basis change and ladder CNOT (``held_in``), or the ladder CNOT
-    and basis undo (``held_out``), are left out, as the neighbouring block
-    leaves them in place.
+@lru_cache(maxsize=None)
+def _run_rewrite(run):
+    """``_junction_rewrite`` of a control run given as its gate kinds."""
+    return _junction_rewrite([shared_gate(kind, (0,)) for kind in run])
+
+
+def _emit_chain(chain, target, n):
+    """The gates and global phase of a chain of rotations at one target,
+    in the form ``peephole_cancel`` leaves them.
+
+    ``chain`` lists (x mask, z mask, angle) per string, each string the
+    rotation exp(-i angle/2 * P).  A string's block is its basis change
+    (X: H; Y: Sdg then H), the CNOT ladder onto ``target`` in ascending
+    wire order, Rz, the ladder descending and the basis undo.  The target
+    must be X or Y in every string, or Z in every string, so that its
+    one-qubit run between two ladders commutes with X, as an expanded
+    term's eligible target is.  At each boundary between strings, on each
+    wire other than the target where both act (``_boundary_wires``), the
+    first block's closing CNOT and undo and the second's change are left
+    out; an agreeing wire also loses the opening CNOT, and a differing
+    wire's opening CNOT becomes the peephole's junction rewrite of its
+    control run, the undo followed by the change (``_junction_rewrite``,
+    memoised per run), whose phase factor is multiplied in.
+
+    The S of a Y undo on a wire cancels the Sdg of its next Y change when
+    only Z and identity letters lie between, as every gate on the wire
+    between them is diagonal; a control run holding either loses it.
+    Every other one-qubit Clifford cancels on append: an H against an H
+    just before it on its wire, an S, Sdg or Z against its inverse found
+    back through diagonal gates and CNOT controls.  Each Rz angle is folded
+    by ``_norm_angle``, its phase multiplied in; an angle that folds to 0
+    drops the Rz, and the peephole may then cancel more than these rules.
     """
-    x, z = string.xmask, string.zmask
-    target = rz.qubits[0]
-    support = x | z
-    opening = _wires(support & ~held_in)
-    closing = _wires(support & ~held_out)
-    for q in opening:
-        if x >> q & 1:
-            if z >> q & 1:
-                gates.append(shared_gate("Sdg", (q,)))
-            gates.append(shared_gate("H", (q,)))
-    gates += [shared_gate("CNOT", (q, target)) for q in opening if q != target]
-    gates.append(rz)
-    closing.reverse()
-    gates += [shared_gate("CNOT", (q, target)) for q in closing if q != target]
-    for q in closing:
-        if x >> q & 1:
-            gates.append(shared_gate("H", (q,)))
-            if z >> q & 1:
-                gates.append(shared_gate("S", (q,)))
+    t = target
+    tbit = 1 << t
+    m = len(chain)
+    # drop_sdg[j] and drop_s[j]: the wires whose Y change before string j,
+    # or Y undo after it, cancels across Z and identity letters
+    ys = [x & z & ~tbit for x, z, _ in chain]
+    drop_sdg, drop_s = [0] * m, [0] * m
+    pending = 0
+    for j, (x, _, _) in enumerate(chain):
+        if j:
+            drop_sdg[j] = pending & ys[j] & ~ys[j - 1]
+        pending = (pending & ~x) | ys[j]
+    pending = 0
+    for j in range(m - 1, -1, -1):
+        if j < m - 1:
+            drop_s[j] = pending & ys[j] & ~ys[j + 1]
+        pending = (pending & ~chain[j][0]) | ys[j]
+
+    gates = []
+    stacks = [[] for _ in range(n)]  # the live gates on each wire, by index
+    phase = complex(1.0)
+
+    def put(g):
+        for q in g.qubits:
+            stacks[q].append(len(gates))
+        gates.append(g)
+
+    def clifford(kind, q):
+        stack = stacks[q]
+        if kind == "H":
+            if stack and gates[stack[-1]].kind == "H":
+                gates[stack.pop()] = None
+                return
+        else:
+            inverse = _INVERSE[kind]
+            for k in range(len(stack) - 1, -1, -1):
+                g = gates[stack[k]]
+                if g.kind == inverse:
+                    gates[stack.pop(k)] = None
+                    return
+                if g.kind == "H" or g.kind == "CNOT" and g.qubits[1] == q:
+                    break
+        put(shared_gate(kind, (q,)))
+
+    def diagonal(spec, q):
+        kind, theta = spec
+        if theta is None:
+            clifford(kind, q)
+        else:
+            put(Gate(kind, (q,), theta))
+
+    def close(x, z, wires, drop):
+        for q in reversed(_wires(wires & ~tbit)):
+            put(shared_gate("CNOT", (q, t)))
+        for q in reversed(_wires(wires & x)):
+            clifford("H", q)
+            if z >> q & 1 and not drop >> q & 1:
+                clifford("S", q)
+
+    px = pz = 0
+    for j, (x, z, theta) in enumerate(chain):
+        support = x | z
+        both = (px | pz) & support & ~tbit
+        differ = both & ((px ^ x) | (pz ^ z))
+        if j:
+            close(px, pz, (px | pz) & ~both, drop_s[j - 1])
+        for q in _wires(support & ~both & x):
+            if z >> q & 1 and not drop_sdg[j] >> q & 1:
+                clifford("Sdg", q)
+            clifford("H", q)
+        for q in _wires(support & ~tbit):
+            if differ >> q & 1:
+                undo = _UNDO[(px >> q & 1) | (pz >> q & 1) << 1]
+                change = _CHANGE[(x >> q & 1) | (z >> q & 1) << 1]
+                if drop_s[j - 1] >> q & 1:
+                    undo = undo[:1]
+                if drop_sdg[j] >> q & 1:
+                    change = change[1:]
+                pre, positive, post, factor = _run_rewrite(undo + change)
+                if pre is not None:
+                    diagonal(pre, q)
+                for g in _xx_half_gates(q, t, positive):
+                    if g.kind == "CNOT":
+                        put(g)
+                    else:
+                        clifford(g.kind, g.qubits[0])
+                if post is not None:
+                    diagonal(post, q)
+                phase *= factor
+            elif not both >> q & 1:
+                put(shared_gate("CNOT", (q, t)))
+        rem, ph = _norm_angle(theta)
+        phase *= ph
+        if abs(rem) >= 1e-12:
+            put(Gate("Rz", (t,), rem))
+        px, pz = x, z
+    if m:
+        close(px, pz, px | pz, 0)
+    return [g for g in gates if g is not None], phase
 
 
 def term_circuit(term, ordering=None, target=None):
-    """Blocks for every rotation of ``term``, sharing one ladder target.
+    """The blocks of every rotation of ``term`` at one ladder target, as
+    ``peephole_cancel`` leaves them: ``_emit_chain`` of its strings.
 
     ``ordering`` permutes the stored strings; ``target`` defaults to the
     first eligible wire and must carry a letter in every string.  A term
     with no eligible target and no ``target`` raises ``ValueError``; no
-    expanded term is one (see the module docstring).
-
-    Each boundary between consecutive blocks leaves out, on every wire
-    where both strings carry the same letter (``_boundary_wires``), the
-    first block's closing CNOT and basis undo and the second's basis
-    change and opening CNOT: the two-CNOT saving of the cost model.  This
-    is exact.  The basis undo and change cancel on that wire, and the CNOT
-    pair commutes with everything between it: the strings of one term
-    share their x mask, so the target is X or Y in both strings or Z in
-    both, and its one-qubit run between the CNOTs commutes with X (it is
-    empty, H H, or an X rotation such as H Sdg H), as do the other ladder
-    CNOTs, which act on it as targets.  ``peephole_cancel`` realizes the
-    one-CNOT savings.
+    expanded term is one (see the module docstring).  The strings of one
+    term share their x mask, so the target is X or Y in all of them or Z
+    in all of them, as ``_emit_chain`` needs.
     """
     n = term.n_qubits
     order = tuple(ordering) if ordering is not None else tuple(range(len(term.strings)))
@@ -408,15 +506,13 @@ def term_circuit(term, ordering=None, target=None):
         raise ValueError(f"term does not fit on {n} wires")
     if not common >> target & 1:
         raise ValueError(f"target {target} carries identity in a string of the term")
-    strings = [term.strings[j] for j in order]
-    # held[j]: the wires blocks j - 1 and j wind alike; none at either end
-    held = [0] * (len(strings) + 1)
-    held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
-    gates = []
-    for j, string in enumerate(strings):
-        rz = Gate("Rz", (target,), term.angle * string.coeff.real)
-        _emit_block(gates, string, rz, held[j], held[j + 1])
-    return Circuit(n, 0, gates)
+    return Circuit(n, 0, *_emit_chain(_rotations(term, order), target, n))
+
+
+def _rotations(term, ordering):
+    """(x mask, z mask, angle) of each of ``term``'s strings in ``ordering``."""
+    strings = map(term.strings.__getitem__, ordering)
+    return [(s.xmask, s.zmask, term.angle * s.coeff.real) for s in strings]
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +525,7 @@ def _boundary_wires(first, second, target):
     strings act, with the same letter or with different ones.
 
     The model saves two CNOTs on each ``agree`` wire and one on each
-    ``differ`` wire; ``term_circuit`` leaves the ``agree`` wires' gates
-    out of the blocks it emits.
+    ``differ`` wire, and the emitter (``_emit_chain``) takes both savings.
     """
     both = (first.xmask | first.zmask) & (second.xmask | second.zmask) & ~(1 << target)
     diff = (first.xmask ^ second.xmask) | (first.zmask ^ second.zmask)
@@ -1315,15 +1410,15 @@ def emit_circuit(plan):
     """The circuit of a plan, in ``plan.order``.
 
     Compressed blocks lead, followed by the restoration fan-out, then one
-    block per class chain, every term at its class's target.
-    ``term_circuit`` emits each term with the two-CNOT savings between its
-    own blocks already taken, and ``peephole_cancel`` then reduces each
-    chain, realizing the remaining savings that ``plan.model_two_qubit``
-    counts: the one-CNOT ones and those at the junctions between chained
-    terms, which are emitted whole.  Compressed blocks act in the
-    Jordan-Wigner frame and kept terms in the transform's, and no basis
-    change is emitted between the two: under a non-identity encoding with
-    compressed terms the circuit is not yet the ansatz.
+    block per class chain, every term at its class's target.  Each chain's
+    strings, in placement order, are emitted at once (``_emit_chain``)
+    with every saving that ``plan.model_two_qubit`` counts taken, at the
+    junctions between terms as inside them, in the form ``peephole_cancel``
+    leaves them; the peephole then reduces each chain and finds nothing
+    left to do.  Compressed blocks act in the Jordan-Wigner frame and kept
+    terms in the transform's, and no basis change is emitted between the
+    two: under a non-identity encoding with compressed terms the circuit
+    is not yet the ansatz.
     """
     n = plan.n_qubits
     # every part is built on the plan's n wires, so its gates are appended unchecked
@@ -1332,11 +1427,10 @@ def emit_circuit(plan):
         circ.gates += compressed_circuit(cterm, n).gates
     circ.gates += restoration_circuit(plan.touched_pairs, n).gates
     for cls in plan.classes:
-        block = Circuit(n)
+        chain = []
         for p in cls.placements:
-            term = plan.terms[plan.kept[p.index]]
-            block.gates += term_circuit(term, p.ordering, cls.target).gates
-        block = peephole_cancel(block)
+            chain += _rotations(plan.terms[plan.kept[p.index]], p.ordering)
+        block = peephole_cancel(Circuit(n, 0, *_emit_chain(chain, cls.target, n)))
         circ.gates += block.gates
         circ.global_phase *= block.global_phase
     return circ

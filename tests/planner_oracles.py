@@ -11,7 +11,9 @@ strings built first, then each stage on their masks, and
 batched cost.  ``cost_breakdown``, ``model_cost`` and ``unchained``
 recount a term's accounting from its strings, as the planner once did.
 A ``Choice`` is one term's string order and CNOT count at one target, and
-``placement`` puts it in a chain.
+``placement`` puts it in a chain.  ``emit_circuit_reference`` keeps the
+emitter as it ran before each chain was emitted at the peephole's
+fixpoint: whole blocks at the junctions, reduced by ``peephole_cancel``.
 
 They live apart from ``oracles``, which the benchmark's HMP2 workload
 imports for its FCI reference: a process that imports a module without
@@ -593,3 +595,92 @@ def plan_count_per_encoding(seqs, transform, config=None, *, occupied=None):
         if best_labels is None:
             return cost
         labels, cost = best_labels, best_cost
+
+
+# ---------------------------------------------------------------------------
+# the emitter as it ran before each chain was emitted at the fixpoint
+# ---------------------------------------------------------------------------
+#
+# Each term's blocks with only the two-CNOT savings inside the term left
+# out, the terms of a class chain concatenated whole, and each chain
+# reduced by ``peephole_cancel``: the one-CNOT savings and every saving at
+# a junction between terms were realized by the peephole.
+
+
+def _wires(mask):
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+def _emit_block_reference(gates, string, rz, held_in=0, held_out=0):
+    """One string's block: basis change, CNOT ladder, ``rz``, ladder and
+    basis undo, leaving out the change and opening CNOT on ``held_in``
+    wires and the closing CNOT and undo on ``held_out`` wires."""
+    from fqcc.circuits import shared_gate
+
+    x, z = string.xmask, string.zmask
+    target = rz.qubits[0]
+    support = x | z
+    opening = _wires(support & ~held_in)
+    closing = _wires(support & ~held_out)
+    for q in opening:
+        if x >> q & 1:
+            if z >> q & 1:
+                gates.append(shared_gate("Sdg", (q,)))
+            gates.append(shared_gate("H", (q,)))
+    gates += [shared_gate("CNOT", (q, target)) for q in opening if q != target]
+    gates.append(rz)
+    closing.reverse()
+    gates += [shared_gate("CNOT", (q, target)) for q in closing if q != target]
+    for q in closing:
+        if x >> q & 1:
+            gates.append(shared_gate("H", (q,)))
+            if z >> q & 1:
+                gates.append(shared_gate("S", (q,)))
+
+
+def term_blocks_reference(term, ordering, target):
+    """One term's blocks at ``target`` in ``ordering``, each boundary's
+    agreeing wires left out (``trotter._boundary_wires``), as the gate list
+    ``term_circuit`` once returned before any peephole."""
+    from fqcc.circuits import Gate
+    from fqcc.trotter import _boundary_wires
+
+    strings = [term.strings[j] for j in ordering]
+    held = [0] * (len(strings) + 1)
+    held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
+    gates = []
+    for j, string in enumerate(strings):
+        rz = Gate("Rz", (target,), term.angle * string.coeff.real)
+        _emit_block_reference(gates, string, rz, held[j], held[j + 1])
+    return gates
+
+
+def chain_blocks_reference(plan, cls):
+    """The unreduced circuit of one class chain: every placed term's
+    ``term_blocks_reference``, whole at the junctions."""
+    from fqcc.circuits import Circuit
+
+    gates = []
+    for p in cls.placements:
+        term = plan.terms[plan.kept[p.index]]
+        gates += term_blocks_reference(term, p.ordering, cls.target)
+    return Circuit(plan.n_qubits, 0, gates)
+
+
+def emit_circuit_reference(plan):
+    """``trotter.emit_circuit`` as it once ran: compressed blocks, the
+    restoration fan-out, then each chain's ``chain_blocks_reference``
+    through ``peephole_cancel``."""
+    from fqcc.circuits import Circuit, peephole_cancel
+    from fqcc.trotter import compressed_circuit, restoration_circuit
+
+    n = plan.n_qubits
+    circ = Circuit(n)
+    for cterm in plan.compressed:
+        circ.gates += compressed_circuit(cterm, n).gates
+    circ.gates += restoration_circuit(plan.touched_pairs, n).gates
+    for cls in plan.classes:
+        block = peephole_cancel(chain_blocks_reference(plan, cls))
+        circ.gates += block.gates
+        circ.global_phase *= block.global_phase
+    return circ

@@ -55,24 +55,23 @@ def test_planner_layers_reports_h4():
         # matrices built inside it
         assert layers["chaining_calls"] == layers["junctions_calls"] == 3
         assert layers["junctions_s"] < layers["chaining_s"] < layers["ordering_s"]
-        # one emission: a term circuit per kept term, a peephole per block
+        # one emission: each class chain emitted, then confirmed by a peephole
         assert layers["emit_calls"] == 1
-        assert 0 < layers["peephole_calls"] <= layers["term_circuit_calls"] <= 26
-        # the peephole never adds a two-qubit gate; junction rewrites may add
-        # one-qubit gates, so the gate count may grow
-        assert 0 < layers["peephole_two_qubit_out"] <= layers["peephole_two_qubit_in"]
-        # each peephole call runs both passes at least once and drops at
-        # most its last junction pass
+        assert 0 < layers["chain_calls"] == layers["peephole_calls"] <= 26
+        assert layers["chain_s"] < layers["emit_s"]
+        # the peephole changes nothing, after one pass of each kind
+        assert 0 < layers["peephole_gates_out"] == layers["peephole_gates_in"]
+        assert 0 < layers["peephole_two_qubit_out"] == layers["peephole_two_qubit_in"]
         calls, simple, junction = (
             layers[f"peephole{part}_calls"] for part in ("", "_simple", "_junction")
         )
-        assert calls <= junction <= simple <= junction + calls
+        assert calls == junction == simple
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (
                 "plan", "expand", "frame", "compression", "ordering", "held_karp", "dp", "chaining",
                 "junctions",
-                "emit", "term_circuit", "peephole", "peephole_simple", "peephole_junction",
+                "emit", "chain", "peephole", "peephole_simple", "peephole_junction",
             )
         )
 

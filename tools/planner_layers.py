@@ -24,8 +24,9 @@ the plans or over the one emission:
     junctions    trotter._junctions: those classes' junction matrices,
                  inside chaining
     emit         trotter.emit_circuit, the whole emission
-    term_circuit trotter.term_circuit: one kept term's blocks
-    peephole     trotter.peephole_cancel: one class chain, reduced
+    chain        trotter._emit_chain: one class chain's gates, emitted in
+                 the form the peephole leaves them
+    peephole     trotter.peephole_cancel: one class chain, confirmed
     peephole_simple    circuits._simple_pass: one cancel-and-merge pass
     peephole_junction  circuits._junction_pass: one sandwich-rewrite pass
 
@@ -39,16 +40,15 @@ the counts agree.
 
 Each peephole call runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
-the previous one left unchanged.
+the previous one left unchanged.  The chain emitter already takes every
+saving the peephole would, so the peephole only confirms: on each chain
+it changes nothing and stops after one simple pass and one junction pass.
 
 ``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
 peephole was given and returned, and ``peephole_two_qubit_in`` and
-``peephole_two_qubit_out`` their two-qubit gates.  ``term_circuit`` hands
-the peephole its blocks with each boundary's agreeing wires already
-cancelled (the model's two-CNOT savings), and the peephole's junction
-rewrites add one-qubit gates, so ``peephole_gates_out`` may exceed
-``peephole_gates_in``; the two-qubit count never grows.  The counting
-runs outside the peephole's time and inside the emission's.  Everything
+``peephole_two_qubit_out`` their two-qubit gates; as the peephole
+confirms, each pair is equal.  The counting runs outside the peephole's
+time and inside the emission's.  Everything
 runs in this one process on one thread, so ``workers`` is 1.  The
 checkout's ``src`` is imported, not an installed fqcc.
 
@@ -86,7 +86,7 @@ LAYERS = {
     "chaining": (trotter, "_chains"),
     "junctions": (trotter, "_junctions"),
     "emit": (trotter, "emit_circuit"),
-    "term_circuit": (trotter, "term_circuit"),
+    "chain": (trotter, "_emit_chain"),
     "peephole": (trotter, "peephole_cancel"),
     "peephole_simple": (circuits, "_simple_pass"),
     "peephole_junction": (circuits, "_junction_pass"),
