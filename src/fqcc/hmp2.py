@@ -64,9 +64,9 @@ from .fermions import (
     build_hamiltonian,
     uccsd_pool,
 )
-from .paulis import CompiledSum, _shifted
+from .paulis import CompiledSum, RowKernel, _shifted
 from .simulate import (
-    AnsatzOp, RowKernel, Statevector, _apply_exponential, _check_space, _occupation_image,
+    AnsatzOp, Statevector, _check_space, _occupation_image, _run_terms, _sweep_terms,
     apply_ansatz, compile_generators, hf_state, spin_sector, vqe_minimize,
 )
 
@@ -394,7 +394,7 @@ def _resolved_sign_guess(h_compiled, state, kernel, guess):
     """
     best_value, best_energy = 0.0, math.inf
     for value in (guess, -guess):
-        trial = _apply_exponential(kernel, value, state.amplitudes)
+        trial = _run_terms(_sweep_terms((kernel,), (value,)), state.amplitudes)
         energy = float(np.real(h_compiled.expectation(trial)))
         if energy < best_energy:
             best_value, best_energy = value, energy

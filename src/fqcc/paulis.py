@@ -7,11 +7,13 @@ order.  A string is stored as a pair of masks: bit q of ``xmask`` /
 10, Z = 01, Y = 11, I = 00).  Qubit 0 is the least significant bit of a basis index,
 i.e. the rightmost tensor factor.
 
-``CompiledSum`` is the statevector kernel: a sum frozen into a row layout
-of its matrix's nonzeros, applied with one gather, one multiply and one
-row sum, on all 2^n basis states or on a sector of them.  It adds each
-row's entries in the order of its X-mask groups, so its results are those
-of applying one group at a time, bit for bit.
+``RowKernel`` is the emulator's one kernel type: an operator laid out by
+rows, applied with one gather, one multiply and one row sum, on all 2^n
+basis states or on a sector of them.  ``CompiledSum`` is a sum frozen into
+that layout, its matrix's nonzeros row by row.  It adds each row's entries
+in the order of its X-mask groups, so its results are those of applying
+one group at a time, bit for bit.  A layout above ``_ENTRY_LIMIT`` stored
+nonzeros is rejected.
 """
 
 from __future__ import annotations
@@ -208,121 +210,132 @@ def _pack(tables, columns):
     return values, index, len(row)
 
 
-class CompiledSum:
-    """A PauliSum frozen into flat arrays for fast statevector application.
+@dataclass(frozen=True, slots=True, eq=False)
+class RowKernel:
+    """An operator by rows, the emulator's one kernel layout: ``values`` and
+    ``columns`` are (width, dim) arrays, and column r holds row r's entries
+    and the indices of the amplitudes they multiply, so an apply is one
+    gather, one multiply and a ``sum(axis=0)`` in slot order.  A row with
+    fewer entries than the width is padded with 0 times its own amplitude.
+
+    Three operators take this form: a Pauli sum (``CompiledSum``), an
+    excitation generator K of width 1 (``simulate.compile_generators``),
+    which also carries ``square``, the diagonal of K^2, and Zt
+    (``hmp2.ztilde_operator``), which stacks one weighted generator row per
+    term.  ``sector`` is None on all 2^n basis states, or the sorted basis
+    indices the vectors are restricted to, one amplitude per sector state.
+    """
+
+    n_qubits: int
+    sector: np.ndarray | None
+    values: np.ndarray
+    columns: np.ndarray
+    square: np.ndarray | None = None
+
+    def __len__(self):
+        return len(self.values)
+
+    def apply(self, vec):
+        """Return (operator) @ vec: one gather over the row layout."""
+        return (self.values * vec[self.columns]).sum(axis=0)
+
+    def expectation(self, vec):
+        return complex(np.vdot(vec, self.apply(vec)))
+
+
+def _tables(op: PauliSum, sector):
+    """(tables, columns), each (groups, dim): every X-mask group's phase
+    table and its rows' partner columns, on all 2^n basis states or on
+    ``sector``, in group order (the order of first appearance among
+    ``op``'s terms).
+
+    String (x, z) with coefficient c maps basis state r to r ^ x with the
+    factor w * (-1)^parity(r & z), w = c * i^popcount(x & z).  Group f's
+    table at row r sums w * (-1)^parity((r ^ f) & z) over its strings in
+    term order, one string at a time, for blocks of groups at once
+    (``_ordered_sums``, most strings first, up to ``_BLOCK_ENTRIES``
+    entries a block), so each entry equals that of a loop over the groups
+    and their strings (``oracles.compiled_tables_loop``).  On a sector, the
+    entries of rows whose partner r ^ f is outside it, and the table at
+    those partners, w * (-1)^parity(r & z) summed alike, are the matrix
+    elements out of the sector and into it that the sum drops.
+    """
+    dim = 1 << op.n_qubits if sector is None else len(sector)
+    if not op._terms:
+        return np.zeros((0, dim), dtype=np.complex128), np.zeros((0, dim), dtype=np.intp)
+    keys = np.array(list(op._terms), dtype=np.int64)
+    weights = np.array(
+        [c * 1j ** ((x & z).bit_count() % 4) for (x, z), c in op._terms.items()],
+        dtype=np.complex128,
+    )
+    points = np.arange(dim, dtype=np.int64) if sector is None else sector
+    flips, first, group = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    flips = flips[by_first]
+    group = np.argsort(by_first)[group]
+    counts = np.bincount(group, minlength=len(flips))
+    # group g's strings, in order, are strings[starts[g] : starts[g] + counts[g]]
+    strings = np.argsort(group, kind="stable")
+    starts = np.cumsum(counts) - counts
+    partners = points ^ flips[:, None]
+    if sector is not None:
+        columns = np.minimum(np.searchsorted(sector, partners), dim - 1)
+        outside = sector[columns] != partners
+        leaks = np.zeros(len(flips))
+    else:
+        columns = partners.astype(np.intp)
+    tables = np.empty(partners.shape, dtype=np.complex128)
+    most = np.argsort(-counts, kind="stable")
+    block = max(_BLOCK_ENTRIES // dim, 1)
+    for start in range(0, len(most), block):
+        g = most[start : start + block]
+        parts = (counts[g], starts[g], strings, keys[:, 1], weights, op.n_qubits)
+        tables[g] = _ordered_sums(partners[g], *parts)
+        if sector is not None:
+            into = _ordered_sums(np.broadcast_to(points, (len(g), dim)), *parts)
+            leak = np.maximum(np.abs(tables[g]), np.abs(into))
+            leaks[g] = np.where(outside[g], leak, 0.0).max(axis=1)
+    if sector is not None:
+        bad = np.flatnonzero(leaks > SECTOR_TOL)
+        if bad.size:
+            raise ValueError(
+                f"operator couples the sector to states outside it "
+                f"(matrix element {leaks[bad[0]]:.3g})"
+            )
+        tables[outside] = 0.0
+    return tables, columns
+
+
+class CompiledSum(RowKernel):
+    """A PauliSum frozen into the row layout of its matrix's nonzeros.
 
     Strings sharing an X-mask are the same index permutation, so their
     phases fold into one table per X-mask group: the group's matrix is
     diag(table) times that permutation.  The sum keeps only the tables'
-    nonzeros, laid out by row: ``values`` and ``columns`` are (width, dim)
-    arrays whose column r holds row r's nonzeros in group order, padded
-    with zeros to the widest row (81 for water's Hamiltonian on its spin
-    sector).  The tables are built by array passes over blocks of groups
-    (``_tables``) that add each entry's strings in member order, so they
-    equal those of a loop over the groups and their strings bit for bit
-    (``oracles.compiled_tables_loop``).  An apply is then one gather, one
-    multiply and one ``sum(axis=0)``.  That sum adds each row's entries in
-    slot order, i.e. in group order, exactly as a loop adding one group's
-    ``table * vec[partner]`` at a time would, and the padding adds exact
-    zeros, so the result does not depend on the layout bit for bit
-    (``oracles.compiled_apply_reference`` keeps that loop).  A sum with more
-    than ``_ENTRY_LIMIT`` nonzeros keeps no layout and rebuilds it on each
-    apply; ``values`` and ``columns`` are then None.
+    nonzeros (``_tables``, then ``_pack``), laid out by row in group order
+    and padded with zeros to the widest row (81 for water's Hamiltonian on
+    its spin sector).  An apply's ``sum(axis=0)`` therefore adds each row's
+    entries in group order, exactly as a loop adding one group's ``table *
+    vec[partner]`` at a time would, and the padding adds exact zeros, so the
+    result does not depend on the layout bit for bit
+    (``oracles.compiled_apply_reference`` keeps that loop).  A layout of
+    more than ``_ENTRY_LIMIT`` nonzeros raises ``ValueError``.
 
-    With a ``sector`` (the sorted basis indices a vector is restricted to,
-    e.g. the encoded fixed-(N_alpha, N_beta) determinants) vectors hold one
-    amplitude per sector state, and columns are the sector positions of
-    each state's partners.  Compiling onto a sector raises ``ValueError``
-    when the operator couples it to states outside it by more than
-    ``SECTOR_TOL``; the entries below that are dropped.
+    With a ``sector``, columns are the sector positions of each state's
+    partners.  Compiling onto a sector raises ``ValueError`` when the
+    operator couples it to states outside it by more than ``SECTOR_TOL``;
+    the entries below that are dropped.
     """
 
-    __slots__ = ("n_qubits", "sector", "flips", "masks", "weights", "values", "columns")
+    __slots__ = ()
 
     def __init__(self, op: PauliSum, sector=None):
         if op.n_qubits > 60:
             raise ValueError("compiled kernel supports at most 60 qubits")
-        flips, masks, weights = [], [], []
-        for (x, z), c in op._terms.items():
-            flips.append(x)
-            masks.append(z)
-            weights.append(c * 1j ** ((x & z).bit_count() % 4))
-        self.n_qubits = op.n_qubits
-        self.sector = None if sector is None else np.asarray(sector, dtype=np.int64)
-        self.flips = np.asarray(flips, dtype=np.int64)
-        self.masks = np.asarray(masks, dtype=np.int64)
-        self.weights = np.asarray(weights, dtype=np.complex128)
-        values, columns, nonzeros = _pack(*self._tables())
-        kept = nonzeros <= _ENTRY_LIMIT
-        self.values = values if kept else None
-        self.columns = columns if kept else None
-
-    @property
-    def dim(self):
-        """Length of the vectors this sum acts on."""
-        return 1 << self.n_qubits if self.sector is None else len(self.sector)
-
-    def _tables(self):
-        """(tables, columns), each (groups, dim): every X-mask group's phase
-        table and its rows' partner columns, in group order (the order of
-        first appearance in ``flips``).
-
-        Group f's table at row r sums w * (-1)^parity((r ^ f) & m) over its
-        strings in ``flips`` order, one string at a time, for blocks of
-        groups at once (``_ordered_sums``, most strings first, up to
-        ``_BLOCK_ENTRIES`` entries a block), so each entry equals that of a
-        loop over the groups and their strings
-        (``oracles.compiled_tables_loop``).  On a sector, the entries of rows
-        whose partner r ^ f is outside it, and the table at those partners,
-        w * (-1)^parity(r & m) summed alike, are the matrix elements out of
-        the sector and into it that the sum drops.
-        """
-        sector, dim = self.sector, self.dim
-        if not len(self.flips):
-            return np.zeros((0, dim), dtype=np.complex128), np.zeros((0, dim), dtype=np.intp)
-        points = np.arange(dim, dtype=np.int64) if sector is None else sector
-        flips, first, group = np.unique(self.flips, return_index=True, return_inverse=True)
-        by_first = np.argsort(first)
-        flips = flips[by_first]
-        group = np.argsort(by_first)[group]
-        counts = np.bincount(group, minlength=len(flips))
-        # group g's strings, in order, are strings[starts[g] : starts[g] + counts[g]]
-        strings = np.argsort(group, kind="stable")
-        starts = np.cumsum(counts) - counts
-        partners = points ^ flips[:, None]
-        if sector is not None:
-            columns = np.minimum(np.searchsorted(sector, partners), dim - 1)
-            outside = sector[columns] != partners
-            leaks = np.zeros(len(flips))
-        else:
-            columns = partners.astype(np.intp)
-        tables = np.empty(partners.shape, dtype=np.complex128)
-        most = np.argsort(-counts, kind="stable")
-        block = max(_BLOCK_ENTRIES // dim, 1)
-        for start in range(0, len(most), block):
-            g = most[start : start + block]
-            parts = (counts[g], starts[g], strings, self.masks, self.weights, self.n_qubits)
-            tables[g] = _ordered_sums(partners[g], *parts)
-            if sector is not None:
-                into = _ordered_sums(np.broadcast_to(points, (len(g), dim)), *parts)
-                leak = np.maximum(np.abs(tables[g]), np.abs(into))
-                leaks[g] = np.where(outside[g], leak, 0.0).max(axis=1)
-        if sector is not None:
-            bad = np.flatnonzero(leaks > SECTOR_TOL)
-            if bad.size:
-                raise ValueError(
-                    f"operator couples the sector to states outside it "
-                    f"(matrix element {leaks[bad[0]]:.3g})"
-                )
-            tables[outside] = 0.0
-        return tables, columns
-
-    def apply(self, vec):
-        """Return (sum of strings) @ vec: one gather over the row layout."""
-        values, columns = self.values, self.columns
-        if values is None:
-            values, columns, _ = _pack(*self._tables())
-        return (values * vec[columns]).sum(axis=0)
-
-    def expectation(self, vec):
-        return complex(np.vdot(vec, self.apply(vec)))
+        sector = None if sector is None else np.asarray(sector, dtype=np.int64)
+        values, columns, nonzeros = _pack(*_tables(op, sector))
+        if nonzeros > _ENTRY_LIMIT:
+            raise ValueError(
+                f"row layout of {nonzeros} nonzeros is above the cap of {_ENTRY_LIMIT}"
+            )
+        super().__init__(op.n_qubits, sector, values, columns)

@@ -10,8 +10,7 @@ for k = 1..k_max (capped by seeded uniform subsampling when the binomial
 totals explode).  Each step updates velocities deterministically from the
 personal- and global-best positions, then resamples every bit: a bit
 becomes 0 when a uniform draw lands at or below sigmoid(velocity) and 1
-otherwise (``sigmoid_sets_one`` selects the inverse convention, set-to-1
-with sigmoid probability).  Particles stop individually when their
+otherwise.  Particles stop individually when their
 position alternates between exactly two patterns for a full window, or
 when they sit further than ``drift_distance`` bit flips from home for
 more than ``drift_window`` consecutive steps without a new personal
@@ -78,7 +77,7 @@ class SwarmConfig:
 
     ``inertia`` must lie in [-4, 4] and the cognitive/social weights in
     [0, 2].  ``k_max`` and ``t_max`` left as None resolve to the width
-    defaults.  ``sigmoid_sets_one`` flips the bit-resampling convention.
+    defaults.
     """
 
     n_modes: int
@@ -92,7 +91,6 @@ class SwarmConfig:
     drift_window: int = 10
     particles_cap: int = 20000
     seed: int = 0
-    sigmoid_sets_one: bool = False
 
     def __post_init__(self):
         if self.n_modes < 2:
@@ -379,11 +377,7 @@ def step(swarm, cost_fn) -> Swarm:
             + cfg.cognitive * (local_bits - x)
             + cfg.social * (global_bits - x)
         )
-        draws = p.rng.random(d)
-        if cfg.sigmoid_sets_one:
-            ones = draws <= _sigmoid(p.velocity)
-        else:
-            ones = draws > _sigmoid(p.velocity)
+        ones = p.rng.random(d) > _sigmoid(p.velocity)
         p.position = int(sum(1 << int(j) for j in np.flatnonzero(ones)))
 
     costs = _evaluate(swarm, cost_fn, [p.position for p in movers])
@@ -480,7 +474,7 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_MAGIC = "fqcc-swarm 3"
+_CHECKPOINT_MAGIC = "fqcc-swarm 4"
 
 
 def _bitline(mask, d):
@@ -514,7 +508,6 @@ def write_checkpoint(swarm, path):
         f"drift_window {cfg.drift_window}",
         f"particles_cap {cfg.particles_cap}",
         f"seed {cfg.seed}",
-        f"sigmoid_sets_one {int(cfg.sigmoid_sets_one)}",
         f"t {swarm.t}",
         f"best_cost {swarm.best_cost!r}",
         "best " + (_bitline(swarm.best_position, d) if swarm.best_position is not None else "-"),
@@ -571,7 +564,6 @@ def read_checkpoint(path) -> Swarm:
             drift_window=int(head["drift_window"]),
             particles_cap=int(head["particles_cap"]),
             seed=int(head["seed"]),
-            sigmoid_sets_one=head["sigmoid_sets_one"] == "1",
         )
         t, best_cost, best_line = int(head["t"]), float(head["best_cost"]), head["best"]
     except KeyError as exc:

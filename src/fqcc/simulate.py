@@ -13,8 +13,12 @@ per excitation, applied term-exactly: an excitation's modes are distinct
 K^3 = -K and its exponential acts in closed form as 1 + sin(t) K +
 (1 - cos(t)) K^2.  On occupation masks K is a signed permutation, so K is
 one gather and K^2 is diagonal: an exponential costs one gather, and no
-matrix or Pauli string is ever built.  ``compile_generators`` is the one
-place excitations become such kernels, read off the ladder rule in
+matrix or Pauli string is ever built.  Every operator the emulator
+applies is a ``paulis.RowKernel``, the one row layout: H as a
+``CompiledSum`` (a layout above the cap on stored nonzeros raises
+``ValueError``), each generator with width 1 and the diagonal of K^2, and
+Zt.  ``compile_generators`` is the one place excitations become such
+kernels, read off the ladder rule in
 batched numpy passes, one ladder count at a time, for all the excitations
 a table lacks; an ansatz holds one per term, in term order, and ansatzes
 built over one table share them.  Its parameters are a float tuple in the
@@ -36,7 +40,8 @@ kernel applies and scalar sin and cos per exponential bit for bit
 (``oracles.energy_and_gradient_reference``).  That rests on numpy's sin and
 cos giving the same bits for a vector as for each element alone, and on
 sin(-t) = -sin(t) and cos(-t) = cos(t) bit for bit; the tests compare the
-two sweeps wherever they run.
+two sweeps wherever they run.  A single exponential, such as HMP2's sign
+guess, runs the same path on a one-term sweep.
 
 A state lives either on all 2^n basis states or on a sector: the sorted
 occupation masks of the determinants with fixed (N_alpha, N_beta)
@@ -66,11 +71,11 @@ from itertools import combinations
 import numpy as np
 
 from .fermions import FermionOperator, spin_of
-from .paulis import CompiledSum, PauliSum, _parity_of, same_sector
+from .paulis import CompiledSum, PauliSum, RowKernel, _parity_of, same_sector
 from .transform import Transform
 
 __all__ = [
-    "spin_sector", "Statevector", "hf_state", "RowKernel", "compile_generators",
+    "spin_sector", "Statevector", "hf_state", "compile_generators",
     "AnsatzOp", "apply_ansatz", "VQEResult", "vqe_minimize",
 ]
 
@@ -152,29 +157,6 @@ def hf_state(n_electrons: int, n_modes: int, *, sector=None) -> Statevector:
     amps = np.zeros(len(sector), dtype=np.complex128)
     amps[pos] = 1.0
     return Statevector(n_modes, amps, sector)
-
-
-@dataclass(frozen=True, slots=True)
-class RowKernel:
-    """An operator by rows: ``values`` and ``columns`` are (width, dim), and
-    column r holds row r's entries and the amplitudes they multiply, so an
-    apply is one gather and a ``sum(axis=0)`` in slot order.  A generator
-    (``compile_generators``) has width 1, 0 times its own amplitude in a row
-    without an entry, and ``square``, the diagonal of K^2; Zt
-    (``hmp2.ztilde_operator``) stacks one weighted generator row per term.
-    """
-
-    n_qubits: int
-    sector: np.ndarray | None
-    values: np.ndarray
-    columns: np.ndarray
-    square: np.ndarray | None = None
-
-    def __len__(self):
-        return len(self.values)
-
-    def apply(self, vec):
-        return (self.values * vec[self.columns]).sum(axis=0)
 
 
 def _apply_ladders(masks: np.ndarray, modes: np.ndarray, daggers) -> tuple[np.ndarray, np.ndarray]:
@@ -326,28 +308,16 @@ def _rotate(vec, kvec, sin, one_minus_cos_square, scratch):
     """exp(theta K) vec, written over ``vec``: vec + sin(theta) K vec +
     (1 - cos(theta)) d * vec, added in that order, from ``kvec`` = K vec
     (scaled in place) and (1 - cos(theta)) d, with d the diagonal of K^2;
-    ``scratch`` is a work vector.  d is 0 or -1, so ((1 - cos(theta)) d) vec
-    equals (1 - cos(theta)) (d vec) exactly: those products round nothing."""
+    ``scratch`` is a work vector.  K v = t * v[pos] is one gather, and K^2 v
+    = t * t[pos] * v[pos[pos]] = d * v, since pos is an involution wherever
+    t is nonzero.  A generator's entries are exactly 0, +-1 or +-i, so d * v
+    equals K (K v) bit for bit, and d is 0 or -1, so ((1 - cos(theta)) d)
+    vec equals (1 - cos(theta)) (d vec) exactly: those products round
+    nothing."""
     np.multiply(one_minus_cos_square, vec, out=scratch)
     kvec *= sin
     vec += kvec
     vec += scratch
-
-
-def _apply_exponential(kernel: RowKernel, theta: float, vec):
-    """exp(theta K) vec in closed form, for a generator with K^3 = -K.
-
-    K v = t * v[pos] is one gather, and K^2 v = t * t[pos] * v[pos[pos]] =
-    d * v with d = ``kernel.square``, the diagonal of K^2: pos is an
-    involution wherever t is nonzero.  So exp(theta K) v = v + sin(theta)
-    K v + (1 - cos(theta)) d * v costs one gather (``_rotate``).  A
-    generator's entries are exactly 0, +-1 or +-i, so d * v equals the
-    second apply K (K v) bit for bit.
-    """
-    out = np.array(vec, dtype=np.complex128)
-    kvec = kernel.values[0] * vec[kernel.columns[0]]
-    _rotate(out, kvec, np.sin(theta), (1.0 - np.cos(theta)) * kernel.square, np.empty_like(out))
-    return out
 
 
 def _sweep_terms(generators, x) -> list:
@@ -368,7 +338,8 @@ def _sweep_terms(generators, x) -> list:
 
 def _run_terms(terms, vec):
     """A copy of ``vec`` with each exponential of ``_sweep_terms`` applied
-    in term order; a zero angle is skipped."""
+    in term order; a zero angle is skipped.  One exponential on its own is
+    ``_run_terms(_sweep_terms((kernel,), (theta,)), vec)``."""
     vec = np.array(vec, dtype=np.complex128)
     scratch = np.empty_like(vec)
     for values, columns, theta, sin, one_minus_cos_square in terms:
@@ -419,9 +390,9 @@ def _energy_and_gradient(x, hamiltonian, ansatz, reference):
     sweep's K_j ket_j also serves ket's step back through U_j, so each
     step costs two gathers: K_j ket_j and K_j bra_j.  Each generator's
     arrays, each angle's sine and (1 - cos) d are formed once per call
-    (``_sweep_terms``) and serve both passes, and the arithmetic is that of
-    one ``_apply_exponential`` per factor, so the result equals the sweep
-    of two kernel applies per exponential bit for bit
+    (``_sweep_terms``) and serve both passes, and each factor's arithmetic
+    is ``_rotate``'s, so the result equals the sweep of two kernel applies
+    per exponential bit for bit
     (``oracles.energy_and_gradient_reference``).
     """
     terms = _sweep_terms(ansatz.generators, x)

@@ -72,14 +72,15 @@ class's target, and the plan is its class chains.  This module provides:
 The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
-where they differ and neither is identity (``_boundary_wires``).  The
-emitter realizes every one of them as it emits, the same way at every
-boundary of a class chain, inside a term or at a junction between terms
-(``_emit_chain``): an agreeing wire's CNOT pair and basis gates are left
-out, and a differing wire's pair becomes the one CNOT of
-``peephole_cancel``'s junction rewrite.  Each chain comes out in the form
-the peephole leaves it, so the peephole, still the last step of each
-chain, changes nothing, and model and circuit agree gate-for-gate.  The
+where they differ and neither is identity.  The emitter realizes every
+one of them as it emits, the same way at every boundary of a class chain,
+inside a term or at a junction between terms (``_emit_chain``): an
+agreeing wire's CNOT pair and basis gates are left out, and a differing
+wire's pair becomes the one CNOT of ``peephole_cancel``'s junction
+rewrite.  A string whose angle folds to 0 is dropped first, as the
+identity it is.  Each chain comes out in the form the peephole leaves it,
+so the peephole, still the last step of each chain, changes nothing, and
+with every angle nonzero model and circuit agree gate-for-gate.  The
 expansion, the planner and the emitter read letters only through the
 strings' bit masks.
 """
@@ -356,13 +357,16 @@ def _emit_chain(chain, target, n):
     in the form ``peephole_cancel`` leaves them.
 
     ``chain`` lists (x mask, z mask, angle) per string, each string the
-    rotation exp(-i angle/2 * P).  A string's block is its basis change
+    rotation exp(-i angle/2 * P).  Each angle is folded by ``_norm_angle``,
+    its phase multiplied in; a string whose angle folds to 0 within 1e-12 is
+    that phase times the identity, and is dropped before any boundary is
+    computed.  A kept string's block is its basis change
     (X: H; Y: Sdg then H), the CNOT ladder onto ``target`` in ascending
     wire order, Rz, the ladder descending and the basis undo.  The target
     must be X or Y in every string, or Z in every string, so that its
     one-qubit run between two ladders commutes with X, as an expanded
     term's eligible target is.  At each boundary between strings, on each
-    wire other than the target where both act (``_boundary_wires``), the
+    wire other than the target where both act, the
     first block's closing CNOT and undo and the second's change are left
     out; an agreeing wire also loses the opening CNOT, and a differing
     wire's opening CNOT becomes the peephole's junction rewrite of its
@@ -374,19 +378,26 @@ def _emit_chain(chain, target, n):
     between them is diagonal; a control run holding either loses it.
     Every other one-qubit Clifford cancels on append: an H against an H
     just before it on its wire, an S, Sdg or Z against its inverse found
-    back through diagonal gates and CNOT controls.  Each Rz angle is folded
-    by ``_norm_angle``, its phase multiplied in; an angle that folds to 0
-    drops the Rz, and the peephole may then cancel more than these rules.
+    back through diagonal gates and CNOT controls.
     """
     t = target
     tbit = 1 << t
+    phase = complex(1.0)
+    folded = []  # (x, z, angle, phase factor) of each kept string
+    for x, z, theta in chain:
+        rem, ph = _norm_angle(theta)
+        if abs(rem) < 1e-12:
+            phase *= ph
+        else:
+            folded.append((x, z, rem, ph))
+    chain = folded
     m = len(chain)
     # drop_sdg[j] and drop_s[j]: the wires whose Y change before string j,
     # or Y undo after it, cancels across Z and identity letters
-    ys = [x & z & ~tbit for x, z, _ in chain]
+    ys = [x & z & ~tbit for x, z, _, _ in chain]
     drop_sdg, drop_s = [0] * m, [0] * m
     pending = 0
-    for j, (x, _, _) in enumerate(chain):
+    for j, (x, _, _, _) in enumerate(chain):
         if j:
             drop_sdg[j] = pending & ys[j] & ~ys[j - 1]
         pending = (pending & ~x) | ys[j]
@@ -398,7 +409,6 @@ def _emit_chain(chain, target, n):
 
     gates = []
     stacks = [[] for _ in range(n)]  # the live gates on each wire, by index
-    phase = complex(1.0)
 
     def put(g):
         for q in g.qubits:
@@ -438,7 +448,7 @@ def _emit_chain(chain, target, n):
                 clifford("S", q)
 
     px = pz = 0
-    for j, (x, z, theta) in enumerate(chain):
+    for j, (x, z, rem, ph) in enumerate(chain):
         support = x | z
         both = (px | pz) & support & ~tbit
         differ = both & ((px ^ x) | (pz ^ z))
@@ -469,10 +479,8 @@ def _emit_chain(chain, target, n):
                 phase *= factor
             elif not both >> q & 1:
                 put(shared_gate("CNOT", (q, t)))
-        rem, ph = _norm_angle(theta)
         phase *= ph
-        if abs(rem) >= 1e-12:
-            put(Gate("Rz", (t,), rem))
+        put(Gate("Rz", (t,), rem))
         px, pz = x, z
     if m:
         close(px, pz, px | pz, 0)
@@ -481,7 +489,8 @@ def _emit_chain(chain, target, n):
 
 def term_circuit(term, ordering=None, target=None):
     """The blocks of every rotation of ``term`` at one ladder target, as
-    ``peephole_cancel`` leaves them: ``_emit_chain`` of its strings.
+    ``peephole_cancel`` leaves them: ``_emit_chain`` of its strings, where a
+    string whose angle folds to 0 leaves no block, only its phase.
 
     ``ordering`` permutes the stored strings; ``target`` defaults to the
     first eligible wire and must carry a letter in every string.  A term
@@ -518,18 +527,6 @@ def _rotations(term, ordering):
 # ---------------------------------------------------------------------------
 # cost model
 # ---------------------------------------------------------------------------
-
-
-def _boundary_wires(first, second, target):
-    """(agree, differ): masks of the wires other than ``target`` where both
-    strings act, with the same letter or with different ones.
-
-    The model saves two CNOTs on each ``agree`` wire and one on each
-    ``differ`` wire, and the emitter (``_emit_chain``) takes both savings.
-    """
-    both = (first.xmask | first.zmask) & (second.xmask | second.zmask) & ~(1 << target)
-    diff = (first.xmask ^ second.xmask) | (first.zmask ^ second.zmask)
-    return both & ~diff, both & diff
 
 
 # Table entries of one Held-Karp batch, counted in int32: c matrices of k
@@ -658,7 +655,7 @@ def _along(x, z, path, target):
     (s,) their z masks; ``path[p]`` orders them (None: stored order), and
     ``target`` (P,) is each row's shared target.  At a boundary the wires
     other than the target where both strings act with the same letter
-    agree and those with different ones differ (``_boundary_wires``).  As
+    agree and those with different ones differ.  As
     x is shared, the strings differ in letter exactly where their z masks
     differ, and both act on a wire of x or of both z masks.
     """
@@ -917,7 +914,7 @@ def _junctions(last, first, target):
 
     Entry [c, a, b] is the boundary saving 2 * agree + differ, at the
     class target, of oriented member a's last string followed by oriented
-    member b's first (``_boundary_wires``); ``last`` and ``first`` are the
+    member b's first; ``last`` and ``first`` are the
     (x, z) masks, (C, 2m) each, of each oriented member's last and first
     strings.  Per wire, the dot product of two strings' letter features
     counts 1 where both act and 1 more where their letters agree, so one
@@ -1414,8 +1411,10 @@ def emit_circuit(plan):
     strings, in placement order, are emitted at once (``_emit_chain``)
     with every saving that ``plan.model_two_qubit`` counts taken, at the
     junctions between terms as inside them, in the form ``peephole_cancel``
-    leaves them; the peephole then reduces each chain and finds nothing
-    left to do.  Compressed blocks act in the Jordan-Wigner frame and kept
+    leaves them.  Strings whose angle folds to 0 are dropped before the
+    chain's boundaries are formed, so this holds at any angles, and the
+    closing peephole over each chain finds nothing left to do: it only
+    confirms the form.  Compressed blocks act in the Jordan-Wigner frame and kept
     terms in the transform's, and no basis change is emitted between the
     two: under a non-identity encoding with compressed terms the circuit
     is not yet the ansatz.

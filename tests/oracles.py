@@ -18,7 +18,8 @@ basis change that conjugated every generator, and
 once emitted.  The planner's references are in ``planner_oracles``.
 ``compiled_apply_reference`` keeps the X-mask group loop that
 ``CompiledSum.apply`` once ran, ``compiled_tables_loop`` the group and
-member loops that built ``CompiledSum``'s tables,
+member loops that built ``CompiledSum``'s tables, both over the string
+arrays of ``compiled_strings``,
 ``energy_and_gradient_reference`` and ``ansatz_state_reference`` the
 VQE sweep on it, with two applies and scalar sin and cos per
 exponential, and ``stacked_sum_reference`` the one-generator-at-a-time
@@ -1257,12 +1258,31 @@ def term_circuit_reference(term, ordering=None, target=None):
 # ---------------------------------------------------------------------------
 
 
+def compiled_strings(op, sector=None):
+    """``op``'s strings as the arrays ``CompiledSum`` once kept, in term
+    order: X masks ``flips``, Z masks ``masks`` and ``weights``, each
+    coefficient times i^popcount(x & z), with ``n_qubits`` and ``sector``
+    (None: the full space).  The loops below read these."""
+    from types import SimpleNamespace
+
+    keys = list(op._terms)
+    return SimpleNamespace(
+        n_qubits=op.n_qubits,
+        sector=None if sector is None else np.asarray(sector, dtype=np.int64),
+        flips=np.array([x for x, _ in keys], dtype=np.int64),
+        masks=np.array([z for _, z in keys], dtype=np.int64),
+        weights=np.array(
+            [op._terms[x, z] * 1j ** ((x & z).bit_count() % 4) for x, z in keys], dtype=complex
+        ),
+    )
+
+
 def compiled_tables_reference(compiled):
-    """One (X mask, table, partner index) per X-mask group of a
-    ``CompiledSum``'s strings, in first-appearance order, as it once kept
-    them: table[r] sums w * (-1)^parity((point_r ^ f) & m) over the group's
-    strings one string at a time, and on a sector an entry whose partner
-    leaves it is 0 (its partner index then points anywhere)."""
+    """One (X mask, table, partner index) per X-mask group of
+    ``compiled_strings``, in first-appearance order, as ``CompiledSum`` once
+    kept them: table[r] sums w * (-1)^parity((point_r ^ f) & m) over the
+    group's strings one string at a time, and on a sector an entry whose
+    partner leaves it is 0 (its partner index then points anywhere)."""
     n, sector = compiled.n_qubits, compiled.sector
     points = np.arange(1 << n) if sector is None else sector
     bits = (points[:, None] >> np.arange(n)) & 1
@@ -1292,15 +1312,14 @@ def _parity(a):
 
 
 def compiled_tables_loop(compiled, sector_tol=1e-10):
-    """(tables, columns), each (groups, dim), as ``CompiledSum._tables``
-    once built them: a loop over the X-mask groups of ``compiled.flips`` in
+    """(tables, columns), each (groups, dim), as ``paulis._tables`` once
+    built them: a loop over the X-mask groups of ``compiled.flips`` in
     first-appearance order and, in each, over its strings, adding one
     string's phase row at a time from 0.  On a sector, the table is also
     taken at the partners outside it, and a matrix element into or out of
     the sector above ``sector_tol`` raises ``ValueError`` at the first group
     that has one; the entries whose partner leaves the sector are set to 0.
-    ``compiled`` needs only ``n_qubits``, ``sector``, ``flips``, ``masks``
-    and ``weights``."""
+    ``compiled`` is a ``compiled_strings``."""
     by_flip = {}
     for i, f in enumerate(compiled.flips.tolist()):
         by_flip.setdefault(f, []).append(i)
@@ -1341,9 +1360,9 @@ def compiled_tables_loop(compiled, sector_tol=1e-10):
 
 
 def compiled_apply_reference(compiled, vec):
-    """``compiled @ vec`` by the group loop ``CompiledSum.apply`` once ran:
-    out starts at 0 and adds ``table * vec[partner]`` one X-mask group at a
-    time."""
+    """``compiled @ vec``, for a ``compiled_strings``, by the group loop
+    ``CompiledSum.apply`` once ran: out starts at 0 and adds ``table *
+    vec[partner]`` one X-mask group at a time."""
     out = np.zeros(vec.shape, dtype=np.promote_types(vec.dtype, np.complex128))
     for _, table, partner in compiled_tables_reference(compiled):
         out += table * vec[partner]
@@ -1352,7 +1371,7 @@ def compiled_apply_reference(compiled, vec):
 
 def stacked_sum_reference(parts, vec):
     """sum of c * K vec over (c, K) pairs of a value and a generator
-    (``simulate.RowKernel`` of width 1), by a loop: out starts at 0 and adds
+    (``paulis.RowKernel`` of width 1), by a loop: out starts at 0 and adds
     ``(c * t) * vec[pos]`` one generator at a time, with t and pos its
     row's values and columns, as ``hmp2.ztilde_operator``'s stack must sum
     them."""
@@ -1384,8 +1403,9 @@ def ansatz_state_reference(ansatz, x, amplitudes):
 def energy_and_gradient_reference(x, hamiltonian, ansatz, reference):
     """The exact energy and adjoint-sweep gradient as
     ``simulate._energy_and_gradient`` once computed them: every product
-    with H or a generator by the group loop, and each backward step five
-    applies (K ket for the gradient, two for each exponential)."""
+    with H (``hamiltonian``, a ``compiled_strings``) by the group loop, and
+    each backward step five generator applies (K ket for the gradient, two
+    for each exponential)."""
     psi = ansatz_state_reference(ansatz, x, reference.amplitudes)
     hpsi = compiled_apply_reference(hamiltonian, psi)
     energy = float(np.real(np.vdot(psi, hpsi)))
@@ -1642,17 +1662,17 @@ def encoded_generators(seqs, transform, sector=None):
 
     This is the Pauli route ``simulate.compile_generator`` once took: the
     image is one X-mask group (checked), so its compiled row layout has
-    width 1, and it is handed over as a ``simulate.RowKernel`` carrying
+    width 1, and it is handed over as a ``paulis.RowKernel`` carrying
     the diagonal of K^2.
     """
-    from fqcc.paulis import CompiledSum
-    from fqcc.simulate import RowKernel
+    from fqcc.paulis import CompiledSum, RowKernel
 
     n = transform.n_modes
     out = {}
     for seq in seqs:
-        compiled = CompiledSum(excitation_generator(seq, n).to_pauli(transform), sector)
-        assert len(set(compiled.flips.tolist())) == 1, f"{seq.name}: not one X-mask group"
+        image = excitation_generator(seq, n).to_pauli(transform)
+        assert len({x for x, _ in image._terms}) == 1, f"{seq.name}: not one X-mask group"
+        compiled = CompiledSum(image, sector)
         values, columns = compiled.values, compiled.columns
         square = values[0] * values[0][columns[0]]
         out[seq] = RowKernel(n, compiled.sector, values, columns, square)

@@ -114,15 +114,26 @@ def expand_term_reference(seq, transform, theta=1.0, *, anti=False):
     return TrotterTerm(seq, n, theta, theta * mag, ordered, eligible, anti)
 
 
+def boundary_wires(first, second, target):
+    """(agree, differ): masks of the wires other than ``target`` where both
+    strings act, with the same letter or with different ones.
+
+    The model saves two CNOTs on each ``agree`` wire and one on each
+    ``differ`` wire, and the emitter (``trotter._emit_chain``) takes both
+    savings.
+    """
+    both = (first.xmask | first.zmask) & (second.xmask | second.zmask) & ~(1 << target)
+    diff = (first.xmask ^ second.xmask) | (first.zmask ^ second.zmask)
+    return both & ~diff, both & diff
+
+
 def savings_matrix_reference(strings, target):
     """Boundary savings 2 * two + one of every string pair, pair by pair."""
-    from fqcc.trotter import _boundary_wires
-
     k = len(strings)
     mat = [[0] * k for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
-            agree, differ = _boundary_wires(strings[i], strings[j], target)
+            agree, differ = boundary_wires(strings[i], strings[j], target)
             mat[i][j] = mat[j][i] = 2 * agree.bit_count() + differ.bit_count()
     return mat
 
@@ -261,9 +272,7 @@ def plan_ansatz_reference(seqs, transform, config=None, *, occupied=None, labels
 
 def _boundary_saving(first, second, target):
     """(two_cnot, one_cnot) savings at the boundary of two blocks."""
-    from fqcc.trotter import _boundary_wires
-
-    agree, differ = _boundary_wires(first, second, target)
+    agree, differ = boundary_wires(first, second, target)
     return agree.bit_count(), differ.bit_count()
 
 
@@ -640,14 +649,13 @@ def _emit_block_reference(gates, string, rz, held_in=0, held_out=0):
 
 def term_blocks_reference(term, ordering, target):
     """One term's blocks at ``target`` in ``ordering``, each boundary's
-    agreeing wires left out (``trotter._boundary_wires``), as the gate list
+    agreeing wires left out (``boundary_wires``), as the gate list
     ``term_circuit`` once returned before any peephole."""
     from fqcc.circuits import Gate
-    from fqcc.trotter import _boundary_wires
 
     strings = [term.strings[j] for j in ordering]
     held = [0] * (len(strings) + 1)
-    held[1:-1] = [_boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
+    held[1:-1] = [boundary_wires(a, b, target)[0] for a, b in zip(strings, strings[1:])]
     gates = []
     for j, string in enumerate(strings):
         rz = Gate("Rz", (target,), term.angle * string.coeff.real)

@@ -621,12 +621,13 @@ class TestWaterOnTheSector:
         each exponential as two kernel applies through the group loop."""
         run = water_run[0]
         n, n_e, _, terms, sector = _water_setup(h2o, run)
-        h = CompiledSum(build_hamiltonian(h2o[0]).to_pauli(Transform.jordan_wigner(n)), sector)
+        h_pauli = build_hamiltonian(h2o[0]).to_pauli(Transform.jordan_wigner(n))
         ansatz = AnsatzOp.build(n, terms, run.final_values, sector=sector)
         reference = hf_state(n_e, n, sector=sector)
         x = np.array(run.final_values)
-        energy, grad = _energy_and_gradient(x, h, ansatz, reference)
-        expected = oracles.energy_and_gradient_reference(x, h, ansatz, reference)
+        energy, grad = _energy_and_gradient(x, CompiledSum(h_pauli, sector), ansatz, reference)
+        h_strings = oracles.compiled_strings(h_pauli, sector)
+        expected = oracles.energy_and_gradient_reference(x, h_strings, ansatz, reference)
         assert energy == expected[0] and np.array_equal(grad, expected[1])
         assert energy == pytest.approx(run.final.e_vqe, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """The package names only what exists and serves: importable dependencies that
-fqcc imports, resolvable console-script targets, and public code that the
-pipeline, the tools or the benchmark reach."""
+fqcc imports, resolvable console-script targets, and public code, and
+module-level private code, that the pipeline, the tools or the benchmark
+reach."""
 
 import ast
 import importlib
@@ -114,13 +115,15 @@ def test_console_scripts_resolve():
         assert callable(obj), name
 
 
-def public_definitions(root):
-    """'module.name' of every top-level public def and class in ``src/fqcc``."""
+def public_definitions(root, private=False):
+    """'module.name' of every top-level public def and class in ``src/fqcc``,
+    or with ``private`` of every one whose name has a leading underscore
+    and is no dunder."""
     out = set()
     for path in (root / "src" / "fqcc").glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
+                if node.name.startswith("_") == private and not node.name.startswith("__"):
                     out.add(f"{path.stem}.{node.name}")
     return out
 
@@ -215,15 +218,16 @@ def _scanned_statements(root):
                 yield module, stmt
 
 
-def references(root):
-    """'module.name' of each fqcc definition that code outside the tests refers to.
+def references(root, private=False):
+    """'module.name' of each public (or, with ``private``, private) fqcc
+    definition that code outside the tests refers to.
 
     A reference is a Name, an Attribute, an import alias or a string
     constant, matched to a definition by name; a definition's own body does
-    not count.
+    not count, and neither does a docstring, which is never just the name.
     """
     defs = {}
-    for qualified in public_definitions(root):
+    for qualified in public_definitions(root, private):
         module, name = qualified.split(".")
         defs.setdefault(name, set()).add(module)
     out = set()
@@ -270,6 +274,12 @@ def unused_public(root, uncalled):
     return sorted(unused - uncalled.keys())
 
 
+def unused_private(root):
+    """Module-level private defs and classes that nothing outside the tests
+    reaches."""
+    return sorted(public_definitions(root, True) - references(root, True))
+
+
 def stale_uncalled(root, uncalled):
     """(entries that name nothing, entries that are now used) of ``uncalled``."""
     missing = uncalled.keys() - public_definitions(root) - public_members(root)
@@ -282,6 +292,14 @@ def test_every_public_name_serves_a_pipeline():
     assert not unused, (
         f"public but used only by tests, or not at all: {unused}; "
         "delete them, move test-only code to tests/oracles.py, or list them in UNCALLED"
+    )
+
+
+def test_every_private_definition_serves_a_pipeline():
+    unused = unused_private(ROOT)
+    assert not unused, (
+        f"private but used only by tests, or not at all: {unused}; "
+        "delete them or move them to the tests' oracles"
     )
 
 
@@ -437,6 +455,41 @@ def test_member_rule_on_a_synthetic_tree(tmp_path):
     ]
     assert stale_uncalled(tmp_path, uncalled) == (["mod.Box.gone"], ["mod.Box.used"])
     assert arithmetic_dunders(tmp_path) == ["mod.Box.__mul__", "mod.Box.__rmul__"]
+
+
+def test_private_rule_on_a_synthetic_tree(tmp_path):
+    package = tmp_path / "src" / "fqcc"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(textwrap.dedent(
+        """
+        def _called():
+            return 0
+
+
+        def _recursive(k):
+            return _recursive(k - 1) if k else 0
+
+
+        def _named_in_a_docstring():
+            return 0
+
+
+        class _Wrapped:
+            pass
+
+
+        def __getattr__(name):
+            raise AttributeError(name)
+
+
+        def run():
+            \"\"\"Runs ``_named_in_a_docstring``.\"\"\"
+            return _called()
+        """
+    ))
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "main.py").write_text("import fqcc.mod\ngetattr(fqcc.mod, '_Wrapped')\n")
+    assert unused_private(tmp_path) == ["mod._named_in_a_docstring", "mod._recursive"]
 
 
 def unused_imports(path):

@@ -181,28 +181,26 @@ class TestKernels:
 
 
     def test_compiled_strings_round_trip(self):
+        """The string arrays the reference loops read are the sum's terms."""
         op = oracles.pauli_sum("0.4 * X0 Y1\n(0.0-0.3j) * Y0 Z2\n(0.2+0.1j) * Y1 Y2\n-1.5 * I", 3)
-        compiled = CompiledSum(op)
+        compiled = oracles.compiled_strings(op)
         # each weight is the coefficient times i^popcount(x & z)
         strings = zip(compiled.flips.tolist(), compiled.masks.tolist(), compiled.weights.tolist())
         terms = {(x, z): w * (-1j) ** (x & z).bit_count() for x, z, w in strings}
         assert terms == op._terms
 
-    def test_tables_rebuilt_per_apply_above_the_entry_cap(self, monkeypatch):
+    def test_layout_above_the_entry_cap_is_rejected(self, monkeypatch):
         from fqcc import paulis
 
         op = oracles.pauli_sum("0.4 * X0 X1\n0.4 * Y0 Y1\n-0.3 * Z0\n0.2 * Z1 Z2\n0.1 * Z0 Z1", 3)
-        leaky = oracles.pauli_sum("0.5 * X0", 3)
         sector = np.array([0b001, 0b010, 0b011, 0b101, 0b110])
-        vec = np.random.default_rng(8).normal(size=8) + 0j
-        kept = [CompiledSum(op).apply(vec), CompiledSum(op, sector[:2]).apply(vec[:2])]
-        monkeypatch.setattr(paulis, "_ENTRY_LIMIT", 0)
-        full, small = CompiledSum(op), CompiledSum(op, sector[:2])
-        assert full.values is None and small.values is None
-        assert np.allclose(full.apply(vec), kept[0], atol=1e-14)
-        assert np.allclose(small.apply(vec[:2]), kept[1], atol=1e-14)
-        with pytest.raises(ValueError, match="outside"):
-            CompiledSum(leaky, sector)
+        for space in (None, sector):
+            nonzeros = paulis._pack(*paulis._tables(op, space))[2]
+            monkeypatch.setattr(paulis, "_ENTRY_LIMIT", nonzeros)
+            assert CompiledSum(op, space).values.shape[1] == (8 if space is None else 5)
+            monkeypatch.setattr(paulis, "_ENTRY_LIMIT", nonzeros - 1)
+            with pytest.raises(ValueError, match=f"row layout of {nonzeros} nonzeros"):
+                CompiledSum(op, space)
 
 
 def _water_encoding(kind):
@@ -262,13 +260,14 @@ class TestRowLayout:
         shifted = PauliSum.from_strings(h_pauli.strings() + [PauliString(14, 0, 0, 75.0)])
         for op in (h_pauli, shifted):
             compiled = CompiledSum(op, sector)
-            n_groups = len(set(compiled.flips.tolist()))
+            strings = oracles.compiled_strings(op, sector)
+            n_groups = len(set(strings.flips.tolist()))
             # only nonzeros are stored: fewer slots than one table per group
             assert compiled.values.shape[1] == len(sector)
             assert compiled.values.size < n_groups * len(sector)
             for vec in _vectors(len(sector), 3):
                 assert np.array_equal(
-                    compiled.apply(vec), oracles.compiled_apply_reference(compiled, vec)
+                    compiled.apply(vec), oracles.compiled_apply_reference(strings, vec)
                 )
 
     @pytest.mark.parametrize("kind", ["jw", "bk", "beta"])
@@ -297,9 +296,8 @@ class TestRowLayout:
         for space in (None, sector):
             dim = 1 << n if space is None else len(space)
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            compiled = CompiledSum(op, space)
-            want = oracles.compiled_apply_reference(compiled, vec)
-            assert np.array_equal(compiled.apply(vec), want)
+            want = oracles.compiled_apply_reference(oracles.compiled_strings(op, space), vec)
+            assert np.array_equal(CompiledSum(op, space).apply(vec), want)
         # a string whose X mask takes the first sector state out of the sector
         inside = set(sector.tolist())
         outside = [x for x in range(1 << n) if int(sector[0]) ^ x not in inside]
@@ -309,15 +307,16 @@ class TestRowLayout:
                 CompiledSum(leaky, sector)
 
 
-def _assert_tables_equal_the_group_loop(compiled):
+def _assert_tables_equal_the_group_loop(op, sector=None):
     """``CompiledSum``'s tables and row layout equal those of the group and
     member loops it replaced (``oracles.compiled_tables_loop``)."""
     from fqcc import paulis
 
-    tables, columns = compiled._tables()
-    want_tables, want_columns = oracles.compiled_tables_loop(compiled)
+    tables, columns = paulis._tables(op, sector)
+    want_tables, want_columns = oracles.compiled_tables_loop(oracles.compiled_strings(op, sector))
     assert np.array_equal(tables, want_tables) and np.array_equal(columns, want_columns)
     values, index, _ = paulis._pack(want_tables, want_columns)
+    compiled = CompiledSum(op, sector)
     assert np.array_equal(compiled.values, values) and np.array_equal(compiled.columns, index)
 
 
@@ -332,31 +331,24 @@ class TestTablesAgainstTheGroupLoop:
         # and the shape of H - E_HF that the HMP2 loop compiles
         shifted = PauliSum.from_strings(h_pauli.strings() + [PauliString(14, 0, 0, -75.0)])
         for op in (h_pauli, shifted):
-            compiled = CompiledSum(op, sector)
-            assert len(set(compiled.flips.tolist())) == 162
-            _assert_tables_equal_the_group_loop(compiled)
+            assert len({x for x, _ in op._terms}) == 162
+            _assert_tables_equal_the_group_loop(op, sector)
 
     @pytest.mark.parametrize("kind", ["jw", "bk"])
     def test_full_8_mode_space(self, kind):
         ham, _ = load_fcidump("tests/fixtures/h4_sto3g.fcidump").to_spin_orbital()
         tr = Transform.jordan_wigner(8) if kind == "jw" else Transform.bravyi_kitaev(8)
-        _assert_tables_equal_the_group_loop(CompiledSum(build_hamiltonian(ham).to_pauli(tr)))
+        _assert_tables_equal_the_group_loop(build_hamiltonian(ham).to_pauli(tr))
 
     @pytest.mark.parametrize("ops", ["0.5 * X0\n(0.0-0.5j) * Y0", "0.5 * X0\n(0.0+0.5j) * Y0"])
     def test_one_way_coupling_leaks(self, ops):
         """|1><0| takes the sector {|0>} out of itself and |0><1| brings a
         state outside it in: each leaks in one direction only, and the
         loop's error is raised for both."""
-        from types import SimpleNamespace
-
         op = oracles.pauli_sum(ops, 1)
-        full = CompiledSum(op)
         sector = np.array([0])
-        strings = SimpleNamespace(
-            n_qubits=1, sector=sector, flips=full.flips, masks=full.masks, weights=full.weights
-        )
         with pytest.raises(ValueError, match="outside") as want:
-            oracles.compiled_tables_loop(strings)
+            oracles.compiled_tables_loop(oracles.compiled_strings(op, sector))
         with pytest.raises(ValueError, match="outside") as got:
             CompiledSum(op, sector)
         assert str(got.value) == str(want.value)
@@ -367,22 +359,16 @@ class TestTablesAgainstTheGroupLoop:
         """Sums over a few X masks (so groups repeat them), exact zeros and
         repeated strings included, on the full space and on a sector they
         keep; a string that leaves the sector raises the loop's error."""
-        from types import SimpleNamespace
-
         n, sector, flips = data.draw(closed_sectors())
         op = _random_sum(data.draw, n, flips)
         for space in (None, sector):
-            _assert_tables_equal_the_group_loop(CompiledSum(op, space))
+            _assert_tables_equal_the_group_loop(op, space)
         inside = set(sector.tolist())
         outside = [x for x in range(1 << n) if int(sector[0]) ^ x not in inside]
         if outside:
             leaky = PauliSum(n, {**op._terms, (data.draw(st.sampled_from(outside)), 0): 1.0})
-            full = CompiledSum(leaky)
-            strings = SimpleNamespace(
-                n_qubits=n, sector=sector, flips=full.flips, masks=full.masks, weights=full.weights
-            )
             with pytest.raises(ValueError, match="outside") as want:
-                oracles.compiled_tables_loop(strings)
+                oracles.compiled_tables_loop(oracles.compiled_strings(leaky, sector))
             with pytest.raises(ValueError, match="outside") as got:
                 CompiledSum(leaky, sector)
             assert str(got.value) == str(want.value)

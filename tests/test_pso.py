@@ -150,17 +150,15 @@ class TestStep:
         assert 0.42 < ones / total_bits < 0.58
 
     def test_saturated_velocity_follows_convention(self):
-        for sets_one, expected in ((False, 0), (True, (1 << 6) - 1)):
-            cfg = pso.SwarmConfig(
-                n_modes=4, k_max=1, inertia=1.0, cognitive=0.0, social=0.0,
-                seed=0, sigmoid_sets_one=sets_one,
-            )
-            swarm = pso.init_swarm(4, config=cfg)
-            pso.step(swarm, bit_cost)
-            for p in swarm.particles:
-                p.velocity = np.full(cfg.dimension, 500.0)
-            pso.step(swarm, bit_cost)
-            assert all(p.position == expected for p in swarm.particles)
+        """A bit becomes 0 when its draw lands at or below sigmoid(v), so a
+        saturated positive velocity clears every bit."""
+        cfg = pso.SwarmConfig(n_modes=4, k_max=1, inertia=1.0, cognitive=0.0, social=0.0, seed=0)
+        swarm = pso.init_swarm(4, config=cfg)
+        pso.step(swarm, bit_cost)
+        for p in swarm.particles:
+            p.velocity = np.full(cfg.dimension, 500.0)
+        pso.step(swarm, bit_cost)
+        assert all(p.position == 0 for p in swarm.particles)
 
     def test_sigmoid_is_scipy_expit(self):
         """Bit for bit, so seeded trajectories match the scipy sigmoid's;
@@ -524,6 +522,18 @@ class TestCheckpoint:
         assert path.read_text() == before
         assert pso.read_checkpoint(path).t == swarm.t - 1
         assert [p.name for p in tmp_path.iterdir()] == ["swarm.txt"]
+
+    def test_rejects_version_3_files(self, tmp_path):
+        """Version 3 carried the dropped ``sigmoid_sets_one`` field."""
+        path = tmp_path / "swarm.txt"
+        pso.write_checkpoint(self._swarm(), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "fqcc-swarm 4"
+        at = next(j for j, line in enumerate(lines) if line.startswith("seed "))
+        lines[at + 1 : at + 1] = ["sigmoid_sets_one 0"]
+        path.write_text("\n".join(["fqcc-swarm 3"] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="not a swarm checkpoint file"):
+            pso.read_checkpoint(path)
 
     def test_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "junk.txt"

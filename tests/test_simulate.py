@@ -12,7 +12,6 @@ from fqcc.simulate import (
     AnsatzOp,
     Statevector,
     VQEResult,
-    _apply_exponential,
     _energy_and_gradient,
     apply_ansatz,
     compile_generators,
@@ -271,8 +270,14 @@ class TestCompileGenerator:
                 assert list(zip(signs[0].tolist(), masks[0].tolist())) == want, seq.name
 
 
+def _exponential(kernel, theta, vec):
+    """exp(theta K) vec by the sweep's one-term path, as HMP2's sign guess
+    takes it."""
+    return simulate._run_terms(simulate._sweep_terms((kernel,), (theta,)), vec)
+
+
 class TestExponential:
-    """``_apply_exponential``: one gather and the diagonal of K^2."""
+    """One exponential on the sweep's path: one gather and the diagonal of K^2."""
 
     @pytest.mark.parametrize("n, n_e", [(4, 2), (6, 2), (8, 4)])
     @pytest.mark.parametrize("kind", ["jw", "bk", 1])
@@ -292,7 +297,7 @@ class TestExponential:
                 block = np.ix_(rows, rows)
                 kernel = _generators(kind, tr, [seq], space)[seq]
                 vec = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
-                out = _apply_exponential(kernel, theta, vec)
+                out = _exponential(kernel, theta, vec)
                 assert np.max(np.abs(out - exact[block] @ vec)) < 1e-12
                 assert np.allclose(kernel.apply(vec), dense[block] @ vec, atol=1e-12)
                 assert np.allclose(kernel.square, square[rows], atol=1e-14)
@@ -311,7 +316,7 @@ class TestExponential:
             theta = rng.uniform(-np.pi, np.pi)
             vec = rng.normal(size=len(sector)) + 1j * rng.normal(size=len(sector))
             assert np.array_equal(
-                _apply_exponential(kernel, theta, vec),
+                _exponential(kernel, theta, vec),
                 oracles.exponential_reference(kernel, theta, vec),
             )
 
@@ -328,7 +333,8 @@ class TestSweepAgainstReference:
         ham, _ = load_fcidump(path).to_spin_orbital()
         n = ham.n_modes
         sector = spin_sector(n, n_e // 2, n_e // 2) if space == "sector" else None
-        h = CompiledSum(build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(n)), sector)
+        h_pauli = build_hamiltonian(ham).to_pauli(Transform.jordan_wigner(n))
+        h, h_strings = CompiledSum(h_pauli, sector), oracles.compiled_strings(h_pauli, sector)
         reference = hf_state(n_e, n, sector=sector)
         pool = uccsd_pool(range(n_e), range(n_e, n))
         rng = np.random.default_rng(n)
@@ -345,7 +351,7 @@ class TestSweepAgainstReference:
             x[rng.random(len(terms)) < 0.5] *= -1.0
             ansatz = AnsatzOp.build(n, terms, x, table=table, sector=sector)
             energy, grad = _energy_and_gradient(x, h, ansatz, reference)
-            want = oracles.energy_and_gradient_reference(x, h, ansatz, reference)
+            want = oracles.energy_and_gradient_reference(x, h_strings, ansatz, reference)
             assert energy == want[0] and grad.dtype == want[1].dtype
             assert np.array_equal(grad, want[1]), scale
             state = apply_ansatz(reference, ansatz).amplitudes

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from fqcc.circuits import Circuit, metrics, peephole_cancel
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
-from fqcc.paulis import PauliString
+from fqcc.paulis import PauliString, PauliSum
 from fqcc.simulate import AnsatzOp, Statevector, apply_ansatz
 from fqcc.transform import Transform
 
@@ -730,12 +731,12 @@ class TestPlannerReferences:
     )
     def test_boundary_saving_matches_reference(self, case):
         """Random string pairs; the target may lie outside either support.
-        ``_boundary_wires`` (the emitter's), the junctions' mask form, and
+        ``planner_oracles.boundary_wires``, the junctions' mask form, and
         the savings' and ``_along``'s mask form for strings that share x."""
         n, x1, z1, x2, z2, target = case
         a, b = PauliString(n, x1, z1), PauliString(n, x2, z2)
         two, one = oracles.boundary_saving_reference(a, b, target)
-        agree, differ = tr._boundary_wires(a, b, target)
+        agree, differ = planner_oracles.boundary_wires(a, b, target)
         assert (agree.bit_count(), differ.bit_count()) == (two, one)
         last, first = (tuple(np.array([[v]]) for v in pair) for pair in ((x1, z1), (x2, z2)))
         assert tr._junctions(last, first, np.array([target]))[0, 0, 0] == 2 * two + one
@@ -1210,6 +1211,43 @@ def _plan_order_cases():
         yield pytest.param(name, bosonic, reorder, relabel, marks=marks, id=case)
 
 
+def _assert_circuit_is_ansatz(plan, pool, angles, transform):
+    """The emitted circuit on the compressed reference equals the exact
+    excitation exponentials applied to the reference in ``plan.order``.
+
+    The reference is the HF occupation mapped through ``plan.labels``
+    (the identity unless relabeled), and a relabeled plan runs each
+    excitation with its modes mapped the same way and its angle signed by
+    the remap.  The compressed reference is that occupation with the
+    partner wire of each fully occupied touched pair cleared (restoration
+    sets it again).  It is encoded in the frame of the circuit's first
+    stage: Jordan-Wigner when the plan compresses terms, otherwise the
+    transform's.  The exact state is emulated in the occupation basis and
+    permuted by x -> beta x into the transform's basis.
+    """
+    n, n_e = _SV_MODES, _SV_ELECTRONS
+    hf = sum(1 << plan.labels[m] for m in range(n_e))
+    occupation = hf
+    for idx in plan.touched_pairs:
+        w0, w1 = 2 * idx, 2 * idx + 1
+        if hf >> w0 & 1 and hf >> w1 & 1:
+            occupation &= ~(1 << w1)
+    frame = Transform.jordan_wigner(n) if plan.compressed else transform
+    start = np.zeros(1 << n, dtype=complex)
+    start[oracles.encode_occupation(frame, occupation)] = 1.0
+    got = oracles.apply_to_state(plan.circuit, start)
+
+    seqs, values = [], []
+    for i in plan.order:
+        mapped, sign = tr.permute_sequence(pool[i], plan.labels)
+        seqs.append(mapped)
+        values.append(sign * angles[i])
+    ansatz = AnsatzOp.build(n, seqs, values)
+    emulated = apply_ansatz(Statevector.basis(n, hf), ansatz).amplitudes
+    want = oracles.encoded_amplitudes(transform, emulated)
+    assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
+
+
 class TestEmittedPeephole:
     @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
     def test_blocks_match_reference(self, name, monkeypatch):
@@ -1238,20 +1276,7 @@ class TestEmittedPeephole:
 class TestPlanStatevector:
     @pytest.mark.parametrize("name,bosonic,reorder,relabel", _plan_order_cases())
     def test_circuit_is_ansatz_in_plan_order(self, name, bosonic, reorder, relabel):
-        """The emitted circuit on the compressed reference equals the exact
-        excitation exponentials applied to the reference in ``plan.order``.
-
-        The reference is the HF occupation mapped through ``plan.labels``
-        (the identity unless relabeled), and a relabeled plan runs each
-        excitation with its modes mapped the same way and its angle signed
-        by the remap.  The compressed reference is that occupation with the
-        partner wire of each fully occupied touched pair cleared
-        (restoration sets it again).  It is encoded in the frame of the
-        circuit's first stage: Jordan-Wigner when the plan compresses
-        terms, otherwise the transform's.  The exact state is emulated in
-        the occupation basis and permuted by x -> beta x into the
-        transform's basis.
-        """
+        """The emitted circuit is the ansatz (``_assert_circuit_is_ansatz``)."""
         n, n_e = _SV_MODES, _SV_ELECTRONS
         transform = _SV_ENCODINGS[name]
         pool = uccsd_pool(range(n_e), range(n_e, n))
@@ -1265,27 +1290,7 @@ class TestPlanStatevector:
             # the labels follow the planner's count, so they follow its passes
             want = (6, 7, 2, 3, 4, 5, 0, 1) if bosonic or reorder else (4, 5, 2, 3, 0, 1, 6, 7)
             assert plan.labels == want
-
-        hf = sum(1 << plan.labels[m] for m in range(n_e))
-        occupation = hf
-        for idx in plan.touched_pairs:
-            w0, w1 = 2 * idx, 2 * idx + 1
-            if hf >> w0 & 1 and hf >> w1 & 1:
-                occupation &= ~(1 << w1)
-        frame = Transform.jordan_wigner(n) if plan.compressed else transform
-        start = np.zeros(1 << n, dtype=complex)
-        start[oracles.encode_occupation(frame, occupation)] = 1.0
-        got = oracles.apply_to_state(plan.circuit, start)
-
-        seqs, values = [], []
-        for i in plan.order:
-            mapped, sign = tr.permute_sequence(pool[i], plan.labels)
-            seqs.append(mapped)
-            values.append(sign * angles[i])
-        ansatz = AnsatzOp.build(n, seqs, values)
-        emulated = apply_ansatz(Statevector.basis(n, hf), ansatz).amplitudes
-        want = oracles.encoded_amplitudes(transform, emulated)
-        assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
+        _assert_circuit_is_ansatz(plan, pool, angles, transform)
 
 
 # ---------------------------------------------------------------------------
@@ -1483,30 +1488,65 @@ class TestChainEmission:
         assert checked == 4 * (len(_EMISSION_CONFIGS) - (n > 8))
 
     def test_zero_angle_rotations(self):
-        """A rotation whose angle folds to 0 is dropped as it is emitted, and
-        the peephole then cancels less than it did on whole blocks: H4 under
-        JW with every third angle 0 takes 145 CNOTs (139 on the reference,
-        202 in the model), and the circuit is still the ansatz."""
+        """A string whose angle folds to 0 is dropped before its chain is
+        emitted, so the chain is still at the peephole's fixpoint: H4 under
+        JW with every third angle 0 takes 139 CNOTs, as on the reference
+        (202 in the model), and the circuit is still the ansatz."""
         n, n_e = _SV_MODES, _SV_ELECTRONS
         pool = uccsd_pool(range(n_e), range(n_e, n))
         angles = [0.0 if i % 3 == 0 else 1.0 for i in range(len(pool))]
         transform = Transform.jordan_wigner(n)
         plan = tr.synthesize_ansatz(pool, transform, angles, occupied=range(n_e))
-        assert metrics(plan.circuit).two_qubit == 145
+        assert metrics(plan.circuit).two_qubit == 139
         assert metrics(planner_oracles.emit_circuit_reference(plan)).two_qubit == 139
         assert plan.model_two_qubit == 202
+        _assert_circuit_is_ansatz(plan, pool, angles, transform)
 
-        hf = (1 << n_e) - 1
-        occupation = hf
-        for pair in plan.touched_pairs:
-            if hf >> 2 * pair & 1 and hf >> 2 * pair + 1 & 1:
-                occupation &= ~(1 << 2 * pair + 1)
-        start = np.zeros(1 << n, dtype=complex)
-        start[oracles.encode_occupation(transform, occupation)] = 1.0
-        got = oracles.apply_to_state(plan.circuit, start)
-        ansatz = AnsatzOp.build(n, [pool[i] for i in plan.order], [angles[i] for i in plan.order])
-        want = apply_ansatz(Statevector.basis(n, hf), ansatz).amplitudes
-        assert abs(np.vdot(want, got)) == pytest.approx(1.0, abs=1e-9)
+    def test_dropped_strings_keep_their_phase(self):
+        """A string whose angle folds to 0 leaves no gate but its phase, -1
+        at an odd multiple of 2 pi; the chain is still the product of its
+        rotations exp(-i angle/2 P), phase included."""
+        n = 3
+        chain = [
+            (0b011, 0b001, 2 * math.pi), (0b011, 0b010, 1.0), (0b111, 0b000, -2 * math.pi),
+            (0b011, 0b000, 4 * math.pi), (0b101, 0b100, 0.0), (0b001, 0b000, 6 * math.pi),
+        ]
+        gates, phase = tr._emit_chain(chain, 0, n)
+        assert phase == -1.0 and [g.kind for g in gates].count("Rz") == 1
+        want = np.eye(1 << n)
+        for x, z, angle in chain:
+            pauli = oracles.sum_matrix(PauliSum(n, {(x, z): 1.0}))
+            want = sla.expm(-0.5j * angle * pauli) @ want
+        assert np.allclose(oracles.unitary(Circuit(n, 0, gates, phase)), want, atol=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_special_angles_leave_the_peephole_nothing(self, data):
+        """Term angles of 0, multiples of 2 pi, +-pi/2 and pi, under every
+        encoding (bosonic compression on JW only, as the basis change B is
+        not emitted yet): every chain comes back from the peephole
+        unchanged, the circuit is the ansatz, and it is the reference's
+        unitary, global phase included."""
+        n, n_e = _SV_MODES, _SV_ELECTRONS
+        pool = uccsd_pool(range(n_e), range(n_e, n))
+        name = data.draw(st.sampled_from(sorted(_SV_ENCODINGS)))
+        special = st.sampled_from([0.0, math.pi / 2, -math.pi / 2, math.pi]) | st.integers(
+            -8, 8
+        ).map(lambda k: 2.0 * math.pi * k)
+        angles = data.draw(st.lists(special, min_size=len(pool), max_size=len(pool)))
+        config = tr.HeuristicConfig(bosonic=name == "jw")
+        transform = _SV_ENCODINGS[name]
+        plan = tr.plan_ansatz(pool, transform, angles, config, occupied=range(n_e))
+        with pytest.MonkeyPatch.context() as patch:
+            plan.circuit, calls = _emitted_chains(plan, patch)
+        assert len(calls) == len(plan.classes)
+        for given_chain, out in calls:
+            _assert_same_circuit(out, given_chain)
+        _assert_circuit_is_ansatz(plan, pool, angles, transform)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        want = oracles.apply_to_state(planner_oracles.emit_circuit_reference(plan), vec)
+        assert np.allclose(oracles.apply_to_state(plan.circuit, vec), want, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ rounds of ``time.perf_counter`` over a fixed number of calls:
                        on the sector, from the occupation masks, into a
                        fresh table in one call, as each HMP2 run builds
                        them (seconds per whole pool)
-    h_apply_s          CompiledSum.apply: H on the final ansatz state
-    exponential_s      simulate._apply_exponential: one excitation exponential
-                       (the pool's last double) on that state
+    h_apply_s          RowKernel.apply of the compiled H on the final ansatz state
+    exponential_s      one excitation exponential (the pool's last double) on
+                       that state, by the sweep's one-term path
+                       (simulate._run_terms of a one-term _sweep_terms)
     energy_gradient_s  simulate._energy_and_gradient: one VQE energy and
                        gradient at the run's final values
 
@@ -49,7 +50,7 @@ from fqcc.fcidump import load_fcidump  # noqa: E402
 from fqcc.fermions import build_hamiltonian, uccsd_pool  # noqa: E402
 from fqcc.paulis import CompiledSum  # noqa: E402
 from fqcc.simulate import (  # noqa: E402
-    AnsatzOp, _apply_exponential, _energy_and_gradient, _occupation_image, apply_ansatz,
+    AnsatzOp, _energy_and_gradient, _occupation_image, _run_terms, _sweep_terms, apply_ansatz,
     compile_generators, hf_state, spin_sector,
 )
 
@@ -118,7 +119,9 @@ def measure(ham, fock):
         "h_compile_s": _per_call(lambda: CompiledSum(h_pauli, sector), 3),
         "generators_s": _per_call(lambda: compile_generators(pool, n, sector, {}), 1),
         "h_apply_s": _per_call(lambda: h.apply(vec), 200),
-        "exponential_s": _per_call(lambda: _apply_exponential(kernel, 0.1, vec), 2000),
+        "exponential_s": _per_call(
+            lambda: _run_terms(_sweep_terms((kernel,), (0.1,)), vec), 2000
+        ),
         "energy_gradient_s": _per_call(
             lambda: _energy_and_gradient(x, h, ansatz, reference), 20
         ),
