@@ -20,11 +20,14 @@ equals ``scipy.special.expit`` bit for bit; scipy is not imported, since
 its import would take most of a search process's start-up.
 
 Cost evaluations are pure functions of the decoded encoding, cached per
-bit pattern.  The new positions of the initial swarm and of each step,
-and the closing JW and BK baselines, are each scored in one call of the
-cost function's optional ``many(transforms)`` form, which
-``ansatz_cost_fn`` provides as one batched planner pass; a cost function
-without it is called once per encoding, with the same results.
+bit pattern.  The new positions of the initial swarm and of each step are
+read, as one batch, straight from their bit masks into an
+``EncodingStack`` (no ``Transform`` per position), and the closing JW and
+BK baselines into another; each stack is scored in one call of the cost
+function's optional ``many(stack)`` form, which ``ansatz_cost_fn``
+provides as one batched planner pass.  A cost function without it is
+called once per encoding, on the ``Transform``s the stack yields, with
+the same results.
 Randomness is partitioned into one stream per particle.  Checkpoints are
 plain text, carry the cost cache, and are replaced atomically.
 """
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .transform import Transform
+from .transform import EncodingStack, Transform
 from .trotter import HeuristicConfig, ansatz_two_qubit_cost, ansatz_two_qubit_costs
 
 __all__ = [
@@ -285,26 +288,23 @@ def init_swarm(n, *, config=None) -> Swarm:
 # ---------------------------------------------------------------------------
 
 
-def _decode(n, d, mask):
-    return Transform.from_lower_bits(n, [(mask >> j) & 1 for j in range(d)])
-
-
-def _scores(cost_fn, transforms):
-    """``cost_fn``'s count of each transform: one ``cost_fn.many`` call when
-    the cost function has that form, otherwise one call per transform."""
+def _scores(cost_fn, stack):
+    """``cost_fn``'s count of each encoding of an ``EncodingStack``: one
+    ``cost_fn.many`` call when the cost function has that form, otherwise
+    one call per ``Transform`` of the stack."""
     many = getattr(cost_fn, "many", None)
-    costs = many(transforms) if many is not None else [cost_fn(t) for t in transforms]
+    costs = many(stack) if many is not None else [cost_fn(t) for t in stack]
     return [int(c) for c in costs]
 
 
 def _evaluate(swarm, cost_fn, masks):
     """Costs for a batch of positions; each new position is evaluated once,
-    all of them in one ``_scores`` call."""
+    all of them in one ``_scores`` call on the stack of their masks."""
     cache = swarm.cost_cache
-    n, d = swarm.config.n_modes, swarm.config.dimension
     new = sorted({m for m in masks if m not in cache})
     if new:
-        cache.update(zip(new, _scores(cost_fn, [_decode(n, d, m) for m in new])))
+        stack = EncodingStack.from_lower_bits(swarm.config.n_modes, new)
+        cache.update(zip(new, _scores(cost_fn, stack)))
     return [cache[m] for m in masks]
 
 
@@ -406,11 +406,13 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
     circuit (see ``ansatz_cost_fn``).  It must be pure: a count depends on
     the encoding alone, never on which encodings are scored with it, in
     what order, or what was scored before, so a seeded search is the same
-    whichever way its scores are taken.  A ``many(transforms)`` attribute,
-    returning the counts of a list of encodings, is optional: when present,
-    each batch of new positions (the initial swarm, then each step) is
-    scored in one ``many`` call, and so are the closing JW and BK
-    baselines; otherwise ``cost_fn`` is called once per encoding.
+    whichever way its scores are taken.  A ``many(stack)`` attribute,
+    returning the counts of the encodings of an ``EncodingStack`` in its
+    row order, is optional: when present, each batch of new positions (the
+    initial swarm, then each step) is built as one stack from its bit
+    masks, sorted, and scored in one ``many`` call, and so is the stack of
+    the closing JW and BK baselines; otherwise ``cost_fn`` is called once
+    per ``Transform`` of each stack.
     Passing a ``swarm`` resumes it in place.  ``best_history`` records the
     global best after initialization and after each step of this call.
     """
@@ -428,7 +430,8 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
         write_checkpoint(swarm, checkpoint_path)
 
     n, d = config.n_modes, config.dimension
-    jw_cost, bk_cost = _scores(cost_fn, [Transform.jordan_wigner(n), Transform.bravyi_kitaev(n)])
+    baselines = EncodingStack.of([Transform.jordan_wigner(n), Transform.bravyi_kitaev(n)])
+    jw_cost, bk_cost = _scores(cost_fn, baselines)
     best_cost = int(swarm.best_cost)
     bits = tuple((swarm.best_position >> j) & 1 for j in range(d))
     return SearchReport(
@@ -450,9 +453,9 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
 def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
     """Two-qubit planner count of a fixed excitation list, as f(transform).
 
-    The function also has the form ``many(transforms)``, the counts of a
-    list of encodings from one batched planner call
-    (``trotter.ansatz_two_qubit_costs``), equal to calling it on each.
+    The function also has the form ``many(encodings)``, the counts of an
+    ``EncodingStack`` (or a list of transforms) from one batched planner
+    call (``trotter.ansatz_two_qubit_costs``), equal to calling it on each.
     The count is pure: it depends on the encoding alone, not on the other
     encodings of a call, their order or earlier calls.  ``occupied`` is
     read once, here, so a one-shot iterator serves every call.
@@ -463,8 +466,8 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
     def cost(transform):
         return ansatz_two_qubit_cost(seqs, transform, config, occupied=occupied)
 
-    def many(transforms):
-        return ansatz_two_qubit_costs(seqs, transforms, config, occupied=occupied)
+    def many(encodings):
+        return ansatz_two_qubit_costs(seqs, encodings, config, occupied=occupied)
 
     cost.many = many
     return cost

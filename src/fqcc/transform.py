@@ -13,11 +13,20 @@ closed form, and each resulting string is conjugated once by B
 (``Transform.frame``): B X^x Z^z B+ = X^(beta x) Z^(beta^-T z), so a
 string P(x, z), with Y = iXZ on the wires of x & z, goes to
 i^(|x & z| - |x' & z'|) P(x', z').
+
+The frame reads beta only through byte tables of its columns and of the
+rows of beta^-1, and these are built for many encodings at once: an
+``EncodingStack`` holds the row masks of a batch of betas, read straight
+from the swarm's lower-bit masks or from ``Transform``s, takes every
+beta^-1 by one forward substitution over the batch, and frames strings
+under all of them in one gather (``frame_stack``).  A ``Transform``'s own
+tables are those of its stack of one.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 import numpy as np
 
@@ -26,8 +35,6 @@ from .paulis import COEFF_TOL, PauliSum
 
 # masks live in int64 arrays
 _MAX_MODES = 63
-# bit b of each byte value v, as [b, v]
-_BYTE_BITS = np.arange(256) >> np.arange(8)[:, None] & 1
 # i^e
 _UNITS = np.array([1, 1j, -1, -1j])
 
@@ -143,34 +150,6 @@ def _paths(x, z, f, dz, df):
     return zd, e
 
 
-def _gf2_inv(beta):
-    """The inverse over GF(2) of a unit lower-triangular 0/1 matrix.
-
-    Forward substitution on row bitmasks: beta X = I gives row i of X as
-    e_i plus the rows j < i of X where beta[i, j] is 1.
-    """
-    n = beta.shape[0]
-    rows = []
-    for i, rest in enumerate(_masks(beta)):
-        row = 1 << i
-        rest ^= row
-        while rest:
-            low = rest & -rest
-            row ^= rows[low.bit_length() - 1]
-            rest ^= low
-        rows.append(row)
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in rows), np.uint8)
-    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
-
-
-def _masks(rows):
-    """Bit mask of the nonzero entries of each row of a 0/1 matrix."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-
-
 def ladder_products(ladders):
     """Every Jordan-Wigner string product of each row of ladders on distinct modes.
 
@@ -188,23 +167,123 @@ def ladder_products(ladders):
     return x, z, e
 
 
-def frame_stack(transforms, x, z):
-    """``Transform.frame`` under each encoding of a stack of one width.
-
-    Returns ``(x', z', q)``, each with a leading axis over ``transforms``
-    and then the broadcast shape of the int64 mask arrays ``x`` and
-    ``z``.  The encodings' byte tables (``_frame_tables``) are stacked,
-    so each byte of a mask is looked up for every encoding in one gather.
-    Masks are int64: more than 63 modes raises ``ValueError``.
-    """
-    n = transforms[0].n_modes
+def _width(n):
+    """``n``, or ``ValueError`` when int64 masks cannot hold n modes."""
     if n > _MAX_MODES:
         raise ValueError(f"masks hold at most {_MAX_MODES} modes, not {n}")
-    if any(t.n_modes != n for t in transforms):
-        raise ValueError("the encodings of a stack must share their number of modes")
-    x_tables, z_tables = (
-        np.stack(tables) for tables in zip(*(t._frame_tables for t in transforms))
-    )
+    return n
+
+
+def _byte_tables(masks):
+    """By byte c of a mask and its value v, the xor of ``masks[:, 8c + b]``
+    over the set bits b of v: shape (B, C, 256) for masks of shape (B, n),
+    built by doubling, bit b of v taking its upper half."""
+    size, n = masks.shape
+    parts = np.zeros((size, n + -n % 8), np.int64)
+    parts[:, :n] = masks
+    parts = parts.reshape(size, -1, 8)
+    table = np.zeros((size, parts.shape[1], 1), np.int64)
+    for b in range(8):
+        table = np.concatenate((table, table ^ parts[:, :, b, None]), axis=2)
+    return table
+
+
+class EncodingStack:
+    """A stack of encodings of one width, held as their betas' row masks.
+
+    ``rows`` is an int64 array of shape (B, n): bit j of ``rows[b, i]`` is
+    beta[i, j] of encoding b.  A stack is built from the swarm's lower-bit
+    masks (``from_lower_bits``) or read from ``Transform``s (``of``); no
+    ``Transform`` is made for either.  ``stack[a:b]`` is the stack of those
+    rows, and ``stack[i]`` and iteration give ``Transform``s.  ``tables``,
+    ``frame_stack``'s byte tables, are built for all rows at once on first
+    use and kept with the stack; the planner, which plans a large stack a
+    chunk of rows at a time, builds them per chunk
+    (``trotter.ansatz_two_qubit_costs``).  Masks are int64: more than 63
+    modes raises ``ValueError``.
+    """
+
+    def __init__(self, n_modes, rows):
+        self.n_modes = _width(n_modes)
+        self.rows = _frozen(rows)
+
+    @classmethod
+    def from_lower_bits(cls, n_modes, masks):
+        """The encodings whose free bits are ``masks``: bit i(i-1)/2 + j of
+        a mask is beta[i, j] for j < i, ``Transform.from_lower_bits``'
+        order.  A mask has d = n(n-1)/2 bits, more than int64 holds from
+        12 modes on, so row i is cut from the int as (1 << i) | (mask >>
+        i(i-1)/2) & ((1 << i) - 1).  A mask that is negative or not below
+        2^d raises ``ValueError``."""
+        d = _width(n_modes) * (n_modes - 1) // 2
+        masks = [operator.index(m) for m in masks]
+        if any(m < 0 or m >> d for m in masks):
+            raise ValueError(f"lower-bit masks of {n_modes} modes lie in [0, 2^{d})")
+        cuts = [(1 << i, i * (i - 1) // 2, (1 << i) - 1) for i in range(n_modes)]
+        rows = [one | m >> shift & low for m in masks for one, shift, low in cuts]
+        return cls(n_modes, np.array(rows, dtype=np.int64).reshape(len(masks), n_modes))
+
+    @classmethod
+    def of(cls, encodings):
+        """``encodings`` as a stack: a stack as it is, or a sequence of
+        ``Transform``s of one width read into one (of 0 modes when the
+        sequence is empty)."""
+        if isinstance(encodings, cls):
+            return encodings
+        encodings = list(encodings)
+        n = _width(encodings[0].n_modes if encodings else 0)
+        if any(t.n_modes != n for t in encodings):
+            raise ValueError("the encodings of a stack must share their number of modes")
+        betas = np.array([t.beta for t in encodings], dtype=np.int64)
+        return cls(n, betas.reshape(len(encodings), n, n) @ (1 << np.arange(n, dtype=np.int64)))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EncodingStack(self.n_modes, self.rows[index])
+        return Transform(self.rows[index][:, None] >> np.arange(self.n_modes) & 1)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @functools.cached_property
+    def inverse(self):
+        """The row masks of each beta^-1, shape (B, n), by forward
+        substitution over the whole stack at once: beta X = I gives row i
+        of X as e_i plus the rows j < i of X where beta[i, j] is 1, so
+        once row j is final it is added to every later row that has
+        beta[i, j] = 1."""
+        inverse = np.empty_like(self.rows)
+        inverse[:] = 1 << np.arange(self.n_modes)
+        for j in range(self.n_modes - 1):
+            inverse[:, j + 1 :] ^= (self.rows[:, j + 1 :] >> j & 1) * inverse[:, j, None]
+        return _frozen(inverse)
+
+    @functools.cached_property
+    def tables(self):
+        """``frame_stack``'s x and z tables, each of shape (B, C, 256): by
+        byte c of a mask and its value v, the x' of X^(v << 8c), an xor of
+        columns of beta, and the z' of Z^(v << 8c), an xor of rows of
+        beta^-1."""
+        shift = np.arange(self.n_modes)
+        columns = np.bitwise_or.reduce(
+            (self.rows[:, :, None] >> shift & 1) << shift[:, None], axis=1
+        )
+        return _frozen(_byte_tables(columns)), _frozen(_byte_tables(self.inverse))
+
+
+def frame_stack(encodings, x, z):
+    """``Transform.frame`` under each encoding of an ``EncodingStack``.
+
+    Returns ``(x', z', q)``, each with a leading axis over the stack and
+    then the shape of the int64 mask array ``x`` (for x'), ``z`` (for z')
+    or both broadcast together (for q).  The stack's byte tables
+    (``EncodingStack.tables``) are looked up a byte of a mask at a time,
+    for every encoding in one gather.
+    """
+    x_tables, z_tables = encodings.tables
     x_out = x_tables[:, 0, x & 255]
     z_out = z_tables[:, 0, z & 255]
     for c in range(1, x_tables.shape[1]):
@@ -231,21 +310,12 @@ class Transform:
             raise ValueError("beta must be lower triangular in logical mode order")
         self.beta = beta
         self.n_modes = n
-        # unit lower triangular, checked above
-        self.beta_inv = _gf2_inv(beta)
 
     @functools.cached_property
-    def _frame_tables(self):
-        """``frame``'s x and z tables: by byte c of a mask and its value v,
-        the x' of X^(v << 8c), an xor of columns of beta, and the z' of
-        Z^(v << 8c), an xor of rows of beta^-1."""
-        n = self.n_modes
-        tables = []
-        for matrix in (self.beta.T, self.beta_inv):
-            masks = np.zeros(n + -n % 8, np.int64)
-            masks[:n] = matrix.astype(np.int64) @ (1 << np.arange(n, dtype=np.int64))
-            tables.append(np.bitwise_xor.reduce(masks.reshape(-1, 8, 1) * _BYTE_BITS, axis=1))
-        return tables
+    def stack(self):
+        """This encoding as an ``EncodingStack`` of one, which keeps
+        ``frame``'s byte tables once they are built."""
+        return EncodingStack.of((self,))
 
     # -- constructors --------------------------------------------------------
 
@@ -263,16 +333,16 @@ class Transform:
 
     @classmethod
     def from_lower_bits(cls, n_modes, bits):
-        """Build from the n(n-1)/2 strictly-lower bits, row-major (i, j<i)."""
-        bits = list(bits)
+        """Build from the n(n-1)/2 strictly-lower bits, row-major (i, j<i).
+        Each bit is 0 or 1, as an int or a bool; any other entry raises
+        ``ValueError``."""
+        bits = np.asarray(list(bits))
         if len(bits) != n_modes * (n_modes - 1) // 2:
             raise ValueError("wrong number of free bits")
+        if bits.size and (bits.dtype.kind not in "biu" or ((bits != 0) & (bits != 1)).any()):
+            raise ValueError("free bits must be 0 or 1")
         beta = np.eye(n_modes, dtype=np.uint8)
-        k = 0
-        for i in range(n_modes):
-            for j in range(i):
-                beta[i, j] = 1 if bits[k] else 0
-                k += 1
+        beta[np.tril_indices(n_modes, -1)] = bits
         return cls(beta)
 
     # -- ladder operators ------------------------------------------------------
@@ -282,12 +352,13 @@ class Transform:
         B P(x, z) B+ = i^q P(x', z') and q = |x & z| - |x' & z'| (int8).
 
         ``x`` and ``z`` are int64 mask arrays that broadcast together.
-        ``frame_stack`` of this one encoding: x' = beta x and z' =
-        beta^-T z are looked up a byte at a time (``_frame_tables``), so no
-        array holds an entry per string and mode.  Masks are int64: more
-        than 63 modes raises ``ValueError``.
+        ``frame_stack`` of this one encoding (``stack``): x' = beta x and
+        z' = beta^-T z are looked up a byte at a time
+        (``EncodingStack.tables``), so no array holds an entry per string
+        and mode.  Masks are int64: more than 63 modes raises
+        ``ValueError``.
         """
-        x_out, z_out, q = frame_stack((self,), x, z)
+        x_out, z_out, q = frame_stack(self.stack, x, z)
         return x_out[0], z_out[0], q[0]
 
     def map_operator(self, terms, constant=0.0):

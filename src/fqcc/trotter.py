@@ -10,10 +10,11 @@ excitations are compressed onto half the register.
 The planner is one set of numpy passes over mask arrays, batched over
 encodings: a stack of T encodings of one pool is planned as one, and a
 single plan is a stack of one.  The pool's Jordan-Wigner string products
-are taken once (``_jw_pool``), framed for every encoding from stacked byte
-tables (``_expand``), and sorted canonically for every (encoding, term)
-row in one pass; the paired-double split reads only the excitations and
-the reference, so it runs once (``_pair_split``); ``inter_order`` forms
+are taken once (``_jw_pool``), framed for every encoding of an
+``EncodingStack`` from its byte tables (``_expand``), and sorted
+canonically for every (encoding, term) row in one pass; the
+paired-double split reads only the excitations and the reference, so it
+runs once (``_pair_split``); ``inter_order`` forms
 every encoding's classes at once, solves every (term, target) string order
 of one string count in one deduplicated Held-Karp pass, and seeds and
 grows the chains of all classes, padded to a common member count, in one
@@ -98,7 +99,7 @@ from .circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from .circuits import _INVERSE, _junction_rewrite, _norm_angle, _xx_half_gates
 from .fermions import OrbitalSequence
 from .paulis import PauliString
-from .transform import _popcount, frame_stack, ladder_products
+from .transform import EncodingStack, _popcount, frame_stack, ladder_products
 
 
 # ---------------------------------------------------------------------------
@@ -230,24 +231,24 @@ def _jw_pool(seqs, n):
     return pool
 
 
-def _expand(pool, transforms, *, anti):
-    """Each ladder count's terms (``_Group``) under every encoding of
-    ``transforms``, from the Jordan-Wigner products of ``_jw_pool``.
+def _expand(pool, encodings, *, anti):
+    """Each ladder count's terms (``_Group``) under every encoding of the
+    stack ``encodings``, from the Jordan-Wigner products of ``_jw_pool``.
 
     Each group's products are framed for all encodings in one call
-    (``frame_stack``).  T + T+ keeps the even powers of i, with sign + at
+    (``frame_stack``), every group from the stack's one set of tables.  T + T+ keeps the even powers of i, with sign + at
     i^0, and T - T+ the odd ones, with sign + at i^3; exactly half of a
     term's 2^k products are kept.  The kept strings of every (encoding,
     term) row are sorted by ``_canonical_order`` in one pass.
     """
     parity, plus = (1, 3) if anti else (0, 0)
-    n = transforms[0].n_modes
+    n = encodings.n_modes
     groups = []
     for rows, x, z, e, modes in pool:
-        x, z, q = frame_stack(transforms, x[:, None], z)
+        x, z, q = frame_stack(encodings, x[:, None], z)
         e = (e + q) & 3
         kept = (e & 1) == parity
-        n_enc, n_rows, s = len(transforms), len(rows), z.shape[2] // 2
+        n_enc, n_rows, s = len(encodings), len(rows), z.shape[2] // 2
         x = x[:, :, 0]
         z = z[kept].reshape(n_enc * n_rows, s)
         order = _canonical_order(x.ravel(), z, n)
@@ -292,7 +293,7 @@ def _expand_pool(seqs, transform, thetas, *, anti):
     ``_expand`` of a stack of one, read into objects (``_terms``)."""
     seqs = list(seqs)
     n = transform.n_modes
-    groups = _expand(_jw_pool(seqs, n), (transform,), anti=anti)
+    groups = _expand(_jw_pool(seqs, n), transform.stack, anti=anti)
     return _terms(seqs, thetas, groups, n, anti)
 
 
@@ -802,7 +803,7 @@ def _descend(seqs, transform, config, occupied):
 
     def count(labels):
         mapped, _, occ = _relabeled(seqs, [1.0] * len(seqs), occupied, labels)
-        return ansatz_two_qubit_costs(mapped, (transform,), config, occupied=occ)[0]
+        return ansatz_two_qubit_costs(mapped, transform.stack, config, occupied=occ)[0]
 
     candidates = _pair_swap_perms(n // 2)
     labels = tuple(range(n))
@@ -1333,9 +1334,9 @@ class AnsatzPlan:
         )
 
 
-def _plan_arrays(seqs, transforms, config, occupied, pool):
-    """The planner on one pool under a stack of encodings, relabeling
-    aside: ``(split, groups, order, counts)``, with ``pool`` the pool's
+def _plan_arrays(seqs, encodings, config, occupied, pool):
+    """The planner on one pool under a stack of encodings
+    (``EncodingStack``), relabeling aside: ``(split, groups, order, counts)``, with ``pool`` the pool's
     Jordan-Wigner products (``_jw_pool``), ``split`` as ``_pair_split``'s
     (every row kept when compression is off) and ``counts`` (T,) each
     encoding's ``model_two_qubit``.
@@ -1345,14 +1346,14 @@ def _plan_arrays(seqs, transforms, config, occupied, pool):
     (``_expand``) and ordering (``inter_order``) each run once over all
     encodings.
     """
-    n = transforms[0].n_modes
+    n = encodings.n_modes
     if config.bosonic and n % 2 == 0:
         split = _pair_split(seqs, occupied)
     else:
         split = (tuple(range(len(seqs))), (), ())
     kept, compressed, touched = split
-    groups = _expand(pool, transforms, anti=config.anti)
-    order = inter_order(groups, kept, n, len(transforms), reorder=config.reorder)
+    groups = _expand(pool, encodings, anti=config.anti)
+    order = inter_order(groups, kept, n, len(encodings), reorder=config.reorder)
     counts = order.counts + CompressedTerm.two_qubit_cost * len(compressed) + len(touched)
     return split, groups, order, counts
 
@@ -1387,7 +1388,7 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
         seqs, angles, occupied = _relabeled(seqs, angles, occupied, labels)
 
     split, groups, order, counts = _plan_arrays(
-        seqs, (transform,), config, occupied, _jw_pool(seqs, n)
+        seqs, transform.stack, config, occupied, _jw_pool(seqs, n)
     )
     terms = _terms(seqs, angles, groups, n, config.anti)
     split = _bosonic_split(split, terms)
@@ -1442,40 +1443,43 @@ def synthesize_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *,
     return plan
 
 
-def ansatz_two_qubit_costs(seqs, transforms, config=HeuristicConfig(), *, occupied=None):
+def ansatz_two_qubit_costs(seqs, encodings, config=HeuristicConfig(), *, occupied=None):
     """The planner's two-qubit count of one pool under each encoding of
-    ``transforms`` (all of one width), without building a term, a string
-    or a circuit.
+    ``encodings``, without building a term, a string or a circuit.
 
-    The pool's Jordan-Wigner products are taken once, and the encodings
-    are planned together (``_plan_arrays``) in stacks of at most
-    ``_DP_ENTRIES`` string products.  Each count equals ``plan_ansatz``'s
-    ``model_two_qubit`` for that encoding, whatever the other encodings
-    and their order.  With ``config.relabel``, each encoding's relabeling
-    descent runs in turn (``ansatz_two_qubit_cost``).  Nothing is kept
-    between calls.
+    ``encodings`` is an ``EncodingStack``, such as the swarm builds from
+    its bit masks, or a sequence of ``Transform``s of one width, read into
+    one stack here.  The pool's Jordan-Wigner products are taken once, and
+    the encodings are planned together (``_plan_arrays``) in chunks of
+    rows of at most ``_DP_ENTRIES`` string products, each chunk's frame
+    tables built for it alone (``EncodingStack.tables``).  Each count
+    equals ``plan_ansatz``'s ``model_two_qubit`` for that encoding,
+    whatever the other encodings and their order.  With
+    ``config.relabel``, each encoding's relabeling descent runs in turn
+    (``ansatz_two_qubit_cost``).  Nothing is kept between calls.
     """
-    seqs, transforms, occupied = list(seqs), list(transforms), _frozen(occupied)
+    seqs, occupied = list(seqs), _frozen(occupied)
+    encodings = EncodingStack.of(encodings)
     if config.relabel:
-        return [ansatz_two_qubit_cost(seqs, t, config, occupied=occupied) for t in transforms]
-    if not transforms:
+        return [ansatz_two_qubit_cost(seqs, t, config, occupied=occupied) for t in encodings]
+    if not len(encodings):
         return []
-    pool = _jw_pool(seqs, transforms[0].n_modes)
-    stack = max(1, _DP_ENTRIES // max(1, sum(z.size for _, _, z, _, _ in pool)))
+    pool = _jw_pool(seqs, encodings.n_modes)
+    size = max(1, _DP_ENTRIES // max(1, sum(z.size for _, _, z, _, _ in pool)))
     counts = []
-    for start in range(0, len(transforms), stack):
-        part = transforms[start : start + stack]
+    for start in range(0, len(encodings), size):
+        part = encodings[start : start + size]
         counts += _plan_arrays(seqs, part, config, occupied, pool)[3].tolist()
     return counts
 
 
 def ansatz_two_qubit_cost(seqs, transform, config=HeuristicConfig(), *, occupied=None):
     """The planner's two-qubit count under one encoding, without circuit
-    emission: ``ansatz_two_qubit_costs`` of one encoding, or with
+    emission: ``ansatz_two_qubit_costs`` of its stack of one, or with
     ``config.relabel`` the count of the labels its descent ends on."""
     if config.relabel:
         return _descend(seqs, transform, config, _frozen(occupied))[1]
-    return ansatz_two_qubit_costs(seqs, (transform,), config, occupied=occupied)[0]
+    return ansatz_two_qubit_costs(seqs, transform.stack, config, occupied=occupied)[0]
 
 
 def plan_report(plan):

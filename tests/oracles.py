@@ -166,9 +166,9 @@ def gf2_rank(a):
 
 
 def gf2_inv(a):
-    """Inverse over GF(2) by Gauss-Jordan; raises if singular.  The routine
-    ``fqcc.transform._gf2_inv`` ran before it became forward substitution
-    on unit lower-triangular rows."""
+    """Inverse over GF(2) by Gauss-Jordan; raises if singular.  The
+    package ran this routine before its forward substitution on unit
+    lower-triangular rows (now ``EncodingStack.inverse``)."""
     a = np.array(a, dtype=np.uint8) & 1
     n = a.shape[0]
     aug = np.concatenate([a, np.eye(n, dtype=np.uint8)], axis=1)

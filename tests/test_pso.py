@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fqcc import pso
 from fqcc.fermions import uccsd_pool
-from fqcc.transform import Transform
+from fqcc.transform import EncodingStack, Transform
 from fqcc.trotter import HeuristicConfig, plan_ansatz
 
 import oracles
@@ -199,7 +199,8 @@ class TestRun:
         assert report.steps == 0
         assert report.best_history == (report.best_cost,)
         swarm = pso.init_swarm(4, config=cfg)
-        initial = min(bit_cost(pso._decode(4, 6, p.position)) for p in swarm.particles)
+        stack = EncodingStack.from_lower_bits(4, [p.position for p in swarm.particles])
+        initial = min(bit_cost(t) for t in stack)
         assert report.best_cost == initial
 
     def test_best_history_monotone(self):
@@ -314,6 +315,32 @@ class TestRun:
         assert batches[-1] == [(0,) * d, oracles.lower_bits(Transform.bravyi_kitaev(6))]
         # the initial swarm and every step met new positions here
         assert len(evaluations) == report.steps + 1 == len(batches) - 1
+
+    def test_many_builds_no_transform_per_position(self, monkeypatch):
+        """With ``many``, each batch of new positions reaches it as one
+        ``EncodingStack`` read from the masks: the only ``Transform``s a
+        search builds are its JW and BK baselines."""
+        cost = pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3, 4, 5)), occupied=range(2))
+        stacks, built = [], []
+        many = cost.many
+
+        def recording(encodings):
+            stacks.append(encodings)
+            return many(encodings)
+
+        cost.many = recording
+        init = Transform.__init__
+
+        def counting(self, beta):
+            built.append(1)
+            init(self, beta)
+
+        monkeypatch.setattr(Transform, "__init__", counting)
+        report = pso.run(pso.SwarmConfig(n_modes=6, k_max=2, t_max=4, seed=1), cost)
+        assert all(isinstance(stack, EncodingStack) for stack in stacks)
+        assert len(stacks) == report.steps + 2
+        assert sum(map(len, stacks[:-1])) == report.evaluations
+        assert len(built) == 2
 
     def test_improvement_pins(self):
         assert pso.improvement_fraction(42, 33) == pytest.approx(0.2143, abs=5e-5)

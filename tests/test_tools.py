@@ -39,6 +39,11 @@ def test_planner_layers_reports_h4():
     batch = h4.pop("cost_batch")
     assert batch["encodings"] == 28 and batch["counts_equal"] is True
     assert 0 < batch["per_encoding_s"] < batch["single_per_encoding_s"]
+    # a step's encodings built as one stack from their masks, against one
+    # Transform each: H4's 28 one-bit encodings
+    build = h4.pop("stack_build")
+    assert build["encodings"] == 28
+    assert 0 < build["per_encoding_s"] < build["transform_per_encoding_s"]
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     assert {enc: h4[enc]["circuit_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     for layers in h4.values():

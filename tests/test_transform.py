@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, build_hamiltonian, uccsd_pool
 from fqcc.paulis import COEFF_TOL, PauliString, PauliSum
-from fqcc.transform import Transform
+from fqcc.transform import EncodingStack, Transform, frame_stack
 from fqcc.trotter import expand_term
 
 import oracles
@@ -23,6 +24,11 @@ def _random_beta(rng, n):
 
 
 _NAMED = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
+
+
+def _row_masks(matrix):
+    """Bit mask of the nonzero entries of each row of a 0/1 matrix."""
+    return [sum(int(bit) << k for k, bit in enumerate(row)) for row in matrix]
 
 
 def _bits(mask):
@@ -191,15 +197,18 @@ class TestDerivedSets:
     def test_inverse_matches_gauss_jordan_named(self, name):
         for n in range(1, 21):
             t = _NAMED[name](n)
-            assert np.array_equal(t.beta_inv, oracles.gf2_inv(t.beta))
-            assert t.beta_inv.dtype == np.uint8
+            inverse = t.stack.inverse
+            assert inverse.dtype == np.int64 and inverse.shape == (1, n)
+            assert inverse[0].tolist() == _row_masks(oracles.gf2_inv(t.beta))
 
     def test_inverse_matches_gauss_jordan_random(self):
+        """The stack's forward substitution, over ten encodings at once,
+        against Gauss-Jordan on each."""
         rng = np.random.default_rng(17)
         for n in range(1, 21):
-            for _ in range(10):
-                beta = _random_beta(rng, n)
-                assert np.array_equal(Transform(beta).beta_inv, oracles.gf2_inv(beta))
+            betas = [_random_beta(rng, n) for _ in range(10)]
+            inverse = EncodingStack.of([Transform(beta) for beta in betas]).inverse
+            assert inverse.tolist() == [_row_masks(oracles.gf2_inv(beta)) for beta in betas]
 
     def test_update_set_is_column_support(self):
         rng = np.random.default_rng(7)
@@ -331,7 +340,7 @@ class TestLadderStrings:
         b = _basis_matrix(t)
         ladders = oracles.ladder_strings(t)
         for mode in range(n):
-            row = sum(int(bit) << k for k, bit in enumerate(t.beta_inv[mode]))
+            row = int(t.stack.inverse[0, mode])
             for dagger in (0, 1):
                 strings = ladders[mode][dagger]
                 dense = sum(
@@ -587,3 +596,100 @@ class TestLowerBits:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             Transform.from_lower_bits(4, (1, 0, 1))
+
+    @pytest.mark.parametrize("bits", [[2, -1, 0.5], [2, 0, 0], [0, -1, 0], [0, 0, 0.5], [1.0, 0, 0]])
+    def test_entries_other_than_zero_or_one_rejected(self, bits):
+        """A truthy entry is not a 1: 2, -1, 0.5 and 1.0 are refused."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            Transform.from_lower_bits(3, bits)
+
+    def test_bools_and_numpy_ints_accepted(self):
+        want = np.array([[1, 0, 0], [1, 1, 0], [0, 1, 1]], dtype=np.uint8)
+        assert np.array_equal(Transform.from_lower_bits(3, [True, False, True]).beta, want)
+        assert np.array_equal(Transform.from_lower_bits(3, np.array([1, 0, 1])).beta, want)
+
+
+def _lower_bits(mask, d):
+    return [mask >> k & 1 for k in range(d)]
+
+
+def _masks(n, count, seed):
+    """``count`` random lower-bit masks of n modes, with the all-ones mask
+    and the top bit alone among them: from 12 modes on, d = n(n-1)/2 > 63
+    bits, so some masks lie above 2^63."""
+    d = n * (n - 1) // 2
+    rng = random.Random(seed)
+    return [rng.getrandbits(d) for _ in range(count)] + [(1 << d) - 1, 1 << d - 1]
+
+
+class TestEncodingStack:
+    """Encodings built as one stack from bit masks against one
+    ``Transform.from_lower_bits`` each."""
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_frame_matches_each_transform(self, n):
+        d = n * (n - 1) // 2
+        masks = _masks(n, 6, n)
+        stack = EncodingStack.from_lower_bits(n, masks)
+        rng = np.random.default_rng(n)
+        x = rng.integers(0, 1 << n, size=(40, 1), dtype=np.int64)
+        z = rng.integers(0, 1 << n, size=(1, 3), dtype=np.int64)
+        x_out, z_out, q = frame_stack(stack, x, z)
+        assert (x_out.shape, z_out.shape, q.shape) == ((8, 40, 1), (8, 1, 3), (8, 40, 3))
+        for i, mask in enumerate(masks):
+            t = Transform.from_lower_bits(n, _lower_bits(mask, d))
+            want = t.frame(x, z)
+            assert np.array_equal(x_out[i], want[0])
+            assert np.array_equal(z_out[i], want[1])
+            assert np.array_equal(q[i], want[2]) and q.dtype == want[2].dtype == np.int8
+            assert np.array_equal(stack[i].beta, t.beta)
+            assert np.array_equal(stack.rows[i], t.stack.rows[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 14).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n * (n - 1) // 2) - 1), min_size=1)
+        )
+    ))
+    def test_rows_and_inverse_match_each_transform(self, case):
+        n, masks = case
+        d = n * (n - 1) // 2
+        stack = EncodingStack.from_lower_bits(n, masks)
+        assert len(stack) == len(masks) and stack.rows.dtype == np.int64
+        for mask, rows, inverse in zip(masks, stack.rows.tolist(), stack.inverse.tolist()):
+            beta = Transform.from_lower_bits(n, _lower_bits(mask, d)).beta
+            assert rows == _row_masks(beta)
+            assert inverse == _row_masks(oracles.gf2_inv(beta))
+
+    def test_of_reads_transforms_and_slices_are_stacks(self):
+        n = 6
+        transforms = [Transform.jordan_wigner(n), Transform.bravyi_kitaev(n)]
+        transforms += [Transform(_random_beta(np.random.default_rng(s), n)) for s in range(4)]
+        stack = EncodingStack.of(transforms)
+        assert EncodingStack.of(stack) is stack
+        masks = [sum(b << k for k, b in enumerate(oracles.lower_bits(t))) for t in transforms]
+        assert stack.rows.tolist() == EncodingStack.from_lower_bits(n, masks).rows.tolist()
+        part = stack[2:5]
+        assert isinstance(part, EncodingStack) and part.n_modes == n and len(part) == 3
+        assert [t.beta.tolist() for t in part] == [t.beta.tolist() for t in transforms[2:5]]
+        for c in range(2):
+            assert np.array_equal(part.tables[c], stack.tables[c][2:5])
+        empty = EncodingStack.of([])
+        assert len(empty) == 0 and empty.rows.shape == (0, 0)
+
+    def test_bad_stacks_rejected(self):
+        with pytest.raises(ValueError, match="lie in"):
+            EncodingStack.from_lower_bits(4, [0, -1])
+        with pytest.raises(ValueError, match="lie in"):
+            EncodingStack.from_lower_bits(4, [1 << 6])
+        with pytest.raises(ValueError, match="lie in"):
+            EncodingStack.from_lower_bits(13, [1 << 78])
+        EncodingStack.from_lower_bits(13, [(1 << 78) - 1])
+        with pytest.raises(TypeError):
+            EncodingStack.from_lower_bits(4, [1.0])
+        with pytest.raises(ValueError, match="share their number of modes"):
+            EncodingStack.of([Transform.jordan_wigner(4), Transform.jordan_wigner(5)])
+        with pytest.raises(ValueError, match="at most 63 modes"):
+            EncodingStack.from_lower_bits(64, [0])
+        with pytest.raises(ValueError, match="at most 63 modes"):
+            EncodingStack.of([Transform.jordan_wigner(64)])

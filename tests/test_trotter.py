@@ -21,7 +21,7 @@ from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
 from fqcc.paulis import PauliString, PauliSum
 from fqcc.simulate import AnsatzOp, Statevector, apply_ansatz
-from fqcc.transform import Transform
+from fqcc.transform import EncodingStack, Transform
 
 import oracles
 import planner_oracles
@@ -1900,6 +1900,62 @@ class TestBatchedCounts:
         assert tr.ansatz_two_qubit_costs([], [jw, jw]) == [0, 0]
         plan = tr.plan_ansatz([], jw)
         assert plan.model_two_qubit == 0 and plan.classes == ()
+
+
+class TestMaskStacks:
+    """Counts of a stack built from bit masks (``EncodingStack``), as the
+    swarm scores a step, against the same encodings as ``Transform``s."""
+
+    @pytest.mark.parametrize("budget", [64, 700, 5000, None])
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_mask_stack_counts_equal_the_transform_list(self, n, budget, monkeypatch):
+        """The same counts whatever the chunk boundaries that the entry
+        budget sets: one encoding per chunk at 64 entries, the default at
+        None."""
+        d = n * (n - 1) // 2
+        rng = random.Random(n)
+        masks = [0, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(21)]
+        transforms = [
+            Transform.from_lower_bits(n, [m >> k & 1 for k in range(d)]) for m in masks
+        ]
+        pool, occupied = uccsd_pool(range(n // 2), range(n // 2, n)), range(n // 2)
+        want = [tr.ansatz_two_qubit_cost(pool, t, occupied=occupied) for t in transforms]
+        if budget is not None:
+            monkeypatch.setattr(tr, "_DP_ENTRIES", budget)
+        stack = EncodingStack.from_lower_bits(n, masks)
+        assert tr.ansatz_two_qubit_costs(pool, stack, occupied=occupied) == want
+        assert tr.ansatz_two_qubit_costs(pool, transforms, occupied=occupied) == want
+
+
+class TestExhaustiveGroundTruth:
+    """Every beta of 4 and 6 modes, 2 electrons in modes 0 and 1, scored
+    in one ``ansatz_two_qubit_costs`` call on the stack of all 2^d masks
+    (mask 0 is JW).  ROADMAP item 1, charging the basis change B, will
+    move the bosonic-on pins."""
+
+    @pytest.mark.parametrize(
+        "n, bosonic, jw, lowest, argmin",
+        [
+            (4, True, 14, 12, [19, 59]),
+            (4, False, 20, 15, [19, 59]),
+            (6, True, 50, 46, [31819, 32267]),
+            (6, False, 61, 57, [1107, 1147, 16507, 31819]),
+        ],
+    )
+    def test_minimum_over_every_encoding(self, n, bosonic, jw, lowest, argmin):
+        d = n * (n - 1) // 2
+        pool, occupied = uccsd_pool(range(2), range(2, n)), range(2)
+        config = tr.HeuristicConfig(bosonic=bosonic)
+        stack = EncodingStack.from_lower_bits(n, range(1 << d))
+        counts = tr.ansatz_two_qubit_costs(pool, stack, config, occupied=occupied)
+        assert len(counts) == 1 << d
+        assert counts[0] == jw == tr.ansatz_two_qubit_cost(
+            pool, Transform.jordan_wigner(n), config, occupied=occupied
+        )
+        assert min(counts) == lowest
+        assert [m for m, c in enumerate(counts) if c == lowest] == argmin
+        best = Transform.from_lower_bits(n, [argmin[0] >> k & 1 for k in range(d)])
+        assert tr.plan_ansatz(pool, best, config=config, occupied=occupied).model_two_qubit == lowest
 
 
 class TestRelabeledPlans:

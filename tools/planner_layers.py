@@ -13,7 +13,9 @@ the plans or over the one emission:
     expand       trotter._expand: the pool's expansion under a stack of
                  encodings (here a stack of one), one per plan
     frame        transform.frame_stack: the basis change of one ladder
-                 count's products under the stack, inside expand
+                 count's products under the stack, inside expand; the
+                 first call on a stack also builds its byte tables
+                 (``EncodingStack.tables``)
     compression  trotter._pair_split: the paired-double split, one per plan
     ordering     trotter.inter_order: classes, string orders and chains
     held_karp    trotter._dp_paths: one ladder count's savings matrices and
@@ -36,7 +38,11 @@ Next to the encodings, ``cost_batch`` times the swarm's cost on a batch
 (H4: 28 encodings drawn from seed 0; water: the 91 one-bit neighbours of
 JW), against one ``ansatz_two_qubit_cost`` call per encoding.  It reports
 the best of three rounds of each, as seconds per encoding, and whether
-the counts agree.
+the counts agree.  ``stack_build`` times what a swarm step pays before
+planning, over the one-bit encodings (H4's 28, water's 91): one
+``EncodingStack`` built from their lower-bit masks with its byte tables,
+against one ``Transform`` per encoding with the tables of each.  It
+reports the best of three rounds of each, as seconds per encoding.
 
 Each peephole call runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
@@ -69,7 +75,7 @@ import numpy as np  # noqa: E402
 from fqcc import circuits, trotter  # noqa: E402
 from fqcc.circuits import metrics  # noqa: E402
 from fqcc.fermions import uccsd_pool  # noqa: E402
-from fqcc.transform import Transform  # noqa: E402
+from fqcc.transform import EncodingStack, Transform  # noqa: E402
 
 # (spin orbitals, electrons) of the STO-3G systems
 SYSTEMS = {"h4": (8, 4), "water": (14, 10)}
@@ -121,6 +127,27 @@ def cost_batch(name, n_modes, n_electrons):
         "per_encoding_s": round(min(batched) / len(transforms), 7),
         "single_per_encoding_s": round(min(single) / len(transforms), 7),
         "counts_equal": many == one,
+    }
+
+
+def stack_build(n_modes):
+    """Seconds per encoding to build the one-bit encodings' frame tables
+    as one stack from their masks and as one ``Transform`` each."""
+    d = n_modes * (n_modes - 1) // 2
+    masks = [1 << i for i in range(d)]
+    stacked, single = [], []
+    for _ in range(REPEAT):
+        start = perf_counter()
+        EncodingStack.from_lower_bits(n_modes, masks).tables
+        stacked.append(perf_counter() - start)
+        start = perf_counter()
+        for mask in masks:
+            Transform.from_lower_bits(n_modes, [mask >> j & 1 for j in range(d)]).stack.tables
+        single.append(perf_counter() - start)
+    return {
+        "encodings": d,
+        "per_encoding_s": round(min(stacked) / d, 7),
+        "transform_per_encoding_s": round(min(single) / d, 7),
     }
 
 
@@ -201,6 +228,7 @@ def main(argv=None):
             for enc, make in ENCODINGS.items()
         }
         result["systems"][name]["cost_batch"] = cost_batch(name, n_modes, n_electrons)
+        result["systems"][name]["stack_build"] = stack_build(n_modes)
     print(json.dumps(result))
 
 
