@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .circuits import Circuit, shared_gate
-from .paulis import PauliString, PauliSum, word_key
+from .paulis import PauliString, PauliSum
 
 __all__ = [
     "QSRContext", "qsr_context_from_terms", "qsr_compress", "qsr_compress_sum",
@@ -46,7 +46,7 @@ class QSRContext:
     """How each physical qubit is used: entangled, frozen, or pair-confined.
 
     ``classical`` maps a frozen qubit to its basis value; ``pairs`` lists
-    orbital pairs confined to span{|00>, |11|}.  Together with ``entangled``
+    orbital pairs confined to span{|00>, |11>}.  Together with ``entangled``
     they must partition the register.  The reduced register keeps one wire
     per entangled qubit and one per pair, ordered by smallest physical index;
     ``slots`` lists that layout, built once with the context.
@@ -229,7 +229,14 @@ class MeasurementPlan:
 
 
 def _ordered(paulis):
-    return sorted(paulis.strings(), key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
+    """The sum's strings by decreasing |coefficient|, ties in word order.
+
+    A stable sort on -|coefficient| alone: ``PauliSum.strings`` is already
+    in word order, and no two strings share a word, so this is the order of
+    the key (-|coefficient|, ``word_key``).  Both partitions of one sum
+    read the same canonical list, sorted once by the sum.
+    """
+    return sorted(paulis.strings(), key=lambda s: -abs(s.coeff))
 
 
 def _width(paulis, ordered):
@@ -244,14 +251,15 @@ def _width(paulis, ordered):
 def partition_qwc(paulis: PauliSum) -> MeasurementPlan:
     """Greedy qubit-wise-commuting partition; measuring costs no extra gates.
 
-    Strings are taken by decreasing |coefficient|, then in word order, and
-    each joins the first group whose members agree with its letter on every
-    qubit they share, or opens a new group.  Groups are bits of Python-int
-    bitsets: ``touched[q]`` holds the groups with a letter on qubit q and
-    ``having[4 q + letter]`` those with that letter there (letter = x bit |
-    z bit << 1).  A string conflicts with ``touched[q] ^ having[4 q +
-    letter]`` on each qubit of its support and joins the lowest group bit
-    outside the union of those sets.
+    Strings are taken by decreasing |coefficient|, ties in word order, from
+    the sum's one canonical list (``_ordered``), and each joins the first
+    group whose members agree with its letter on every qubit they share, or
+    opens a new group.  Groups are bits of Python-int bitsets:
+    ``touched[q]`` holds the groups with a letter on qubit q and ``having[4
+    q + letter]`` those with that letter there (letter = x bit | z bit <<
+    1).  A string conflicts with ``touched[q] ^ having[4 q + letter]`` on
+    each qubit of its support and joins the lowest group bit outside the
+    union of those sets.
     """
     ordered = _ordered(paulis)
     n = _width(paulis, ordered)

@@ -1,11 +1,10 @@
 """Pauli strings on integer bit masks, and the statevector kernel.
 
 ``PauliString`` and ``PauliSum`` hold what a mapping produces: a string's
-masks and coefficient, and a sum merged by key and listed in letter-word
-order.  A string is stored as a pair of masks: bit q of ``xmask`` /
-``zmask`` says whether the letter on qubit q has an X / Z component (X =
-10, Z = 01, Y = 11, I = 00).  Qubit 0 is the least significant bit of a basis index,
-i.e. the rightmost tensor factor.
+masks and coefficient, and a sum merged by key, its strings sorted once
+into letter-word order.  Bit q of a string's ``xmask`` / ``zmask`` is the
+X / Z part of its letter on qubit q (X = 10, Z = 01, Y = 11, I = 00);
+qubit 0 is the least significant bit of a basis index (rightmost factor).
 
 ``RowKernel`` is the emulator's one kernel type: an operator laid out by
 rows, applied with one gather, one multiply and one row sum, on all 2^n
@@ -19,6 +18,7 @@ nonzeros is rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -71,11 +71,12 @@ class PauliString:
 class PauliSum:
     """A complex-weighted sum of Pauli strings, merged by key."""
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "_terms", "_strings")
 
     def __init__(self, n_qubits, terms=None):
         self.n_qubits = n_qubits
         self._terms = dict(terms or {})
+        self._strings = None  # the terms' strings in canonical order, built on first use
 
     @classmethod
     def from_strings(cls, strings, n_qubits=None):
@@ -90,12 +91,12 @@ class PauliSum:
         return out.simplify()
 
     def _add_term(self, x, z, coeff):
-        key = (x, z)
-        c = self._terms.get(key, 0.0) + coeff
+        self._strings = None
+        c = self._terms.get((x, z), 0.0) + coeff
         if c == 0.0:
-            self._terms.pop(key, None)
+            self._terms.pop((x, z), None)
         else:
-            self._terms[key] = c
+            self._terms[x, z] = c
 
     def _canonical_keys(self):
         """The terms' (x, z) keys in canonical (letter-word) order."""
@@ -103,15 +104,19 @@ class PauliSum:
         return sorted(self._terms, key=lambda k: word_key(n, *k))
 
     def strings(self):
-        """Terms as PauliString objects in canonical (letter-word) order."""
-        n = self.n_qubits
-        return [PauliString(n, x, z, self._terms[x, z]) for x, z in self._canonical_keys()]
+        """Terms as PauliString objects in canonical (letter-word) order: a fresh
+        list of the strings built and sorted once per change of the terms."""
+        if self._strings is None:
+            n = self.n_qubits
+            self._strings = [PauliString(n, x, z, self._terms[x, z]) for x, z in self._canonical_keys()]
+        return list(self._strings)
 
     def __len__(self):
         return len(self._terms)
 
     def simplify(self):
         """Drop every coefficient of magnitude ``COEFF_TOL`` or less."""
+        self._strings = None
         self._terms = {k: c for k, c in self._terms.items() if abs(c) > COEFF_TOL}
         return self
 
@@ -130,18 +135,13 @@ def _shifted(op: PauliSum, shift) -> PauliSum:
 # statevector kernels
 # ---------------------------------------------------------------------------
 
-_PARITY_LUT = None
-
-
+@lru_cache(maxsize=None)
 def _parity_lut():
     """Parity of every 16-bit index, built on first use."""
-    global _PARITY_LUT
-    if _PARITY_LUT is None:
-        fold = np.arange(1 << 16, dtype=np.uint16)
-        for shift in (8, 4, 2, 1):
-            fold ^= fold >> shift
-        _PARITY_LUT = (fold & 1).astype(np.uint8)
-    return _PARITY_LUT
+    fold = np.arange(1 << 16, dtype=np.uint16)
+    for shift in (8, 4, 2, 1):
+        fold ^= fold >> shift
+    return (fold & 1).astype(np.uint8)
 
 
 def _parity_of(arr, bits=64):

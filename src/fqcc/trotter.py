@@ -38,12 +38,10 @@ class's target, and the plan is its class chains.  This module provides:
   and no merge; T+ is the conjugate on the same strings), and each term's
   strings sorted on mask keys,
 - ``term_circuit``: one term's circuit through the chain emitter
-  (``_emit_chain``), which reads each string's letters from its masks and
-  appends shared, already-validated H / S / Sdg / CNOT gates
-  (``circuits.shared_gate``); only the Rz of each rotation and the Z
-  rotations of a junction rewrite are built per angle, no gate is
-  re-validated on its way into the circuit, and no gate that the
-  peephole would cancel is emitted,
+  (``_emit_chain``), which reads each string's letters from its masks,
+  takes every angle-free gate from a per-(wires, target) table of
+  ``circuits.shared_gate`` instances built once (``_wire_gates``), builds
+  only the Rz gates per angle and emits no gate the peephole would cancel,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the per-term string order
   is found only at each term's class target, for all terms of all
@@ -73,17 +71,13 @@ class's target, and the plan is its class chains.  This module provides:
 The cost model counts, per block, ``2 * (weight - 1)`` CNOTs and, per
 boundary between consecutive blocks, a two-CNOT saving on every non-target
 wire where both letters are equal and non-identity, or a one-CNOT saving
-where they differ and neither is identity.  The emitter realizes every
-one of them as it emits, the same way at every boundary of a class chain,
-inside a term or at a junction between terms (``_emit_chain``): an
-agreeing wire's CNOT pair and basis gates are left out, and a differing
-wire's pair becomes the one CNOT of ``peephole_cancel``'s junction
-rewrite.  A string whose angle folds to 0 is dropped first, as the
-identity it is.  Each chain comes out in the form the peephole leaves it,
-so the peephole, still the last step of each chain, changes nothing, and
-with every angle nonzero model and circuit agree gate-for-gate.  The
-expansion, the planner and the emitter read letters only through the
-strings' bit masks.
+where they differ and neither is identity.  The emitter takes every one
+of them, the same way at every boundary of a class chain, inside a term
+or at a junction between terms (``_emit_chain``), so each chain comes out
+in the form the peephole leaves it: the peephole, still the last step of
+each chain, changes nothing, and with every angle nonzero model and
+circuit agree gate-for-gate.  The expansion, the planner and the emitter
+read letters only through the strings' bit masks.
 """
 
 from __future__ import annotations
@@ -353,33 +347,43 @@ def _run_rewrite(run):
     return _junction_rewrite([shared_gate(kind, (0,)) for kind in run])
 
 
+@lru_cache(maxsize=None)
+def _wire_gates(n, t):
+    """Each wire's ``shared_gate`` instances at ladder target ``t``: H, S, Sdg
+    and Z by kind, CNOT onto ``t`` and ``_xx_half_gates`` by sign (None on t)."""
+    one = [{kind: shared_gate(kind, (q,)) for kind in ("H", "S", "Sdg", "Z")} for q in range(n)]
+    cnot = [shared_gate("CNOT", (q, t)) if q != t else None for q in range(n)]
+    xx = [[_xx_half_gates(q, t, s) for s in (False, True)] if q != t else None for q in range(n)]
+    return one, cnot, xx
+
+
 def _emit_chain(chain, target, n):
     """The gates and global phase of a chain of rotations at one target,
     in the form ``peephole_cancel`` leaves them.
 
     ``chain`` lists (x mask, z mask, angle) per string, each string the
     rotation exp(-i angle/2 * P).  Each angle is folded by ``_norm_angle``,
-    its phase multiplied in; a string whose angle folds to 0 within 1e-12 is
-    that phase times the identity, and is dropped before any boundary is
-    computed.  A kept string's block is its basis change
-    (X: H; Y: Sdg then H), the CNOT ladder onto ``target`` in ascending
-    wire order, Rz, the ladder descending and the basis undo.  The target
-    must be X or Y in every string, or Z in every string, so that its
-    one-qubit run between two ladders commutes with X, as an expanded
-    term's eligible target is.  At each boundary between strings, on each
-    wire other than the target where both act, the
-    first block's closing CNOT and undo and the second's change are left
-    out; an agreeing wire also loses the opening CNOT, and a differing
-    wire's opening CNOT becomes the peephole's junction rewrite of its
-    control run, the undo followed by the change (``_junction_rewrite``,
-    memoised per run), whose phase factor is multiplied in.
+    its phase multiplied in; a string whose angle folds to 0 within 1e-12
+    is that phase times the identity, and is dropped before any boundary
+    is computed.  A kept string's block is its basis change (X: H; Y: Sdg
+    then H), the CNOT ladder onto ``target`` in ascending wire order, Rz,
+    the ladder descending and the basis undo.  The target must be X or Y
+    in every string, or Z in every string, so that its one-qubit run
+    between two ladders commutes with X, as an expanded term's eligible
+    target is.  At each boundary between strings, on each wire other than
+    the target where both act, the first block's closing CNOT and undo and
+    the second's change are left out; an agreeing wire also loses the
+    opening CNOT, and a differing wire's opening CNOT becomes the
+    peephole's junction rewrite of its control run, the undo followed by
+    the change (``_junction_rewrite``, memoised per run), whose phase
+    factor is multiplied in.
 
-    The S of a Y undo on a wire cancels the Sdg of its next Y change when
-    only Z and identity letters lie between, as every gate on the wire
-    between them is diagonal; a control run holding either loses it.
-    Every other one-qubit Clifford cancels on append: an H against an H
-    just before it on its wire, an S, Sdg or Z against its inverse found
-    back through diagonal gates and CNOT controls.
+    The S of a Y undo cancels the Sdg of the wire's next Y change when only
+    Z and identity letters (diagonal gates) lie between; a control run
+    holding either loses it.  Every other one-qubit Clifford cancels on
+    append: an H against an H just before it on its wire, an S, Sdg or Z
+    against its inverse back through diagonal gates and CNOT controls.
+    Each angle-free gate is its wire's entry of ``_wire_gates``.
     """
     t = target
     tbit = 1 << t
@@ -391,30 +395,24 @@ def _emit_chain(chain, target, n):
             phase *= ph
         else:
             folded.append((x, z, rem, ph))
-    chain = folded
-    m = len(chain)
+    m = len(folded)
     # drop_sdg[j] and drop_s[j]: the wires whose Y change before string j,
-    # or Y undo after it, cancels across Z and identity letters
-    ys = [x & z & ~tbit for x, z, _, _ in chain]
+    # or Y undo after it, cancels across Z and identity letters (ys[m] pads)
+    ys = [x & z & ~tbit for x, z, _, _ in folded] + [0]
     drop_sdg, drop_s = [0] * m, [0] * m
     pending = 0
-    for j, (x, _, _, _) in enumerate(chain):
-        if j:
-            drop_sdg[j] = pending & ys[j] & ~ys[j - 1]
+    for j, (x, _, _, _) in enumerate(folded):
+        drop_sdg[j] = pending & ys[j] & ~ys[j - 1]
         pending = (pending & ~x) | ys[j]
     pending = 0
     for j in range(m - 1, -1, -1):
-        if j < m - 1:
-            drop_s[j] = pending & ys[j] & ~ys[j + 1]
-        pending = (pending & ~chain[j][0]) | ys[j]
+        drop_s[j] = pending & ys[j] & ~ys[j + 1]
+        pending = (pending & ~folded[j][0]) | ys[j]
 
+    one, cnot, xx = _wire_gates(n, t)
     gates = []
     stacks = [[] for _ in range(n)]  # the live gates on each wire, by index
-
-    def put(g):
-        for q in g.qubits:
-            stacks[q].append(len(gates))
-        gates.append(g)
+    on_t = stacks[t]
 
     def clifford(kind, q):
         stack = stacks[q]
@@ -431,25 +429,27 @@ def _emit_chain(chain, target, n):
                     return
                 if g.kind == "H" or g.kind == "CNOT" and g.qubits[1] == q:
                     break
-        put(shared_gate(kind, (q,)))
+        stack.append(len(gates))
+        gates.append(one[q][kind])
 
     def diagonal(spec, q):
-        kind, theta = spec
-        if theta is None:
-            clifford(kind, q)
-        else:
-            put(Gate(kind, (q,), theta))
+        if spec[1] is None:
+            return clifford(spec[0], q)
+        stacks[q].append(len(gates))
+        gates.append(Gate(spec[0], (q,), spec[1]))
 
     def close(x, z, wires, drop):
         for q in reversed(_wires(wires & ~tbit)):
-            put(shared_gate("CNOT", (q, t)))
+            stacks[q].append(len(gates))
+            on_t.append(len(gates))
+            gates.append(cnot[q])
         for q in reversed(_wires(wires & x)):
             clifford("H", q)
             if z >> q & 1 and not drop >> q & 1:
                 clifford("S", q)
 
     px = pz = 0
-    for j, (x, z, rem, ph) in enumerate(chain):
+    for j, (x, z, rem, ph) in enumerate(folded):
         support = x | z
         both = (px | pz) & support & ~tbit
         differ = both & ((px ^ x) | (pz ^ z))
@@ -461,27 +461,28 @@ def _emit_chain(chain, target, n):
             clifford("H", q)
         for q in _wires(support & ~tbit):
             if differ >> q & 1:
-                undo = _UNDO[(px >> q & 1) | (pz >> q & 1) << 1]
-                change = _CHANGE[(x >> q & 1) | (z >> q & 1) << 1]
-                if drop_s[j - 1] >> q & 1:
-                    undo = undo[:1]
-                if drop_sdg[j] >> q & 1:
-                    change = change[1:]
+                undo = _UNDO[(px >> q & 1) | (pz >> q & 1) << 1][: 2 - (drop_s[j - 1] >> q & 1)]
+                change = _CHANGE[(x >> q & 1) | (z >> q & 1) << 1][drop_sdg[j] >> q & 1 :]
                 pre, positive, post, factor = _run_rewrite(undo + change)
                 if pre is not None:
                     diagonal(pre, q)
-                for g in _xx_half_gates(q, t, positive):
+                for g in xx[q][positive]:
                     if g.kind == "CNOT":
-                        put(g)
+                        stacks[q].append(len(gates))
+                        on_t.append(len(gates))
+                        gates.append(g)
                     else:
                         clifford(g.kind, g.qubits[0])
                 if post is not None:
                     diagonal(post, q)
                 phase *= factor
             elif not both >> q & 1:
-                put(shared_gate("CNOT", (q, t)))
+                stacks[q].append(len(gates))
+                on_t.append(len(gates))
+                gates.append(cnot[q])
         phase *= ph
-        put(Gate("Rz", (t,), rem))
+        on_t.append(len(gates))
+        gates.append(Gate("Rz", (t,), rem))
         px, pz = x, z
     if m:
         close(px, pz, px | pz, 0)
@@ -1409,16 +1410,15 @@ def emit_circuit(plan):
 
     Compressed blocks lead, followed by the restoration fan-out, then one
     block per class chain, every term at its class's target.  Each chain's
-    strings, in placement order, are emitted at once (``_emit_chain``)
-    with every saving that ``plan.model_two_qubit`` counts taken, at the
-    junctions between terms as inside them, in the form ``peephole_cancel``
-    leaves them.  Strings whose angle folds to 0 are dropped before the
-    chain's boundaries are formed, so this holds at any angles, and the
-    closing peephole over each chain finds nothing left to do: it only
-    confirms the form.  Compressed blocks act in the Jordan-Wigner frame and kept
-    terms in the transform's, and no basis change is emitted between the
-    two: under a non-identity encoding with compressed terms the circuit
-    is not yet the ansatz.
+    strings, in placement order, are emitted at once (``_emit_chain``) with
+    every saving that ``plan.model_two_qubit`` counts taken, at junctions
+    between terms as inside them, in the form ``peephole_cancel`` leaves
+    them, at any angles (strings folding to 0 are dropped first), so the
+    closing peephole over each chain only confirms the form.  Compressed
+    blocks act in the Jordan-Wigner frame and kept terms in the
+    transform's, and no basis change is emitted between the two: under a
+    non-identity encoding with compressed terms the circuit is not yet the
+    ansatz.
     """
     n = plan.n_qubits
     # every part is built on the plan's n wires, so its gates are appended unchecked

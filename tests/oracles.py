@@ -10,10 +10,12 @@ and letter-word sort that ``trotter.expand_term`` once used,
 ``map_operator_via_paulisum`` keeps the Pauli-sum-product route that
 ``Transform.map_operator`` once used, and ``paired_compression_reference``
 keeps the Jordan-Wigner projection route that ``trotter.compressed_circuit``
-once used.  ``qwc_groups_reference`` and ``gc_groups_reference`` keep the
-profile and member-by-member loops that ``measure.partition_qwc`` and
-``partition_gc`` once ran, ``diagonalizing_circuit_reference`` the
-basis change that conjugated every generator, and
+once used.  ``ordered_reference`` keeps the (-|coefficient|, word key)
+sort that ``measure._ordered`` once ran, ``qwc_groups_reference`` and
+``gc_groups_reference`` the profile and member-by-member loops that
+``measure.partition_qwc`` and ``partition_gc`` once ran,
+``diagonalizing_circuit_reference`` the basis change that conjugated
+every generator, and
 ``term_circuit_reference`` the full blocks that ``trotter.term_circuit``
 once emitted.  The planner's references are in ``planner_oracles``.
 ``compiled_apply_reference`` keeps the X-mask group loop that
@@ -1148,6 +1150,15 @@ def peephole_reference(ops, phase=1.0):
 # ---------------------------------------------------------------------------
 # first-fit measurement groups: the loops measure.partition_* once ran
 # ---------------------------------------------------------------------------
+
+
+def ordered_reference(paulis):
+    """The strings of the PauliSum ``paulis`` by the key (-|coefficient|,
+    ``paulis.word_key``), the sort ``measure._ordered`` once ran.  Imports
+    fqcc for the sum's strings and the key."""
+    from fqcc.paulis import word_key
+
+    return sorted(paulis.strings(), key=lambda s: (-abs(s.coeff), word_key(s.n_qubits, s.xmask, s.zmask)))
 
 
 def qwc_groups_reference(ordered):

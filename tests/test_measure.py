@@ -474,6 +474,38 @@ class TestPartitionGc:
         for g in qwc.groups:
             assert g.basis_change.gates == []
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_order_matches_reference(self, data):
+        """``measure._ordered`` is the (-|coefficient|, word key) sort of
+        ``oracles.ordered_reference`` on random sums of 1-20 qubits whose
+        coefficients share a few magnitudes, so ties are common, under
+        both signs and complex phases; and both partitions give the same
+        groups whichever of them runs first on a sum."""
+        n = data.draw(st.integers(1, 20))
+        count = data.draw(st.integers(1, 40))
+        magnitude = st.sampled_from([0.25, 0.5, 1.0, 3.0])
+        phase = st.sampled_from([1, -1, 1j, -1j, complex(0.6, 0.8), complex(-0.8, 0.6)])
+        terms = {}
+        for _ in range(count):
+            x = data.draw(st.integers(0, (1 << n) - 1))
+            z = data.draw(st.integers(0, (1 << n) - 1))
+            terms[x, z] = data.draw(magnitude) * data.draw(phase)
+
+        def key(strings):
+            return [(s.xmask, s.zmask, s.coeff) for s in strings]
+
+        paulis = PauliSum(n, terms)
+        assert key(measure._ordered(paulis)) == key(oracles.ordered_reference(paulis))
+        plans = []
+        for first, second in ((partition_qwc, partition_gc), (partition_gc, partition_qwc)):
+            paulis = PauliSum(n, terms)
+            plans.append({p.criterion: p for p in (first(paulis), second(paulis))})
+        for criterion in ("qwc", "gc"):
+            a, b = (plan[criterion] for plan in plans)
+            assert [key(g.strings) for g in a.groups] == [key(g.strings) for g in b.groups]
+            assert [g.basis_change.gates for g in a.groups] == [g.basis_change.gates for g in b.groups]
+
     def test_plan_shape(self, h2_pauli):
         plan = partition_gc(h2_pauli)
         assert isinstance(plan, MeasurementPlan)

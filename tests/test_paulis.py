@@ -118,6 +118,58 @@ class TestPauliSum:
         op = oracles.pauli_sum("1 * Z0\n1 * X0\n1 * Y0", 1)
         assert [oracles.letter(s, 0) for s in op.strings()] == ["X", "Y", "Z"]
 
+    def test_strings_are_fresh_lists_of_one_set(self):
+        """Repeated ``strings()`` calls give equal, distinct lists of the
+        same string objects; mutating one leaves the next intact, and a
+        change of the terms shows in the next call."""
+        op = PauliSum(2, {(0, 1): 1.0, (3, 0): 2.0, (2, 2): 1e-14, (1, 1): -1.0})
+        first, second = op.strings(), op.strings()
+        assert len(first) == 4 and first == second and first is not second
+        assert all(a is b for a, b in zip(first, second))
+        want = list(first)
+        first.reverse()
+        first.append(PauliString(2, 0, 0, 5.0))
+        assert op.strings() == want
+        op.simplify()
+        kept = [s for s in want if abs(s.coeff) > 1e-12]
+        assert op.strings() == kept and len(kept) == 3
+        op._add_term(0, 0, 0.5)
+        assert op.strings() == [PauliString(2, 0, 0, 0.5)] + kept
+        op._add_term(0, 0, -0.5)
+        assert op.strings() == kept
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_from_strings_and_shifted_keep_their_strings(self, data):
+        """``PauliSum.from_strings`` merges repeated strings, drops
+        coefficients of 1e-12 or less and lists the rest in letter-word
+        order; ``paulis._shifted`` is ``from_strings`` with the identity
+        term appended, string for string, whether or not ``strings()`` ran
+        on its input first."""
+        from fqcc import paulis
+
+        n = data.draw(st.integers(1, 12))
+        mask = st.integers(0, (1 << n) - 1)
+        coeff = st.sampled_from([1.0, -1.0, 0.5j, 1e-13, complex(0.3, -0.4)])
+        drawn = [
+            PauliString(n, data.draw(mask), data.draw(mask), data.draw(coeff))
+            for _ in range(data.draw(st.integers(1, 25)))
+        ]
+        merged = {}
+        for s in drawn:
+            merged[s.key] = merged.get(s.key, 0.0) + s.coeff
+        want = sorted(
+            (PauliString(n, x, z, c) for (x, z), c in merged.items() if abs(c) > 1e-12),
+            key=oracles.letter_word,
+        )
+        op = PauliSum.from_strings(drawn, n)
+        if data.draw(st.booleans()):
+            op.strings()
+        assert op.strings() == want
+        shift = data.draw(st.sampled_from([0.0, 1.5, -2.0]))
+        shifted = paulis._shifted(op, shift).strings()
+        assert shifted == PauliSum.from_strings(op.strings() + [PauliString(n, 0, 0, shift)], n).strings()
+
     @pytest.mark.parametrize("n", (1, 8, 9, 14))
     def test_word_key_orders_as_letter_words(self, n):
         """Sorting by the mask key equals sorting by the letter word, qubit 0

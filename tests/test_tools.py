@@ -44,6 +44,17 @@ def test_planner_layers_reports_h4():
     build = h4.pop("stack_build")
     assert build["encodings"] == 28
     assert 0 < build["per_encoding_s"] < build["transform_per_encoding_s"]
+    # measurement planning of H4's Hamiltonian, three rounds of one map and
+    # both partitions: the two partitions share one canonical sort per sum
+    planning = h4.pop("measurement")
+    assert {enc: (m["strings"], m["qwc_groups"], m["gc_groups"]) for enc, m in planning.items()} == {
+        "jw": (185, 69, 9), "bk": (185, 58, 9),
+    }
+    for m in planning.values():
+        assert m["sorts_per_sum"] == 1
+        assert m["to_pauli_calls"] == m["qwc_calls"] == m["gc_calls"] == m["sort_calls"] == 3
+        assert m["strings_calls"] == 6 and m["diagonalize_calls"] == 3 * 9
+        assert 0 < m["diagonalize_s"] < m["gc_s"]
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     assert {enc: h4[enc]["circuit_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}
     for layers in h4.values():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fqcc import pso
 from fqcc import trotter as tr
-from fqcc.circuits import Circuit, metrics, peephole_cancel
+from fqcc.circuits import Circuit, metrics, peephole_cancel, shared_gate
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
@@ -1473,6 +1473,18 @@ class TestChainEmission:
         assert len(calls) == len(plan.classes)
         for given, out in calls:
             _assert_same_circuit(out, given)
+
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta9"])
+    def test_water_gates_are_shared(self, name):
+        """Every angle-free gate of water's circuit is the one
+        ``shared_gate`` instance of its kind and wires, which the
+        peephole's per-id description memo and the circuit's memory rely
+        on; only rotations are built per angle."""
+        n, n_e, pool = _water_pool()
+        plan = tr.synthesize_ansatz(pool, _water_encoding(name, n), occupied=range(n_e))
+        fixed = [g for g in plan.circuit.gates if g.theta is None]
+        assert len(fixed) > len(plan.circuit.gates) // 2
+        assert all(g is shared_gate(g.kind, g.qubits) for g in fixed)
 
     @pytest.mark.parametrize("n", [4, 6, 8, 10, 12])
     def test_seeded_corpus_matches_reference(self, n, monkeypatch):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-layer times of the planner and the emitter on H4 and water, under JW and BK.
+"""Per-layer times of planning, emission and measurement planning on H4 and water.
 
 Plans each system's UCCSD pool with ``trotter.plan_ansatz`` (default
 config, HF modes occupied) three times per encoding, emits the last plan
@@ -44,6 +44,23 @@ planning, over the one-bit encodings (H4's 28, water's 91): one
 against one ``Transform`` per encoding with the tables of each.  It
 reports the best of three rounds of each, as seconds per encoding.
 
+``measurement`` times the measurement planning of each system's
+Hamiltonian (its FCIDUMP in ``tests/fixtures``) under JW and BK, summed
+over three rounds of one map and both partitions, as compile-water runs
+them:
+
+    to_pauli      fermions.FermionOperator.to_pauli: the map
+    strings       paulis.PauliSum.strings: the sum's canonical string list
+    sort          paulis.PauliSum._canonical_keys: its canonical sort
+    qwc           measure.partition_qwc
+    gc            measure.partition_gc
+    diagonalize   measure._diagonalizing_circuit: one GC group's basis
+                  change, inside gc
+
+with the sum's string count, both partitions' group counts, and
+``sorts_per_sum``, the canonical sorts per mapped sum over both
+partitions.
+
 Each peephole call runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
 the previous one left unchanged.  The chain emitter already takes every
@@ -65,20 +82,26 @@ import argparse
 import json
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+import fqcc.measure  # noqa: E402
 from fqcc import circuits, trotter  # noqa: E402
 from fqcc.circuits import metrics  # noqa: E402
-from fqcc.fermions import uccsd_pool  # noqa: E402
+from fqcc.fcidump import load_fcidump  # noqa: E402
+from fqcc.fermions import FermionOperator, build_hamiltonian, uccsd_pool  # noqa: E402
+from fqcc.paulis import PauliSum  # noqa: E402
 from fqcc.transform import EncodingStack, Transform  # noqa: E402
 
 # (spin orbitals, electrons) of the STO-3G systems
 SYSTEMS = {"h4": (8, 4), "water": (14, 10)}
+FIXTURES = {"h4": "h4_sto3g.fcidump", "water": "h2o_sto3g.fcidump"}
 ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
 REPEAT = 3  # plans per system and encoding
 LAYERS = {
@@ -96,6 +119,14 @@ LAYERS = {
     "peephole": (trotter, "peephole_cancel"),
     "peephole_simple": (circuits, "_simple_pass"),
     "peephole_junction": (circuits, "_junction_pass"),
+}
+MEASUREMENT_LAYERS = {
+    "to_pauli": (FermionOperator, "to_pauli"),
+    "strings": (PauliSum, "strings"),
+    "sort": (PauliSum, "_canonical_keys"),
+    "qwc": (fqcc.measure, "partition_qwc"),
+    "gc": (fqcc.measure, "partition_gc"),
+    "diagonalize": (fqcc.measure, "_diagonalizing_circuit"),
 }
 
 
@@ -163,6 +194,20 @@ def _timed(fn, totals):
     return wrapper
 
 
+@contextmanager
+def _wrapped(layers, wrap):
+    """Each layer's attribute replaced by ``wrap(layer, original)`` inside
+    the block, and restored after it."""
+    originals = {layer: getattr(owner, attr) for layer, (owner, attr) in layers.items()}
+    try:
+        for layer, (owner, attr) in layers.items():
+            setattr(owner, attr, wrap(layer, originals[layer]))
+        yield
+    finally:
+        for layer, (owner, attr) in layers.items():
+            setattr(owner, attr, originals[layer])
+
+
 def _two_qubit(circ):
     """The circuit's two-wire gates (CNOT and CZ); emitted blocks hold no Toffoli."""
     return sum(len(g.qubits) == 2 for g in circ.gates)
@@ -188,19 +233,15 @@ def measure(n_modes, n_electrons, transform):
     pool = uccsd_pool(range(n_electrons), range(n_electrons, n_modes))
     totals = defaultdict(lambda: [0.0, 0])
     gates = [0, 0, 0, 0]
-    originals = {layer: getattr(module, attr) for layer, (module, attr) in LAYERS.items()}
-    try:
-        for layer, (module, attr) in LAYERS.items():
-            fn = _timed(originals[layer], totals[layer])
-            if layer == "peephole":
-                fn = _counted_peephole(fn, gates)
-            setattr(module, attr, fn)
+
+    def wrap(layer, fn):
+        fn = _timed(fn, totals[layer])
+        return _counted_peephole(fn, gates) if layer == "peephole" else fn
+
+    with _wrapped(LAYERS, wrap):
         for _ in range(REPEAT):
             plan = trotter.plan_ansatz(pool, transform, occupied=range(n_electrons))
         circuit = trotter.emit_circuit(plan)
-    finally:
-        for layer, (module, attr) in LAYERS.items():
-            setattr(module, attr, originals[layer])
     out = {
         "model_two_qubit": plan.model_two_qubit,
         "circuit_two_qubit": metrics(circuit).two_qubit,
@@ -213,6 +254,32 @@ def measure(n_modes, n_electrons, transform):
         seconds, calls = totals[layer]
         out[f"{layer}_s"] = round(seconds, 6)
         out[f"{layer}_calls"] = calls
+    return out
+
+
+def measurement(name, n_modes):
+    """Measurement-planning layer seconds and calls over ``REPEAT`` maps and
+    partitions of the system's Hamiltonian, per encoding."""
+    ham, _ = load_fcidump(ROOT / "tests" / "fixtures" / FIXTURES[name]).to_spin_orbital()
+    hamiltonian = build_hamiltonian(ham)
+    out = {}
+    for enc, make in ENCODINGS.items():
+        transform = make(n_modes)
+        totals = defaultdict(lambda: [0.0, 0])
+        with _wrapped(MEASUREMENT_LAYERS, lambda layer, fn: _timed(fn, totals[layer])):
+            for _ in range(REPEAT):
+                paulis = hamiltonian.to_pauli(transform)
+                qwc = fqcc.measure.partition_qwc(paulis)
+                gc = fqcc.measure.partition_gc(paulis)
+        entry = out[enc] = {
+            "strings": len(paulis),
+            "qwc_groups": qwc.n_groups,
+            "gc_groups": gc.n_groups,
+            "sorts_per_sum": totals["sort"][1] / totals["to_pauli"][1],
+        }
+        for layer in MEASUREMENT_LAYERS:
+            entry[f"{layer}_s"] = round(totals[layer][0], 6)
+            entry[f"{layer}_calls"] = totals[layer][1]
     return out
 
 
@@ -229,6 +296,7 @@ def main(argv=None):
         }
         result["systems"][name]["cost_batch"] = cost_batch(name, n_modes, n_electrons)
         result["systems"][name]["stack_build"] = stack_build(n_modes)
+        result["systems"][name]["measurement"] = measurement(name, n_modes)
     print(json.dumps(result))
 
 
