@@ -10,14 +10,14 @@ for k = 1..k_max (capped by seeded uniform subsampling when the binomial
 totals explode).  Each step updates velocities deterministically from the
 personal- and global-best positions, then resamples every bit: a bit
 becomes 0 when a uniform draw lands at or below sigmoid(velocity) and 1
-otherwise.  Particles stop individually when their
-position alternates between exactly two patterns for a full window, or
-when they sit further than ``drift_distance`` bit flips from home for
-more than ``drift_window`` consecutive steps without a new personal
-best; the search ends at ``t_max`` steps or when every particle has
-stopped.  The sigmoid is 1 / (1 + exp(-v)) with ``math.exp``, which
-equals ``scipy.special.expit`` bit for bit; scipy is not imported, since
-its import would take most of a search process's start-up.
+otherwise.  Particles stop individually when their position alternates
+between exactly two patterns for a full window, or when they sit further
+than ``drift_distance`` bit flips from home for more than
+``drift_window`` consecutive steps without a new personal best; the
+search ends at ``t_max`` steps or when every particle has stopped.  The
+sigmoid is 1 / (1 + exp(-v)) with ``math.exp``, which equals
+``scipy.special.expit`` bit for bit; scipy is not imported, since its
+import would take most of a search process's start-up.
 
 Cost evaluations are pure functions of the decoded encoding, cached per
 bit pattern.  The new positions of the initial swarm and of each step are
@@ -28,8 +28,9 @@ function's optional ``many(stack)`` form, which ``ansatz_cost_fn``
 provides as one batched planner pass.  A cost function without it is
 called once per encoding, on the ``Transform``s the stack yields, with
 the same results.
-Randomness is partitioned into one stream per particle.  Checkpoints are
-plain text, carry the cost cache, and are replaced atomically.
+Randomness is partitioned into one stream per particle.  A checkpoint is
+one JSON document written from the dataclasses' fields, with the random
+streams and the cost cache, and is replaced atomically.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -185,22 +187,12 @@ class SearchReport:
     def as_dict(self):
         """The report as strict JSON values: a tie with JW's cost, whose
         ``cost_delta_ratio`` is infinite, reads None there."""
-        return {
-            "n_modes": self.n_modes,
-            "best_bits": "".join(str(b) for b in self.best_bits),
-            "best_cost": self.best_cost,
-            "jw_cost": self.jw_cost,
-            "bk_cost": self.bk_cost,
-            "improvement": self.improvement,
-            "cost_delta_ratio": (
-                None if math.isinf(self.cost_delta_ratio) else self.cost_delta_ratio
-            ),
-            "n_particles": self.n_particles,
-            "resource_fraction": self.resource_fraction,
-            "steps": self.steps,
-            "best_history": list(self.best_history),
-            "evaluations": self.evaluations,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["best_bits"] = "".join(str(b) for b in self.best_bits)
+        out["best_history"] = list(self.best_history)
+        if math.isinf(self.cost_delta_ratio):
+            out["cost_delta_ratio"] = None
+        return out
 
 
 def improvement_fraction(baseline_cost, optimized_cost):
@@ -358,12 +350,7 @@ def _sigmoid(velocity):
 
 
 def step(swarm, cost_fn) -> Swarm:
-    """One synchronized move: velocities, bit resampling, bests, stop rules.
-
-    Each bit resamples against ``_sigmoid`` of its velocity, computed with
-    ``math.exp``: importing scipy for this one function would cost a search
-    process most of its start-up.
-    """
+    """One synchronized move: velocities, bit resampling, bests, stop rules."""
     cfg = swarm.config
     _ensure_evaluated(swarm, cost_fn)
     d = cfg.dimension
@@ -413,11 +400,16 @@ def run(config, cost_fn, *, swarm=None, checkpoint_path=None, checkpoint_every=0
     masks, sorted, and scored in one ``many`` call, and so is the stack of
     the closing JW and BK baselines; otherwise ``cost_fn`` is called once
     per ``Transform`` of each stack.
-    Passing a ``swarm`` resumes it in place.  ``best_history`` records the
-    global best after initialization and after each step of this call.
+    Passing a ``swarm`` resumes it in place up to ``config.t_max`` steps; a
+    swarm config that differs from ``config`` elsewhere raises ValueError.
+    ``checkpoint_path`` is written every ``checkpoint_every`` steps (if
+    positive) and at the end.  ``best_history`` records the global best
+    after initialization and after each step of this call.
     """
     if swarm is None:
         swarm = init_swarm(config.n_modes, config=config)
+    elif replace(swarm.config, t_max=config.t_max) != config:
+        raise ValueError("a resumed swarm's config may differ from the run's in t_max only")
     cached = len(swarm.cost_cache)
     _ensure_evaluated(swarm, cost_fn)
     history = [int(swarm.best_cost)]
@@ -477,58 +469,36 @@ def ansatz_cost_fn(seqs, config=HeuristicConfig(), *, occupied=None):
 # checkpoints
 # ---------------------------------------------------------------------------
 
-_CHECKPOINT_MAGIC = "fqcc-swarm 4"
-
-
-def _bitline(mask, d):
-    return "".join("1" if mask >> j & 1 else "0" for j in range(d))
+_CHECKPOINT_FORMAT = "fqcc-swarm 5"
 
 
 def write_checkpoint(swarm, path):
-    """Persist config, the global best, the cost cache and per-particle state.
+    """Persist a swarm as one JSON document, ``"format": "fqcc-swarm 5"``.
 
-    The cost cache is a ``cache <count>`` line followed by one ``c <bits>
-    <cost>`` line per scored position.  A particle's state includes its
-    random stream (the bit generator's state as one JSON line) and its
-    recent positions, the oscillation test's window.
-
-    The text goes to a temporary file in the same directory, which then
-    replaces ``path`` in one step: a failed write leaves the previous
-    checkpoint intact.
+    The document has a key per ``Swarm`` field: ``config`` with every
+    ``SwarmConfig`` field, ``best_position`` (null before the first
+    evaluation), the cost cache as ``[mask, cost]`` pairs in cache order,
+    and a record per particle with every ``Particle`` field, its velocity
+    as a list of floats and its random stream as the bit generator's
+    ``state``.  A mask is the int in [0, 2^d) whose bit j is free bit j.
+    Floats go through ``repr`` and an unevaluated cost is ``Infinity``, so
+    every field reads back exactly.  The text goes to a temporary file in
+    the same directory, which then replaces ``path`` in one step: a failed
+    write leaves the previous checkpoint intact.
     """
-    cfg = swarm.config
-    d = cfg.dimension
-    lines = [
-        _CHECKPOINT_MAGIC,
-        f"n {cfg.n_modes}",
-        f"inertia {cfg.inertia!r}",
-        f"cognitive {cfg.cognitive!r}",
-        f"social {cfg.social!r}",
-        f"k_max {cfg.k_max}",
-        f"t_max {cfg.t_max}",
-        f"osc_window {cfg.osc_window}",
-        f"drift_distance {cfg.drift_distance}",
-        f"drift_window {cfg.drift_window}",
-        f"particles_cap {cfg.particles_cap}",
-        f"seed {cfg.seed}",
-        f"t {swarm.t}",
-        f"best_cost {swarm.best_cost!r}",
-        "best " + (_bitline(swarm.best_position, d) if swarm.best_position is not None else "-"),
-        f"cache {len(swarm.cost_cache)}",
+    doc = {f.name: getattr(swarm, f.name) for f in fields(Swarm)}
+    doc["config"] = {f.name: getattr(swarm.config, f.name) for f in fields(SwarmConfig)}
+    doc["cost_cache"] = [[mask, cost] for mask, cost in swarm.cost_cache.items()]
+    doc["particles"] = [
+        {f.name: getattr(p, f.name) for f in fields(Particle)}
+        | {"velocity": p.velocity.tolist(), "rng": p.rng.bit_generator.state}
+        for p in swarm.particles
     ]
-    lines += [f"c {_bitline(m, d)} {cost}" for m, cost in swarm.cost_cache.items()]
-    for p in swarm.particles:
-        lines.append(f"particle {int(p.active)} {p.best_cost!r} {p.drift_steps}")
-        lines.append("x " + _bitline(p.position, d))
-        lines.append("x0 " + _bitline(p.initial_position, d))
-        lines.append("l " + _bitline(p.best_position, d))
-        lines.append("v " + " ".join(repr(float(v)) for v in p.velocity))
-        lines.append("r " + json.dumps(p.rng.bit_generator.state))
-        lines.append("w " + " ".join(_bitline(m, d) for m in p.recent))
+    text = json.dumps({"format": _CHECKPOINT_FORMAT, **doc})
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
         with open(fd, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(text + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -537,113 +507,94 @@ def write_checkpoint(swarm, path):
         raise
 
 
+def _record(value, cls, where):
+    """``value`` if it is a JSON object with exactly ``cls``'s fields."""
+    if not isinstance(value, dict):
+        raise ValueError(f"checkpoint's {where} is not a record")
+    names = {f.name for f in fields(cls)}
+    for name in sorted(names ^ value.keys()):
+        problem = "is missing the" if name in names else "has an unknown"
+        raise ValueError(f"checkpoint's {where} {problem} {name!r} field")
+    return value
+
+
+def _typed(value, kinds, what, d=None):
+    """``value`` if its type is one of ``kinds`` (a bool is not an int) and,
+    given the dimension ``d``, it is a mask in [0, 2^d)."""
+    if type(value) not in kinds or d is not None and not 0 <= value < 1 << d:
+        raise ValueError(f"bad {what} in checkpoint")
+    return value
+
+
+def _config(record):
+    """A config record's ``SwarmConfig``, each value of its field's type;
+    ``SwarmConfig`` checks the values."""
+    for name, hint in typing.get_type_hints(SwarmConfig).items():
+        value, kinds = record[name], (int, float) if hint is float else hint
+        if not isinstance(value, kinds) or isinstance(value, bool) != (hint is bool):
+            raise ValueError(f"bad config field {name!r} in checkpoint")
+    return SwarmConfig(**record)
+
+
+def _particle(record, d):
+    velocity = _typed(record["velocity"], (list,), "velocity")
+    if len(velocity) != d or any(type(v) not in (int, float) for v in velocity):
+        raise ValueError("bad velocity in checkpoint")
+    rng = np.random.Generator(np.random.PCG64())
+    try:
+        rng.bit_generator.state = record["rng"]
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ValueError("bad random state in checkpoint") from exc
+    recent = _typed(record["recent"], (list,), "recent positions")
+    return Particle(
+        position=_typed(record["position"], (int,), "position", d),
+        velocity=np.array(velocity, dtype=float),
+        best_position=_typed(record["best_position"], (int,), "best position", d),
+        best_cost=_typed(record["best_cost"], (int, float), "best cost"),
+        initial_position=_typed(record["initial_position"], (int,), "initial position", d),
+        active=_typed(record["active"], (bool,), "active flag"),
+        drift_steps=_typed(record["drift_steps"], (int,), "drift step count"),
+        recent=[_typed(m, (int,), "recent position", d) for m in recent],
+        rng=rng,
+    )
+
+
 def read_checkpoint(path) -> Swarm:
-    """Rebuild a swarm from its checkpoint.
+    """Rebuild a swarm from its checkpoint (see ``write_checkpoint``).
 
     Random streams, oscillation windows and the cost cache are restored, so
     a resumed search takes the same steps as the unbroken run and scores no
-    position twice.
+    position twice.  Anything but a well-formed ``fqcc-swarm 5``
+    document, such as an earlier version's text file, raises ``ValueError``
+    naming the problem.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != _CHECKPOINT_MAGIC:
-        raise ValueError("not a swarm checkpoint file")
-    head = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("cache "):
-        key, _, value = lines[i].partition(" ")
-        head[key] = value
-        i += 1
-    try:
-        config = SwarmConfig(
-            n_modes=int(head["n"]),
-            inertia=float(head["inertia"]),
-            cognitive=float(head["cognitive"]),
-            social=float(head["social"]),
-            k_max=int(head["k_max"]),
-            t_max=int(head["t_max"]),
-            osc_window=int(head["osc_window"]),
-            drift_distance=int(head["drift_distance"]),
-            drift_window=int(head["drift_window"]),
-            particles_cap=int(head["particles_cap"]),
-            seed=int(head["seed"]),
-        )
-        t, best_cost, best_line = int(head["t"]), float(head["best_cost"]), head["best"]
-    except KeyError as exc:
-        raise ValueError(f"checkpoint is missing the {exc.args[0]!r} field") from exc
-    d = config.dimension
-
-    def mask_of(text):
-        if len(text) != d or set(text) - {"0", "1"}:
-            raise ValueError("bad bit line in checkpoint")
-        return sum(1 << j for j, ch in enumerate(text) if ch == "1")
-
-    def tagged(line, tag):
-        prefix, _, rest = line.partition(" ")
-        if prefix != tag:
-            raise ValueError(f"expected a {tag!r} line in checkpoint")
-        return rest
-
-    def rng_of(text):
-        rng = np.random.Generator(np.random.PCG64())
+    with open(path, "rb") as fh:
         try:
-            rng.bit_generator.state = json.loads(text)
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ValueError("bad random state in checkpoint") from exc
-        return rng
-
-    if i == len(lines):
-        raise ValueError("checkpoint has no cost cache section")
-    count = tagged(lines[i], "cache")
-    if not count.isdigit():
-        raise ValueError("bad cost cache count in checkpoint")
-    entries = lines[i + 1 : i + 1 + int(count)]
-    if len(entries) != int(count):
-        raise ValueError("truncated cost cache in checkpoint")
-    cost_cache = {}
-    for line in entries:
-        bits, _, cost = tagged(line, "c").partition(" ")
-        try:
-            value = int(cost)
+            doc = json.load(fh)
         except ValueError:
-            raise ValueError("bad cost cache line in checkpoint") from None
-        mask = mask_of(bits)
-        if mask in cost_cache:
+            doc = None
+    if not isinstance(doc, dict) or doc.pop("format", None) != _CHECKPOINT_FORMAT:
+        raise ValueError("not a swarm checkpoint file")
+    _record(doc, Swarm, "document")
+    config = _config(_record(doc["config"], SwarmConfig, "config"))
+    d = config.dimension
+    cost_cache = {}
+    for entry in _typed(doc["cost_cache"], (list,), "cost cache"):
+        if type(entry) is not list or len(entry) != 2:
+            raise ValueError("bad cost cache entry in checkpoint")
+        mask, cost = entry
+        if _typed(mask, (int,), "cached position", d) in cost_cache:
             raise ValueError("repeated position in checkpoint's cost cache")
-        cost_cache[mask] = value
-    i += 1 + len(entries)
-
-    particles = []
-    while i < len(lines):
-        if i + 6 >= len(lines):
-            raise ValueError("truncated particle record in checkpoint")
-        fields = tagged(lines[i], "particle").split()
-        if len(fields) != 3:
-            raise ValueError("bad particle line in checkpoint")
-        active, p_best_cost, drift = fields
-        particles.append(
-            Particle(
-                position=mask_of(tagged(lines[i + 1], "x")),
-                velocity=np.array(
-                    [float(tok) for tok in tagged(lines[i + 4], "v").split()]
-                ),
-                best_position=mask_of(tagged(lines[i + 3], "l")),
-                best_cost=float(p_best_cost),
-                initial_position=mask_of(tagged(lines[i + 2], "x0")),
-                active=active == "1",
-                drift_steps=int(drift),
-                recent=[mask_of(bits) for bits in tagged(lines[i + 6], "w").split()],
-                rng=rng_of(tagged(lines[i + 5], "r")),
-            )
-        )
-        if len(particles[-1].velocity) != d:
-            raise ValueError("bad velocity line in checkpoint")
-        i += 7
+        cost_cache[mask] = _typed(cost, (int,), "cached cost")
+    best = doc["best_position"]
     return Swarm(
         config=config,
-        particles=particles,
-        t=t,
-        best_position=None if best_line == "-" else mask_of(best_line),
-        best_cost=best_cost,
+        particles=[
+            _particle(_record(p, Particle, "particle"), d)
+            for p in _typed(doc["particles"], (list,), "particle list")
+        ],
+        t=_typed(doc["t"], (int,), "step count"),
+        best_position=None if best is None else _typed(best, (int,), "best position", d),
+        best_cost=_typed(doc["best_cost"], (int, float), "best cost"),
         cost_cache=cost_cache,
     )

@@ -151,22 +151,6 @@ def gf2_mul(a, b):
     return (np.asarray(a, dtype=np.uint8) @ np.asarray(b, dtype=np.uint8)) & 1
 
 
-def gf2_rank(a):
-    m = np.array(a, dtype=np.uint8) & 1
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r, c]), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] ^= m[rank]
-        rank += 1
-    return rank
-
-
 def gf2_inv(a):
     """Inverse over GF(2) by Gauss-Jordan; raises if singular.  The
     package ran this routine before its forward substitution on unit

@@ -28,6 +28,7 @@ needs_tomllib = pytest.mark.skipif(tomllib is None, reason="reading pyproject.to
 # Public names that nothing outside the tests uses yet, each with the reason it stays.
 _FT_ROW = "Clifford+T couplers: ROADMAP item 11 compiles a step from them, item 2's FT row"
 _HEADER = "an FCIDUMP header field: the record keeps the whole header it parsed"
+_REPORT_FIELD = "a search report's field, which SearchReport.as_dict reads through dataclasses.fields"
 UNCALLED = {
     "ftgates.ft_single_body": _FT_ROW,
     "ftgates.ft_two_body_with_z": _FT_ROW,
@@ -54,6 +55,8 @@ UNCALLED = {
         "simulate reads T+ off the excitation's reversed modes"
     ),
     "pso.SearchReport.as_dict": "a search's JSON report, an output the north star names",
+    "pso.SearchReport.improvement": _REPORT_FIELD,
+    "pso.SearchReport.resource_fraction": _REPORT_FIELD,
 }
 
 

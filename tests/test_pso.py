@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import math
 
@@ -18,6 +20,18 @@ def bit_cost(transform):
     """Toy objective: weighted popcount of the free bits (minimum at identity)."""
     bits = oracles.lower_bits(transform)
     return 3 * sum(bits) + sum(j * b for j, b in enumerate(bits)) % 5
+
+
+def _text_checkpoint(version):
+    """A whole checkpoint of one 4-mode particle in the tagged-line text of
+    versions 3 and 4; version 3 also carried ``sigmoid_sets_one``."""
+    head = [f"fqcc-swarm {version}", "n 4", "inertia 1.0", "cognitive 2.0", "social 2.0"]
+    head += ["k_max 1", "t_max 10000", "osc_window 10", "drift_distance 6", "drift_window 10"]
+    head += ["particles_cap 20000", "seed 0"] + ["sigmoid_sets_one 0"] * (version == 3)
+    body = ["t 0", "best_cost 3", "best 100000", "cache 1", "c 100000 3", "particle 1 3 0"]
+    body += ["x 100000", "x0 100000", "l 100000", "v " + " ".join(["0.0"] * 6)]
+    body += ["r " + json.dumps(np.random.default_rng(0).bit_generator.state), "w 100000"]
+    return "\n".join(head + body) + "\n"
 
 
 def _init(n, k_max, seed, **kwargs):
@@ -214,6 +228,20 @@ class TestRun:
         cost = pso.ansatz_cost_fn(uccsd_pool((0, 1), (2, 3)))
         assert pso.run(cfg, cost) == pso.run(cfg, cost)
 
+    @pytest.mark.parametrize("change", [{"n_modes": 5}, {"seed": 10}, {"inertia": 0.5}])
+    def test_resume_needs_the_swarms_config(self, change):
+        """A resume may extend ``t_max``; any other config field must match
+        the swarm's, or the report would describe another search."""
+        cfg = pso.SwarmConfig(n_modes=4, k_max=1, t_max=2, seed=9)
+        swarm = pso.init_swarm(4, config=cfg)
+        pso.run(cfg, bit_cost, swarm=swarm)
+        other = dataclasses.replace(cfg, t_max=6, **change)
+        with pytest.raises(ValueError, match="t_max only"):
+            pso.run(other, bit_cost, swarm=swarm)
+        assert swarm.t == 2
+        report = pso.run(dataclasses.replace(cfg, t_max=6), bit_cost, swarm=swarm)
+        assert report.steps == swarm.t > 2
+
     def test_cost_fn_closes_over_one_config(self):
         pool = uccsd_pool((0, 1), (2, 3, 4, 5))
         bk = Transform.bravyi_kitaev(6)
@@ -405,6 +433,54 @@ class TestCheckpoint:
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
         assert back.cost_cache == swarm.cost_cache
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        k_max=st.integers(1, 2),
+        cap=st.integers(1, 30),
+        inertia=st.floats(-4, 4),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.integers(-1, 3),
+    )
+    def test_round_trip_every_field(self, tmp_path_factory, n, k_max, cap, inertia, seed, steps):
+        """Every field of the swarm, its config and its particles reads back
+        with its type and value, the velocities bit for bit, the random
+        streams' states and the cost cache's order with them.  ``steps`` -1
+        leaves the swarm unevaluated: no global best and infinite costs."""
+        cfg = pso.SwarmConfig(n_modes=n, k_max=k_max, particles_cap=cap, inertia=inertia, seed=seed)
+        swarm = pso.init_swarm(n, config=cfg)
+        if steps >= 0:
+            pso._ensure_evaluated(swarm, bit_cost)
+        for _ in range(steps):
+            pso.step(swarm, bit_cost)
+        path = tmp_path_factory.mktemp("round_trip") / "swarm.json"
+        pso.write_checkpoint(swarm, path)
+        back = pso.read_checkpoint(path)
+        if steps < 0:
+            assert back.best_position is None
+            assert all(p.best_cost == math.inf for p in back.particles)
+
+        def same(a, b):
+            assert type(a) is type(b) and a == b
+
+        for f in dataclasses.fields(pso.SwarmConfig):
+            same(getattr(back.config, f.name), getattr(swarm.config, f.name))
+        for f in dataclasses.fields(pso.Swarm):
+            if f.name not in ("config", "particles"):
+                same(getattr(back, f.name), getattr(swarm, f.name))
+        assert list(back.cost_cache.items()) == list(swarm.cost_cache.items())
+        assert len(back.particles) == len(swarm.particles)
+        for a, b in zip(back.particles, swarm.particles):
+            for f in dataclasses.fields(pso.Particle):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "velocity":
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+                elif f.name == "rng":
+                    assert x.bit_generator.state == y.bit_generator.state
+                    assert x.random(3).tobytes() == y.random(3).tobytes()
+                else:
+                    same(x, y)
+
     def test_resume_continues_search(self, tmp_path):
         swarm = self._swarm()
         path = tmp_path / "swarm.txt"
@@ -447,70 +523,141 @@ class TestCheckpoint:
         for a, b in zip(resumed.particles, whole.particles):
             assert (a.position, a.active, a.recent) == (b.position, b.active, b.recent)
 
-    def test_rejects_truncated_particle(self, tmp_path):
-        path = tmp_path / "swarm.txt"
+    def _doc(self, tmp_path):
+        """A stepped swarm's checkpoint path and its document."""
+        path = tmp_path / "swarm.json"
         pso.write_checkpoint(self._swarm(), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="truncated"):
-            pso.read_checkpoint(path)
+        return path, json.loads(path.read_text())
 
-    @pytest.mark.parametrize("field", ["t", "best_cost", "best"])
-    def test_rejects_missing_header_field(self, tmp_path, field):
-        path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(self._swarm(), path)
-        lines = [ln for ln in path.read_text().splitlines() if ln.partition(" ")[0] != field]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=f"missing the '{field}' field"):
-            pso.read_checkpoint(path)
-
-    @pytest.mark.parametrize(
-        "new,match",
-        [("pxrticle 1 5.0 0", "expected a 'particle' line"), ("particle 1 5.0", "bad particle line")],
-    )
-    def test_rejects_malformed_particle_header(self, tmp_path, new, match):
-        path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(self._swarm(), path)
-        lines = path.read_text().splitlines()
-        at = next(j for j, line in enumerate(lines) if line.startswith("particle "))
-        lines[at] = new
-        path.write_text("\n".join(lines) + "\n")
+    def _rejects(self, path, doc, match):
+        path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             pso.read_checkpoint(path)
 
+    def test_rejects_truncated_particle(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        del doc["particles"][-1]["rng"]
+        self._rejects(path, doc, "particle is missing the 'rng' field")
+        # a file cut short is not JSON
+        path.write_text(json.dumps(doc)[:-40])
+        with pytest.raises(ValueError, match="not a swarm checkpoint file"):
+            pso.read_checkpoint(path)
+
     @pytest.mark.parametrize(
-        "old,new,match",
+        "field", ["t", "best_cost", "best_position", "config", "cost_cache", "particles"]
+    )
+    def test_rejects_missing_header_field(self, tmp_path, field):
+        path, doc = self._doc(tmp_path)
+        del doc[field]
+        self._rejects(path, doc, f"missing the '{field}' field")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(pso.SwarmConfig)])
+    def test_rejects_missing_config_field(self, tmp_path, field):
+        path, doc = self._doc(tmp_path)
+        del doc["config"][field]
+        self._rejects(path, doc, f"config is missing the '{field}' field")
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(pso.Particle)])
+    def test_rejects_missing_particle_field(self, tmp_path, field):
+        path, doc = self._doc(tmp_path)
+        del doc["particles"][0][field]
+        self._rejects(path, doc, f"particle is missing the '{field}' field")
+
+    @pytest.mark.parametrize(
+        "where,key,value,match",
         [
-            ("cache ", "cache x", "cost cache count"),
-            ("cache ", "cache 9999", "truncated cost cache"),
-            ("\nc ", "\nc 2", "bit line"),
-            ("\nc ", "\nk ", "expected a 'c' line"),
+            ("document", "extra", 1, "document has an unknown 'extra' field"),
+            ("document", "t", 1.0, "bad step count"),
+            ("document", "best_cost", "3", "bad best cost"),
+            ("document", "particles", {}, "bad particle list"),
+            ("config", "extra", 1, "config has an unknown 'extra' field"),
+            ("particle", "extra", 1, "particle has an unknown 'extra' field"),
+            ("particle", "active", 1, "bad active flag"),
+            ("particle", "drift_steps", 1.5, "bad drift step count"),
+            ("particle", "best_cost", None, "bad best cost"),
+            ("particle", "recent", 5, "bad recent positions"),
         ],
     )
-    def test_rejects_malformed_cost_cache(self, tmp_path, old, new, match):
-        path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(self._swarm(), path)
-        path.write_text(path.read_text().replace(old, new, 1))
-        with pytest.raises(ValueError, match=match):
-            pso.read_checkpoint(path)
+    def test_rejects_malformed_field(self, tmp_path, where, key, value, match):
+        path, doc = self._doc(tmp_path)
+        records = {"document": doc, "config": doc["config"], "particle": doc["particles"][0]}
+        records[where][key] = value
+        self._rejects(path, doc, match)
+
+    def test_rejects_malformed_particle(self, tmp_path):
+        path, doc = self._doc(tmp_path)
+        doc["particles"][0] = list(doc["particles"][0].values())
+        self._rejects(path, doc, "particle is not a record")
+
+    @pytest.mark.parametrize(
+        "cache,match",
+        [
+            pytest.param({}, "bad cost cache in checkpoint", id="not-a-list"),
+            pytest.param([[1]], "bad cost cache entry", id="short-entry"),
+            pytest.param([[1, 2, 3]], "bad cost cache entry", id="long-entry"),
+            pytest.param([{"1": 2}], "bad cost cache entry", id="object-entry"),
+            pytest.param([[64, 2]], "bad cached position", id="mask-out-of-range"),
+            pytest.param([[-1, 2]], "bad cached position", id="negative-mask"),
+            pytest.param([[True, 2]], "bad cached position", id="bool-mask"),
+            pytest.param([["000001", 2]], "bad cached position", id="bit-string-mask"),
+        ],
+    )
+    def test_rejects_malformed_cost_cache(self, tmp_path, cache, match):
+        path, doc = self._doc(tmp_path)
+        doc["cost_cache"] = cache
+        self._rejects(path, doc, match)
 
     def test_rejects_bad_cached_cost(self, tmp_path):
-        path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(self._swarm(), path)
-        lines = path.read_text().splitlines()
-        at = next(j for j, line in enumerate(lines) if line.startswith("c "))
-        lines[at] = lines[at].rsplit(" ", 1)[0] + " 3.5"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="cost cache line"):
-            pso.read_checkpoint(path)
-        lines[at] = lines[at + 1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="repeated position"):
-            pso.read_checkpoint(path)
-        del lines[at]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="expected a 'c' line"):
-            pso.read_checkpoint(path)
+        path, doc = self._doc(tmp_path)
+        cache = doc["cost_cache"]
+        assert len(cache) > 1
+        for bad in (3.5, True, None, "3"):
+            cache[0][1] = bad
+            self._rejects(path, doc, "bad cached cost")
+        cache[0] = list(cache[1])
+        self._rejects(path, doc, "repeated position")
+
+    @pytest.mark.parametrize(
+        "velocity",
+        [[0.0] * 5, [0.0] * 7, [0.0] * 5 + ["1.0"], [0.0] * 5 + [None], [0.0] * 5 + [True], "0.0"],
+    )
+    def test_rejects_bad_velocity(self, tmp_path, velocity):
+        path, doc = self._doc(tmp_path)
+        doc["particles"][0]["velocity"] = velocity
+        self._rejects(path, doc, "bad velocity")
+
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("n_modes", 1, "at least two modes"),
+            ("inertia", 9.0, "inertia weight"),
+            ("social", -1, "social weight"),
+            ("k_max", 0, "k_max must be positive"),
+            ("particles_cap", 0, "particle cap"),
+            ("n_modes", 4.0, "bad config field 'n_modes'"),
+            ("n_modes", "4", "bad config field 'n_modes'"),
+            ("seed", True, "bad config field 'seed'"),
+            ("cognitive", [2.0], "bad config field 'cognitive'"),
+        ],
+    )
+    def test_rejects_bad_config(self, tmp_path, field, value, match):
+        path, doc = self._doc(tmp_path)
+        doc["config"][field] = value
+        self._rejects(path, doc, match)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda state: "PCG64",
+            lambda state: {**state, "bit_generator": "MT19937"},
+            lambda state: {**state, "state": "0"},
+            lambda state: {k: v for k, v in state.items() if k != "state"},
+        ],
+    )
+    def test_rejects_bad_random_state(self, tmp_path, change):
+        path, doc = self._doc(tmp_path)
+        doc["particles"][0]["rng"] = change(doc["particles"][0]["rng"])
+        self._rejects(path, doc, "bad random state")
 
     def test_run_writes_checkpoints(self, tmp_path):
         path = tmp_path / "live.txt"
@@ -553,12 +700,28 @@ class TestCheckpoint:
     def test_rejects_version_3_files(self, tmp_path):
         """Version 3 carried the dropped ``sigmoid_sets_one`` field."""
         path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(self._swarm(), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "fqcc-swarm 4"
-        at = next(j for j, line in enumerate(lines) if line.startswith("seed "))
-        lines[at + 1 : at + 1] = ["sigmoid_sets_one 0"]
-        path.write_text("\n".join(["fqcc-swarm 3"] + lines[1:]) + "\n")
+        path.write_text(_text_checkpoint(3))
+        with pytest.raises(ValueError, match="not a swarm checkpoint file"):
+            pso.read_checkpoint(path)
+
+    def test_rejects_version_4_files(self, tmp_path):
+        path = tmp_path / "swarm.txt"
+        path.write_text(_text_checkpoint(4))
+        with pytest.raises(ValueError, match="not a swarm checkpoint file"):
+            pso.read_checkpoint(path)
+        # nor does a JSON document that names another format, or none
+        path, doc = self._doc(tmp_path)
+        assert doc["format"] == "fqcc-swarm 5"
+        for other in ("fqcc-swarm 4", None):
+            doc["format"] = other
+            self._rejects(path, doc, "not a swarm checkpoint file")
+        del doc["format"]
+        self._rejects(path, doc, "not a swarm checkpoint file")
+        for text in ("[1, 2]", "4", "null"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a swarm checkpoint file"):
+                pso.read_checkpoint(path)
+        path.write_bytes(b"\xff\xfe\x00junk")
         with pytest.raises(ValueError, match="not a swarm checkpoint file"):
             pso.read_checkpoint(path)
 
@@ -569,10 +732,19 @@ class TestCheckpoint:
             pso.read_checkpoint(path)
 
     def test_rejects_corrupt_bits(self, tmp_path):
-        swarm = self._swarm()
-        path = tmp_path / "swarm.txt"
-        pso.write_checkpoint(swarm, path)
-        text = path.read_text().replace("x 0", "x 2", 1)
-        path.write_text(text)
-        with pytest.raises(ValueError, match="bit line"):
-            pso.read_checkpoint(path)
+        """Every mask of a 4-mode swarm is an int in [0, 64), and only the
+        global best may be null."""
+        path, doc = self._doc(tmp_path)
+        for bad in (64, -1, True, 1.0, "000001", None):
+            for field in ("position", "best_position", "initial_position", "recent"):
+                broken = copy.deepcopy(doc)
+                particle = broken["particles"][0]
+                if field == "recent":
+                    particle["recent"][-1] = bad
+                else:
+                    particle[field] = bad
+                self._rejects(path, broken, f"bad {field.replace('_', ' ')}")
+            if bad is not None:
+                broken = copy.deepcopy(doc)
+                broken["best_position"] = bad
+                self._rejects(path, broken, "bad best position")
