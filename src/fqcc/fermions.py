@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
+from .transform import Transform
+
 _HERMITICITY_TOL = 1e-10
 
 
@@ -69,26 +73,50 @@ class FermionTerm:
         return f"{self.coefficient} * {body}"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class FermionOperator:
-    """An ordered collection of FermionTerm plus a scalar constant."""
+    """An ordered collection of FermionTerm plus a scalar constant.
 
-    __slots__ = ("n_modes", "terms", "constant")
+    The operator is immutable: ``terms`` is a tuple, and setting
+    ``n_modes``, ``terms`` or ``constant`` raises ``AttributeError``, so the
+    Jordan-Wigner image that ``to_pauli`` keeps cannot go stale.
+    """
 
-    def __init__(self, n_modes, terms=(), constant=0.0):
-        self.n_modes = n_modes
-        self.terms = list(terms)
-        self.constant = complex(constant)
+    n_modes: int
+    terms: tuple = ()
+    constant: complex = 0.0
+    # (x, z, coefficients) of the Jordan-Wigner image, in its term order
+    _image: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "constant", complex(self.constant))
         for t in self.terms:
-            if t.max_mode() >= n_modes:
-                raise ValueError(f"term {t} references mode >= {n_modes}")
+            if t.max_mode() >= self.n_modes:
+                raise ValueError(f"term {t} references mode >= {self.n_modes}")
 
     def to_pauli(self, transform):
-        """Map through a fermion-to-qubit transform to a PauliSum."""
+        """Map through a fermion-to-qubit transform to a fresh PauliSum.
+
+        An encoding is Jordan-Wigner followed by its basis change B, so the
+        image is the Jordan-Wigner sum framed by B (``frame_sum``).  The
+        first call maps the operator with ``Transform.jordan_wigner``'s
+        ``map_operator`` and keeps that sum's masks and coefficients; every
+        call, that one too, frames them into a new sum, which the caller
+        may change.  An operator thus pays for one merge, on its first
+        call, and one frame per call, and every result equals
+        ``transform.map_operator`` of its terms bit for bit.
+        """
         if transform.n_modes != self.n_modes:
             raise ValueError("transform mode count does not match operator")
-        # each term's ops are already (mode, dagger) pairs (``LadderOp``)
-        raw = [(t.coefficient, t.ops) for t in self.terms]
-        return transform.map_operator(raw, constant=self.constant)
+        if self._image is None:
+            # each term's ops are already (mode, dagger) pairs (``LadderOp``)
+            raw = [(t.coefficient, t.ops) for t in self.terms]
+            jw = Transform.jordan_wigner(self.n_modes).map_operator(raw, constant=self.constant)
+            keys = np.array(list(jw._terms), dtype=np.int64).reshape(-1, 2)
+            coeffs = np.array(list(jw._terms.values()), dtype=complex)
+            object.__setattr__(self, "_image", (keys[:, 0], keys[:, 1], coeffs))
+        return transform.frame_sum(*self._image)
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ class SwarmConfig:
 
     ``inertia`` must lie in [-4, 4] and the cognitive/social weights in
     [0, 2].  ``k_max`` and ``t_max`` left as None resolve to the width
-    defaults.
+    defaults.  A value not of its field's type raises ``TypeError`` naming
+    the field: a bool is not an int, and an int passes for a float.
     """
 
     n_modes: int
@@ -98,6 +99,11 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, hint in _CONFIG_TYPES.items():
+            value, kinds = getattr(self, name), (int, float) if hint is float else hint
+            if not isinstance(value, kinds) or isinstance(value, bool) != (hint is bool):
+                kind = getattr(hint, "__name__", hint)
+                raise TypeError(f"config field {name!r} of type {type(value).__name__}, not {kind}")
         if self.n_modes < 2:
             raise ValueError("need at least two modes to search over")
         if not -4.0 <= self.inertia <= 4.0:
@@ -122,6 +128,10 @@ class SwarmConfig:
     @property
     def dimension(self):
         return self.n_modes * (self.n_modes - 1) // 2
+
+
+# each field's type hint, read once for ``SwarmConfig.__post_init__``
+_CONFIG_TYPES = typing.get_type_hints(SwarmConfig)
 
 
 @dataclass(slots=True)
@@ -527,13 +537,11 @@ def _typed(value, kinds, what, d=None):
 
 
 def _config(record):
-    """A config record's ``SwarmConfig``, each value of its field's type;
-    ``SwarmConfig`` checks the values."""
-    for name, hint in typing.get_type_hints(SwarmConfig).items():
-        value, kinds = record[name], (int, float) if hint is float else hint
-        if not isinstance(value, kinds) or isinstance(value, bool) != (hint is bool):
-            raise ValueError(f"bad config field {name!r} in checkpoint")
-    return SwarmConfig(**record)
+    """A config record's ``SwarmConfig``, which checks the types and values."""
+    try:
+        return SwarmConfig(**record)
+    except TypeError as exc:
+        raise ValueError(f"bad {exc}, in checkpoint") from exc
 
 
 def _particle(record, d):

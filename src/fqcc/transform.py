@@ -9,10 +9,13 @@ Fenwick-tree choice of beta reproduces the Bravyi-Kitaev transform.
 Every such encoding is Jordan-Wigner followed by the CNOT network B with
 B|x> = |beta x> (``basis_circuit``).  Operators are therefore mapped and
 expanded under Jordan-Wigner, where a_j is Z_{<j} (X_j + i Y_j) / 2 in
-closed form, and each resulting string is conjugated once by B
+closed form, and each string of the merged sum is conjugated once by B
 (``Transform.frame``): B X^x Z^z B+ = X^(beta x) Z^(beta^-T z), so a
 string P(x, z), with Y = iXZ on the wires of x & z, goes to
-i^(|x & z| - |x' & z'|) P(x', z').
+i^(|x & z| - |x' & z'|) P(x', z').  An operator's image under an
+encoding is thus its Jordan-Wigner sum framed by B
+(``Transform.frame_sum``); ``FermionOperator`` maps itself under
+Jordan-Wigner once and frames that sum for each encoding it is asked for.
 
 The frame reads beta only through byte tables of its columns and of the
 rows of beta^-1, and these are built for many encodings at once: an
@@ -361,6 +364,22 @@ class Transform:
         x_out, z_out, q = frame_stack(self.stack, x, z)
         return x_out[0], z_out[0], q[0]
 
+    def frame_sum(self, x, z, coeffs):
+        """A fresh PauliSum of the strings P(x, z), ``coeffs`` their
+        coefficients, each conjugated by the basis change (``frame``), in
+        the same order.
+
+        ``x`` and ``z`` are int64 mask arrays and ``coeffs`` a complex
+        array of one length.  Each coefficient is multiplied by its
+        string's i^q, a sign: x' . z' = x^T beta^T beta^-T z = x . z over
+        GF(2), so q is even.  The sign is an exact negation, and then
+        ``+ 0.0`` makes a zero part +0, as a sum started from +0 leaves it.
+        """
+        x, z, q = self.frame(x, z)
+        framed = np.where(q & 2, -coeffs, coeffs) + 0.0
+        keys = zip(x.tolist(), z.tolist())
+        return PauliSum(self.n_modes, dict(zip(keys, framed.tolist())))
+
     def map_operator(self, terms, constant=0.0):
         """Map [(coeff, ((mode, dagger), ...)), ...] to a PauliSum.
 
@@ -377,11 +396,12 @@ class Transform:
         has coefficient coeff i^e / 2^D: the merged weight of its 2^(k - D)
         paths is 2^(k - D) i^e, e that of the first.  Only first paths are
         enumerated.  The additions ``coeff * (i^e * 2^-D)`` of all terms
-        are sorted by string, then by term and path.  Each string is then
-        framed by B (``frame``), its q added to its additions' e, and its
-        additions summed in that order, one at a time.  The frame is a
-        bijection and i^q is exact, so framing after the merge changes no
-        coefficient.
+        are sorted by string, then by term and path, and each string's
+        additions are summed in that order, one at a time.  The merged
+        Jordan-Wigner sum is then framed once by B (``frame_sum``).  The
+        frame is a bijection, and i^q is the same sign for all of a
+        string's additions; rounding is symmetric under negation, so
+        framing the sum gives the bits that framing each addition would.
 
         The result is that of multiplying each term's ladders as Pauli
         sums and adding the products in term order
@@ -394,8 +414,8 @@ class Transform:
         is added as given.  A term's partial products are exact and never
         grow, so the per-ladder cut is the cut of the whole product.
 
-        Masks are int64: ``frame`` raises ``ValueError`` for a transform of
-        more than 63 modes.
+        Masks are int64: ``frame_sum`` raises ``ValueError`` for a
+        transform of more than 63 modes.
         """
         n = self.n_modes
         terms = list(terms)
@@ -443,10 +463,8 @@ class Transform:
         edge[1:-1] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
         bounds = np.flatnonzero(edge)
         heads, counts = bounds[:-1], bounds[1:] - bounds[:-1]
-        x, z, q = self.frame(x[heads], z[heads])
+        x, z = x[heads], z[heads]
         e = e[order]
-        e += q.repeat(counts)
-        e &= 3
         place = place[order]
         del order
         value = scale[place // n_paths]
@@ -469,8 +487,7 @@ class Transform:
             np.copyto(enters[:active], at + 1, where=run == 0)
         out = np.flatnonzero(np.abs(total) > COEFF_TOL)
         out = out[np.argsort(place[enters[out]])]
-        keys = zip(x[most[out]].tolist(), z[most[out]].tolist())
-        return PauliSum(n, dict(zip(keys, total[out].tolist())))
+        return self.frame_sum(x[most[out]], z[most[out]], total[out])
 
     # -- encoding circuit --------------------------------------------------------
 

@@ -1,6 +1,12 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqcc.fcidump import load_fcidump
 from fqcc.fermions import (
     FermionOperator,
     FermionTerm,
@@ -97,6 +103,98 @@ class TestFermionOperator:
         num = _dense(number_operator(3))
         want = np.diag([bin(s).count("1") for s in range(8)]).astype(complex)
         assert np.allclose(num, want, atol=1e-12)
+
+
+def _items(paulis):
+    """The sum's terms in order, each coefficient part as ``float.hex``."""
+    return [(x, z, c.real.hex(), c.imag.hex()) for (x, z), c in paulis._terms.items()]
+
+
+def _raw(op):
+    return [(t.coefficient, t.ops) for t in op.terms]
+
+
+@st.composite
+def _operators_and_encodings(draw):
+    """An operator on 2-10 modes, its terms of 0-4 ladders with repeated
+    modes, exactly cancelling pairs and a constant, and its encodings: JW,
+    BK and a seeded random beta, in a drawn order."""
+    n = draw(st.integers(2, 10))
+    ladder = st.builds(LadderOp, st.integers(0, n - 1), st.booleans())
+    finite = st.floats(-2.0, 2.0, allow_subnormal=False)
+    coefficient = st.one_of(finite, st.builds(complex, finite, finite))
+    terms = []
+    for _ in range(draw(st.integers(0, 6))):
+        term = FermionTerm(draw(coefficient), draw(st.lists(ladder, max_size=4)))
+        terms.append(term)
+        if draw(st.booleans()):
+            terms.append(FermionTerm(-term.coefficient, term.ops))
+    constant = draw(st.sampled_from([0.0, 0.75, complex(0.5, -0.25)]))
+    bits = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, 2, n * (n - 1) // 2)
+    encodings = [
+        Transform.jordan_wigner(n), Transform.bravyi_kitaev(n), Transform.from_lower_bits(n, bits.tolist()),
+    ]
+    return FermionOperator(n, draw(st.permutations(terms)), constant), draw(st.permutations(encodings))
+
+
+class TestToPauli:
+    """``to_pauli`` frames one kept Jordan-Wigner image per operator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_operators_and_encodings())
+    def test_equals_map_operator_and_the_paulisum_route(self, case):
+        op, encodings = case
+        for t in encodings:
+            got = _items(op.to_pauli(t))
+            assert got == _items(t.map_operator(_raw(op), op.constant))
+            assert got == _items(oracles.map_operator_via_paulisum(t, _raw(op), op.constant))
+
+    # (strings, sha256 of ``_items``) of water's H under compile-water's
+    # encodings (the beta is seed 1's), as the per-encoding map made them
+    WATER = {
+        "jw": (1086, "42397c30ff3fcf29"),
+        "bk": (1086, "0411007e69324ddc"),
+        "beta": (1086, "8c59bbe7249da0ae"),
+    }
+
+    def test_water_pins(self):
+        fixture = Path(__file__).parent / "fixtures" / "h2o_sto3g.fcidump"
+        ham, _ = load_fcidump(fixture).to_spin_orbital()
+        n = ham.n_modes
+        bits = np.random.default_rng(1).integers(0, 2, n * (n - 1) // 2).tolist()
+        encodings = {
+            "jw": Transform.jordan_wigner(n),
+            "bk": Transform.bravyi_kitaev(n),
+            "beta": Transform.from_lower_bits(n, bits),
+        }
+        op = build_hamiltonian(ham)
+        for name, t in [*encodings.items(), *reversed(encodings.items())]:
+            items = _items(op.to_pauli(t))
+            digest = hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+            assert (len(items), digest) == self.WATER[name], name
+
+    def test_each_call_returns_its_own_sum(self):
+        op = number_operator(3)
+        t = Transform.bravyi_kitaev(3)
+        first = op.to_pauli(t)
+        want = _items(first)
+        second = op.to_pauli(t)
+        assert second is not first and second._terms is not first._terms
+        first._add_term(0, 0, -first._terms[0, 0])
+        first._add_term(7, 7, 1.0)
+        first.simplify()
+        assert _items(second) == want
+        assert _items(op.to_pauli(t)) == want
+
+    def test_attributes_cannot_be_reassigned(self):
+        op = number_operator(2)
+        assert isinstance(op.terms, tuple)
+        for name, value in (("terms", ()), ("n_modes", 3), ("constant", 1.0)):
+            with pytest.raises(AttributeError):
+                setattr(op, name, value)
+        with pytest.raises(AttributeError):
+            del op.terms
+        assert len(op.terms) == 2 and op.n_modes == 2 and op.constant == 0
 
 
 class TestBuildHamiltonian:

@@ -71,6 +71,27 @@ class TestSwarmConfig:
         with pytest.raises(ValueError, match="two modes"):
             pso.SwarmConfig(n_modes=1)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n_modes": 4.0}, "n_modes"),
+            ({"n_modes": "4"}, "n_modes"),
+            ({"n_modes": 4, "k_max": True}, "k_max"),
+            ({"n_modes": 4, "t_max": 5.0}, "t_max"),
+            ({"n_modes": 4, "seed": np.int64(1)}, "seed"),
+            ({"n_modes": 4, "social": "2"}, "social"),
+            ({"n_modes": 4, "inertia": None}, "inertia"),
+        ],
+    )
+    def test_field_types_enforced(self, kwargs, field):
+        """A bool is not an int, and neither is a float or a numpy integer."""
+        with pytest.raises(TypeError, match=f"config field '{field}'"):
+            pso.SwarmConfig(**kwargs)
+
+    def test_int_weights_pass_for_floats(self):
+        cfg = pso.SwarmConfig(n_modes=4, inertia=1, cognitive=0, social=2, k_max=None)
+        assert (cfg.inertia, cfg.cognitive, cfg.k_max) == (1, 0, 6)
+
     def test_dimension(self):
         assert pso.SwarmConfig(n_modes=4).dimension == 6
         assert pso.SwarmConfig(n_modes=14).dimension == 91

@@ -53,6 +53,10 @@ def test_planner_layers_reports_h4():
     for m in planning.values():
         assert m["sorts_per_sum"] == 1
         assert m["to_pauli_calls"] == m["qwc_calls"] == m["gc_calls"] == m["sort_calls"] == 3
+        # one Jordan-Wigner merge per operator, inside its first map, and one
+        # frame per map plus the merge's own
+        assert m["merge_calls"] == 1 and m["frame_sum_calls"] == 4
+        assert m["merge_s"] < m["to_pauli_s"]
         assert m["strings_calls"] == 6 and m["diagonalize_calls"] == 3 * 9
         assert 0 < m["diagonalize_s"] < m["gc_s"]
     assert {enc: h4[enc]["model_two_qubit"] for enc in h4} == {"jw": 202, "bk": 261}

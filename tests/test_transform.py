@@ -578,6 +578,36 @@ def _operators(draw):
     return t, draw(st.permutations(terms)), constant
 
 
+class TestFrameSum:
+    """``frame_sum``: the basis change of a sum's strings, each coefficient
+    times its i^q exactly, in the sum's order."""
+
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta3"])
+    def test_frames_each_string_and_signs_its_coefficient(self, name):
+        n = 6
+        t = Transform(_random_beta(np.random.default_rng(3), n)) if name == "beta3" else _NAMED[name](n)
+        rng = np.random.default_rng(11)
+        x = rng.permutation(1 << n)[:40].astype(np.int64)
+        z = rng.integers(0, 1 << n, 40, dtype=np.int64)
+        parts = rng.choice([0.0, -0.0, 0.5, -1.25, 3e-300], size=(2, 40))
+        assert np.signbit(parts[parts == 0]).any()
+        coeffs = np.empty(40, complex)
+        coeffs.real, coeffs.imag = parts
+        got = t.frame_sum(x, z, coeffs)
+        fx, fz, q = t.frame(x, z)
+        # the frame keeps x . z mod 2, so each i^q is a sign
+        assert (q % 2 == 0).all() and (name == "jw" or (q % 4 == 2).any())
+        units = (1, 1j, -1, -1j)
+        # a zero part comes out +0, as a sum started from +0 leaves it
+        want = [
+            ((a, b), c * units[k % 4] + 0j)
+            for a, b, c, k in zip(fx.tolist(), fz.tolist(), coeffs.tolist(), q.tolist())
+        ]
+        assert repr(list(got._terms.items())) == repr(want)
+        empty = np.zeros(0, np.int64)
+        assert len(t.frame_sum(empty, empty, np.zeros(0, complex))) == 0
+
+
 class TestMapOperatorProperty:
     @settings(max_examples=300, deadline=None)
     @given(_operators())

@@ -50,9 +50,16 @@ reports the best of three rounds of each, as seconds per encoding.
 ``measurement`` times the measurement planning of each system's
 Hamiltonian (its FCIDUMP in ``tests/fixtures``) under JW and BK, summed
 over three rounds of one map and both partitions, as compile-water runs
-them:
+them.  The operator is built afresh for each encoding, so each entry
+holds its one merge; compile-water maps one operator under three
+encodings and pays the merge once:
 
-    to_pauli      fermions.FermionOperator.to_pauli: the map
+    to_pauli      fermions.FermionOperator.to_pauli: the map, one merge per
+                  operator (on its first call) plus one frame per call
+    merge         transform.Transform.map_operator: the Jordan-Wigner
+                  merge, inside the first to_pauli, with its own frame
+    frame_sum     transform.Transform.frame_sum: one basis change of a
+                  merged sum, one per to_pauli and one inside the merge
     strings       paulis.PauliSum.strings: the sum's canonical string list
     sort          paulis.PauliSum._canonical_keys: its canonical sort
     qwc           measure.partition_qwc
@@ -61,8 +68,8 @@ them:
                   change, inside gc
 
 with the sum's string count, both partitions' group counts, and
-``sorts_per_sum``, the canonical sorts per mapped sum over both
-partitions.
+``sorts_per_sum``, the canonical sorts per ``to_pauli`` result over both
+partitions (the merge's own Jordan-Wigner sum is never sorted).
 
 Each peephole call runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
@@ -127,6 +134,8 @@ LAYERS = {
 }
 MEASUREMENT_LAYERS = {
     "to_pauli": (FermionOperator, "to_pauli"),
+    "merge": (Transform, "map_operator"),
+    "frame_sum": (Transform, "frame_sum"),
     "strings": (PauliSum, "strings"),
     "sort": (PauliSum, "_canonical_keys"),
     "qwc": (fqcc.measure, "partition_qwc"),
@@ -275,9 +284,9 @@ def measurement(name, n_modes):
     """Measurement-planning layer seconds and calls over ``REPEAT`` maps and
     partitions of the system's Hamiltonian, per encoding."""
     ham, _ = load_fcidump(ROOT / "tests" / "fixtures" / FIXTURES[name]).to_spin_orbital()
-    hamiltonian = build_hamiltonian(ham)
     out = {}
     for enc, make in ENCODINGS.items():
+        hamiltonian = build_hamiltonian(ham)
         transform = make(n_modes)
         totals = defaultdict(lambda: [0.0, 0])
         with _wrapped(MEASUREMENT_LAYERS, lambda layer, fn: _timed(fn, totals[layer])):
