@@ -12,8 +12,10 @@ X-rotation up to Z-rotations (an Euler angle phi = +-pi/2), which is exactly
 the situation arising between adjacent exponential blocks that share wires.
 ``trotter``'s chain emitter builds each class chain in the form this pass
 leaves it, with the same rewrite (``_junction_rewrite``, ``_xx_half_gates``)
-and angle fold (``_norm_angle``); on its chains the pass changes nothing and
-stops after one simple pass and one junction pass.
+and angle fold (``_norm_angle``), so no chain goes through the pass;
+``trotter.emit_circuit`` runs it once per circuit, on the compressed blocks
+and the restoration fan-out that lead the circuit, where it cancels and
+merges about half of their gates.
 
 The pass keeps its working circuit as integer state (``_Peephole``).  Gate
 i's k-th wire is slot ``i << sh | k``, where ``sh`` is 1, or 2 when a 4-wire

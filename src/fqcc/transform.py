@@ -180,9 +180,10 @@ def _width(n):
 def _byte_tables(masks):
     """By byte c of a mask and its value v, the xor of ``masks[:, 8c + b]``
     over the set bits b of v: shape (B, C, 256) for masks of shape (B, n),
-    built by doubling, bit b of v taking its upper half."""
+    built by doubling, bit b of v taking its upper half.  C is at least 1,
+    so the tables of 0 modes map the empty string to itself."""
     size, n = masks.shape
-    parts = np.zeros((size, n + -n % 8), np.int64)
+    parts = np.zeros((size, max(n + -n % 8, 8)), np.int64)
     parts[:, :n] = masks
     parts = parts.reshape(size, -1, 8)
     table = np.zeros((size, parts.shape[1], 1), np.int64)

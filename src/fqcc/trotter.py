@@ -42,6 +42,7 @@ class's target, and the plan is its class chains.  This module provides:
   takes every angle-free gate from a per-(wires, target) table of
   ``circuits.shared_gate`` instances built once (``_wire_gates``), builds
   only the Rz gates per angle and emits no gate the peephole would cancel,
+  so no peephole runs on its output,
 - ``inter_order``: greedy cross-term concatenation by shared target; classes
   are formed from the eligible targets first, so the per-term string order
   is found only at each term's class target, for all terms of all
@@ -74,10 +75,12 @@ wire where both letters are equal and non-identity, or a one-CNOT saving
 where they differ and neither is identity.  The emitter takes every one
 of them, the same way at every boundary of a class chain, inside a term
 or at a junction between terms (``_emit_chain``), so each chain comes out
-in the form the peephole leaves it: the peephole, still the last step of
-each chain, changes nothing, and with every angle nonzero model and
-circuit agree gate-for-gate.  The expansion, the planner and the emitter
-read letters only through the strings' bit masks.
+in the form the peephole leaves it, and is appended as it is emitted;
+with every angle nonzero, model and circuit agree gate-for-gate.  The
+peephole runs once per circuit, on the prefix that is not emitted at its
+fixpoint (the compressed blocks and the restoration fan-out), where it
+halves the gates and keeps the CNOTs.  The expansion, the planner and
+the emitter read letters only through the strings' bit masks.
 """
 
 from __future__ import annotations
@@ -1408,31 +1411,33 @@ def plan_ansatz(seqs, transform, angles=None, config=HeuristicConfig(), *, occup
 def emit_circuit(plan):
     """The circuit of a plan, in ``plan.order``.
 
-    Compressed blocks lead, followed by the restoration fan-out, then one
-    block per class chain, every term at its class's target.  Each chain's
-    strings, in placement order, are emitted at once (``_emit_chain``) with
-    every saving that ``plan.model_two_qubit`` counts taken, at junctions
-    between terms as inside them, in the form ``peephole_cancel`` leaves
-    them, at any angles (strings folding to 0 are dropped first), so the
-    closing peephole over each chain only confirms the form.  Compressed
-    blocks act in the Jordan-Wigner frame and kept terms in the
-    transform's, and no basis change is emitted between the two: under a
-    non-identity encoding with compressed terms the circuit is not yet the
-    ansatz.
+    The prefix leads: the compressed blocks, then the restoration fan-out,
+    reduced by one ``peephole_cancel`` call, which on water halves its
+    gates and keeps its CNOTs.  Then comes one block per class chain,
+    every term at its class's target.  Each chain's strings, in placement
+    order, are emitted at once (``_emit_chain``) with every saving that
+    ``plan.model_two_qubit`` counts taken, at junctions between terms as
+    inside them, in the form ``peephole_cancel`` leaves them, at any
+    angles (strings folding to 0 are dropped first), so each chain is
+    appended as it is emitted.  Compressed blocks act in the Jordan-Wigner
+    frame and kept terms in the transform's, and no basis change is
+    emitted between the two: under a non-identity encoding with compressed
+    terms the circuit is not yet the ansatz.
     """
     n = plan.n_qubits
     # every part is built on the plan's n wires, so its gates are appended unchecked
-    circ = Circuit(n)
+    prefix = Circuit(n)
     for cterm in plan.compressed:
-        circ.gates += compressed_circuit(cterm, n).gates
-    circ.gates += restoration_circuit(plan.touched_pairs, n).gates
+        prefix.gates += compressed_circuit(cterm, n).gates
+    prefix.gates += restoration_circuit(plan.touched_pairs, n).gates
+    circ = peephole_cancel(prefix)
     for cls in plan.classes:
         chain = []
         for p in cls.placements:
             chain += _rotations(plan.terms[plan.kept[p.index]], p.ordering)
-        block = peephole_cancel(Circuit(n, 0, *_emit_chain(chain, cls.target, n)))
-        circ.gates += block.gates
-        circ.global_phase *= block.global_phase
+        gates, phase = _emit_chain(chain, cls.target, n)
+        circ.gates += gates
+        circ.global_phase *= phase
     return circ
 
 

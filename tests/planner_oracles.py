@@ -13,7 +13,9 @@ recount a term's accounting from its strings, as the planner once did.
 A ``Choice`` is one term's string order and CNOT count at one target, and
 ``placement`` puts it in a chain.  ``emit_circuit_reference`` keeps the
 emitter as it ran before each chain was emitted at the peephole's
-fixpoint: whole blocks at the junctions, reduced by ``peephole_cancel``.
+fixpoint: whole blocks at the junctions, each chain reduced by
+``peephole_cancel``, after the prefix (``prefix_reference``) reduced as
+the emitter reduces it.
 
 They live apart from ``oracles``, which the benchmark's HMP2 workload
 imports for its FCI reference: a process that imports a module without
@@ -675,18 +677,28 @@ def chain_blocks_reference(plan, cls):
     return Circuit(plan.n_qubits, 0, gates)
 
 
-def emit_circuit_reference(plan):
-    """``trotter.emit_circuit`` as it once ran: compressed blocks, the
-    restoration fan-out, then each chain's ``chain_blocks_reference``
-    through ``peephole_cancel``."""
-    from fqcc.circuits import Circuit, peephole_cancel
+def prefix_reference(plan):
+    """The unreduced prefix of a plan's circuit: every compressed block,
+    then the restoration fan-out."""
+    from fqcc.circuits import Circuit
     from fqcc.trotter import compressed_circuit, restoration_circuit
 
     n = plan.n_qubits
-    circ = Circuit(n)
+    prefix = Circuit(n)
     for cterm in plan.compressed:
-        circ.gates += compressed_circuit(cterm, n).gates
-    circ.gates += restoration_circuit(plan.touched_pairs, n).gates
+        prefix.gates += compressed_circuit(cterm, n).gates
+    prefix.gates += restoration_circuit(plan.touched_pairs, n).gates
+    return prefix
+
+
+def emit_circuit_reference(plan):
+    """``trotter.emit_circuit`` from whole blocks: ``prefix_reference``
+    through one ``peephole_cancel``, as the emitter reduces it, then each
+    chain's ``chain_blocks_reference`` through ``peephole_cancel``, as the
+    emitter once ran."""
+    from fqcc.circuits import peephole_cancel
+
+    circ = peephole_cancel(prefix_reference(plan))
     for cls in plan.classes:
         block = peephole_cancel(chain_blocks_reference(plan, cls))
         circ.gates += block.gates

@@ -173,6 +173,15 @@ class TestToPauli:
             digest = hashlib.sha256(repr(items).encode()).hexdigest()[:16]
             assert (len(items), digest) == self.WATER[name], name
 
+    def test_zero_modes_map_to_the_constant(self):
+        """A 0-mode operator's image is its constant on the empty string, or
+        the empty sum, as ``map_operator`` of its terms gives."""
+        t = Transform.jordan_wigner(0)
+        op = FermionOperator(0, (), 1.5)
+        assert _items(op.to_pauli(t)) == [(0, 0, (1.5).hex(), (0.0).hex())]
+        assert _items(op.to_pauli(t)) == _items(t.map_operator([], 1.5))
+        assert _items(FermionOperator(0).to_pauli(t)) == []
+
     def test_each_call_returns_its_own_sum(self):
         op = number_operator(3)
         t = Transform.bravyi_kitaev(3)

@@ -75,17 +75,18 @@ def test_planner_layers_reports_h4():
         # matrices built inside it
         assert layers["chaining_calls"] == layers["junctions_calls"] == 3
         assert layers["junctions_s"] < layers["chaining_s"] < layers["ordering_s"]
-        # one emission: each class chain emitted, then confirmed by a peephole
-        assert layers["emit_calls"] == 1
-        assert 0 < layers["chain_calls"] == layers["peephole_calls"] <= 26
+        # one emission: one peephole over the prefix, then each class chain
+        # emitted and appended as it is
+        assert layers["emit_calls"] == layers["peephole_calls"] == 1
+        assert 0 < layers["chain_calls"] <= 26
         assert layers["chain_s"] < layers["emit_s"]
-        # the peephole changes nothing, after one pass of each kind
-        assert 0 < layers["peephole_gates_out"] == layers["peephole_gates_in"]
-        assert 0 < layers["peephole_two_qubit_out"] == layers["peephole_two_qubit_in"]
-        calls, simple, junction = (
-            layers[f"peephole{part}_calls"] for part in ("", "_simple", "_junction")
-        )
-        assert calls == junction == simple
+        assert layers["peephole_s"] < layers["emit_s"]
+        # on H4's prefix (compressed blocks and fan-out) the peephole takes
+        # 76 gates to 48 and keeps their 12 CNOTs, in passes of both kinds
+        assert (layers["peephole_gates_in"], layers["peephole_gates_out"]) == (76, 48)
+        assert layers["peephole_two_qubit_in"] == layers["peephole_two_qubit_out"] == 12
+        simple, junction = (layers[f"peephole_{part}_calls"] for part in ("simple", "junction"))
+        assert simple >= junction >= 1
         assert all(
             layers[f"{layer}_s"] > 0
             for layer in (

@@ -452,6 +452,12 @@ class TestMapOperator:
         mapped = t.map_operator([(c, ops), (c.conjugate(), rev)])
         assert all(abs(coeff.imag) <= 1e-10 for coeff in mapped._terms.values())
 
+    def test_zero_modes_map_to_the_constant(self):
+        # a 0-mode stack's frame tables still have a byte column for the empty string
+        t = Transform.jordan_wigner(0)
+        assert t.map_operator([], constant=1.5)._terms == {(0, 0): 1.5}
+        assert t.map_operator([], constant=0.0)._terms == {}
+
     def test_more_than_63_modes_rejected(self):
         # masks live in int64 arrays; a 64th mode would wrap silently
         t = Transform.jordan_wigner(64)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fqcc import pso
 from fqcc import trotter as tr
-from fqcc.circuits import Circuit, metrics, peephole_cancel, shared_gate
+from fqcc.circuits import Circuit, Gate, metrics, peephole_cancel, shared_gate
 from fqcc.fcidump import load_fcidump
 from fqcc.fermions import OrbitalSequence, uccsd_pool
 from fqcc.measure import QSRContext, qsr_compress
@@ -1251,25 +1251,34 @@ def _assert_circuit_is_ansatz(plan, pool, angles, transform):
 class TestEmittedPeephole:
     @pytest.mark.parametrize("name", sorted(_SV_ENCODINGS))
     def test_blocks_match_reference(self, name, monkeypatch):
-        """Every block ``emit_circuit`` reduces comes out as the numpy
-        reference pass leaves it, and the circuit costs what the plan says."""
+        """The prefix ``emit_circuit`` reduces comes out as the numpy
+        reference pass leaves it, every class chain comes out as both passes
+        leave it (``_assert_emission``), and the circuit costs what the plan
+        says."""
         n, n_e = _SV_MODES, _SV_ELECTRONS
         pool = uccsd_pool(range(n_e), range(n_e, n))
-        blocks = []
-
-        def recording(circ, *args, **kwargs):
-            out = peephole_cancel(circ, *args, **kwargs)
-            blocks.append((circ, out))
-            return out
-
-        monkeypatch.setattr(tr, "peephole_cancel", recording)
+        calls, chains = _record_emission(monkeypatch)
         plan = tr.synthesize_ansatz(pool, _SV_ENCODINGS[name], occupied=range(n_e))
-        assert len(blocks) > 1
-        for circ, out in blocks:
-            ops = [(g.kind, g.qubits, g.theta) for g in circ.gates]
-            want, phase = oracles.peephole_reference(ops, circ.global_phase)
-            assert [(g.kind, g.qubits, g.theta) for g in out.gates] == want
-            assert abs(out.global_phase - phase) <= 1e-12
+        monkeypatch.undo()
+        assert len(chains) > 1
+        _assert_emission(plan, plan.circuit, calls, chains)
+        assert metrics(plan.circuit).two_qubit == plan.model_two_qubit
+
+    @pytest.mark.parametrize("name", ["jw", "bk", "beta9"])
+    def test_one_peephole_call_on_the_prefix(self, name, monkeypatch):
+        """``synthesize_ansatz`` calls ``peephole_cancel`` once per plan, on
+        the prefix: on water, the compressed blocks and the fan-out go from
+        187 gates to 93 with their 27 CNOTs kept, under JW, BK and a seeded
+        encoding, and the circuit loses exactly those 94 one-qubit gates."""
+        n, n_e, pool = _water_pool()
+        calls, chains = _record_emission(monkeypatch)
+        plan = tr.synthesize_ansatz(pool, _water_encoding(name, n), occupied=range(n_e))
+        monkeypatch.undo()
+        [(given, out)] = calls
+        assert (len(given.gates), len(out.gates)) == (187, 93)
+        assert metrics(given).two_qubit == metrics(out).two_qubit == 27
+        emitted = sum(len(chain.gates) for chain in chains)
+        assert len(plan.circuit.gates) == len(given.gates) + emitted - 94
         assert metrics(plan.circuit).two_qubit == plan.model_two_qubit
 
 
@@ -1346,14 +1355,14 @@ class TestPlannerPins:
     @pytest.mark.parametrize(
         "name,two_qubit,n_gates,digest,phase",
         [
-            ("jw", 1261, 11613,
-             "fd009ffac8d832157dd7363e70adea400ab23dd7ed49c345447458e1633d33c0",
+            ("jw", 1261, 11519,
+             "f0f90eee7c974001eca2eb8db650102f2f9906c640b90d8c9e0ad82d01d67f63",
              -1 - 1.4729969016015758e-13j),
-            ("bk", 1739, 10705,
-             "2422815f933e45c9ddc18c1d0623c00c819ee35735ec74ab1bc860542331acbe",
+            ("bk", 1739, 10611,
+             "366c2a4401f1dc3ba407a4a0072b3f35529a6f44f8faa37b5ddbfc5f577085a8",
              -0.7071067811864575 - 0.7071067811866375j),
-            ("beta9", 3918, 17191,
-             "64ef34a8aac80af03c737f1b4edb9f2109203b2caef9ac0a0a6f198eea7f8295",
+            ("beta9", 3918, 17097,
+             "a6c47136360811f098a080de7db91770238264ff0c4ddae441a2d5940167d693",
              0.7071067811867092 - 0.7071067811863858j),
         ],
     )
@@ -1444,35 +1453,78 @@ def _assert_same_circuit(got, want):
     assert abs(got.global_phase - want.global_phase) <= 1e-12
 
 
-def _emitted_chains(plan, monkeypatch):
-    """``emit_circuit(plan)`` and the (input, output) of every peephole call."""
-    calls = []
+def _record_emission(monkeypatch):
+    """Lists that receive, until ``monkeypatch`` is undone, the (input,
+    output) of every ``peephole_cancel`` call ``trotter`` makes and every
+    class chain ``_emit_chain`` returns, as a circuit."""
+    calls, chains = [], []
+    emit_chain = tr._emit_chain
 
     def recording(circ):
         out = peephole_cancel(circ)
-        calls.append((circ, out))
+        # the caller appends to the circuit it gets back, so keep a copy
+        calls.append((circ, Circuit(out.n_data, out.n_ancilla, list(out.gates), out.global_phase)))
         return out
 
+    def emitting(chain, target, n):
+        gates, phase = emit_chain(chain, target, n)
+        chains.append(Circuit(n, 0, list(gates), phase))
+        return gates, phase
+
     monkeypatch.setattr(tr, "peephole_cancel", recording)
+    monkeypatch.setattr(tr, "_emit_chain", emitting)
+    return calls, chains
+
+
+def _emitted_chains(plan, monkeypatch):
+    """``emit_circuit(plan)``, its peephole calls and its class chains
+    (``_record_emission``)."""
+    calls, chains = _record_emission(monkeypatch)
     circuit = tr.emit_circuit(plan)
     monkeypatch.undo()
-    return circuit, calls
+    return circuit, calls, chains
+
+
+def _peephole_reference(circ):
+    """``oracles.peephole_reference`` of a circuit, as a circuit."""
+    ops, phase = oracles.peephole_reference(
+        [(g.kind, g.qubits, g.theta) for g in circ.gates], circ.global_phase
+    )
+    return Circuit(circ.n_data, circ.n_ancilla, [Gate(*op) for op in ops], phase)
+
+
+def _assert_emission(plan, circuit, calls, chains):
+    """``circuit`` is the plan's emission with one peephole call, on the
+    prefix (the compressed blocks, then the restoration fan-out), which
+    returns what the numpy reference pass does; every class chain is at
+    the fixpoint of ``peephole_cancel`` and of the reference pass; and the
+    circuit is the reduced prefix followed by the chains as emitted."""
+    [(given, out)] = calls
+    _assert_same_circuit(given, planner_oracles.prefix_reference(plan))
+    _assert_same_circuit(out, _peephole_reference(given))
+    assert len(chains) == len(plan.classes)
+    want = Circuit(plan.n_qubits, 0, list(out.gates), out.global_phase)
+    for chain in chains:
+        _assert_same_circuit(peephole_cancel(chain), chain)
+        _assert_same_circuit(_peephole_reference(chain), chain)
+        want.gates += chain.gates
+        want.global_phase *= chain.global_phase
+    _assert_same_circuit(circuit, want)
 
 
 class TestChainEmission:
     """``emit_circuit`` builds each class chain at the peephole's fixpoint:
     the circuit ``planner_oracles.emit_circuit_reference`` reduces from whole
-    blocks, gate for gate, with nothing left for the peephole to do."""
+    blocks, gate for gate, with nothing left for the peephole to do on any
+    chain (``_assert_emission``)."""
 
     @pytest.mark.parametrize("name", ["jw", "bk", "beta9"])
     def test_water_matches_reference(self, name, monkeypatch):
         n, n_e, pool = _water_pool()
         plan = tr.plan_ansatz(pool, _water_encoding(name, n), occupied=range(n_e))
-        circuit, calls = _emitted_chains(plan, monkeypatch)
+        circuit, calls, chains = _emitted_chains(plan, monkeypatch)
         _assert_same_circuit(circuit, planner_oracles.emit_circuit_reference(plan))
-        assert len(calls) == len(plan.classes)
-        for given, out in calls:
-            _assert_same_circuit(out, given)
+        _assert_emission(plan, circuit, calls, chains)
 
     @pytest.mark.parametrize("name", ["jw", "bk", "beta9"])
     def test_water_gates_are_shared(self, name):
@@ -1491,10 +1543,9 @@ class TestChainEmission:
         checked = 0
         for pool, transform, angles, config, n_e in _emission_corpus(n):
             plan = tr.plan_ansatz(pool, transform, angles, config, occupied=range(n_e))
-            circuit, calls = _emitted_chains(plan, monkeypatch)
+            circuit, calls, chains = _emitted_chains(plan, monkeypatch)
             _assert_same_circuit(circuit, planner_oracles.emit_circuit_reference(plan))
-            for given, out in calls:
-                _assert_same_circuit(out, given)
+            _assert_emission(plan, circuit, calls, chains)
             assert metrics(circuit).two_qubit == plan.model_two_qubit
             checked += 1
         assert checked == 4 * (len(_EMISSION_CONFIGS) - (n > 8))
@@ -1536,9 +1587,10 @@ class TestChainEmission:
     def test_special_angles_leave_the_peephole_nothing(self, data):
         """Term angles of 0, multiples of 2 pi, +-pi/2 and pi, under every
         encoding (bosonic compression on JW only, as the basis change B is
-        not emitted yet): every chain comes back from the peephole
-        unchanged, the circuit is the ansatz, and it is the reference's
-        unitary, global phase included."""
+        not emitted yet): every chain comes back from the peephole and from
+        its numpy reference unchanged (``_assert_emission``), the circuit is
+        the ansatz, and it is the reference's unitary, global phase
+        included."""
         n, n_e = _SV_MODES, _SV_ELECTRONS
         pool = uccsd_pool(range(n_e), range(n_e, n))
         name = data.draw(st.sampled_from(sorted(_SV_ENCODINGS)))
@@ -1550,10 +1602,8 @@ class TestChainEmission:
         transform = _SV_ENCODINGS[name]
         plan = tr.plan_ansatz(pool, transform, angles, config, occupied=range(n_e))
         with pytest.MonkeyPatch.context() as patch:
-            plan.circuit, calls = _emitted_chains(plan, patch)
-        assert len(calls) == len(plan.classes)
-        for given_chain, out in calls:
-            _assert_same_circuit(out, given_chain)
+            plan.circuit, calls, chains = _emitted_chains(plan, patch)
+        _assert_emission(plan, plan.circuit, calls, chains)
         _assert_circuit_is_ansatz(plan, pool, angles, transform)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)

@@ -30,8 +30,9 @@ weigh less than a layer change:
                  inside chaining
     emit         trotter.emit_circuit, the whole emission
     chain        trotter._emit_chain: one class chain's gates, emitted in
-                 the form the peephole leaves them
-    peephole     trotter.peephole_cancel: one class chain, confirmed
+                 the form the peephole leaves them and appended as they are
+    peephole     trotter.peephole_cancel: the prefix (the compressed blocks,
+                 then the restoration fan-out), once per emission
     peephole_simple    circuits._simple_pass: one cancel-and-merge pass
     peephole_junction  circuits._junction_pass: one sandwich-rewrite pass
 
@@ -71,18 +72,18 @@ with the sum's string count, both partitions' group counts, and
 ``sorts_per_sum``, the canonical sorts per ``to_pauli`` result over both
 partitions (the merge's own Jordan-Wigner sum is never sorted).
 
-Each peephole call runs the two passes in turn until neither changes
+The peephole runs the two passes in turn until neither changes
 anything, and skips the last junction pass when it would meet the state
-the previous one left unchanged.  The chain emitter already takes every
-saving the peephole would, so the peephole only confirms: on each chain
-it changes nothing and stops after one simple pass and one junction pass.
+the previous one left unchanged.  It runs only on the prefix: the chain
+emitter already takes every saving the peephole would on a class chain,
+while the prefix's one-qubit gates cancel and merge, so the peephole
+removes about half of its gates and keeps its CNOTs.
 
-``peephole_gates_in`` and ``peephole_gates_out`` sum the gates the
-peephole was given and returned, and ``peephole_two_qubit_in`` and
-``peephole_two_qubit_out`` their two-qubit gates; as the peephole
-confirms, each pair is equal; like the emission layers' calls, they count
-one emission.  The counting runs outside the peephole's time and inside
-the emission's.  Everything
+``peephole_gates_in`` and ``peephole_gates_out`` are the gates of the
+prefix the peephole was given and returned, and ``peephole_two_qubit_in``
+and ``peephole_two_qubit_out`` their two-qubit gates, which are equal;
+like the emission layers' calls, they count one emission.  The counting
+runs outside the peephole's time and inside the emission's.  Everything
 runs in this one process on one thread, so ``workers`` is 1.  The
 checkout's ``src`` is imported, not an installed fqcc.
 
