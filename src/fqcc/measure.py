@@ -16,10 +16,13 @@ Two independent reductions of the Pauli strings an expectation value needs:
 * **Commuting-group partitions.**  Greedy first-fit grouping of strings that
   can be measured simultaneously, under qubit-wise commutation (QWC: joint
   eigenbasis is a product basis, no extra gates) or general commutation (GC:
-  fewer groups, but each needs a basis-change Clifford).  The GC circuit is
-  built by symplectic elimination over the group's independent generators
-  and its two-qubit gate count (``circuits.metrics``) is the measurement
-  overhead.
+  fewer groups, but each needs a basis-change Clifford whose two-qubit gate
+  count, ``circuits.metrics``, is the measurement overhead).  Both run on
+  Python-int bit columns.  Under GC, a string's anticommuting generator
+  slots are the xor of one column per bit of its row, and one add finds
+  the first group whose field of slots is zero.  The basis change is
+  symplectic elimination on per-qubit columns over the group's generators,
+  one or two xors per gate.
 """
 
 from __future__ import annotations
@@ -163,47 +166,6 @@ def qsr_compress_sum(op: PauliSum, ctx: QSRContext) -> PauliSum:
 
 
 # ---------------------------------------------------------------------------
-# Clifford conjugation of Pauli strings
-# ---------------------------------------------------------------------------
-
-
-def _conjugate_masks(x, z, sign, kind, qubits):
-    """Tableau update for P -> U P U+ with U in {H, S, Sdg, CNOT, CZ}."""
-    if kind == "H":
-        (q,) = qubits
-        xb, zb = x >> q & 1, z >> q & 1
-        if xb & zb:
-            sign = -sign
-        x ^= (xb ^ zb) << q
-        z ^= (xb ^ zb) << q
-    elif kind == "S":
-        (q,) = qubits
-        if x >> q & 1 and z >> q & 1:
-            sign = -sign
-        z ^= (x >> q & 1) << q
-    elif kind == "Sdg":
-        (q,) = qubits
-        if x >> q & 1 and not z >> q & 1:
-            sign = -sign
-        z ^= (x >> q & 1) << q
-    elif kind == "CNOT":
-        c, t = qubits
-        if x >> c & 1 and z >> t & 1 and not ((x >> t & 1) ^ (z >> c & 1)):
-            sign = -sign
-        x ^= (x >> c & 1) << t
-        z ^= (z >> t & 1) << c
-    elif kind == "CZ":
-        a, b = qubits
-        if x >> a & 1 and x >> b & 1 and ((z >> a & 1) ^ (z >> b & 1)):
-            sign = -sign
-        z ^= (x >> b & 1) << a
-        z ^= (x >> a & 1) << b
-    else:
-        raise ValueError(f"cannot conjugate through gate kind {kind!r}")
-    return x, z, sign
-
-
-# ---------------------------------------------------------------------------
 # commuting-group partitions
 # ---------------------------------------------------------------------------
 
@@ -257,9 +219,10 @@ def partition_qwc(paulis: PauliSum) -> MeasurementPlan:
     opens a new group.  Groups are bits of Python-int bitsets:
     ``touched[q]`` holds the groups with a letter on qubit q and ``having[4
     q + letter]`` those with that letter there (letter = x bit | z bit <<
-    1).  A string conflicts with ``touched[q] ^ having[4 q + letter]`` on
-    each qubit of its support and joins the lowest group bit outside the
-    union of those sets.
+    1).  One pass over a string's support collects its conflicts,
+    ``touched[q] ^ having[4 q + letter]`` on each of its qubits, and its
+    (q, 4 q + letter) pairs; it joins the lowest group bit outside the
+    union of the conflicts.
     """
     ordered = _ordered(paulis)
     n = _width(paulis, ordered)
@@ -268,10 +231,16 @@ def partition_qwc(paulis: PauliSum) -> MeasurementPlan:
     groups: list[list] = []
     for s in ordered:
         x, z = s.xmask, s.zmask
-        letters = [(q, 4 * q + (x >> q & 1 | (z >> q & 1) << 1)) for q in _bits(x | z)]
+        support = x | z
+        letters = []
         conflict = 0
-        for q, k in letters:
+        while support:
+            low = support & -support
+            q = low.bit_length() - 1
+            k = 4 * q + (x >> q & 1 | (z >> q & 1) << 1)
             conflict |= touched[q] ^ having[k]
+            letters.append((q, k))
+            support ^= low
         # the lowest clear bit of conflict
         g = (~conflict & (conflict + 1)).bit_length() - 1
         if g == len(groups):
@@ -281,12 +250,7 @@ def partition_qwc(paulis: PauliSum) -> MeasurementPlan:
         for q, k in letters:
             touched[q] |= bit
             having[k] |= bit
-    return MeasurementPlan(
-        "qwc",
-        tuple(
-            MeasurementGroup(tuple(g), Circuit(n)) for g in groups
-        ),
-    )
+    return MeasurementPlan("qwc", tuple(MeasurementGroup(tuple(g), Circuit(n)) for g in groups))
 
 
 def _add_generator(basis, v):
@@ -295,66 +259,88 @@ def _add_generator(basis, v):
     ``basis`` maps each generator's highest bit to the generator; v is
     reduced by the generators in turn and kept, reduced, under its new
     highest bit.  The generators in insertion order are a basis of the
-    rows added so far.
+    rows added so far.  Returns the generator kept, or 0 when v is in
+    the span.
     """
     while v:
         hi = v.bit_length() - 1
-        if hi in basis:
-            v ^= basis[hi]
-        else:
+        if hi not in basis:
             basis[hi] = v
-            return
+            break
+        v ^= basis[hi]
+    return v
 
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _anticommuting(cols, swapped):
+    """The generator slots that anticommute with a string: the xor of
+    ``cols[b]`` over the set bits b of its swapped row ``z << n | x``."""
+    f = 0
+    while swapped:
+        low = swapped & -swapped
+        f ^= cols[low.bit_length() - 1]
+        swapped ^= low
+    return f
+
+
+def _mark(cols, row, slot):
+    """Record the generator ``row`` under the slot bit ``slot`` in each of
+    its bits' columns."""
+    while row:
+        low = row & -row
+        cols[low.bit_length() - 1] |= slot
+        row ^= low
 
 
 def _diagonalizing_circuit(basis, n) -> Circuit:
     """Clifford mapping every string in a GC group to Z-type.
 
-    ``basis`` holds the group's independent generators (``_add_generator``);
-    generators that do not all commute raise ``ValueError``.  Symplectic
-    elimination over them: each round takes the first generator still
-    carrying X support, clears the other X bits with CNOTs from a pivot,
-    clears stray Z bits with CZs, folds a leftover Y at the pivot with S,
-    and finishes with H so the generator becomes a single Z.  Mutual
-    commutation keeps finished pivots clean for every later round and
-    keeps every Z-type generator Z-type, so only the generators with X
-    support are carried through the gates, and each round finishes one.
+    ``basis`` holds the group's k independent generators
+    (``_add_generator``); generators that do not all commute raise
+    ``ValueError``.  The generators live as columns: ``X[q]`` and ``Z[q]``
+    are k-bit ints whose bit j is generator j's x or z bit on qubit q, in
+    insertion order.  Symplectic elimination over them: each round takes
+    the first generator still carrying X support (the lowest bit of the
+    OR of the X columns), clears its other X bits with CNOTs from its
+    lowest one, the pivot, then its stray Z bits with CZs, folds a
+    leftover Y at the pivot with S, and finishes with H so the generator
+    becomes a single Z.  Each gate updates every generator at once with
+    one or two xors (CNOT(c, t): ``X[t] ^= X[c]``, ``Z[c] ^= Z[t]``; S:
+    ``Z[q] ^= X[q]``; H swaps ``X[q]`` and ``Z[q]``).  Mutual commutation
+    keeps finished pivots clean for every later round and keeps every
+    Z-type generator Z-type, so each round finishes one generator.
     """
     mask = (1 << n) - 1
-    rows = list(basis.values())
-    for i, u in enumerate(rows):
-        swapped = (u & mask) << n | u >> n
-        if any((v & swapped).bit_count() & 1 for v in rows[:i]):
+    cols = [0] * (2 * n)  # cols[b]: the generators whose row has bit b
+    for j, u in enumerate(basis.values()):
+        if _anticommuting(cols, (u & mask) << n | u >> n):
             raise ValueError("the group's strings do not all commute")
-    gens = [[v >> n, v & mask] for v in rows]
+        _mark(cols, u, 1 << j)
+    Z, X = cols[:n], cols[n:]
     circ = Circuit(n)
-
-    def emit(kind, *qubits):
-        circ.gates.append(shared_gate(kind, qubits))
-        for g in gens:
-            g[0], g[1], _ = _conjugate_masks(g[0], g[1], 1.0, kind, qubits)
-
+    gates = circ.gates
     while True:
-        gens = [g for g in gens if g[0]]
-        if not gens:
+        live = 0
+        for column in X:
+            live |= column
+        if not live:
             return circ
-        active = gens[0]
-        pivot = (active[0] & -active[0]).bit_length() - 1
-        for q in _bits(active[0]):
-            if q != pivot:
-                emit("CNOT", pivot, q)
-        for q in _bits(active[1]):
-            if q != pivot:
-                emit("CZ", pivot, q)
-        if active[1] >> pivot & 1:
-            emit("S", pivot)
-        emit("H", pivot)
+        active = live & -live
+        pivot = next(q for q in range(n) if X[q] & active)
+        for q in range(pivot + 1, n):
+            if X[q] & active:
+                gates.append(shared_gate("CNOT", (pivot, q)))
+                X[q] ^= X[pivot]
+                Z[pivot] ^= Z[q]
+        for q in range(n):
+            if q != pivot and Z[q] & active:
+                gates.append(shared_gate("CZ", (pivot, q)))
+                Z[pivot] ^= X[q]
+                Z[q] ^= X[pivot]
+        if Z[pivot] & active:
+            gates.append(shared_gate("S", (pivot,)))
+            Z[pivot] ^= X[pivot]
+        gates.append(shared_gate("H", (pivot,)))
+        X[pivot], Z[pivot] = Z[pivot], X[pivot]
 
 
 def partition_gc(paulis: PauliSum) -> MeasurementPlan:
@@ -362,34 +348,47 @@ def partition_gc(paulis: PauliSum) -> MeasurementPlan:
 
     Fewer groups than qubit-wise commutation, but each group must be rotated
     into the computational basis before measuring by the group's
-    ``basis_change`` Clifford, whose two-qubit gates are the extra cost.  Strings are taken as in
-    ``partition_qwc`` and each joins the first group it commutes with.  A
-    string is tested against the group's independent generators (at most
-    2n, grown by ``_add_generator`` as members join) rather than against
-    every member: what commutes with a basis commutes with its span.  Row
-    ``x << n | z`` against the swapped row ``z << n | x`` of a string has an
-    even popcount exactly when the two commute.
+    ``basis_change`` Clifford, whose two-qubit gates are the extra cost.
+    Strings are taken as in ``partition_qwc`` and each joins the first
+    group it commutes with.  A string is tested against each group's
+    independent generators, grown by ``_add_generator`` as members join,
+    rather than against every member: what commutes with a basis commutes
+    with its span.  Commuting generators span an isotropic subspace, so a
+    group has at most n of them.
+
+    Every group is tested at once.  Group g owns a field of n + 1 bits at
+    bit g (n + 1): n generator slots and a guard bit above them.
+    ``cols[b]`` holds the slots of the generators whose row ``x << n | z``
+    has bit b, so the xor of ``cols[b]`` over the set bits of a string's
+    swapped row ``z << n | x`` is f, the slots that anticommute with it.
+    Adding L, each field's slot bits all set, carries into a field's guard
+    exactly when its part of f is nonzero, so the first group the string
+    commutes with holds the lowest guard of G (the guards) left clear in
+    f + L.  The field just past the last group is always zero, so the same
+    test opens a new group.
     """
     ordered = _ordered(paulis)
     n = _width(paulis, ordered)
+    width = n + 1
+    low, guard = (1 << n) - 1, 1 << n
+    lows, guards = low, guard  # L and G over the groups and the field past them
+    cols = [0] * (2 * n)
     groups: list[list] = []
     bases: list[dict] = []
     for s in ordered:
         x, z = s.xmask, s.zmask
-        swapped = z << n | x
-        # g: the first group whose generators all commute with s, else a new one
-        for g, basis in enumerate(bases):
-            for u in basis.values():
-                if (u & swapped).bit_count() & 1:
-                    break
-            else:
-                break
-        else:
-            g = len(groups)
+        free = guards & ~(_anticommuting(cols, z << n | x) + lows)
+        g = (free & -free).bit_length() // width - 1
+        if g == len(groups):
             groups.append([])
             bases.append({})
+            lows |= low << width * (g + 1)
+            guards |= guard << width * (g + 1)
         groups[g].append(s)
-        _add_generator(bases[g], x << n | z)
+        basis = bases[g]
+        row = _add_generator(basis, x << n | z)
+        if row:
+            _mark(cols, row, 1 << width * g + len(basis) - 1)
     out = []
     for group, basis in zip(groups, bases):
         out.append(MeasurementGroup(tuple(group), _diagonalizing_circuit(basis, n)))

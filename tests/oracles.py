@@ -43,7 +43,9 @@ build products and take expectations with them, and
 two sections hold what only tests call on fqcc's own objects: the dense
 self-checks (circuit unitaries and statevectors, the anticommutation
 check, Clifford conjugation of a string, a term's signed rotations),
-which run the package's own gate matrices and tableau update; and test
+which run the package's own gate matrices (conjugation runs
+``conjugate_masks``, the tableau update kept next to
+``diagonalizing_circuit_reference``); and test
 inputs (a transform's free bits, its encoded sectors, states and
 generators, a ladder as a PauliSum, Pauli strings from letters or from the
 text format).  A transform's ladder strings and encoded basis indices are
@@ -1184,13 +1186,49 @@ def gc_groups_reference(ordered):
     return groups
 
 
+def conjugate_masks(x, z, sign, kind, qubits):
+    """Tableau update for P -> U P U+ with U in {H, S, Sdg, CNOT, CZ}, on a
+    string's x and z masks and its sign."""
+    if kind == "H":
+        (q,) = qubits
+        xb, zb = x >> q & 1, z >> q & 1
+        if xb & zb:
+            sign = -sign
+        x ^= (xb ^ zb) << q
+        z ^= (xb ^ zb) << q
+    elif kind == "S":
+        (q,) = qubits
+        if x >> q & 1 and z >> q & 1:
+            sign = -sign
+        z ^= (x >> q & 1) << q
+    elif kind == "Sdg":
+        (q,) = qubits
+        if x >> q & 1 and not z >> q & 1:
+            sign = -sign
+        z ^= (x >> q & 1) << q
+    elif kind == "CNOT":
+        c, t = qubits
+        if x >> c & 1 and z >> t & 1 and not ((x >> t & 1) ^ (z >> c & 1)):
+            sign = -sign
+        x ^= (x >> c & 1) << t
+        z ^= (z >> t & 1) << c
+    elif kind == "CZ":
+        a, b = qubits
+        if x >> a & 1 and x >> b & 1 and ((z >> a & 1) ^ (z >> b & 1)):
+            sign = -sign
+        z ^= (x >> b & 1) << a
+        z ^= (x >> a & 1) << b
+    else:
+        raise ValueError(f"cannot conjugate through gate kind {kind!r}")
+    return x, z, sign
+
+
 def diagonalizing_circuit_reference(basis, n):
-    """``measure._diagonalizing_circuit`` as it once ran: every generator,
-    finished or not, is conjugated through every gate, and the rounds are
-    unbounded.  Imports fqcc for the gates and the tableau update.
+    """``measure._diagonalizing_circuit`` as it once ran: one [x, z] pair
+    per generator, finished or not, conjugated through every gate by the
+    tableau update, and unbounded rounds.  Imports fqcc for the gates.
     Returns the circuit."""
     from fqcc.circuits import Circuit, shared_gate
-    from fqcc.measure import _bits, _conjugate_masks
 
     mask = (1 << n) - 1
     gens = [[v >> n, v & mask] for v in basis.values()]
@@ -1199,17 +1237,17 @@ def diagonalizing_circuit_reference(basis, n):
     def emit(kind, *qubits):
         circ.gates.append(shared_gate(kind, qubits))
         for g in gens:
-            g[0], g[1], _ = _conjugate_masks(g[0], g[1], 1.0, kind, qubits)
+            g[0], g[1], _ = conjugate_masks(g[0], g[1], 1.0, kind, qubits)
 
     while True:
         active = next((g for g in gens if g[0]), None)
         if active is None:
             return circ
         pivot = (active[0] & -active[0]).bit_length() - 1
-        for q in _bits(active[0]):
+        for q in [q for q in range(n) if active[0] >> q & 1]:
             if q != pivot:
                 emit("CNOT", pivot, q)
-        for q in _bits(active[1]):
+        for q in [q for q in range(n) if active[1] >> q & 1]:
             if q != pivot:
                 emit("CZ", pivot, q)
         if active[1] >> pivot & 1:
@@ -1510,15 +1548,14 @@ def rotations(term):
 def conjugate_string(s, gates):
     """Map a string through a Clifford gate list: s -> U s U+ exactly.
 
-    Runs ``measure``'s tableau update; gates are ``Gate``s or (kind, qubits).
+    Runs ``conjugate_masks``; gates are ``Gate``s or (kind, qubits).
     """
-    from fqcc.measure import _conjugate_masks
     from fqcc.paulis import PauliString
 
     x, z, sign = s.xmask, s.zmask, 1.0
     for gate in gates:
         kind, qubits = (gate.kind, gate.qubits) if hasattr(gate, "kind") else gate
-        x, z, sign = _conjugate_masks(x, z, sign, kind, qubits)
+        x, z, sign = conjugate_masks(x, z, sign, kind, qubits)
     return PauliString(s.n_qubits, x, z, s.coeff * sign)
 
 

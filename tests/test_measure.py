@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -511,3 +512,96 @@ class TestPartitionGc:
         assert isinstance(plan, MeasurementPlan)
         assert plan.criterion == "gc"
         assert 0 < plan.n_groups <= _n_strings(plan)
+
+
+_MAGNITUDES = (0.25, 0.5, 1.0, 3.0)
+_PHASES = (1, -1, 1j, -1j)
+
+
+def _random_sum(rnd, n, count, identity):
+    """``count`` strings drawn on n qubits, their coefficients from a few
+    magnitudes and phases, so ties in |coefficient| are common; with the
+    identity string when ``identity``."""
+    terms = {}
+    for _ in range(count):
+        terms[rnd.getrandbits(n), rnd.getrandbits(n)] = rnd.choice(_MAGNITUDES) * rnd.choice(_PHASES)
+    if identity:
+        terms[0, 0] = rnd.choice(_MAGNITUDES)
+    return PauliSum(n, terms)
+
+
+def _random_clifford(rnd, n, depth):
+    gates = []
+    for _ in range(depth):
+        kind = rnd.choice(["H", "S", "Sdg", "CNOT", "CZ"] if n > 1 else ["H", "S", "Sdg"])
+        gates.append((kind, tuple(rnd.sample(range(n), 2 if kind in ("CNOT", "CZ") else 1))))
+    return gates
+
+
+def _commuting_rows(rnd, n, k):
+    """k independent commuting (x << n | z) rows: independent Z-type strings
+    conjugated through one random Clifford."""
+    zs = {}
+    while len(zs) < k:
+        measure._add_generator(zs, rnd.getrandbits(n))
+    gates = _random_clifford(rnd, n, rnd.randint(0, 4 * n))
+    rows = []
+    for z in zs.values():
+        s = conjugate_string(PauliString(n, 0, z, 1.0), gates)
+        rows.append(s.xmask << n | s.zmask)
+    rnd.shuffle(rows)
+    return rows
+
+
+class TestBitColumns:
+    """The bit-column first-fit and basis change against the loops they
+    replaced, in ``oracles``: string for string and gate for gate."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 14),
+        count=st.integers(1, 700),
+        identity=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_partitions_match_reference(self, n, count, identity, seed):
+        _assert_reference_groups(_random_sum(random.Random(seed), n, count, identity))
+
+    @pytest.mark.parametrize("n, count", [(6, 1000), (8, 1200), (14, 600), (20, 500)])
+    def test_many_groups_match_reference(self, n, count):
+        """Sums that open more than 64 QWC groups, and (below 14 qubits)
+        more than 64 GC groups, so the groups' bits and fields run past
+        64-bit boundaries; 20 qubits gives 21-bit fields."""
+        paulis = _random_sum(random.Random(n * count), n, count, identity=True)
+        _assert_reference_groups(paulis)
+        assert partition_qwc(paulis).n_groups > 64
+        assert partition_gc(paulis).n_groups > (64 if n < 14 else 32)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_basis_change_matches_reference(self, n, data, seed):
+        rows = _commuting_rows(random.Random(seed), n, data.draw(st.integers(1, n)))
+        basis = dict(enumerate(rows))
+        got = measure._diagonalizing_circuit(basis, n)
+        want = oracles.diagonalizing_circuit_reference(basis, n)
+        assert [(g.kind, g.qubits) for g in got.gates] == [(g.kind, g.qubits) for g in want.gates]
+        for row in rows:
+            s = PauliString(n, row >> n, row & ((1 << n) - 1), 1.0)
+            assert conjugate_string(s, got.gates).xmask == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_anticommuting_pair_anywhere_raises(self, n, data, seed):
+        """A commuting basis with one row inserted at any position that
+        anticommutes with some other row."""
+        rnd = random.Random(seed)
+        rows = _commuting_rows(rnd, n, data.draw(st.integers(1, n)))
+        partner = rnd.choice(rows)
+        x, z = partner >> n, partner & ((1 << n) - 1)
+        q = rnd.choice([q for q in range(n) if (x | z) >> q & 1])
+        # a one-qubit letter that differs from the partner's on q anticommutes with it
+        letter = rnd.choice([(a, b) for a, b in ((1, 0), (0, 1), (1, 1)) if (a, b) != (x >> q & 1, z >> q & 1)])
+        bad = letter[0] << n + q | letter[1] << q
+        rows.insert(data.draw(st.integers(0, len(rows))), bad)
+        with pytest.raises(ValueError, match="do not all commute"):
+            measure._diagonalizing_circuit(dict(enumerate(rows)), n)

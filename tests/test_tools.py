@@ -44,11 +44,12 @@ def test_planner_layers_reports_h4():
     build = h4.pop("stack_build")
     assert build["encodings"] == 28
     assert 0 < build["per_encoding_s"] < build["transform_per_encoding_s"]
-    # measurement planning of H4's Hamiltonian, three rounds of one map and
-    # both partitions: the two partitions share one canonical sort per sum
+    # measurement planning of H4's Hamiltonian under compile-water's three
+    # encodings (JW, BK and the seed-1 beta), three rounds of one map and both
+    # partitions: the two partitions share one canonical sort per sum
     planning = h4.pop("measurement")
     assert {enc: (m["strings"], m["qwc_groups"], m["gc_groups"]) for enc, m in planning.items()} == {
-        "jw": (185, 69, 9), "bk": (185, 58, 9),
+        "jw": (185, 69, 9), "bk": (185, 58, 9), "beta": (185, 65, 9),
     }
     for m in planning.values():
         assert m["sorts_per_sum"] == 1

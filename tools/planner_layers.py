@@ -49,9 +49,10 @@ against one ``Transform`` per encoding with the tables of each.  It
 reports the best of three rounds of each, as seconds per encoding.
 
 ``measurement`` times the measurement planning of each system's
-Hamiltonian (its FCIDUMP in ``tests/fixtures``) under JW and BK, summed
-over three rounds of one map and both partitions, as compile-water runs
-them.  The operator is built afresh for each encoding, so each entry
+Hamiltonian (its FCIDUMP in ``tests/fixtures``) under compile-water's
+three encodings, JW, BK and a β seeded by ``np.random.default_rng(1)``,
+summed over three rounds of one map and both partitions, as compile-water
+runs them.  The operator is built afresh for each encoding, so each entry
 holds its one merge; compile-water maps one operator under three
 encodings and pays the merge once:
 
@@ -115,6 +116,15 @@ from fqcc.transform import EncodingStack, Transform  # noqa: E402
 SYSTEMS = {"h4": (8, 4), "water": (14, 10)}
 FIXTURES = {"h4": "h4_sto3g.fcidump", "water": "h2o_sto3g.fcidump"}
 ENCODINGS = {"jw": Transform.jordan_wigner, "bk": Transform.bravyi_kitaev}
+
+
+def seeded_beta(n_modes):
+    """The seeded random encoding: lower bits from ``np.random.default_rng(1)``."""
+    d = n_modes * (n_modes - 1) // 2
+    return Transform.from_lower_bits(n_modes, np.random.default_rng(1).integers(0, 2, d).tolist())
+
+
+MEASUREMENT_ENCODINGS = {**ENCODINGS, "beta": seeded_beta}
 REPEAT = 3  # plans, and emissions, per system and encoding
 EMISSION = ("emit", "chain", "peephole", "peephole_simple", "peephole_junction")
 LAYERS = {
@@ -286,7 +296,7 @@ def measurement(name, n_modes):
     partitions of the system's Hamiltonian, per encoding."""
     ham, _ = load_fcidump(ROOT / "tests" / "fixtures" / FIXTURES[name]).to_spin_orbital()
     out = {}
-    for enc, make in ENCODINGS.items():
+    for enc, make in MEASUREMENT_ENCODINGS.items():
         hamiltonian = build_hamiltonian(ham)
         transform = make(n_modes)
         totals = defaultdict(lambda: [0.0, 0])
